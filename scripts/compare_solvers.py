@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Cross-check the built-in exact solver against the external backend on a
+"""Cross-check the built-in exact solver against in-process HiGHS on a
 batch of random small MILPs and report timing.
 
 Usage: python3 scripts/compare_solvers.py [--trials 20] [--seed 0]
@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from invqsar.milp.minisolve import solve_exact
-from invqsar.milp.solve import default_external_backend, solve
+from invqsar.milp.solve import solve
 
 
 def main() -> int:
@@ -30,7 +30,6 @@ def main() -> int:
     from test_minisolve import random_model
 
     rng = np.random.default_rng(args.seed)
-    backend = default_external_backend(120)
     agree = 0
     for trial in range(args.trials):
         model = random_model(rng)
@@ -38,7 +37,7 @@ def main() -> int:
         mini = solve_exact(model, time_limit=60)
         t_mini = time.monotonic() - t0
         t0 = time.monotonic()
-        ext = solve(model, backend)
+        ext = solve(model, "highs")
         t_ext = time.monotonic() - t0
         same = mini.status == ext.status and (
             mini.status != "optimal"
@@ -49,7 +48,7 @@ def main() -> int:
         obj = "-" if mini.objective is None else f"{float(mini.objective):g}"
         print(
             f"trial {trial:2d}: {mini.status:>10} obj={obj:>8} "
-            f"mini {t_mini * 1e3:6.1f}ms ext {t_ext * 1e3:6.1f}ms  {verdict}"
+            f"mini {t_mini * 1e3:6.1f}ms highs {t_ext * 1e3:6.1f}ms  {verdict}"
         )
     print(f"\nagreement: {agree}/{args.trials}")
     return 0 if agree == args.trials else 1

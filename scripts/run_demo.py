@@ -5,7 +5,7 @@ design for a target property window, and verify the result.
 Writes everything under ./demo_out and drives the same code paths as the
 `invqsar` command-line tool.
 
-Usage: python3 scripts/run_demo.py [--backend mini|external]
+Usage: python3 scripts/run_demo.py [--backend highs|mini]
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def demo_spec(dataset):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=["external", "mini"],
-                        default="external")
+    parser.add_argument("--backend", choices=["highs", "mini"],
+                        default="highs")
     parser.add_argument("--out", default="demo_out")
     args = parser.parse_args()
 

@@ -28,7 +28,7 @@ from invqsar.decompose import decompose
 from invqsar.descriptors import build_space, featurize
 from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import decode, solution_feature_values
-from invqsar.milp.solve import default_external_backend, solve
+from invqsar.milp.solve import solve
 from invqsar.topospec import check_graph_satisfies, parse_spec, spec_from_graph
 
 
@@ -42,7 +42,6 @@ def main() -> int:
     from conftest import random_chemical_graph, uniform_predictor
 
     rng = np.random.default_rng(args.seed)
-    backend = default_external_backend(300)
     verified = failed = 0
     start = time.monotonic()
     while verified + failed < args.instances:
@@ -70,7 +69,7 @@ def main() -> int:
             fv = featurize(target, space)
             y = predictor.predict_normalized(fv.as_floats())
             model = build_milp(spec, space, predictor, y - 0.02, y + 0.02)
-            sol = solve(model, backend, time_limit=300, polish=polish_solution)
+            sol = solve(model, "highs", time_limit=300, polish=polish_solution)
             if sol.status != "optimal":
                 raise RuntimeError("unexpected infeasibility")
             graph = decode(sol, spec, space)

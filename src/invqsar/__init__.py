@@ -6,7 +6,7 @@ from .descriptors import build_space, featurize, normalize
 from .graph import ChemicalGraph, build_graph, graph_from_json, graph_to_json, rank
 from .milp.build import build_milp, polish_solution
 from .milp.decode import decode
-from .milp.solve import ExternalBackend, default_external_backend, solve
+from .milp.solve import ExternalBackend, solve
 from .regression import cross_validate, lasso_fit, predict, r_squared
 from .sdf import parse_sdf
 from .topospec import check_graph_satisfies, parse_spec, spec_from_graph
@@ -23,7 +23,6 @@ __all__ = [
     "cross_validate",
     "decode",
     "decompose",
-    "default_external_backend",
     "featurize",
     "graph_from_json",
     "graph_to_json",

@@ -1,7 +1,8 @@
 """Batch pipeline driver: featurize, train, infer, verify.
 
-Exit codes: 0 success, 2 usage or input error, 3 infeasible target,
-4 solver failure.  All subcommands are deterministic under a fixed seed.
+Exit codes: 0 success, 1 a verification check failed, 2 usage or input
+error, 3 infeasible target, 4 solver or decoder failure.  All subcommands
+are deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -26,14 +27,8 @@ from .descriptors import (
 from .graph import graph_from_json_text, graph_to_json_text
 from .milp.build import BuildError, build_milp, polish_solution
 from .milp.model import emit_lp
-from .milp.decode import decode, solution_feature_values
-from .milp.solve import (
-    ExternalBackend,
-    SolutionCheckError,
-    SolverFailure,
-    default_external_backend,
-    solve,
-)
+from .milp.decode import DecodeError, decode, solution_feature_values
+from .milp.solve import ExternalBackend, SolutionCheckError, SolverFailure, solve
 from .regression import (
     LinearPredictor,
     cross_validate,
@@ -45,6 +40,7 @@ from .sdf import parse_sdf
 from .topospec import SpecError, check_graph_satisfies, parse_spec
 
 EXIT_OK = 0
+EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
@@ -76,13 +72,13 @@ class ProjectConfig:
             raise UsageError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise UsageError("config must be a JSON object")
         cfg = ProjectConfig()
         for key, value in doc.items():
             if not hasattr(cfg, key):
                 raise UsageError(f"unknown config key {key!r}")
-            if key == "lambda_grid":
-                value = tuple(float(v) for v in value)
-            setattr(cfg, key, value)
+            setattr(cfg, key, _checked(key, getattr(cfg, key), value))
         if cfg.rho < 1:
             raise UsageError("rho must be at least 1")
         return cfg
@@ -92,7 +88,28 @@ class ProjectConfig:
             return "mini"
         if self.solver_command:
             return ExternalBackend(self.solver_command, self.solver_timeout)
-        return default_external_backend(self.solver_timeout)
+        return "highs"
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _checked(key: str, default, value):
+    """value converted to the type of the field's default, or UsageError."""
+    if isinstance(default, tuple):
+        if (not isinstance(value, list) or not value
+                or not all(_is_number(v) for v in value)):
+            raise UsageError(f"config key {key!r} must be a non-empty list of numbers")
+        return tuple(float(v) for v in value)
+    if isinstance(default, float):
+        if not _is_number(value):
+            raise UsageError(f"config key {key!r} must be a number")
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, type(default)):
+        raise UsageError(
+            f"config key {key!r} must be of type {type(default).__name__}")
+    return value
 
 
 def _read_text(path: str) -> str:
@@ -224,7 +241,11 @@ def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
     if sol.status == "infeasible":
         print("status: infeasible (no graph satisfies the request)")
         return EXIT_INFEASIBLE
-    graph = decode(sol, spec, space)
+    try:
+        graph = decode(sol, spec, space)
+    except DecodeError as exc:
+        print(f"decode failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     (out / "result.json").write_text(graph_to_json_text(graph))
     (out / "result.sdf").write_text(graph_to_sdf(graph, "inferred"))
     fv = featurize(graph, space)
@@ -247,6 +268,10 @@ def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
     print(f"status: feasible; wrote {out / 'result.json'} and {out / 'result.sdf'}")
     print(f"predicted value: {y_val:g} (interval [{y_lo:g}, {y_hi:g}])")
     print(f"specification check: {'pass' if report.passed else 'FAIL'}")
+    if not (verification["in_interval"] and x_match and report.passed):
+        print(f"error: verification failed; see {out / 'verification.json'}",
+              file=sys.stderr)
+        return EXIT_CHECK
     return EXIT_OK
 
 
@@ -286,7 +311,7 @@ def run_verify(graph_path: str, spec_path: str, predictor_path: str,
     report = check_graph_satisfies(spec, graph)
     print(report.to_text())
     ok = not problems and report.passed
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 def main(argv: list[str] | None = None) -> int:

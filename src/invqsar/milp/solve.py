@@ -1,24 +1,25 @@
 """Solver backends and solution handling.
 
-Two backends: an external solver invoked through a command template with
-{input} and {output} placeholders (LP file in, solution file out, wall-clock
-timeout), and the built-in exact mini-solver.  Every returned solution is
+Three backends: HiGHS called in-process on a sparse matrix built from the
+model, the built-in exact mini-solver, and an external solver invoked
+through a command template with {input} and {output} placeholders (LP file
+in, solution file out, wall-clock timeout).  Every returned solution is
 re-checked against the model (row residuals, bounds, integrality) before it
 is handed to callers; a failed check is a hard error, not a warning.
 """
 
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
-import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .minisolve import solve_exact
-from .model import MILPModel, check_solution, emit_lp
+from .minisolve import MiniSolverError, solve_exact
+from .model import CONTINUOUS, GE, LE, MAX, MILPModel, check_solution, emit_lp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -26,7 +27,7 @@ TIMEOUT = "timeout"
 
 
 class SolverFailure(RuntimeError):
-    """External solver crashed, timed out abnormally or wrote garbage."""
+    """A solver crashed, stopped before an answer or wrote garbage."""
 
 
 class SolutionCheckError(RuntimeError):
@@ -57,7 +58,7 @@ class Solution:
 @dataclass(frozen=True)
 class ExternalBackend:
     """Command template with {input}/{output} placeholders, e.g.
-    'cbc {input} solve solu {output}' or the bundled helper."""
+    'cbc {input} solve solu {output}'."""
 
     command: str
     timeout: float = 600.0
@@ -88,14 +89,6 @@ class ExternalBackend:
             if not sol_path.exists():
                 raise SolverFailure("external solver wrote no solution file")
             return sol_path.read_text(), log
-
-
-def default_external_backend(timeout: float = 600.0) -> ExternalBackend:
-    """Bundled LP-file solver running in a subprocess."""
-    return ExternalBackend(
-        command=f'"{sys.executable}" -m invqsar.milp.highs_cli {{input}} {{output}}',
-        timeout=timeout,
-    )
 
 
 def _to_fraction(text: str) -> Fraction:
@@ -166,6 +159,63 @@ def _complete_and_check(model: MILPModel, sol: Solution, tol: float) -> Solution
     return sol
 
 
+def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
+    """Solve with HiGHS in-process; the time limit is enforced inside HiGHS.
+
+    Returns an optimal or infeasible Solution (values not yet checked) and
+    raises SolverFailure on any other outcome, time limit included."""
+    # imported here: scipy.optimize costs ~0.6 s, which only this path pays
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
+
+    variables = model.variables
+    index = {v.name: i for i, v in enumerate(variables)}
+    sign = -1.0 if model.objective_sense == MAX else 1.0
+    c = [0.0] * len(variables)
+    for name, coef in model.objective:
+        c[index[name]] = sign * coef
+
+    rows = model.constraints
+    indptr, indices, data, lo, hi = [0], [], [], [], []
+    for con in rows:
+        for name, coef in con.coeffs:
+            indices.append(index[name])
+            data.append(coef)
+        indptr.append(len(indices))
+        lo.append(-math.inf if con.sense == LE else con.rhs)
+        hi.append(math.inf if con.sense == GE else con.rhs)
+    a = csr_array((data, indices, indptr), shape=(len(rows), len(variables)))
+    constraints = [LinearConstraint(a, lo, hi)] if rows else []
+
+    options = {"mip_rel_gap": 0.0}
+    if time_limit is not None:
+        options["time_limit"] = time_limit
+
+    def attempt(**extra):
+        return milp(
+            c,
+            constraints=constraints,
+            integrality=[v.kind != CONTINUOUS for v in variables],
+            bounds=Bounds([v.lb for v in variables], [v.ub for v in variables]),
+            options={**options, **extra},
+        )
+
+    res = attempt()
+    if res.status == 2:
+        # badly scaled models can trip presolve into a false infeasibility;
+        # only trust the claim when the conservative pass agrees
+        res = attempt(presolve=False)
+    log = (f"HiGHS status={res.status} nodes={res.get('mip_node_count')} "
+           f"gap={res.get('mip_gap')}: {res.message}\n")
+    if res.status == 2:
+        return Solution(INFEASIBLE, log=log)
+    if res.status != 0:
+        raise SolverFailure(f"HiGHS stopped without an answer: {res.message}")
+    # shortest round-trip decimals keep the exact check's rationals small
+    values = {v.name: Fraction(repr(float(x))) for v, x in zip(variables, res.x)}
+    return Solution(OPTIMAL, values, sign * float(res.fun), log=log)
+
+
 def solve(
     model: MILPModel,
     backend: ExternalBackend | str = "mini",
@@ -175,15 +225,20 @@ def solve(
 ) -> Solution:
     """Solve the model and return a residual-checked Solution.
 
-    backend is either the string 'mini' (built-in exact solver) or an
-    ExternalBackend.  Infeasibility is a status, not an error.  An optional
-    polish callable (model, solution) may clean the raw values in place
-    before verification (for example exact recomputation of dependent
-    continuous variables)."""
-    if isinstance(backend, str):
-        if backend != "mini":
-            raise ValueError(f"unknown backend {backend!r}")
-        outcome = solve_exact(model, time_limit=time_limit)
+    backend is 'highs' (in-process HiGHS), 'mini' (built-in exact solver)
+    or an ExternalBackend.  Infeasibility is a status, not an error.  An
+    optional polish callable (model, solution) may clean the raw values in
+    place before verification (for example exact recomputation of
+    dependent continuous variables)."""
+    if backend == "highs":
+        sol = solve_highs(model, time_limit)
+        if sol.status == INFEASIBLE:
+            return sol
+    elif backend == "mini":
+        try:
+            outcome = solve_exact(model, time_limit=time_limit)
+        except MiniSolverError as exc:
+            raise SolverFailure(f"mini-solver failed: {exc}") from exc
         if outcome.status == "infeasible":
             return Solution(INFEASIBLE)
         if outcome.status == "timeout":
@@ -194,6 +249,8 @@ def solve(
             None if outcome.objective is None else float(outcome.objective),
             log=f"mini-solver nodes={outcome.nodes}",
         )
+    elif isinstance(backend, str):
+        raise ValueError(f"unknown backend {backend!r}")
     else:
         if time_limit is not None:
             backend = ExternalBackend(backend.command, time_limit)

@@ -16,7 +16,7 @@ from invqsar.descriptors import build_space, featurize
 from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import decode, solution_feature_values
 from invqsar.milp.model import constraint_residuals, emit_lp, parse_lp
-from invqsar.milp.solve import default_external_backend, solve
+from invqsar.milp.solve import solve
 from invqsar.regression import kkt_residuals, lasso_fit, cross_validate
 from invqsar.topospec import check_graph_satisfies, parse_spec
 
@@ -176,7 +176,7 @@ def test_criterion_5_cv_protocol():
 
 @pytest.mark.parametrize("name", ALL_ROUNDTRIP_FIXTURES)
 def test_criterion_6_roundtrip_external(name):
-    fx, model, sol, elapsed = solved_fixture(name, default_external_backend(600))
+    fx, model, sol, elapsed = solved_fixture(name, "highs")
     ok = sol.status == "optimal" and elapsed <= 600
     detail = [f"solve {elapsed:.1f}s"]
     graph = None
@@ -232,7 +232,7 @@ def test_criterion_7_infeasibility(key):
     spec = parse_spec(json.dumps(doc))
     model = build_milp(spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi)
     start = time.monotonic()
-    sol = solve(model, default_external_backend(300), time_limit=300)
+    sol = solve(model, "highs", time_limit=300)
     elapsed = time.monotonic() - start
     report(
         7,
@@ -269,7 +269,7 @@ def test_criterion_9_normalization_residuals():
     worst = Fraction(0)
     checked = 0
     for name in ALL_ROUNDTRIP_FIXTURES:
-        fx, model, sol, _ = solved_fixture(name, default_external_backend(600))
+        fx, model, sol, _ = solved_fixture(name, "highs")
         if sol.status != "optimal":
             continue
         residuals = constraint_residuals(model, sol.values)

@@ -1,8 +1,13 @@
 import json
+import subprocess
 
 import pytest
 
+from invqsar import cli
 from invqsar.cli import graph_to_sdf, main
+from invqsar.milp import solve as solve_module
+from invqsar.milp.decode import DecodeError, solution_feature_values
+from invqsar.milp.minisolve import MiniSolverError
 from invqsar.graph import graph_to_json_text
 from invqsar.sdf import parse_sdf
 from invqsar.topospec import spec_to_json_text
@@ -219,3 +224,105 @@ def test_sdf_round_trip_random_graphs():
         (back,) = result.graphs
         assert back.validate() == []
         assert featurize(back, space).values == featurize(g, space).values
+
+
+@pytest.fixture
+def trained(project):
+    tmp, cfg_path, fx = project
+    assert main(["featurize", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    return tmp, cfg_path
+
+
+def with_solver(tmp, cfg_path, solver_command):
+    cfg = json.loads(cfg_path.read_text())
+    cfg["solver_command"] = solver_command
+    path = tmp / f"solver_{solver_command or 'default'}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_default_solver_starts_no_child_process(trained, monkeypatch):
+    tmp, cfg_path = trained
+
+    def no_children(*args, **kwargs):
+        raise AssertionError("the default solver must not start a process")
+
+    monkeypatch.setattr(subprocess, "Popen", no_children)
+    cfg = with_solver(tmp, cfg_path, "")
+    assert main(["infer", "--config", cfg, "--lo", "6.9", "--hi", "7.1"]) == 0
+    assert (tmp / "out" / "model.lp").exists()
+
+
+def test_infer_failed_check_exit_code(trained, monkeypatch, capsys):
+    tmp, cfg_path = trained
+
+    def shifted(sol, space):
+        xs = solution_feature_values(sol, space)
+        xs[0] += 1.0
+        return xs
+
+    monkeypatch.setattr(cli, "solution_feature_values", shifted)
+    assert main(["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"]) == 1
+    verification = json.loads((tmp / "out" / "verification.json").read_text())
+    assert verification["feature_vector_matches_model"] is False
+    assert "verification failed" in capsys.readouterr().err
+
+
+def test_infer_decode_failure_exit_code(trained, monkeypatch, capsys):
+    tmp, cfg_path = trained
+
+    def broken(*args):
+        raise DecodeError("no seed vertex selected")
+
+    monkeypatch.setattr(cli, "decode", broken)
+    assert main(["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"]) == 4
+    assert "decode failure: no seed vertex selected" in capsys.readouterr().err
+
+
+def test_infer_mini_solver_fault_exit_code(trained, monkeypatch, capsys):
+    tmp, cfg_path = trained
+
+    def broken(*args, **kwargs):
+        raise MiniSolverError("zero pivot")
+
+    monkeypatch.setattr(solve_module, "solve_exact", broken)
+    cfg = with_solver(tmp, cfg_path, "mini")
+    assert main(["infer", "--config", cfg, "--lo", "6.9", "--hi", "7.1"]) == 4
+    assert "zero pivot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rho", "2"),
+    ("rho", True),
+    ("rho", 2.0),
+    ("seed", None),
+    ("cv_executions", [3]),
+    ("solver_timeout", "600"),
+    ("solver_timeout", False),
+    ("solver_command", 5),
+    ("lambda_grid", 0.1),
+    ("lambda_grid", [0.1, "0.2"]),
+    ("lambda_grid", [0.1, True]),
+    ("lambda_grid", []),
+])
+def test_config_type_errors(tmp_path, capsys, key, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["featurize", "--config", str(cfg)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("[]")
+    assert main(["featurize", "--config", str(cfg)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_config_float_field_accepts_int(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"solver_timeout": 60, "lambda_grid": [1, 0.5]}))
+    loaded = cli.ProjectConfig.load(str(cfg))
+    assert loaded.solver_timeout == 60.0 and isinstance(loaded.solver_timeout, float)
+    assert loaded.lambda_grid == (1.0, 0.5)

@@ -11,7 +11,7 @@ from invqsar.descriptors import featurize
 from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import DecodeError, decode, solution_feature_values
 from invqsar.milp.model import emit_lp, parse_lp
-from invqsar.milp.solve import Solution, default_external_backend, solve
+from invqsar.milp.solve import Solution, solve
 from invqsar.topospec import check_graph_satisfies, parse_spec
 
 from conftest import ALL_ROUNDTRIP_FIXTURES, ring, roundtrip_fixture
@@ -43,7 +43,7 @@ def run_roundtrip(fx, backend, tol=1e-6):
 @pytest.mark.parametrize("name", ALL_ROUNDTRIP_FIXTURES)
 def test_roundtrip_external(name):
     fx = roundtrip_fixture(name)
-    run_roundtrip(fx, default_external_backend(600))
+    run_roundtrip(fx, "highs")
 
 
 @pytest.mark.parametrize(
@@ -95,7 +95,7 @@ def test_infeasible_specs(key):
     fx, doc = infeasible_specs()[key]
     spec = parse_spec(json.dumps(doc))
     model = build_milp(spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi)
-    for backend in (default_external_backend(300), "mini"):
+    for backend in ("highs", "mini"):
         sol = solve(model, backend, time_limit=300)
         assert sol.status == "infeasible"
 
@@ -146,7 +146,7 @@ def test_roundtrip_with_charged_nitrogen():
     fv = featurize(target, space)
     y = predictor.predict_normalized(fv.as_floats())
     model = build_milp(spec, space, predictor, y - 0.01, y + 0.01)
-    sol = solve(model, default_external_backend(300), polish=polish_solution)
+    sol = solve(model, "highs", polish=polish_solution)
     assert sol.status == "optimal"
     g = decode(sol, spec, space)
     assert g.validate() == []
@@ -199,7 +199,7 @@ def test_roundtrip_with_forced_double_bond():
     fv = featurize(target, space)
     y = predictor.predict_normalized(fv.as_floats())
     model = build_milp(spec, space, predictor, y - 0.01, y + 0.01)
-    sol = solve(model, default_external_backend(300), polish=polish_solution)
+    sol = solve(model, "highs", polish=polish_solution)
     assert sol.status == "optimal"
     g = decode(sol, spec, space)
     assert g.validate() == []
@@ -223,7 +223,7 @@ def test_roundtrip_leaf_path_on_path_interior():
     doc["seed"]["edges"][0]["branch_lb"] = 1  # the path-class edge
     spec = parse_spec(json.dumps(doc))
     model = build_milp(spec, fx.space)
-    sol = solve(model, default_external_backend(300))
+    sol = solve(model, "highs")
     assert sol.status == "optimal"
     t_tilde = len(spec.seed.leafable)
     t_colors = [
@@ -290,7 +290,7 @@ def test_roundtrip_multivalent_sulfur():
     fv = featurize(target, space)
     y = predictor.predict_normalized(fv.as_floats())
     model = build_milp(spec, space, predictor, y - 0.01, y + 0.01)
-    sol = solve(model, default_external_backend(300), polish=polish_solution)
+    sol = solve(model, "highs", polish=polish_solution)
     assert sol.status == "optimal"
     g = decode(sol, spec, space)
     assert g.validate() == []

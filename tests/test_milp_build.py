@@ -5,7 +5,7 @@ import pytest
 from invqsar.descriptors import build_space, featurize
 from invqsar.milp.build import Build, BuildError, build_milp
 from invqsar.milp.decode import decode
-from invqsar.milp.solve import default_external_backend, solve
+from invqsar.milp.solve import solve
 from invqsar.topospec import check_graph_satisfies, parse_spec
 
 from conftest import (
@@ -103,11 +103,11 @@ def test_optional_edge_drop_reduces_rank():
     chord = next(e for e in fx.spec.seed.edges if e.cls == "optional")
     m_in = build_milp(fx.spec, fx.space)
     m_in.fix_var(f"eC_{chord.index}", 1)
-    sol_in = solve(m_in, default_external_backend(60))
+    sol_in = solve(m_in, "highs")
     assert sol_in.int_value("rank") == 2
     m_out = build_milp(fx.spec, fx.space)
     m_out.fix_var(f"eC_{chord.index}", 0)
-    sol_out = solve(m_out, default_external_backend(60))
+    sol_out = solve(m_out, "highs")
     assert sol_out.int_value("rank") == 1
     g = decode(sol_out, fx.spec, fx.space)
     from invqsar.graph import rank as graph_rank
@@ -129,7 +129,7 @@ def test_interior_cap_kills_slots():
     doc["seed"]["edges"][0] = {"tail": 1, "head": 2, "len_lb": 1, "len_ub": 1}
     spec = parse_spec(json.dumps(doc))
     model = build_milp(spec, fx.space)
-    sol = solve(model, default_external_backend(60))
+    sol = solve(model, "highs")
     assert sol.status == "optimal"
     for i in (1, 2):
         assert sol.int_value(f"vT_{i}") == 0
@@ -163,7 +163,7 @@ def test_mass_accounting():
 def test_bond_bound_blocks_triples():
     fx = roundtrip_fixture("hetero")
     model = build_milp(fx.spec, fx.space)
-    sol = solve(model, default_external_backend(120))
+    sol = solve(model, "highs")
     assert sol.status == "optimal"
     assert sol.int_value("bdint_3") == 0  # no triple-bond shapes in the menu
 
@@ -183,11 +183,11 @@ def test_normalization_endpoints():
     # force n to the dataset min and max and inspect the normalized copy
     m_min = build_milp(spec, space, predictor, -10, 10, epsilon=eps)
     m_min.fix_var("x_1", lo)
-    sol = solve(m_min, default_external_backend(60))
+    sol = solve(m_min, "highs")
     assert abs(sol.float_value("xhat_1")) <= eps
     m_max = build_milp(spec, space, predictor, -10, 10, epsilon=eps)
     m_max.fix_var("x_1", hi)
-    sol = solve(m_max, default_external_backend(60))
+    sol = solve(m_max, "highs")
     assert 1 - eps - 1e-9 <= sol.float_value("xhat_1") <= 1 + eps + 1e-9
 
 
@@ -204,8 +204,8 @@ def test_objective_modes():
     fx = roundtrip_fixture("triangle")
     lo = build_milp(fx.spec, fx.space, fx.predictor, -10, 10, objective="min_y")
     hi = build_milp(fx.spec, fx.space, fx.predictor, -10, 10, objective="max_y")
-    s_lo = solve(lo, default_external_backend(60))
-    s_hi = solve(hi, default_external_backend(60))
+    s_lo = solve(lo, "highs")
+    s_hi = solve(hi, "highs")
     assert s_lo.objective <= s_hi.objective + 1e-9
     with pytest.raises(BuildError):
         build_milp(fx.spec, fx.space, objective="noisy")
@@ -258,7 +258,7 @@ def test_height_lower_bound_forces_leaf_path():
     doc["seed"]["vertices"][0]["height_lb"] = 4  # rho=2, so 2 path vertices
     spec = parse_spec(json.dumps(doc))
     model = build_milp(spec, fx.space)
-    sol = solve(model, default_external_backend(300))
+    sol = solve(model, "highs")
     assert sol.status == "optimal"
     assert sol.int_value("dclrF_1") == 1
     assert sol.int_value("clrF_1") == 2
@@ -281,7 +281,7 @@ def test_height_exact_fringe_demand():
     doc["seed"]["vertices"][1]["height_ub"] = 2
     spec = parse_spec(json.dumps(doc))
     model = build_milp(spec, fx.space)
-    sol = solve(model, default_external_backend(300))
+    sol = solve(model, "highs")
     assert sol.status == "optimal"
     assert sol.int_value("hC_2") == 2
     g = decode(sol, spec, fx.space)
@@ -304,7 +304,7 @@ def test_edge_height_bounds_on_path_interior():
     capped["seed"]["edges"][0]["height_ub"] = 0
     spec = parse_spec(json.dumps(capped))
     model = build_milp(spec, fx.space)
-    sol = solve(model, default_external_backend(300))
+    sol = solve(model, "highs")
     assert sol.status == "optimal"
     g = decode(sol, spec, fx.space)
     from invqsar.decompose import decompose
@@ -321,7 +321,7 @@ def test_edge_height_bounds_on_path_interior():
     raised["seed"]["edges"][0]["height_lb"] = 1
     spec2 = parse_spec(json.dumps(raised))
     model2 = build_milp(spec2, fx.space)
-    sol2 = solve(model2, default_external_backend(300))
+    sol2 = solve(model2, "highs")
     assert sol2.status == "optimal"
     g2 = decode(sol2, spec2, fx.space)
     d2 = decompose(g2, 2)
@@ -348,7 +348,7 @@ def test_branch_cap_zero_blocks_leaf_paths_on_path():
     doc["seed"]["edges"][0]["branch_ub"] = 0
     spec = parse_spec(json.dumps(doc))
     model = build_milp(spec, fx.space)
-    sol = solve(model, default_external_backend(300))
+    sol = solve(model, "highs")
     assert sol.status == "optimal"
     for e in spec.seed.edges:
         if e.cls not in ("path", "flexible"):
@@ -398,7 +398,7 @@ def test_prediction_reduces_to_normalized_interval():
     )
     # n ranges over 3..6 normalized to 0..1; ask for the middle third
     model = build_milp(spec, space, predictor, 0.2, 0.8)
-    sol = solve(model, default_external_backend(300))
+    sol = solve(model, "highs")
     assert sol.status == "optimal"
     xhat = sol.float_value("xhat_1")
     assert 0.2 - 1e-6 <= xhat <= 0.8 + 1e-6

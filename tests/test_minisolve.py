@@ -15,7 +15,7 @@ from invqsar.milp.model import (
     MIN,
     MILPModel,
 )
-from invqsar.milp.solve import default_external_backend, solve
+from invqsar.milp.solve import solve
 
 
 def test_feasibility_binary():
@@ -103,7 +103,7 @@ def random_model(rng: np.random.Generator) -> MILPModel:
 def test_cross_solver_agreement():
     """Mini-solver optimum equals the external solver's on random models."""
     rng = np.random.default_rng(314)
-    backend = default_external_backend(120)
+    backend = "highs"
     compared = 0
     for _ in range(20):
         m = random_model(rng)

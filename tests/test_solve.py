@@ -1,14 +1,17 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from conftest import roundtrip_fixture
+from invqsar.milp.build import build_milp
 from invqsar.milp.model import BINARY, CONTINUOUS, GE, LE, MAX, MILPModel
 from invqsar.milp.solve import (
     ExternalBackend,
     SolutionCheckError,
     SolverFailure,
     Solution,
-    default_external_backend,
     parse_solution_text,
     solve,
 )
@@ -24,10 +27,23 @@ def small_model():
 
 
 def test_external_backend_round_trip():
-    sol = solve(small_model(), default_external_backend(60))
+    """emit_lp -> LP file -> a real solver -> solution file -> parse."""
+    script = Path(__file__).with_name("lp_file_solver.py")
+    backend = ExternalBackend(
+        f'"{sys.executable}" "{script}" {{input}} {{output}}', timeout=60
+    )
+    sol = solve(small_model(), backend)
     assert sol.status == "optimal"
     assert abs(sol.objective - 2.5) < 1e-6
     assert sol.int_value("x") == 1
+    assert sol.values["y"] == Fraction(3, 2)
+
+
+def test_highs_time_limit_is_failure():
+    fx = roundtrip_fixture("hetero")
+    model = build_milp(fx.spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi)
+    with pytest.raises(SolverFailure, match="Time limit"):
+        solve(model, "highs", time_limit=0)
 
 
 def test_mini_backend():
@@ -40,7 +56,7 @@ def test_infeasible_is_status_not_error():
     m = MILPModel()
     m.add_var("x", CONTINUOUS, 0, 1)
     m.add_constr("a", {"x": 1}, GE, 2)
-    for backend in ("mini", default_external_backend(60)):
+    for backend in ("mini", "highs"):
         assert solve(m, backend).status == "infeasible"
 
 

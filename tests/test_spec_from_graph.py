@@ -10,7 +10,7 @@ from invqsar.decompose import decompose
 from invqsar.descriptors import build_space, featurize
 from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import decode, solution_feature_values
-from invqsar.milp.solve import default_external_backend, solve
+from invqsar.milp.solve import solve
 from invqsar.topospec import (
     SpecError,
     check_graph_satisfies,
@@ -63,7 +63,7 @@ def test_randomized_inverse_campaign():
     """Derive a spec from a random molecule, center the target window on
     it, and verify the full solve-decode-check loop."""
     rng = np.random.default_rng(1234)
-    backend = default_external_backend(300)
+    backend = "highs"
     verified = 0
     while verified < 8:
         family = [random_chemical_graph(rng, max_heavy=10) for _ in range(4)]
@@ -117,7 +117,7 @@ def test_acyclic_target_roundtrip():
     fv = featurize(target, space)
     y = predictor.predict_normalized(fv.as_floats())
     model = build_milp(spec, space, predictor, y - 0.01, y + 0.01)
-    sol = solve(model, default_external_backend(300), polish=polish_solution)
+    sol = solve(model, "highs", polish=polish_solution)
     assert sol.status == "optimal"
     assert sol.int_value("rank") == 0
     graph = decode(sol, spec, space)
@@ -153,7 +153,7 @@ def test_fused_rings_make_parallel_seed_edges():
     fv = featurize(target, space)
     y = predictor.predict_normalized(fv.as_floats())
     model = build_milp(spec, space, predictor, y - 0.01, y + 0.01)
-    sol = solve(model, default_external_backend(300), polish=polish_solution)
+    sol = solve(model, "highs", polish=polish_solution)
     assert sol.status == "optimal"
     graph = decode(sol, spec, space)
     assert graph.validate() == []
