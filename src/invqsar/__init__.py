@@ -7,7 +7,7 @@ from .graph import ChemicalGraph, build_graph, graph_from_json, graph_to_json, r
 from .milp.build import build_milp, polish_solution
 from .milp.decode import decode
 from .milp.solve import ExternalBackend, solve
-from .regression import cross_validate, lasso_fit, predict, r_squared
+from .regression import cross_validate, cross_validate_path, lasso_fit, r_squared
 from .sdf import parse_sdf
 from .topospec import check_graph_satisfies, parse_spec, spec_from_graph
 
@@ -21,6 +21,7 @@ __all__ = [
     "build_space",
     "check_graph_satisfies",
     "cross_validate",
+    "cross_validate_path",
     "decode",
     "decompose",
     "featurize",
@@ -31,7 +32,6 @@ __all__ = [
     "parse_sdf",
     "parse_spec",
     "polish_solution",
-    "predict",
     "r_squared",
     "rank",
     "solve",

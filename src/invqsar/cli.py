@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ from .milp.decode import DecodeError, decode, solution_feature_values
 from .milp.solve import ExternalBackend, SolutionCheckError, SolverFailure, solve
 from .regression import (
     LinearPredictor,
-    cross_validate,
+    cross_validate_path,
     lasso_fit,
     predictor_from_json_text,
     predictor_to_json_text,
@@ -81,6 +82,13 @@ class ProjectConfig:
             setattr(cfg, key, _checked(key, getattr(cfg, key), value))
         if cfg.rho < 1:
             raise UsageError("rho must be at least 1")
+        if cfg.cv_executions < 1:
+            raise UsageError("config key 'cv_executions' must be at least 1")
+        # json accepts NaN and Infinity; a NaN penalty has no place in the
+        # descending order the CV path walks
+        if not all(math.isfinite(v) and v >= 0 for v in cfg.lambda_grid):
+            raise UsageError(
+                "config key 'lambda_grid' must hold finite non-negative numbers")
         return cfg
 
     def backend(self) -> ExternalBackend | str:
@@ -184,17 +192,16 @@ def run_train(cfg: ProjectConfig) -> int:
     t_min, t_max = float(y_raw.min()), float(y_raw.max())
     y = (y_raw - t_min) / (t_max - t_min) if t_max > t_min else y_raw * 0.0
 
+    reports = cross_validate_path(
+        x, y, cfg.lambda_grid, executions=cfg.cv_executions, seed=cfg.seed
+    )
     print(f"{'lambda':>12} {'K_sel':>8} {'median_R2':>10}")
-    best = None
-    for lam in cfg.lambda_grid:
-        report = cross_validate(
-            x, y, lam, executions=cfg.cv_executions, seed=cfg.seed
-        )
-        print(f"{lam:>12.6g} {report.mean_selected:>8.1f} {report.median_r2:>10.4f}")
-        if best is None or report.median_r2 > best[1].median_r2:
-            best = (lam, report)
-    assert best is not None
-    lam, report = best
+    for report in reports:
+        print(f"{report.lam:>12.6g} {report.mean_selected:>8.1f} "
+              f"{report.median_r2:>10.4f}")
+    # max() keeps the first of equal scores, so ties go to the earlier grid value
+    report = max(reports, key=lambda r: r.median_r2)
+    lam = report.lam
     fit = lasso_fit(x, y, lam)
     predictor = LinearPredictor(
         weights=tuple(float(w) for w in fit.weights),

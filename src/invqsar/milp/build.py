@@ -1814,8 +1814,6 @@ def add_prediction(
     """Predicted value (standardized units) constrained to an interval."""
     if y_lo > y_hi:
         raise BuildError(f"empty target interval [{y_lo}, {y_hi}]")
-    if predictor.space_hash != space_hash(b.space):
-        raise BuildError("predictor was trained against a different space")
     m = b.m
     m.add_var("y", CONTINUOUS, y_lo, y_hi)
     terms = [("y", 1.0)]

@@ -1,6 +1,6 @@
 """Test helper: an LP-file solver for ExternalBackend command templates.
 
-Reads a CPLEX-LP file with parse_lp, solves it with in-process HiGHS and
+Reads a CPLEX-LP file with lp_reader.parse_lp, solves it with in-process HiGHS and
 writes a CBC-style solution file.
 
 Usage: python3 tests/lp_file_solver.py MODEL.lp OUT.sol
@@ -13,8 +13,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from invqsar.milp.model import parse_lp
 from invqsar.milp.solve import solve
+from lp_reader import parse_lp
 
 
 def main(lp_path: str, sol_path: str) -> int:

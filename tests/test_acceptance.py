@@ -15,7 +15,7 @@ import pytest
 from invqsar.descriptors import build_space, featurize
 from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import decode, solution_feature_values
-from invqsar.milp.model import constraint_residuals, emit_lp, parse_lp
+from invqsar.milp.model import constraint_residuals, emit_lp
 from invqsar.milp.solve import solve
 from invqsar.regression import kkt_residuals, lasso_fit, cross_validate
 from invqsar.topospec import check_graph_satisfies, parse_spec
@@ -25,6 +25,7 @@ from conftest import (
     random_chemical_graph,
     roundtrip_fixture,
 )
+from lp_reader import parse_lp
 from lp_validator import validate_lp
 from oracles import brute_force_features, r_isomorphic
 from test_canonical import all_labeled_trees

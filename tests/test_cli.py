@@ -305,6 +305,11 @@ def test_infer_mini_solver_fault_exit_code(trained, monkeypatch, capsys):
     ("lambda_grid", [0.1, "0.2"]),
     ("lambda_grid", [0.1, True]),
     ("lambda_grid", []),
+    ("lambda_grid", [0.1, float("nan")]),
+    ("lambda_grid", [float("inf")]),
+    ("lambda_grid", [0.1, -0.01]),
+    ("cv_executions", 0),
+    ("cv_executions", -3),
 ])
 def test_config_type_errors(tmp_path, capsys, key, value):
     cfg = tmp_path / "c.json"

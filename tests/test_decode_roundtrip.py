@@ -10,11 +10,12 @@ import pytest
 from invqsar.descriptors import featurize
 from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import DecodeError, decode, solution_feature_values
-from invqsar.milp.model import emit_lp, parse_lp
+from invqsar.milp.model import emit_lp
 from invqsar.milp.solve import Solution, solve
 from invqsar.topospec import check_graph_satisfies, parse_spec
 
 from conftest import ALL_ROUNDTRIP_FIXTURES, ring, roundtrip_fixture
+from lp_reader import parse_lp
 from lp_validator import validate_lp
 
 

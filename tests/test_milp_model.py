@@ -16,9 +16,9 @@ from invqsar.milp.model import (
     check_solution,
     constraint_residuals,
     emit_lp,
-    parse_lp,
 )
 
+from lp_reader import parse_lp
 from lp_validator import LpFormatError, validate_lp
 
 

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from invqsar import regression
 from invqsar.regression import (
     FitError,
     LinearPredictor,
-    SpaceMismatchError,
     cross_validate,
+    cross_validate_path,
     kkt_residuals,
     lambda_max,
     lasso_fit,
-    predict,
     predictor_from_json_text,
     predictor_to_json_text,
     r_squared,
@@ -101,6 +101,63 @@ def test_constant_column_skipped():
     assert abs(fit.weights[1] - 1.0) < 1e-6
 
 
+def test_constant_nonzero_column_gets_zero_weight():
+    # an unnormalized constant column would act as a second intercept
+    rng = np.random.default_rng(12)
+    x = np.hstack([np.full((30, 1), 0.7), rng.random((30, 3))])
+    y = x[:, 1:] @ np.array([1.0, -0.5, 0.25]) + 0.1 * rng.random(30)
+    for lam in (0.0, 0.01):
+        fit = lasso_fit(x, y, lam, tol=1e-12)
+        assert fit.weights[0] == 0.0
+        assert kkt_residuals(x, y, fit.weights, fit.bias, lam).max() <= 1e-6
+    warm = lasso_fit(x, y, 0.0, w0=np.ones(4))
+    assert warm.weights[0] == 0.0
+
+
+def test_warm_start_from_wrong_weights():
+    rng = np.random.default_rng(13)
+    x = rng.random((50, 12))
+    y = x @ np.where(rng.random(12) < 0.4, rng.normal(0, 1, 12), 0.0)
+    y += 0.05 * rng.standard_normal(50)
+    for lam in (0.001, 0.01, 0.1):
+        w0 = rng.normal(0, 3, 12)
+        fit = lasso_fit(x, y, lam, w0=w0)
+        assert kkt_residuals(x, y, fit.weights, fit.bias, lam).max() <= 1e-6
+        assert abs(float((y - x @ fit.weights - fit.bias).mean())) <= 1e-12
+        path = fit.objective_path
+        assert len(path) == fit.n_sweeps + 1
+        for before, after in zip(path, path[1:]):
+            assert after <= before + 1e-12
+
+
+def _descriptor_like(seed, n=300, k=491):
+    """Sparse counts, min-max normalized, with a few true weights: the
+    size of the benchmark's training set."""
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(rng.gamma(0.5, 1.0, k), (n, k)).astype(float)
+    lo, hi = counts.min(axis=0), counts.max(axis=0)
+    x = np.where(hi > lo, (counts - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
+    w = np.zeros(k)
+    w[rng.choice(k, 10, replace=False)] = rng.normal(0, 1, 10)
+    y = x @ w + 0.05 * rng.standard_normal(n)
+    return x, (y - y.min()) / (y.max() - y.min())
+
+
+def test_warm_path_takes_fewer_sweeps_than_cold_fits():
+    x, y = _descriptor_like(14)
+    warm_sweeps = cold_sweeps = 0
+    w = None
+    for lam in (0.01, 0.003, 0.001):
+        warm = lasso_fit(x, y, lam, w0=w)
+        cold = lasso_fit(x, y, lam)
+        w = warm.weights
+        warm_sweeps += warm.n_sweeps
+        cold_sweeps += cold.n_sweeps
+        assert np.abs(warm.weights - cold.weights).max() < 1e-5
+        assert kkt_residuals(x, y, warm.weights, warm.bias, lam).max() <= 1e-6
+    assert warm_sweeps < cold_sweeps
+
+
 def test_rejects_bad_input():
     with pytest.raises(FitError):
         lasso_fit(np.array([[1.0]]), np.array([1.0]), 0.1)
@@ -127,15 +184,9 @@ def _toy_predictor(weights, bias=0.0, k=None):
 
 def test_predict_trivial():
     p = _toy_predictor([0.0, 0.0], bias=0.3)
-    assert predict(p, [0.9, 0.1]) == pytest.approx(0.3)
+    assert p.predict_normalized([0.9, 0.1]) == pytest.approx(0.3)
     p = _toy_predictor([1.0, 0.0])
-    assert predict(p, [0.7, 0.5]) == pytest.approx(0.7)
-
-
-def test_predict_space_mismatch():
-    p = _toy_predictor([1.0])
-    with pytest.raises(SpaceMismatchError):
-        predict(p, [0.5], space_hash="other")
+    assert p.predict_normalized([0.7, 0.5]) == pytest.approx(0.7)
 
 
 def test_predict_train_then_holdout():
@@ -189,6 +240,54 @@ def test_cv_reproducible():
     assert r1 == r2
     r3 = cross_validate(x, y, 0.01, executions=2, seed=43)
     assert r1.fold_r2 != r3.fold_r2
+
+
+def _cold_cross_validate(x, y, lam, executions, folds, seed):
+    """Per-penalty CV with a cold fit per split, drawing the folds the way
+    the one-penalty-at-a-time protocol always has."""
+    rng = np.random.default_rng(seed)
+    scores, selected = [], []
+    for _ in range(executions):
+        parts = np.array_split(rng.permutation(len(y)), folds)
+        for k in range(folds):
+            test_idx = parts[k]
+            train_idx = np.concatenate([parts[j] for j in range(folds) if j != k])
+            fit = lasso_fit(x[train_idx], y[train_idx], lam, 1e-12)
+            pred = x[test_idx] @ fit.weights + fit.bias
+            scores.append(r_squared(pred, y[test_idx]))
+            selected.append(int((fit.weights != 0.0).sum()))
+    return np.array(scores), float(np.mean(selected))
+
+
+@pytest.mark.parametrize("grid", [
+    [0.001, 0.003, 0.01, 0.03],
+    [0.03, 0.01, 0.003, 0.001],
+    [0.01, 0.001, 0.01, 0.003],
+])
+def test_cv_path_matches_cold_fits(grid, monkeypatch):
+    # both sides solve to 1e-12, so the comparison sees the folds, the
+    # order and the warm starts, not the default stopping rule
+    def tight_fit(x, y, lam, tol=1e-7, max_sweeps=100_000, w0=None):
+        return lasso_fit(x, y, lam, 1e-12, max_sweeps, w0)
+
+    monkeypatch.setattr(regression, "lasso_fit", tight_fit)
+    rng = np.random.default_rng(15)
+    x = rng.random((60, 12))
+    y = x @ np.where(rng.random(12) < 0.5, rng.normal(0, 1, 12), 0.0)
+    y += 0.1 * rng.standard_normal(60)
+    reports = cross_validate_path(x, y, grid, executions=3, seed=5)
+    assert [r.lam for r in reports] == grid
+    for lam, report in zip(grid, reports):
+        scores, mean_selected = _cold_cross_validate(x, y, lam, 3, 5, 5)
+        assert np.abs(np.array(report.fold_r2) - scores).max() <= 1e-9
+        assert abs(report.median_r2 - float(np.median(scores))) <= 1e-9
+        assert report.mean_selected == mean_selected
+
+
+def test_cv_needs_an_execution():
+    rng = np.random.default_rng(16)
+    with pytest.raises(FitError):
+        cross_validate(rng.random((40, 5)), rng.random(40), 0.01, executions=0)
 
 
 def test_predictor_json_round_trip():
