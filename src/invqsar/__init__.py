@@ -2,12 +2,12 @@
 MILP-based inverse design under topological specifications."""
 
 from .decompose import decompose
-from .descriptors import build_space, featurize, normalize
+from .descriptors import build_space, featurize
 from .graph import ChemicalGraph, build_graph, graph_from_json, graph_to_json, rank
 from .milp.build import build_milp, polish_solution
 from .milp.decode import decode
 from .milp.solve import ExternalBackend, solve
-from .regression import cross_validate, cross_validate_path, lasso_fit, r_squared
+from .regression import cross_validate_path, lasso_fit, r_squared
 from .sdf import parse_sdf
 from .topospec import check_graph_satisfies, parse_spec, spec_from_graph
 
@@ -20,7 +20,6 @@ __all__ = [
     "build_milp",
     "build_space",
     "check_graph_satisfies",
-    "cross_validate",
     "cross_validate_path",
     "decode",
     "decompose",
@@ -28,7 +27,6 @@ __all__ = [
     "graph_from_json",
     "graph_to_json",
     "lasso_fit",
-    "normalize",
     "parse_sdf",
     "parse_spec",
     "polish_solution",

@@ -34,6 +34,7 @@ from .regression import (
     LinearPredictor,
     cross_validate_path,
     lasso_fit,
+    min_max_scale,
     predictor_from_json_text,
     predictor_to_json_text,
 )
@@ -125,6 +126,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except FileNotFoundError as exc:
         raise UsageError(f"file not found: {path}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read {path!r}: {exc.strerror}") from exc
 
 
 def _load_dataset(path: str):
@@ -187,10 +190,9 @@ def run_train(cfg: ProjectConfig) -> int:
     y_raw = np.asarray([targets[i] for i in ids], dtype=float)
     mins = x_raw.min(axis=0)
     maxs = x_raw.max(axis=0)
-    span = np.where(maxs > mins, maxs - mins, 1.0)
-    x = np.where(maxs > mins, (x_raw - mins) / span, 0.0)
+    x = min_max_scale(x_raw, mins, maxs)
     t_min, t_max = float(y_raw.min()), float(y_raw.max())
-    y = (y_raw - t_min) / (t_max - t_min) if t_max > t_min else y_raw * 0.0
+    y = min_max_scale(y_raw, t_min, t_max)
 
     reports = cross_validate_path(
         x, y, cfg.lambda_grid, executions=cfg.cv_executions, seed=cfg.seed

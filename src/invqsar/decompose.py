@@ -270,9 +270,6 @@ class TwoLayeredDecomposition:
             return "hydrogen"
         return "interior" if vid in self.interior_vertices else "exterior"
 
-    def interior_degree(self, vid: int) -> int:
-        return sum(1 for e in self.interior_edges if vid in (e.u, e.v))
-
     def n_interior(self) -> int:
         return len(self.interior_vertices)
 

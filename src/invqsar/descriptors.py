@@ -339,60 +339,6 @@ def featurize(g: ChemicalGraph, space: DescriptorSpace) -> FeatureVector:
     return FeatureVector(tuple(values))
 
 
-@dataclass(frozen=True)
-class NormalizationParams:
-    """Per-descriptor min and max over a dataset, kept as exact rationals."""
-
-    mins: tuple[Fraction, ...]
-    maxs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.mins) != len(self.maxs):
-            raise ValueError("min/max length mismatch")
-        for lo, hi in zip(self.mins, self.maxs):
-            if lo > hi:
-                raise ValueError("min above max in normalization parameters")
-
-    @staticmethod
-    def from_vectors(vectors: list[FeatureVector]) -> "NormalizationParams":
-        if not vectors:
-            raise ValueError("no feature vectors")
-        k = len(vectors[0])
-        mins = [Fraction(10**18)] * k
-        maxs = [Fraction(-(10**18))] * k
-        for fv in vectors:
-            for i, val in enumerate(fv.values):
-                frac = Fraction(val)
-                mins[i] = min(mins[i], frac)
-                maxs[i] = max(maxs[i], frac)
-        return NormalizationParams(tuple(mins), tuple(maxs))
-
-    def is_constant(self, i: int) -> bool:
-        return self.mins[i] == self.maxs[i]
-
-
-def normalize(fv: FeatureVector, params: NormalizationParams) -> list[float]:
-    """Min-max scale each coordinate; constant descriptors map to 0."""
-    if len(fv) != len(params.mins):
-        raise ValueError("feature vector length does not match parameters")
-    out = []
-    for i, val in enumerate(fv.values):
-        lo, hi = params.mins[i], params.maxs[i]
-        if lo == hi:
-            out.append(0.0)
-        else:
-            out.append(float((Fraction(val) - lo) / (hi - lo)))
-    return out
-
-
-def denormalize(xhat: list[float], params: NormalizationParams) -> list[float]:
-    out = []
-    for i, val in enumerate(xhat):
-        lo, hi = float(params.mins[i]), float(params.maxs[i])
-        out.append(lo if lo == hi else lo + val * (hi - lo))
-    return out
-
-
 def _format_value(v: int | Fraction) -> str:
     if isinstance(v, Fraction) and v.denominator != 1:
         return repr(float(v))
@@ -451,33 +397,37 @@ def space_to_json(space: DescriptorSpace) -> dict:
 
 
 def space_from_json(doc: dict) -> DescriptorSpace:
-    gammas = tuple(
-        EdgeConfiguration(
-            ChemicalSymbol(parse_element(g["mu"][0]), int(g["mu"][1])),
-            ChemicalSymbol(parse_element(g["mu_prime"][0]), int(g["mu_prime"][1])),
-            int(g["mult"]),
-        )
-        for g in doc["gamma_int"]
-    )
-    trees = tuple(tree_from_json(rec["tree"]) for rec in doc["fringe_trees"])
-    codes = tuple(rec["code"].encode() for rec in doc["fringe_trees"])
-    for code, t in zip(codes, trees):
-        if t.canonical_code != code:
-            raise ValueError("fringe tree does not match its recorded code")
-    return DescriptorSpace(
-        rho=int(doc["rho"]),
-        lambda_int=tuple(parse_element(t) for t in doc["lambda_int"]),
-        lambda_ex=tuple(parse_element(t) for t in doc["lambda_ex"]),
-        gamma_int=gammas,
-        fringe_codes=codes,
-        ac_lf=tuple(
-            AdjacencyConfiguration(
-                parse_element(a["a"]), parse_element(a["b"]), int(a["mult"])
+    try:
+        gammas = tuple(
+            EdgeConfiguration(
+                ChemicalSymbol(parse_element(g["mu"][0]), int(g["mu"][1])),
+                ChemicalSymbol(parse_element(g["mu_prime"][0]), int(g["mu_prime"][1])),
+                int(g["mult"]),
             )
-            for a in doc["ac_lf"]
-        ),
-        fringe_examples=trees,
-    )
+            for g in doc["gamma_int"]
+        )
+        trees = tuple(tree_from_json(rec["tree"]) for rec in doc["fringe_trees"])
+        codes = tuple(rec["code"].encode() for rec in doc["fringe_trees"])
+        for code, t in zip(codes, trees):
+            if t.canonical_code != code:
+                raise ValueError("fringe tree does not match its recorded code")
+        return DescriptorSpace(
+            rho=int(doc["rho"]),
+            lambda_int=tuple(parse_element(t) for t in doc["lambda_int"]),
+            lambda_ex=tuple(parse_element(t) for t in doc["lambda_ex"]),
+            gamma_int=gammas,
+            fringe_codes=codes,
+            ac_lf=tuple(
+                AdjacencyConfiguration(
+                    parse_element(a["a"]), parse_element(a["b"]), int(a["mult"])
+                )
+                for a in doc["ac_lf"]
+            ),
+            fringe_examples=trees,
+        )
+    except KeyError as exc:
+        raise ValueError(
+            f"descriptor space is missing key {exc.args[0]!r}") from exc
 
 
 def space_hash(space: DescriptorSpace) -> str:

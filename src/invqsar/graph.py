@@ -83,9 +83,6 @@ class ChemicalGraph:
     def degree(self, vid: int) -> int:
         return len(self.adjacency[vid])
 
-    def beta_sum(self, vid: int) -> int:
-        return sum(m for _, m in self.adjacency[vid])
-
     def n_atoms(self) -> int:
         return len(self.vertices)
 

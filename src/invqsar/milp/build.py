@@ -32,6 +32,10 @@ from ..topospec import (
 from .model import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MILPModel
 
 
+# Relative slack of the normalization sandwich (see add_normalization).
+EPSILON = 1e-5
+
+
 class BuildError(ValueError):
     pass
 
@@ -154,9 +158,6 @@ class Build:
 
     # -- small helpers ------------------------------------------------------
 
-    def var(self, name: str, kind: str, lb, ub) -> str:
-        return self.m.add_var(name, kind, lb, ub)
-
     def row(self, name: str, terms, sense: str, rhs) -> None:
         nonzero = [(v, c) for v, c in terms if c != 0]
         if not nonzero:
@@ -200,6 +201,53 @@ class Build:
             return self.m.add_var(name, INTEGER, 0, 0)
         return self.m.add_var(name, INTEGER, lb, ub)
 
+    # -- linearization idioms -------------------------------------------------
+
+    def one_hot(self, name: str, indicators, used: str | None = None,
+                value: tuple[str, list[str]] | None = None) -> None:
+        """Exactly one binary of `indicators`, (binary, code) pairs, is 1;
+        with a binary `used`, one is 1 when `used` is and none otherwise.
+        `value` = (row name, variables) adds the row sum(code * binary) =
+        sum(variables)."""
+        pick = [(d, 1) for d, _ in indicators]
+        if used is None:
+            self.row(name, pick, EQ, 1)
+        else:
+            self.row(name, pick + [(used, -1)], EQ, 0)
+        if value is not None:
+            row, total = value
+            self.row(row, list(indicators) + [(v, -1) for v in total], EQ, 0)
+
+    def conjunction(self, z: str, names, operands, unless: str | None = None,
+                    within: str | None = None) -> None:
+        """Binary z is the AND of the binaries `operands` and, when given,
+        of NOT `unless`.  The rows, named by `names` in this order:
+            z >= sum(operands) - unless - (n - 1)
+            z <= a, for each operand a
+            z <= within - unless, only with `within`, a binary implied by
+                the operands and by `unless`.
+        With a single name only the first row is written: z >= the AND."""
+        lo = [(z, 1)] + [(a, -1) for a in operands]
+        if unless is not None:
+            lo.append((unless, 1))
+        self.row(names[0], lo, GE, 1 - len(operands))
+        for name, a in zip(names[1:], operands):
+            self.row(name, [(z, 1), (a, -1)], LE, 0)
+        if within is not None:
+            cap = [(z, 1), (within, -1)]
+            if unless is not None:
+                cap.append((unless, 1))
+            self.row(names[-1], cap, LE, 0)
+
+    def gated_range(self, names, terms, gate, on, off) -> None:
+        """sum(terms) lies in [on] when the binary expression `gate` (terms)
+        is 1 and in [off] when it is 0: two big-M rows, >= then <=, each
+        bound moving linearly with the gate."""
+        lo = [(v, -(on[0] - off[0]) * c) for v, c in gate]
+        hi = [(v, -(on[1] - off[1]) * c) for v, c in gate]
+        self.row(names[0], list(terms) + lo, GE, off[0])
+        self.row(names[1], list(terms) + hi, LE, off[1])
+
     # edge incidence helpers (1-based positions)
     def colored_at(self, pos: int, role: str) -> list[SeedEdge]:
         return [
@@ -220,6 +268,57 @@ class Build:
 
 
 # -- constraint families -------------------------------------------------
+
+
+def _slot_colors(b: Build, family: str, x: str, ind: str, n_colors: int) -> None:
+    """Colors over the slot sequence of layer x (T or F): slot i takes color
+    chi{x}_i, 0 exactly when unused (indicators {ind}_i_c); used slots form
+    a prefix, e{x}_i joins consecutive slots of one color, clr{x}_c counts
+    the slots of color c and dclr{x}_c marks the colors in use."""
+    n = _slots(b, x)
+    for i in range(1, n + 1):
+        b.row(f"{family}_unused_{i}", [(f"{ind}_{i}_0", 1), (f"v{x}_{i}", 1)], EQ, 1)
+        b.one_hot(
+            f"{family}_onehot_{i}",
+            [(f"{ind}_{i}_{c}", c) for c in range(0, n_colors + 1)],
+            value=(f"{family}_code_{i}", [f"chi{x}_{i}"]),
+        )
+    for c in range(0, n_colors + 1):
+        column = [(f"{ind}_{i}_{c}", 1) for i in range(1, n + 1)]
+        b.row(f"{family}_count_{c}", column + [(f"clr{x}_{c}", -1)], EQ, 0)
+        b.row(
+            f"{family}_used_hi_{c}",
+            [(f"dclr{x}_{c}", n)] + [(v, -1) for v, _ in column],
+            GE,
+            0,
+        )
+        b.row(f"{family}_used_lo_{c}", column + [(f"dclr{x}_{c}", -1)], GE, 0)
+    for i in range(2, n + 1):
+        b.row(
+            f"{family}_prefix_{i}", [(f"v{x}_{i - 1}", 1), (f"v{x}_{i}", -1)], GE, 0
+        )
+        b.row(
+            f"{family}_chain_hi_{i}",
+            [
+                (f"v{x}_{i - 1}", n_colors),
+                (f"e{x}_{i}", -n_colors),
+                (f"chi{x}_{i - 1}", -1),
+                (f"chi{x}_{i}", 1),
+            ],
+            GE,
+            0,
+        )
+        b.row(
+            f"{family}_chain_lo_{i}",
+            [
+                (f"chi{x}_{i - 1}", 1),
+                (f"chi{x}_{i}", -1),
+                (f"v{x}_{i - 1}", -1),
+                (f"e{x}_{i}", 1),
+            ],
+            GE,
+            0,
+        )
 
 
 def add_cyclical_base(b: Build) -> None:
@@ -293,67 +392,7 @@ def add_cyclical_base(b: Build) -> None:
             EQ,
             0,
         )
-    for i in range(1, b.t_t + 1):
-        b.row(f"co_unused_{i}", [(f"chiTk_{i}_0", 1), (f"vT_{i}", 1)], EQ, 1)
-        b.row(
-            f"co_onehot_{i}",
-            [(f"chiTk_{i}_{k}", 1) for k in range(0, b.k_c + 1)],
-            EQ,
-            1,
-        )
-        b.row(
-            f"co_code_{i}",
-            [(f"chiTk_{i}_{k}", k) for k in range(1, b.k_c + 1)]
-            + [(f"chiT_{i}", -1)],
-            EQ,
-            0,
-        )
-    for k in range(0, b.k_c + 1):
-        b.row(
-            f"co_count_{k}",
-            [(f"chiTk_{i}_{k}", 1) for i in range(1, b.t_t + 1)]
-            + [(f"clrT_{k}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
-            f"co_used_hi_{k}",
-            [(f"dclrT_{k}", b.t_t)]
-            + [(f"chiTk_{i}_{k}", -1) for i in range(1, b.t_t + 1)],
-            GE,
-            0,
-        )
-        b.row(
-            f"co_used_lo_{k}",
-            [(f"chiTk_{i}_{k}", 1) for i in range(1, b.t_t + 1)]
-            + [(f"dclrT_{k}", -1)],
-            GE,
-            0,
-        )
-    for i in range(2, b.t_t + 1):
-        b.row(f"co_prefix_{i}", [(f"vT_{i - 1}", 1), (f"vT_{i}", -1)], GE, 0)
-        b.row(
-            f"co_chain_hi_{i}",
-            [
-                (f"vT_{i - 1}", b.k_c),
-                (f"eT_{i}", -b.k_c),
-                (f"chiT_{i - 1}", -1),
-                (f"chiT_{i}", 1),
-            ],
-            GE,
-            0,
-        )
-        b.row(
-            f"co_chain_lo_{i}",
-            [
-                (f"chiT_{i - 1}", 1),
-                (f"chiT_{i}", -1),
-                (f"vT_{i - 1}", -1),
-                (f"eT_{i}", 1),
-            ],
-            GE,
-            0,
-        )
+    _slot_colors(b, "co", "T", "chiTk", b.k_c)
 
 
 def add_leaf_paths(b: Build) -> None:
@@ -381,78 +420,13 @@ def add_leaf_paths(b: Build) -> None:
             m.add_var(f"bl_{e.index}_{i}", BINARY)
     m.add_var("nintG", INTEGER, spec.n_int_lb, spec.n_int_ub)
 
-    for i in range(1, b.t_f + 1):
-        b.row(f"lp_unused_{i}", [(f"chiFc_{i}_0", 1), (f"vF_{i}", 1)], EQ, 1)
-        b.row(
-            f"lp_onehot_{i}",
-            [(f"chiFc_{i}_{c}", 1) for c in range(0, b.c_f + 1)],
-            EQ,
-            1,
-        )
-        b.row(
-            f"lp_code_{i}",
-            [(f"chiFc_{i}_{c}", c) for c in range(1, b.c_f + 1)]
-            + [(f"chiF_{i}", -1)],
-            EQ,
-            0,
-        )
-    for c in range(0, b.c_f + 1):
-        b.row(
-            f"lp_count_{c}",
-            [(f"chiFc_{i}_{c}", 1) for i in range(1, b.t_f + 1)]
-            + [(f"clrF_{c}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
-            f"lp_used_hi_{c}",
-            [(f"dclrF_{c}", b.t_f)]
-            + [(f"chiFc_{i}_{c}", -1) for i in range(1, b.t_f + 1)],
-            GE,
-            0,
-        )
-        b.row(
-            f"lp_used_lo_{c}",
-            [(f"chiFc_{i}_{c}", 1) for i in range(1, b.t_f + 1)]
-            + [(f"dclrF_{c}", -1)],
-            GE,
-            0,
-        )
-    for i in range(2, b.t_f + 1):
-        b.row(f"lp_prefix_{i}", [(f"vF_{i - 1}", 1), (f"vF_{i}", -1)], GE, 0)
-        b.row(
-            f"lp_chain_hi_{i}",
-            [
-                (f"vF_{i - 1}", b.c_f),
-                (f"eF_{i}", -b.c_f),
-                (f"chiF_{i - 1}", -1),
-                (f"chiF_{i}", 1),
-            ],
-            GE,
-            0,
-        )
-        b.row(
-            f"lp_chain_lo_{i}",
-            [
-                (f"chiF_{i - 1}", 1),
-                (f"chiF_{i}", -1),
-                (f"vF_{i - 1}", -1),
-                (f"eF_{i}", 1),
-            ],
-            GE,
-            0,
-        )
+    _slot_colors(b, "lp", "F", "chiFc", b.c_f)
     for e in b.colored_edges:
         for i in range(1, b.t_t + 1):
-            b.row(
-                f"lp_branch_{e.index}_{i}",
-                [
-                    (f"bl_{e.index}_{i}", 1),
-                    (f"dclrF_{b.t_c_tilde + i}", -1),
-                    (f"chiTk_{i}_{e.index}", -1),
-                ],
-                GE,
-                -1,
+            b.conjunction(
+                f"bl_{e.index}_{i}",
+                [f"lp_branch_{e.index}_{i}"],
+                [f"dclrF_{b.t_c_tilde + i}", f"chiTk_{i}_{e.index}"],
             )
     if b.colored_edges and b.t_t:
         b.row(
@@ -491,6 +465,31 @@ def _slots(b: Build, x: str) -> int:
     return {"C": b.t_c, "T": b.t_t, "F": b.t_f}[x]
 
 
+def _fringe_terms(b: Build, x: str, i: int, weight) -> list[tuple[str, int]]:
+    """(choice binary, weight(fringe entry)) for each fringe tree on the menu
+    of slot i of layer x."""
+    by_id = b.spec.fringe_by_id
+    return [
+        (f"dfr{x}_{i}_{b.psi_pos[psi]}", weight(by_id[psi])) for psi in _menu(b, x, i)
+    ]
+
+
+def _all_fringe_terms(b: Build, weight, layers: str = "CTF") -> list[tuple[str, int]]:
+    """_fringe_terms over every slot of the given layers."""
+    return [
+        term
+        for x in layers
+        for i in range(1, _slots(b, x) + 1)
+        for term in _fringe_terms(b, x, i, weight)
+    ]
+
+
+def _used(x: str, i: int) -> str | None:
+    """Binary telling whether slot i of layer x is used; seed vertices
+    always are."""
+    return None if x == "C" else f"v{x}_{i}"
+
+
 def add_fringe_trees(b: Build) -> None:
     """Fringe-tree choice per interior vertex plus height accounting."""
     m, spec = b.m, b.spec
@@ -514,55 +513,24 @@ def add_fringe_trees(b: Build) -> None:
 
     for x in "CTF":
         for i in range(1, _slots(b, x) + 1):
-            menu = _menu(b, x, i)
-            pick = [(f"dfr{x}_{i}_{b.psi_pos[psi]}", 1) for psi in menu]
-            if x == "C":
-                b.row(f"fr_pick_{x}_{i}", pick, EQ, 1)
-            else:
-                b.row(f"fr_pick_{x}_{i}", pick + [(f"v{x}_{i}", -1)], EQ, 0)
-            b.row(
-                f"fr_degex_{x}_{i}",
-                [
-                    (f"dfr{x}_{i}_{b.psi_pos[psi]}", by_id[psi].tree.root_heavy_children)
-                    for psi in menu
-                ]
-                + [(f"degex{x}_{i}", -1)],
-                EQ,
-                0,
+            b.one_hot(
+                f"fr_pick_{x}_{i}",
+                _fringe_terms(b, x, i, lambda f: b.psi_pos[f.psi_id]),
+                _used(x, i),
             )
-            b.row(
-                f"fr_hyddeg_{x}_{i}",
-                [
-                    (
-                        f"dfr{x}_{i}_{b.psi_pos[psi]}",
-                        by_id[psi].tree.root_hydrogen_children,
-                    )
-                    for psi in menu
-                ]
-                + [(f"hyddeg{x}_{i}", -1)],
-                EQ,
-                0,
-            )
-            b.row(
-                f"fr_eledeg_{x}_{i}",
-                [
-                    (f"dfr{x}_{i}_{b.psi_pos[psi]}", by_id[psi].tree.root_charge)
-                    for psi in menu
-                ]
-                + [(f"eledeg{x}_{i}", -1)],
-                EQ,
-                0,
-            )
-            b.row(
-                f"fr_height_{x}_{i}",
-                [
-                    (f"dfr{x}_{i}_{b.psi_pos[psi]}", by_id[psi].tree.height)
-                    for psi in menu
-                ]
-                + [(f"h{x}_{i}", -1)],
-                EQ,
-                0,
-            )
+            # root attributes of the chosen tree
+            for row, var, weight in (
+                ("degex", "degex", lambda f: f.tree.root_heavy_children),
+                ("hyddeg", "hyddeg", lambda f: f.tree.root_hydrogen_children),
+                ("eledeg", "eledeg", lambda f: f.tree.root_charge),
+                ("height", "h", lambda f: f.tree.height),
+            ):
+                b.row(
+                    f"fr_{row}_{x}_{i}",
+                    _fringe_terms(b, x, i, weight) + [(f"{var}{x}_{i}", -1)],
+                    EQ,
+                    0,
+                )
     # a leaf path must end in a full-height fringe tree
     for i in range(1, b.t_f + 1):
         tall = [
@@ -577,12 +545,7 @@ def add_fringe_trees(b: Build) -> None:
     # heavy-atom count
     b.row(
         "fr_heavy_count",
-        [
-            (f"dfr{x}_{i}_{b.psi_pos[psi]}", by_id[psi].tree.n_nonroot_heavy)
-            for x in "CTF"
-            for i in range(1, _slots(b, x) + 1)
-            for psi in _menu(b, x, i)
-        ]
+        _all_fringe_terms(b, lambda f: f.tree.n_nonroot_heavy)
         + [(f"vT_{i}", 1) for i in range(1, b.t_t + 1)]
         + [(f"vF_{i}", 1) for i in range(1, b.t_f + 1)]
         + [("nG", -1)],
@@ -623,12 +586,7 @@ def add_fringe_trees(b: Build) -> None:
     for ai in range(1, len(b.space.ac_lf) + 1):
         b.row(
             f"fr_ac_{ai}",
-            [
-                (f"dfr{x}_{i}_{b.psi_pos[psi]}", psi_ac[psi].get(ai, 0))
-                for x in "CTF"
-                for i in range(1, _slots(b, x) + 1)
-                for psi in _menu(b, x, i)
-            ]
+            _all_fringe_terms(b, lambda f: psi_ac[f.psi_id].get(ai, 0))
             + [(f"aclf_{ai}", -1)],
             EQ,
             0,
@@ -807,44 +765,20 @@ def add_degree(b: Build) -> None:
     for x in "CTF":
         d0 = 1 if x == "C" else 0
         for i in range(1, _slots(b, x) + 1):
-            b.row(
+            b.one_hot(
                 f"dg_onehot_{x}_{i}",
-                [(f"ddg{x}_{i}_{d}", 1) for d in range(d0, 5)],
-                EQ,
-                1,
+                [(f"ddg{x}_{i}_{d}", d) for d in range(d0, 5)],
+                value=(f"dg_value_{x}_{i}", [f"deg{x}_{i}", f"hyddeg{x}_{i}"]),
             )
-            b.row(
-                f"dg_value_{x}_{i}",
-                [(f"ddg{x}_{i}_{d}", d) for d in range(max(d0, 1), 5)]
-                + [(f"deg{x}_{i}", -1), (f"hyddeg{x}_{i}", -1)],
-                EQ,
-                0,
-            )
-            b.row(
+            b.one_hot(
                 f"dg_ionehot_{x}_{i}",
-                [(f"ddgint{x}_{i}_{d}", 1) for d in range(d0, 5)],
-                EQ,
-                1,
+                [(f"ddgint{x}_{i}_{d}", d) for d in range(d0, 5)],
+                value=(f"dg_ivalue_{x}_{i}", [f"degint{x}_{i}"]),
             )
-            b.row(
-                f"dg_ivalue_{x}_{i}",
-                [(f"ddgint{x}_{i}_{d}", d) for d in range(max(d0, 1), 5)]
-                + [(f"degint{x}_{i}", -1)],
-                EQ,
-                0,
-            )
-            b.row(
+            b.one_hot(
                 f"dg_sonehot_{x}_{i}",
-                [(f"dsup{x}_{i}_{d}", 1) for d in range(0, 5)],
-                EQ,
-                1,
-            )
-            b.row(
-                f"dg_svalue_{x}_{i}",
-                [(f"dsup{x}_{i}_{d}", d) for d in range(1, 5)]
-                + [(f"deg{x}_{i}", -1)],
-                EQ,
-                0,
+                [(f"dsup{x}_{i}_{d}", d) for d in range(0, 5)],
+                value=(f"dg_svalue_{x}_{i}", [f"deg{x}_{i}"]),
             )
     for d in range(1, 5):
         b.row(
@@ -874,7 +808,6 @@ def add_degree(b: Build) -> None:
 def add_multiplicity(b: Build) -> None:
     """Bond multiplicities on every scheme edge plus interior-bond tallies."""
     m, spec = b.m, b.spec
-    by_id = spec.fringe_by_id
     for e in b.direct_edges:
         m.add_var(f"bC_{e.index}", INTEGER, 0, 3)
         for mm in range(0, 4):
@@ -912,91 +845,38 @@ def add_multiplicity(b: Build) -> None:
             m.add_var(f"bd{part}_{mm}", INTEGER, 0, cap)
         m.add_var(f"bdint_{mm}", INTEGER, 0, cap)
 
-    for e in b.direct_edges:
-        i = e.index
-        b.row(f"mt_gate_lo_C_{i}", [(f"bC_{i}", 1), (f"eC_{i}", -1)], GE, 0)
-        b.row(f"mt_gate_hi_C_{i}", [(f"bC_{i}", 1), (f"eC_{i}", -3)], LE, 0)
-        b.row(
-            f"mt_onehot_C_{i}",
-            [(f"dbC_{i}_{mm}", 1) for mm in range(0, 4)],
-            EQ,
-            1,
+    # a scheme edge's bond is 1..3 when the edge is used and 0 otherwise
+    bonds = [("C", e.index, f"eC_{e.index}") for e in b.direct_edges]
+    bonds += [
+        (x, i, f"e{x}_{i}") for x, hi in (("T", b.t_t), ("F", b.t_f))
+        for i in range(2, hi + 1)
+    ]
+    bonds += [
+        (side, e.index, f"dclrT_{e.index}")
+        for e in b.colored_edges
+        for side in ("CTk", "TCk")
+    ]
+    bonds += [("sF", c, f"dclrF_{c}") for c in range(1, b.c_f + 1)]
+    for tag, i, used in bonds:
+        bond = f"b{tag}_{i}"
+        b.gated_range(
+            (f"mt_gate_lo_{tag}_{i}", f"mt_gate_hi_{tag}_{i}"),
+            [(bond, 1)],
+            [(used, 1)],
+            on=(1, 3),
+            off=(0, 0),
         )
-        b.row(
-            f"mt_value_C_{i}",
-            [(f"dbC_{i}_{mm}", mm) for mm in range(1, 4)] + [(f"bC_{i}", -1)],
-            EQ,
-            0,
-        )
-    for x, hi in (("T", b.t_t), ("F", b.t_f)):
-        for i in range(2, hi + 1):
-            b.row(f"mt_gate_lo_{x}_{i}", [(f"b{x}_{i}", 1), (f"e{x}_{i}", -1)], GE, 0)
-            b.row(f"mt_gate_hi_{x}_{i}", [(f"b{x}_{i}", 1), (f"e{x}_{i}", -3)], LE, 0)
-            b.row(
-                f"mt_onehot_{x}_{i}",
-                [(f"db{x}_{i}_{mm}", 1) for mm in range(0, 4)],
-                EQ,
-                1,
-            )
-            b.row(
-                f"mt_value_{x}_{i}",
-                [(f"db{x}_{i}_{mm}", mm) for mm in range(1, 4)]
-                + [(f"b{x}_{i}", -1)],
-                EQ,
-                0,
-            )
-    for e in b.colored_edges:
-        k = e.index
-        for side in ("CTk", "TCk"):
-            b.row(
-                f"mt_gate_lo_{side}_{k}",
-                [(f"b{side}_{k}", 1), (f"dclrT_{k}", -1)],
-                GE,
-                0,
-            )
-            b.row(
-                f"mt_gate_hi_{side}_{k}",
-                [(f"b{side}_{k}", 1), (f"dclrT_{k}", -3)],
-                LE,
-                0,
-            )
-            b.row(
-                f"mt_onehot_{side}_{k}",
-                [(f"db{side}_{k}_{mm}", 1) for mm in range(0, 4)],
-                EQ,
-                1,
-            )
-            b.row(
-                f"mt_value_{side}_{k}",
-                [(f"db{side}_{k}_{mm}", mm) for mm in range(1, 4)]
-                + [(f"b{side}_{k}", -1)],
-                EQ,
-                0,
-            )
-    for c in range(1, b.c_f + 1):
-        b.row(f"mt_gate_lo_sF_{c}", [(f"bsF_{c}", 1), (f"dclrF_{c}", -1)], GE, 0)
-        b.row(f"mt_gate_hi_sF_{c}", [(f"bsF_{c}", 1), (f"dclrF_{c}", -3)], LE, 0)
-        b.row(
-            f"mt_onehot_sF_{c}",
-            [(f"dbsF_{c}_{mm}", 1) for mm in range(0, 4)],
-            EQ,
-            1,
-        )
-        b.row(
-            f"mt_value_sF_{c}",
-            [(f"dbsF_{c}_{mm}", mm) for mm in range(1, 4)] + [(f"bsF_{c}", -1)],
-            EQ,
-            0,
+        b.one_hot(
+            f"mt_onehot_{tag}_{i}",
+            [(f"db{tag}_{i}_{mm}", mm) for mm in range(0, 4)],
+            value=(f"mt_value_{tag}_{i}", [bond]),
         )
     # fringe-root bond load
     for x in "CTF":
         for i in range(1, _slots(b, x) + 1):
             b.row(
                 f"mt_root_{x}_{i}",
-                [
-                    (f"dfr{x}_{i}_{b.psi_pos[psi]}", by_id[psi].tree.beta_root)
-                    for psi in _menu(b, x, i)
-                ]
+                _fringe_terms(b, x, i, lambda f: f.tree.beta_root)
                 + [(f"bex{x}_{i}", -1)],
                 EQ,
                 0,
@@ -1096,7 +976,6 @@ def add_multiplicity(b: Build) -> None:
 def add_element_valence(b: Build) -> None:
     """Element assignment, the valence condition, mass accounting."""
     m, spec = b.m, b.spec
-    by_id = spec.fringe_by_id
     n_int_elems = len(b.lam_int)
     for x in "CTF":
         for i in range(1, _slots(b, x) + 1):
@@ -1126,83 +1005,51 @@ def add_element_valence(b: Build) -> None:
     for i in range(atm_lo, atm_hi + 1):
         m.add_var(f"datm_{i}", BINARY)
 
-    # multiplicity transfer between color-level and position-level bonds
+    # multiplicity transfer between color-level and position-level bonds:
+    # equal on the run's boundary slot, free (within +-3) elsewhere
+    def transfer(names, dst, src, gate):
+        b.gated_range(names, [(dst, 1), (src, -1)], gate, on=(0, 0), off=(-3, 3))
+
     for e in b.colored_edges:
         k = e.index
         for i in range(1, b.t_t + 1):
-            gate_first = [(f"chiTk_{i}_{k}", 3)]
+            gate = [(f"chiTk_{i}_{k}", 1)]
             if i >= 2:
-                gate_first.append((f"eT_{i}", -3))
-            b.row(
-                f"av_firstlo_{k}_{i}",
-                [(f"bCT_{i}", 1), (f"bCTk_{k}", -1)] + [(v, -c) for v, c in gate_first],
-                GE,
-                -3,
+                gate.append((f"eT_{i}", -1))
+            transfer(
+                (f"av_firstlo_{k}_{i}", f"av_firsthi_{k}_{i}"),
+                f"bCT_{i}", f"bCTk_{k}", gate,
             )
-            b.row(
-                f"av_firsthi_{k}_{i}",
-                [(f"bCT_{i}", 1), (f"bCTk_{k}", -1)] + [(v, c) for v, c in gate_first],
-                LE,
-                3,
-            )
-            gate_last = [(f"chiTk_{i}_{k}", 3)]
+            gate = [(f"chiTk_{i}_{k}", 1)]
             if i < b.t_t:
-                gate_last.append((f"eT_{i + 1}", -3))
-            b.row(
-                f"av_lastlo_{k}_{i}",
-                [(f"bTC_{i}", 1), (f"bTCk_{k}", -1)] + [(v, -c) for v, c in gate_last],
-                GE,
-                -3,
-            )
-            b.row(
-                f"av_lasthi_{k}_{i}",
-                [(f"bTC_{i}", 1), (f"bTCk_{k}", -1)] + [(v, c) for v, c in gate_last],
-                LE,
-                3,
+                gate.append((f"eT_{i + 1}", -1))
+            transfer(
+                (f"av_lastlo_{k}_{i}", f"av_lasthi_{k}_{i}"),
+                f"bTC_{i}", f"bTCk_{k}", gate,
             )
     for c in range(1, b.c_f + 1):
         side = "bCF" if c <= b.t_c_tilde else "bTF"
         for i in range(1, b.t_f + 1):
-            gate = [(f"chiFc_{i}_{c}", 3)]
+            gate = [(f"chiFc_{i}_{c}", 1)]
             if i >= 2:
-                gate.append((f"eF_{i}", -3))
-            b.row(
-                f"av_leaflo_{c}_{i}",
-                [(f"{side}_{i}", 1), (f"bsF_{c}", -1)] + [(v, -cc) for v, cc in gate],
-                GE,
-                -3,
-            )
-            b.row(
-                f"av_leafhi_{c}_{i}",
-                [(f"{side}_{i}", 1), (f"bsF_{c}", -1)] + [(v, cc) for v, cc in gate],
-                LE,
-                3,
+                gate.append((f"eF_{i}", -1))
+            transfer(
+                (f"av_leaflo_{c}_{i}", f"av_leafhi_{c}_{i}"),
+                f"{side}_{i}", f"bsF_{c}", gate,
             )
 
     # element one-hots
     for x in "CTF":
         for i in range(1, _slots(b, x) + 1):
-            pick = [(f"da{x}_{i}_{e}", 1) for e in range(1, n_int_elems + 1)]
-            if x == "C":
-                b.row(f"av_onehot_{x}_{i}", pick, EQ, 1)
-            else:
-                b.row(f"av_onehot_{x}_{i}", pick + [(f"v{x}_{i}", -1)], EQ, 0)
-            b.row(
-                f"av_code_{x}_{i}",
-                [(f"da{x}_{i}_{e}", e) for e in range(1, n_int_elems + 1)]
-                + [(f"a{x}_{i}", -1)],
-                EQ,
-                0,
+            b.one_hot(
+                f"av_onehot_{x}_{i}",
+                [(f"da{x}_{i}_{e}", e) for e in range(1, n_int_elems + 1)],
+                _used(x, i),
+                value=(f"av_code_{x}_{i}", [f"a{x}_{i}"]),
             )
             b.row(
                 f"av_root_{x}_{i}",
-                [
-                    (
-                        f"dfr{x}_{i}_{b.psi_pos[psi]}",
-                        b.lam_int_pos[by_id[psi].tree.root_element],
-                    )
-                    for psi in _menu(b, x, i)
-                ]
+                _fringe_terms(b, x, i, lambda f: b.lam_int_pos[f.tree.root_element])
                 + [(f"a{x}_{i}", -1)],
                 EQ,
                 0,
@@ -1287,14 +1134,9 @@ def add_element_valence(b: Build) -> None:
         for x in "CTF":
             b.row(
                 f"av_naex_{x}_{a_pos}",
-                [
-                    (
-                        f"dfr{x}_{i}_{b.psi_pos[psi]}",
-                        by_id[psi].tree.nonroot_element_counts.get(elem.token, 0),
-                    )
-                    for i in range(1, _slots(b, x) + 1)
-                    for psi in _menu(b, x, i)
-                ]
+                _all_fringe_terms(
+                    b, lambda f: f.tree.nonroot_element_counts.get(elem.token, 0), x
+                )
                 + [(f"naex{x}_{a_pos}", -1)],
                 EQ,
                 0,
@@ -1324,22 +1166,15 @@ def add_element_valence(b: Build) -> None:
         EQ,
         0,
     )
-    h_terms = [("nG", 1)]
-    for a_pos, ex_elem in enumerate(b.lam_ex, start=1):
-        if ex_elem.is_hydrogen:
-            h_terms.append((f"naex_{a_pos}", 1))
-    b.row(
+    atoms = ["nG"] + [
+        f"naex_{a_pos}"
+        for a_pos, ex_elem in enumerate(b.lam_ex, start=1)
+        if ex_elem.is_hydrogen
+    ]
+    b.one_hot(
         "av_atoms_onehot",
-        [(f"datm_{i}", 1) for i in range(atm_lo, atm_hi + 1)],
-        EQ,
-        1,
-    )
-    b.row(
-        "av_atoms_value",
-        [(f"datm_{i}", i) for i in range(atm_lo, atm_hi + 1)]
-        + [(v, -c) for v, c in h_terms],
-        EQ,
-        0,
+        [(f"datm_{i}", i) for i in range(atm_lo, atm_hi + 1)],
+        value=("av_atoms_value", atoms),
     )
     # slack must absorb the largest possible |Mass - i*msbar| when inactive
     big_m = b.mass_avg_ub * atm_hi
@@ -1377,15 +1212,10 @@ def add_bond_bounds(b: Build) -> None:
         k = e.index
         for i in range(2, b.t_t + 1):
             for mm in (2, 3):
-                b.row(
-                    f"bb_mark_{k}_{i}_{mm}",
-                    [
-                        (f"bdTk_{k}_{i}_{mm}", 1),
-                        (f"dbT_{i}_{mm}", -1),
-                        (f"chiTk_{i}_{k}", -1),
-                    ],
-                    GE,
-                    -1,
+                b.conjunction(
+                    f"bdTk_{k}_{i}_{mm}",
+                    [f"bb_mark_{k}_{i}_{mm}"],
+                    [f"dbT_{i}_{mm}", f"chiTk_{i}_{k}"],
                 )
     for mm in (2, 3):
         if b.colored_edges:
@@ -1421,93 +1251,52 @@ def _cs_terms(b: Build) -> None:
             for s in range(1, n_sym + 1):
                 m.add_var(f"cs{x}_{i}_{s}", BINARY)
             for s, info in enumerate(b.symbols, start=1):
-                b.row(
-                    f"dl_cs_and_{x}_{i}_{s}",
-                    [
-                        (f"cs{x}_{i}_{s}", 1),
-                        (f"da{x}_{i}_{info.element_pos}", -1),
-                        (f"dsup{x}_{i}_{info.degree}", -1),
-                    ],
-                    GE,
-                    -1,
+                b.conjunction(
+                    f"cs{x}_{i}_{s}",
+                    [f"dl_cs_{part}_{x}_{i}_{s}" for part in ("and", "el", "dg")],
+                    [f"da{x}_{i}_{info.element_pos}", f"dsup{x}_{i}_{info.degree}"],
                 )
-                b.row(
-                    f"dl_cs_el_{x}_{i}_{s}",
-                    [
-                        (f"cs{x}_{i}_{s}", 1),
-                        (f"da{x}_{i}_{info.element_pos}", -1),
-                    ],
-                    LE,
-                    0,
-                )
-                b.row(
-                    f"dl_cs_dg_{x}_{i}_{s}",
-                    [
-                        (f"cs{x}_{i}_{s}", 1),
-                        (f"dsup{x}_{i}_{info.degree}", -1),
-                    ],
-                    LE,
-                    0,
-                )
-            pick = [(f"cs{x}_{i}_{s}", 1) for s in range(1, n_sym + 1)]
-            if x == "C":
-                b.row(f"dl_cs_onehot_{x}_{i}", pick, EQ, 1)
-            else:
-                b.row(
-                    f"dl_cs_onehot_{x}_{i}", pick + [(f"v{x}_{i}", -1)], EQ, 0
-                )
+            b.one_hot(
+                f"dl_cs_onehot_{x}_{i}",
+                [(f"cs{x}_{i}_{s}", s) for s in range(1, n_sym + 1)],
+                _used(x, i),
+            )
 
 
 def _boundary_markers(b: Build) -> None:
     """First/last vertex of every path run and first vertex of leaf runs."""
     m = b.m
+    # a run starts at a slot of its color whose incoming slot edge is unused
+    # and ends at one whose outgoing slot edge is unused
     for e in b.colored_edges:
         k = e.index
         for i in range(1, b.t_t + 1):
             m.add_var(f"firstT_{k}_{i}", BINARY)
             m.add_var(f"lastT_{k}_{i}", BINARY)
-            lower = [(f"firstT_{k}_{i}", 1), (f"chiTk_{i}_{k}", -1)]
-            cap = [(f"firstT_{k}_{i}", 1), (f"vT_{i}", -1)]
-            if i >= 2:
-                lower.append((f"eT_{i}", 1))
-                cap.append((f"eT_{i}", 1))
-            b.row(f"dl_first_lo_{k}_{i}", lower, GE, 0)
-            b.row(
-                f"dl_first_hi1_{k}_{i}",
-                [(f"firstT_{k}_{i}", 1), (f"chiTk_{i}_{k}", -1)],
-                LE,
-                0,
+            b.conjunction(
+                f"firstT_{k}_{i}",
+                [f"dl_first_{part}_{k}_{i}" for part in ("lo", "hi1", "hi2")],
+                [f"chiTk_{i}_{k}"],
+                unless=f"eT_{i}" if i >= 2 else None,
+                within=f"vT_{i}",
             )
-            b.row(f"dl_first_hi2_{k}_{i}", cap, LE, 0)
-            lower = [(f"lastT_{k}_{i}", 1), (f"chiTk_{i}_{k}", -1)]
-            cap = [(f"lastT_{k}_{i}", 1), (f"vT_{i}", -1)]
-            if i < b.t_t:
-                lower.append((f"eT_{i + 1}", 1))
-                cap.append((f"eT_{i + 1}", 1))
-            b.row(f"dl_last_lo_{k}_{i}", lower, GE, 0)
-            b.row(
-                f"dl_last_hi1_{k}_{i}",
-                [(f"lastT_{k}_{i}", 1), (f"chiTk_{i}_{k}", -1)],
-                LE,
-                0,
+            b.conjunction(
+                f"lastT_{k}_{i}",
+                [f"dl_last_{part}_{k}_{i}" for part in ("lo", "hi1", "hi2")],
+                [f"chiTk_{i}_{k}"],
+                unless=f"eT_{i + 1}" if i < b.t_t else None,
+                within=f"vT_{i}",
             )
-            b.row(f"dl_last_hi2_{k}_{i}", cap, LE, 0)
     for c in range(1, b.c_f + 1):
         for i in range(1, b.t_f + 1):
             m.add_var(f"firstF_{c}_{i}", BINARY)
-            lower = [(f"firstF_{c}_{i}", 1), (f"chiFc_{i}_{c}", -1)]
-            cap = [(f"firstF_{c}_{i}", 1), (f"vF_{i}", -1)]
-            if i >= 2:
-                lower.append((f"eF_{i}", 1))
-                cap.append((f"eF_{i}", 1))
-            b.row(f"dl_lphead_lo_{c}_{i}", lower, GE, 0)
-            b.row(
-                f"dl_lphead_hi1_{c}_{i}",
-                [(f"firstF_{c}_{i}", 1), (f"chiFc_{i}_{c}", -1)],
-                LE,
-                0,
+            b.conjunction(
+                f"firstF_{c}_{i}",
+                [f"dl_lphead_{part}_{c}_{i}" for part in ("lo", "hi1", "hi2")],
+                [f"chiFc_{i}_{c}"],
+                unless=f"eF_{i}" if i >= 2 else None,
+                within=f"vF_{i}",
             )
-            b.row(f"dl_lphead_hi2_{c}_{i}", cap, LE, 0)
 
 
 def _symbol_transfer(b: Build) -> None:
@@ -1521,61 +1310,36 @@ def _symbol_transfer(b: Build) -> None:
             m.add_var(f"lsT_{k}_{s}", BINARY)
         for s in range(1, n_sym + 1):
             for i in range(1, b.t_t + 1):
-                b.row(
-                    f"dl_fs_{k}_{s}_{i}",
-                    [
-                        (f"fsT_{k}_{s}", 1),
-                        (f"csT_{i}_{s}", -1),
-                        (f"firstT_{k}_{i}", -1),
-                    ],
-                    GE,
-                    -1,
+                b.conjunction(
+                    f"fsT_{k}_{s}",
+                    [f"dl_fs_{k}_{s}_{i}"],
+                    [f"csT_{i}_{s}", f"firstT_{k}_{i}"],
                 )
-                b.row(
-                    f"dl_ls_{k}_{s}_{i}",
-                    [
-                        (f"lsT_{k}_{s}", 1),
-                        (f"csT_{i}_{s}", -1),
-                        (f"lastT_{k}_{i}", -1),
-                    ],
-                    GE,
-                    -1,
+                b.conjunction(
+                    f"lsT_{k}_{s}",
+                    [f"dl_ls_{k}_{s}_{i}"],
+                    [f"csT_{i}_{s}", f"lastT_{k}_{i}"],
                 )
-        b.row(
-            f"dl_fs_onehot_{k}",
-            [(f"fsT_{k}_{s}", 1) for s in range(1, n_sym + 1)]
-            + [(f"dclrT_{k}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
-            f"dl_ls_onehot_{k}",
-            [(f"lsT_{k}_{s}", 1) for s in range(1, n_sym + 1)]
-            + [(f"dclrT_{k}", -1)],
-            EQ,
-            0,
-        )
+        for head in ("fs", "ls"):
+            b.one_hot(
+                f"dl_{head}_onehot_{k}",
+                [(f"{head}T_{k}_{s}", s) for s in range(1, n_sym + 1)],
+                f"dclrT_{k}",
+            )
     for c in range(1, b.c_f + 1):
         for s in range(1, n_sym + 1):
             m.add_var(f"fsF_{c}_{s}", BINARY)
         for s in range(1, n_sym + 1):
             for i in range(1, b.t_f + 1):
-                b.row(
-                    f"dl_fsF_{c}_{s}_{i}",
-                    [
-                        (f"fsF_{c}_{s}", 1),
-                        (f"csF_{i}_{s}", -1),
-                        (f"firstF_{c}_{i}", -1),
-                    ],
-                    GE,
-                    -1,
+                b.conjunction(
+                    f"fsF_{c}_{s}",
+                    [f"dl_fsF_{c}_{s}_{i}"],
+                    [f"csF_{i}_{s}", f"firstF_{c}_{i}"],
                 )
-        b.row(
+        b.one_hot(
             f"dl_fsF_onehot_{c}",
-            [(f"fsF_{c}_{s}", 1) for s in range(1, n_sym + 1)]
-            + [(f"dclrF_{c}", -1)],
-            EQ,
-            0,
+            [(f"fsF_{c}_{s}", s) for s in range(1, n_sym + 1)],
+            f"dclrF_{c}",
         )
 
 
@@ -1628,32 +1392,15 @@ def add_descriptor_linking(b: Build) -> None:
         for o in range(1, n_ord + 1):
             m.add_var(f"ec{slot}_{o}", BINARY)
         for o, (pa, pb, mult, _gi) in enumerate(b.ordered_configs, start=1):
-            name = f"ec{slot}_{o}"
-            b.row(
-                f"dl_ec_and_{slot}_{o}",
-                [
-                    (name, 1),
-                    (f"{sym_a}_{pa}", -1),
-                    (f"{sym_b}_{pb}", -1),
-                    (f"{db}_{mult}", -1),
-                ],
-                GE,
-                -2,
+            b.conjunction(
+                f"ec{slot}_{o}",
+                [f"dl_ec_{part}_{slot}_{o}" for part in ("and", "a", "b", "m")],
+                [f"{sym_a}_{pa}", f"{sym_b}_{pb}", f"{db}_{mult}"],
             )
-            b.row(
-                f"dl_ec_a_{slot}_{o}", [(name, 1), (f"{sym_a}_{pa}", -1)], LE, 0
-            )
-            b.row(
-                f"dl_ec_b_{slot}_{o}", [(name, 1), (f"{sym_b}_{pb}", -1)], LE, 0
-            )
-            b.row(
-                f"dl_ec_m_{slot}_{o}", [(name, 1), (f"{db}_{mult}", -1)], LE, 0
-            )
-        b.row(
+        b.one_hot(
             f"dl_ec_cover_{slot}",
-            [(f"ec{slot}_{o}", 1) for o in range(1, n_ord + 1)] + [(used, -1)],
-            EQ,
-            0,
+            [(f"ec{slot}_{o}", o) for o in range(1, n_ord + 1)],
+            used,
         )
 
     # raw descriptor variables
@@ -1677,11 +1424,15 @@ def add_descriptor_linking(b: Build) -> None:
         kind = CONTINUOUS if j == 4 else INTEGER
         m.add_var(f"x_{j}", kind, lo, hi)
 
-    b.row("dl_x_1", [("x_1", 1), ("nG", -1)], EQ, 0)
-    b.row("dl_x_2", [("x_2", 1), ("rank", -1)], EQ, 0)
-    b.row("dl_x_3", [("x_3", 1), ("nintG", -1)], EQ, 0)
-    b.row("dl_x_4", [("x_4", 1), ("msbar", -1)], EQ, 0)
-    by_id = spec.fringe_by_id
+    def tie(name: str, j: int, var: str | None) -> None:
+        """x_j equals `var`; without one the descriptor cannot occur."""
+        if var is None:
+            m.fix_var(f"x_{j}", 0)
+        else:
+            b.row(name, [(f"x_{j}", 1), (var, -1)], EQ, 0)
+
+    for j, var in enumerate(("nG", "rank", "nintG", "msbar"), start=1):
+        tie(f"dl_x_{j}", j, var)
     for d in range(1, 5):
         terms = [(f"x_{4 + d}", -1)]
         terms += [
@@ -1689,48 +1440,23 @@ def add_descriptor_linking(b: Build) -> None:
             for x in "CTF"
             for i in range(1, _slots(b, x) + 1)
         ]
-        terms += [
-            (
-                f"dfr{x}_{i}_{b.psi_pos[psi]}",
-                by_id[psi].tree.nonroot_heavy_degree_counts.get(d, 0),
-            )
-            for x in "CTF"
-            for i in range(1, _slots(b, x) + 1)
-            for psi in _menu(b, x, i)
-        ]
-        b.row(f"dl_x_deg_{d}", terms, EQ, 0)
-        b.row(
-            f"dl_x_degint_{d}",
-            [(f"x_{8 + d}", 1), (f"dgint_{d}", -1)],
-            EQ,
-            0,
+        terms += _all_fringe_terms(
+            b, lambda f: f.tree.nonroot_heavy_degree_counts.get(d, 0)
         )
-    b.row("dl_x_bd2", [("x_13", 1), ("bdint_2", -1)], EQ, 0)
-    b.row("dl_x_bd3", [("x_14", 1), ("bdint_3", -1)], EQ, 0)
+        b.row(f"dl_x_deg_{d}", terms, EQ, 0)
+        tie(f"dl_x_degint_{d}", 8 + d, f"dgint_{d}")
+    tie("dl_x_bd2", 13, "bdint_2")
+    tie("dl_x_bd3", 14, "bdint_3")
 
     for si, elem in enumerate(space.lambda_int):
         j = off["na_int"] + si + 1
-        if elem in b.lam_int_pos:
-            b.row(
-                f"dl_x_naint_{j}",
-                [(f"x_{j}", 1), (f"naint_{b.lam_int_pos[elem]}", -1)],
-                EQ,
-                0,
-            )
-        else:
-            m.fix_var(f"x_{j}", 0)
+        pos = b.lam_int_pos.get(elem)
+        tie(f"dl_x_naint_{j}", j, None if pos is None else f"naint_{pos}")
     ex_pos = {e: i + 1 for i, e in enumerate(b.lam_ex)}
     for si, elem in enumerate(space.lambda_ex):
         j = off["na_ex"] + si + 1
-        if elem in ex_pos:
-            b.row(
-                f"dl_x_naex_{j}",
-                [(f"x_{j}", 1), (f"naex_{ex_pos[elem]}", -1)],
-                EQ,
-                0,
-            )
-        else:
-            m.fix_var(f"x_{j}", 0)
+        pos = ex_pos.get(elem)
+        tie(f"dl_x_naex_{j}", j, None if pos is None else f"naex_{pos}")
     gamma_terms: dict[int, list[tuple[str, float]]] = {
         gi: [] for gi in range(len(space.gamma_int))
     }
@@ -1746,17 +1472,15 @@ def add_descriptor_linking(b: Build) -> None:
     for ci, code in enumerate(space.fringe_codes):
         j = off["fc"] + ci + 1
         p = spec_code_pos.get(code)
-        if p is None:
-            m.fix_var(f"x_{j}", 0)
-        else:
-            b.row(f"dl_x_fc_{j}", [(f"x_{j}", 1), (f"fc_{p}", -1)], EQ, 0)
+        tie(f"dl_x_fc_{j}", j, None if p is None else f"fc_{p}")
     for ai in range(len(space.ac_lf)):
         j = off["ac"] + ai + 1
-        b.row(f"dl_x_ac_{j}", [(f"x_{j}", 1), (f"aclf_{ai + 1}", -1)], EQ, 0)
+        tie(f"dl_x_ac_{j}", j, f"aclf_{ai + 1}")
 
 
-def add_normalization(b: Build, mins, maxs, epsilon: float = 1e-5) -> None:
-    """Two-sided scaling sandwich tying x_j to its normalized copy.
+def add_normalization(b: Build, mins, maxs) -> None:
+    """Two-sided scaling sandwich tying x_j to its normalized copy, with
+    relative slack EPSILON on each side.
 
     Written with an explicit offset variable (d = x - min) so the two
     inequality rows have an exact zero right-hand side: with a folded
@@ -1764,8 +1488,6 @@ def add_normalization(b: Build, mins, maxs, epsilon: float = 1e-5) -> None:
     minimum can make the sandwich empty by a rounding hair, which an exact
     solver would dutifully report as infeasible.  The stored minimum is
     nudged one ulp down for the same reason."""
-    if epsilon <= 0:
-        raise BuildError("normalization tolerance must be positive")
     m = b.m
     k_total = b.space.k
     if len(mins) != k_total or len(maxs) != k_total:
@@ -1784,7 +1506,7 @@ def add_normalization(b: Build, mins, maxs, epsilon: float = 1e-5) -> None:
         )
         cands = [
             f * (xb - lo) / span
-            for f in (1 - epsilon, 1 + epsilon)
+            for f in (1 - EPSILON, 1 + EPSILON)
             for xb in (xv.lb, xv.ub)
         ]
         m.add_var(
@@ -1796,13 +1518,13 @@ def add_normalization(b: Build, mins, maxs, epsilon: float = 1e-5) -> None:
         b.row(f"nm_d_{j}", [(f"x_{j}", 1), (f"xd_{j}", -1)], EQ, lo)
         b.row(
             f"nm_lo_{j}",
-            [(f"xd_{j}", 1 - epsilon), (f"xhat_{j}", -span)],
+            [(f"xd_{j}", 1 - EPSILON), (f"xhat_{j}", -span)],
             LE,
             0,
         )
         b.row(
             f"nm_hi_{j}",
-            [(f"xd_{j}", 1 + epsilon), (f"xhat_{j}", -span)],
+            [(f"xd_{j}", 1 + EPSILON), (f"xhat_{j}", -span)],
             GE,
             0,
         )
@@ -1829,11 +1551,8 @@ def build_milp(
     predictor: LinearPredictor | None = None,
     y_lo: float | None = None,
     y_hi: float | None = None,
-    epsilon: float = 1e-5,
-    objective: str = "none",
 ) -> MILPModel:
-    """Assemble the full model; feasibility objective unless asked to
-    minimize or maximize the predicted value."""
+    """Assemble the full model with a feasibility (empty) objective."""
     b = Build(spec, space)
     add_cyclical_base(b)
     add_leaf_paths(b)
@@ -1848,16 +1567,10 @@ def build_milp(
             raise BuildError("a target interval is required with a predictor")
         if predictor.space_hash != space_hash(space):
             raise BuildError("predictor was trained against a different space")
-        add_normalization(b, predictor.mins, predictor.maxs, epsilon)
+        add_normalization(b, predictor.mins, predictor.maxs)
         add_prediction(b, predictor, y_lo, y_hi)
         b.model.metadata["predictor"] = predictor.space_hash
     b.model.metadata["space"] = space_hash(space)
-    if objective == "min_y":
-        b.model.set_objective("min", {"y": 1.0})
-    elif objective == "max_y":
-        b.model.set_objective("max", {"y": 1.0})
-    elif objective != "none":
-        raise BuildError(f"unknown objective {objective!r}")
     return b.model
 
 

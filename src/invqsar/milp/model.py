@@ -8,12 +8,11 @@ round-trip float formatting, so the text carries the model exactly.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -113,18 +112,6 @@ class MILPModel:
         self._constr_names.add(name)
         return name
 
-    def add_range(self, name: str, coeffs, lo: float, hi: float) -> None:
-        """lo <= expr <= hi as one or two rows."""
-        if lo == hi:
-            self.add_constr(name, coeffs, EQ, lo)
-            return
-        if lo > hi:
-            raise ModelError(f"range {name}: {lo} > {hi}")
-        if not math.isinf(lo):
-            self.add_constr(f"{name}_lo", coeffs, GE, lo)
-        if not math.isinf(hi):
-            self.add_constr(f"{name}_hi", coeffs, LE, hi)
-
     def set_objective(self, sense: str, coeffs) -> None:
         if sense not in (MIN, MAX):
             raise ModelError(f"bad objective sense {sense!r}")
@@ -153,9 +140,6 @@ class MILPModel:
 
     def n_integer(self) -> int:
         return sum(1 for v in self._vars.values() if v.kind != CONTINUOUS)
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(emit_lp(self).encode()).hexdigest()
 
     def fix_var(self, name: str, value: float) -> None:
         old = self._vars[name]

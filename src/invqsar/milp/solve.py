@@ -148,17 +148,6 @@ def parse_solution_text(text: str) -> Solution:
     return Solution(status, values, objective)
 
 
-def _complete_and_check(model: MILPModel, sol: Solution, tol: float) -> Solution:
-    for v in model.variables:
-        sol.values.setdefault(v.name, Fraction(0))
-    problems = check_solution(model, sol.values, tol=tol)
-    if problems:
-        raise SolutionCheckError(
-            "solution fails verification: " + "; ".join(problems[:10])
-        )
-    return sol
-
-
 def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
     """Solve with HiGHS in-process; the time limit is enforced inside HiGHS.
 
@@ -265,4 +254,9 @@ def solve(
         sol.values.setdefault(v.name, Fraction(0))
     if polish is not None:
         polish(model, sol)
-    return _complete_and_check(model, sol, tol)
+    problems = check_solution(model, sol.values, tol=tol)
+    if problems:
+        raise SolutionCheckError(
+            "solution fails verification: " + "; ".join(problems[:10])
+        )
+    return sol

@@ -166,6 +166,17 @@ def r_squared(pred, truth) -> float:
     return 1.0 - rss / tss
 
 
+def min_max_scale(values, lo, hi) -> np.ndarray:
+    """(values - lo) / (hi - lo), elementwise with numpy broadcasting, so
+    `lo` and `hi` may be per-column ranges of a matrix; where hi == lo (a
+    constant column) the result is 0."""
+    values = np.asarray(values, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    varying = hi > lo
+    return np.where(varying, (values - lo) / np.where(varying, hi - lo, 1.0), 0.0)
+
+
 @dataclass(frozen=True)
 class LinearPredictor:
     """Serialized form of the fitted prediction function."""
@@ -185,33 +196,18 @@ class LinearPredictor:
         if not (len(self.mins) == len(self.maxs) == len(self.descriptor_names) == k):
             raise ValueError("predictor field lengths disagree")
 
-    def normalize_row(self, raw: list[float]) -> list[float]:
-        if len(raw) != len(self.weights):
-            raise ValueError("feature vector length does not match predictor")
-        out = []
-        for v, lo, hi in zip(raw, self.mins, self.maxs):
-            out.append(0.0 if hi == lo else (v - lo) / (hi - lo))
-        return out
-
     def predict_normalized(self, raw: list[float]) -> float:
         """Prediction in standardized target units."""
-        xhat = self.normalize_row(raw)
+        if len(raw) != len(self.weights):
+            raise ValueError("feature vector length does not match predictor")
+        xhat = min_max_scale(raw, self.mins, self.maxs).tolist()
         return float(sum(w * v for w, v in zip(self.weights, xhat)) + self.bias)
 
-    def predict_value(self, raw: list[float]) -> float:
-        """Prediction mapped back to original property units."""
-        return self.destandardize(self.predict_normalized(raw))
-
     def standardize(self, y: float) -> float:
-        if self.target_max == self.target_min:
-            return 0.0
-        return (y - self.target_min) / (self.target_max - self.target_min)
+        return float(min_max_scale(y, self.target_min, self.target_max))
 
     def destandardize(self, y_std: float) -> float:
         return self.target_min + y_std * (self.target_max - self.target_min)
-
-    def n_selected(self) -> int:
-        return sum(1 for w in self.weights if w != 0.0)
 
 
 def predictor_to_json(p: LinearPredictor) -> dict:
@@ -229,17 +225,20 @@ def predictor_to_json(p: LinearPredictor) -> dict:
 
 
 def predictor_from_json(doc: dict) -> LinearPredictor:
-    return LinearPredictor(
-        weights=tuple(float(v) for v in doc["weights"]),
-        bias=float(doc["bias"]),
-        lam=float(doc["lambda"]),
-        descriptor_names=tuple(doc["descriptor_names"]),
-        mins=tuple(float(v) for v in doc["min"]),
-        maxs=tuple(float(v) for v in doc["max"]),
-        target_min=float(doc["target_min"]),
-        target_max=float(doc["target_max"]),
-        space_hash=doc["space_hash"],
-    )
+    try:
+        return LinearPredictor(
+            weights=tuple(float(v) for v in doc["weights"]),
+            bias=float(doc["bias"]),
+            lam=float(doc["lambda"]),
+            descriptor_names=tuple(doc["descriptor_names"]),
+            mins=tuple(float(v) for v in doc["min"]),
+            maxs=tuple(float(v) for v in doc["max"]),
+            target_min=float(doc["target_min"]),
+            target_max=float(doc["target_max"]),
+            space_hash=doc["space_hash"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"predictor is missing key {exc.args[0]!r}") from exc
 
 
 def predictor_to_json_text(p: LinearPredictor) -> str:
@@ -305,14 +304,3 @@ def cross_validate_path(
         for i, lam in enumerate(lams)
     ]
 
-
-def cross_validate(
-    x: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    executions: int = 10,
-    folds: int = 5,
-    seed: int = 0,
-) -> CvReport:
-    """Repeated random k-fold evaluation of one penalty."""
-    return cross_validate_path(x, y, [lam], executions, folds, seed)[0]

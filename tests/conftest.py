@@ -12,12 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from invqsar.decompose import decompose, tree_to_json
-from invqsar.descriptors import (
-    NormalizationParams,
-    build_space,
-    featurize,
-    space_hash,
-)
+from invqsar.descriptors import build_space, featurize, space_hash
 from invqsar.elements import make_element
 from invqsar.graph import ChemicalGraph, build_graph
 from invqsar.regression import LinearPredictor
@@ -107,14 +102,14 @@ def random_chemical_graph(rng: np.random.Generator, max_heavy: int = 12,
 
 def uniform_predictor(space, vectors, weight=0.1, bias=0.05,
                       target_min=0.0, target_max=10.0) -> LinearPredictor:
-    params = NormalizationParams.from_vectors(vectors)
+    x = np.array([fv.as_floats() for fv in vectors])
     return LinearPredictor(
         weights=tuple([weight] * space.k),
         bias=bias,
         lam=0.01,
         descriptor_names=space.descriptor_names,
-        mins=tuple(float(v) for v in params.mins),
-        maxs=tuple(float(v) for v in params.maxs),
+        mins=tuple(x.min(axis=0).tolist()),
+        maxs=tuple(x.max(axis=0).tolist()),
         target_min=target_min,
         target_max=target_max,
         space_hash=space_hash(space),

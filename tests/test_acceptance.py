@@ -17,7 +17,7 @@ from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import decode, solution_feature_values
 from invqsar.milp.model import constraint_residuals, emit_lp
 from invqsar.milp.solve import solve
-from invqsar.regression import kkt_residuals, lasso_fit, cross_validate
+from invqsar.regression import kkt_residuals, lasso_fit, cross_validate_path
 from invqsar.topospec import check_graph_satisfies, parse_spec
 
 from conftest import (
@@ -166,7 +166,7 @@ def test_criterion_5_cv_protocol():
     n, k = 200, 30
     x = rng.random((n, k))
     y = x @ (rng.random(k) + 0.05) + 0.3
-    reportcv = cross_validate(x, y, 1e-6, executions=10, folds=5, seed=4)
+    reportcv = cross_validate_path(x, y, [1e-6], executions=10, folds=5, seed=4)[0]
     report(
         5,
         "cross-validation protocol",

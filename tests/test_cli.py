@@ -180,6 +180,15 @@ def test_missing_config_file():
     assert main(["featurize", "--config", "/nonexistent/cfg.json"]) == 2
 
 
+def test_unreadable_input_path_is_usage_error(tmp_path, capsys):
+    # without a "dataset" key the dataset path is "", the current directory
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{}")
+    assert main(["featurize", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "Traceback" not in err
+
+
 def test_infer_solver_failure_exit_code(project):
     tmp, cfg_path, fx = project
     assert main(["featurize", "--config", str(cfg_path)]) == 0
@@ -290,6 +299,22 @@ def test_infer_mini_solver_fault_exit_code(trained, monkeypatch, capsys):
     cfg = with_solver(tmp, cfg_path, "mini")
     assert main(["infer", "--config", cfg, "--lo", "6.9", "--hi", "7.1"]) == 4
     assert "zero pivot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("artifact, key", [
+    ("predictor.json", "space_hash"),
+    ("space.json", "gamma_int"),
+])
+def test_infer_artifact_missing_key(trained, capsys, artifact, key):
+    tmp, cfg_path = trained
+    path = tmp / "out" / artifact
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    assert main(["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"]) == 2
+    err = capsys.readouterr().err
+    assert f"missing key {key!r}" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("key, value", [

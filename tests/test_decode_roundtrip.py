@@ -110,7 +110,7 @@ def test_decode_rejects_nonsense():
 def test_roundtrip_with_charged_nitrogen():
     """Ion charges flow through fringe constants, valence rows and decode."""
     from conftest import fringe_menu_json
-    from invqsar.descriptors import build_space, NormalizationParams
+    from invqsar.descriptors import build_space
     from invqsar.graph import build_graph
     from conftest import ring, uniform_predictor
 

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invqsar.descriptors import (
-    NormalizationParams,
+    FeatureVector,
     OutOfSpaceError,
     build_space,
-    denormalize,
     featurize,
     leaf_edge_configurations,
-    normalize,
     read_feature_csv,
     space_from_json,
     space_hash,
@@ -20,6 +18,7 @@ from invqsar.descriptors import (
     write_feature_csv,
 )
 from invqsar.graph import ChemicalGraph, build_graph
+from invqsar.regression import min_max_scale
 
 from conftest import chain, random_chemical_graph, ring
 from oracles import brute_force_features
@@ -135,33 +134,28 @@ def test_permutation_invariance():
 
 
 def test_normalize_basics():
-    params = NormalizationParams(
-        mins=(Fraction(0), Fraction(2), Fraction(5)),
-        maxs=(Fraction(10), Fraction(2), Fraction(9)),
-    )
-    from invqsar.descriptors import FeatureVector
-
+    mins, maxs = (0, 2, 5), (10, 2, 9)
     fv = FeatureVector((0, 2, 7))
-    out = normalize(fv, params)
+    out = min_max_scale(fv.as_floats(), mins, maxs).tolist()
     assert out == [0.0, 0.0, 0.5]
     fv = FeatureVector((10, 2, 9))
-    assert normalize(fv, params) == [1.0, 0.0, 1.0]
+    assert min_max_scale(fv.as_floats(), mins, maxs).tolist() == [1.0, 0.0, 1.0]
+    # a matrix is scaled column by column, a constant column to 0
+    rows = [[0, 2, 7], [10, 2, 9]]
+    assert min_max_scale(rows, mins, maxs).tolist() == [
+        [0.0, 0.0, 0.5], [1.0, 0.0, 1.0]]
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=3, max_size=3))
 def test_normalize_denormalize_round_trip(values):
-    from invqsar.descriptors import FeatureVector
-
-    params = NormalizationParams(
-        mins=(Fraction(0), Fraction(1), Fraction(3)),
-        maxs=(Fraction(50), Fraction(60), Fraction(3)),
-    )
-    fv = FeatureVector(tuple(values))
-    back = denormalize(normalize(fv, params), params)
-    for i, v in enumerate(values):
-        if not params.is_constant(i):
-            assert abs(back[i] - v) < 1e-12
+    mins, maxs = (0, 1, 3), (50, 60, 3)
+    xhat = min_max_scale(FeatureVector(tuple(values)).as_floats(), mins, maxs)
+    for v, s, lo, hi in zip(values, xhat, mins, maxs):
+        if lo == hi:
+            assert s == 0.0
+        else:
+            assert abs(lo + s * (hi - lo) - v) < 1e-12
 
 
 def test_csv_round_trip():

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from invqsar.descriptors import build_space, featurize
-from invqsar.milp.build import Build, BuildError, build_milp
+from invqsar.milp.build import EPSILON, Build, BuildError, build_milp
 from invqsar.milp.decode import decode
+from invqsar.milp.model import emit_lp
 from invqsar.milp.solve import solve
 from invqsar.topospec import check_graph_satisfies, parse_spec
 
@@ -72,7 +73,7 @@ def test_build_determinism():
     fx = roundtrip_fixture("triangle")
     m1 = build_milp(fx.spec, fx.space, fx.predictor, 0.1, 0.9)
     m2 = build_milp(fx.spec, fx.space, fx.predictor, 0.1, 0.9)
-    assert m1.fingerprint() == m2.fingerprint()
+    assert emit_lp(m1) == emit_lp(m2)
 
 
 def test_triangle_rank_fixed():
@@ -178,14 +179,14 @@ def test_normalization_endpoints():
     spec = parse_spec(json.dumps(doc))
     vectors = [featurize(g, space) for g in dataset]
     predictor = uniform_predictor(space, vectors)
-    eps = 1e-5
+    eps = EPSILON
     lo, hi = predictor.mins[0], predictor.maxs[0]
     # force n to the dataset min and max and inspect the normalized copy
-    m_min = build_milp(spec, space, predictor, -10, 10, epsilon=eps)
+    m_min = build_milp(spec, space, predictor, -10, 10)
     m_min.fix_var("x_1", lo)
     sol = solve(m_min, "highs")
     assert abs(sol.float_value("xhat_1")) <= eps
-    m_max = build_milp(spec, space, predictor, -10, 10, epsilon=eps)
+    m_max = build_milp(spec, space, predictor, -10, 10)
     m_max.fix_var("x_1", hi)
     sol = solve(m_max, "highs")
     assert 1 - eps - 1e-9 <= sol.float_value("xhat_1") <= 1 + eps + 1e-9
@@ -198,17 +199,6 @@ def test_prediction_interval_errors():
     other = roundtrip_fixture("hetero")
     with pytest.raises(BuildError, match="different space"):
         build_milp(fx.spec, fx.space, other.predictor, 0.1, 0.9)
-
-
-def test_objective_modes():
-    fx = roundtrip_fixture("triangle")
-    lo = build_milp(fx.spec, fx.space, fx.predictor, -10, 10, objective="min_y")
-    hi = build_milp(fx.spec, fx.space, fx.predictor, -10, 10, objective="max_y")
-    s_lo = solve(lo, "highs")
-    s_hi = solve(hi, "highs")
-    assert s_lo.objective <= s_hi.objective + 1e-9
-    with pytest.raises(BuildError):
-        build_milp(fx.spec, fx.space, objective="noisy")
 
 
 def test_variable_bounds_match_contract():

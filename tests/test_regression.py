@@ -5,7 +5,6 @@ from invqsar import regression
 from invqsar.regression import (
     FitError,
     LinearPredictor,
-    cross_validate,
     cross_validate_path,
     kkt_residuals,
     lambda_max,
@@ -210,7 +209,7 @@ def test_cv_noiseless_linear():
     rng = np.random.default_rng(8)
     x = rng.random((80, 6))
     y = x @ (rng.random(6) + 0.1) + 0.2
-    report = cross_validate(x, y, 1e-6, executions=3, seed=0)
+    report = cross_validate_path(x, y, [1e-6], executions=3, seed=0)[0]
     assert report.median_r2 >= 0.999
     assert len(report.fold_r2) == 15
 
@@ -219,7 +218,7 @@ def test_cv_constant_target():
     rng = np.random.default_rng(9)
     x = rng.random((40, 3))
     y = np.ones(40)
-    report = cross_validate(x, y, 0.01, executions=2, seed=0)
+    report = cross_validate_path(x, y, [0.01], executions=2, seed=0)[0]
     assert report.median_r2 == 0.0
 
 
@@ -227,7 +226,7 @@ def test_cv_pure_noise():
     rng = np.random.default_rng(10)
     x = rng.random((100, 5))
     y = rng.standard_normal(100)
-    report = cross_validate(x, y, 10.0, executions=3, seed=1)
+    report = cross_validate_path(x, y, [10.0], executions=3, seed=1)[0]
     assert report.median_r2 <= 0.05
 
 
@@ -235,10 +234,10 @@ def test_cv_reproducible():
     rng = np.random.default_rng(11)
     x = rng.random((50, 4))
     y = rng.random(50)
-    r1 = cross_validate(x, y, 0.01, executions=2, seed=42)
-    r2 = cross_validate(x, y, 0.01, executions=2, seed=42)
+    r1 = cross_validate_path(x, y, [0.01], executions=2, seed=42)[0]
+    r2 = cross_validate_path(x, y, [0.01], executions=2, seed=42)[0]
     assert r1 == r2
-    r3 = cross_validate(x, y, 0.01, executions=2, seed=43)
+    r3 = cross_validate_path(x, y, [0.01], executions=2, seed=43)[0]
     assert r1.fold_r2 != r3.fold_r2
 
 
@@ -287,7 +286,8 @@ def test_cv_path_matches_cold_fits(grid, monkeypatch):
 def test_cv_needs_an_execution():
     rng = np.random.default_rng(16)
     with pytest.raises(FitError):
-        cross_validate(rng.random((40, 5)), rng.random(40), 0.01, executions=0)
+        cross_validate_path(rng.random((40, 5)), rng.random(40), [0.01],
+                            executions=0)
 
 
 def test_predictor_json_round_trip():
