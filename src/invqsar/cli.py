@@ -17,12 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .descriptors import (
-    build_space,
+    census_vector,
     featurize,
     read_feature_csv,
+    space_from_censuses,
     space_from_json,
     space_hash,
     space_to_json,
+    take_census,
     write_feature_csv,
 )
 from .graph import graph_from_json_text, graph_to_json_text
@@ -33,6 +35,7 @@ from .milp.solve import ExternalBackend, SolutionCheckError, SolverFailure, solv
 from .regression import (
     LinearPredictor,
     cross_validate_path,
+    is_json_number,
     lasso_fit,
     min_max_scale,
     predictor_from_json_text,
@@ -100,19 +103,15 @@ class ProjectConfig:
         return "highs"
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _checked(key: str, default, value):
     """value converted to the type of the field's default, or UsageError."""
     if isinstance(default, tuple):
         if (not isinstance(value, list) or not value
-                or not all(_is_number(v) for v in value)):
+                or not all(is_json_number(v) for v in value)):
             raise UsageError(f"config key {key!r} must be a non-empty list of numbers")
         return tuple(float(v) for v in value)
     if isinstance(default, float):
-        if not _is_number(value):
+        if not is_json_number(value):
             raise UsageError(f"config key {key!r} must be a number")
         return float(value)
     if isinstance(value, bool) or not isinstance(value, type(default)):
@@ -146,8 +145,9 @@ def run_featurize(cfg: ProjectConfig) -> int:
         return EXIT_USAGE
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    space = build_space(result.graphs, cfg.rho)
-    vectors = [featurize(g, space) for g in result.graphs]
+    censuses = [take_census(g, cfg.rho) for g in result.graphs]
+    space = space_from_censuses(censuses)
+    vectors = [census_vector(c, space) for c in censuses]
     (out / "features.csv").write_text(
         write_feature_csv(result.names, vectors, space)
     )

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .elements import ElementSpec
-from .graph import ChemicalGraph, Edge, InvalidGraphError, suppress_hydrogens
+from .graph import ChemicalGraph, Edge, InvalidGraphError
 
 INF_HEIGHT = 10**9
 
 
 def peel_heights(g: ChemicalGraph) -> dict[int, int]:
     """Peeling height of every heavy vertex (INF_HEIGHT on cycles)."""
-    view = suppress_hydrogens(g)
+    view = g.suppressed
     deg = {v: view.degree(v) for v in view.vertex_ids}
     height = {v: INF_HEIGHT for v in view.vertex_ids}
     alive = set(view.vertex_ids)
@@ -115,10 +115,6 @@ class RootedFringeTree:
         )
 
     @cached_property
-    def n_hydrogens(self) -> int:
-        return sum(1 for _, elem, _ in self.nodes if elem.is_hydrogen)
-
-    @cached_property
     def nonroot_element_counts(self) -> dict[str, int]:
         """Element token -> frequency among non-root nodes (hydrogen included)."""
         counts: dict[str, int] = {}
@@ -173,9 +169,6 @@ class RootedFringeTree:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def size(self) -> int:
-        return len(self.nodes)
-
 
 def _canonical_code(t: RootedFringeTree, nid: int) -> bytes:
     elem, chg = t.node_map[nid]
@@ -188,12 +181,6 @@ def _canonical_code(t: RootedFringeTree, nid: int) -> bytes:
     entries.sort()
     inner = b";".join(b"%d:" % m + code for _, _, m, code in entries)
     return b"(%s,%d[" % (elem.token.encode(), chg) + inner + b"])"
-
-
-def canonical_fringe_code(t: RootedFringeTree) -> bytes:
-    """Deterministic code equal for two trees iff they are isomorphic by a
-    root-preserving map respecting elements, charges and multiplicities."""
-    return t.canonical_code
 
 
 def tree_to_json(t: RootedFringeTree) -> dict:
@@ -264,35 +251,29 @@ class TwoLayeredDecomposition:
     interior_edges: tuple[Edge, ...]
     fringe_trees: dict[int, RootedFringeTree]
 
-    def classify(self, vid: int) -> str:
-        """'interior', 'exterior' or 'hydrogen' for a vertex id."""
-        if self.graph.vertex_map[vid].element.is_hydrogen:
-            return "hydrogen"
-        return "interior" if vid in self.interior_vertices else "exterior"
-
-    def n_interior(self) -> int:
-        return len(self.interior_vertices)
+    @cached_property
+    def interior_adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Interior vertex (ascending) -> (interior neighbour, multiplicity),
+        in interior-edge order."""
+        adj: dict[int, list[tuple[int, int]]] = {
+            v: [] for v in sorted(self.interior_vertices)
+        }
+        for e in self.interior_edges:
+            adj[e.u].append((e.v, e.mult))
+            adj[e.v].append((e.u, e.mult))
+        return {k: tuple(v) for k, v in adj.items()}
 
 
 def decompose(g: ChemicalGraph, rho: int) -> TwoLayeredDecomposition:
     """Split g into interior and fringe trees with branch parameter rho."""
     if rho < 1:
         raise ValueError("rho must be at least 1")
-    view = suppress_hydrogens(g)
+    view = g.suppressed
     height = peel_heights(g)
     interior = frozenset(v for v in view.vertex_ids if height[v] >= rho)
     interior_edges = tuple(
         e for e in view.edges if e.u in interior and e.v in interior
     )
-
-    hydrogens_of: dict[int, list[tuple[int, int]]] = {v: [] for v in view.vertex_ids}
-    for e in g.edges:
-        hu = g.vertex_map[e.u].element.is_hydrogen
-        hv = g.vertex_map[e.v].element.is_hydrogen
-        if hu and not hv:
-            hydrogens_of[e.v].append((e.u, e.mult))
-        elif hv and not hu:
-            hydrogens_of[e.u].append((e.v, e.mult))
 
     fringe_trees: dict[int, RootedFringeTree] = {}
     claimed: set[int] = set()
@@ -320,7 +301,7 @@ def decompose(g: ChemicalGraph, rho: int) -> TwoLayeredDecomposition:
             v = g.vertex_map[nid]
             tree_nodes.append((nid, v.element, v.charge))
         for nid in order:
-            for h, m in hydrogens_of[nid]:
+            for h, m in view.hydrogens[nid]:
                 vtx = g.vertex_map[h]
                 tree_nodes.append((h, vtx.element, vtx.charge))
                 edges.append((nid, h, m))

@@ -3,7 +3,9 @@
 A DescriptorSpace fixes the indexed catalogs (interior elements, exterior
 elements, interior edge configurations, fringe-tree shapes, leaf-edge
 adjacency configurations) observed in a dataset; featurize maps a graph to
-its K-dimensional count vector over that universe.  The layout is
+its K-dimensional count vector over that universe.  build_space and
+featurize both read a GraphCensus, which counts a graph once from a single
+decomposition.  The layout is
 
     1..4    scalars: heavy-atom count, cycle rank, interior size,
             average mass surrogate over all atoms (exact rational)
@@ -19,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +34,7 @@ from .decompose import (
     tree_to_json,
 )
 from .elements import ElementSpec, parse_element
-from .graph import ChemicalGraph, rank, suppress_hydrogens
+from .graph import ChemicalGraph, rank
 
 N_SCALAR_DESCRIPTORS = 14
 
@@ -95,41 +98,6 @@ class AdjacencyConfiguration:
     @property
     def label(self) -> str:
         return f"{self.a.token}_{self.b.token}_{self.mult}"
-
-
-def leaf_edge_configurations(g: ChemicalGraph) -> dict[AdjacencyConfiguration, int]:
-    """Count leaf edges of the suppressed graph.  The leaf endpoint comes
-    first; an edge whose two endpoints both have degree 1 is counted once,
-    oriented by element order."""
-    view = suppress_hydrogens(g)
-    counts: dict[AdjacencyConfiguration, int] = {}
-    for e in view.edges:
-        du, dv = view.degree(e.u), view.degree(e.v)
-        if du != 1 and dv != 1:
-            continue
-        eu, ev = g.element(e.u), g.element(e.v)
-        if du == 1 and dv == 1:
-            a, b = sorted((eu, ev), key=lambda x: x.sort_key())
-        elif du == 1:
-            a, b = eu, ev
-        else:
-            a, b = ev, eu
-        key = AdjacencyConfiguration(a, b, e.mult)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def interior_edge_configurations(
-    g: ChemicalGraph, decomp: TwoLayeredDecomposition
-) -> dict[EdgeConfiguration, int]:
-    view = suppress_hydrogens(g)
-    counts: dict[EdgeConfiguration, int] = {}
-    for e in decomp.interior_edges:
-        mu = ChemicalSymbol(g.element(e.u), view.degree(e.u))
-        mu_p = ChemicalSymbol(g.element(e.v), view.degree(e.v))
-        key = EdgeConfiguration.make(mu, mu_p, e.mult)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -231,32 +199,100 @@ class FeatureVector:
         return self.values[i]
 
 
-def build_space(dataset: list[ChemicalGraph], rho: int) -> DescriptorSpace:
-    """Collect the catalogs occurring across the dataset, in sorted order."""
-    if not dataset:
+@dataclass(frozen=True)
+class GraphCensus:
+    """Everything the descriptors count on one graph, taken from a single
+    decomposition: build_space collects its keys, featurize indexes it and
+    the specification checker reads its tallies."""
+
+    decomposition: TwoLayeredDecomposition
+    scalars: tuple[int | Fraction, ...]  # descriptors 1..14 in layout order
+    # (interior?, element) -> vertex count, keys in order of first vertex
+    elements: Counter[tuple[bool, ElementSpec]]
+    edge_configs: Counter[EdgeConfiguration]
+    fringe: dict[bytes, list[RootedFringeTree]]  # code -> trees by root
+    leaf_edges: Counter[AdjacencyConfiguration]
+
+
+def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
+    """Count g from one decomposition with branch parameter rho; raises
+    OutOfSpaceError for a heavy vertex of suppressed degree above 4, which
+    no space can index."""
+    decomp = decompose(g, rho)
+    view = g.suppressed
+    interior = decomp.interior_vertices
+
+    scalars: list[int | Fraction] = [0] * N_SCALAR_DESCRIPTORS
+    scalars[0] = g.n_heavy()
+    scalars[1] = rank(g)
+    scalars[2] = len(interior)
+    mass_total = sum(v.element.mass_star for v in g.vertices)
+    scalars[3] = Fraction(mass_total, g.n_atoms())
+    for vid in view.vertex_ids:
+        d = view.degree(vid)
+        if d > 4:
+            raise OutOfSpaceError(f"vertex {vid} has suppressed degree {d} > 4")
+        if d:
+            scalars[3 + d] += 1
+    for nbrs in decomp.interior_adjacency.values():
+        if 1 <= len(nbrs) <= 4:
+            scalars[7 + len(nbrs)] += 1
+    for e in decomp.interior_edges:
+        if e.mult in (2, 3):
+            scalars[10 + e.mult] += 1
+
+    def symbol(vid: int) -> ChemicalSymbol:
+        return ChemicalSymbol(g.element(vid), view.degree(vid))
+
+    elements = Counter((v.id in interior, v.element) for v in g.vertices)
+    edge_configs = Counter(
+        EdgeConfiguration.make(symbol(e.u), symbol(e.v), e.mult)
+        for e in decomp.interior_edges
+    )
+    fringe: dict[bytes, list[RootedFringeTree]] = {}
+    for t in decomp.fringe_trees.values():
+        fringe.setdefault(t.canonical_code, []).append(t)
+
+    # leaf edges of the suppressed graph, leaf endpoint first; an edge
+    # whose two endpoints both have degree 1 is oriented by element order
+    leaf_edges: Counter[AdjacencyConfiguration] = Counter()
+    for e in view.edges:
+        du, dv = view.degree(e.u), view.degree(e.v)
+        if du != 1 and dv != 1:
+            continue
+        eu, ev = g.element(e.u), g.element(e.v)
+        if du == 1 and dv == 1:
+            a, b = sorted((eu, ev), key=lambda x: x.sort_key())
+        elif du == 1:
+            a, b = eu, ev
+        else:
+            a, b = ev, eu
+        leaf_edges[AdjacencyConfiguration(a, b, e.mult)] += 1
+
+    return GraphCensus(
+        decomp, tuple(scalars), elements, edge_configs, fringe, leaf_edges)
+
+
+def space_from_censuses(censuses: list[GraphCensus]) -> DescriptorSpace:
+    """The catalogs occurring across the censuses, in sorted order; the
+    first tree seen with each fringe code is kept as its example."""
+    if not censuses:
         raise ValueError("cannot build a descriptor space from an empty dataset")
-    if rho < 1:
-        raise ValueError("rho must be at least 1")
     lam_int: set[ElementSpec] = set()
     lam_ex: set[ElementSpec] = set()
     gammas: set[EdgeConfiguration] = set()
     acs: set[AdjacencyConfiguration] = set()
     trees: dict[bytes, RootedFringeTree] = {}
-    for g in dataset:
-        decomp = decompose(g, rho)
-        interior = decomp.interior_vertices
-        for v in g.vertices:
-            if v.id in interior:
-                lam_int.add(v.element)
-            else:
-                lam_ex.add(v.element)
-        gammas.update(interior_edge_configurations(g, decomp))
-        acs.update(leaf_edge_configurations(g))
-        for t in decomp.fringe_trees.values():
-            trees.setdefault(t.canonical_code, t)
+    for c in censuses:
+        for is_interior, elem in c.elements:
+            (lam_int if is_interior else lam_ex).add(elem)
+        gammas.update(c.edge_configs)
+        acs.update(c.leaf_edges)
+        for code, group in c.fringe.items():
+            trees.setdefault(code, group[0])
     codes = tuple(sorted(trees))
     return DescriptorSpace(
-        rho=rho,
+        rho=censuses[0].decomposition.rho,
         lambda_int=tuple(sorted(lam_int)),
         lambda_ex=tuple(sorted(lam_ex)),
         gamma_int=tuple(sorted(gammas)),
@@ -266,77 +302,55 @@ def build_space(dataset: list[ChemicalGraph], rho: int) -> DescriptorSpace:
     )
 
 
-def featurize(g: ChemicalGraph, space: DescriptorSpace) -> FeatureVector:
-    """Count vector of g over the space; raises OutOfSpaceError when g uses
-    an element, configuration or fringe shape missing from the catalogs."""
-    decomp = decompose(g, space.rho)
-    view = suppress_hydrogens(g)
-    interior = decomp.interior_vertices
-
+def census_vector(census: GraphCensus, space: DescriptorSpace) -> FeatureVector:
+    """The census as a count vector over the space; raises OutOfSpaceError
+    when it holds an element, configuration or fringe shape missing from
+    the catalogs."""
     values: list[int | Fraction] = [0] * space.k
-    values[0] = g.n_heavy()
-    values[1] = rank(g)
-    values[2] = len(interior)
-    mass_total = sum(v.element.mass_star for v in g.vertices)
-    values[3] = Fraction(mass_total, g.n_atoms())
-
-    for vid in view.vertex_ids:
-        d = view.degree(vid)
-        if 1 <= d <= 4:
-            values[3 + d] += 1
-        elif d > 4:
-            raise OutOfSpaceError(f"vertex {vid} has suppressed degree {d} > 4")
-
-    int_deg = {v: 0 for v in interior}
-    for e in decomp.interior_edges:
-        int_deg[e.u] += 1
-        int_deg[e.v] += 1
-    for v, d in int_deg.items():
-        if 1 <= d <= 4:
-            values[7 + d] += 1
-
-    for e in decomp.interior_edges:
-        if e.mult in (2, 3):
-            values[10 + e.mult] += 1
-
+    values[:N_SCALAR_DESCRIPTORS] = census.scalars
     off = space.offsets
-    for v in g.vertices:
-        if v.id in interior:
-            idx = space.lambda_int_index.get(v.element)
-            if idx is None:
-                raise OutOfSpaceError(
-                    f"interior element {v.element.token} not in the space"
-                )
-            values[off["na_int"] + idx] += 1
+    for (is_interior, elem), n in census.elements.items():
+        if is_interior:
+            role, block, index = "interior", "na_int", space.lambda_int_index
         else:
-            idx = space.lambda_ex_index.get(v.element)
-            if idx is None:
-                raise OutOfSpaceError(
-                    f"exterior element {v.element.token} not in the space"
-                )
-            values[off["na_ex"] + idx] += 1
+            role, block, index = "exterior", "na_ex", space.lambda_ex_index
+        idx = index.get(elem)
+        if idx is None:
+            raise OutOfSpaceError(f"{role} element {elem.token} not in the space")
+        values[off[block] + idx] += n
 
-    for gcf, n in interior_edge_configurations(g, decomp).items():
+    for gcf, n in census.edge_configs.items():
         idx = space.gamma_index.get(gcf)
         if idx is None:
             raise OutOfSpaceError(f"edge configuration {gcf.label} not in the space")
         values[off["ec"] + idx] += n
 
-    for t in decomp.fringe_trees.values():
-        idx = space.fringe_index.get(t.canonical_code)
+    for code, group in census.fringe.items():
+        idx = space.fringe_index.get(code)
         if idx is None:
             raise OutOfSpaceError(
-                f"fringe tree at vertex {t.root} not in the space"
+                f"fringe tree at vertex {group[0].root} not in the space"
             )
-        values[off["fc"] + idx] += 1
+        values[off["fc"] + idx] += len(group)
 
-    for ac, n in leaf_edge_configurations(g).items():
+    for ac, n in census.leaf_edges.items():
         idx = space.ac_index.get(ac)
         if idx is None:
             raise OutOfSpaceError(f"leaf-edge configuration {ac.label} not in space")
         values[off["ac"] + idx] += n
 
     return FeatureVector(tuple(values))
+
+
+def build_space(dataset: list[ChemicalGraph], rho: int) -> DescriptorSpace:
+    """Collect the catalogs occurring across the dataset, in sorted order."""
+    return space_from_censuses([take_census(g, rho) for g in dataset])
+
+
+def featurize(g: ChemicalGraph, space: DescriptorSpace) -> FeatureVector:
+    """Count vector of g over the space; raises OutOfSpaceError when g uses
+    an element, configuration or fringe shape missing from the catalogs."""
+    return census_vector(take_census(g, space.rho), space)
 
 
 def _format_value(v: int | Fraction) -> str:
@@ -396,38 +410,51 @@ def space_to_json(space: DescriptorSpace) -> dict:
     }
 
 
+def _integer(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def space_from_json(doc: dict) -> DescriptorSpace:
-    try:
-        gammas = tuple(
-            EdgeConfiguration(
-                ChemicalSymbol(parse_element(g["mu"][0]), int(g["mu"][1])),
-                ChemicalSymbol(parse_element(g["mu_prime"][0]), int(g["mu_prime"][1])),
-                int(g["mult"]),
-            )
-            for g in doc["gamma_int"]
-        )
-        trees = tuple(tree_from_json(rec["tree"]) for rec in doc["fringe_trees"])
-        codes = tuple(rec["code"].encode() for rec in doc["fringe_trees"])
-        for code, t in zip(codes, trees):
-            if t.canonical_code != code:
-                raise ValueError("fringe tree does not match its recorded code")
-        return DescriptorSpace(
-            rho=int(doc["rho"]),
-            lambda_int=tuple(parse_element(t) for t in doc["lambda_int"]),
-            lambda_ex=tuple(parse_element(t) for t in doc["lambda_ex"]),
-            gamma_int=gammas,
-            fringe_codes=codes,
-            ac_lf=tuple(
-                AdjacencyConfiguration(
-                    parse_element(a["a"]), parse_element(a["b"]), int(a["mult"])
-                )
-                for a in doc["ac_lf"]
-            ),
-            fringe_examples=trees,
-        )
-    except KeyError as exc:
-        raise ValueError(
-            f"descriptor space is missing key {exc.args[0]!r}") from exc
+    """Inverse of space_to_json; a document of the wrong shape raises
+    ValueError naming the key at fault."""
+    if not isinstance(doc, dict):
+        raise ValueError("descriptor space must be a JSON object")
+
+    def read(key: str, parse, each: bool = True):
+        """parse(doc[key]), or parse of each item when the value is a list."""
+        if key not in doc:
+            raise ValueError(f"descriptor space is missing key {key!r}")
+        try:
+            if not each:
+                return parse(doc[key])
+            if not isinstance(doc[key], list):
+                raise TypeError("not a list")
+            return tuple(parse(item) for item in doc[key])
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(
+                f"descriptor space key {key!r} is malformed ({exc})") from exc
+
+    def symbol(pair) -> ChemicalSymbol:
+        return ChemicalSymbol(parse_element(pair[0]), _integer(pair[1]))
+
+    fringe = read("fringe_trees", lambda rec: (
+        rec["code"].encode(), tree_from_json(rec["tree"])))
+    for code, t in fringe:
+        if t.canonical_code != code:
+            raise ValueError("fringe tree does not match its recorded code")
+    return DescriptorSpace(
+        rho=read("rho", _integer, each=False),
+        lambda_int=read("lambda_int", parse_element),
+        lambda_ex=read("lambda_ex", parse_element),
+        gamma_int=read("gamma_int", lambda g: EdgeConfiguration(
+            symbol(g["mu"]), symbol(g["mu_prime"]), _integer(g["mult"]))),
+        fringe_codes=tuple(code for code, _ in fringe),
+        ac_lf=read("ac_lf", lambda a: AdjacencyConfiguration(
+            parse_element(a["a"]), parse_element(a["b"]), _integer(a["mult"]))),
+        fringe_examples=tuple(t for _, t in fringe),
+    )
 
 
 def space_hash(space: DescriptorSpace) -> str:

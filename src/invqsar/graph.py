@@ -48,6 +48,27 @@ class Edge:
 
 
 @dataclass(frozen=True)
+class SuppressedView:
+    """Hydrogen-suppressed view: heavy vertices, heavy-heavy edges, and
+    the (hydrogen id, multiplicity) bonds of each heavy vertex."""
+
+    vertex_ids: tuple[int, ...]
+    edges: tuple[Edge, ...]
+    hydrogens: Mapping[int, tuple[tuple[int, int], ...]]
+
+    @cached_property
+    def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertex_ids}
+        for e in self.edges:
+            adj[e.u].append((e.v, e.mult))
+            adj[e.v].append((e.u, e.mult))
+        return {k: tuple(v) for k, v in adj.items()}
+
+    def degree(self, vid: int) -> int:
+        return len(self.adjacency[vid])
+
+
+@dataclass(frozen=True)
 class ChemicalGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
@@ -62,7 +83,7 @@ class ChemicalGraph:
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """vertex id -> tuple of (neighbour id, bond multiplicity)."""
-        adj: dict[int, list[tuple[int, int]]] = {v.id: [] for v in self.vertices}
+        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertex_map}
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
             if e.u not in adj or e.v not in adj:
@@ -73,6 +94,23 @@ class ChemicalGraph:
             adj[e.u].append((e.v, e.mult))
             adj[e.v].append((e.u, e.mult))
         return {k: tuple(v) for k, v in adj.items()}
+
+    @cached_property
+    def suppressed(self) -> SuppressedView:
+        """Projection onto the heavy atoms; hydrogen bonds kept per vertex."""
+        heavy = tuple(v.id for v in self.vertices if not v.element.is_hydrogen)
+        heavy_set = set(heavy)
+        edges = []
+        hydrogens: dict[int, list[tuple[int, int]]] = {vid: [] for vid in heavy}
+        for e in self.edges:
+            if e.u in heavy_set and e.v in heavy_set:
+                edges.append(e)
+            elif e.u in heavy_set:
+                hydrogens[e.u].append((e.v, e.mult))
+            elif e.v in heavy_set:
+                hydrogens[e.v].append((e.u, e.mult))
+        return SuppressedView(
+            heavy, tuple(edges), {k: tuple(v) for k, v in hydrogens.items()})
 
     def element(self, vid: int) -> ElementSpec:
         return self.vertex_map[vid].element
@@ -87,7 +125,7 @@ class ChemicalGraph:
         return len(self.vertices)
 
     def n_heavy(self) -> int:
-        return sum(1 for v in self.vertices if not v.element.is_hydrogen)
+        return len(self.suppressed.vertex_ids)
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -128,16 +166,9 @@ class ChemicalGraph:
             if v.element.is_hydrogen:
                 if len(incident) != 1 or incident[0][1] != 1:
                     problems.append(f"hydrogen {v.id} must have one single bond")
-            else:
-                heavy = sum(
-                    1
-                    for w, _ in incident
-                    if not self.vertex_map[w].element.is_hydrogen
-                )
-                if heavy > 4:
-                    problems.append(
-                        f"vertex {v.id} has {heavy} heavy neighbours (max 4)"
-                    )
+            elif (heavy := self.suppressed.degree(v.id)) > 4:
+                problems.append(
+                    f"vertex {v.id} has {heavy} heavy neighbours (max 4)")
         return problems
 
     def check(self) -> "ChemicalGraph":
@@ -147,59 +178,14 @@ class ChemicalGraph:
         return self
 
 
-@dataclass(frozen=True)
-class SuppressedView:
-    """Hydrogen-suppressed view: heavy vertices, heavy-heavy edges,
-    and the retained hydrogen count per heavy vertex."""
-
-    graph: ChemicalGraph
-    vertex_ids: tuple[int, ...]
-    edges: tuple[Edge, ...]
-    hydrogens: Mapping[int, int]
-
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertex_ids}
-        for e in self.edges:
-            adj[e.u].append((e.v, e.mult))
-            adj[e.v].append((e.u, e.mult))
-        return {k: tuple(v) for k, v in adj.items()}
-
-    def degree(self, vid: int) -> int:
-        return len(self.adjacency[vid])
-
-    def hydrogen_count(self, vid: int) -> int:
-        return self.hydrogens[vid]
-
-    def n_vertices(self) -> int:
-        return len(self.vertex_ids)
-
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-
-def suppress_hydrogens(g: ChemicalGraph) -> SuppressedView:
-    """Project g onto its heavy atoms; per-vertex hydrogen counts retained."""
-    heavy = tuple(v.id for v in g.vertices if not v.element.is_hydrogen)
-    heavy_set = set(heavy)
-    edges = tuple(e for e in g.edges if e.u in heavy_set and e.v in heavy_set)
-    hyd = {vid: 0 for vid in heavy}
-    for e in g.edges:
-        if e.u in heavy_set and e.v not in heavy_set:
-            hyd[e.u] += 1
-        elif e.v in heavy_set and e.u not in heavy_set:
-            hyd[e.v] += 1
-    return SuppressedView(g, heavy, edges, hyd)
-
-
 def rank(g: ChemicalGraph) -> int:
     """Cycle rank |E|-|V|+1 of the hydrogen-suppressed graph."""
     if not g.is_connected():
         raise InvalidGraphError("rank requires a connected graph")
-    view = suppress_hydrogens(g)
-    if view.n_vertices() == 0:
+    view = g.suppressed
+    if not view.vertex_ids:
         return 0
-    return view.n_edges() - view.n_vertices() + 1
+    return len(view.edges) - len(view.vertex_ids) + 1
 
 
 def graph_to_json(g: ChemicalGraph) -> dict:

@@ -11,7 +11,6 @@ the median test R-squared across all trials.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,29 +131,6 @@ def lasso_fit(
     return LassoResult(w, b, lam, sweeps, objective_path)
 
 
-def lambda_max(x: np.ndarray, y: np.ndarray) -> float:
-    """Smallest penalty for which the all-zero weight vector is optimal."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    centered = y - y.mean()
-    return float(np.abs(x.T @ centered).max()) / len(y)
-
-
-def kkt_residuals(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
-                  lam: float) -> np.ndarray:
-    """Per-coordinate violation of the subgradient optimality conditions."""
-    n = len(y)
-    r = y - x @ w - b
-    grad = -(x.T @ r) / n
-    out = np.zeros_like(w)
-    for j in range(len(w)):
-        if w[j] == 0.0:
-            out[j] = max(0.0, abs(grad[j]) - lam)
-        else:
-            out[j] = abs(grad[j] + math.copysign(lam, w[j]))
-    return out
-
-
 def r_squared(pred, truth) -> float:
     """1 - RSS/TSS; zero-variance truth yields 0 by convention."""
     pred = np.asarray(pred, dtype=float)
@@ -224,21 +200,51 @@ def predictor_to_json(p: LinearPredictor) -> dict:
     }
 
 
+def is_json_number(v) -> bool:
+    """A JSON number: an int or float, but not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_string(v) -> bool:
+    return isinstance(v, str)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
 def predictor_from_json(doc: dict) -> LinearPredictor:
-    try:
-        return LinearPredictor(
-            weights=tuple(float(v) for v in doc["weights"]),
-            bias=float(doc["bias"]),
-            lam=float(doc["lambda"]),
-            descriptor_names=tuple(doc["descriptor_names"]),
-            mins=tuple(float(v) for v in doc["min"]),
-            maxs=tuple(float(v) for v in doc["max"]),
-            target_min=float(doc["target_min"]),
-            target_max=float(doc["target_max"]),
-            space_hash=doc["space_hash"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"predictor is missing key {exc.args[0]!r}") from exc
+    """Inverse of predictor_to_json; a document of the wrong shape raises
+    ValueError naming the key at fault."""
+    if not isinstance(doc, dict):
+        raise ValueError("predictor must be a JSON object")
+
+    def read(key: str, ok, what: str):
+        if key not in doc:
+            raise ValueError(f"predictor is missing key {key!r}")
+        if not ok(doc[key]):
+            raise ValueError(f"predictor key {key!r} must be {what}")
+        return doc[key]
+
+    def number(key: str) -> float:
+        return float(read(key, is_json_number, "a number"))
+
+    def numbers(key: str) -> tuple[float, ...]:
+        value = read(key, _list_of(is_json_number), "a list of numbers")
+        return tuple(float(v) for v in value)
+
+    return LinearPredictor(
+        weights=numbers("weights"),
+        bias=number("bias"),
+        lam=number("lambda"),
+        descriptor_names=tuple(
+            read("descriptor_names", _list_of(_is_string), "a list of strings")),
+        mins=numbers("min"),
+        maxs=numbers("max"),
+        target_min=number("target_min"),
+        target_max=number("target_max"),
+        space_hash=read("space_hash", _is_string, "a string"),
+    )
 
 
 def predictor_to_json_text(p: LinearPredictor) -> str:

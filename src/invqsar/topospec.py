@@ -14,18 +14,14 @@ search for a homeomorphic embedding of the seed graph.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .decompose import (
-    RootedFringeTree,
-    decompose,
-    tree_from_json,
-    tree_to_json,
-)
-from .descriptors import AdjacencyConfiguration, leaf_edge_configurations
+from .decompose import RootedFringeTree, tree_from_json, tree_to_json
+from .descriptors import AdjacencyConfiguration, take_census
 from .elements import ElementSpec, UnknownElementError, parse_element
-from .graph import ChemicalGraph, suppress_hydrogens
+from .graph import ChemicalGraph
 
 SCHEMA_VERSION = 1
 
@@ -594,11 +590,7 @@ class _Embedder:
         self.g = g
         self.decomp = decomp
         self.interior = sorted(decomp.interior_vertices)
-        self.adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.interior}
-        for e in decomp.interior_edges:
-            self.adj[e.u].append((e.v, e.mult))
-            self.adj[e.v].append((e.u, e.mult))
-        self.int_deg = {v: len(self.adj[v]) for v in self.interior}
+        self.adj = decomp.interior_adjacency
 
     def find(self):
         seed = self.spec.seed
@@ -759,8 +751,9 @@ def check_graph_satisfies(
         f"n={n_heavy} bounds [{spec.n_lb},{spec.n_star}]",
     )
 
-    decomp = decompose(g, spec.rho)
-    n_int = decomp.n_interior()
+    census = take_census(g, spec.rho)
+    decomp = census.decomposition
+    n_int = len(decomp.interior_vertices)
     report.add(
         "interior_count",
         spec.n_int_lb <= n_int <= spec.n_int_ub,
@@ -775,17 +768,15 @@ def check_graph_satisfies(
     bad_elems = []
     na_counts: dict[str, int] = {}
     na_int_counts: dict[str, int] = {}
-    for v in g.vertices:
-        na_counts[v.element.token] = na_counts.get(v.element.token, 0) + 1
-        if v.id in decomp.interior_vertices:
-            na_int_counts[v.element.token] = (
-                na_int_counts.get(v.element.token, 0) + 1
-            )
-            if v.element not in lam_int:
-                bad_elems.append(f"interior {v.element.token}")
-        elif v.element not in lam_ex:
-            bad_elems.append(f"exterior {v.element.token}")
-    report.add("element_sets", not bad_elems, "; ".join(sorted(set(bad_elems))))
+    for (is_interior, elem), n in census.elements.items():
+        na_counts[elem.token] = na_counts.get(elem.token, 0) + n
+        if is_interior:
+            na_int_counts[elem.token] = n
+            if elem not in lam_int:
+                bad_elems.append(f"interior {elem.token}")
+        elif elem not in lam_ex:
+            bad_elems.append(f"exterior {elem.token}")
+    report.add("element_sets", not bad_elems, "; ".join(sorted(bad_elems)))
 
     na_ok, na_detail = True, []
     for token in set(na_counts) | set(spec.na_lb) | set(spec.na_ub):
@@ -803,34 +794,17 @@ def check_graph_satisfies(
     report.add("element_counts", na_ok, "; ".join(na_detail))
 
     # degree tallies over interior vertices: full degree and interior degree
-    view = suppress_hydrogens(g)
-    full_deg = {d: 0 for d in range(1, 5)}
-    int_deg_tally = {d: 0 for d in range(1, 5)}
-    int_deg = {v: 0 for v in decomp.interior_vertices}
-    for e in decomp.interior_edges:
-        int_deg[e.u] += 1
-        int_deg[e.v] += 1
-    for v in decomp.interior_vertices:
-        hydrogens = sum(
-            1
-            for w, _ in g.adjacency[v]
-            if g.vertex_map[w].element.is_hydrogen
-        )
-        d = view.degree(v) + hydrogens
-        if 1 <= d <= 4:
-            full_deg[d] += 1
-        di = int_deg[v]
-        if 1 <= di <= 4:
-            int_deg_tally[di] += 1
+    full_deg = Counter(g.degree(v) for v in decomp.interior_vertices)
     deg_ok, deg_detail = True, []
     for d in range(1, 5):
         lo, hi = spec.deg_lb[d - 1], spec.deg_ub[d - 1]
+        int_deg = census.scalars[7 + d]  # descriptor deg_int<d>
         if not lo <= full_deg[d] <= hi:
             deg_ok = False
             deg_detail.append(f"deg{d}={full_deg[d]} not in [{lo},{hi}]")
-        if not lo <= int_deg_tally[d] <= hi:
+        if not lo <= int_deg <= hi:
             deg_ok = False
-            deg_detail.append(f"deg_int{d}={int_deg_tally[d]} not in [{lo},{hi}]")
+            deg_detail.append(f"deg_int{d}={int_deg} not in [{lo},{hi}]")
     report.add("degree_bounds", deg_ok, "; ".join(deg_detail))
 
     # fringe-tree catalog membership and global fc bounds
@@ -838,13 +812,14 @@ def check_graph_satisfies(
     fc_counts: dict[str, int] = {f.psi_id: 0 for f in spec.fringe_entries}
     unknown = []
     tree_ids: dict[int, str] = {}
-    for root, tree in decomp.fringe_trees.items():
-        psi = code_to_id.get(tree.canonical_code)
+    for code, group in census.fringe.items():
+        psi = code_to_id.get(code)
         if psi is None:
-            unknown.append(root)
+            unknown.extend(t.root for t in group)
         else:
-            fc_counts[psi] += 1
-            tree_ids[root] = psi
+            fc_counts[psi] += len(group)
+            tree_ids.update((t.root, psi) for t in group)
+    unknown.sort()
     report.add(
         "fringe_catalog",
         not unknown,
@@ -859,10 +834,9 @@ def check_graph_satisfies(
             )
     report.add("fringe_counts", fc_ok, "; ".join(fc_detail))
 
-    ac_counts = leaf_edge_configurations(g)
     ac_ok, ac_detail = True, []
     for bound in spec.ac_bounds:
-        cnt = ac_counts.get(bound.config, 0)
+        cnt = census.leaf_edges.get(bound.config, 0)
         if not bound.lb <= cnt <= bound.ub:
             ac_ok = False
             ac_detail.append(
@@ -946,16 +920,13 @@ def check_graph_satisfies(
             )
     report.add("leaf_branch_bounds", bl_ok, "; ".join(bl_detail))
 
-    mult = {}
-    for e in decomp.interior_edges:
-        mult[(min(e.u, e.v), max(e.u, e.v))] = e.mult
     bd_ok, bd_detail = True, []
     for edge in spec.seed.edges:
         route = paths.get(edge.index)
         counts = {2: 0, 3: 0}
         if route is not None:
             for u, w in zip(route, route[1:]):
-                m = mult[(min(u, w), max(u, w))]
+                m = dict(decomp.interior_adjacency[u])[w]
                 if m in counts:
                     counts[m] += 1
         for m, lo, hi in (
@@ -991,14 +962,12 @@ def spec_from_graph(
     The fringe menu defaults to the molecule's own fringe trees; pass the
     trees of a whole dataset to widen it.  Returns a plain JSON-ready dict
     so callers can tighten or loosen clauses before parse_spec."""
-    decomp = decompose(g, rho)
+    census = take_census(g, rho)
+    decomp = census.decomposition
     interior = set(decomp.interior_vertices)
     if len(interior) < 2:
         raise SpecError("need an interior of at least two vertices")
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in interior}
-    for e in decomp.interior_edges:
-        adj[e.u].append((e.v, e.mult))
-        adj[e.v].append((e.u, e.mult))
+    adj = decomp.interior_adjacency
 
     # peel interior-degree-1 chains; whatever survives is the 2-core
     deg = {v: len(adj[v]) for v in interior}
@@ -1137,10 +1106,8 @@ def spec_from_graph(
     for t in menu:
         unique.setdefault(t.canonical_code, t)
     # element sets must cover the molecule and everything the menu can place
-    lam_int = {g.element(v).token for v in interior}
-    lam_ex = {
-        v.element.token for v in g.vertices if v.id not in interior
-    }
+    lam_int = {e.token for inside, e in census.elements if inside}
+    lam_ex = {e.token for inside, e in census.elements if not inside}
     for t in unique.values():
         lam_int.add(t.root_element.token)
         lam_ex.update(t.nonroot_element_counts)

@@ -7,6 +7,7 @@ test, so agreement is meaningful evidence.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -242,3 +243,29 @@ def prox_grad_lasso(x: np.ndarray, y: np.ndarray, lam: float,
             break
         w, b = w_new, b_new
     return w, b
+
+
+# -- lasso optimality --------------------------------------------------------
+
+
+def lambda_max(x: np.ndarray, y: np.ndarray) -> float:
+    """Smallest penalty for which the all-zero weight vector is optimal."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    centered = y - y.mean()
+    return float(np.abs(x.T @ centered).max()) / len(y)
+
+
+def kkt_residuals(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
+                  lam: float) -> np.ndarray:
+    """Per-coordinate violation of the subgradient optimality conditions."""
+    n = len(y)
+    r = y - x @ w - b
+    grad = -(x.T @ r) / n
+    out = np.zeros_like(w)
+    for j in range(len(w)):
+        if w[j] == 0.0:
+            out[j] = max(0.0, abs(grad[j]) - lam)
+        else:
+            out[j] = abs(grad[j] + math.copysign(lam, w[j]))
+    return out

@@ -17,7 +17,7 @@ from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import decode, solution_feature_values
 from invqsar.milp.model import constraint_residuals, emit_lp
 from invqsar.milp.solve import solve
-from invqsar.regression import kkt_residuals, lasso_fit, cross_validate_path
+from invqsar.regression import lasso_fit, cross_validate_path
 from invqsar.topospec import check_graph_satisfies, parse_spec
 
 from conftest import (
@@ -27,7 +27,7 @@ from conftest import (
 )
 from lp_reader import parse_lp
 from lp_validator import validate_lp
-from oracles import brute_force_features, r_isomorphic
+from oracles import brute_force_features, kkt_residuals, r_isomorphic
 from test_canonical import all_labeled_trees
 from test_decode_roundtrip import infeasible_specs
 
@@ -110,7 +110,7 @@ def test_criterion_3_canonical_codes():
                 mismatches += 1
     reps_by_size: dict[int, list] = {}
     for members in buckets.values():
-        reps_by_size.setdefault(members[0].size(), []).append(members[0])
+        reps_by_size.setdefault(len(members[0].nodes), []).append(members[0])
     for size_reps in reps_by_size.values():
         for a, b in itertools.combinations(size_reps, 2):
             if r_isomorphic(a, b):

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from invqsar.decompose import RootedFringeTree, canonical_fringe_code
+from invqsar.decompose import RootedFringeTree
 from invqsar.elements import make_element
 
 from oracles import r_isomorphic
@@ -41,13 +41,13 @@ def test_label_permutation_invariance():
     nodes = ((0, C, 0), (1, H, 0), (2, O, 0), (3, C, 0))
     edges = ((0, 2, 1), (0, 1, 1), (2, 3, 1))
     t2 = RootedFringeTree(0, nodes, edges)
-    assert canonical_fringe_code(t1) == canonical_fringe_code(t2)
+    assert t1.canonical_code == t2.canonical_code
 
 
 def test_distinct_hydrogen_counts():
     two_h = tree_from_parents([0, 0], ["C", "H", "H"])
     three_h = tree_from_parents([0, 0, 0], ["C", "H", "H", "H"])
-    assert canonical_fringe_code(two_h) != canonical_fringe_code(three_h)
+    assert two_h.canonical_code != three_h.canonical_code
 
 
 def test_multiplicity_and_charge_matter():
@@ -55,9 +55,9 @@ def test_multiplicity_and_charge_matter():
     double = tree_from_parents([0], ["C", "O"], mults=[2])
     charged = tree_from_parents([0], ["C", "O"], charges=[0, -1])
     codes = {
-        canonical_fringe_code(base),
-        canonical_fringe_code(double),
-        canonical_fringe_code(charged),
+        base.canonical_code,
+        double.canonical_code,
+        charged.canonical_code,
     }
     assert len(codes) == 3
 
@@ -79,7 +79,7 @@ def test_exhaustive_small_trees_against_brute_force():
     reps = [members[0] for members in buckets.values()]
     by_size = {}
     for rep in reps:
-        by_size.setdefault(rep.size(), []).append(rep)
+        by_size.setdefault(len(rep.nodes), []).append(rep)
     for size_reps in by_size.values():
         for a, b in itertools.combinations(size_reps, 2):
             assert not r_isomorphic(a, b)

@@ -80,6 +80,23 @@ def test_featurize_command(project, capsys):
     assert (out / "features.csv").read_text() == first
 
 
+def test_featurize_decomposes_each_record_once(project, monkeypatch):
+    from invqsar import descriptors
+
+    tmp, cfg_path, fx = project
+    calls = []
+    original = descriptors.decompose
+
+    def counted(g, rho):
+        calls.append(g)
+        return original(g, rho)
+
+    monkeypatch.setattr(descriptors, "decompose", counted)
+    assert main(["featurize", "--config", str(cfg_path)]) == 0
+    records = parse_sdf((tmp / "dataset.sdf").read_text()).graphs
+    assert len(calls) == len(records) == 12
+
+
 def test_featurize_empty_dataset(tmp_path, capsys):
     empty = tmp_path / "nothing.sdf"
     empty.write_text("")
@@ -314,6 +331,23 @@ def test_infer_artifact_missing_key(trained, capsys, artifact, key):
     assert main(["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"]) == 2
     err = capsys.readouterr().err
     assert f"missing key {key!r}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("artifact, edit, needle", [
+    ("predictor.json", lambda doc: [doc], "JSON object"),
+    ("predictor.json", lambda doc: dict(doc, weights=0.5), "'weights'"),
+    ("space.json", lambda doc: [doc], "JSON object"),
+    ("space.json", lambda doc: dict(doc, lambda_int=5), "'lambda_int'"),
+], ids=["predictor-list", "predictor-weights-number", "space-list",
+        "space-lambda_int-number"])
+def test_infer_artifact_wrong_shape(trained, capsys, artifact, edit, needle):
+    tmp, cfg_path = trained
+    path = tmp / "out" / artifact
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert main(["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"]) == 2
+    err = capsys.readouterr().err
+    assert needle in err
     assert len(err.strip().splitlines()) == 1
 
 

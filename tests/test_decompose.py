@@ -21,7 +21,7 @@ def test_cyclohexane_decomposition():
     assert len(d.fringe_trees) == 6
     for t in d.fringe_trees.values():
         assert t.height == 0
-        assert t.n_hydrogens == 2
+        assert sum(e.is_hydrogen for _, e, _ in t.nodes) == 2
         assert t.n_nonroot_heavy == 0
 
 
@@ -50,10 +50,15 @@ def test_partition_property():
         d = decompose(g, 2)
         kinds = {"interior": 0, "exterior": 0, "hydrogen": 0}
         for v in g.vertices:
-            kinds[d.classify(v.id)] += 1
+            if v.element.is_hydrogen:
+                kinds["hydrogen"] += 1
+            elif v.id in d.interior_vertices:
+                kinds["interior"] += 1
+            else:
+                kinds["exterior"] += 1
         assert sum(kinds.values()) == g.n_atoms()
         assert kinds["interior"] == len(d.interior_vertices)
-        in_trees = sum(t.size() - 1 for t in d.fringe_trees.values())
+        in_trees = sum(len(t.nodes) - 1 for t in d.fringe_trees.values())
         if d.interior_vertices:
             assert in_trees == kinds["exterior"] + kinds["hydrogen"]
 
@@ -117,11 +122,11 @@ def test_decompose_deterministic(seed):
 def test_rank_matches_back_edge_count_on_random_graphs():
     # independent oracle: non-tree edges of a depth-first forest
     rng = np.random.default_rng(97)
-    from invqsar.graph import rank, suppress_hydrogens
+    from invqsar.graph import rank
 
     for _ in range(100):
         g = random_chemical_graph(rng, max_heavy=11)
-        view = suppress_hydrogens(g)
+        view = g.suppressed
         seen, back = set(), 0
         for start in view.vertex_ids:
             if start in seen:

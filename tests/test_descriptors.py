@@ -10,11 +10,11 @@ from invqsar.descriptors import (
     OutOfSpaceError,
     build_space,
     featurize,
-    leaf_edge_configurations,
     read_feature_csv,
     space_from_json,
     space_hash,
     space_to_json,
+    take_census,
     write_feature_csv,
 )
 from invqsar.graph import ChemicalGraph, build_graph
@@ -185,7 +185,7 @@ def test_space_json_round_trip():
 
 def test_leaf_edge_both_degree_one():
     eth = chain(["C", "O"])
-    counts = leaf_edge_configurations(eth)
+    counts = take_census(eth, 2).leaf_edges
     assert len(counts) == 1
     ((cfg, n),) = counts.items()
     assert n == 1

@@ -10,7 +10,6 @@ from invqsar.graph import (
     graph_from_json,
     graph_to_json,
     rank,
-    suppress_hydrogens,
 )
 
 from conftest import chain, ring
@@ -74,24 +73,30 @@ def test_parallel_edges_rejected():
         ).adjacency
 
 
+def test_duplicate_vertex_ids_reported():
+    c = make_element("C")
+    g = ChemicalGraph((Vertex(1, c), Vertex(2, c), Vertex(2, c)), (Edge(1, 2, 1),))
+    assert g.validate() == ["duplicate vertex ids"]
+
+
 def test_suppress_hydrogens_counts():
     g = chain(["C", "C"])
-    view = suppress_hydrogens(g)
-    assert view.n_vertices() == 2
-    assert view.n_edges() == 1
-    assert view.hydrogen_count(1) == 3
-    assert view.hydrogen_count(2) == 3
+    view = g.suppressed
+    assert len(view.vertex_ids) == 2
+    assert len(view.edges) == 1
+    assert len(view.hydrogens[1]) == 3
+    assert len(view.hydrogens[2]) == 3
 
     water = build_graph([(1, "O")], [], add_hydrogens=True)
-    view = suppress_hydrogens(water)
-    assert view.n_vertices() == 1
-    assert view.n_edges() == 0
-    assert view.hydrogen_count(1) == 2
+    view = water.suppressed
+    assert len(view.vertex_ids) == 1
+    assert len(view.edges) == 0
+    assert len(view.hydrogens[1]) == 2
 
     hexane = ring(6)
-    view = suppress_hydrogens(hexane)
-    assert view.n_vertices() == 6
-    assert view.n_edges() == 6
+    view = hexane.suppressed
+    assert len(view.vertex_ids) == 6
+    assert len(view.edges) == 6
 
 
 def test_rank():

@@ -6,15 +6,13 @@ from invqsar.regression import (
     FitError,
     LinearPredictor,
     cross_validate_path,
-    kkt_residuals,
-    lambda_max,
     lasso_fit,
     predictor_from_json_text,
     predictor_to_json_text,
     r_squared,
 )
 
-from oracles import prox_grad_lasso
+from oracles import kkt_residuals, lambda_max, prox_grad_lasso
 
 
 def test_exact_interpolation():

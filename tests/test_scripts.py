@@ -1,5 +1,6 @@
-"""The scripts under scripts/ run to completion; both import the helpers in
-conftest.py, so a change there that breaks them shows here."""
+"""The scripts under scripts/ run to completion; two import test helpers
+(conftest.py, test_minisolve.py), so a change there that breaks them shows
+here."""
 
 import subprocess
 import sys
@@ -19,3 +20,12 @@ def test_scripts_run(tmp_path):
             cwd=tmp_path, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, f"{script}:\n{done.stdout}{done.stderr}"
+
+
+def test_compare_solvers_agrees(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "compare_solvers.py"), "--trials", "3"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "agreement: 3/3" in done.stdout
