@@ -18,7 +18,6 @@ import numpy as np
 
 from .descriptors import (
     census_vector,
-    featurize,
     read_feature_csv,
     space_from_censuses,
     space_from_json,
@@ -257,10 +256,11 @@ def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
         return EXIT_SOLVER
     (out / "result.json").write_text(graph_to_json_text(graph))
     (out / "result.sdf").write_text(graph_to_sdf(graph, "inferred"))
-    fv = featurize(graph, space)
+    census = take_census(graph, space.rho)
+    fv = census_vector(census, space)
     y_std = predictor.predict_normalized(fv.as_floats())
     y_val = predictor.destandardize(y_std)
-    report = check_graph_satisfies(spec, graph)
+    report = check_graph_satisfies(spec, graph, census)
     xs = solution_feature_values(sol, space)
     x_match = all(
         abs(a - bval) <= 1e-6 for a, bval in zip(fv.as_floats(), xs)
@@ -313,14 +313,19 @@ def run_verify(graph_path: str, spec_path: str, predictor_path: str,
     space = space_from_json(json.loads(_read_text(space_path)))
     predictor = predictor_from_json_text(_read_text(predictor_path))
     problems = graph.validate()
-    print(f"graph invariants: {'pass' if not problems else 'FAIL: ' + '; '.join(problems[:3])}")
-    fv = featurize(graph, space)
+    if problems:
+        # descriptors are undefined on a graph that breaks its invariants
+        print(f"graph invariants: FAIL: {'; '.join(problems[:3])}")
+        print(check_graph_satisfies(spec, graph).to_text())
+        return EXIT_CHECK
+    print("graph invariants: pass")
+    census = take_census(graph, space.rho)
+    fv = census_vector(census, space)
     y = predictor.destandardize(predictor.predict_normalized(fv.as_floats()))
     print(f"predicted value: {y:g}")
-    report = check_graph_satisfies(spec, graph)
+    report = check_graph_satisfies(spec, graph, census)
     print(report.to_text())
-    ok = not problems and report.passed
-    return EXIT_OK if ok else EXIT_CHECK
+    return EXIT_OK if report.passed else EXIT_CHECK
 
 
 def main(argv: list[str] | None = None) -> int:

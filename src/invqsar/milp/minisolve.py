@@ -9,11 +9,19 @@ Per node: bound propagation and elimination presolve, then a two-phase
 bounded-variable simplex on the reduced LP, then branching on a fractional
 integer variable.  With a constant objective the search stops at the first
 integral point.
+
+Bound propagation is event-driven (Savelsbergh 1994; Achterberg 2007,
+sec. 7.1): a row is revisited only after a bound of one of its variables
+moved, and a continuous bound moves only by a step over 5% of its domain
+width.  This is a relaxation choice: stopping early leaves an LP
+relaxation looser but never cuts off a feasible point, so every answer
+stays exact.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, inf
@@ -90,6 +98,7 @@ class SolveOutcome:
     values: dict[str, Fraction] = field(default_factory=dict)
     objective: Fraction | None = None
     nodes: int = 0
+    pivots: int = 0  # simplex pivots summed over all nodes
 
 
 # -- presolve ----------------------------------------------------------------
@@ -112,57 +121,92 @@ def _activity_bounds(row: PRow, lbs, ubs):
     return amin, amax
 
 
-def _propagate(variables: list[PVar], rows: list[PRow], max_passes: int = 10) -> None:
+# A continuous bound moves only by more than this share of its domain width.
+MIN_CONTINUOUS_STEP = Fraction(1, 20)
+
+
+def _tighten_ub(v: PVar, limit: Fraction) -> bool:
+    if v.is_int:
+        limit = Fraction(floor(limit))
+    elif v.ub - limit <= (v.ub - v.lb) * MIN_CONTINUOUS_STEP:
+        return False
+    if limit >= v.ub:
+        return False
+    v.ub = limit
+    return True
+
+
+def _tighten_lb(v: PVar, limit: Fraction) -> bool:
+    if v.is_int:
+        limit = Fraction(ceil(limit))
+    elif limit - v.lb <= (v.ub - v.lb) * MIN_CONTINUOUS_STEP:
+        return False
+    if limit <= v.lb:
+        return False
+    v.lb = limit
+    return True
+
+
+def _propagate(variables: list[PVar], rows: list[PRow]) -> None:
+    """Tighten variable bounds in place from row activities; raises
+    _Infeasible when some row cannot be met within the bounds.
+
+    Event driven: every row is visited once in row order, and again only
+    after a bound of one of its variables moved.  Continuous bounds move
+    only by steps over MIN_CONTINUOUS_STEP of their width, and at most
+    10 * len(rows) row visits are made in all, so slowly converging
+    cycles of continuous bounds stop early.  Stopping early only leaves the bounds
+    looser; every bound kept is implied by the rows."""
     for v in variables:
         if v.lb > v.ub:
             raise _Infeasible
-    for _ in range(max_passes):
-        changed = False
-        lbs = [v.lb for v in variables]
-        ubs = [v.ub for v in variables]
-        for row in rows:
-            amin, amax = _activity_bounds(row, lbs, ubs)
-            if row.hi is not None and amin > row.hi:
+    col_rows: list[list[int]] = [[] for _ in variables]
+    for r, row in enumerate(rows):
+        for j in row.coeffs:
+            col_rows[j].append(r)
+    lbs = [v.lb for v in variables]
+    ubs = [v.ub for v in variables]
+    queue = deque(range(len(rows)))
+    queued = [True] * len(rows)
+    visits = 10 * len(rows)
+    while queue and visits:
+        visits -= 1
+        r = queue.popleft()
+        queued[r] = False
+        row = rows[r]
+        amin, amax = _activity_bounds(row, lbs, ubs)
+        hi_slack = None if row.hi is None else row.hi - amin
+        lo_slack = None if row.lo is None else amax - row.lo
+        if (hi_slack is not None and hi_slack < 0) or (
+            lo_slack is not None and lo_slack < 0
+        ):
+            raise _Infeasible
+        for j, c in row.coeffs.items():
+            v = variables[j]
+            lb, ub = v.lb, v.ub
+            # moving x_j across its domain shifts the activity by reach;
+            # a side whose slack covers that cannot tighten x_j
+            reach = abs(c) * (ub - lb)
+            changed = False
+            if hi_slack is not None and reach > hi_slack:
+                if c > 0:
+                    changed = _tighten_ub(v, lb + hi_slack / c)
+                else:
+                    changed = _tighten_lb(v, ub + hi_slack / c)
+            if lo_slack is not None and reach > lo_slack:
+                if c > 0:
+                    changed |= _tighten_lb(v, ub - lo_slack / c)
+                else:
+                    changed |= _tighten_ub(v, lb - lo_slack / c)
+            if not changed:
+                continue
+            if v.lb > v.ub:
                 raise _Infeasible
-            if row.lo is not None and amax < row.lo:
-                raise _Infeasible
-            for j, c in row.coeffs.items():
-                v = variables[j]
-                cmin = c * (v.lb if c > 0 else v.ub)
-                cmax = c * (v.ub if c > 0 else v.lb)
-                if row.hi is not None:
-                    limit = (row.hi - (amin - cmin)) / c
-                    if c > 0:
-                        if v.is_int:
-                            limit = Fraction(floor(limit))
-                        if limit < v.ub:
-                            v.ub = limit
-                            changed = True
-                    else:
-                        if v.is_int:
-                            limit = Fraction(ceil(limit))
-                        if limit > v.lb:
-                            v.lb = limit
-                            changed = True
-                if row.lo is not None:
-                    limit = (row.lo - (amax - cmax)) / c
-                    if c > 0:
-                        if v.is_int:
-                            limit = Fraction(ceil(limit))
-                        if limit > v.lb:
-                            v.lb = limit
-                            changed = True
-                    else:
-                        if v.is_int:
-                            limit = Fraction(floor(limit))
-                        if limit < v.ub:
-                            v.ub = limit
-                            changed = True
-                if v.lb > v.ub:
-                    raise _Infeasible
-                lbs[j], ubs[j] = v.lb, v.ub
-        if not changed:
-            return
+            lbs[j], ubs[j] = v.lb, v.ub
+            for s in col_rows[j]:
+                if not queued[s]:
+                    queued[s] = True
+                    queue.append(s)
 
 
 @dataclass
@@ -390,6 +434,7 @@ class _Simplex:
         self.z_num: list[int] = [0] * ncols
         self.z_den: int = 1
         self.iterations = 0
+        self.pivots = 0
         self.degenerate_streak = 0
 
     def _set_basics_from_nonbasics(self) -> None:
@@ -478,6 +523,7 @@ class _Simplex:
         piv = prow[pc]
         if piv == 0:
             raise MiniSolverError("zero pivot")
+        self.pivots += 1
         zc = self.z_num[pc]
         if zc != 0:
             new_z = [a * piv for a in self.z_num]
@@ -605,7 +651,7 @@ class _Simplex:
 
 
 def _solve_lp(red: _Reduced, deadline):
-    """Exact LP solve; returns (status, values, objective)."""
+    """Exact LP solve; returns (status, values, objective, pivots)."""
     if not red.rows:
         values = []
         obj = red.obj_const
@@ -614,7 +660,7 @@ def _solve_lp(red: _Reduced, deadline):
             val = v.lb if c >= 0 else v.ub
             values.append(val)
             obj += c * val
-        return "optimal", values, obj
+        return "optimal", values, obj, 0
     spx = _Simplex(red, deadline)
     arts = spx.add_artificials()
     if arts:
@@ -622,7 +668,7 @@ def _solve_lp(red: _Reduced, deadline):
         spx.optimize()
         infeas = sum((spx.values[a] for a in arts), start=ZERO)
         if infeas > 0:
-            return "infeasible", [], ZERO
+            return "infeasible", [], ZERO, spx.pivots
         for a in arts:
             spx.lb[a] = ZERO
             spx.ub[a] = ZERO
@@ -635,7 +681,7 @@ def _solve_lp(red: _Reduced, deadline):
     obj = red.obj_const + sum(
         (c * values[j] for j, c in red.objective.items()), start=ZERO
     )
-    return "optimal", values, obj
+    return "optimal", values, obj, spx.pivots
 
 
 # -- branch and bound ---------------------------------------------------------
@@ -659,13 +705,14 @@ def solve_exact(
     best_values = None
     best_obj: Fraction | None = None
     nodes = 0
+    pivots = 0
     stack: list[dict[int, tuple[Fraction, Fraction]]] = [{}]
 
     while stack:
         if deadline is not None and time.monotonic() > deadline:
-            return SolveOutcome("timeout", nodes=nodes)
+            return SolveOutcome("timeout", nodes=nodes, pivots=pivots)
         if nodes >= node_limit:
-            return SolveOutcome("timeout", nodes=nodes)
+            return SolveOutcome("timeout", nodes=nodes, pivots=pivots)
         bounds = stack.pop()
         nodes += 1
         try:
@@ -673,9 +720,10 @@ def solve_exact(
         except _Infeasible:
             continue
         try:
-            status, red_values, obj = _solve_lp(red, deadline)
+            status, red_values, obj, lp_pivots = _solve_lp(red, deadline)
         except SolverTimeout:
-            return SolveOutcome("timeout", nodes=nodes)
+            return SolveOutcome("timeout", nodes=nodes, pivots=pivots)
+        pivots += lp_pivots
         if status == "infeasible":
             continue
         if best_obj is not None and obj >= best_obj:
@@ -707,7 +755,7 @@ def solve_exact(
         stack.append(down)
 
     if best_values is None:
-        return SolveOutcome("infeasible", nodes=nodes)
+        return SolveOutcome("infeasible", nodes=nodes, pivots=pivots)
     named = {problem.variables[i].name: v for i, v in best_values.items()}
     objective = None if best_obj is None else best_obj * problem.obj_sign
-    return SolveOutcome("optimal", named, objective, nodes)
+    return SolveOutcome("optimal", named, objective, nodes, pivots)

@@ -236,7 +236,7 @@ def solve(
             OPTIMAL,
             dict(outcome.values),
             None if outcome.objective is None else float(outcome.objective),
-            log=f"mini-solver nodes={outcome.nodes}",
+            log=f"mini-solver nodes={outcome.nodes} pivots={outcome.pivots}",
         )
     elif isinstance(backend, str):
         raise ValueError(f"unknown backend {backend!r}")

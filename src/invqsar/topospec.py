@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .decompose import RootedFringeTree, tree_from_json, tree_to_json
-from .descriptors import AdjacencyConfiguration, take_census
+from .descriptors import AdjacencyConfiguration, GraphCensus, take_census
 from .elements import ElementSpec, UnknownElementError, parse_element
 from .graph import ChemicalGraph
 
@@ -735,9 +735,13 @@ class _Embedder:
 
 
 def check_graph_satisfies(
-    spec: TopologicalSpecification, g: ChemicalGraph
+    spec: TopologicalSpecification,
+    g: ChemicalGraph,
+    census: GraphCensus | None = None,
 ) -> SatisfactionReport:
-    """Verify every specification clause directly on the graph."""
+    """Verify every specification clause directly on the graph.  A census
+    of g that the caller already took is reused when its branch parameter
+    is spec.rho."""
     report = SatisfactionReport()
     problems = g.validate()
     report.add("graph_valid", not problems, "; ".join(problems[:3]))
@@ -751,7 +755,8 @@ def check_graph_satisfies(
         f"n={n_heavy} bounds [{spec.n_lb},{spec.n_star}]",
     )
 
-    census = take_census(g, spec.rho)
+    if census is None or census.decomposition.rho != spec.rho:
+        census = take_census(g, spec.rho)
     decomp = census.decomposition
     n_int = len(decomp.interior_vertices)
     report.add(

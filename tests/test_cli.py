@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 
 import pytest
@@ -8,7 +9,7 @@ from invqsar.cli import graph_to_sdf, main
 from invqsar.milp import solve as solve_module
 from invqsar.milp.decode import DecodeError, solution_feature_values
 from invqsar.milp.minisolve import MiniSolverError
-from invqsar.graph import graph_to_json_text
+from invqsar.graph import build_graph, graph_to_json_text
 from invqsar.sdf import parse_sdf
 from invqsar.topospec import spec_to_json_text
 
@@ -193,6 +194,29 @@ def test_verify_flags_bad_graph(project, capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_disconnected_graph_fails_check(trained, capsys):
+    tmp, cfg_path = trained
+    out = tmp / "out"
+    two_rings = build_graph(
+        [(i, "C") for i in range(1, 8)],
+        [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 7, 1), (7, 4, 1)],
+        add_hydrogens=True,
+    )
+    bad = tmp / "two_rings.json"
+    bad.write_text(graph_to_json_text(two_rings))
+    code = main([
+        "verify",
+        str(bad),
+        str(tmp / "spec.json"),
+        str(out / "predictor.json"),
+        str(out / "space.json"),
+    ])
+    assert code == 1
+    printed = capsys.readouterr().out
+    assert "graph invariants: FAIL: graph is not connected" in printed
+    assert "overall: FAIL" in printed
+
+
 def test_missing_config_file():
     assert main(["featurize", "--config", "/nonexistent/cfg.json"]) == 2
 
@@ -230,6 +254,9 @@ def test_infer_with_builtin_solver(project, capsys):
     verification = json.loads((tmp / "out" / "verification.json").read_text())
     assert verification["in_interval"]
     assert verification["spec_report"]["passed"]
+    log = (tmp / "out" / "solve.log").read_text()
+    match = re.fullmatch(r"mini-solver nodes=(\d+) pivots=(\d+)", log)
+    assert match and int(match[1]) >= 1
 
 
 def test_sdf_round_trip_random_graphs():
@@ -390,3 +417,28 @@ def test_config_float_field_accepts_int(tmp_path):
     loaded = cli.ProjectConfig.load(str(cfg))
     assert loaded.solver_timeout == 60.0 and isinstance(loaded.solver_timeout, float)
     assert loaded.lambda_grid == (1.0, 0.5)
+
+
+def test_infer_and_verify_decompose_the_result_once(trained, monkeypatch):
+    from invqsar import descriptors
+
+    tmp, cfg_path = trained
+    out = tmp / "out"
+    calls = []
+    original = descriptors.decompose
+
+    def counted(g, rho):
+        calls.append(g)
+        return original(g, rho)
+
+    monkeypatch.setattr(descriptors, "decompose", counted)
+    assert main(["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"]) == 0
+    assert len(calls) == 1
+    assert main([
+        "verify",
+        str(out / "result.json"),
+        str(tmp / "spec.json"),
+        str(out / "predictor.json"),
+        str(out / "space.json"),
+    ]) == 0
+    assert len(calls) == 2

@@ -1,9 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from invqsar.milp.minisolve import MiniSolverError, solve_exact
+from invqsar.milp.minisolve import (
+    MiniSolverError,
+    PRow,
+    PVar,
+    _Infeasible,
+    _propagate,
+    solve_exact,
+)
 from invqsar.milp.model import (
     BINARY,
     CONTINUOUS,
@@ -135,3 +144,88 @@ def test_solutions_exact_to_zero_tolerance():
         assert check_solution(m, values, tol=0.0) == []
         exact_checked += 1
     assert exact_checked >= 8
+
+
+@st.composite
+def propagation_case(draw):
+    """Small bounded model with integer coefficients; a variable is integer
+    or continuous, and continuous ones are sampled on a grid of step 1/2."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    variables = []
+    for i in range(n):
+        lb = draw(st.integers(min_value=-2, max_value=1))
+        ub = draw(st.integers(min_value=lb, max_value=3))
+        variables.append(PVar(f"v{i}", Fraction(lb), Fraction(ub), draw(st.booleans())))
+    coef = st.integers(min_value=-3, max_value=3)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        coeffs = {j: Fraction(c) for j in range(n) if (c := draw(coef))}
+        if not coeffs:
+            coeffs = {0: Fraction(1)}
+        rhs = Fraction(draw(st.integers(min_value=-12, max_value=12)), 2)
+        sense = draw(st.sampled_from(["le", "ge", "eq"]))
+        rows.append(PRow(coeffs, None if sense == "le" else rhs,
+                         None if sense == "ge" else rhs))
+    return variables, rows
+
+
+def feasible_points(variables, rows):
+    """Every feasible point with integer variables at integers and
+    continuous ones on the half-integer grid."""
+    scales = [1 if v.is_int else 2 for v in variables]
+    axes = [
+        [Fraction(k, s) for k in range(int(v.lb * s), int(v.ub * s) + 1)]
+        for v, s in zip(variables, scales)
+    ]
+    for point in itertools.product(*axes):
+        if all(
+            (row.lo is None or act >= row.lo) and (row.hi is None or act <= row.hi)
+            for row in rows
+            for act in [sum(c * point[j] for j, c in row.coeffs.items())]
+        ):
+            yield point
+
+
+@settings(max_examples=150, deadline=None)
+@given(propagation_case())
+def test_propagation_keeps_every_feasible_point(case):
+    """Propagation only removes points that violate some row: every
+    feasible point stays inside the tightened bounds, and infeasibility is
+    claimed only when there is no feasible point."""
+    variables, rows = case
+    points = list(feasible_points(variables, rows))
+    try:
+        _propagate(variables, rows)
+    except _Infeasible:
+        assert not points
+        return
+    for point in points:
+        for v, x in zip(variables, point):
+            assert v.lb <= x <= v.ub, (v, x)
+    for v in variables:
+        if v.is_int:
+            assert v.lb.denominator == v.ub.denominator == 1
+
+
+@pytest.mark.parametrize("sense", ["le", "eq"])
+def test_propagation_stops_on_converging_continuous_cycle(sense):
+    """x - y/2 <= 1 and y - x/2 <= 1 pull each other's upper bound toward
+    the fixed point (2, 2) by a shrinking step every visit; as equalities
+    both bounds close in on it and no step ever gets small relative to the
+    width.  Propagation must stop anyway and keep (2, 2)."""
+    lo = Fraction(1) if sense == "eq" else None
+    variables = [
+        PVar("x", Fraction(0), Fraction(100), False),
+        PVar("y", Fraction(0), Fraction(100), False),
+        PVar("z", Fraction(0), Fraction(10), True),
+    ]
+    rows = [
+        PRow({0: Fraction(1), 1: Fraction(-1, 2)}, lo, Fraction(1)),
+        PRow({1: Fraction(1), 0: Fraction(-1, 2)}, lo, Fraction(1)),
+        PRow({2: Fraction(1), 0: Fraction(-1)}, None, Fraction(0)),
+    ]
+    _propagate(variables, rows)
+    x, y, z = variables
+    assert x.lb <= 2 <= x.ub and y.lb <= 2 <= y.ub
+    assert x.ub < 3 and y.ub < 3  # the cycle did tighten
+    assert (z.lb, z.ub) == (0, 2)

@@ -14,7 +14,15 @@ from invqsar.topospec import (
     spec_to_json_text,
 )
 
-from conftest import fringe_menu_json, ring, triangle_spec_doc
+from invqsar.descriptors import take_census
+
+from conftest import (
+    ALL_ROUNDTRIP_FIXTURES,
+    fringe_menu_json,
+    ring,
+    roundtrip_fixture,
+    triangle_spec_doc,
+)
 
 
 def minimal_spec(**overrides):
@@ -175,3 +183,15 @@ def test_checker_leaf_path_permission():
     doc["seed"]["vertices"][0]["leaf_path"] = True
     spec2 = parse_spec(json.dumps(doc))
     assert check_graph_satisfies(spec2, target).passed
+
+
+@pytest.mark.parametrize("name", ALL_ROUNDTRIP_FIXTURES)
+def test_checker_reuses_only_a_census_at_the_spec_rho(name):
+    """A census handed to the checker gives the report the checker would
+    compute itself; one taken with another branch parameter is not used."""
+    fx = roundtrip_fixture(name)
+    g, spec = fx.target, fx.spec
+    expected = check_graph_satisfies(spec, g).to_json()
+    assert expected["passed"]
+    for rho in (spec.rho, spec.rho - 1, spec.rho + 1):
+        assert check_graph_satisfies(spec, g, take_census(g, rho)).to_json() == expected
