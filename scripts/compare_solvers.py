@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Cross-check the built-in exact solver against in-process HiGHS on a
-batch of random small MILPs and report timing.
+batch of random small MILPs and report timing and the exact solver's
+branch-and-bound nodes and simplex pivots.
 
 Usage: python3 scripts/compare_solvers.py [--trials 20] [--seed 0]
 """
@@ -31,11 +32,13 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     agree = 0
+    mini_total = 0.0
     for trial in range(args.trials):
         model = random_model(rng)
         t0 = time.monotonic()
         mini = solve_exact(model, time_limit=60)
         t_mini = time.monotonic() - t0
+        mini_total += t_mini
         t0 = time.monotonic()
         ext = solve(model, "highs")
         t_ext = time.monotonic() - t0
@@ -48,9 +51,10 @@ def main() -> int:
         obj = "-" if mini.objective is None else f"{float(mini.objective):g}"
         print(
             f"trial {trial:2d}: {mini.status:>10} obj={obj:>8} "
+            f"nodes={mini.nodes:<4d} pivots={mini.pivots:<5d} "
             f"mini {t_mini * 1e3:6.1f}ms highs {t_ext * 1e3:6.1f}ms  {verdict}"
         )
-    print(f"\nagreement: {agree}/{args.trials}")
+    print(f"\nagreement: {agree}/{args.trials}  mini total {mini_total:.3f}s")
     return 0 if agree == args.trials else 1
 
 

@@ -1,7 +1,9 @@
 """Batch pipeline driver: featurize, train, infer, verify.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or input
-error, 3 infeasible target, 4 solver or decoder failure.  All subcommands
+error, 3 infeasible target, 4 solver or decoder failure.  Exit 2 comes only
+from the typed errors of bad input (`INPUT_ERRORS`); any other exception is
+a fault of the program and escapes with its traceback.  All subcommands
 are deterministic under a fixed seed.
 """
 
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .descriptors import (
+    OutOfSpaceError,
     census_vector,
     read_feature_csv,
     space_from_censuses,
@@ -26,12 +29,15 @@ from .descriptors import (
     take_census,
     write_feature_csv,
 )
+from .elements import UnknownElementError
+from .errors import InputError
 from .graph import graph_from_json_text, graph_to_json_text
 from .milp.build import BuildError, build_milp, polish_solution
-from .milp.model import emit_lp
+from .milp.model import ModelError, emit_lp
 from .milp.decode import DecodeError, decode, solution_feature_values
 from .milp.solve import ExternalBackend, SolutionCheckError, SolverFailure, solve
 from .regression import (
+    FitError,
     LinearPredictor,
     cross_validate_path,
     is_json_number,
@@ -52,6 +58,11 @@ EXIT_SOLVER = 4
 
 class UsageError(Exception):
     pass
+
+
+# What bad input raises; main turns these, and only these, into exit 2.
+INPUT_ERRORS = (UsageError, InputError, SpecError, BuildError, FitError,
+                OutOfSpaceError, UnknownElementError, ModelError)
 
 
 @dataclass
@@ -128,6 +139,13 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path!r}: {exc.strerror}") from exc
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _load_dataset(path: str):
     text = _read_text(path)
     result = parse_sdf(text)
@@ -178,7 +196,7 @@ def _load_targets(path: str) -> dict[str, float]:
 def run_train(cfg: ProjectConfig) -> int:
     out = Path(cfg.output_dir)
     ids, names, rows = read_feature_csv(_read_text(str(out / "features.csv")))
-    space = space_from_json(json.loads(_read_text(str(out / "space.json"))))
+    space = space_from_json(_read_json(str(out / "space.json")))
     targets = _load_targets(cfg.targets)
     missing = [i for i in ids if i not in targets]
     if missing:
@@ -231,7 +249,7 @@ def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = parse_spec(_read_text(cfg.spec))
-    space = space_from_json(json.loads(_read_text(str(out / "space.json"))))
+    space = space_from_json(_read_json(str(out / "space.json")))
     predictor = predictor_from_json_text(
         _read_text(cfg.predictor or str(out / "predictor.json"))
     )
@@ -310,8 +328,10 @@ def run_verify(graph_path: str, spec_path: str, predictor_path: str,
                space_path: str) -> int:
     graph = graph_from_json_text(_read_text(graph_path))
     spec = parse_spec(_read_text(spec_path))
-    space = space_from_json(json.loads(_read_text(space_path)))
+    space = space_from_json(_read_json(space_path))
     predictor = predictor_from_json_text(_read_text(predictor_path))
+    if predictor.space_hash != space_hash(space):
+        raise UsageError("predictor was trained against a different space")
     problems = graph.validate()
     if problems:
         # descriptors are undefined on a graph that breaks its invariants
@@ -365,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
             return run_infer(ProjectConfig.load(args.config), args.lo, args.hi)
         if args.command == "verify":
             return run_verify(args.graph, args.spec, args.predictor, args.space)
-    except (UsageError, SpecError, BuildError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

@@ -34,6 +34,7 @@ from .decompose import (
     tree_to_json,
 )
 from .elements import ElementSpec, parse_element
+from .errors import InputError
 from .graph import ChemicalGraph, rank
 
 N_SCALAR_DESCRIPTORS = 14
@@ -372,18 +373,25 @@ def write_feature_csv(
 
 
 def read_feature_csv(text: str) -> tuple[list[str], list[str], list[list[float]]]:
-    """Returns (ids, descriptor names, rows of floats)."""
+    """Returns (ids, descriptor names, rows of floats); a text that is not
+    such a table raises InputError."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
     if not header or header[0] != "id":
-        raise ValueError("feature CSV must start with an 'id' column")
+        raise InputError("feature CSV must start with an 'id' column")
     names = header[1:]
     ids, rows = [], []
-    for rec in reader:
+    for line, rec in enumerate(reader, start=2):
         if not rec:
             continue
+        if len(rec) != len(header):
+            raise InputError(
+                f"feature CSV line {line} has {len(rec)} fields, not {len(header)}")
+        try:
+            rows.append([float(x) for x in rec[1:]])
+        except ValueError as exc:
+            raise InputError(f"feature CSV line {line}: {exc}") from exc
         ids.append(rec[0])
-        rows.append([float(x) for x in rec[1:]])
     return ids, names, rows
 
 
@@ -418,14 +426,14 @@ def _integer(value) -> int:
 
 def space_from_json(doc: dict) -> DescriptorSpace:
     """Inverse of space_to_json; a document of the wrong shape raises
-    ValueError naming the key at fault."""
+    InputError naming the key at fault."""
     if not isinstance(doc, dict):
-        raise ValueError("descriptor space must be a JSON object")
+        raise InputError("descriptor space must be a JSON object")
 
     def read(key: str, parse, each: bool = True):
         """parse(doc[key]), or parse of each item when the value is a list."""
         if key not in doc:
-            raise ValueError(f"descriptor space is missing key {key!r}")
+            raise InputError(f"descriptor space is missing key {key!r}")
         try:
             if not each:
                 return parse(doc[key])
@@ -433,7 +441,7 @@ def space_from_json(doc: dict) -> DescriptorSpace:
                 raise TypeError("not a list")
             return tuple(parse(item) for item in doc[key])
         except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
-            raise ValueError(
+            raise InputError(
                 f"descriptor space key {key!r} is malformed ({exc})") from exc
 
     def symbol(pair) -> ChemicalSymbol:
@@ -443,7 +451,7 @@ def space_from_json(doc: dict) -> DescriptorSpace:
         rec["code"].encode(), tree_from_json(rec["tree"])))
     for code, t in fringe:
         if t.canonical_code != code:
-            raise ValueError("fringe tree does not match its recorded code")
+            raise InputError("fringe tree does not match its recorded code")
     return DescriptorSpace(
         rho=read("rho", _integer, each=False),
         lambda_int=read("lambda_int", parse_element),

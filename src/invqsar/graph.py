@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .elements import ElementSpec, make_element, parse_element
+from .errors import InputError
 
 
 class InvalidGraphError(ValueError):
@@ -224,7 +225,11 @@ def graph_to_json_text(g: ChemicalGraph) -> str:
 
 
 def graph_from_json_text(text: str) -> ChemicalGraph:
-    return graph_from_json(json.loads(text))
+    """Read a graph document; a text that is not one raises InputError."""
+    try:
+        return graph_from_json(json.loads(text))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"graph document is malformed ({exc!r})") from exc
 
 
 def build_graph(

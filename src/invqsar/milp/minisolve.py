@@ -1,9 +1,15 @@
 """Built-in exact MILP solver: rational branch and bound over LP relaxations.
 
-All arithmetic is exact (integer-scaled tableau rows and rational values),
-so feasibility, infeasibility and optimality conclusions carry no rounding
-error.  Intended for models up to a few hundred integer variables; larger
-models should go through an external solver backend.
+All arithmetic is exact, so feasibility, infeasibility and optimality
+conclusions carry no rounding error.  Integral values (most coefficients,
+every integer bound, the integer-scaled tableau rows) are Python ints, and
+a `Fraction` is made only where a value is fractional; every division goes
+through `Fraction`, since `int / int` would give a float.  Keeping rational
+arithmetic off the paths that do not need it follows Applegate, Cook, Dash
+& Espinoza, "Exact solutions to linear programming problems" (2007).
+Returned values and objectives are Fractions.  Intended for models up to
+a few hundred integer variables; larger models should go through an
+external solver backend.
 
 Per node: bound propagation and elimination presolve, then a two-phase
 bounded-variable simplex on the reduced LP, then branching on a fractional
@@ -13,9 +19,10 @@ integral point.
 Bound propagation is event-driven (Savelsbergh 1994; Achterberg 2007,
 sec. 7.1): a row is revisited only after a bound of one of its variables
 moved, and a continuous bound moves only by a step over 5% of its domain
-width.  This is a relaxation choice: stopping early leaves an LP
-relaxation looser but never cuts off a feasible point, so every answer
-stays exact.
+width.  After an elimination round only the rows of the columns whose
+bounds moved are revisited.  This is a relaxation choice: stopping early
+leaves an LP relaxation looser but never cuts off a feasible point, so
+every answer stays exact.
 """
 
 from __future__ import annotations
@@ -24,13 +31,25 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, inf
+from math import ceil, floor, gcd, inf, lcm
 
 from .model import CONTINUOUS, LE, GE, MAX, MILPModel
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-BIG = Fraction(10**30)
+# An exact value: an int when integral, else a Fraction.
+Num = int | Fraction
+
+BIG = 10**30
+
+
+def _exact(x: float) -> Num:
+    """The exact value of a float, as an int when it is integral."""
+    return int(x) if x.is_integer() else Fraction(x)
+
+
+def _quotient(a: Num, b: Num) -> Num:
+    """a / b exactly, as an int when b divides a."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 class SolverTimeout(Exception):
@@ -44,23 +63,23 @@ class MiniSolverError(Exception):
 @dataclass
 class PVar:
     name: str
-    lb: Fraction
-    ub: Fraction
+    lb: Num
+    ub: Num
     is_int: bool
 
 
 @dataclass
 class PRow:
-    coeffs: dict[int, Fraction]
-    lo: Fraction | None  # None = -inf
-    hi: Fraction | None  # None = +inf
+    coeffs: dict[int, Num]
+    lo: Num | None  # None = -inf
+    hi: Num | None  # None = +inf
 
 
 @dataclass
 class Problem:
     variables: list[PVar]
     rows: list[PRow]
-    objective: dict[int, Fraction] = field(default_factory=dict)
+    objective: dict[int, Num] = field(default_factory=dict)
     obj_sign: int = 1  # objective stored as minimization
 
     @staticmethod
@@ -73,12 +92,12 @@ class Problem:
                     f"mini-solver requires finite bounds (variable {v.name})"
                 )
             pvars.append(
-                PVar(v.name, Fraction(v.lb), Fraction(v.ub), v.kind != CONTINUOUS)
+                PVar(v.name, _exact(v.lb), _exact(v.ub), v.kind != CONTINUOUS)
             )
         rows = []
         for con in model.constraints:
-            coeffs = {index[n]: Fraction(c) for n, c in con.coeffs}
-            rhs = Fraction(con.rhs)
+            coeffs = {index[n]: _exact(c) for n, c in con.coeffs}
+            rhs = _exact(con.rhs)
             if con.sense == LE:
                 rows.append(PRow(coeffs, None, rhs))
             elif con.sense == GE:
@@ -88,7 +107,7 @@ class Problem:
         problem = Problem(pvars, rows)
         sign = 1 if model.objective_sense != MAX else -1
         problem.obj_sign = sign
-        problem.objective = {index[n]: Fraction(c) * sign for n, c in model.objective}
+        problem.objective = {index[n]: _exact(c) * sign for n, c in model.objective}
         return problem
 
 
@@ -109,8 +128,8 @@ class _Infeasible(Exception):
 
 
 def _activity_bounds(row: PRow, lbs, ubs):
-    amin = ZERO
-    amax = ZERO
+    amin = 0
+    amax = 0
     for j, c in row.coeffs.items():
         if c > 0:
             amin += c * lbs[j]
@@ -121,14 +140,15 @@ def _activity_bounds(row: PRow, lbs, ubs):
     return amin, amax
 
 
-# A continuous bound moves only by more than this share of its domain width.
-MIN_CONTINUOUS_STEP = Fraction(1, 20)
+# A continuous bound moves only by more than 1/CONTINUOUS_STEPS of its
+# domain width.
+CONTINUOUS_STEPS = 20
 
 
-def _tighten_ub(v: PVar, limit: Fraction) -> bool:
+def _tighten_ub(v: PVar, limit: Num) -> bool:
     if v.is_int:
-        limit = Fraction(floor(limit))
-    elif v.ub - limit <= (v.ub - v.lb) * MIN_CONTINUOUS_STEP:
+        limit = floor(limit)
+    elif (v.ub - limit) * CONTINUOUS_STEPS <= v.ub - v.lb:
         return False
     if limit >= v.ub:
         return False
@@ -136,10 +156,10 @@ def _tighten_ub(v: PVar, limit: Fraction) -> bool:
     return True
 
 
-def _tighten_lb(v: PVar, limit: Fraction) -> bool:
+def _tighten_lb(v: PVar, limit: Num) -> bool:
     if v.is_int:
-        limit = Fraction(ceil(limit))
-    elif limit - v.lb <= (v.ub - v.lb) * MIN_CONTINUOUS_STEP:
+        limit = ceil(limit)
+    elif (limit - v.lb) * CONTINUOUS_STEPS <= v.ub - v.lb:
         return False
     if limit <= v.lb:
         return False
@@ -147,16 +167,20 @@ def _tighten_lb(v: PVar, limit: Fraction) -> bool:
     return True
 
 
-def _propagate(variables: list[PVar], rows: list[PRow]) -> None:
+def _propagate(
+    variables: list[PVar], rows: list[PRow], moved: set[int] | None = None
+) -> None:
     """Tighten variable bounds in place from row activities; raises
     _Infeasible when some row cannot be met within the bounds.
 
     Event driven: every row is visited once in row order, and again only
-    after a bound of one of its variables moved.  Continuous bounds move
-    only by steps over MIN_CONTINUOUS_STEP of their width, and at most
-    10 * len(rows) row visits are made in all, so slowly converging
-    cycles of continuous bounds stop early.  Stopping early only leaves the bounds
-    looser; every bound kept is implied by the rows."""
+    after a bound of one of its variables moved.  With `moved`, the
+    columns whose bounds changed since the rows were last propagated, only
+    their rows are visited first.  Continuous bounds move only by steps
+    over 1/CONTINUOUS_STEPS of their width, and at most 10 * len(rows) row
+    visits are made in all, so slowly converging cycles of continuous
+    bounds stop early.  Stopping early only leaves the bounds looser;
+    every bound kept is implied by the rows."""
     for v in variables:
         if v.lb > v.ub:
             raise _Infeasible
@@ -166,8 +190,13 @@ def _propagate(variables: list[PVar], rows: list[PRow]) -> None:
             col_rows[j].append(r)
     lbs = [v.lb for v in variables]
     ubs = [v.ub for v in variables]
-    queue = deque(range(len(rows)))
-    queued = [True] * len(rows)
+    if moved is None:
+        queue = deque(range(len(rows)))
+    else:
+        queue = deque(sorted({r for j in moved for r in col_rows[j]}))
+    queued = [False] * len(rows)
+    for r in queue:
+        queued[r] = True
     visits = 10 * len(rows)
     while queue and visits:
         visits -= 1
@@ -190,14 +219,14 @@ def _propagate(variables: list[PVar], rows: list[PRow]) -> None:
             changed = False
             if hi_slack is not None and reach > hi_slack:
                 if c > 0:
-                    changed = _tighten_ub(v, lb + hi_slack / c)
+                    changed = _tighten_ub(v, lb + _quotient(hi_slack, c))
                 else:
-                    changed = _tighten_lb(v, ub + hi_slack / c)
+                    changed = _tighten_lb(v, ub + _quotient(hi_slack, c))
             if lo_slack is not None and reach > lo_slack:
                 if c > 0:
-                    changed |= _tighten_lb(v, ub - lo_slack / c)
+                    changed |= _tighten_lb(v, ub - _quotient(lo_slack, c))
                 else:
-                    changed |= _tighten_ub(v, lb - lo_slack / c)
+                    changed |= _tighten_ub(v, lb - _quotient(lo_slack, c))
             if not changed:
                 continue
             if v.lb > v.ub:
@@ -213,9 +242,9 @@ def _propagate(variables: list[PVar], rows: list[PRow]) -> None:
 class _Reduced:
     variables: list[PVar]
     rows: list[PRow]
-    objective: dict[int, Fraction]
-    obj_const: Fraction
-    fixed: dict[int, Fraction]
+    objective: dict[int, Num]
+    obj_const: Num
+    fixed: dict[int, Num]
     singles: list[tuple]
     keep: list[int]
 
@@ -229,31 +258,36 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
             lb, ub = max(lb, blb), min(ub, bub)
         variables.append(PVar(v.name, lb, ub, v.is_int))
     rows = [PRow(dict(r.coeffs), r.lo, r.hi) for r in problem.rows]
+    # Coefficients are only ever removed below, so the rows a column was
+    # in at the start include every row it is still in.
+    col_rows: list[list[PRow]] = [[] for _ in variables]
+    for row in rows:
+        for j in row.coeffs:
+            col_rows[j].append(row)
 
     _propagate(variables, rows)
 
-    fixed: dict[int, Fraction] = {}
+    fixed: dict[int, Num] = {}
     singles: list[tuple] = []
     gone: set[int] = set()
     for _ in range(60):
         changed = False
+        # columns whose bounds a singleton row moved, or that shared a row
+        # with an eliminated column: only their rows need propagating again
+        moved: set[int] = set()
         for i, v in enumerate(variables):
             if i in gone or v.lb != v.ub:
                 continue
             fixed[i] = v.lb
             gone.add(i)
             changed = True
-            if v.lb != 0:
-                for row in rows:
-                    c = row.coeffs.pop(i, None)
-                    if c is not None:
-                        if row.lo is not None:
-                            row.lo -= c * v.lb
-                        if row.hi is not None:
-                            row.hi -= c * v.lb
-            else:
-                for row in rows:
-                    row.coeffs.pop(i, None)
+            for row in col_rows[i]:
+                c = row.coeffs.pop(i, None)
+                if c is not None and v.lb:
+                    if row.lo is not None:
+                        row.lo -= c * v.lb
+                    if row.hi is not None:
+                        row.hi -= c * v.lb
 
         kept_rows: list[PRow] = []
         occurrences: dict[int, int] = {}
@@ -270,18 +304,22 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
             if len(row.coeffs) == 1:
                 ((j, c),) = row.coeffs.items()
                 v = variables[j]
-                lo = None if row.lo is None else row.lo / c
-                hi = None if row.hi is None else row.hi / c
+                lo = None if row.lo is None else _quotient(row.lo, c)
+                hi = None if row.hi is None else _quotient(row.hi, c)
                 if c < 0:
                     lo, hi = hi, lo
                 if lo is not None:
                     if v.is_int:
-                        lo = Fraction(ceil(lo))
-                    v.lb = max(v.lb, lo)
+                        lo = ceil(lo)
+                    if lo > v.lb:
+                        v.lb = lo
+                        moved.add(j)
                 if hi is not None:
                     if v.is_int:
-                        hi = Fraction(floor(hi))
-                    v.ub = min(v.ub, hi)
+                        hi = floor(hi)
+                    if hi < v.ub:
+                        v.ub = hi
+                        moved.add(j)
                 if v.lb > v.ub:
                     raise _Infeasible
                 changed = True
@@ -328,10 +366,11 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
             gone.add(j)
             row.coeffs = rest
             row.lo, row.hi = new_lo, new_hi
+            moved.update(rest)
             changed = True
 
         if changed:
-            _propagate(variables, rows)
+            _propagate(variables, rows, moved)
         else:
             break
 
@@ -352,21 +391,18 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
     red_obj = {
         remap[j]: c for j, c in problem.objective.items() if j in remap and c != 0
     }
-    obj_const = sum(
-        (c * fixed[j] for j, c in problem.objective.items() if j in fixed),
-        start=ZERO,
-    )
+    obj_const = sum(c * fixed[j] for j, c in problem.objective.items() if j in fixed)
     return _Reduced(red_vars, red_rows, red_obj, obj_const, fixed, singles, keep)
 
 
-def _undo_presolve(problem: Problem, red: _Reduced, red_values) -> dict[int, Fraction]:
-    values: dict[int, Fraction] = dict(red.fixed)
+def _undo_presolve(problem: Problem, red: _Reduced, red_values) -> dict[int, Num]:
+    values: dict[int, Num] = dict(red.fixed)
     for new, orig in enumerate(red.keep):
         values[orig] = red_values[new]
     for j, c, lo, hi, rest, lb, ub, is_int in reversed(red.singles):
-        rest_val = sum((cc * values[jj] for jj, cc in rest.items()), start=ZERO)
-        lo_x = None if lo is None else (lo - rest_val) / c
-        hi_x = None if hi is None else (hi - rest_val) / c
+        rest_val = sum(cc * values[jj] for jj, cc in rest.items())
+        lo_x = None if lo is None else _quotient(lo - rest_val, c)
+        hi_x = None if hi is None else _quotient(hi - rest_val, c)
         if c < 0:
             lo_x, hi_x = hi_x, lo_x
         cand_lo = lb if lo_x is None else max(lb, lo_x)
@@ -377,7 +413,7 @@ def _undo_presolve(problem: Problem, red: _Reduced, red_values) -> dict[int, Fra
         if is_int and val.denominator != 1:
             # prefer an integral value when the interval allows one;
             # a fractional pick is branched on later like any other
-            rounded = Fraction(ceil(val))
+            rounded = ceil(val)
             if rounded <= cand_hi:
                 val = rounded
         values[j] = val
@@ -393,9 +429,12 @@ AT_UB = 1
 class _Simplex:
     """Two-phase primal simplex with variable bounds on an exact tableau.
 
-    Tableau rows are integer vectors; a common row scale cancels out of
-    every ratio, so rows are kept only up to scale (gcd-reduced).  The
-    active cost row is maintained incrementally across pivots.
+    Tableau rows are int vectors; a common row scale cancels out of every
+    ratio, so rows are kept only up to scale (gcd-reduced).  The active
+    cost row is kept incrementally across pivots as ints over one common
+    positive denominator.  Bounds and values are ints where integral and
+    Fractions otherwise; the ratio test compares steps as integer cross
+    products, and every value division goes through `Fraction`.
     """
 
     def __init__(self, red: _Reduced, deadline: float | None):
@@ -404,8 +443,8 @@ class _Simplex:
         m = len(red.rows)
         self.n_struct = n
         self.m = m
-        self.lb: list[Fraction] = [v.lb for v in red.variables]
-        self.ub: list[Fraction] = [v.ub for v in red.variables]
+        self.lb: list[Num] = [v.lb for v in red.variables]
+        self.ub: list[Num] = [v.ub for v in red.variables]
         # slack column per row carries the row range
         for row in red.rows:
             self.lb.append(row.lo if row.lo is not None else -BIG)
@@ -416,8 +455,12 @@ class _Simplex:
         for r, row in enumerate(red.rows):
             denom = 1
             for c in row.coeffs.values():
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-            vec = {j: int(c * denom) for j, c in row.coeffs.items() if c}
+                denom = lcm(denom, c.denominator)
+            vec = {
+                j: c.numerator * (denom // c.denominator)
+                for j, c in row.coeffs.items()
+                if c
+            }
             vec[n + r] = -denom
             self.rows_num.append(vec)
         self.ncols = ncols
@@ -426,7 +469,7 @@ class _Simplex:
         for j in self.basis:
             self.in_basis[j] = True
         self.status = [AT_LB] * ncols
-        self.values: list[Fraction] = [ZERO] * ncols
+        self.values: list[Num] = [0] * ncols
         for j in range(n):
             self.values[j] = self.lb[j]
         self._set_basics_from_nonbasics()
@@ -441,15 +484,11 @@ class _Simplex:
         for r in range(self.m):
             vec = self.rows_num[r]
             b = self.basis[r]
-            total = ZERO
+            total = 0
             for j, a in vec.items():
                 if j != b and not self.in_basis[j]:
                     total += a * self.values[j]
-            self.values[b] = Fraction(-total, vec[b])
-
-    def _entry(self, r: int, j: int) -> Fraction:
-        vec = self.rows_num[r]
-        return Fraction(-vec.get(j, 0), vec[self.basis[r]])
+            self.values[b] = _quotient(-total, vec[b])
 
     def add_artificials(self) -> list[int]:
         """Clamp basic slacks into range via artificial columns; returns
@@ -471,7 +510,7 @@ class _Simplex:
             vec_b = self.rows_num[r][b]
             coef = -vec_b if gap > 0 else vec_b
             self.rows_num[r][col] = coef
-            self.lb.append(ZERO)
+            self.lb.append(0)
             self.ub.append(BIG)
             self.status.append(AT_LB)
             self.in_basis.append(False)
@@ -486,11 +525,11 @@ class _Simplex:
             arts.append(col)
         return arts
 
-    def compute_zrow(self, cost: dict[int, Fraction]) -> None:
+    def compute_zrow(self, cost: dict[int, Num]) -> None:
         """Reduced costs of every column for the given cost vector."""
-        z = [cost.get(j, ZERO) for j in range(self.ncols)]
+        z = [cost.get(j, 0) for j in range(self.ncols)]
         for r in range(self.m):
-            cb = cost.get(self.basis[r], ZERO)
+            cb = cost.get(self.basis[r], 0)
             if cb:
                 vec = self.rows_num[r]
                 denom = vec[self.basis[r]]
@@ -498,13 +537,13 @@ class _Simplex:
                     if j != self.basis[r]:
                         z[j] += cb * Fraction(-a, denom)
         for r in range(self.m):
-            z[self.basis[r]] = ZERO
+            z[self.basis[r]] = 0
         den = 1
         for f in z:
             if f:
-                den = den * f.denominator // gcd(den, f.denominator)
+                den = lcm(den, f.denominator)
         self.z_den = den
-        self.z_num = [int(f * den) for f in z]
+        self.z_num = [f.numerator * (den // f.denominator) for f in z]
 
     def _normalize_zrow(self) -> None:
         g = self.z_den
@@ -526,39 +565,38 @@ class _Simplex:
         self.pivots += 1
         zc = self.z_num[pc]
         if zc != 0:
-            new_z = [a * piv for a in self.z_num]
+            # z - (zc / piv) * prow over z_den * piv, with the common factor
+            # of zc and piv taken out and the denominator kept positive
+            g = gcd(piv, zc)
+            scale, factor = piv // g, zc // g
+            if scale < 0:
+                scale, factor = -scale, -factor
+            new_z = [a * scale for a in self.z_num] if scale != 1 else self.z_num
             for j, b in prow.items():
-                new_z[j] -= zc * b
-            if piv < 0:
-                den = -self.z_den * piv
-                new_z = [-a for a in new_z]
-            else:
-                den = self.z_den * piv
+                new_z[j] -= factor * b
             self.z_num = new_z
-            self.z_den = den
-            if den.bit_length() > 256:
+            self.z_den *= scale
+            if self.z_den.bit_length() > 256:
                 self._normalize_zrow()
-        for r in range(self.m):
+        others = [(j, b) for j, b in prow.items() if j != pc]
+        for r, vec in enumerate(rows_num):
             if r == pr:
                 continue
-            vec = rows_num[r]
             factor = vec.pop(pc, 0)
             if factor == 0:
                 continue
-            new = {j: a * piv for j, a in vec.items()}
-            for j, b in prow.items():
-                if j == pc:
-                    continue
+            # piv * vec - factor * prow, less the common factor of piv and
+            # factor, then reduced by the gcd of its entries
+            g = gcd(piv, factor)
+            scale, factor = piv // g, factor // g
+            new = {j: a * scale for j, a in vec.items()} if scale != 1 else vec
+            for j, b in others:
                 nv = new.get(j, 0) - factor * b
                 if nv:
                     new[j] = nv
                 else:
-                    new.pop(j, None)
-            g = 0
-            for a in new.values():
-                g = gcd(g, a)
-                if g == 1:
-                    break
+                    del new[j]
+            g = gcd(*new.values())
             if g > 1:
                 new = {j: a // g for j, a in new.items()}
             rows_num[r] = new
@@ -569,33 +607,47 @@ class _Simplex:
         self.z_num[pc] = 0
 
     def _ratio_test(self, pc: int, direction: int):
-        best_t = self.ub[pc] - self.lb[pc]
+        """Longest step of column pc in `direction` that keeps every basic
+        variable in its bounds, and the row that blocks it (None when the
+        column reaches its own other bound first).  Ties go to the lowest
+        basic column.
+
+        Each candidate step gap * |d| / |num| is kept as an integer pair
+        (p, q) with q > 0 and compared by cross products."""
+        lb, ub, values, basis = self.lb, self.ub, self.values, self.basis
+        width = ub[pc] - lb[pc]
+        best_p, best_q = width.numerator, width.denominator
         best_row = None
-        for r in range(self.m):
-            vec = self.rows_num[r]
+        best_b = -1
+        for r, vec in enumerate(self.rows_num):
             num = vec.get(pc)
             if not num:
                 continue
-            alpha = Fraction(-num, vec[self.basis[r]])
-            delta = alpha * direction
-            b = self.basis[r]
-            if delta < 0:
-                limit = (self.values[b] - self.lb[b]) / (-delta)
+            b = basis[r]
+            d = vec[b]
+            # x_b moves by -num / d per unit of x_pc: down to its lower
+            # bound when num * d * direction > 0, else up to its upper one
+            if num * d * direction > 0:
+                top, base = values[b], lb[b]
             else:
-                limit = (self.ub[b] - self.values[b]) / delta
-            if limit < best_t or (
-                limit == best_t
-                and best_row is not None
-                and b < self.basis[best_row]
-            ):
-                best_t = limit
+                top, base = ub[b], values[b]
+            gap_n = top.numerator * base.denominator - base.numerator * top.denominator
+            p = gap_n * abs(d)
+            q = top.denominator * base.denominator * abs(num)
+            left = p * best_q
+            right = best_p * q
+            if left < right or (left == right and best_row is not None and b < best_b):
+                best_p, best_q = p, q
                 best_row = r
-        if best_t < 0:
-            best_t = ZERO
-        return best_t, best_row
+                best_b = b
+        if best_p < 0:
+            return 0, best_row
+        return _quotient(best_p, best_q), best_row
 
     def optimize(self, max_iters: int = 50_000) -> None:
         """Minimize the current zrow cost from the current feasible point."""
+        lb, ub, values, basis = self.lb, self.ub, self.values, self.basis
+        in_basis, status = self.in_basis, self.status
         while True:
             self.iterations += 1
             if self.iterations > max_iters:
@@ -607,12 +659,12 @@ class _Simplex:
             best_score = 0
             z = self.z_num
             for j in range(self.ncols):
-                if self.in_basis[j] or self.lb[j] == self.ub[j]:
+                if in_basis[j] or lb[j] == ub[j]:
                     continue
                 rc = z[j]
-                if rc < 0 and self.status[j] == AT_LB:
+                if rc < 0 and status[j] == AT_LB:
                     score, direction = -rc, 1
-                elif rc > 0 and self.status[j] == AT_UB:
+                elif rc > 0 and status[j] == AT_UB:
                     score, direction = rc, -1
                 else:
                     continue
@@ -630,23 +682,28 @@ class _Simplex:
                 raise MiniSolverError("unbounded LP relaxation")
             self.degenerate_streak = 0 if t > 0 else self.degenerate_streak + 1
             if t > 0:
-                step = direction * t
-                for r in range(self.m):
-                    vec = self.rows_num[r]
+                # x_b += -num / d * direction * t, as one Fraction per row
+                step_n = direction * t.numerator
+                step_d = t.denominator
+                for r, vec in enumerate(self.rows_num):
                     num = vec.get(pc)
                     if num:
-                        self.values[self.basis[r]] += Fraction(
-                            -num, vec[self.basis[r]]
-                        ) * step
-            self.values[pc] = self.values[pc] + direction * t
+                        b = basis[r]
+                        v = values[b]
+                        d = vec[b] * step_d
+                        values[b] = _quotient(
+                            v.numerator * d - num * step_n * v.denominator,
+                            v.denominator * d,
+                        )
+            values[pc] = values[pc] + direction * t
             if block is None:
-                self.status[pc] = AT_UB if direction > 0 else AT_LB
+                status[pc] = AT_UB if direction > 0 else AT_LB
                 continue
-            leaving = self.basis[block]
-            alpha_b = self._entry(block, pc)
-            hit_ub = (alpha_b * direction) > 0
-            self.status[leaving] = AT_UB if hit_ub else AT_LB
-            self.values[leaving] = self.ub[leaving] if hit_ub else self.lb[leaving]
+            leaving = basis[block]
+            vec = self.rows_num[block]
+            hit_ub = vec[pc] * vec[leaving] * direction < 0
+            status[leaving] = AT_UB if hit_ub else AT_LB
+            values[leaving] = ub[leaving] if hit_ub else lb[leaving]
             self._pivot(block, pc)
 
 
@@ -656,7 +713,7 @@ def _solve_lp(red: _Reduced, deadline):
         values = []
         obj = red.obj_const
         for i, v in enumerate(red.variables):
-            c = red.objective.get(i, ZERO)
+            c = red.objective.get(i, 0)
             val = v.lb if c >= 0 else v.ub
             values.append(val)
             obj += c * val
@@ -664,23 +721,21 @@ def _solve_lp(red: _Reduced, deadline):
     spx = _Simplex(red, deadline)
     arts = spx.add_artificials()
     if arts:
-        spx.compute_zrow({a: ONE for a in arts})
+        spx.compute_zrow({a: 1 for a in arts})
         spx.optimize()
-        infeas = sum((spx.values[a] for a in arts), start=ZERO)
+        infeas = sum(spx.values[a] for a in arts)
         if infeas > 0:
-            return "infeasible", [], ZERO, spx.pivots
+            return "infeasible", [], 0, spx.pivots
         for a in arts:
-            spx.lb[a] = ZERO
-            spx.ub[a] = ZERO
+            spx.lb[a] = 0
+            spx.ub[a] = 0
             if not spx.in_basis[a]:
-                spx.values[a] = ZERO
+                spx.values[a] = 0
     if red.objective:
         spx.compute_zrow(dict(red.objective))
         spx.optimize()
     values = [spx.values[j] for j in range(len(red.variables))]
-    obj = red.obj_const + sum(
-        (c * values[j] for j, c in red.objective.items()), start=ZERO
-    )
+    obj = red.obj_const + sum(c * values[j] for j, c in red.objective.items())
     return "optimal", values, obj, spx.pivots
 
 
@@ -703,10 +758,10 @@ def solve_exact(
 
     int_indices = [i for i, v in enumerate(problem.variables) if v.is_int]
     best_values = None
-    best_obj: Fraction | None = None
+    best_obj: Num | None = None
     nodes = 0
     pivots = 0
-    stack: list[dict[int, tuple[Fraction, Fraction]]] = [{}]
+    stack: list[dict[int, tuple[Num, Num]]] = [{}]
 
     while stack:
         if deadline is not None and time.monotonic() > deadline:
@@ -735,9 +790,7 @@ def solve_exact(
                 frac_var = i
                 break
         if frac_var is None:
-            cand_obj = sum(
-                (c * values[j] for j, c in problem.objective.items()), start=ZERO
-            )
+            cand_obj = sum(c * values[j] for j, c in problem.objective.items())
             if best_obj is None or cand_obj < best_obj:
                 best_obj = cand_obj
                 best_values = values
@@ -748,14 +801,14 @@ def solve_exact(
         v = problem.variables[frac_var]
         lo, hi = bounds.get(frac_var, (v.lb, v.ub))
         down = dict(bounds)
-        down[frac_var] = (lo, Fraction(floor(val)))
+        down[frac_var] = (lo, floor(val))
         up = dict(bounds)
-        up[frac_var] = (Fraction(ceil(val)), hi)
+        up[frac_var] = (ceil(val), hi)
         stack.append(up)
         stack.append(down)
 
     if best_values is None:
         return SolveOutcome("infeasible", nodes=nodes, pivots=pivots)
-    named = {problem.variables[i].name: v for i, v in best_values.items()}
-    objective = None if best_obj is None else best_obj * problem.obj_sign
+    named = {problem.variables[i].name: Fraction(v) for i, v in best_values.items()}
+    objective = None if best_obj is None else Fraction(best_obj * problem.obj_sign)
     return SolveOutcome("optimal", named, objective, nodes, pivots)

@@ -71,8 +71,12 @@ class ExternalBackend:
             lp_path.write_text(lp_text)
             cmd = self.command.format(input=str(lp_path), output=str(sol_path))
             try:
+                argv = shlex.split(cmd)
+            except ValueError as exc:
+                raise SolverFailure(f"cannot split solver command: {exc}") from exc
+            try:
                 proc = subprocess.run(
-                    shlex.split(cmd),
+                    argv,
                     capture_output=True,
                     text=True,
                     timeout=self.timeout,
@@ -92,7 +96,10 @@ class ExternalBackend:
 
 
 def _to_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise SolverFailure(f"solution value {text!r} is not a number") from exc
 
 
 def parse_solution_text(text: str) -> Solution:

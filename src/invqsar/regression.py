@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError
+
 
 class FitError(ValueError):
     pass
@@ -215,15 +217,15 @@ def _list_of(ok):
 
 def predictor_from_json(doc: dict) -> LinearPredictor:
     """Inverse of predictor_to_json; a document of the wrong shape raises
-    ValueError naming the key at fault."""
+    InputError naming the key at fault."""
     if not isinstance(doc, dict):
-        raise ValueError("predictor must be a JSON object")
+        raise InputError("predictor must be a JSON object")
 
     def read(key: str, ok, what: str):
         if key not in doc:
-            raise ValueError(f"predictor is missing key {key!r}")
+            raise InputError(f"predictor is missing key {key!r}")
         if not ok(doc[key]):
-            raise ValueError(f"predictor key {key!r} must be {what}")
+            raise InputError(f"predictor key {key!r} must be {what}")
         return doc[key]
 
     def number(key: str) -> float:
@@ -233,7 +235,7 @@ def predictor_from_json(doc: dict) -> LinearPredictor:
         value = read(key, _list_of(is_json_number), "a list of numbers")
         return tuple(float(v) for v in value)
 
-    return LinearPredictor(
+    fields = dict(
         weights=numbers("weights"),
         bias=number("bias"),
         lam=number("lambda"),
@@ -245,6 +247,10 @@ def predictor_from_json(doc: dict) -> LinearPredictor:
         target_max=number("target_max"),
         space_hash=read("space_hash", _is_string, "a string"),
     )
+    try:
+        return LinearPredictor(**fields)
+    except ValueError as exc:  # the field lengths disagree
+        raise InputError(f"predictor is malformed ({exc})") from exc
 
 
 def predictor_to_json_text(p: LinearPredictor) -> str:
@@ -252,7 +258,11 @@ def predictor_to_json_text(p: LinearPredictor) -> str:
 
 
 def predictor_from_json_text(text: str) -> LinearPredictor:
-    return predictor_from_json(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"predictor is not valid JSON: {exc}") from exc
+    return predictor_from_json(doc)
 
 
 @dataclass(frozen=True)

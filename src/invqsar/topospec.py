@@ -228,11 +228,24 @@ def _element_tuple(tokens) -> tuple[ElementSpec, ...]:
 
 
 def parse_spec(text: str) -> TopologicalSpecification:
-    """Parse and validate a specification from JSON text."""
+    """Parse and validate a specification from JSON text.  Text that is not
+    a JSON object, and a field value that is out of range or of the wrong
+    type for int() or the element table, raise SpecError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"specification is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SpecError("specification must be a JSON object")
+    try:
+        return _spec_from_doc(doc)
+    except SpecError:
+        raise
+    except ValueError as exc:  # a field that int() or an element table rejects
+        raise SpecError(f"malformed specification: {exc}") from exc
+
+
+def _spec_from_doc(doc: dict) -> TopologicalSpecification:
     if doc.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise SpecError(f"unsupported schema version {doc.get('version')}")
 

@@ -442,3 +442,65 @@ def test_infer_and_verify_decompose_the_result_once(trained, monkeypatch):
         str(out / "space.json"),
     ]) == 0
     assert len(calls) == 2
+
+
+def test_internal_value_error_is_not_a_usage_error(trained, monkeypatch):
+    """A ValueError from inside the program is a fault, not bad input: it
+    escapes main instead of becoming exit 2."""
+    tmp, cfg_path = trained
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "build_milp", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"])
+
+
+def _replace_text(path, text):
+    path.write_text(text)
+
+
+def _drop_a_field(path):
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _other_space(path):
+    doc = json.loads(path.read_text())
+    doc["lambda_ex"] = doc["lambda_ex"][:-1] or ["O"]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("command, target, edit, needle", [
+    ("infer", "out/space.json", lambda p: _replace_text(p, "{"), "not valid JSON"),
+    ("infer", "out/predictor.json", lambda p: _replace_text(p, "{"), "not valid JSON"),
+    ("infer", "spec.json", lambda p: _replace_text(
+        p, p.read_text().replace('"n_star": ', '"n_star": "many", "x": ')),
+     "malformed specification"),
+    ("train", "out/features.csv", _drop_a_field, "feature CSV line 2"),
+    ("train", "out/features.csv", lambda p: _replace_text(p, ""), "'id' column"),
+    ("verify", "graph.json", lambda p: _replace_text(p, "[]"), "graph document"),
+    ("verify", "out/space.json", _other_space, "different space"),
+], ids=["space-json", "predictor-json", "spec-field", "features-short-row",
+        "features-empty", "graph-shape", "verify-space-mismatch"])
+def test_bad_input_files_are_usage_errors(trained, capsys, command, target, edit,
+                                          needle):
+    """Bad input files exit 2 through the typed input errors, with one line
+    naming the fault."""
+    tmp, cfg_path = trained
+    out = tmp / "out"
+    (tmp / "graph.json").write_text(graph_to_json_text(ring(3)))
+    edit(tmp / target)
+    argv = {
+        "infer": ["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"],
+        "train": ["train", "--config", str(cfg_path)],
+        "verify": ["verify", str(tmp / "graph.json"), str(tmp / "spec.json"),
+                   str(out / "predictor.json"), str(out / "space.json")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert needle in err
+    assert len(err.strip().splitlines()) == 1

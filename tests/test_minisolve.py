@@ -146,6 +146,64 @@ def test_solutions_exact_to_zero_tolerance():
     assert exact_checked >= 8
 
 
+def fractional(rng: np.random.Generator, lo: int, hi: int) -> float:
+    """k/d in [lo, hi] with d a half, a third or a hundredth (like the
+    prediction row's decimals) or 1."""
+    d = int(rng.choice([1, 2, 3, 100]))
+    return int(rng.integers(lo * d, hi * d + 1)) / d
+
+
+def random_fractional_model(rng: np.random.Generator) -> MILPModel:
+    """Like random_model, with fractional coefficients, right-hand sides,
+    objective and bounds (integer variables included), and more
+    continuous variables."""
+    n = int(rng.integers(2, 7))
+    m = MILPModel()
+    kinds = rng.choice([BINARY, INTEGER, CONTINUOUS], size=n, p=[0.3, 0.3, 0.4])
+    for i, kind in enumerate(kinds):
+        if kind == BINARY:
+            m.add_var(f"v{i}", BINARY)
+        else:
+            m.add_var(f"v{i}", kind, fractional(rng, -3, 1), fractional(rng, 1, 5))
+    for r in range(int(rng.integers(1, 6))):
+        terms = {f"v{i}": c for i in range(n) if (c := fractional(rng, -4, 4))}
+        if not terms:
+            terms = {"v0": 1}
+        sense = [LE, GE, EQ][int(rng.integers(0, 3))]
+        m.add_constr(f"c{r}", terms, sense, fractional(rng, -6, 9))
+    cost = {f"v{i}": c for i in range(n) if (c := fractional(rng, -5, 5))}
+    m.set_objective(MIN if rng.random() < 0.5 else MAX, cost)
+    return m
+
+
+def test_fractional_models_stay_exact():
+    """With fractional data the exact solver agrees with HiGHS, its answers
+    satisfy every row with zero residual, and every value it returns is a
+    Fraction (no int or float leaks out of the int/Fraction arithmetic)."""
+    from invqsar.milp.model import check_solution
+
+    rng = np.random.default_rng(1618)
+    statuses = []
+    for _ in range(30):
+        m = random_fractional_model(rng)
+        mini = solve_exact(m, time_limit=60)
+        ext = solve(m, "highs")
+        assert mini.status in ("optimal", "infeasible")
+        assert ext.status == mini.status
+        statuses.append(mini.status)
+        if mini.status != "optimal":
+            continue
+        assert abs(float(mini.objective) - ext.objective) < 1e-6
+        assert type(mini.objective) is Fraction
+        assert all(type(v) is Fraction for v in mini.values.values())
+        values = dict(mini.values)
+        for v in m.variables:
+            values.setdefault(v.name, Fraction(0))
+        assert check_solution(m, values, tol=0.0) == []
+    assert statuses.count("optimal") >= 10
+    assert "infeasible" in statuses
+
+
 @st.composite
 def propagation_case(draw):
     """Small bounded model with integer coefficients; a variable is integer

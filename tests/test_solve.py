@@ -95,12 +95,19 @@ def test_bad_solution_file():
         parse_solution_text("")
     with pytest.raises(SolverFailure):
         parse_solution_text("x 1 2 3 4 5\n")
+    with pytest.raises(SolverFailure, match="not a number"):
+        parse_solution_text("x abc\n")
+    with pytest.raises(SolverFailure, match="not a number"):
+        parse_solution_text("Optimal - objective value 1\n0 x abc 0\n")
 
 
 def test_command_template_failure():
     backend = ExternalBackend("false {input} {output}", timeout=10)
     with pytest.raises(SolverFailure):
         solve(small_model(), backend)
+    unclosed = ExternalBackend('solver "{input} {output}', timeout=10)
+    with pytest.raises(SolverFailure, match="cannot split"):
+        solve(small_model(), unclosed)
 
 
 def test_command_timeout():
