@@ -17,9 +17,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from invqsar.cli import graph_to_sdf, main as cli_main
+from invqsar.cli import main as cli_main
 from invqsar.decompose import decompose, tree_to_json
 from invqsar.graph import build_graph
+from invqsar.sdf import graph_to_sdf
 from invqsar.topospec import parse_spec, spec_to_json_text
 
 

@@ -46,7 +46,7 @@ from .regression import (
     predictor_from_json_text,
     predictor_to_json_text,
 )
-from .sdf import parse_sdf
+from .sdf import graph_to_sdf, parse_sdf
 from .topospec import SpecError, check_graph_satisfies, parse_spec
 
 EXIT_OK = 0
@@ -300,28 +300,6 @@ def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
               file=sys.stderr)
         return EXIT_CHECK
     return EXIT_OK
-
-
-def graph_to_sdf(graph, name: str) -> str:
-    """Minimal V2000 rendering (no coordinates)."""
-    ids = {v.id: i + 1 for i, v in enumerate(graph.vertices)}
-    lines = [name, "  invqsar", "", ""]
-    lines[3] = f"{len(graph.vertices):3d}{len(graph.edges):3d}  0  0  0  0  0  0  0  0999 V2000"
-    for v in graph.vertices:
-        lines.append(
-            f"    0.0000    0.0000    0.0000 {v.element.symbol:<3} 0  0  0  0  0  0  0  0  0  0  0  0"
-        )
-    for e in graph.edges:
-        lines.append(f"{ids[e.u]:3d}{ids[e.v]:3d}{e.mult:3d}  0  0  0  0")
-    charged = [(ids[v.id], v.charge) for v in graph.vertices if v.charge]
-    if charged:
-        head = f"M  CHG{len(charged):3d}"
-        for vid, chg in charged:
-            head += f"{vid:4d}{chg:4d}"
-        lines.append(head)
-    lines.append("M  END")
-    lines.append("$$$$")
-    return "\n".join(lines) + "\n"
 
 
 def run_verify(graph_path: str, spec_path: str, predictor_path: str,

@@ -1,20 +1,23 @@
-"""Built-in exact MILP solver: rational branch and bound over LP relaxations.
+"""Built-in exact MILP feasibility solver: rational depth-first branch and
+bound over LP relaxations.
 
-All arithmetic is exact, so feasibility, infeasibility and optimality
-conclusions carry no rounding error.  Integral values (most coefficients,
+All arithmetic is exact, so feasibility and infeasibility conclusions
+carry no rounding error.  Integral values (most coefficients,
 every integer bound, the integer-scaled tableau rows) are Python ints, and
 a `Fraction` is made only where a value is fractional; every division goes
 through `Fraction`, since `int / int` would give a float.  Keeping rational
 arithmetic off the paths that do not need it follows Applegate, Cook, Dash
 & Espinoza, "Exact solutions to linear programming problems" (2007).
-Returned values and objectives are Fractions.  Intended for models up to
-a few hundred integer variables; larger models should go through an
-external solver backend.
+Returned values are Fractions.  Intended for models up to a few hundred
+integer variables; larger models should go through an external solver
+backend.
 
-Per node: bound propagation and elimination presolve, then a two-phase
-bounded-variable simplex on the reduced LP, then branching on a fractional
-integer variable.  With a constant objective the search stops at the first
-integral point.
+Models have no objective, so the search looks for any integral point.  Per
+node: bound propagation and elimination presolve, then a phase-1
+bounded-variable simplex that finds a point of the reduced LP relaxation
+or proves it empty, then branching on a fractional integer variable.  The
+search stops at the first integral point, or proves that none exists once
+every node is closed.
 
 Bound propagation is event-driven (Savelsbergh 1994; Achterberg 2007,
 sec. 7.1): a row is revisited only after a bound of one of its variables
@@ -33,12 +36,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, inf, lcm
 
-from .model import CONTINUOUS, LE, GE, MAX, MILPModel
+from .model import CONTINUOUS, LE, GE, MILPModel
 
 # An exact value: an int when integral, else a Fraction.
 Num = int | Fraction
 
 BIG = 10**30
+# simplex iterations allowed per LP relaxation
+SIMPLEX_ITERATION_LIMIT = 50_000
 
 
 def _exact(x: float) -> Num:
@@ -79,8 +84,6 @@ class PRow:
 class Problem:
     variables: list[PVar]
     rows: list[PRow]
-    objective: dict[int, Num] = field(default_factory=dict)
-    obj_sign: int = 1  # objective stored as minimization
 
     @staticmethod
     def from_model(model: MILPModel) -> "Problem":
@@ -104,18 +107,13 @@ class Problem:
                 rows.append(PRow(coeffs, rhs, None))
             else:
                 rows.append(PRow(coeffs, rhs, rhs))
-        problem = Problem(pvars, rows)
-        sign = 1 if model.objective_sense != MAX else -1
-        problem.obj_sign = sign
-        problem.objective = {index[n]: _exact(c) * sign for n, c in model.objective}
-        return problem
+        return Problem(pvars, rows)
 
 
 @dataclass
 class SolveOutcome:
     status: str  # optimal | infeasible | timeout
     values: dict[str, Fraction] = field(default_factory=dict)
-    objective: Fraction | None = None
     nodes: int = 0
     pivots: int = 0  # simplex pivots summed over all nodes
 
@@ -242,8 +240,6 @@ def _propagate(
 class _Reduced:
     variables: list[PVar]
     rows: list[PRow]
-    objective: dict[int, Num]
-    obj_const: Num
     fixed: dict[int, Num]
     singles: list[tuple]
     keep: list[int]
@@ -338,7 +334,7 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
         for row in rows:
             victim = None
             for j, c in row.coeffs.items():
-                if occurrences.get(j, 0) != 1 or j in problem.objective:
+                if occurrences.get(j, 0) != 1:
                     continue
                 v = variables[j]
                 if v.is_int:
@@ -388,11 +384,7 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
         red_rows.append(
             PRow({remap[j]: c for j, c in row.coeffs.items()}, row.lo, row.hi)
         )
-    red_obj = {
-        remap[j]: c for j, c in problem.objective.items() if j in remap and c != 0
-    }
-    obj_const = sum(c * fixed[j] for j, c in problem.objective.items() if j in fixed)
-    return _Reduced(red_vars, red_rows, red_obj, obj_const, fixed, singles, keep)
+    return _Reduced(red_vars, red_rows, fixed, singles, keep)
 
 
 def _undo_presolve(problem: Problem, red: _Reduced, red_values) -> dict[int, Num]:
@@ -427,10 +419,12 @@ AT_UB = 1
 
 
 class _Simplex:
-    """Two-phase primal simplex with variable bounds on an exact tableau.
+    """Phase-1 primal simplex with variable bounds on an exact tableau: it
+    drives the artificial columns to zero, which finds a point of the LP,
+    or stops with a positive sum, which proves the LP infeasible.
 
     Tableau rows are int vectors; a common row scale cancels out of every
-    ratio, so rows are kept only up to scale (gcd-reduced).  The active
+    ratio, so rows are kept only up to scale (gcd-reduced).  The phase-1
     cost row is kept incrementally across pivots as ints over one common
     positive denominator.  Bounds and values are ints where integral and
     Fractions otherwise; the ratio test compares steps as integer cross
@@ -473,7 +467,7 @@ class _Simplex:
         for j in range(n):
             self.values[j] = self.lb[j]
         self._set_basics_from_nonbasics()
-        # objective row kept as integers over one common positive denominator
+        # phase-1 cost row kept as integers over one common positive denominator
         self.z_num: list[int] = [0] * ncols
         self.z_den: int = 1
         self.iterations = 0
@@ -525,23 +519,17 @@ class _Simplex:
             arts.append(col)
         return arts
 
-    def compute_zrow(self, cost: dict[int, Num]) -> None:
-        """Reduced costs of every column for the given cost vector."""
-        z = [cost.get(j, 0) for j in range(self.ncols)]
-        for r in range(self.m):
-            cb = cost.get(self.basis[r], 0)
-            if cb:
-                vec = self.rows_num[r]
-                denom = vec[self.basis[r]]
+    def set_phase1_costs(self) -> None:
+        """Reduced costs of the phase-1 cost, the sum of the artificial
+        columns, while every artificial is basic."""
+        first_art = self.n_struct + self.m
+        z: list[Num] = [0] * self.ncols
+        for vec, b in zip(self.rows_num, self.basis):
+            if b >= first_art:
                 for j, a in vec.items():
-                    if j != self.basis[r]:
-                        z[j] += cb * Fraction(-a, denom)
-        for r in range(self.m):
-            z[self.basis[r]] = 0
-        den = 1
-        for f in z:
-            if f:
-                den = lcm(den, f.denominator)
+                    if j != b:
+                        z[j] += Fraction(-a, vec[b])
+        den = lcm(*(f.denominator for f in z))
         self.z_den = den
         self.z_num = [f.numerator * (den // f.denominator) for f in z]
 
@@ -644,13 +632,13 @@ class _Simplex:
             return 0, best_row
         return _quotient(best_p, best_q), best_row
 
-    def optimize(self, max_iters: int = 50_000) -> None:
-        """Minimize the current zrow cost from the current feasible point."""
+    def optimize(self) -> None:
+        """Minimize the current zrow cost from the current point."""
         lb, ub, values, basis = self.lb, self.ub, self.values, self.basis
         in_basis, status = self.in_basis, self.status
         while True:
             self.iterations += 1
-            if self.iterations > max_iters:
+            if self.iterations > SIMPLEX_ITERATION_LIMIT:
                 raise MiniSolverError("simplex iteration limit exceeded")
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise SolverTimeout
@@ -708,35 +696,16 @@ class _Simplex:
 
 
 def _solve_lp(red: _Reduced, deadline):
-    """Exact LP solve; returns (status, values, objective, pivots)."""
-    if not red.rows:
-        values = []
-        obj = red.obj_const
-        for i, v in enumerate(red.variables):
-            c = red.objective.get(i, 0)
-            val = v.lb if c >= 0 else v.ub
-            values.append(val)
-            obj += c * val
-        return "optimal", values, obj, 0
+    """Exact phase-1 LP solve; returns (a point of the LP or None when it
+    is infeasible, simplex pivots)."""
     spx = _Simplex(red, deadline)
     arts = spx.add_artificials()
     if arts:
-        spx.compute_zrow({a: 1 for a in arts})
+        spx.set_phase1_costs()
         spx.optimize()
-        infeas = sum(spx.values[a] for a in arts)
-        if infeas > 0:
-            return "infeasible", [], 0, spx.pivots
-        for a in arts:
-            spx.lb[a] = 0
-            spx.ub[a] = 0
-            if not spx.in_basis[a]:
-                spx.values[a] = 0
-    if red.objective:
-        spx.compute_zrow(dict(red.objective))
-        spx.optimize()
-    values = [spx.values[j] for j in range(len(red.variables))]
-    obj = red.obj_const + sum(c * values[j] for j, c in red.objective.items())
-    return "optimal", values, obj, spx.pivots
+        if sum(spx.values[a] for a in arts) > 0:
+            return None, spx.pivots
+    return spx.values[:len(red.variables)], spx.pivots
 
 
 # -- branch and bound ---------------------------------------------------------
@@ -747,18 +716,15 @@ def solve_exact(
     time_limit: float | None = None,
     node_limit: int = 200_000,
 ) -> SolveOutcome:
-    """Exact rational branch and bound over the model.
+    """Exact rational depth-first branch and bound over the model.
 
-    With a constant objective the search returns the first integral
-    solution found; otherwise the full tree is explored with bound pruning
-    and the optimum is returned."""
+    Returns the first integral point found ("optimal"), "infeasible" once
+    every node is closed without one, or "timeout" at the time or node
+    limit."""
     problem = Problem.from_model(model)
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    feasibility_only = not problem.objective
 
     int_indices = [i for i, v in enumerate(problem.variables) if v.is_int]
-    best_values = None
-    best_obj: Num | None = None
     nodes = 0
     pivots = 0
     stack: list[dict[int, tuple[Num, Num]]] = [{}]
@@ -775,28 +741,17 @@ def solve_exact(
         except _Infeasible:
             continue
         try:
-            status, red_values, obj, lp_pivots = _solve_lp(red, deadline)
+            red_values, lp_pivots = _solve_lp(red, deadline)
         except SolverTimeout:
             return SolveOutcome("timeout", nodes=nodes, pivots=pivots)
         pivots += lp_pivots
-        if status == "infeasible":
-            continue
-        if best_obj is not None and obj >= best_obj:
+        if red_values is None:
             continue
         values = _undo_presolve(problem, red, red_values)
-        frac_var = None
-        for i in int_indices:
-            if values[i].denominator != 1:
-                frac_var = i
-                break
+        frac_var = next((i for i in int_indices if values[i].denominator != 1), None)
         if frac_var is None:
-            cand_obj = sum(c * values[j] for j, c in problem.objective.items())
-            if best_obj is None or cand_obj < best_obj:
-                best_obj = cand_obj
-                best_values = values
-            if feasibility_only:
-                break
-            continue
+            named = {problem.variables[i].name: Fraction(v) for i, v in values.items()}
+            return SolveOutcome("optimal", named, nodes, pivots)
         val = values[frac_var]
         v = problem.variables[frac_var]
         lo, hi = bounds.get(frac_var, (v.lb, v.ub))
@@ -807,8 +762,4 @@ def solve_exact(
         stack.append(up)
         stack.append(down)
 
-    if best_values is None:
-        return SolveOutcome("infeasible", nodes=nodes, pivots=pivots)
-    named = {problem.variables[i].name: Fraction(v) for i, v in best_values.items()}
-    objective = None if best_obj is None else Fraction(best_obj * problem.obj_sign)
-    return SolveOutcome("optimal", named, objective, nodes, pivots)
+    return SolveOutcome("infeasible", nodes=nodes, pivots=pivots)

@@ -1,5 +1,9 @@
-"""Mixed-integer linear model container, CPLEX-LP text emission and exact
-residual checks.
+"""Mixed-integer linear feasibility model container, CPLEX-LP text emission
+and exact residual checks.
+
+A model has variables and rows but no objective: the inverse problem asks
+for any point in the target window.  The LP text still carries an empty
+`Minimize` section, since LP readers require one.
 
 Emission is deterministic: two builds from the same inputs produce
 byte-identical text.  Every coefficient is written with shortest
@@ -19,9 +23,6 @@ INTEGER = "integer"
 CONTINUOUS = "continuous"
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-MIN = "min"
-MAX = "max"
 
 LE = "<="
 GE = ">="
@@ -63,8 +64,6 @@ class MILPModel:
     _vars: dict[str, Var] = field(default_factory=dict)
     _constrs: list[Constraint] = field(default_factory=list)
     _constr_names: set[str] = field(default_factory=set)
-    objective_sense: str = MIN
-    objective: tuple[tuple[str, float], ...] = ()
 
     # -- construction -----------------------------------------------------
 
@@ -112,16 +111,6 @@ class MILPModel:
         self._constr_names.add(name)
         return name
 
-    def set_objective(self, sense: str, coeffs) -> None:
-        if sense not in (MIN, MAX):
-            raise ModelError(f"bad objective sense {sense!r}")
-        items = list(coeffs.items()) if isinstance(coeffs, Mapping) else list(coeffs)
-        for var, _ in items:
-            if var not in self._vars:
-                raise ModelError(f"objective references unknown {var!r}")
-        self.objective_sense = sense
-        self.objective = tuple((v, float(c)) for v, c in items if float(c) != 0.0)
-
     # -- access ------------------------------------------------------------
 
     @property
@@ -163,8 +152,8 @@ def emit_lp(model: MILPModel) -> str:
     out.append(f"\\ model {model.name}")
     for key in sorted(model.metadata):
         out.append(f"\\ meta {key} {model.metadata[key]}")
-    out.append("Minimize" if model.objective_sense == MIN else "Maximize")
-    out.append(f" obj: {_emit_terms(model.objective)}".rstrip())
+    out.append("Minimize")
+    out.append(" obj:")
     out.append("Subject To")
     for con in model.constraints:
         out.append(f" {con.name}: {_emit_terms(con.coeffs)} {con.sense} {fmt_num(con.rhs)}")

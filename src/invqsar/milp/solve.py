@@ -4,8 +4,10 @@ Three backends: HiGHS called in-process on a sparse matrix built from the
 model, the built-in exact mini-solver, and an external solver invoked
 through a command template with {input} and {output} placeholders (LP file
 in, solution file out, wall-clock timeout).  Every returned solution is
-re-checked against the model (row residuals, bounds, integrality) before it
-is handed to callers; a failed check is a hard error, not a warning.
+re-checked against the model (row residuals, bounds, integrality, to 1e-6)
+before it is handed to callers; a failed check is a hard error, not a
+warning.  Models have no objective, so an answer is any feasible point and
+no backend reports an objective value.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .minisolve import MiniSolverError, solve_exact
-from .model import CONTINUOUS, GE, LE, MAX, MILPModel, check_solution, emit_lp
+from .model import CONTINUOUS, GE, LE, MILPModel, check_solution, emit_lp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -38,11 +40,7 @@ class SolutionCheckError(RuntimeError):
 class Solution:
     status: str
     values: dict[str, Fraction] = field(default_factory=dict)
-    objective: float | None = None
     log: str = ""
-
-    def value(self, name: str) -> Fraction:
-        return self.values[name]
 
     def int_value(self, name: str) -> int:
         v = self.values[name]
@@ -107,8 +105,8 @@ def parse_solution_text(text: str) -> Solution:
 
     Supported formats: the CBC style ('Optimal - objective value V' header
     followed by 'index name value reduced-cost' rows) and bare 'name value'
-    pairs with optional '#' comments (objective taken from a
-    '# Objective value = V' comment when present)."""
+    pairs with optional '#' comments (a comment naming 'infeasible' marks
+    the answer infeasible).  Any objective value in the file is ignored."""
     lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SolverFailure("empty solution file")
@@ -118,12 +116,6 @@ def parse_solution_text(text: str) -> Solution:
         status = OPTIMAL if lowered.startswith("optimal") else INFEASIBLE
         if lowered.startswith("stopped"):
             status = TIMEOUT
-        objective = None
-        if "objective value" in lowered:
-            try:
-                objective = float(head.split()[-1])
-            except ValueError:
-                objective = None
         values: dict[str, Fraction] = {}
         for ln in lines[1:]:
             parts = ln.split()
@@ -131,28 +123,21 @@ def parse_solution_text(text: str) -> Solution:
                 values[parts[1]] = _to_fraction(parts[2])
             elif len(parts) == 2:
                 values[parts[0]] = _to_fraction(parts[1])
-        return Solution(status, values, objective)
+        return Solution(status, values)
     # name/value pairs
     status = OPTIMAL
-    objective = None
     values = {}
     for ln in lines:
         stripped = ln.strip()
         if stripped.startswith("#"):
-            low = stripped.lower()
-            if "infeasible" in low:
+            if "infeasible" in stripped.lower():
                 status = INFEASIBLE
-            if "objective value" in low and "=" in stripped:
-                try:
-                    objective = float(stripped.split("=")[-1])
-                except ValueError:
-                    pass
             continue
         parts = stripped.split()
         if len(parts) != 2:
             raise SolverFailure(f"cannot parse solution line {ln!r}")
         values[parts[0]] = _to_fraction(parts[1])
-    return Solution(status, values, objective)
+    return Solution(status, values)
 
 
 def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
@@ -166,10 +151,6 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
 
     variables = model.variables
     index = {v.name: i for i, v in enumerate(variables)}
-    sign = -1.0 if model.objective_sense == MAX else 1.0
-    c = [0.0] * len(variables)
-    for name, coef in model.objective:
-        c[index[name]] = sign * coef
 
     rows = model.constraints
     indptr, indices, data, lo, hi = [0], [], [], [], []
@@ -183,13 +164,12 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
     a = csr_array((data, indices, indptr), shape=(len(rows), len(variables)))
     constraints = [LinearConstraint(a, lo, hi)] if rows else []
 
-    options = {"mip_rel_gap": 0.0}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
+    # no MIP gap option: with a zero cost any feasible point closes the gap
+    options = {} if time_limit is None else {"time_limit": time_limit}
 
     def attempt(**extra):
         return milp(
-            c,
+            [0.0] * len(variables),
             constraints=constraints,
             integrality=[v.kind != CONTINUOUS for v in variables],
             bounds=Bounds([v.lb for v in variables], [v.ub for v in variables]),
@@ -209,17 +189,17 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
         raise SolverFailure(f"HiGHS stopped without an answer: {res.message}")
     # shortest round-trip decimals keep the exact check's rationals small
     values = {v.name: Fraction(repr(float(x))) for v, x in zip(variables, res.x)}
-    return Solution(OPTIMAL, values, sign * float(res.fun), log=log)
+    return Solution(OPTIMAL, values, log=log)
 
 
 def solve(
     model: MILPModel,
     backend: ExternalBackend | str = "mini",
     time_limit: float | None = None,
-    tol: float = 1e-6,
     polish=None,
 ) -> Solution:
-    """Solve the model and return a residual-checked Solution.
+    """Find a feasible point of the model and return it as a Solution that
+    passed the residual check (absolute tolerance 1e-6).
 
     backend is 'highs' (in-process HiGHS), 'mini' (built-in exact solver)
     or an ExternalBackend.  Infeasibility is a status, not an error.  An
@@ -239,12 +219,8 @@ def solve(
             return Solution(INFEASIBLE)
         if outcome.status == "timeout":
             raise SolverFailure("mini-solver hit its time or node limit")
-        sol = Solution(
-            OPTIMAL,
-            dict(outcome.values),
-            None if outcome.objective is None else float(outcome.objective),
-            log=f"mini-solver nodes={outcome.nodes} pivots={outcome.pivots}",
-        )
+        sol = Solution(OPTIMAL, dict(outcome.values),
+                       log=f"mini-solver nodes={outcome.nodes} pivots={outcome.pivots}")
     elif isinstance(backend, str):
         raise ValueError(f"unknown backend {backend!r}")
     else:
@@ -261,7 +237,7 @@ def solve(
         sol.values.setdefault(v.name, Fraction(0))
     if polish is not None:
         polish(model, sol)
-    problems = check_solution(model, sol.values, tol=tol)
+    problems = check_solution(model, sol.values)
     if problems:
         raise SolutionCheckError(
             "solution fails verification: " + "; ".join(problems[:10])

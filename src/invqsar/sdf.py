@@ -1,4 +1,4 @@
-"""Minimal V2000 molfile / SDF reader.
+"""Minimal V2000 molfile / SDF reader and writer.
 
 Implicit hydrogens are materialized as explicit vertices so that every
 parsed graph satisfies the valence condition.  Records that cannot be
@@ -156,3 +156,25 @@ def parse_sdf(text: str) -> SdfParseResult:
         result.graphs.append(graph)
         result.names.append(name)
     return result
+
+
+def graph_to_sdf(graph: ChemicalGraph, name: str) -> str:
+    """Minimal V2000 rendering (no coordinates) that parse_sdf reads back."""
+    ids = {v.id: i + 1 for i, v in enumerate(graph.vertices)}
+    lines = [name, "  invqsar", "", ""]
+    lines[3] = f"{len(graph.vertices):3d}{len(graph.edges):3d}  0  0  0  0  0  0  0  0999 V2000"
+    for v in graph.vertices:
+        lines.append(
+            f"    0.0000    0.0000    0.0000 {v.element.symbol:<3} 0  0  0  0  0  0  0  0  0  0  0  0"
+        )
+    for e in graph.edges:
+        lines.append(f"{ids[e.u]:3d}{ids[e.v]:3d}{e.mult:3d}  0  0  0  0")
+    charged = [(ids[v.id], v.charge) for v in graph.vertices if v.charge]
+    if charged:
+        head = f"M  CHG{len(charged):3d}"
+        for vid, chg in charged:
+            head += f"{vid:4d}{chg:4d}"
+        lines.append(head)
+    lines.append("M  END")
+    lines.append("$$$$")
+    return "\n".join(lines) + "\n"

@@ -964,11 +964,14 @@ def check_graph_satisfies(
 # -- specification templates from example molecules ---------------------------
 
 
+# headroom that spec_from_graph gives contracted path lengths and atom counts
+LENGTH_SLACK = 1
+COUNT_SLACK = 2
+
+
 def spec_from_graph(
     g: ChemicalGraph,
     rho: int = 2,
-    length_slack: int = 1,
-    count_slack: int = 2,
     fringe_trees: list[RootedFringeTree] | None = None,
 ) -> dict:
     """Derive a specification document that the given molecule satisfies.
@@ -976,7 +979,7 @@ def spec_from_graph(
     The molecule's interior becomes the seed: hanging interior chains turn
     into leaf-path permissions (one per anchor), maximal degree-2 runs
     between kept vertices are contracted into stretchable or path edges
-    with +-length_slack, and atom-count bounds get +-count_slack headroom.
+    with +-LENGTH_SLACK, and atom-count bounds get +-COUNT_SLACK headroom.
     The fringe menu defaults to the molecule's own fringe trees; pass the
     trees of a whole dataset to widen it.  Returns a plain JSON-ready dict
     so callers can tighten or loosen clauses before parse_spec."""
@@ -1104,8 +1107,8 @@ def spec_from_graph(
         if a > b:
             a, b = b, a
         length = len(route) - 1
-        lo = max(1, length - length_slack)
-        hi = length + length_slack
+        lo = max(1, length - LENGTH_SLACK)
+        hi = length + LENGTH_SLACK
         if length == 1:
             if (a, b) in seen_direct:
                 # parallel edges must expand into vertex-disjoint paths
@@ -1141,10 +1144,10 @@ def spec_from_graph(
     return {
         "version": SCHEMA_VERSION,
         "rho": rho,
-        "n_lb": max(1, n_heavy - count_slack),
-        "n_star": n_heavy + count_slack,
-        "n_int_lb": max(2, n_int - count_slack),
-        "n_int_ub": n_int + count_slack,
+        "n_lb": max(1, n_heavy - COUNT_SLACK),
+        "n_star": n_heavy + COUNT_SLACK,
+        "n_int_lb": max(2, n_int - COUNT_SLACK),
+        "n_int_ub": n_int + COUNT_SLACK,
         "seed": {
             "vertices": [
                 {

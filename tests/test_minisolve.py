@@ -20,22 +20,31 @@ from invqsar.milp.model import (
     GE,
     INTEGER,
     LE,
-    MAX,
-    MIN,
     MILPModel,
+    check_solution,
 )
 from invqsar.milp.solve import solve
+
+
+def exact_answer(m: MILPModel, values) -> dict:
+    """The solver's values with omitted variables at 0, after checking that
+    they are Fractions that meet every row, bound and integrality exactly."""
+    assert all(type(v) is Fraction for v in values.values())
+    values = dict(values)
+    for v in m.variables:
+        values.setdefault(v.name, Fraction(0))
+    assert check_solution(m, values, tol=0.0) == []
+    return values
 
 
 def test_feasibility_binary():
     m = MILPModel()
     m.add_var("x", BINARY)
     m.add_var("y", BINARY)
-    m.add_constr("c", {"x": 1, "y": 1}, LE, 1)
-    m.set_objective(MAX, {"x": 1, "y": 1})
+    m.add_constr("c", {"x": 1, "y": 1}, GE, 2)
     out = solve_exact(m)
     assert out.status == "optimal"
-    assert out.objective == 1
+    assert exact_answer(m, out.values) == {"x": 1, "y": 1}
 
 
 def test_infeasible_toy():
@@ -46,15 +55,15 @@ def test_infeasible_toy():
     assert solve_exact(m).status == "infeasible"
 
 
-def test_exact_fractional_optimum():
+def test_exact_fractional_point():
     m = MILPModel()
     m.add_var("x", CONTINUOUS, 0, 2)
     m.add_var("y", CONTINUOUS, 0, 2)
     m.add_constr("e", {"x": 2, "y": 4}, EQ, 5)
-    m.set_objective(MIN, {"x": 1, "y": 1})
     out = solve_exact(m)
-    assert out.objective == Fraction(5, 4)
-    assert out.values["y"] == Fraction(5, 4)
+    assert out.status == "optimal"
+    values = exact_answer(m, out.values)
+    assert 2 * values["x"] + 4 * values["y"] == 5
 
 
 def test_pure_integer_feasibility_stops_on_first():
@@ -103,34 +112,29 @@ def random_model(rng: np.random.Generator) -> MILPModel:
         sense = [LE, GE, EQ][int(rng.integers(0, 3))]
         terms = {f"v{i}": int(c) for i, c in enumerate(row) if c}
         m.add_constr(f"c{r}", terms, sense, int(rng.integers(-6, 10)))
-    cost = rng.integers(-5, 6, size=n)
-    sense = MIN if rng.random() < 0.5 else MAX
-    m.set_objective(sense, {f"v{i}": int(c) for i, c in enumerate(cost) if c})
     return m
 
 
 def test_cross_solver_agreement():
-    """Mini-solver optimum equals the external solver's on random models."""
+    """The mini-solver and HiGHS agree on feasibility of random models, and
+    every mini answer is exact."""
     rng = np.random.default_rng(314)
-    backend = "highs"
-    compared = 0
+    feasible = 0
     for _ in range(20):
         m = random_model(rng)
         mini = solve_exact(m, time_limit=60)
-        ext = solve(m, backend)
+        ext = solve(m, "highs")
         assert mini.status in ("optimal", "infeasible")
         assert ext.status == mini.status
         if mini.status == "optimal":
-            assert abs(float(mini.objective) - ext.objective) < 1e-6
-            compared += 1
-    assert compared >= 5  # most random models should be feasible
+            exact_answer(m, mini.values)
+            feasible += 1
+    assert feasible >= 5  # most random models should be feasible
 
 
 def test_solutions_exact_to_zero_tolerance():
     """Feasible answers from the exact solver satisfy every row with zero
     residual, not merely within a tolerance."""
-    from invqsar.milp.model import check_solution
-
     rng = np.random.default_rng(2718)
     exact_checked = 0
     for _ in range(25):
@@ -138,10 +142,7 @@ def test_solutions_exact_to_zero_tolerance():
         out = solve_exact(m, time_limit=30)
         if out.status != "optimal":
             continue
-        values = dict(out.values)
-        for v in m.variables:
-            values.setdefault(v.name, Fraction(0))
-        assert check_solution(m, values, tol=0.0) == []
+        exact_answer(m, out.values)
         exact_checked += 1
     assert exact_checked >= 8
 
@@ -154,9 +155,9 @@ def fractional(rng: np.random.Generator, lo: int, hi: int) -> float:
 
 
 def random_fractional_model(rng: np.random.Generator) -> MILPModel:
-    """Like random_model, with fractional coefficients, right-hand sides,
-    objective and bounds (integer variables included), and more
-    continuous variables."""
+    """Like random_model, with fractional coefficients, right-hand sides
+    and bounds (integer variables included), and more continuous
+    variables."""
     n = int(rng.integers(2, 7))
     m = MILPModel()
     kinds = rng.choice([BINARY, INTEGER, CONTINUOUS], size=n, p=[0.3, 0.3, 0.4])
@@ -171,17 +172,14 @@ def random_fractional_model(rng: np.random.Generator) -> MILPModel:
             terms = {"v0": 1}
         sense = [LE, GE, EQ][int(rng.integers(0, 3))]
         m.add_constr(f"c{r}", terms, sense, fractional(rng, -6, 9))
-    cost = {f"v{i}": c for i in range(n) if (c := fractional(rng, -5, 5))}
-    m.set_objective(MIN if rng.random() < 0.5 else MAX, cost)
     return m
 
 
 def test_fractional_models_stay_exact():
-    """With fractional data the exact solver agrees with HiGHS, its answers
-    satisfy every row with zero residual, and every value it returns is a
-    Fraction (no int or float leaks out of the int/Fraction arithmetic)."""
-    from invqsar.milp.model import check_solution
-
+    """With fractional data the exact solver agrees with HiGHS on
+    feasibility, its answers satisfy every row with zero residual, and
+    every value it returns is a Fraction (no int or float leaks out of the
+    int/Fraction arithmetic)."""
     rng = np.random.default_rng(1618)
     statuses = []
     for _ in range(30):
@@ -191,15 +189,8 @@ def test_fractional_models_stay_exact():
         assert mini.status in ("optimal", "infeasible")
         assert ext.status == mini.status
         statuses.append(mini.status)
-        if mini.status != "optimal":
-            continue
-        assert abs(float(mini.objective) - ext.objective) < 1e-6
-        assert type(mini.objective) is Fraction
-        assert all(type(v) is Fraction for v in mini.values.values())
-        values = dict(mini.values)
-        for v in m.variables:
-            values.setdefault(v.name, Fraction(0))
-        assert check_solution(m, values, tol=0.0) == []
+        if mini.status == "optimal":
+            exact_answer(m, mini.values)
     assert statuses.count("optimal") >= 10
     assert "infeasible" in statuses
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import roundtrip_fixture
 from invqsar.milp.build import build_milp
-from invqsar.milp.model import BINARY, CONTINUOUS, GE, LE, MAX, MILPModel
+from invqsar.milp.model import BINARY, CONTINUOUS, EQ, GE, LE, MILPModel
 from invqsar.milp.solve import (
     ExternalBackend,
     SolutionCheckError,
@@ -18,11 +18,11 @@ from invqsar.milp.solve import (
 
 
 def small_model():
+    """x + y = 2.5 with x binary and y <= 2: the only point is (1, 3/2)."""
     m = MILPModel()
     m.add_var("x", BINARY)
     m.add_var("y", CONTINUOUS, 0, 2)
-    m.add_constr("c1", {"x": 1, "y": 1}, LE, 2.5)
-    m.set_objective(MAX, {"x": 1, "y": 1})
+    m.add_constr("c1", {"x": 1, "y": 1}, EQ, 2.5)
     return m
 
 
@@ -34,7 +34,6 @@ def test_external_backend_round_trip():
     )
     sol = solve(small_model(), backend)
     assert sol.status == "optimal"
-    assert abs(sol.objective - 2.5) < 1e-6
     assert sol.int_value("x") == 1
     assert sol.values["y"] == Fraction(3, 2)
 
@@ -49,7 +48,7 @@ def test_highs_time_limit_is_failure():
 def test_mini_backend():
     sol = solve(small_model(), "mini")
     assert sol.status == "optimal"
-    assert abs(sol.objective - 2.5) < 1e-9
+    assert sol.values == {"x": 1, "y": Fraction(3, 2)}
 
 
 def test_infeasible_is_status_not_error():
@@ -68,8 +67,16 @@ def test_parse_cbc_style():
     )
     sol = parse_solution_text(text)
     assert sol.status == "optimal"
-    assert sol.objective == 12.5
-    assert sol.values["y"] == Fraction(1, 2)
+    assert sol.values == {"x": 1, "y": Fraction(1, 2)}
+
+
+def test_parse_ignores_objective_value():
+    """A solver's objective value in the file changes nothing."""
+    rows = "0 x 1 0\n1 y 0.5 0\n"
+    zero = parse_solution_text("Optimal - objective value 0\n" + rows)
+    for value in ("12.5", "-3e7", "inf"):
+        sol = parse_solution_text(f"Optimal - objective value {value}\n" + rows)
+        assert (sol.status, sol.values) == (zero.status, zero.values)
 
 
 def test_parse_name_value_style():
@@ -80,7 +87,6 @@ def test_parse_name_value_style():
     )
     sol = parse_solution_text(text)
     assert sol.status == "optimal"
-    assert sol.objective == 3.0
     assert sol.values["x"] == 1
     assert sol.values["y"] == Fraction(9, 4)
 
