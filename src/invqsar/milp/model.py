@@ -8,6 +8,11 @@ for any point in the target window.  The LP text still carries an empty
 Emission is deterministic: two builds from the same inputs produce
 byte-identical text.  Every coefficient is written with shortest
 round-trip float formatting, so the text carries the model exactly.
+
+The residual check is exact.  Most rows have integral coefficients and
+right-hand sides, and after polishing every integer variable is integral,
+so those rows are summed in Python ints; the rest (normalization,
+prediction and mass rows, fractional values) are summed in Fractions.
 """
 
 from __future__ import annotations
@@ -79,6 +84,8 @@ class MILPModel:
             lb = max(0.0, float(lb))
             ub = min(1.0, float(ub))
         lb, ub = float(lb), float(ub)
+        if math.isnan(lb) or math.isnan(ub):
+            raise ModelError(f"variable {name} has a NaN bound")
         if lb > ub:
             raise ModelError(f"variable {name}: lower bound {lb} above upper {ub}")
         if kind in (BINARY, INTEGER) and (math.isinf(lb) or math.isinf(ub)):
@@ -183,51 +190,68 @@ def emit_lp(model: MILPModel) -> str:
 # -- exact residual checking ----------------------------------------------
 
 
-def exact(v: float) -> Fraction:
-    return Fraction(v)
-
-
-def constraint_residuals(
-    model: MILPModel, values: Mapping[str, Fraction]
-) -> dict[str, Fraction]:
-    """Signed violation of each row (positive means violated)."""
-    out: dict[str, Fraction] = {}
-    for con in model.constraints:
-        lhs = sum(exact(c) * values[v] for v, c in con.coeffs)
-        rhs = exact(con.rhs)
-        if con.sense == LE:
-            out[con.name] = lhs - rhs
-        elif con.sense == GE:
-            out[con.name] = rhs - lhs
-        else:
-            out[con.name] = abs(lhs - rhs)
-    return out
-
-
 def check_solution(
     model: MILPModel,
     values: Mapping[str, Fraction],
     tol: float = 1e-6,
 ) -> list[str]:
-    """All violations above tol: rows, bounds and integrality."""
+    """All violations above tol (non-negative), in exact arithmetic: bounds
+    and integrality first, and the rows only if every value passed those.
+
+    Each row's signed violation is `lhs - rhs` for <=, `rhs - lhs` for >=
+    and `|lhs - rhs|` for =.  An integral value is held as an int; a row
+    whose coefficients and right-hand side are integral floats and whose
+    values are all integral is summed in ints, every other row and value
+    in Fractions.  Both give the same exact verdict and message."""
+    if tol < 0:
+        raise ValueError(f"tolerance {tol} is negative")
     problems: list[str] = []
     ftol = Fraction(repr(tol)) if isinstance(tol, float) else Fraction(tol)
+    ints: dict[str, int] = {}
     for v in model.variables:
         if v.name not in values:
             problems.append(f"missing value for {v.name}")
             continue
         val = values[v.name]
-        if not math.isinf(v.lb) and val < exact(v.lb) - ftol:
+        n = val.numerator if val.denominator == 1 else None
+        if n is not None:
+            ints[v.name] = n
+        # an int compares with a float bound exactly, so an integral value
+        # inside its bounds needs no Fraction; it is integral, too
+        if ((n is None or n < v.lb) and not math.isinf(v.lb)
+                and val < Fraction(v.lb) - ftol):
             problems.append(f"{v.name} = {float(val)} below lower bound {v.lb}")
-        if not math.isinf(v.ub) and val > exact(v.ub) + ftol:
+        if ((n is None or n > v.ub) and not math.isinf(v.ub)
+                and val > Fraction(v.ub) + ftol):
             problems.append(f"{v.name} = {float(val)} above upper bound {v.ub}")
-        if v.kind in (BINARY, INTEGER):
-            nearest = round(val)
-            if abs(val - nearest) > ftol:
-                problems.append(f"{v.name} = {float(val)} is not integral")
+        if (n is None and v.kind in (BINARY, INTEGER)
+                and abs(val - round(val)) > ftol):
+            problems.append(f"{v.name} = {float(val)} is not integral")
     if problems:
         return problems
-    for name, resid in constraint_residuals(model, values).items():
-        if resid > ftol:
-            problems.append(f"constraint {name} violated by {float(resid)}")
+    for con in model.constraints:
+        lhs = 0
+        integral = con.rhs.is_integer()
+        if integral:
+            for name, c in con.coeffs:
+                n = ints.get(name)
+                if n is None or not c.is_integer():
+                    integral = False
+                    break
+                lhs += int(c) * n
+        if integral:
+            rhs = int(con.rhs)
+        else:
+            lhs = sum(Fraction(c) * values[name] for name, c in con.coeffs)
+            rhs = Fraction(con.rhs)
+        if con.sense == LE:
+            resid = lhs - rhs
+        elif con.sense == GE:
+            resid = rhs - lhs
+        else:
+            resid = abs(lhs - rhs)
+        # most rows hold with resid <= 0, and an int compared with 0 makes
+        # no Fraction
+        if resid > 0 and resid > ftol:
+            problems.append(f"constraint {con.name} violated by {float(resid)}")
     return problems

@@ -215,12 +215,12 @@ def solve(
             outcome = solve_exact(model, time_limit=time_limit)
         except MiniSolverError as exc:
             raise SolverFailure(f"mini-solver failed: {exc}") from exc
+        log = f"mini-solver nodes={outcome.nodes} pivots={outcome.pivots}"
         if outcome.status == "infeasible":
-            return Solution(INFEASIBLE)
+            return Solution(INFEASIBLE, log=log)
         if outcome.status == "timeout":
             raise SolverFailure("mini-solver hit its time or node limit")
-        sol = Solution(OPTIMAL, dict(outcome.values),
-                       log=f"mini-solver nodes={outcome.nodes} pivots={outcome.pivots}")
+        sol = Solution(OPTIMAL, dict(outcome.values), log=log)
     elif isinstance(backend, str):
         raise ValueError(f"unknown backend {backend!r}")
     else:

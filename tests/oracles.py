@@ -1,8 +1,8 @@
 """Independent reference implementations used only as test oracles.
 
 Everything here recomputes results from first principles (plain counting,
-backtracking, gradient iterations) without calling the code paths under
-test, so agreement is meaningful evidence.
+backtracking, gradient iterations, all-Fraction arithmetic) without
+calling the code paths under test, so agreement is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 from invqsar.decompose import RootedFringeTree
 from invqsar.descriptors import DescriptorSpace
 from invqsar.graph import ChemicalGraph
+from invqsar.milp.model import BINARY, GE, INTEGER, LE, MILPModel
 
 
 # -- two-layered feature counting ------------------------------------------
@@ -269,3 +270,47 @@ def kkt_residuals(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
         else:
             out[j] = abs(grad[j] + math.copysign(lam, w[j]))
     return out
+
+
+# -- exact residuals in Fractions only ----------------------------------------
+
+
+def constraint_residuals(model: MILPModel, values) -> dict[str, Fraction]:
+    """Signed violation of each row (positive means violated)."""
+    out: dict[str, Fraction] = {}
+    for con in model.constraints:
+        lhs = sum(Fraction(c) * values[v] for v, c in con.coeffs)
+        rhs = Fraction(con.rhs)
+        if con.sense == LE:
+            out[con.name] = lhs - rhs
+        elif con.sense == GE:
+            out[con.name] = rhs - lhs
+        else:
+            out[con.name] = abs(lhs - rhs)
+    return out
+
+
+def check_solution(model: MILPModel, values, tol: float = 1e-6) -> list[str]:
+    """All violations above tol: rows, bounds and integrality, every number
+    a Fraction."""
+    problems: list[str] = []
+    ftol = Fraction(repr(tol)) if isinstance(tol, float) else Fraction(tol)
+    for v in model.variables:
+        if v.name not in values:
+            problems.append(f"missing value for {v.name}")
+            continue
+        val = values[v.name]
+        if not math.isinf(v.lb) and val < Fraction(v.lb) - ftol:
+            problems.append(f"{v.name} = {float(val)} below lower bound {v.lb}")
+        if not math.isinf(v.ub) and val > Fraction(v.ub) + ftol:
+            problems.append(f"{v.name} = {float(val)} above upper bound {v.ub}")
+        if v.kind in (BINARY, INTEGER):
+            nearest = round(val)
+            if abs(val - nearest) > ftol:
+                problems.append(f"{v.name} = {float(val)} is not integral")
+    if problems:
+        return problems
+    for name, resid in constraint_residuals(model, values).items():
+        if resid > ftol:
+            problems.append(f"constraint {name} violated by {float(resid)}")
+    return problems

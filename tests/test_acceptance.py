@@ -15,7 +15,7 @@ import pytest
 from invqsar.descriptors import build_space, featurize
 from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import decode, solution_feature_values
-from invqsar.milp.model import constraint_residuals, emit_lp
+from invqsar.milp.model import emit_lp
 from invqsar.milp.solve import solve
 from invqsar.regression import lasso_fit, cross_validate_path
 from invqsar.topospec import check_graph_satisfies, parse_spec
@@ -27,7 +27,12 @@ from conftest import (
 )
 from lp_reader import parse_lp
 from lp_validator import validate_lp
-from oracles import brute_force_features, kkt_residuals, r_isomorphic
+from oracles import (
+    brute_force_features,
+    constraint_residuals,
+    kkt_residuals,
+    r_isomorphic,
+)
 from test_canonical import all_labeled_trees
 from test_decode_roundtrip import infeasible_specs
 

@@ -333,6 +333,15 @@ def test_infer_decode_failure_exit_code(trained, monkeypatch, capsys):
     assert "decode failure: no seed vertex selected" in capsys.readouterr().err
 
 
+def test_infer_infeasible_with_builtin_solver_logs_the_proof(trained):
+    tmp, cfg_path = trained
+    cfg = with_solver(tmp, cfg_path, "mini")
+    assert main(["infer", "--config", cfg, "--lo", "900", "--hi", "901"]) == 3
+    log = (tmp / "out" / "solve.log").read_text()
+    match = re.fullmatch(r"mini-solver nodes=(\d+) pivots=(\d+)", log)
+    assert match and int(match[1]) >= 1
+
+
 def test_infer_mini_solver_fault_exit_code(trained, monkeypatch, capsys):
     tmp, cfg_path = trained
 

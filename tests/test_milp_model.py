@@ -13,14 +13,16 @@ from invqsar.milp.model import (
     MILPModel,
     ModelError,
     check_solution,
-    constraint_residuals,
     emit_lp,
 )
 
-from conftest import roundtrip_fixture
-from invqsar.milp.build import build_milp
+import oracles
+from conftest import ALL_ROUNDTRIP_FIXTURES, roundtrip_fixture
+from invqsar.milp.build import build_milp, polish_solution
+from invqsar.milp.solve import solve
 from lp_reader import parse_lp
 from lp_validator import LpFormatError, validate_lp
+from oracles import constraint_residuals
 
 
 def toy_model():
@@ -124,6 +126,14 @@ def test_unbounded_integer_rejected():
         m.add_var("n", INTEGER, 0, math.inf)
 
 
+def test_nan_bound_rejected():
+    m = MILPModel()
+    with pytest.raises(ModelError, match="NaN"):
+        m.add_var("x", CONTINUOUS, math.nan, 1)
+    with pytest.raises(ModelError, match="NaN"):
+        m.add_var("y", CONTINUOUS, 0, math.nan)
+
+
 def test_unknown_variable_rejected():
     m = MILPModel()
     m.add_var("x", BINARY)
@@ -203,3 +213,131 @@ def test_emit_parse_round_trip_property(model):
     again = emit_lp(parse_lp(text))
     assert again == text
     validate_lp(text)
+
+
+# -- the int/Fraction check against the all-Fraction oracle ------------------
+
+# integral, halves, thirds and near-1 numbers: the int path takes only the
+# first kind, so every draw mixes both paths
+check_numbers = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.integers(-12, 12).map(lambda k: k / 2),
+    st.integers(-9, 9).map(lambda k: k / 3),
+    st.sampled_from([1 + 1e-5, 1 - 1e-5, -1 + 1e-5]),
+)
+value_offsets = st.sampled_from([
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+    Fraction(-1, 3), Fraction(1, 10**6), Fraction(-1, 10**6),
+    Fraction(10**6 + 1, 10**12), Fraction(-10**6 - 1, 10**12),
+])
+
+
+@st.composite
+def model_and_values(draw):
+    m = MILPModel(name="check")
+    for i in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from([BINARY, INTEGER, CONTINUOUS]))
+        lo = draw(check_numbers)
+        hi = lo + abs(draw(check_numbers))
+        if kind == BINARY:
+            lo, hi = 0, 1
+        elif kind == CONTINUOUS:
+            lo = draw(st.sampled_from([lo, -math.inf]))
+            hi = draw(st.sampled_from([hi, math.inf]))
+        m.add_var(f"v{i}", kind, lo, hi)
+    values = {}
+    for v in m.variables:
+        if draw(st.integers(0, 60)) == 0:
+            continue  # missing value
+        lo = Fraction(v.lb) if v.lb > -math.inf else Fraction(min(v.ub, 0)) - 3
+        hi = Fraction(v.ub) if v.ub < math.inf else lo + 3
+        inside = lo + (hi - lo) * draw(st.sampled_from([0, Fraction(1, 3), 1]))
+        if v.kind != CONTINUOUS and math.ceil(lo) <= hi:
+            inside = Fraction(draw(st.integers(math.ceil(lo), math.floor(hi))))
+        near = draw(st.sampled_from([lo, hi])) + draw(value_offsets)
+        # mostly feasible values, so the rows get checked
+        values[v.name] = draw(st.sampled_from(
+            [inside] * 3 + [near, Fraction(round(near))]))
+    names = [v.name for v in m.variables]
+    for r in range(draw(st.integers(1, 4))):
+        support = draw(st.lists(st.sampled_from(names), min_size=1,
+                                max_size=len(names), unique=True))
+        coeffs = {n: draw(check_numbers.filter(bool)) for n in support}
+        rhs = draw(check_numbers)
+        if all(n in values for n in support) and draw(st.booleans()):
+            # a row that holds, or nearly: rhs rounded from the exact lhs
+            rhs = float(sum(Fraction(c) * values[n] for n, c in coeffs.items()))
+        m.add_constr(f"c{r}", coeffs, draw(st.sampled_from([LE, GE, EQ])), rhs)
+    return m, values
+
+
+@settings(max_examples=400, deadline=None)
+@given(model_and_values(), st.sampled_from([0, 0.0, 1e-6]))
+def test_check_solution_matches_fraction_oracle(drawn, tol):
+    model, values = drawn
+    assert check_solution(model, values, tol) == oracles.check_solution(
+        model, values, tol)
+
+
+def perturbed(model, values):
+    """A copy with one binary flipped and one continuous value moved by 1/3."""
+    out = dict(values)
+    binaries = [v.name for v in model.variables if v.kind == BINARY]
+    flip = binaries[len(binaries) // 2]
+    out[flip] = 1 - out[flip]
+    moved = next(v.name for v in model.variables
+                 if v.kind == CONTINUOUS and out[v.name] + 1 <= v.ub)
+    out[moved] += Fraction(1, 3)
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_ROUNDTRIP_FIXTURES)
+def test_check_solution_matches_oracle_on_solver_answers(name):
+    fx = roundtrip_fixture(name)
+    model = build_milp(fx.spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi)
+    backends = ("highs", "mini") if fx.mini_ok else ("highs",)
+    for backend in backends:
+        sol = solve(model, backend, time_limit=600, polish=polish_solution)
+        assert sol.status == "optimal"
+        for values in (sol.values, perturbed(model, sol.values)):
+            for tol in (0, 1e-6):
+                want = oracles.check_solution(model, values, tol)
+                assert check_solution(model, values, tol) == want
+        assert want  # the perturbed copy breaks a row
+
+
+def test_check_continuous_bound_tolerance_is_exact():
+    m = MILPModel()
+    m.add_var("x", CONTINUOUS, 2, 5)
+    edge = Fraction(1, 10**6)
+    assert check_solution(m, {"x": 2 - edge}) == []
+    assert check_solution(m, {"x": 5 + edge}) == []
+    tiny = Fraction(1, 10**12)
+    assert check_solution(m, {"x": 2 - edge - tiny}) == [
+        f"x = {float(2 - edge - tiny)} below lower bound 2.0"]
+    assert check_solution(m, {"x": 5 + edge + tiny}) == [
+        f"x = {float(5 + edge + tiny)} above upper bound 5.0"]
+    with pytest.raises(ValueError, match="negative"):
+        check_solution(m, {"x": Fraction(3)}, tol=-1e-9)
+
+
+def test_check_compares_big_integers_with_float_bounds_exactly():
+    m = MILPModel()
+    m.add_var("n", INTEGER, 0, 2.0**53)
+    # float(2**53 + 1) == 2**53, so a float comparison would pass it
+    problems = check_solution(m, {"n": Fraction(2**53 + 1)})
+    assert problems == [f"n = {float(2**53)} above upper bound {2.0**53}"]
+    assert check_solution(m, {"n": Fraction(2**53)}) == []
+
+
+def test_check_sums_integer_rows_beyond_float_precision():
+    m = MILPModel()
+    m.add_var("x", INTEGER, 0, 2.0**60)
+    m.add_var("y", INTEGER, 0, 2.0**60)
+    m.add_constr("big", {"x": 1, "y": 1}, EQ, 2.0**54)
+    assert check_solution(m, {"x": Fraction(2**53 + 1),
+                              "y": Fraction(2**53 - 1)}) == []
+    # 2**54 + 1 rounds to 2**54 in floats
+    assert check_solution(m, {"x": Fraction(2**53 + 1),
+                              "y": Fraction(2**53)}) == [
+        "constraint big violated by 1.0"]
