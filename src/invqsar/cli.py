@@ -10,6 +10,7 @@ are deterministic under a fixed seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from .descriptors import (
     space_from_censuses,
     space_from_json,
     space_hash,
-    space_to_json,
+    space_to_json_text,
     take_census,
     write_feature_csv,
 )
@@ -168,15 +169,16 @@ def run_featurize(cfg: ProjectConfig) -> int:
     (out / "features.csv").write_text(
         write_feature_csv(result.names, vectors, space)
     )
-    (out / "space.json").write_text(
-        json.dumps(space_to_json(space), indent=2, sort_keys=True)
-    )
+    (out / "space.json").write_text(space_to_json_text(space))
     print(f"featurized {len(vectors)} graphs, K={space.k}")
     print(f"wrote {out / 'features.csv'} and {out / 'space.json'}")
     return EXIT_OK
 
 
 def _load_targets(path: str) -> dict[str, float]:
+    """id -> value from a two-column CSV; ids may be quoted as in
+    features.csv.  Blank lines, '#' comment lines and an 'id,' header are
+    skipped."""
     text = _read_text(path)
     targets: dict[str, float] = {}
     for line in text.splitlines():
@@ -185,8 +187,9 @@ def _load_targets(path: str) -> dict[str, float]:
             continue
         if line.lower().startswith("id,"):
             continue
-        name, _, value = line.partition(",")
+        rec = next(csv.reader([line]))
         try:
+            name, value = rec
             targets[name.strip()] = float(value)
         except ValueError as exc:
             raise UsageError(f"bad target line {line!r}") from exc

@@ -363,12 +363,17 @@ def _format_value(v: int | Fraction) -> str:
 def write_feature_csv(
     ids: list[str], vectors: list[FeatureVector], space: DescriptorSpace
 ) -> str:
-    """CSV text with a header of descriptor names and one row per graph."""
+    """CSV text with a header of descriptor names and one row per graph.
+    Plain ints go to the csv writer as they are (it formats them with
+    str); any other value, such as the rational mass average, goes
+    through _format_value."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", *space.descriptor_names])
-    for gid, fv in zip(ids, vectors):
-        writer.writerow([gid, *(_format_value(v) for v in fv.values)])
+    writer.writerows(
+        [gid, *[v if type(v) is int else _format_value(v) for v in fv.values]]
+        for gid, fv in zip(ids, vectors)
+    )
     return buf.getvalue()
 
 
@@ -416,6 +421,23 @@ def space_to_json(space: DescriptorSpace) -> dict:
             {"a": a.a.token, "b": a.b.token, "mult": a.mult} for a in space.ac_lf
         ],
     }
+
+
+def space_to_json_text(space: DescriptorSpace) -> str:
+    """The space.json text of space_to_json(space): one top-level key per
+    line and one catalog entry per line, each entry written by the C JSON
+    encoder.  Read it as JSON, not by lines."""
+    doc = space_to_json(space)
+    items = []
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, list) and value:
+            entries = ",\n".join(
+                "    " + json.dumps(entry, sort_keys=True) for entry in value)
+            items.append(f"  {json.dumps(key)}: [\n{entries}\n  ]")
+        else:
+            items.append(f"  {json.dumps(key)}: {json.dumps(value)}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def _integer(value) -> int:

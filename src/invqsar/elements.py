@@ -81,16 +81,24 @@ _VALENCES = {
 
 DEFAULT_VALENCE = {sym: vals[0] for sym, vals in _VALENCES.items()}
 
-HYDROGEN = ElementSpec("H", 1, _MASS10["H"])
+# the one shared ElementSpec of each (symbol, valence) that ElementSpec accepts
+_SHARED = {
+    (symbol, valence): ElementSpec(symbol, valence, mass)
+    for symbol, mass in _MASS10.items()
+    for valence in range(1, 7)
+}
 
 
 def make_element(symbol: str, valence: int | None = None) -> ElementSpec:
-    """Build an ElementSpec from a symbol and optional explicit valence."""
-    if symbol not in _MASS10:
-        raise UnknownElementError(f"unknown element symbol {symbol!r}")
+    """The shared ElementSpec of a symbol and optional explicit valence."""
     if valence is None:
-        valence = DEFAULT_VALENCE[symbol]
-    return ElementSpec(symbol, valence, _MASS10[symbol])
+        valence = DEFAULT_VALENCE.get(symbol)
+    spec = _SHARED.get((symbol, valence))
+    if spec is None:
+        if symbol not in _MASS10:
+            raise UnknownElementError(f"unknown element symbol {symbol!r}")
+        raise ValueError(f"valence {valence!r} of {symbol} is not an integer in [1,6]")
+    return spec
 
 
 def parse_element(token: str) -> ElementSpec:

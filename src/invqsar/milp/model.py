@@ -111,10 +111,15 @@ class MILPModel:
             seen.add(var)
             c = float(c)
             if c != 0.0:
+                if not math.isfinite(c):
+                    raise ModelError(f"constraint {name} has coefficient {c} on {var}")
                 cleaned.append((var, c))
         if not cleaned:
             raise ModelError(f"constraint {name} has no nonzero terms")
-        self._constrs.append(Constraint(name, tuple(cleaned), sense, float(rhs)))
+        rhs = float(rhs)
+        if not math.isfinite(rhs):
+            raise ModelError(f"constraint {name} has right-hand side {rhs}")
+        self._constrs.append(Constraint(name, tuple(cleaned), sense, rhs))
         self._constr_names.add(name)
         return name
 

@@ -7,13 +7,15 @@ calling the code paths under test, so agreement is meaningful evidence.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from invqsar.decompose import RootedFringeTree
-from invqsar.descriptors import DescriptorSpace
+from invqsar.descriptors import DescriptorSpace, FeatureVector
 from invqsar.graph import ChemicalGraph
 from invqsar.milp.model import BINARY, GE, INTEGER, LE, MILPModel
 
@@ -177,6 +179,27 @@ def brute_force_features(g: ChemicalGraph, space: DescriptorSpace) -> list:
             key = (token[e.v], token[e.u], e.mult)
         values[off["ac"] + ac_keys[key]] += 1
     return values
+
+
+# -- feature table text ------------------------------------------------------
+
+
+def _format_value(v: int | Fraction) -> str:
+    if isinstance(v, Fraction) and v.denominator != 1:
+        return repr(float(v))
+    return str(int(v))
+
+
+def write_feature_csv(
+    ids: list[str], vectors: list[FeatureVector], space: DescriptorSpace
+) -> str:
+    """CSV text with a header of descriptor names and one row per graph."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", *space.descriptor_names])
+    for gid, fv in zip(ids, vectors):
+        writer.writerow([gid, *(_format_value(v) for v in fv.values)])
+    return buf.getvalue()
 
 
 # -- rooted-tree isomorphism -------------------------------------------------

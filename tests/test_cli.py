@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import subprocess
@@ -513,3 +515,27 @@ def test_bad_input_files_are_usage_errors(trained, capsys, command, target, edit
     err = capsys.readouterr().err
     assert needle in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_train_accepts_quoted_ids(project, capsys):
+    """Ids holding a comma or a double quote are quoted in features.csv and
+    read back from targets.csv written the same way."""
+    tmp, cfg_path, fx = project
+    names = {"mol0": "m,0", "mol1": 'm"1'}
+    sdf = tmp / "dataset.sdf"
+    records = parse_sdf(sdf.read_text())
+    sdf.write_text("".join(graph_to_sdf(g, names.get(n, n))
+                           for n, g in zip(records.names, records.graphs)))
+    targets = (tmp / "targets.csv").read_text().splitlines()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "value"])
+    for line in targets[1:]:
+        name, value = line.split(",")
+        writer.writerow([names.get(name, name), value])
+    (tmp / "targets.csv").write_text(buf.getvalue())
+
+    assert main(["featurize", "--config", str(cfg_path)]) == 0
+    features = (tmp / "out" / "features.csv").read_text()
+    assert '\n"m,0",' in features and '\n"m""1",' in features
+    assert main(["train", "--config", str(cfg_path)]) == 0

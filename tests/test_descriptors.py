@@ -14,6 +14,7 @@ from invqsar.descriptors import (
     space_from_json,
     space_hash,
     space_to_json,
+    space_to_json_text,
     take_census,
     write_feature_csv,
 )
@@ -21,6 +22,7 @@ from invqsar.graph import ChemicalGraph, build_graph
 from invqsar.regression import min_max_scale
 
 from conftest import chain, random_chemical_graph, ring
+import oracles
 from oracles import brute_force_features
 
 
@@ -170,6 +172,58 @@ def test_csv_round_trip():
         assert row == [float(v) for v in fv.values]
     # determinism
     assert text == write_feature_csv(["a", "b", "c"], vectors, space)
+
+
+_CSV_SPACE = build_space([ring(6)], 2)
+
+_csv_ids = st.one_of(
+    st.text(alphabet=st.sampled_from('ab0 ,"\'é中µ#'), max_size=8),
+    st.text(max_size=8),
+)
+_csv_values = st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=50),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers().map(Fraction),
+    st.fractions(max_denominator=10**6),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(
+    st.tuples(_csv_ids, st.lists(_csv_values, min_size=_CSV_SPACE.k,
+                                 max_size=_CSV_SPACE.k)),
+    max_size=3))
+def test_feature_csv_matches_oracle_bytes(rows):
+    ids = [gid for gid, _ in rows]
+    vectors = [FeatureVector(tuple(values)) for _, values in rows]
+    assert (write_feature_csv(ids, vectors, _CSV_SPACE)
+            == oracles.write_feature_csv(ids, vectors, _CSV_SPACE))
+
+
+@pytest.mark.parametrize("dataset", [
+    [ring(6)],
+    [ring(6), ring(4, pendant=2), chain(["C", "N", "C"])],
+], ids=["one-ring", "mixed"])
+def test_space_json_text_layout(dataset):
+    space = build_space(dataset, 2)
+    doc = space_to_json(space)
+    text = space_to_json_text(space)
+    assert json.loads(text) == doc
+    lines = text.splitlines()
+    # each top-level key on its own line, in sorted order
+    assert [json.loads(line.split(":")[0]) for line in lines
+            if line.startswith('  "')] == sorted(doc)
+    # each catalog entry on its own line
+    entries = [json.loads(line.strip().rstrip(",")) for line in lines
+               if line.startswith("    ")]
+    assert entries == [e for key in sorted(doc) if isinstance(doc[key], list)
+                       for e in doc[key]]
+    # a document in the earlier indent=2 layout reads to the same space
+    old = space_from_json(json.loads(json.dumps(doc, indent=2, sort_keys=True)))
+    new = space_from_json(json.loads(text))
+    assert old == new
+    assert space_hash(old) == space_hash(new) == space_hash(space)
 
 
 def test_space_json_round_trip():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from invqsar.elements import make_element, parse_element, UnknownElementError
@@ -24,6 +26,26 @@ def test_element_tokens():
     assert parse_element("S").token == "S"
     with pytest.raises(UnknownElementError):
         parse_element("Xx")
+
+
+def test_element_variants_are_shared():
+    assert make_element("C") is make_element("C", 4) is parse_element("C")
+    assert parse_element("S(6)") is make_element("S", 6)
+    assert make_element("S") is not make_element("S", 6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        make_element("C").valence = 2
+
+
+def test_element_errors_survive_sharing():
+    make_element("C")
+    for _ in range(2):
+        with pytest.raises(UnknownElementError):
+            make_element("Xx")
+        with pytest.raises(UnknownElementError):
+            make_element("Xx", 4)
+        for bad in (0, 7, 2.5, "4"):
+            with pytest.raises(ValueError, match="valence"):
+                make_element("C", bad)
 
 
 def test_ethane_valid():

@@ -134,6 +134,18 @@ def test_nan_bound_rejected():
         m.add_var("y", CONTINUOUS, 0, math.nan)
 
 
+@pytest.mark.parametrize("coeff, rhs", [
+    (math.inf, 1), (-math.inf, 1), (math.nan, 1),
+    (1, math.inf), (1, -math.inf), (1, math.nan),
+])
+def test_non_finite_row_rejected(coeff, rhs):
+    m = MILPModel()
+    m.add_var("x", CONTINUOUS, 0, 1)
+    with pytest.raises(ModelError, match="constraint bad_row"):
+        m.add_constr("bad_row", {"x": coeff}, LE, rhs)
+    assert m.constraints == ()
+
+
 def test_unknown_variable_rejected():
     m = MILPModel()
     m.add_var("x", BINARY)
