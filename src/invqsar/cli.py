@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +29,6 @@ from .descriptors import (
     take_census,
     write_feature_csv,
 )
-from .elements import UnknownElementError
-from .errors import InputError
 from .graph import graph_from_json_text, graph_to_json_text
 from .milp.build import BuildError, build_milp, polish_solution
 from .milp.model import ModelError, emit_lp
@@ -41,12 +38,13 @@ from .regression import (
     FitError,
     LinearPredictor,
     cross_validate_path,
-    is_json_number,
     lasso_fit,
     min_max_scale,
     predictor_from_json_text,
     predictor_to_json_text,
 )
+from .schema import (
+    COUNT, NUMBER, STRING, Field, InputError, Kind, Reader, Table, integer, number)
 from .sdf import graph_to_sdf, parse_sdf
 from .topospec import SpecError, check_graph_satisfies, parse_spec
 
@@ -63,7 +61,7 @@ class UsageError(Exception):
 
 # What bad input raises; main turns these, and only these, into exit 2.
 INPUT_ERRORS = (UsageError, InputError, SpecError, BuildError, FitError,
-                OutOfSpaceError, UnknownElementError, ModelError)
+                OutOfSpaceError, ModelError)
 
 
 @dataclass
@@ -82,29 +80,8 @@ class ProjectConfig:
 
     @staticmethod
     def load(path: str) -> "ProjectConfig":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise UsageError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise UsageError("config must be a JSON object")
-        cfg = ProjectConfig()
-        for key, value in doc.items():
-            if not hasattr(cfg, key):
-                raise UsageError(f"unknown config key {key!r}")
-            setattr(cfg, key, _checked(key, getattr(cfg, key), value))
-        if cfg.rho < 1:
-            raise UsageError("rho must be at least 1")
-        if cfg.cv_executions < 1:
-            raise UsageError("config key 'cv_executions' must be at least 1")
-        # json accepts NaN and Infinity; a NaN penalty has no place in the
-        # descending order the CV path walks
-        if not all(math.isfinite(v) and v >= 0 for v in cfg.lambda_grid):
-            raise UsageError(
-                "config key 'lambda_grid' must hold finite non-negative numbers")
-        return cfg
+        r = Reader("config", UsageError)
+        return _CONFIG.read(r, r.loads(_read_text(path)))
 
     def backend(self) -> ExternalBackend | str:
         if self.solver_command == "mini":
@@ -114,21 +91,21 @@ class ProjectConfig:
         return "highs"
 
 
-def _checked(key: str, default, value):
-    """value converted to the type of the field's default, or UsageError."""
-    if isinstance(default, tuple):
-        if (not isinstance(value, list) or not value
-                or not all(is_json_number(v) for v in value)):
-            raise UsageError(f"config key {key!r} must be a non-empty list of numbers")
-        return tuple(float(v) for v in value)
-    if isinstance(default, float):
-        if not is_json_number(value):
-            raise UsageError(f"config key {key!r} must be a number")
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, type(default)):
-        raise UsageError(
-            f"config key {key!r} must be of type {type(default).__name__}")
-    return value
+def _penalties(r: Reader, v, path) -> tuple[float, ...]:
+    # each penalty is read at the list's path, so a fault names the key
+    if type(v) is not list or not v:
+        r.fail(path, "must be a non-empty list of numbers")
+    return tuple(_PENALTY.read(r, x, path) for x in v)
+
+
+_PENALTY = number(0)
+_CONFIG_KINDS = {"rho": integer(1), "lambda_grid": Kind(_penalties),
+                 "cv_executions": integer(1), "solver_timeout": NUMBER, "seed": COUNT}
+_CONFIG = Table(
+    *(Field(f.name, _CONFIG_KINDS.get(f.name, STRING), f.default)
+      for f in fields(ProjectConfig)),
+    make=lambda r, path, d: ProjectConfig(**d),
+)
 
 
 def _read_text(path: str) -> str:
@@ -141,10 +118,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str):
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    return Reader(path, UsageError).loads(_read_text(path))
 
 
 def _load_dataset(path: str):

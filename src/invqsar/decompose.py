@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .elements import ElementSpec
-from .graph import ChemicalGraph, Edge, InvalidGraphError
+from .graph import GRAPH, ChemicalGraph, Edge, InvalidGraphError
+from .schema import INTEGER, Field, Reader, Table
 
 INF_HEIGHT = 10**9
 
@@ -195,29 +196,27 @@ def tree_to_json(t: RootedFringeTree) -> dict:
     }
 
 
-def tree_from_json(doc: dict) -> RootedFringeTree:
-    from .graph import graph_from_json
+def _tree(r: Reader, path, d: dict) -> RootedFringeTree:
+    """The fringe tree of a TREE record, in its given node order and edge
+    orientation when these form an out-tree from the root."""
+    root, nodes, edges = d["root"], d["vertices"], d["edges"]
+    others = [nid for nid, _, _ in nodes if nid != root]
+    if len(others) == len(nodes):
+        r.fail((path, "root"), "must be the id of a vertex")
+    if sorted(child for _, child, _ in edges) == sorted(others):
+        # one parent per vertex but the root: a tree if all are reached
+        children: dict[int, list[int]] = {}
+        for parent, child, _ in edges:
+            children.setdefault(parent, []).append(child)
+        reached = [root]
+        for u in reached:
+            reached.extend(children.pop(u, ()))
+        if len(set(reached)) == len(nodes):
+            return RootedFringeTree(root, nodes, edges)
+    return r.make(path, fringe_tree_from_graph, GRAPH.make(r, path, d), root)
 
-    g = graph_from_json({"vertices": doc["vertices"], "edges": doc["edges"]})
-    root = int(doc["root"])
-    # keep the given node order and edge orientation when they already form
-    # an out-tree from the root, so serialization round-trips exactly
-    children = {v.id: 0 for v in g.vertices}
-    oriented = True
-    for rec in doc["edges"]:
-        child = int(rec["v"])
-        children[child] = children.get(child, 0) + 1
-    if children.get(root, 0) != 0 or any(
-        n != 1 for vid, n in children.items() if vid != root
-    ):
-        oriented = False
-    if oriented:
-        nodes = tuple((v.id, v.element, v.charge) for v in g.vertices)
-        edges = tuple(
-            (int(r["u"]), int(r["v"]), int(r["order"])) for r in doc["edges"]
-        )
-        return RootedFringeTree(root, nodes, edges)
-    return fringe_tree_from_graph(g, root)
+
+TREE = Table(Field("root", INTEGER), *GRAPH.fields, make=_tree, write=tree_to_json)
 
 
 def fringe_tree_from_graph(g: ChemicalGraph, root: int) -> RootedFringeTree:

@@ -25,16 +25,17 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .decompose import (
     RootedFringeTree,
     TwoLayeredDecomposition,
+    TREE,
     decompose,
-    tree_from_json,
-    tree_to_json,
 )
-from .elements import ElementSpec, parse_element
-from .errors import InputError
+from .elements import ElementSpec
+from .schema import (
+    ELEMENT, INTEGER, STRING, Field, InputError, Kind, Reader, Table, integer, list_of)
 from .graph import ChemicalGraph, rank
 
 N_SCALAR_DESCRIPTORS = 14
@@ -400,29 +401,6 @@ def read_feature_csv(text: str) -> tuple[list[str], list[str], list[list[float]]
     return ids, names, rows
 
 
-def space_to_json(space: DescriptorSpace) -> dict:
-    return {
-        "rho": space.rho,
-        "lambda_int": [e.token for e in space.lambda_int],
-        "lambda_ex": [e.token for e in space.lambda_ex],
-        "gamma_int": [
-            {
-                "mu": [g.mu.element.token, g.mu.degree],
-                "mu_prime": [g.mu_prime.element.token, g.mu_prime.degree],
-                "mult": g.mult,
-            }
-            for g in space.gamma_int
-        ],
-        "fringe_trees": [
-            {"code": code.decode(), "tree": tree_to_json(t)}
-            for code, t in zip(space.fringe_codes, space.fringe_examples)
-        ],
-        "ac_lf": [
-            {"a": a.a.token, "b": a.b.token, "mult": a.mult} for a in space.ac_lf
-        ],
-    }
-
-
 def space_to_json_text(space: DescriptorSpace) -> str:
     """The space.json text of space_to_json(space): one top-level key per
     line and one catalog entry per line, each entry written by the C JSON
@@ -440,51 +418,56 @@ def space_to_json_text(space: DescriptorSpace) -> str:
     return "{\n" + ",\n".join(items) + "\n}\n"
 
 
-def _integer(value) -> int:
-    if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
-    return value
+def _symbol(r: Reader, v, path) -> ChemicalSymbol:
+    token, degree = _PAIR.read(r, v, path)
+    return r.make(path, ChemicalSymbol, ELEMENT.read(r, token, (path, 0)),
+                  INTEGER.read(r, degree, (path, 1)))
+
+
+def _coded_tree(r: Reader, path, d: dict) -> tuple[bytes, RootedFringeTree]:
+    code = d["code"].encode()
+    if d["tree"].canonical_code != code:
+        r.fail((path, "code"), "does not match its tree")
+    return code, d["tree"]
+
+
+_PAIR = list_of(Kind(lambda r, v, path: v), 2)
+_SYMBOL = Kind(_symbol, lambda s: [s.element.token, s.degree])
+SPACE = Table(
+    Field("rho", integer(1)),
+    Field("lambda_int", list_of(ELEMENT)),
+    Field("lambda_ex", list_of(ELEMENT)),
+    Field("gamma_int", list_of(Table(
+        Field("mu", _SYMBOL),
+        Field("mu_prime", _SYMBOL),
+        Field("mult", integer(1, 3)),
+        make=lambda r, path, d: EdgeConfiguration(d["mu"], d["mu_prime"], d["mult"]),
+    ))),
+    Field("fringe_trees", list_of(Table(
+        Field("code", STRING, attr=lambda pair: pair[0].decode()),
+        Field("tree", TREE, attr=itemgetter(1)),
+        make=_coded_tree,
+    )), attr=lambda space: zip(space.fringe_codes, space.fringe_examples)),
+    Field("ac_lf", list_of(Table(
+        Field("a", ELEMENT),
+        Field("b", ELEMENT),
+        Field("mult", integer(1, 3)),
+        make=lambda r, path, d: r.make(
+            path, AdjacencyConfiguration, d["a"], d["b"], d["mult"]),
+    ))),
+)
+
+
+def space_to_json(space: DescriptorSpace) -> dict:
+    return SPACE.write(space)
 
 
 def space_from_json(doc: dict) -> DescriptorSpace:
-    """Inverse of space_to_json; a document of the wrong shape raises
-    InputError naming the key at fault."""
-    if not isinstance(doc, dict):
-        raise InputError("descriptor space must be a JSON object")
-
-    def read(key: str, parse, each: bool = True):
-        """parse(doc[key]), or parse of each item when the value is a list."""
-        if key not in doc:
-            raise InputError(f"descriptor space is missing key {key!r}")
-        try:
-            if not each:
-                return parse(doc[key])
-            if not isinstance(doc[key], list):
-                raise TypeError("not a list")
-            return tuple(parse(item) for item in doc[key])
-        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
-            raise InputError(
-                f"descriptor space key {key!r} is malformed ({exc})") from exc
-
-    def symbol(pair) -> ChemicalSymbol:
-        return ChemicalSymbol(parse_element(pair[0]), _integer(pair[1]))
-
-    fringe = read("fringe_trees", lambda rec: (
-        rec["code"].encode(), tree_from_json(rec["tree"])))
-    for code, t in fringe:
-        if t.canonical_code != code:
-            raise InputError("fringe tree does not match its recorded code")
-    return DescriptorSpace(
-        rho=read("rho", _integer, each=False),
-        lambda_int=read("lambda_int", parse_element),
-        lambda_ex=read("lambda_ex", parse_element),
-        gamma_int=read("gamma_int", lambda g: EdgeConfiguration(
-            symbol(g["mu"]), symbol(g["mu_prime"]), _integer(g["mult"]))),
-        fringe_codes=tuple(code for code, _ in fringe),
-        ac_lf=read("ac_lf", lambda a: AdjacencyConfiguration(
-            parse_element(a["a"]), parse_element(a["b"]), _integer(a["mult"]))),
-        fringe_examples=tuple(t for _, t in fringe),
-    )
+    """Inverse of space_to_json; a fault raises InputError."""
+    d = SPACE.read(Reader("descriptor space", InputError), doc)
+    trees = d.pop("fringe_trees")
+    return DescriptorSpace(**d, fringe_codes=tuple(code for code, _ in trees),
+                           fringe_examples=tuple(t for _, t in trees))
 
 
 def space_hash(space: DescriptorSpace) -> str:

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .elements import ElementSpec, make_element, parse_element
-from .errors import InputError
+from .schema import INTEGER, STRING, Field, InputError, Reader, Table, integer, list_of, optional
 
 
 class InvalidGraphError(ValueError):
@@ -192,32 +192,46 @@ def rank(g: ChemicalGraph) -> int:
 def graph_to_json(g: ChemicalGraph) -> dict:
     """Serialize to the interchange schema
     {vertices: [{id, element, valence, charge}], edges: [{u, v, order}]}."""
-    return {
-        "vertices": [
-            {
-                "id": v.id,
-                "element": v.element.symbol,
-                "valence": v.element.valence,
-                "charge": v.charge,
-            }
-            for v in g.vertices
-        ],
-        "edges": [{"u": e.u, "v": e.v, "order": e.mult} for e in g.edges],
-    }
+    return GRAPH.write(g)
+
+
+def _node(r: Reader, path, d: dict) -> tuple[int, ElementSpec, int]:
+    token, valence = d["element"], d["valence"]
+    try:
+        elem = parse_element(token) if valence is None else make_element(token, valence)
+    except ValueError as exc:  # inline r.make: this runs once per atom
+        r.fail((path, "element"), f"is invalid: {exc}")
+    return d["id"], elem, d["charge"]
+
+
+# vertex and edge records are read as (id, element, charge) and (u, v,
+# order) tuples, and written from Vertex and Edge objects
+VERTEX = Table(
+    Field("id", INTEGER),
+    Field("element", STRING, attr="element.symbol"),
+    Field("valence", optional(integer(1, 6)), None, attr="element.valence"),
+    Field("charge", integer(-3, 3), 0),
+    make=_node,
+)
+EDGE = Table(
+    Field("u", INTEGER),
+    Field("v", INTEGER),
+    Field("order", integer(1, 3), attr="mult"),
+    make=lambda r, path, d: (d["u"], d["v"], d["order"]),
+)
+GRAPH = Table(
+    Field("vertices", list_of(VERTEX)),
+    Field("edges", list_of(EDGE)),
+    make=lambda r, path, d: ChemicalGraph(
+        tuple(Vertex(*node) for node in d["vertices"]),
+        tuple(r.make(((path, "edges"), i), Edge, *edge)
+              for i, edge in enumerate(d["edges"]))),
+)
 
 
 def graph_from_json(doc: dict) -> ChemicalGraph:
-    """Inverse of graph_to_json; accepts element tokens with or without
-    an explicit valence field."""
-    vertices = []
-    for rec in doc["vertices"]:
-        if "valence" in rec and rec["valence"] is not None:
-            elem = make_element(rec["element"], rec["valence"])
-        else:
-            elem = parse_element(rec["element"])
-        vertices.append(Vertex(int(rec["id"]), elem, int(rec.get("charge", 0))))
-    edges = [Edge(int(r["u"]), int(r["v"]), int(r["order"])) for r in doc["edges"]]
-    return ChemicalGraph(tuple(vertices), tuple(edges))
+    """Inverse of graph_to_json (valence optional); a fault raises InputError."""
+    return GRAPH.read(Reader("graph document", InputError), doc)
 
 
 def graph_to_json_text(g: ChemicalGraph) -> str:
@@ -226,10 +240,7 @@ def graph_to_json_text(g: ChemicalGraph) -> str:
 
 def graph_from_json_text(text: str) -> ChemicalGraph:
     """Read a graph document; a text that is not one raises InputError."""
-    try:
-        return graph_from_json(json.loads(text))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise InputError(f"graph document is malformed ({exc!r})") from exc
+    return graph_from_json(Reader("graph document", InputError).loads(text))
 
 
 def build_graph(

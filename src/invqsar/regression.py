@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .schema import NUMBER, STRING, Field, InputError, Reader, Table, list_of
 
 
 class FitError(ValueError):
@@ -188,81 +188,35 @@ class LinearPredictor:
         return self.target_min + y_std * (self.target_max - self.target_min)
 
 
-def predictor_to_json(p: LinearPredictor) -> dict:
-    return {
-        "lambda": p.lam,
-        "bias": p.bias,
-        "weights": list(p.weights),
-        "descriptor_names": list(p.descriptor_names),
-        "min": list(p.mins),
-        "max": list(p.maxs),
-        "target_min": p.target_min,
-        "target_max": p.target_max,
-        "space_hash": p.space_hash,
-    }
-
-
-def is_json_number(v) -> bool:
-    """A JSON number: an int or float, but not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_string(v) -> bool:
-    return isinstance(v, str)
-
-
-def _list_of(ok):
-    return lambda v: isinstance(v, list) and all(map(ok, v))
+_NUMBERS = list_of(NUMBER)
+PREDICTOR = Table(
+    Field("lambda", NUMBER, attr="lam"),
+    Field("bias", NUMBER),
+    Field("weights", _NUMBERS),
+    Field("descriptor_names", list_of(STRING)),
+    Field("min", _NUMBERS, attr="mins"),
+    Field("max", _NUMBERS, attr="maxs"),
+    Field("target_min", NUMBER),
+    Field("target_max", NUMBER),
+    Field("space_hash", STRING),
+    make=lambda r, path, d: r.make(
+        path, LinearPredictor, d["weights"], d["bias"], d["lambda"],
+        d["descriptor_names"], d["min"], d["max"], d["target_min"],
+        d["target_max"], d["space_hash"]),
+)
 
 
 def predictor_from_json(doc: dict) -> LinearPredictor:
-    """Inverse of predictor_to_json; a document of the wrong shape raises
-    InputError naming the key at fault."""
-    if not isinstance(doc, dict):
-        raise InputError("predictor must be a JSON object")
-
-    def read(key: str, ok, what: str):
-        if key not in doc:
-            raise InputError(f"predictor is missing key {key!r}")
-        if not ok(doc[key]):
-            raise InputError(f"predictor key {key!r} must be {what}")
-        return doc[key]
-
-    def number(key: str) -> float:
-        return float(read(key, is_json_number, "a number"))
-
-    def numbers(key: str) -> tuple[float, ...]:
-        value = read(key, _list_of(is_json_number), "a list of numbers")
-        return tuple(float(v) for v in value)
-
-    fields = dict(
-        weights=numbers("weights"),
-        bias=number("bias"),
-        lam=number("lambda"),
-        descriptor_names=tuple(
-            read("descriptor_names", _list_of(_is_string), "a list of strings")),
-        mins=numbers("min"),
-        maxs=numbers("max"),
-        target_min=number("target_min"),
-        target_max=number("target_max"),
-        space_hash=read("space_hash", _is_string, "a string"),
-    )
-    try:
-        return LinearPredictor(**fields)
-    except ValueError as exc:  # the field lengths disagree
-        raise InputError(f"predictor is malformed ({exc})") from exc
+    """Inverse of PREDICTOR.write; a fault raises InputError."""
+    return PREDICTOR.read(Reader("predictor", InputError), doc)
 
 
 def predictor_to_json_text(p: LinearPredictor) -> str:
-    return json.dumps(predictor_to_json(p), indent=2, sort_keys=True)
+    return json.dumps(PREDICTOR.write(p), indent=2, sort_keys=True)
 
 
 def predictor_from_json_text(text: str) -> LinearPredictor:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"predictor is not valid JSON: {exc}") from exc
-    return predictor_from_json(doc)
+    return predictor_from_json(Reader("predictor", InputError).loads(text))
 
 
 @dataclass(frozen=True)

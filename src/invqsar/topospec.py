@@ -4,7 +4,8 @@ A specification constrains target graphs through a seed multigraph whose
 edges expand into single edges or paths (classed by their length bounds),
 leaf paths hanging from permitted vertices, fringe-tree menus per location,
 and count bounds (elements, degrees, bonds, fringe shapes, leaf-edge
-configurations).  The JSON schema is versioned and documented in the README.
+configurations).  The JSON schema is the field tables below (SPEC and its
+record tables), which the README's specification table mirrors.
 
 check_graph_satisfies verifies a concrete chemical graph against every
 clause directly on its two-layered decomposition, including an exhaustive
@@ -15,13 +16,30 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from operator import itemgetter
 
-from .decompose import RootedFringeTree, tree_from_json, tree_to_json
+from .decompose import TREE, RootedFringeTree, tree_to_json
 from .descriptors import AdjacencyConfiguration, GraphCensus, take_census
-from .elements import ElementSpec, UnknownElementError, parse_element
+from .elements import ElementSpec
 from .graph import ChemicalGraph
+from .schema import (
+    BOOLEAN,
+    COUNT,
+    ELEMENT,
+    INTEGER,
+    STRING,
+    Field,
+    Kind,
+    Reader,
+    Table,
+    integer,
+    list_of,
+    map_of,
+    number,
+    optional,
+)
 
 SCHEMA_VERSION = 1
 
@@ -109,35 +127,8 @@ class SeedGraph:
     def edges_of_class(self, *classes: str) -> tuple[SeedEdge, ...]:
         return tuple(e for e in self.edges if e.cls in classes)
 
-    def incident(self, pos: int, *classes: str, role: str = "any"):
-        """Edges of the given classes at vertex position pos; role is
-        'tail', 'head' or 'any'."""
-        out = []
-        for e in self.edges:
-            if classes and e.cls not in classes:
-                continue
-            if role in ("tail", "any") and e.tail == pos:
-                out.append(e)
-            elif role in ("head", "any") and e.head == pos:
-                out.append(e)
-        return tuple(out)
-
     def validate(self) -> list[str]:
         problems = []
-        seen = set()
-        for v in self.vertices:
-            if v.index in seen:
-                problems.append(f"duplicate seed vertex index {v.index}")
-            seen.add(v.index)
-        if seen != set(range(1, self.t_c + 1)):
-            problems.append("seed vertex indices must be 1..|V|")
-        for e in self.edges:
-            if not (1 <= e.tail <= self.t_c and 1 <= e.head <= self.t_c):
-                problems.append(f"edge ({e.tail},{e.head}) off the vertex set")
-            elif e.tail >= e.head:
-                problems.append(
-                    f"edge ({e.tail},{e.head}) must be directed tail < head"
-                )
         # connectivity without optional edges (decode soundness)
         adj: dict[int, set[int]] = {v.index: set() for v in self.vertices}
         for e in self.edges:
@@ -220,319 +211,210 @@ class TopologicalSpecification:
         )
 
 
-def _element_tuple(tokens) -> tuple[ElementSpec, ...]:
-    try:
-        return tuple(sorted(parse_element(t) for t in tokens))
-    except UnknownElementError as exc:
-        raise SpecError(str(exc)) from exc
+# -- the specification document -------------------------------------------------
+# One table per record kind drives parse_spec and spec_to_json; the README's
+# field table lists the same keys.
+
+
+_n_star = itemgetter("n_star")
+_n_int_ub = itemgetter("n_int_ub")
+
+
+def _none(scope) -> dict:
+    return {}
+
+
+def _slots(scope) -> int:
+    return max(0, scope["n_int_ub"] - len(scope["seed"]["vertices"]))
+
+
+def _fringe_ids(scope) -> tuple[str, ...]:
+    return tuple(f.psi_id for f in scope["fringe_trees"])
+
+
+def _position(r: Reader, key: str, path) -> int:
+    if not (key.isascii() and key.isdigit()):
+        r.fail(path, "must be a seed vertex number")
+    return int(key)
+
+
+_TOKENS = list_of(ELEMENT)
+ELEMENT_SET = Kind(lambda r, v, path: tuple(sorted(_TOKENS.read(r, v, path))),
+                   _TOKENS.write)
+ELEMENT_COUNTS = map_of(Kind(lambda r, v, path: ELEMENT.read(r, v, path).token), COUNT)
+
+SEED_VERTEX = Table(
+    Field("id", optional(INTEGER), None, attr="index"),
+    Field("elements", ELEMENT_SET, ()),
+    Field("leaf_path", BOOLEAN, False, attr="leaf_path_allowed"),
+    Field("leaf_path_lb", COUNT, 0),
+    Field("height_lb", COUNT, 0),
+    Field("height_ub", COUNT, _n_star),
+)
+SEED_EDGE = Table(
+    Field("tail", INTEGER),
+    Field("head", INTEGER),
+    Field("len_lb", COUNT, 1),
+    Field("len_ub", COUNT, lambda scope: scope["len_lb"]),
+    Field("branch_lb", COUNT, 0),
+    Field("branch_ub", COUNT, lambda scope: max(0, scope["len_ub"] - 1)),
+    Field("height_lb", COUNT, 0),
+    Field("height_ub", COUNT, _n_star),
+    Field("bond2_lb", COUNT, 0),
+    Field("bond2_ub", COUNT, _n_int_ub),
+    Field("bond3_lb", COUNT, 0),
+    Field("bond3_ub", COUNT, _n_int_ub),
+)
+SEED = Table(Field("vertices", list_of(SEED_VERTEX), ()),
+             Field("edges", list_of(SEED_EDGE), ()))
+FRINGE_ENTRY = Table(
+    Field("id", STRING, attr="psi_id"),
+    Field("fc_lb", COUNT, 0),
+    Field("fc_ub", COUNT, _n_star),
+    *TREE.fields,
+    make=lambda r, path, d: FringeEntry(
+        d["id"], TREE.make(r, path, d), d["fc_lb"], d["fc_ub"]),
+    write=lambda f: {"id": f.psi_id, "fc_lb": f.fc_lb, "fc_ub": f.fc_ub,
+                     **tree_to_json(f.tree)},
+)
+AC_BOUND = Table(
+    Field("a", ELEMENT, attr="config.a"),
+    Field("b", ELEMENT, attr="config.b"),
+    Field("mult", integer(1, 3), attr="config.mult"),
+    Field("lb", COUNT, 0),
+    Field("ub", COUNT, _n_star),
+    make=lambda r, path, d: AcBound(
+        r.make(path, AdjacencyConfiguration, d["a"], d["b"], d["mult"]),
+        d["lb"], d["ub"]),
+)
+FRINGE_ASSIGNMENT = Table(
+    Field("vertex", map_of(Kind(_position, str), list_of(STRING)), _none,
+          attr="fringe_vertex_sets"),
+    Field("edge", list_of(STRING), _fringe_ids, attr="fringe_edge_set"),
+)
+SPEC = Table(
+    Field("version", integer(SCHEMA_VERSION, SCHEMA_VERSION), SCHEMA_VERSION,
+          attr=lambda spec: SCHEMA_VERSION),
+    Field("rho", integer(1)),
+    Field("n_lb", COUNT, 1),
+    Field("n_star", COUNT),
+    Field("n_int_lb", COUNT, 2),
+    Field("n_int_ub", COUNT, _n_star),
+    Field("seed", SEED),
+    Field("t_tree", COUNT, _slots),
+    Field("t_leaf", COUNT, _slots),
+    Field("lambda_int", ELEMENT_SET, ()),
+    Field("lambda_ex", ELEMENT_SET, ()),
+    Field("na_lb", ELEMENT_COUNTS, _none),
+    Field("na_ub", ELEMENT_COUNTS, _none),
+    Field("na_int_lb", ELEMENT_COUNTS, _none),
+    Field("na_int_ub", ELEMENT_COUNTS, _none),
+    Field("deg_lb", list_of(COUNT, 4), (0, 0, 0, 0)),
+    Field("deg_ub", list_of(COUNT, 4), lambda scope: (scope["n_star"],) * 4),
+    Field("fringe_trees", list_of(FRINGE_ENTRY), (), attr="fringe_entries"),
+    Field("fringe_assignment", FRINGE_ASSIGNMENT,
+          lambda scope: {"vertex": {}, "edge": _fringe_ids(scope)},
+          attr=lambda spec: spec),
+    Field("ac_lf", list_of(AC_BOUND), (), attr="ac_bounds"),
+    Field("mass_avg_ub", optional(number(0)), None),
+)
 
 
 def parse_spec(text: str) -> TopologicalSpecification:
     """Parse and validate a specification from JSON text.  Text that is not
-    a JSON object, and a field value that is out of range or of the wrong
-    type for int() or the element table, raise SpecError."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"specification is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SpecError("specification must be a JSON object")
-    try:
-        return _spec_from_doc(doc)
-    except SpecError:
-        raise
-    except ValueError as exc:  # a field that int() or an element table rejects
-        raise SpecError(f"malformed specification: {exc}") from exc
+    a JSON object of the schema, and values that break its clauses, raise
+    SpecError."""
+    return _spec_from_doc(Reader("specification", SpecError).loads(text))
 
 
-def _spec_from_doc(doc: dict) -> TopologicalSpecification:
-    if doc.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise SpecError(f"unsupported schema version {doc.get('version')}")
-
+def _spec_from_doc(doc) -> TopologicalSpecification:
+    d = SPEC.read(Reader("malformed specification", SpecError), doc)
     problems: list[str] = []
-
-    def need(key):
-        if key not in doc:
-            problems.append(f"missing required field {key!r}")
-            return None
-        return doc[key]
-
-    rho = need("rho")
-    n_star = need("n_star")
-    seed_doc = need("seed")
-    if problems:
-        raise SpecError("; ".join(problems))
-    rho = int(rho)
-    n_star = int(n_star)
-    if rho < 1:
-        problems.append("rho must be at least 1")
-
-    n_lb = int(doc.get("n_lb", 1))
-    n_int_lb = int(doc.get("n_int_lb", 2))
-    n_int_ub = int(doc.get("n_int_ub", n_star))
+    n_star, n_int_lb, n_int_ub = d["n_star"], d["n_int_lb"], d["n_int_ub"]
     if not 2 <= n_int_lb <= n_star:
         problems.append(f"n_int_lb={n_int_lb} outside [2, n_star]")
     if n_int_lb > n_int_ub:
         problems.append("n_int_lb above n_int_ub")
-    if n_lb > n_star:
+    if d["n_lb"] > n_star:
         problems.append("n_lb above n_star")
 
-    vertices = []
-    for i, rec in enumerate(seed_doc.get("vertices", []), start=1):
-        if int(rec.get("id", i)) != i:
-            problems.append(f"seed vertex ids must be consecutive from 1 (at {i})")
-        vertices.append(
-            SeedVertex(
-                index=i,
-                elements=_element_tuple(rec.get("elements", [])),
-                leaf_path_allowed=bool(rec.get("leaf_path", False)),
-                leaf_path_lb=int(rec.get("leaf_path_lb", 0)),
-                height_lb=int(rec.get("height_lb", 0)),
-                height_ub=int(rec.get("height_ub", n_star)),
-            )
-        )
-    for v in vertices:
-        if v.leaf_path_lb > (1 if v.leaf_path_allowed else 0):
-            problems.append(
-                f"seed vertex {v.index}: leaf_path_lb requires leaf_path permission"
-            )
-        if v.height_lb > v.height_ub:
-            problems.append(f"seed vertex {v.index}: height_lb above height_ub")
-
-    raw_edges = []
-    for rec in seed_doc.get("edges", []):
-        len_lb = int(rec.get("len_lb", 1))
-        len_ub = int(rec.get("len_ub", len_lb))
-        if len_lb > len_ub:
-            problems.append(f"edge ({rec.get('tail')},{rec.get('head')}): "
-                            "len_lb above len_ub")
-            continue
-        try:
-            cls = classify_edge(len_lb, len_ub)
-        except SpecError as exc:
-            problems.append(str(exc))
-            continue
-        raw_edges.append((cls, rec, len_lb, len_ub))
-
-    class_order = {PATH: 0, FLEXIBLE: 1, OPTIONAL: 2, FIXED: 3}
-    raw_edges.sort(key=lambda item: class_order[item[0]])
-    edges = []
-    for idx, (cls, rec, len_lb, len_ub) in enumerate(raw_edges, start=1):
-        edges.append(
-            SeedEdge(
-                index=idx,
-                tail=int(rec["tail"]),
-                head=int(rec["head"]),
-                cls=cls,
-                len_lb=len_lb,
-                len_ub=len_ub,
-                branch_lb=int(rec.get("branch_lb", 0)),
-                branch_ub=int(rec.get("branch_ub", max(0, len_ub - 1))),
-                height_lb=int(rec.get("height_lb", 0)),
-                height_ub=int(rec.get("height_ub", n_star)),
-                bond2_lb=int(rec.get("bond2_lb", 0)),
-                bond2_ub=int(rec.get("bond2_ub", n_int_ub)),
-                bond3_lb=int(rec.get("bond3_lb", 0)),
-                bond3_ub=int(rec.get("bond3_ub", n_int_ub)),
-            )
-        )
-    seed = SeedGraph(tuple(vertices), tuple(edges))
-    problems.extend(seed.validate())
-
-    t_tree = int(doc.get("t_tree", max(0, n_int_ub - seed.t_c)))
-    t_leaf = int(doc.get("t_leaf", max(0, n_int_ub - seed.t_c)))
-
-    lambda_int = _element_tuple(doc.get("lambda_int", []))
-    lambda_ex = _element_tuple(doc.get("lambda_ex", []))
+    lambda_int = d["lambda_int"]
     if not lambda_int:
         problems.append("lambda_int must not be empty")
-    for v in vertices:
-        for e in v.elements:
-            if e not in lambda_int:
-                problems.append(
-                    f"seed vertex {v.index} allows element {e.token} "
-                    "outside lambda_int"
-                )
+    vertices = []
+    for i, rec in enumerate(d["seed"]["vertices"], start=1):
+        if rec["id"] not in (None, i):
+            problems.append(f"seed vertex ids must be consecutive from 1 (at {i})")
+        if rec["leaf_path_lb"] > (1 if rec["leaf_path"] else 0):
+            problems.append(
+                f"seed vertex {i}: leaf_path_lb requires leaf_path permission")
+        if rec["height_lb"] > rec["height_ub"]:
+            problems.append(f"seed vertex {i}: height_lb above height_ub")
+        problems.extend(f"seed vertex {i} allows element {e.token} outside lambda_int"
+                        for e in rec["elements"] if e not in lambda_int)
+        vertices.append(SeedVertex(i, rec["elements"], rec["leaf_path"],
+                                   rec["leaf_path_lb"], rec["height_lb"],
+                                   rec["height_ub"]))
 
-    def int_map(key):
-        out = {}
-        for token, value in doc.get(key, {}).items():
+    classed = []
+    t_c = len(vertices)
+    for rec in d["seed"]["edges"]:
+        edge = f"edge ({rec['tail']},{rec['head']})"
+        if not (1 <= rec["tail"] <= t_c and 1 <= rec["head"] <= t_c):
+            problems.append(f"{edge} off the vertex set")
+        elif rec["tail"] >= rec["head"]:
+            problems.append(f"{edge} must be directed tail < head")
+        elif rec["len_lb"] > rec["len_ub"]:
+            problems.append(f"{edge}: len_lb above len_ub")
+        else:
             try:
-                parse_element(token)
-            except UnknownElementError as exc:
-                raise SpecError(str(exc)) from exc
-            out[token] = int(value)
-        return out
+                classed.append((classify_edge(rec["len_lb"], rec["len_ub"]), rec))
+            except SpecError as exc:
+                problems.append(str(exc))
+    class_order = {PATH: 0, FLEXIBLE: 1, OPTIONAL: 2, FIXED: 3}
+    classed.sort(key=lambda item: class_order[item[0]])
+    edges = tuple(SeedEdge(index=i, cls=cls, **rec)
+                  for i, (cls, rec) in enumerate(classed, start=1))
+    seed = SeedGraph(tuple(vertices), edges)
+    problems.extend(seed.validate())
 
-    na_lb, na_ub = int_map("na_lb"), int_map("na_ub")
-    na_int_lb, na_int_ub = int_map("na_int_lb"), int_map("na_int_ub")
-    for low, high, label in (
-        (na_lb, na_ub, "na"),
-        (na_int_lb, na_int_ub, "na_int"),
-    ):
-        for token in set(low) & set(high):
-            if low[token] > high[token]:
-                problems.append(f"{label} bounds for {token} cross")
-
-    deg_lb = tuple(int(v) for v in doc.get("deg_lb", [0, 0, 0, 0]))
-    deg_ub = tuple(int(v) for v in doc.get("deg_ub", [n_star] * 4))
-    if len(deg_lb) != 4 or len(deg_ub) != 4:
-        problems.append("deg_lb/deg_ub must have 4 entries (degrees 1..4)")
-    elif any(a > b for a, b in zip(deg_lb, deg_ub)):
+    for label in ("na", "na_int"):
+        low, high = d[f"{label}_lb"], d[f"{label}_ub"]
+        problems.extend(f"{label} bounds for {token} cross" for token in sorted(low)
+                        if low[token] > high.get(token, low[token]))
+    if any(a > b for a, b in zip(d["deg_lb"], d["deg_ub"])):
         problems.append("deg bounds cross")
 
-    entries = []
-    for rec in doc.get("fringe_trees", []):
-        psi_id = str(rec["id"])
-        tree = tree_from_json(rec)
-        if tree.height > rho:
-            problems.append(f"fringe tree {psi_id} has height {tree.height} > rho")
-        entries.append(
-            FringeEntry(
-                psi_id=psi_id,
-                tree=tree,
-                fc_lb=int(rec.get("fc_lb", 0)),
-                fc_ub=int(rec.get("fc_ub", n_star)),
-            )
-        )
-    ids = [f.psi_id for f in entries]
-    if len(set(ids)) != len(ids):
+    entries = d["fringe_trees"]
+    problems.extend(f"fringe tree {f.psi_id} has height {f.tree.height} > rho"
+                    for f in entries if f.tree.height > d["rho"])
+    ids = {f.psi_id for f in entries}
+    if len(ids) != len(entries):
         problems.append("duplicate fringe tree ids")
-    id_set = set(ids)
     if not entries:
         problems.append("at least one fringe tree is required")
-
-    assignment = doc.get("fringe_assignment", {})
-    vertex_sets = {}
-    for key, lst in assignment.get("vertex", {}).items():
-        pos = int(key)
+    assignment = d["fringe_assignment"]
+    for pos, names in assignment["vertex"].items():
         if not 1 <= pos <= seed.t_c:
             problems.append(f"fringe assignment for unknown seed vertex {pos}")
-            continue
-        for psi in lst:
-            if psi not in id_set:
-                problems.append(f"fringe assignment names unknown tree {psi!r}")
-        vertex_sets[pos] = tuple(lst)
-    edge_set = tuple(assignment.get("edge", ids))
-    for psi in edge_set:
-        if psi not in id_set:
-            problems.append(f"edge fringe set names unknown tree {psi!r}")
-
-    ac_bounds = []
-    for rec in doc.get("ac_lf", []):
-        cfg = AdjacencyConfiguration(
-            parse_element(rec["a"]), parse_element(rec["b"]), int(rec["mult"])
-        )
-        lb, ub = int(rec.get("lb", 0)), int(rec.get("ub", n_star))
-        if lb > ub:
-            problems.append(f"ac_lf bounds for {cfg.label} cross")
-        ac_bounds.append(AcBound(cfg, lb, ub))
-
+        problems.extend(f"fringe assignment names unknown tree {psi!r}"
+                        for psi in names if psi not in ids)
+    problems.extend(f"edge fringe set names unknown tree {psi!r}"
+                    for psi in assignment["edge"] if psi not in ids)
+    problems.extend(f"ac_lf bounds for {b.config.label} cross"
+                    for b in d["ac_lf"] if b.lb > b.ub)
     if problems:
         raise SpecError("; ".join(problems))
 
-    return TopologicalSpecification(
-        rho=rho,
-        seed=seed,
-        n_lb=n_lb,
-        n_star=n_star,
-        n_int_lb=n_int_lb,
-        n_int_ub=n_int_ub,
-        t_tree=t_tree,
-        t_leaf=t_leaf,
-        lambda_int=lambda_int,
-        lambda_ex=lambda_ex,
-        na_lb=na_lb,
-        na_ub=na_ub,
-        na_int_lb=na_int_lb,
-        na_int_ub=na_int_ub,
-        deg_lb=deg_lb,  # type: ignore[arg-type]
-        deg_ub=deg_ub,  # type: ignore[arg-type]
-        fringe_entries=tuple(entries),
-        fringe_vertex_sets=vertex_sets,
-        fringe_edge_set=edge_set,
-        ac_bounds=tuple(ac_bounds),
-        mass_avg_ub=(
-            float(doc["mass_avg_ub"]) if doc.get("mass_avg_ub") is not None else None
-        ),
-    )
+    # keys that are also attribute names pass through; the rest are built above
+    plain = {f.name: d[f.name] for f in fields(TopologicalSpecification) if f.name in d}
+    return TopologicalSpecification(**dict(
+        plain, seed=seed, fringe_entries=entries, ac_bounds=d["ac_lf"],
+        fringe_vertex_sets=assignment["vertex"], fringe_edge_set=assignment["edge"]))
 
 
 def spec_to_json(spec: TopologicalSpecification) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "rho": spec.rho,
-        "n_lb": spec.n_lb,
-        "n_star": spec.n_star,
-        "n_int_lb": spec.n_int_lb,
-        "n_int_ub": spec.n_int_ub,
-        "t_tree": spec.t_tree,
-        "t_leaf": spec.t_leaf,
-        "seed": {
-            "vertices": [
-                {
-                    "id": v.index,
-                    "elements": [e.token for e in v.elements],
-                    "leaf_path": v.leaf_path_allowed,
-                    "leaf_path_lb": v.leaf_path_lb,
-                    "height_lb": v.height_lb,
-                    "height_ub": v.height_ub,
-                }
-                for v in spec.seed.vertices
-            ],
-            "edges": [
-                {
-                    "tail": e.tail,
-                    "head": e.head,
-                    "len_lb": e.len_lb,
-                    "len_ub": e.len_ub,
-                    "branch_lb": e.branch_lb,
-                    "branch_ub": e.branch_ub,
-                    "height_lb": e.height_lb,
-                    "height_ub": e.height_ub,
-                    "bond2_lb": e.bond2_lb,
-                    "bond2_ub": e.bond2_ub,
-                    "bond3_lb": e.bond3_lb,
-                    "bond3_ub": e.bond3_ub,
-                }
-                for e in spec.seed.edges
-            ],
-        },
-        "lambda_int": [e.token for e in spec.lambda_int],
-        "lambda_ex": [e.token for e in spec.lambda_ex],
-        "na_lb": dict(spec.na_lb),
-        "na_ub": dict(spec.na_ub),
-        "na_int_lb": dict(spec.na_int_lb),
-        "na_int_ub": dict(spec.na_int_ub),
-        "deg_lb": list(spec.deg_lb),
-        "deg_ub": list(spec.deg_ub),
-        "fringe_trees": [
-            {
-                "id": f.psi_id,
-                "fc_lb": f.fc_lb,
-                "fc_ub": f.fc_ub,
-                **tree_to_json(f.tree),
-            }
-            for f in spec.fringe_entries
-        ],
-        "fringe_assignment": {
-            "vertex": {
-                str(pos): list(ids) for pos, ids in spec.fringe_vertex_sets.items()
-            },
-            "edge": list(spec.fringe_edge_set),
-        },
-        "ac_lf": [
-            {
-                "a": b.config.a.token,
-                "b": b.config.b.token,
-                "mult": b.config.mult,
-                "lb": b.lb,
-                "ub": b.ub,
-            }
-            for b in spec.ac_bounds
-        ],
-        "mass_avg_ub": spec.mass_avg_ub,
-    }
+    return SPEC.write(spec)
 
 
 def spec_to_json_text(spec: TopologicalSpecification) -> str:

@@ -223,6 +223,12 @@ def test_missing_config_file():
     assert main(["featurize", "--config", "/nonexistent/cfg.json"]) == 2
 
 
+def test_config_directory_is_usage_error(tmp_path, capsys):
+    assert main(["featurize", "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "Traceback" not in err
+
+
 def test_unreadable_input_path_is_usage_error(tmp_path, capsys):
     # without a "dataset" key the dataset path is "", the current directory
     cfg = tmp_path / "c.json"
@@ -539,3 +545,37 @@ def test_train_accepts_quoted_ids(project, capsys):
     features = (tmp / "out" / "features.csv").read_text()
     assert '\n"m,0",' in features and '\n"m""1",' in features
     assert main(["train", "--config", str(cfg_path)]) == 0
+
+
+def _drop_edge_tail(doc):
+    del doc["seed"]["edges"][0]["tail"]
+
+
+def _drop_fringe_id(doc):
+    del doc["fringe_trees"][0]["id"]
+
+
+@pytest.mark.parametrize("command, edit, needle", [
+    ("infer", _drop_edge_tail, "'seed.edges[0].tail'"),
+    ("verify", _drop_fringe_id, "'fringe_trees[0].id'"),
+])
+def test_spec_missing_key_is_usage_error(trained, capsys, command, edit, needle):
+    """A specification with a missing key exits 2 with one line naming the
+    key's path, not with a KeyError traceback."""
+    tmp, cfg_path = trained
+    out = tmp / "out"
+    (tmp / "graph.json").write_text(graph_to_json_text(ring(3)))
+    spec = tmp / "spec.json"
+    doc = json.loads(spec.read_text())
+    edit(doc)
+    spec.write_text(json.dumps(doc))
+    argv = {
+        "infer": ["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"],
+        "verify": ["verify", str(tmp / "graph.json"), str(spec),
+                   str(out / "predictor.json"), str(out / "space.json")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

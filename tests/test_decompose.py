@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invqsar.decompose import (
+    TREE,
     decompose,
     peel_heights,
-    tree_from_json,
     tree_to_json,
     INF_HEIGHT,
 )
 from invqsar.graph import build_graph
+from invqsar.schema import InputError, Reader
 
 from conftest import chain, random_chemical_graph, ring
 import numpy as np
@@ -102,7 +103,7 @@ def test_tree_json_round_trip():
     d = decompose(g, 2)
     for t in d.fringe_trees.values():
         doc = tree_to_json(t)
-        t2 = tree_from_json(doc)
+        t2 = TREE.read(Reader("fringe tree", InputError), doc)
         assert t2.canonical_code == t.canonical_code
 
 

@@ -20,6 +20,7 @@ from invqsar.descriptors import (
 )
 from invqsar.graph import ChemicalGraph, build_graph
 from invqsar.regression import min_max_scale
+from invqsar.schema import InputError
 
 from conftest import chain, random_chemical_graph, ring
 import oracles
@@ -244,3 +245,24 @@ def test_leaf_edge_both_degree_one():
     ((cfg, n),) = counts.items()
     assert n == 1
     assert (cfg.a.token, cfg.b.token) == ("C", "O")
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda doc: doc["fringe_trees"][0]["tree"].pop("root"),
+     "descriptor space is missing key 'fringe_trees[0].tree.root'"),
+    (lambda doc: doc["fringe_trees"][1]["tree"]["edges"][0].update(order=1.0),
+     "descriptor space key 'fringe_trees[1].tree.edges[0].order' must be an integer"),
+    (lambda doc: doc["fringe_trees"][0].update(code="(C,0[])"),
+     "descriptor space key 'fringe_trees[0].code' does not match its tree"),
+    (lambda doc: doc["gamma_int"][0]["mu"].__setitem__(1, 5),
+     "descriptor space key 'gamma_int[0].mu' is invalid"),
+    (lambda doc: doc["ac_lf"][0].update(mult=2, a="H"),
+     "descriptor space key 'ac_lf[0]' is invalid"),
+    (lambda doc: doc.update(rho=0), "descriptor space key 'rho' must be at least 1"),
+], ids=["tree-root", "tree-order", "code", "gamma-degree", "ac-valence", "rho"])
+def test_space_faults_name_their_path(edit, needle):
+    doc = space_to_json(build_space([ring(6), ring(4, pendant=2)], 2))
+    edit(doc)
+    with pytest.raises(InputError) as caught:
+        space_from_json(doc)
+    assert str(caught.value).startswith(needle)

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from invqsar.decompose import TREE, decompose, tree_to_json
 from invqsar.elements import make_element, parse_element, UnknownElementError
 from invqsar.graph import (
     ChemicalGraph,
@@ -13,6 +14,7 @@ from invqsar.graph import (
     graph_to_json,
     rank,
 )
+from invqsar.schema import InputError, Reader
 
 from conftest import chain, ring
 
@@ -159,3 +161,50 @@ def test_charged_valence():
     g = build_graph([(1, "N", 1)], [], add_hydrogens=True)
     assert g.validate() == []
     assert sum(1 for v in g.vertices if v.element.is_hydrogen) == 4
+
+
+def _graph_doc():
+    return graph_to_json(build_graph([(1, "C"), (2, "O")], [(1, 2, 2)],
+                                     add_hydrogens=True))
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda doc: doc["edges"][0].update(order=1.5), "edges[0].order"),
+    (lambda doc: doc["vertices"][0].update(id=True), "vertices[0].id"),
+    (lambda doc: doc.update(vertices={}), "vertices"),
+    (lambda doc: doc["vertices"][1].update(charge=4), "vertices[1].charge"),
+    (lambda doc: doc["vertices"][1].update(element="Qq"), "vertices[1].element"),
+    (lambda doc: doc["edges"][1].update(v=doc["edges"][1]["u"]), "edges[1]"),
+    (lambda doc: doc["edges"][0].update(weight=1), "edges[0].weight"),
+], ids=["order-fraction", "id-bool", "vertices-object", "charge-range",
+        "unknown-element", "self-loop", "unknown-key"])
+def test_graph_document_faults_name_their_path(edit, path):
+    doc = _graph_doc()
+    edit(doc)
+    with pytest.raises(InputError) as caught:
+        graph_from_json(doc)
+    assert str(caught.value).startswith(f"graph document key {path!r}")
+
+
+@pytest.mark.parametrize("root, problem", [
+    (None, "is missing key 'root'"),
+    ("1", "key 'root' must be an integer"),
+    (99, "key 'root' must be the id of a vertex"),
+])
+def test_tree_root_faults_are_typed(root, problem):
+    doc = tree_to_json(decompose(ring(3), 2).fringe_trees[1])
+    if root is None:
+        del doc["root"]
+    else:
+        doc["root"] = root
+    with pytest.raises(InputError, match=problem):
+        TREE.read(Reader("fringe tree", InputError), doc)
+
+
+def test_tree_with_a_cycle_is_rejected():
+    """Each non-root vertex has one parent, yet two of them form a cycle
+    the root cannot reach: not a fringe tree."""
+    doc = {"root": 1, "vertices": [{"id": i, "element": "C"} for i in (1, 2, 3)],
+           "edges": [{"u": 2, "v": 3, "order": 1}, {"u": 3, "v": 2, "order": 1}]}
+    with pytest.raises(InputError, match="fringe tree is invalid"):
+        TREE.read(Reader("fringe tree", InputError), doc)

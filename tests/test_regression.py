@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from invqsar.regression import (
     predictor_to_json_text,
     r_squared,
 )
+from invqsar.schema import InputError
 
 from oracles import kkt_residuals, lambda_max, prox_grad_lasso
 
@@ -304,3 +307,22 @@ def test_predictor_json_round_trip():
     assert predictor_from_json_text(text) == p
     assert p.standardize(0.0) == 0.5
     assert p.destandardize(0.5) == 0.0
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda doc: doc["weights"].__setitem__(1, float("nan")),
+     "predictor key 'weights[1]' must be a finite number"),
+    (lambda doc: doc.update(bias=True), "predictor key 'bias' must be a finite number"),
+    (lambda doc: doc["descriptor_names"].__setitem__(0, 1),
+     "predictor key 'descriptor_names[0]' must be a string"),
+    (lambda doc: doc.update(note="x"), "predictor key 'note' is unknown"),
+    (lambda doc: doc["min"].pop(), "predictor is invalid: predictor field lengths"),
+], ids=["nan-weight", "bool-bias", "int-name", "unknown-key", "lengths"])
+def test_predictor_faults_name_their_path(edit, needle):
+    p = LinearPredictor((0.5, -0.25), 0.1, 0.01, ("a", "b"), (0.0, 1.0),
+                        (2.0, 3.0), -5.0, 5.0, "deadbeef")
+    doc = json.loads(predictor_to_json_text(p))
+    edit(doc)
+    with pytest.raises(InputError) as caught:
+        predictor_from_json_text(json.dumps(doc))
+    assert str(caught.value).startswith(needle)

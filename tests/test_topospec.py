@@ -1,16 +1,29 @@
+import importlib.util
 import json
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from invqsar.topospec import (
+    AC_BOUND,
     FIXED,
     FLEXIBLE,
+    FRINGE_ASSIGNMENT,
+    FRINGE_ENTRY,
     OPTIONAL,
     PATH,
+    SEED,
+    SEED_EDGE,
+    SEED_VERTEX,
+    SPEC,
     SpecError,
     check_graph_satisfies,
     classify_edge,
     parse_spec,
+    spec_from_graph,
+    spec_to_json,
     spec_to_json_text,
 )
 
@@ -19,6 +32,7 @@ from invqsar.descriptors import take_census
 from conftest import (
     ALL_ROUNDTRIP_FIXTURES,
     fringe_menu_json,
+    random_chemical_graph,
     ring,
     roundtrip_fixture,
     triangle_spec_doc,
@@ -195,3 +209,140 @@ def test_checker_reuses_only_a_census_at_the_spec_rho(name):
     assert expected["passed"]
     for rho in (spec.rho, spec.rho - 1, spec.rho + 1):
         assert check_graph_satisfies(spec, g, take_census(g, rho)).to_json() == expected
+
+
+# -- the strict schema --------------------------------------------------------
+
+
+def _edit(path, value):
+    """An edit of a spec document that sets (or, with DELETE, removes) the
+    value at path, a tuple of keys and list indices."""
+    def apply(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if value is DELETE:
+            del doc[last]
+        else:
+            doc[last] = value
+    return apply
+
+
+DELETE = object()
+
+# One case per fault class: the edit and the path the error must name.
+SPEC_FAULTS = {
+    "edge-without-tail": (_edit(("seed", "edges", 0, "tail"), DELETE),
+                          "seed.edges[0].tail"),
+    "fringe-tree-without-id": (_edit(("fringe_trees", 0, "id"), DELETE),
+                               "fringe_trees[0].id"),
+    "ac_lf-without-a": (_edit(("ac_lf",), [{"b": "C", "mult": 1}]), "ac_lf[0].a"),
+    "vertices-object": (_edit(("seed", "vertices"), {}), "seed.vertices"),
+    "seed-list": (_edit(("seed",), []), "seed"),
+    "na_lb-list": (_edit(("na_lb",), [1]), "na_lb"),
+    "fringe_assignment-list": (_edit(("fringe_assignment",), []), "fringe_assignment"),
+    "len_ub-fraction": (_edit(("seed", "edges", 0, "len_ub"), 2.9),
+                        "seed.edges[0].len_ub"),
+    "rho-string": (_edit(("rho",), "2"), "rho"),
+    "deg_lb-string": (_edit(("deg_lb",), "0000"), "deg_lb"),
+    "lambda_int-string": (_edit(("lambda_int",), "C"), "lambda_int"),
+    "leaf_path-string": (_edit(("seed", "vertices", 0, "leaf_path"), "no"),
+                         "seed.vertices[0].leaf_path"),
+    "mass_avg_ub-nan": (_edit(("mass_avg_ub",), float("nan")), "mass_avg_ub"),
+    "n_lb-negative": (_edit(("n_lb",), -5), "n_lb"),
+    "fc_ub-negative": (_edit(("fringe_trees", 0, "fc_ub"), -1),
+                       "fringe_trees[0].fc_ub"),
+    "unknown-key": (_edit(("n_start",), 8), "n_start"),
+    "tree-order-fraction": (_edit(("fringe_trees", 2, "edges", 0, "order"), 1.5),
+                            "fringe_trees[2].edges[0].order"),
+    "tree-without-root": (_edit(("fringe_trees", 1, "root"), DELETE),
+                          "fringe_trees[1].root"),
+    "tree-root-string": (_edit(("fringe_trees", 1, "root"), "1"),
+                         "fringe_trees[1].root"),
+    "n_star-bool": (_edit(("n_star",), True), "n_star"),
+}
+
+
+@pytest.mark.parametrize("name", SPEC_FAULTS)
+def test_spec_fault_names_its_path(name):
+    edit, path = SPEC_FAULTS[name]
+    # the triangle spec with a menu of three fringe trees
+    doc = triangle_spec_doc(fringe_menu_json(
+        [ring(3), ring(4, pendant=1), ring(5, pendant=2)]))
+    parse_spec(json.dumps(doc))
+    edit(doc)
+    with pytest.raises(SpecError) as caught:
+        parse_spec(json.dumps(doc))
+    assert repr(path) in str(caught.value)
+    assert str(caught.value).startswith("malformed specification")
+
+
+def test_spec_faults_keep_their_clause_messages():
+    """Values of the right type that break a clause are collected into one
+    message; an edge off the vertex set is one of them, not a KeyError."""
+    doc = minimal_spec(n_lb=9, deg_lb=[0, 0, 5, 0], deg_ub=[1, 1, 1, 1])
+    doc["seed"]["edges"][0].update(tail=1, head=9)
+    with pytest.raises(SpecError) as caught:
+        parse_spec(json.dumps(doc))
+    message = str(caught.value)
+    for part in ("n_lb above n_star", "deg bounds cross",
+                 "edge (1,9) off the vertex set"):
+        assert part in message
+
+
+def _perfbench_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _demo_spec_doc():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_demo.py"
+    spec = importlib.util.spec_from_file_location("run_demo", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return spec_to_json(module.demo_spec(module.demo_dataset()))
+
+
+def _round_trip_docs():
+    docs = {name: lambda name=name: spec_to_json(roundtrip_fixture(name).spec)
+            for name in ALL_ROUNDTRIP_FIXTURES}
+    for i in range(5):
+        docs[f"stress{i}"] = lambda i=i: _perfbench_inputs().stress_problems(
+            np.random.default_rng(1), 5, 8)[i][1]
+    for i, g in enumerate([ring(6), ring(4, pendant=3), ring(5, pendant=1)]):
+        docs[f"from_graph{i}"] = lambda g=g: spec_from_graph(g)
+    docs["from_graph_random"] = lambda: spec_from_graph(next(
+        g for g in (random_chemical_graph(np.random.default_rng(s), 10)
+                    for s in range(100))
+        if len(take_census(g, 2).decomposition.interior_vertices) >= 2))
+    docs["run_demo"] = _demo_spec_doc
+    return docs
+
+
+ROUND_TRIP_DOCS = _round_trip_docs()
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_DOCS)
+def test_spec_json_round_trip(name):
+    spec = parse_spec(json.dumps(ROUND_TRIP_DOCS[name]()))
+    text = spec_to_json_text(spec)
+    again = parse_spec(text)
+    assert again == spec
+    assert spec_to_json_text(again) == text
+
+
+def test_readme_table_lists_the_schema_keys():
+    """The README's specification table and the code's field tables list
+    the same keys, so that neither can drift from the other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("**Specification JSON**")
+    section = readme[start:readme.index("**Predictor JSON**", start)]
+    documented = set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.M))
+    tables = {"": SPEC, "seed.": SEED, "seed.vertices[].": SEED_VERTEX,
+              "seed.edges[].": SEED_EDGE, "fringe_trees[].": FRINGE_ENTRY,
+              "fringe_assignment.": FRINGE_ASSIGNMENT, "ac_lf[].": AC_BOUND}
+    in_code = {prefix + f.key for prefix, table in tables.items() for f in table.fields}
+    assert documented == in_code
