@@ -431,24 +431,30 @@ def _coded_tree(r: Reader, path, d: dict) -> tuple[bytes, RootedFringeTree]:
     return code, d["tree"]
 
 
+def _catalog(entry: Kind, key=lambda x: x) -> Kind:
+    """A catalog: a list in which no entry repeats."""
+    return list_of(entry, key=key)
+
+
 _PAIR = list_of(Kind(lambda r, v, path: v), 2)
 _SYMBOL = Kind(_symbol, lambda s: [s.element.token, s.degree])
 SPACE = Table(
     Field("rho", integer(1)),
-    Field("lambda_int", list_of(ELEMENT)),
-    Field("lambda_ex", list_of(ELEMENT)),
-    Field("gamma_int", list_of(Table(
+    Field("lambda_int", _catalog(ELEMENT)),
+    Field("lambda_ex", _catalog(ELEMENT)),
+    Field("gamma_int", _catalog(Table(
         Field("mu", _SYMBOL),
         Field("mu_prime", _SYMBOL),
         Field("mult", integer(1, 3)),
         make=lambda r, path, d: EdgeConfiguration(d["mu"], d["mu_prime"], d["mult"]),
     ))),
-    Field("fringe_trees", list_of(Table(
+    Field("fringe_trees", _catalog(Table(
         Field("code", STRING, attr=lambda pair: pair[0].decode()),
         Field("tree", TREE, attr=itemgetter(1)),
         make=_coded_tree,
-    )), attr=lambda space: zip(space.fringe_codes, space.fringe_examples)),
-    Field("ac_lf", list_of(Table(
+    ), key=itemgetter(0)),  # a tree repeats when its canonical code does
+        attr=lambda space: zip(space.fringe_codes, space.fringe_examples)),
+    Field("ac_lf", _catalog(Table(
         Field("a", ELEMENT),
         Field("b", ELEMENT),
         Field("mult", integer(1, 3)),

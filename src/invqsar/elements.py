@@ -102,15 +102,14 @@ def make_element(symbol: str, valence: int | None = None) -> ElementSpec:
 
 
 def parse_element(token: str) -> ElementSpec:
-    """Parse a token like "C" or "S(6)" into an ElementSpec."""
-    token = token.strip()
+    """Parse a token like "C" or "S(6)" into an ElementSpec.  The token is
+    taken as it is: one with spaces around or inside it is unknown."""
     if token.endswith(")") and "(" in token:
         sym, _, rest = token.partition("(")
-        try:
-            valence = int(rest[:-1])
-        except ValueError as exc:
-            raise UnknownElementError(f"bad element token {token!r}") from exc
-        return make_element(sym, valence)
+        digits = rest[:-1]
+        if not (digits.isascii() and digits.isdigit()):
+            raise UnknownElementError(f"bad element token {token!r}")
+        return make_element(sym, int(digits))
     return make_element(token)
 
 

@@ -19,6 +19,20 @@ or proves it empty, then branching on a fractional integer variable.  The
 search stops at the first integral point, or proves that none exists once
 every node is closed.
 
+Presolve fixes columns with equal bounds, turns one-column rows into
+bounds, drops rows that cannot be violated, and eliminates columns: a
+column in one row only, and one column of each two-column equality
+a*x_j + b*x_k = r, which is substituted out of every other row as
+x_k = (r - a*x_j)/b while its bounds move onto x_j (doubleton
+aggregation: Andersen & Andersen, "Presolving in linear programming",
+1995; Achterberg, Bixby, Gu, Rothberg & Weninger, "Presolve reductions in
+mixed integer programming", 2020).  A continuous x_k goes when the row
+has one; an integer x_k only when b = +-1 and a, r and x_j are integral,
+so every integral x_j gives an integral x_k.  Eliminated columns are
+restored in reverse order from the LP point.  A row is tested for
+redundancy again only after its coefficients or a bound of one of its
+columns changed.
+
 Bound propagation is event-driven (Savelsbergh 1994; Achterberg 2007,
 sec. 7.1): a row is revisited only after a bound of one of its variables
 moved, and a continuous bound moves only by a step over 5% of its domain
@@ -167,9 +181,10 @@ def _tighten_lb(v: PVar, limit: Num) -> bool:
 
 def _propagate(
     variables: list[PVar], rows: list[PRow], moved: set[int] | None = None
-) -> None:
-    """Tighten variable bounds in place from row activities; raises
-    _Infeasible when some row cannot be met within the bounds.
+) -> set[int]:
+    """Tighten variable bounds in place from row activities and return the
+    columns whose bounds moved; raises _Infeasible when some row cannot be
+    met within the bounds.
 
     Event driven: every row is visited once in row order, and again only
     after a bound of one of its variables moved.  With `moved`, the
@@ -195,6 +210,7 @@ def _propagate(
     queued = [False] * len(rows)
     for r in queue:
         queued[r] = True
+    tightened: set[int] = set()
     visits = 10 * len(rows)
     while queue and visits:
         visits -= 1
@@ -230,10 +246,22 @@ def _propagate(
             if v.lb > v.ub:
                 raise _Infeasible
             lbs[j], ubs[j] = v.lb, v.ub
+            tightened.add(j)
             for s in col_rows[j]:
                 if not queued[s]:
                     queued[s] = True
                     queue.append(s)
+    return tightened
+
+
+# Elimination rounds per node.  A round removes what the previous one
+# exposed, and a chain of two-variable equalities loses one link per
+# round, so this is sized well above the longest chain of the fixtures.
+PRESOLVE_ROUNDS = 200
+
+# Kinds of an eliminated column, undone in reverse order.
+SINGLETON = 0  # in one row only: picked inside that row's range
+PAIR = 1  # defined by an equality with one other column
 
 
 @dataclass
@@ -241,8 +269,30 @@ class _Reduced:
     variables: list[PVar]
     rows: list[PRow]
     fixed: dict[int, Num]
-    singles: list[tuple]
+    eliminated: list[tuple]
     keep: list[int]
+
+
+def _pair_victim(row: PRow, variables: list[PVar], occurrences) -> tuple | None:
+    """For an equality a*x_j + b*x_k = r, the (k, j) to substitute out by
+    x_k = (r - a*x_j) / b, or None.  A continuous x_k is always eligible;
+    an integer x_k only when b = +-1 and a, r and x_j are integral, so that
+    every integral x_j gives an integral x_k.  Of two candidates the column
+    in fewer rows goes, as it fills in fewer rows, and on a tie the later
+    one (on square_chord the root LP then takes 101 pivots, not 137)."""
+    (j1, c1), (j2, c2) = row.coeffs.items()
+    eligible = [
+        (occurrences[k], -k, k, j)
+        for k, b, j, a in ((j1, c1, j2, c2), (j2, c2, j1, c1))
+        if not variables[k].is_int
+        or (
+            abs(b) == 1
+            and variables[j].is_int
+            and a.denominator == 1
+            and row.lo.denominator == 1
+        )
+    ]
+    return min(eligible)[2:] if eligible else None
 
 
 def _presolve(problem: Problem, bounds) -> _Reduced:
@@ -254,22 +304,28 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
             lb, ub = max(lb, blb), min(ub, bub)
         variables.append(PVar(v.name, lb, ub, v.is_int))
     rows = [PRow(dict(r.coeffs), r.lo, r.hi) for r in problem.rows]
-    # Coefficients are only ever removed below, so the rows a column was
-    # in at the start include every row it is still in.
-    col_rows: list[list[PRow]] = [[] for _ in variables]
-    for row in rows:
+    # The rows each column is in.  Substitution adds columns to rows, and
+    # every fill-in is appended here; a row a column has left stays
+    # listed, and its coefficient lookup then finds nothing.
+    col_rows: list[list[int]] = [[] for _ in variables]
+    for r, row in enumerate(rows):
         for j in row.coeffs:
-            col_rows[j].append(row)
+            col_rows[j].append(r)
+    live = list(range(len(rows)))
 
     _propagate(variables, rows)
 
     fixed: dict[int, Num] = {}
-    singles: list[tuple] = []
+    eliminated: list[tuple] = []
     gone: set[int] = set()
-    for _ in range(60):
+    # rows to test for redundancy: those whose coefficients, or the bounds
+    # of whose columns, changed since their last test
+    dirty = [True] * len(rows)
+    for _ in range(PRESOLVE_ROUNDS):
         changed = False
-        # columns whose bounds a singleton row moved, or that shared a row
-        # with an eliminated column: only their rows need propagating again
+        # columns whose bounds a singleton row or a pair moved
+        shifted: set[int] = set()
+        # columns that shared a row with an eliminated column
         moved: set[int] = set()
         for i, v in enumerate(variables):
             if i in gone or v.lb != v.ub:
@@ -277,7 +333,8 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
             fixed[i] = v.lb
             gone.add(i)
             changed = True
-            for row in col_rows[i]:
+            for r in col_rows[i]:
+                row = rows[r]
                 c = row.coeffs.pop(i, None)
                 if c is not None and v.lb:
                     if row.lo is not None:
@@ -285,11 +342,12 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
                     if row.hi is not None:
                         row.hi -= c * v.lb
 
-        kept_rows: list[PRow] = []
+        kept: list[int] = []
         occurrences: dict[int, int] = {}
         lbs = [v.lb for v in variables]
         ubs = [v.ub for v in variables]
-        for row in rows:
+        for r in live:
+            row = rows[r]
             if not row.coeffs:
                 if (row.lo is not None and row.lo > 0) or (
                     row.hi is not None and row.hi < 0
@@ -309,29 +367,32 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
                         lo = ceil(lo)
                     if lo > v.lb:
                         v.lb = lo
-                        moved.add(j)
+                        shifted.add(j)
                 if hi is not None:
                     if v.is_int:
                         hi = floor(hi)
                     if hi < v.ub:
                         v.ub = hi
-                        moved.add(j)
+                        shifted.add(j)
                 if v.lb > v.ub:
                     raise _Infeasible
                 changed = True
                 continue
-            amin, amax = _activity_bounds(row, lbs, ubs)
-            lo_slack = row.lo is None or amin >= row.lo
-            hi_slack = row.hi is None or amax <= row.hi
-            if lo_slack and hi_slack:
-                changed = True
-                continue
-            kept_rows.append(row)
+            if dirty[r]:
+                dirty[r] = False
+                amin, amax = _activity_bounds(row, lbs, ubs)
+                lo_slack = row.lo is None or amin >= row.lo
+                hi_slack = row.hi is None or amax <= row.hi
+                if lo_slack and hi_slack:
+                    changed = True
+                    continue
+            kept.append(r)
             for j in row.coeffs:
                 occurrences[j] = occurrences.get(j, 0) + 1
-        rows = kept_rows
+        live = kept
 
-        for row in rows:
+        for r in live:
+            row = rows[r]
             victim = None
             for j, c in row.coeffs.items():
                 if occurrences.get(j, 0) != 1:
@@ -358,23 +419,89 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
             rest = {jj: cc for jj, cc in row.coeffs.items() if jj != j}
             new_lo = None if row.lo is None else row.lo - max(c * v.lb, c * v.ub)
             new_hi = None if row.hi is None else row.hi - min(c * v.lb, c * v.ub)
-            singles.append((j, c, row.lo, row.hi, dict(rest), v.lb, v.ub, v.is_int))
+            eliminated.append(
+                (SINGLETON, j, c, row.lo, row.hi, dict(rest), v.lb, v.ub, v.is_int)
+            )
             gone.add(j)
             row.coeffs = rest
             row.lo, row.hi = new_lo, new_hi
+            dirty[r] = True
             moved.update(rest)
             changed = True
 
-        if changed:
-            _propagate(variables, rows, moved)
-        else:
+        # Two-variable equalities a*x_j + b*x_k = r: x_k := (r - a*x_j)/b in
+        # every other row, and x_k's bounds move onto x_j.  Pairs that share
+        # no column go in one round.
+        used: set[int] = set()
+        defining: set[int] = set()
+        for r in live:
+            row = rows[r]
+            if row.lo is None or row.lo != row.hi or len(row.coeffs) != 2:
+                continue
+            if not used.isdisjoint(row.coeffs):
+                continue
+            pick = _pair_victim(row, variables, occurrences)
+            if pick is None:
+                continue
+            k, j = pick
+            used.update(row.coeffs)
+            defining.add(r)
+            a, b, rhs = row.coeffs[j], row.coeffs[k], row.lo
+            for s in col_rows[k]:
+                other = rows[s]
+                c = other.coeffs.pop(k, None)
+                if c is None or s == r:
+                    continue
+                shift = _quotient(c * rhs, b)
+                if other.lo is not None:
+                    other.lo -= shift
+                if other.hi is not None:
+                    other.hi -= shift
+                cj = other.coeffs.get(j)
+                if cj is None:
+                    col_rows[j].append(s)
+                    cj = 0
+                cj -= _quotient(c * a, b)
+                if cj:
+                    other.coeffs[j] = cj
+                else:
+                    del other.coeffs[j]
+                dirty[s] = True
+            vk, vj = variables[k], variables[j]
+            ends = (_quotient(rhs - b * vk.lb, a), _quotient(rhs - b * vk.ub, a))
+            lo, hi = min(ends), max(ends)
+            if vj.is_int:
+                lo, hi = ceil(lo), floor(hi)
+            if lo > vj.lb:
+                vj.lb = lo
+                shifted.add(j)
+            if hi < vj.ub:
+                vj.ub = hi
+                shifted.add(j)
+            if vj.lb > vj.ub:
+                raise _Infeasible
+            eliminated.append((PAIR, k, j, a, b, rhs))
+            gone.add(k)
+            moved.add(j)
+            changed = True
+        if defining:
+            live = [r for r in live if r not in defining]
+
+        if not changed:
             break
+        # propagate from the rows of both, then test again for redundancy
+        # the rows of every column whose bounds moved
+        shifted |= _propagate(variables, [rows[r] for r in live], moved | shifted)
+        for j in shifted:
+            for r in col_rows[j]:
+                dirty[r] = True
 
     keep = [i for i in range(len(variables)) if i not in gone]
     remap = {orig: new for new, orig in enumerate(keep)}
     red_vars = [variables[i] for i in keep]
     red_rows = []
-    for row in rows:
+    for r in live:
+        row = rows[r]
         if not row.coeffs:
             if (row.lo is not None and row.lo > 0) or (
                 row.hi is not None and row.hi < 0
@@ -384,14 +511,19 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
         red_rows.append(
             PRow({remap[j]: c for j, c in row.coeffs.items()}, row.lo, row.hi)
         )
-    return _Reduced(red_vars, red_rows, fixed, singles, keep)
+    return _Reduced(red_vars, red_rows, fixed, eliminated, keep)
 
 
 def _undo_presolve(problem: Problem, red: _Reduced, red_values) -> dict[int, Num]:
     values: dict[int, Num] = dict(red.fixed)
     for new, orig in enumerate(red.keep):
         values[orig] = red_values[new]
-    for j, c, lo, hi, rest, lb, ub, is_int in reversed(red.singles):
+    for step in reversed(red.eliminated):
+        if step[0] == PAIR:
+            _, k, j, a, b, rhs = step
+            values[k] = _quotient(rhs - a * values[j], b)
+            continue
+        _, j, c, lo, hi, rest, lb, ub, is_int = step
         rest_val = sum(cc * values[jj] for jj, cc in rest.items())
         lo_x = None if lo is None else _quotient(lo - rest_val, c)
         hi_x = None if hi is None else _quotient(hi - rest_val, c)

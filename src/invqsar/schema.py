@@ -127,14 +127,23 @@ def optional(kind: Kind) -> Kind:
                 json_type=kind.json_type, low=kind.low, high=kind.high)
 
 
-def list_of(item: Kind, length: int | None = None) -> Kind:
-    """A JSON list, read as a tuple."""
+def list_of(item: Kind, length: int | None = None, key=None) -> Kind:
+    """A JSON list, read as a tuple.  With `key`, no two entries may have
+    equal key(entry): a repeat is a fault at its index."""
     def read(r, v, path):
         if type(v) is not list or (length is not None and len(v) != length):
             r.fail(path, "must be a list" if length is None
                    else f"must be a list of {length} values")
         read_item = item.read
-        return tuple([read_item(r, x, (path, i)) for i, x in enumerate(v)])
+        values = tuple([read_item(r, x, (path, i)) for i, x in enumerate(v)])
+        if key is not None:
+            seen = set()
+            for i, x in enumerate(values):
+                k = key(x)
+                if k in seen:
+                    r.fail((path, i), "repeats an earlier entry")
+                seen.add(k)
+        return values
     return Kind(read, lambda values: [item.write(x) for x in values])
 
 

@@ -266,3 +266,35 @@ def test_space_faults_name_their_path(edit, needle):
     with pytest.raises(InputError) as caught:
         space_from_json(doc)
     assert str(caught.value).startswith(needle)
+
+
+@pytest.mark.parametrize(
+    "catalog", ["lambda_int", "lambda_ex", "gamma_int", "fringe_trees", "ac_lf"])
+def test_space_catalog_entry_repeats_are_rejected(catalog):
+    """A catalog entry listed twice would give two descriptor columns for
+    one count; the repeat is a fault at its index."""
+    doc = space_to_json(build_space([ring(6), ring(4, pendant=2), chain(["C", "O"])], 2))
+    entries = doc[catalog]
+    entries.insert(1, entries[0])
+    with pytest.raises(InputError) as caught:
+        space_from_json(doc)
+    assert str(caught.value) == (
+        f"descriptor space key '{catalog}[1]' repeats an earlier entry")
+
+
+def test_space_fringe_tree_repeat_is_found_by_code():
+    """The same fringe tree with its vertices numbered differently is still
+    a repeat."""
+    doc = space_to_json(build_space([ring(6), ring(4, pendant=2)], 2))
+    tree = max(doc["fringe_trees"], key=lambda t: len(t["tree"]["vertices"]))
+    renumbered = json.loads(json.dumps(tree))
+    ids = [v["id"] for v in renumbered["tree"]["vertices"]]
+    shift = {i: i + 100 for i in ids}
+    for v in renumbered["tree"]["vertices"]:
+        v["id"] = shift[v["id"]]
+    for e in renumbered["tree"]["edges"]:
+        e["u"], e["v"] = shift[e["u"]], shift[e["v"]]
+    renumbered["tree"]["root"] = shift[renumbered["tree"]["root"]]
+    doc["fringe_trees"].append(renumbered)
+    with pytest.raises(InputError, match=r"'fringe_trees\[\d+\]' repeats"):
+        space_from_json(doc)

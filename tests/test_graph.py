@@ -30,6 +30,12 @@ def test_element_tokens():
         parse_element("Xx")
 
 
+@pytest.mark.parametrize("token", [" C ", "C ", "\tC", "S( 6)", "S(6 )", "S(+6)", "S()"])
+def test_element_tokens_are_taken_as_they_are(token):
+    with pytest.raises(UnknownElementError):
+        parse_element(token)
+
+
 def test_element_variants_are_shared():
     assert make_element("C") is make_element("C", 4) is parse_element("C")
     assert parse_element("S(6)") is make_element("S", 6)

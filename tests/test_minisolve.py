@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invqsar.milp.minisolve import (
+    PAIR,
     MiniSolverError,
+    Problem,
     PRow,
     PVar,
     _Infeasible,
+    _presolve,
     _propagate,
     solve_exact,
 )
@@ -193,6 +196,128 @@ def test_fractional_models_stay_exact():
             exact_answer(m, mini.values)
     assert statuses.count("optimal") >= 10
     assert "infeasible" in statuses
+
+
+def random_doubleton_model(rng: np.random.Generator) -> MILPModel:
+    """A small model made mostly of two-variable equalities a*x + b*y = r:
+    integer pairs with unit and non-unit coefficients, continuous and mixed
+    pairs, chains through shared variables, and fractional right-hand
+    sides, plus a few wider rows.  Every row holds at a planted point,
+    except that about one model in three has one equality with a random
+    right-hand side, so both statuses occur.  Fractions are dyadic, so the
+    float model HiGHS reads holds exactly the values the exact solver
+    reads."""
+    n = int(rng.integers(4, 9))
+    m = MILPModel()
+    kinds = rng.choice([BINARY, INTEGER, CONTINUOUS], size=n, p=[0.1, 0.55, 0.35])
+    point = {}
+    for i, kind in enumerate(kinds):
+        lb, ub = (0, 1) if kind == BINARY else (int(rng.integers(-8, 1)),
+                                                int(rng.integers(1, 11)))
+        m.add_var(f"v{i}", kind, lb, ub)
+        step = 4 if kind == CONTINUOUS else 1
+        point[f"v{i}"] = int(rng.integers(lb * step, ub * step + 1)) / step
+    coefs = [1, -1, 1, -1, 1, -1, 2, -2, 3, 0.5, -0.25]
+
+    def row(size):
+        names = [f"v{int(i)}" for i in rng.choice(n, size=size, replace=False)]
+        terms = {name: float(rng.choice(coefs)) for name in names}
+        return terms, sum(c * point[name] for name, c in terms.items())
+
+    pairs = int(rng.integers(2, n))
+    wrong = int(rng.integers(0, pairs)) if rng.random() < 0.35 else None
+    for r in range(pairs):
+        terms, rhs = row(2)
+        if r == wrong:
+            rhs = int(rng.integers(-6, 7)) / int(rng.choice([1, 2, 4]))
+        m.add_constr(f"p{r}", terms, EQ, rhs)
+    for r in range(int(rng.integers(1, 4))):
+        terms, at_point = row(int(rng.integers(3, n + 1)))
+        slack = int(rng.integers(1, 5))
+        if rng.random() < 0.5:
+            m.add_constr(f"w{r}", terms, LE, at_point + slack)
+        else:
+            m.add_constr(f"w{r}", terms, GE, at_point - slack)
+    return m
+
+
+def pair_steps(model: MILPModel) -> list[tuple]:
+    """The two-variable equalities the root presolve substitutes out."""
+    try:
+        red = _presolve(Problem.from_model(model), {})
+    except _Infeasible:
+        return []
+    return [step for step in red.eliminated if step[0] == PAIR]
+
+
+def test_doubleton_models_agree_with_highs():
+    """On models rich in two-variable equalities the exact solver agrees
+    with HiGHS on feasibility, its answers are exact, and the root
+    presolve substitutes out integer and continuous columns alike, an
+    integer one only through a unit coefficient with an integral partner,
+    coefficient and right-hand side."""
+    rng = np.random.default_rng(2020)
+    statuses = []
+    substituted = {True: 0, False: 0}
+    for _ in range(120):
+        m = random_doubleton_model(rng)
+        variables = Problem.from_model(m).variables
+        for _, k, j, a, b, rhs in pair_steps(m):
+            if variables[k].is_int:
+                assert abs(b) == 1 and variables[j].is_int
+                assert a.denominator == 1 and rhs.denominator == 1
+            substituted[variables[k].is_int] += 1
+        mini = solve_exact(m, time_limit=60)
+        ext = solve(m, "highs")
+        assert mini.status in ("optimal", "infeasible")
+        assert ext.status == mini.status
+        statuses.append(mini.status)
+        if mini.status == "optimal":
+            exact_answer(m, mini.values)
+    assert statuses.count("optimal") >= 60
+    assert statuses.count("infeasible") >= 15
+    assert substituted[True] >= 15 and substituted[False] >= 30
+
+
+def test_integer_with_non_unit_coefficient_is_not_substituted():
+    """In 2x + 3y = 12 over integers neither column may go, since an
+    integral value of one does not make the other integral; in z - 2w = 1
+    only z may go, and next to a continuous column only that one goes."""
+    m = MILPModel()
+    for name in "xyzw":
+        m.add_var(name, INTEGER, 0, 10)
+    m.add_var("c", CONTINUOUS, 0, 20)
+    m.add_constr("two_three", {"x": 2, "y": 3}, EQ, 12)
+    m.add_constr("unit", {"z": 1, "w": -2}, EQ, 1)
+    m.add_constr("mixed", {"x": 1, "c": 0.5}, EQ, 6)
+    m.add_constr("links", {"x": 1, "y": 1, "z": 1, "w": 1, "c": 1}, LE, 20)
+    m.add_constr("again", {"x": 1, "y": -1, "z": 2, "w": -1, "c": -1}, GE, -6)
+    red = _presolve(Problem.from_model(m), {})
+    assert [m.variables[step[1]].name for step in red.eliminated] == ["z", "c"]
+    assert [m.variables[i].name for i in red.keep] == ["x", "y", "w"]
+    assert [(v.lb, v.ub) for v in red.variables] == [(0, 6), (0, 4), (0, 4)]
+    out = solve_exact(m)
+    assert out.status == "optimal"
+    exact_answer(m, out.values)
+
+
+def test_pair_moves_the_bounds_onto_the_kept_column():
+    """x - k = 0 with k in [0, 99]: x keeps k's bounds exactly, also where
+    propagation would skip a step under 5% of x's width; with 2y - k = 1
+    and y integral, y's bound is rounded inward."""
+    m = MILPModel()
+    m.add_var("x", CONTINUOUS, 0, 100)
+    m.add_var("k", CONTINUOUS, 0, 99)
+    m.add_var("y", INTEGER, -20, 20)
+    m.add_var("h", CONTINUOUS, -4, 99 / 4)
+    m.add_constr("tie", {"x": 1, "k": -1}, EQ, 0)
+    m.add_constr("half", {"y": 2, "h": -1}, EQ, 1)
+    m.add_constr("a", {"x": 1, "k": 1, "y": -1, "h": 1}, LE, 199)
+    m.add_constr("b", {"x": 1, "y": 1, "h": -1}, GE, 5)
+    red = _presolve(Problem.from_model(m), {})
+    assert [m.variables[step[1]].name for step in red.eliminated] == ["k", "h"]
+    bounds = {v.name: (v.lb, v.ub) for v in red.variables}
+    assert bounds == {"x": (0, 99), "y": (-1, 12)}
 
 
 @st.composite

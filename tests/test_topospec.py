@@ -260,6 +260,9 @@ SPEC_FAULTS = {
     "tree-root-string": (_edit(("fringe_trees", 1, "root"), "1"),
                          "fringe_trees[1].root"),
     "n_star-bool": (_edit(("n_star",), True), "n_star"),
+    "element-token-spaces": (_edit(("lambda_int",), [" C "]), "lambda_int[0]"),
+    "element-valence-spaces": (_edit(("lambda_ex",), ["C", "H", "S( 6)"]),
+                               "lambda_ex[2]"),
 }
 
 
