@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -349,6 +350,15 @@ def roundtrip_fixture(name: str) -> RoundTripFixture:
 
 
 ALL_ROUNDTRIP_FIXTURES = tuple(_FIXTURE_MAKERS)
+
+
+def perfbench_inputs():
+    """The benchmark's input generators (`perfbench/inputs.py`) as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from invqsar.descriptors import build_space, featurize
@@ -10,7 +12,9 @@ from invqsar.milp.solve import solve
 from invqsar.topospec import check_graph_satisfies, parse_spec
 
 from conftest import (
+    ALL_ROUNDTRIP_FIXTURES,
     fringe_menu_json,
+    perfbench_inputs,
     ring,
     roundtrip_fixture,
     triangle_spec_doc,
@@ -393,3 +397,79 @@ def test_prediction_reduces_to_normalized_interval():
     xhat = sol.float_value("xhat_1")
     assert 0.2 - 1e-6 <= xhat <= 0.8 + 1e-6
     assert sol.int_value("x_1") in (4, 5)  # normalized 1/3 and 2/3
+
+
+# sha256 of emit_lp(build_milp(...)) without and with a predictor.  HiGHS
+# time on the stress set swings 2-5x under any change to the LP text, so a
+# change meant to keep the model must keep these digests.
+PINNED_LP_DIGESTS = {
+    "triangle": (
+        "c49a040a59f93fbc3998720de59263ce10b900a5ef16704ded700a228b21e2f9",
+        "e7bedadee0ac0e8a83f37c88e9f4fe912893c596483953ff4a6a5e9d5085db41",
+    ),
+    "square_chord": (
+        "585f2f4404e164fb5bda0414d075e13013c63042eb2a3e790db91e141adf4282",
+        "ccaa066807ebef06fd5d48abe6059f42bff65f4180d756860e2e1bd1a811fdb1",
+    ),
+    "expanded_path": (
+        "d7a0f52648e623ff542eb64d6934d99f43825bb688b244c08a3abb0730e05ce4",
+        "8fc17e2782f4db79546fa7bc70f72409fa5cbacde5ad0d797eee1e4100feb8dd",
+    ),
+    "hetero": (
+        "e9e84ce34c198084133377c52f0ec3261cdbe5595f4425062f3dc26be5083c8d",
+        "aa798c1e3e7fb260d91da872f7ab5c4de0e3019a12e9efe6200fc6cd4edfd6ae",
+    ),
+    "two_rings": (
+        "f718de64914b259bced9bbd4c8ca6c487470f993461dc815e6ec7c79cbb299fa",
+        "55d093f2d1da92e902db8c570468bcf234db23edb77a88b416881d52a2ab33b8",
+    ),
+    "stress1": (
+        "f89106fe1db40b5710ea8953c739eb7f3b788f4c7a3cc6eb04d448a8f161114d",
+        "2e9ada3d220618155e1aa1c31372afc743cfc5694ca4c7ce00c0bfe3619446e4",
+    ),
+    "stress2": (
+        "b2fc0b1430129619acf20e0e4cbb4f4d64a0545331a6efcd7bdc89cc08035911",
+        "e7ad946600512511b240dc808b1da7ef4108ec52c930583032b0a6b3501ed7d6",
+    ),
+    "stress3": (
+        "a439f11e42d8a4e92d6fc5ce957b21503ba5ac637975cfe1f0fc0f2913b0b92b",
+        "cf827c0efe7efe8cd30af833264998a5e1a4e2c2d524589f081a8f686534b49f",
+    ),
+    "stress4": (
+        "78787f4424432ae35bdccfc5cca45b540e14946c107d221f016bbfe4447182ab",
+        "d2403fed155d998a8b12ce0d84b96611d7f7d95bcf07adb84872977c873e2ce0",
+    ),
+    "stress5": (
+        "93d48b7130b58fab3447d361d5737d5c9b43d02f796ee604d882404729a690a2",
+        "d08fdaf8f86831249c8c63d96cbe14bf3c8f5c74af0ff9a14e9c18d154d07472",
+    ),
+}
+
+
+def _pinned_models():
+    """(name, spec, space, predictor, y_lo, y_hi): the five round-trip
+    fixtures and the benchmark's stress set at +-0.02 around the target."""
+    for name in ALL_ROUNDTRIP_FIXTURES:
+        fx = roundtrip_fixture(name)
+        yield name, fx.spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi
+    problems = perfbench_inputs().stress_problems(np.random.default_rng(1), 5, 8)
+    for i, (dataset, spec_doc, target) in enumerate(problems, start=1):
+        space = build_space(dataset, 2)
+        vectors = [featurize(g, space) for g in dataset]
+        predictor = uniform_predictor(space, vectors, weight=0.07)
+        y = predictor.predict_normalized(featurize(target, space).as_floats())
+        spec = parse_spec(json.dumps(spec_doc))
+        yield f"stress{i}", spec, space, predictor, y - 0.02, y + 0.02
+
+
+def test_lp_text_is_pinned():
+    digests = {}
+    for name, spec, space, predictor, y_lo, y_hi in _pinned_models():
+        digests[name] = tuple(
+            hashlib.sha256(emit_lp(model).encode()).hexdigest()
+            for model in (
+                build_milp(spec, space),
+                build_milp(spec, space, predictor, y_lo, y_hi),
+            )
+        )
+    assert digests == PINNED_LP_DIGESTS

@@ -32,6 +32,7 @@ from invqsar.descriptors import take_census
 from conftest import (
     ALL_ROUNDTRIP_FIXTURES,
     fringe_menu_json,
+    perfbench_inputs,
     random_chemical_graph,
     ring,
     roundtrip_fixture,
@@ -293,14 +294,6 @@ def test_spec_faults_keep_their_clause_messages():
         assert part in message
 
 
-def _perfbench_inputs():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _demo_spec_doc():
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_demo.py"
     spec = importlib.util.spec_from_file_location("run_demo", path)
@@ -313,7 +306,7 @@ def _round_trip_docs():
     docs = {name: lambda name=name: spec_to_json(roundtrip_fixture(name).spec)
             for name in ALL_ROUNDTRIP_FIXTURES}
     for i in range(5):
-        docs[f"stress{i}"] = lambda i=i: _perfbench_inputs().stress_problems(
+        docs[f"stress{i}"] = lambda i=i: perfbench_inputs().stress_problems(
             np.random.default_rng(1), 5, 8)[i][1]
     for i, g in enumerate([ring(6), ring(4, pendant=3), ring(5, pendant=1)]):
         docs[f"from_graph{i}"] = lambda g=g: spec_from_graph(g)
