@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from ..descriptors import DescriptorSpace, space_hash
 from ..elements import ElementSpec
@@ -35,6 +36,11 @@ from .model import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MILPModel
 # Relative slack of the normalization sandwich (see add_normalization).
 EPSILON = 1e-5
 
+# Components of the interior-bond tally bdint: bonds on direct seed edges,
+# between path slots, between leaf-path slots, first and last bonds of paths,
+# and leaf-path root bonds hanging from a seed vertex or from a path slot.
+BOND_PARTS = ("C", "T", "F", "CT", "TC", "CF", "TF")
+
 
 class BuildError(ValueError):
     pass
@@ -46,7 +52,19 @@ class SymbolInfo:
 
     element_pos: int
     degree: int
-    token: str
+
+
+@dataclass(frozen=True)
+class BondSlot:
+    """A bond position of the scheme graph: bond b{name} (0..3) with
+    indicators db{name}_{m}, nonzero exactly when the binary `used` is 1.
+    `ends` are the symbol-indicator prefixes (csC_3, fsT_1, ...) of its two
+    end vertices, `part` the BOND_PARTS component its bonds count toward."""
+
+    name: str
+    ends: tuple[str, str]
+    used: str
+    part: str
 
 
 class Build:
@@ -61,8 +79,6 @@ class Build:
 
         seed = spec.seed
         self.t_c = seed.t_c
-        self.m_c = seed.m_c
-        self.k_tilde = seed.k_tilde
         self.k_c = seed.k_c
         self.t_t = spec.t_tree
         self.t_f = spec.t_leaf
@@ -124,9 +140,9 @@ class Build:
 
         # chemical symbols over interior elements x degrees 1..4
         self.symbols: list[SymbolInfo] = []
-        for pos, elem in enumerate(self.lam_int, start=1):
+        for pos in range(1, len(self.lam_int) + 1):
             for d in range(1, 5):
-                self.symbols.append(SymbolInfo(pos, d, f"{elem.token}{d}"))
+                self.symbols.append(SymbolInfo(pos, d))
         self.sym_pos = {
             (s.element_pos, s.degree): i + 1 for i, s in enumerate(self.symbols)
         }
@@ -144,12 +160,43 @@ class Build:
                 self.ordered_configs.append((mu2_pos, mu_pos, gamma.mult, gi))
 
         self.mass_avg_ub = self._mass_bound()
+        self.bond_slots = self._bond_slots()
 
     def _sym_pos_for(self, elem: ElementSpec, degree: int) -> int | None:
         pos = self.lam_int_pos.get(elem)
         if pos is None:
             return None
         return self.sym_pos[(pos, degree)]
+
+    def _bond_slots(self) -> list[BondSlot]:
+        """Every bond slot in declaration order, grouped by owner: a direct
+        seed edge, a T or F slot edge, a colored seed edge (its first bond
+        CTk and last bond TCk, which share dclrT_k) and a leaf color."""
+        slots = [
+            BondSlot(f"C_{e.index}", (f"csC_{e.tail}", f"csC_{e.head}"),
+                     f"eC_{e.index}", "C")
+            for e in self.direct_edges
+        ]
+        for x, n in (("T", self.t_t), ("F", self.t_f)):
+            slots += [
+                BondSlot(f"{x}_{i}", (f"cs{x}_{i - 1}", f"cs{x}_{i}"), f"e{x}_{i}", x)
+                for i in range(2, n + 1)
+            ]
+        for e in self.colored_edges:
+            k = e.index
+            slots.append(
+                BondSlot(f"CTk_{k}", (f"csC_{e.tail}", f"fsT_{k}"), f"dclrT_{k}", "CT")
+            )
+            slots.append(
+                BondSlot(f"TCk_{k}", (f"lsT_{k}", f"csC_{e.head}"), f"dclrT_{k}", "TC")
+            )
+        for c in range(1, self.c_f + 1):
+            if c <= self.t_c_tilde:
+                root, part = f"csC_{self.leafable[c - 1]}", "CF"
+            else:
+                root, part = f"csT_{c - self.t_c_tilde}", "TF"
+            slots.append(BondSlot(f"sF_{c}", (root, f"fsF_{c}"), f"dclrF_{c}", part))
+        return slots
 
     def _mass_bound(self) -> int:
         if self.spec.mass_avg_ub is not None:
@@ -159,8 +206,10 @@ class Build:
     # -- small helpers ------------------------------------------------------
 
     def row(self, name: str, terms, sense: str, rhs) -> None:
-        nonzero = [(v, c) for v, c in terms if c != 0]
-        if not nonzero:
+        """A row whose coefficients are all zero is not written: it is
+        skipped when 0 satisfies it and marked infeasible otherwise.  Any
+        other row goes to add_constr, which drops its zero coefficients."""
+        if all(c == 0 for _, c in terms):
             ok = (
                 (sense == LE and rhs >= 0)
                 or (sense == GE and rhs <= 0)
@@ -169,22 +218,21 @@ class Build:
             if not ok:
                 self.mark_infeasible(name)
             return
-        self.m.add_constr(name, nonzero, sense, rhs)
+        self.m.add_constr(name, terms, sense, rhs)
 
     def rng(self, name: str, terms, lo, hi) -> None:
         if lo > hi:
             self.mark_infeasible(name)
             return
-        nonzero = [(v, c) for v, c in terms if c != 0]
-        if not nonzero:
+        if all(c == 0 for _, c in terms):
             if lo > 0 or hi < 0:
                 self.mark_infeasible(name)
             return
         if lo == hi:
-            self.m.add_constr(name, nonzero, EQ, lo)
+            self.m.add_constr(name, terms, EQ, lo)
             return
-        self.m.add_constr(f"{name}_lo", nonzero, GE, lo)
-        self.m.add_constr(f"{name}_hi", nonzero, LE, hi)
+        self.m.add_constr(f"{name}_lo", terms, GE, lo)
+        self.m.add_constr(f"{name}_hi", terms, LE, hi)
 
     def mark_infeasible(self, why: str) -> None:
         """Record an unsatisfiable requirement as an explicit contradiction."""
@@ -202,6 +250,10 @@ class Build:
         return self.m.add_var(name, INTEGER, lb, ub)
 
     # -- linearization idioms -------------------------------------------------
+
+    def define(self, name: str, terms, var: str) -> None:
+        """The row var = sum(terms), written sum(terms) - var = 0."""
+        self.row(name, list(terms) + [(var, -1)], EQ, 0)
 
     def one_hot(self, name: str, indicators, used: str | None = None,
                 value: tuple[str, list[str]] | None = None) -> None:
@@ -285,7 +337,7 @@ def _slot_colors(b: Build, family: str, x: str, ind: str, n_colors: int) -> None
         )
     for c in range(0, n_colors + 1):
         column = [(f"{ind}_{i}_{c}", 1) for i in range(1, n + 1)]
-        b.row(f"{family}_count_{c}", column + [(f"clr{x}_{c}", -1)], EQ, 0)
+        b.define(f"{family}_count_{c}", column, f"clr{x}_{c}")
         b.row(
             f"{family}_used_hi_{c}",
             [(f"dclr{x}_{c}", n)] + [(v, -1) for v, _ in column],
@@ -378,20 +430,10 @@ def add_cyclical_base(b: Build) -> None:
             b.t_t,
         )
     for i in range(1, b.t_c + 1):
-        outs = [e for e in b.direct_edges if e.tail == i]
-        ins = [e for e in b.direct_edges if e.head == i]
-        b.row(
-            f"co_outdeg_{i}",
-            [(f"eC_{e.index}", 1) for e in outs] + [(f"tdgCout_{i}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
-            f"co_indeg_{i}",
-            [(f"eC_{e.index}", 1) for e in ins] + [(f"tdgCin_{i}", -1)],
-            EQ,
-            0,
-        )
+        outs = [(f"eC_{e.index}", 1) for e in b.direct_edges if e.tail == i]
+        ins = [(f"eC_{e.index}", 1) for e in b.direct_edges if e.head == i]
+        b.define(f"co_outdeg_{i}", outs, f"tdgCout_{i}")
+        b.define(f"co_indeg_{i}", ins, f"tdgCin_{i}")
     _slot_colors(b, "co", "T", "chiTk", b.k_c)
 
 
@@ -525,12 +567,8 @@ def add_fringe_trees(b: Build) -> None:
                 ("eledeg", "eledeg", lambda f: f.tree.root_charge),
                 ("height", "h", lambda f: f.tree.height),
             ):
-                b.row(
-                    f"fr_{row}_{x}_{i}",
-                    _fringe_terms(b, x, i, weight) + [(f"{var}{x}_{i}", -1)],
-                    EQ,
-                    0,
-                )
+                b.define(f"fr_{row}_{x}_{i}", _fringe_terms(b, x, i, weight),
+                         f"{var}{x}_{i}")
     # a leaf path must end in a full-height fringe tree
     for i in range(1, b.t_f + 1):
         tall = [
@@ -554,17 +592,15 @@ def add_fringe_trees(b: Build) -> None:
     )
     # fringe-shape tallies
     for p, f in enumerate(b.psis, start=1):
-        b.row(
+        b.define(
             f"fr_count_{p}",
             [
                 (f"dfr{x}_{i}_{p}", 1)
                 for x in "CTF"
                 for i in range(1, _slots(b, x) + 1)
                 if f.psi_id in _menu(b, x, i)
-            ]
-            + [(f"fc_{p}", -1)],
-            EQ,
-            0,
+            ],
+            f"fc_{p}",
         )
     # leaf-edge adjacency-configuration tallies over the space catalog
     ac_key_to_idx = {
@@ -584,12 +620,10 @@ def add_fringe_trees(b: Build) -> None:
             counts[idx] = counts.get(idx, 0) + cnt
         psi_ac[f.psi_id] = counts
     for ai in range(1, len(b.space.ac_lf) + 1):
-        b.row(
+        b.define(
             f"fr_ac_{ai}",
-            _all_fringe_terms(b, lambda f: psi_ac[f.psi_id].get(ai, 0))
-            + [(f"aclf_{ai}", -1)],
-            EQ,
-            0,
+            _all_fringe_terms(b, lambda f: psi_ac[f.psi_id].get(ai, 0)),
+            f"aclf_{ai}",
         )
     # requested bounds on leaf-edge configurations
     for bound in spec.ac_bounds:
@@ -640,12 +674,10 @@ def add_fringe_trees(b: Build) -> None:
                 LE,
                 e.height_ub - b.rho + 2 * big,
             )
-        b.row(
+        b.define(
             f"fr_argmax_{k}",
-            [(f"sig_{k}_{i}", 1) for i in range(1, b.t_t + 1)]
-            + [(f"dclrT_{k}", -1)],
-            EQ,
-            0,
+            [(f"sig_{k}_{i}", 1) for i in range(1, b.t_t + 1)],
+            f"dclrT_{k}",
         )
         for i in range(1, b.t_t + 1):
             c = b.t_c_tilde + i
@@ -677,11 +709,9 @@ def add_degree(b: Build) -> None:
         m.add_var(f"degTC_{i}", INTEGER, 0, 4)
     for x in "CTF":
         for i in range(1, _slots(b, x) + 1):
-            m.add_var(f"deg{x}_{i}", INTEGER, 0, 4)
-            m.add_var(
-                f"degint{x}_{i}", INTEGER, 1 if x == "C" else 0, 4
-            )
             d0 = 1 if x == "C" else 0
+            m.add_var(f"deg{x}_{i}", INTEGER, 0, 4)
+            m.add_var(f"degint{x}_{i}", INTEGER, d0, 4)
             for d in range(d0, 5):
                 m.add_var(f"ddg{x}_{i}_{d}", BINARY)
                 m.add_var(f"ddgint{x}_{i}_{d}", BINARY)
@@ -692,20 +722,12 @@ def add_degree(b: Build) -> None:
         m.add_var(f"dgint_{d}", INTEGER, spec.deg_lb[d - 1], spec.deg_ub[d - 1])
 
     for i in range(1, b.t_c + 1):
-        b.row(
-            f"dg_ct_{i}",
-            [(f"dclrT_{e.index}", 1) for e in b.colored_at(i, "tail")]
-            + [(f"degCT_{i}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
-            f"dg_tc_{i}",
-            [(f"dclrT_{e.index}", 1) for e in b.colored_at(i, "head")]
-            + [(f"degTC_{i}", -1)],
-            EQ,
-            0,
-        )
+        for row, role, var in (("ct", "tail", "degCT"), ("tc", "head", "degTC")):
+            b.define(
+                f"dg_{row}_{i}",
+                [(f"dclrT_{e.index}", 1) for e in b.colored_at(i, role)],
+                f"{var}_{i}",
+            )
         c = b.leaf_color_of_vertex(i)
         terms = [
             (f"tdgCin_{i}", 1),
@@ -717,11 +739,8 @@ def add_degree(b: Build) -> None:
         if c is not None:
             terms.append((f"dclrF_{c}", 1))
         b.row(f"dg_intC_{i}", terms, EQ, 0)
-        b.row(
-            f"dg_splitC_{i}",
-            [(f"degintC_{i}", 1), (f"degexC_{i}", 1), (f"degC_{i}", -1)],
-            EQ,
-            0,
+        b.define(
+            f"dg_splitC_{i}", [(f"degintC_{i}", 1), (f"degexC_{i}", 1)], f"degC_{i}"
         )
         tall = [
             (f"dfrC_{i}_{b.psi_pos[psi]}", 1)
@@ -735,32 +754,21 @@ def add_degree(b: Build) -> None:
             2,
         )
     for i in range(1, b.t_t + 1):
-        b.row(
+        b.define(
             f"dg_intT_{i}",
-            [
-                (f"vT_{i}", 2),
-                (f"dclrF_{b.t_c_tilde + i}", 1),
-                (f"degintT_{i}", -1),
-            ],
-            EQ,
-            0,
+            [(f"vT_{i}", 2), (f"dclrF_{b.t_c_tilde + i}", 1)],
+            f"degintT_{i}",
         )
-        b.row(
-            f"dg_splitT_{i}",
-            [(f"degintT_{i}", 1), (f"degexT_{i}", 1), (f"degT_{i}", -1)],
-            EQ,
-            0,
+        b.define(
+            f"dg_splitT_{i}", [(f"degintT_{i}", 1), (f"degexT_{i}", 1)], f"degT_{i}"
         )
     for i in range(1, b.t_f + 1):
         terms = [(f"vF_{i}", 1), (f"degintF_{i}", -1)]
         if i < b.t_f:
             terms.append((f"eF_{i + 1}", 1))
         b.row(f"dg_intF_{i}", terms, EQ, 0)
-        b.row(
-            f"dg_splitF_{i}",
-            [(f"degintF_{i}", 1), (f"degexF_{i}", 1), (f"degF_{i}", -1)],
-            EQ,
-            0,
+        b.define(
+            f"dg_splitF_{i}", [(f"degintF_{i}", 1), (f"degexF_{i}", 1)], f"degF_{i}"
         )
     for x in "CTF":
         d0 = 1 if x == "C" else 0
@@ -781,55 +789,29 @@ def add_degree(b: Build) -> None:
                 value=(f"dg_svalue_{x}_{i}", [f"deg{x}_{i}"]),
             )
     for d in range(1, 5):
-        b.row(
-            f"dg_tally_{d}",
-            [
-                (f"ddg{x}_{i}_{d}", 1)
-                for x in "CTF"
-                for i in range(1, _slots(b, x) + 1)
-            ]
-            + [(f"dg_{d}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
-            f"dg_itally_{d}",
-            [
-                (f"ddgint{x}_{i}_{d}", 1)
-                for x in "CTF"
-                for i in range(1, _slots(b, x) + 1)
-            ]
-            + [(f"dgint_{d}", -1)],
-            EQ,
-            0,
-        )
+        for row, ind, var in (("tally", "ddg", "dg"), ("itally", "ddgint", "dgint")):
+            b.define(
+                f"dg_{row}_{d}",
+                [
+                    (f"{ind}{x}_{i}_{d}", 1)
+                    for x in "CTF"
+                    for i in range(1, _slots(b, x) + 1)
+                ],
+                f"{var}_{d}",
+            )
 
 
 def add_multiplicity(b: Build) -> None:
     """Bond multiplicities on every scheme edge plus interior-bond tallies."""
     m, spec = b.m, b.spec
-    for e in b.direct_edges:
-        m.add_var(f"bC_{e.index}", INTEGER, 0, 3)
+    # one owner's slots are adjacent and share their used binary
+    for _, owned in groupby(b.bond_slots, key=lambda slot: slot.used):
+        owned = list(owned)
+        for slot in owned:
+            m.add_var(f"b{slot.name}", INTEGER, 0, 3)
         for mm in range(0, 4):
-            m.add_var(f"dbC_{e.index}_{mm}", BINARY)
-    for i in range(2, b.t_t + 1):
-        m.add_var(f"bT_{i}", INTEGER, 0, 3)
-        for mm in range(0, 4):
-            m.add_var(f"dbT_{i}_{mm}", BINARY)
-    for i in range(2, b.t_f + 1):
-        m.add_var(f"bF_{i}", INTEGER, 0, 3)
-        for mm in range(0, 4):
-            m.add_var(f"dbF_{i}_{mm}", BINARY)
-    for e in b.colored_edges:
-        m.add_var(f"bCTk_{e.index}", INTEGER, 0, 3)
-        m.add_var(f"bTCk_{e.index}", INTEGER, 0, 3)
-        for mm in range(0, 4):
-            m.add_var(f"dbCTk_{e.index}_{mm}", BINARY)
-            m.add_var(f"dbTCk_{e.index}_{mm}", BINARY)
-    for c in range(1, b.c_f + 1):
-        m.add_var(f"bsF_{c}", INTEGER, 0, 3)
-        for mm in range(0, 4):
-            m.add_var(f"dbsF_{c}_{mm}", BINARY)
+            for slot in owned:
+                m.add_var(f"db{slot.name}_{mm}", BINARY)
     for i in range(1, b.t_t + 1):
         m.add_var(f"bCT_{i}", INTEGER, 0, 3)
         m.add_var(f"bTC_{i}", INTEGER, 0, 3)
@@ -841,45 +823,32 @@ def add_multiplicity(b: Build) -> None:
             m.add_var(f"bex{x}_{i}", INTEGER, 0, 4)
     cap = 2 * spec.n_int_ub
     for mm in range(1, 4):
-        for part in ("C", "T", "F", "CT", "TC", "CF", "TF"):
+        for part in BOND_PARTS:
             m.add_var(f"bd{part}_{mm}", INTEGER, 0, cap)
         m.add_var(f"bdint_{mm}", INTEGER, 0, cap)
 
     # a scheme edge's bond is 1..3 when the edge is used and 0 otherwise
-    bonds = [("C", e.index, f"eC_{e.index}") for e in b.direct_edges]
-    bonds += [
-        (x, i, f"e{x}_{i}") for x, hi in (("T", b.t_t), ("F", b.t_f))
-        for i in range(2, hi + 1)
-    ]
-    bonds += [
-        (side, e.index, f"dclrT_{e.index}")
-        for e in b.colored_edges
-        for side in ("CTk", "TCk")
-    ]
-    bonds += [("sF", c, f"dclrF_{c}") for c in range(1, b.c_f + 1)]
-    for tag, i, used in bonds:
-        bond = f"b{tag}_{i}"
+    for slot in b.bond_slots:
+        name = slot.name
         b.gated_range(
-            (f"mt_gate_lo_{tag}_{i}", f"mt_gate_hi_{tag}_{i}"),
-            [(bond, 1)],
-            [(used, 1)],
+            (f"mt_gate_lo_{name}", f"mt_gate_hi_{name}"),
+            [(f"b{name}", 1)],
+            [(slot.used, 1)],
             on=(1, 3),
             off=(0, 0),
         )
         b.one_hot(
-            f"mt_onehot_{tag}_{i}",
-            [(f"db{tag}_{i}_{mm}", mm) for mm in range(0, 4)],
-            value=(f"mt_value_{tag}_{i}", [bond]),
+            f"mt_onehot_{name}",
+            [(f"db{name}_{mm}", mm) for mm in range(0, 4)],
+            value=(f"mt_value_{name}", [f"b{name}"]),
         )
     # fringe-root bond load
     for x in "CTF":
         for i in range(1, _slots(b, x) + 1):
-            b.row(
+            b.define(
                 f"mt_root_{x}_{i}",
-                _fringe_terms(b, x, i, lambda f: f.tree.beta_root)
-                + [(f"bex{x}_{i}", -1)],
-                EQ,
-                0,
+                _fringe_terms(b, x, i, lambda f: f.tree.beta_root),
+                f"bex{x}_{i}",
             )
     # position edges exist only at run boundaries
     for i in range(1, b.t_t + 1):
@@ -915,61 +884,16 @@ def add_multiplicity(b: Build) -> None:
         )
     # tallies
     for mm in range(1, 4):
-        b.row(
-            f"mt_bdC_{mm}",
-            [(f"dbC_{e.index}_{mm}", 1) for e in b.direct_edges]
-            + [(f"bdC_{mm}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
-            f"mt_bdT_{mm}",
-            [(f"dbT_{i}_{mm}", 1) for i in range(2, b.t_t + 1)]
-            + [(f"bdT_{mm}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
-            f"mt_bdF_{mm}",
-            [(f"dbF_{i}_{mm}", 1) for i in range(2, b.t_f + 1)]
-            + [(f"bdF_{mm}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
-            f"mt_bdCT_{mm}",
-            [(f"dbCTk_{e.index}_{mm}", 1) for e in b.colored_edges]
-            + [(f"bdCT_{mm}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
-            f"mt_bdTC_{mm}",
-            [(f"dbTCk_{e.index}_{mm}", 1) for e in b.colored_edges]
-            + [(f"bdTC_{mm}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
-            f"mt_bdCF_{mm}",
-            [(f"dbsF_{c}_{mm}", 1) for c in range(1, b.t_c_tilde + 1)]
-            + [(f"bdCF_{mm}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
-            f"mt_bdTF_{mm}",
-            [(f"dbsF_{c}_{mm}", 1) for c in range(b.t_c_tilde + 1, b.c_f + 1)]
-            + [(f"bdTF_{mm}", -1)],
-            EQ,
-            0,
-        )
-        b.row(
+        for part in BOND_PARTS:
+            b.define(
+                f"mt_bd{part}_{mm}",
+                [(f"db{t.name}_{mm}", 1) for t in b.bond_slots if t.part == part],
+                f"bd{part}_{mm}",
+            )
+        b.define(
             f"mt_bdint_{mm}",
-            [(f"bd{part}_{mm}", 1) for part in ("C", "T", "F", "CT", "TC", "CF", "TF")]
-            + [(f"bdint_{mm}", -1)],
-            EQ,
-            0,
+            [(f"bd{part}_{mm}", 1) for part in BOND_PARTS],
+            f"bdint_{mm}",
         )
 
 
@@ -1047,12 +971,10 @@ def add_element_valence(b: Build) -> None:
                 _used(x, i),
                 value=(f"av_code_{x}_{i}", [f"a{x}_{i}"]),
             )
-            b.row(
+            b.define(
                 f"av_root_{x}_{i}",
-                _fringe_terms(b, x, i, lambda f: b.lam_int_pos[f.tree.root_element])
-                + [(f"a{x}_{i}", -1)],
-                EQ,
-                0,
+                _fringe_terms(b, x, i, lambda f: b.lam_int_pos[f.tree.root_element]),
+                f"a{x}_{i}",
             )
     # allowed elements per seed vertex
     for pos in range(1, b.t_c + 1):
@@ -1114,38 +1036,29 @@ def add_element_valence(b: Build) -> None:
     # element tallies
     for e_pos in range(1, n_int_elems + 1):
         for x in "CTF":
-            b.row(
+            b.define(
                 f"av_na_{x}_{e_pos}",
-                [
-                    (f"da{x}_{i}_{e_pos}", 1)
-                    for i in range(1, _slots(b, x) + 1)
-                ]
-                + [(f"na{x}_{e_pos}", -1)],
-                EQ,
-                0,
+                [(f"da{x}_{i}_{e_pos}", 1) for i in range(1, _slots(b, x) + 1)],
+                f"na{x}_{e_pos}",
             )
-        b.row(
+        b.define(
             f"av_naint_{e_pos}",
-            [(f"na{x}_{e_pos}", 1) for x in "CTF"] + [(f"naint_{e_pos}", -1)],
-            EQ,
-            0,
+            [(f"na{x}_{e_pos}", 1) for x in "CTF"],
+            f"naint_{e_pos}",
         )
     for a_pos, elem in enumerate(b.lam_ex, start=1):
         for x in "CTF":
-            b.row(
+            b.define(
                 f"av_naex_{x}_{a_pos}",
                 _all_fringe_terms(
                     b, lambda f: f.tree.nonroot_element_counts.get(elem.token, 0), x
-                )
-                + [(f"naex{x}_{a_pos}", -1)],
-                EQ,
-                0,
+                ),
+                f"naex{x}_{a_pos}",
             )
-        b.row(
+        b.define(
             f"av_naex_{a_pos}",
-            [(f"naex{x}_{a_pos}", 1) for x in "CTF"] + [(f"naex_{a_pos}", -1)],
-            EQ,
-            0,
+            [(f"naex{x}_{a_pos}", 1) for x in "CTF"],
+            f"naex_{a_pos}",
         )
     for t_pos, elem in enumerate(b.lam_all, start=1):
         terms = [(f"na_{t_pos}", -1)]
@@ -1156,15 +1069,10 @@ def add_element_valence(b: Build) -> None:
                 terms.append((f"naex_{a_pos}", 1))
         b.row(f"av_natotal_{t_pos}", terms, EQ, 0)
     # mass accounting
-    b.row(
+    b.define(
         "av_mass",
-        [
-            (f"na_{t_pos}", elem.mass_star)
-            for t_pos, elem in enumerate(b.lam_all, start=1)
-        ]
-        + [("Mass", -1)],
-        EQ,
-        0,
+        [(f"na_{t}", elem.mass_star) for t, elem in enumerate(b.lam_all, start=1)],
+        "Mass",
     )
     atoms = ["nG"] + [
         f"naex_{a_pos}"
@@ -1343,64 +1251,30 @@ def _symbol_transfer(b: Build) -> None:
         )
 
 
-def _edge_config_slots(b: Build) -> list[tuple[str, str, str, str, str]]:
-    """All interior-edge slots: (slot name, symbol var A, symbol var B,
-    multiplicity indicator prefix, used indicator).  Symbol var entries are
-    name prefixes to which _{s} is appended."""
-    slots = []
-    for e in b.direct_edges:
-        slots.append(
-            (
-                f"C_{e.index}",
-                f"csC_{e.tail}",
-                f"csC_{e.head}",
-                f"dbC_{e.index}",
-                f"eC_{e.index}",
-            )
-        )
-    for i in range(2, b.t_t + 1):
-        slots.append((f"T_{i}", f"csT_{i - 1}", f"csT_{i}", f"dbT_{i}", f"eT_{i}"))
-    for i in range(2, b.t_f + 1):
-        slots.append((f"F_{i}", f"csF_{i - 1}", f"csF_{i}", f"dbF_{i}", f"eF_{i}"))
-    for e in b.colored_edges:
-        k = e.index
-        slots.append(
-            (f"CTk_{k}", f"csC_{e.tail}", f"fsT_{k}", f"dbCTk_{k}", f"dclrT_{k}")
-        )
-        slots.append(
-            (f"TCk_{k}", f"lsT_{k}", f"csC_{e.head}", f"dbTCk_{k}", f"dclrT_{k}")
-        )
-    for c in range(1, b.c_f + 1):
-        if c <= b.t_c_tilde:
-            root = f"csC_{b.leafable[c - 1]}"
-        else:
-            root = f"csT_{c - b.t_c_tilde}"
-        slots.append((f"sF_{c}", root, f"fsF_{c}", f"dbsF_{c}", f"dclrF_{c}"))
-    return slots
-
-
 def add_descriptor_linking(b: Build) -> None:
     """Tie the raw descriptor variables x_1..x_K to the structural model."""
     m, spec, space = b.m, b.spec, b.space
     _cs_terms(b)
     _boundary_markers(b)
     _symbol_transfer(b)
-    slots = _edge_config_slots(b)
 
+    # edge configuration of every bond slot: ec{slot}_o marks the ordered
+    # configuration o, one of them exactly when the slot is used
     n_ord = len(b.ordered_configs)
-    for slot, sym_a, sym_b, db, used in slots:
+    for slot in b.bond_slots:
+        name, (sym_a, sym_b) = slot.name, slot.ends
         for o in range(1, n_ord + 1):
-            m.add_var(f"ec{slot}_{o}", BINARY)
+            m.add_var(f"ec{name}_{o}", BINARY)
         for o, (pa, pb, mult, _gi) in enumerate(b.ordered_configs, start=1):
             b.conjunction(
-                f"ec{slot}_{o}",
-                [f"dl_ec_{part}_{slot}_{o}" for part in ("and", "a", "b", "m")],
-                [f"{sym_a}_{pa}", f"{sym_b}_{pb}", f"{db}_{mult}"],
+                f"ec{name}_{o}",
+                [f"dl_ec_{part}_{name}_{o}" for part in ("and", "a", "b", "m")],
+                [f"{sym_a}_{pa}", f"{sym_b}_{pb}", f"db{name}_{mult}"],
             )
         b.one_hot(
-            f"dl_ec_cover_{slot}",
-            [(f"ec{slot}_{o}", o) for o in range(1, n_ord + 1)],
-            used,
+            f"dl_ec_cover_{name}",
+            [(f"ec{name}_{o}", o) for o in range(1, n_ord + 1)],
+            slot.used,
         )
 
     # raw descriptor variables
@@ -1429,7 +1303,7 @@ def add_descriptor_linking(b: Build) -> None:
         if var is None:
             m.fix_var(f"x_{j}", 0)
         else:
-            b.row(name, [(f"x_{j}", 1), (var, -1)], EQ, 0)
+            b.define(name, [(f"x_{j}", 1)], var)
 
     for j, var in enumerate(("nG", "rank", "nintG", "msbar"), start=1):
         tie(f"dl_x_{j}", j, var)
@@ -1457,15 +1331,15 @@ def add_descriptor_linking(b: Build) -> None:
         j = off["na_ex"] + si + 1
         pos = ex_pos.get(elem)
         tie(f"dl_x_naex_{j}", j, None if pos is None else f"naex_{pos}")
-    gamma_terms: dict[int, list[tuple[str, float]]] = {
+    gamma_terms: dict[int, list[tuple[str, int]]] = {
         gi: [] for gi in range(len(space.gamma_int))
     }
-    for slot, _sa, _sb, _db, _used in slots:
+    for slot in b.bond_slots:
         for o, (_pa, _pb, _mult, gi) in enumerate(b.ordered_configs, start=1):
-            gamma_terms[gi].append((f"ec{slot}_{o}", 1))
-    for gi in range(len(space.gamma_int)):
+            gamma_terms[gi].append((f"ec{slot.name}_{o}", 1))
+    for gi, terms in gamma_terms.items():
         j = off["ec"] + gi + 1
-        b.row(f"dl_x_ec_{j}", gamma_terms[gi] + [(f"x_{j}", -1)], EQ, 0)
+        b.define(f"dl_x_ec_{j}", terms, f"x_{j}")
     spec_code_pos = {
         f.tree.canonical_code: b.psi_pos[f.psi_id] for f in b.psis
     }
@@ -1554,6 +1428,7 @@ def build_milp(
 ) -> MILPModel:
     """Assemble the full model with a feasibility (empty) objective."""
     b = Build(spec, space)
+    space_digest = space_hash(space)
     add_cyclical_base(b)
     add_leaf_paths(b)
     add_fringe_trees(b)
@@ -1565,12 +1440,12 @@ def build_milp(
     if predictor is not None:
         if y_lo is None or y_hi is None:
             raise BuildError("a target interval is required with a predictor")
-        if predictor.space_hash != space_hash(space):
+        if predictor.space_hash != space_digest:
             raise BuildError("predictor was trained against a different space")
         add_normalization(b, predictor.mins, predictor.maxs)
         add_prediction(b, predictor, y_lo, y_hi)
         b.model.metadata["predictor"] = predictor.space_hash
-    b.model.metadata["space"] = space_hash(space)
+    b.model.metadata["space"] = space_digest
     return b.model
 
 
@@ -1584,10 +1459,7 @@ def polish_solution(model: MILPModel, sol) -> None:
     solver's feasibility tolerance.  The normalized copies are placed at
     their sandwich centers, then shifted greedily within the sandwich if
     the predicted value needs to re-enter its interval."""
-    from fractions import Fraction
-
     values = sol.values
-    kind = {v.name: v for v in model.variables}
     for v in model.variables:
         if v.kind != CONTINUOUS and v.name in values:
             values[v.name] = Fraction(round(values[v.name]))
@@ -1631,7 +1503,7 @@ def polish_solution(model: MILPModel, sol) -> None:
             name: Fraction(c) for name, c in pred.coeffs if name != "y"
         }
         bias = Fraction(pred.rhs)
-        y_var = kind["y"]
+        y_var = model.var("y")
         y_lo, y_hi = Fraction(y_var.lb), Fraction(y_var.ub)
 
         def current_y() -> Fraction:

@@ -144,13 +144,22 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
     """Solve with HiGHS in-process; the time limit is enforced inside HiGHS.
 
     Returns an optimal or infeasible Solution (values not yet checked) and
-    raises SolverFailure on any other outcome, time limit included."""
+    raises SolverFailure on any other outcome, time limit included.  An
+    integer variable's bounds are rounded inward first, so HiGHS never
+    answers with an integer at a fractional bound."""
     # imported here: scipy.optimize costs ~0.6 s, which only this path pays
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
 
     variables = model.variables
     index = {v.name: i for i, v in enumerate(variables)}
+    integral = [v.kind != CONTINUOUS for v in variables]
+    lbs = [math.ceil(v.lb) if i else v.lb for v, i in zip(variables, integral)]
+    ubs = [math.floor(v.ub) if i else v.ub for v, i in zip(variables, integral)]
+    for v, lb, ub in zip(variables, lbs, ubs):
+        if lb > ub:
+            return Solution(INFEASIBLE, log=(
+                f"HiGHS not called: no integer lies in the bounds of {v.name}\n"))
 
     rows = model.constraints
     indptr, indices, data, lo, hi = [0], [], [], [], []
@@ -171,15 +180,16 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
         return milp(
             [0.0] * len(variables),
             constraints=constraints,
-            integrality=[v.kind != CONTINUOUS for v in variables],
-            bounds=Bounds([v.lb for v in variables], [v.ub for v in variables]),
+            integrality=integral,
+            bounds=Bounds(lbs, ubs),
             options={**options, **extra},
         )
 
     res = attempt()
-    if res.status == 2:
-        # badly scaled models can trip presolve into a false infeasibility;
-        # only trust the claim when the conservative pass agrees
+    if res.status in (2, 4):
+        # badly scaled models can trip presolve into a false infeasibility
+        # or a "Solve error"; only trust the claim, or give up, when the
+        # conservative pass agrees
         res = attempt(presolve=False)
     log = (f"HiGHS status={res.status} nodes={res.get('mip_node_count')} "
            f"gap={res.get('mip_gap')}: {res.message}\n")

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import roundtrip_fixture
 from invqsar.milp.build import build_milp
-from invqsar.milp.model import BINARY, CONTINUOUS, EQ, GE, LE, MILPModel
+from invqsar.milp.model import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MILPModel
 from invqsar.milp.solve import (
     ExternalBackend,
     SolutionCheckError,
@@ -55,6 +55,45 @@ def test_infeasible_is_status_not_error():
     m = MILPModel()
     m.add_var("x", CONTINUOUS, 0, 1)
     m.add_constr("a", {"x": 1}, GE, 2)
+    for backend in ("mini", "highs"):
+        assert solve(m, backend).status == "infeasible"
+
+
+def test_highs_rounds_integer_bounds_inward():
+    """v1 is an integer in [1/3, 2.55].  Given that fractional bound as it
+    is, HiGHS answers v1 = 1/3 and the residual check rejects the answer;
+    rounded inward to [1, 2] it finds the integral point v1 = 1."""
+    m = MILPModel()
+    m.add_var("v0", CONTINUOUS, -3, 3.5)
+    m.add_var("v1", INTEGER, 1 / 3, 2.55)
+    m.add_constr("c0", {"v0": 11 / 3, "v1": 1}, EQ, 3.5)
+    m.add_constr("c1", {"v0": 4, "v1": 10 / 3}, LE, 7)
+    for backend in ("mini", "highs"):
+        sol = solve(m, backend)
+        assert sol.status == "optimal"
+        assert sol.int_value("v1") in (1, 2)
+
+
+def test_highs_integer_without_integral_bound_values_is_infeasible():
+    m = MILPModel()
+    m.add_var("x", INTEGER, 0.2, 0.8)
+    m.add_var("y", CONTINUOUS, 0, 1)
+    m.add_constr("c", {"x": 1, "y": 1}, LE, 1)
+    sol = solve(m, "highs")
+    assert sol.status == "infeasible"
+    assert "no integer lies in the bounds of x" in sol.log
+
+
+def test_highs_solve_error_is_retried_without_presolve():
+    """HiGHS with presolve stops on this model with status 4, "Solve
+    error"; the presolve-off pass proves it infeasible, as mini does."""
+    m = MILPModel()
+    m.add_var("v0", INTEGER, 1, 3)
+    m.add_var("v1", BINARY)
+    m.add_var("v2", INTEGER, -1, 5)
+    m.add_var("v3", BINARY)
+    m.add_constr("c0", {"v2": -2, "v3": 3.64}, LE, 7)
+    m.add_constr("c1", {"v0": 4, "v1": -7 / 3, "v3": 2.07}, EQ, 8.58)
     for backend in ("mini", "highs"):
         assert solve(m, backend).status == "infeasible"
 
