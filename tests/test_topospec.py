@@ -212,9 +212,6 @@ def test_checker_reuses_only_a_census_at_the_spec_rho(name):
         assert check_graph_satisfies(spec, g, take_census(g, rho)).to_json() == expected
 
 
-# -- the strict schema --------------------------------------------------------
-
-
 def _edit(path, value):
     """An edit of a spec document that sets (or, with DELETE, removes) the
     value at path, a tuple of keys and list indices."""
@@ -230,6 +227,52 @@ def _edit(path, value):
 
 
 DELETE = object()
+
+def _drop_fringe_entry(psi):
+    def apply(doc):
+        doc["fringe_trees"] = [f for f in doc["fringe_trees"] if f["id"] != psi]
+        doc["fringe_assignment"]["edge"].remove(psi)
+    return apply
+
+
+def _every_seed_vertex(**values):
+    def apply(doc):
+        for v in doc["seed"]["vertices"]:
+            v.update(values)
+    return apply
+
+
+# One edit per clause of the expanded_path fixture's spec, breaking that
+# clause under every seed embedding of the fixture's target (a 4-ring with
+# a 3-carbon chain, whose ring vertices carry psi4).  A fringe tree outside
+# the catalog also stops the embedding search.
+CLAUSE_BREAKS = {
+    "element_sets": (_edit(("lambda_ex",), ["H"]), []),
+    "element_counts": (_edit(("na_ub",), {"C": 6}), []),
+    "degree_bounds": (_edit(("deg_ub",), [12, 12, 12, 0]), []),
+    "fringe_catalog": (_drop_fringe_entry("psi4"), ["seed_embedding"]),
+    "fringe_counts": (_edit(("fringe_trees", 0, "fc_lb"), 12), []),
+    "leaf_edge_bounds": (
+        _edit(("ac_lf",), [{"a": "C", "b": "C", "mult": 1, "lb": 2}]), []),
+    "fringe_menus": (_edit(("fringe_assignment", "edge"), []), []),
+    "height_bounds": (_every_seed_vertex(height_lb=1), []),
+    "leaf_branch_bounds": (_every_seed_vertex(leaf_path=True, leaf_path_lb=1), []),
+    "bond_bounds": (_edit(("seed", "edges", 0, "bond2_lb"), 1), []),
+}
+
+
+@pytest.mark.parametrize("clause", CLAUSE_BREAKS)
+def test_each_clause_fails_alone(clause):
+    edit, also = CLAUSE_BREAKS[clause]
+    fx = roundtrip_fixture("expanded_path")
+    doc = spec_to_json(fx.spec)
+    edit(doc)
+    report = check_graph_satisfies(parse_spec(json.dumps(doc)), fx.target)
+    assert [c.name for c in report.failures()] == [clause, *also], report.to_text()
+
+
+# -- the strict schema --------------------------------------------------------
+
 
 # One case per fault class: the edit and the path the error must name.
 SPEC_FAULTS = {
