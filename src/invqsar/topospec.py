@@ -108,10 +108,6 @@ class SeedGraph:
         return len(self.edges)
 
     @cached_property
-    def k_tilde(self) -> int:
-        return sum(1 for e in self.edges if e.cls == PATH)
-
-    @cached_property
     def k_c(self) -> int:
         return sum(1 for e in self.edges if e.cls in (PATH, FLEXIBLE))
 
@@ -431,6 +427,14 @@ class Clause:
     detail: str = ""
 
 
+def _bounds(name: str, checks) -> Clause:
+    """The clause that every (label, value, lo, hi) check holds; its detail
+    names each value outside its bounds as `<label>: <value> not in [lo,hi]`."""
+    bad = [f"{label}: {value} not in [{lo},{hi}]"
+           for label, value, lo, hi in checks if not lo <= value <= hi]
+    return Clause(name, not bad, "; ".join(bad))
+
+
 @dataclass
 class SatisfactionReport:
     clauses: list[Clause] = field(default_factory=list)
@@ -464,169 +468,178 @@ class SatisfactionReport:
         return "\n".join(lines)
 
 
-def _location_height(decomp, leaf_roots, v: int) -> int:
-    """Height of the tree hanging at interior vertex v: its fringe tree
-    plus any leaf-path chain with the chains' own fringe trees."""
-    h = decomp.fringe_trees[v].height
-    for chain in leaf_roots.get(v, []):
-        for depth, u in enumerate(chain, start=1):
-            h = max(h, depth + decomp.fringe_trees[u].height)
-    return h
+def _hops(adj, source: int) -> dict[int, int]:
+    """Breadth-first distances from source over the interior."""
+    dist, frontier = {source: 0}, [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w, _ in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
-class _Embedder:
-    """Backtracking search for a homeomorphic seed embedding.
+def _embeddings(spec: TopologicalSpecification, g: ChemicalGraph, decomp):
+    """Every homeomorphic embedding of the seed graph in g's interior, as
+    (images, paths, leaf_roots): seed vertex -> interior vertex, seed edge
+    index -> its route (None for an absent optional edge), and anchor ->
+    the chain of the leaf path hanging there.
 
-    Exponential in the worst case; fine at the intended sizes (seeds of a
-    handful of vertices, interiors of a few dozen)."""
+    Seed vertices are placed in order on interior vertices in ascending
+    order, then the seed edges routed in order, so the sequence is fixed by
+    the graph's numbering.  Exponential in the worst case; fine at the
+    intended sizes (seeds of a handful of vertices, interiors of a few
+    dozen)."""
+    seed = spec.seed
+    interior = sorted(decomp.interior_vertices)
+    adj = decomp.interior_adjacency
+    images: dict[int, int] = {}
+    paths: dict[int, list[int] | None] = {}
+    taken: set[int] = set()  # the images so far
+    used: set[int] = set()  # inner vertices of the routes so far
+    hops: dict[int, dict[int, int]] = {}
+    # a seed edge that must be present needs its ends within len_ub hops
+    reach = {sv.index: [(e.tail, e.len_ub) for e in seed.edges
+                        if e.head == sv.index and e.cls != OPTIONAL]
+             for sv in seed.vertices}
 
-    def __init__(self, spec: TopologicalSpecification, g: ChemicalGraph, decomp):
-        self.spec = spec
-        self.g = g
-        self.decomp = decomp
-        self.interior = sorted(decomp.interior_vertices)
-        self.adj = decomp.interior_adjacency
+    def near(a: int, b: int, hi: int) -> bool:
+        if a not in hops:
+            hops[a] = _hops(adj, a)
+        return hops[a].get(b, hi + 1) <= hi
 
-    def find(self):
-        seed = self.spec.seed
-        images: dict[int, int] = {}
-        return self._place_vertex(1, images, seed)
-
-    def _place_vertex(self, pos: int, images: dict[int, int], seed: SeedGraph):
+    def place(pos: int):
         if pos > seed.t_c:
-            return self._route_edges(0, images, {}, set())
+            yield from route(0)
+            return
         sv = seed.vertices[pos - 1]
-        for cand in self.interior:
-            if cand in images.values():
-                continue
-            if sv.elements and self.g.element(cand) not in sv.elements:
-                continue
+        cands = [v for v in interior if v not in taken
+                 and (not sv.elements or g.element(v) in sv.elements)]
+        for t, hi in reach[pos]:
+            cands = [v for v in cands if near(images[t], v, hi)]
+        for cand in cands:
             images[pos] = cand
-            result = self._place_vertex(pos + 1, images, seed)
-            if result is not None:
-                return result
-            del images[pos]
-        return None
+            taken.add(cand)
+            yield from place(pos + 1)
+            taken.discard(cand)
+        images.pop(pos, None)
 
-    def _route_edges(self, eidx: int, images, paths, used):
-        seed = self.spec.seed
+    def route(eidx: int):
         if eidx == len(seed.edges):
-            return self._finish(images, paths, used)
+            found = leaf_paths()
+            if found is not None:
+                yield dict(images), dict(paths), found
+            return
         edge = seed.edges[eidx]
         a, b = images[edge.tail], images[edge.head]
-        direct = None
-        for w, m in self.adj[a]:
-            if w == b:
-                direct = m
-        if edge.cls in (FIXED, OPTIONAL, FLEXIBLE) and direct is not None:
+        if edge.cls != PATH and any(w == b for w, _ in adj[a]):
             paths[edge.index] = [a, b]
-            result = self._route_edges(eidx + 1, images, paths, used)
-            if result is not None:
-                return result
-            del paths[edge.index]
+            yield from route(eidx + 1)
         if edge.cls == OPTIONAL:
             paths[edge.index] = None
-            result = self._route_edges(eidx + 1, images, paths, used)
-            if result is not None:
-                return result
-            del paths[edge.index]
+            yield from route(eidx + 1)
         if edge.cls in (FLEXIBLE, PATH):
-            lo = max(edge.len_lb, 2)
-            for route in self._paths(a, b, lo, edge.len_ub, images, used):
-                internal = route[1:-1]
-                paths[edge.index] = route
-                used.update(internal)
-                result = self._route_edges(eidx + 1, images, paths, used)
-                if result is not None:
-                    return result
-                used.difference_update(internal)
-                del paths[edge.index]
-        if edge.cls == FIXED and direct is None:
-            return None
-        return None
+            for r in detours([a], b, max(edge.len_lb, 2), edge.len_ub):
+                paths[edge.index] = r
+                used.update(r[1:-1])
+                yield from route(eidx + 1)
+                used.difference_update(r[1:-1])
 
-    def _paths(self, a, b, lo, hi, images, used):
-        """Simple paths from a to b with length in [lo, hi], internal
-        vertices outside images/used."""
-        taken = set(images.values()) | used
-        out = []
+    def detours(r: list[int], b: int, lo: int, hi: int):
+        """Simple paths extending r to b, of length in [lo, hi], through
+        vertices that no image or earlier route takes."""
+        for w, _ in sorted(adj[r[-1]]):
+            if w == b:
+                if lo <= len(r) <= hi:
+                    yield r + [b]
+            elif (w not in r and w not in used and w not in taken
+                    and near(b, w, hi - len(r))):
+                yield from detours(r + [w], b, lo, hi)
 
-        def extend(route):
-            last = route[-1]
-            if len(route) - 1 > hi:
-                return
-            for w, _ in sorted(self.adj[last]):
-                if w == b:
-                    if lo <= len(route) <= hi:
-                        out.append(route + [b])
-                    continue
-                if w in taken or w in route:
-                    continue
-                extend(route + [w])
-
-        extend([a])
-        return out
-
-    def _finish(self, images, paths, used):
-        """Leaf-path classification of the remaining interior vertices."""
-        spec = self.spec
-        embedded = set(images.values()) | used
-        remaining = [v for v in self.interior if v not in embedded]
-        path_edges: set[tuple[int, int]] = set()
-        for route in paths.values():
-            if route is None:
-                continue
-            for u, w in zip(route, route[1:]):
-                path_edges.add((min(u, w), max(u, w)))
-
-        leaf_roots: dict[int, list[list[int]]] = {}
+    def leaf_paths():
+        """The interior vertices outside the images and routes as leaf-path
+        chains, at most one per anchor and each at a permitted seed vertex
+        or a route's inner vertex; None when they do not split so or an
+        interior edge lies on no route or chain."""
+        embedded = taken | used
+        leafable = {images[pos] for pos in seed.leafable}
+        links = [zip(r, r[1:]) for r in paths.values() if r]
+        leaf_roots: dict[int, list[int]] = {}
         assigned: set[int] = set()
-        for v in remaining:
-            if v in assigned:
+        for v in interior:
+            if v in embedded or v in assigned:
                 continue
-            anchor = [w for w, _ in self.adj[v] if w in embedded]
+            anchor = [w for w, _ in adj[v] if w in embedded]
             if len(anchor) != 1:
                 continue
-            chain = [v]
-            prev, cur = anchor[0], v
-            ok = True
-            while True:
-                nxt = [w for w, _ in self.adj[cur] if w != prev]
-                if not nxt:
-                    break
+            chain = [anchor[0], v]
+            while nxt := [w for w, _ in adj[chain[-1]] if w != chain[-2]]:
                 if len(nxt) > 1 or nxt[0] in embedded or nxt[0] in assigned:
-                    ok = False
-                    break
-                prev, cur = cur, nxt[0]
-                chain.append(cur)
-            if not ok:
+                    return None
+                chain.append(nxt[0])
+            root, *chain = chain
+            if root in leaf_roots or not (root in leafable or root in used):
                 return None
             assigned.update(chain)
-            leaf_roots.setdefault(anchor[0], []).append(chain)
-        if len(assigned) != len(remaining):
-            return None
-        # every interior edge must be explained
-        explained = set(path_edges)
-        for root, chains in leaf_roots.items():
-            for chain in chains:
-                seq = [root] + chain
-                for u, w in zip(seq, seq[1:]):
-                    explained.add((min(u, w), max(u, w)))
-        for e in self.decomp.interior_edges:
-            key = (min(e.u, e.v), max(e.u, e.v))
-            if key not in explained:
-                return None
-        # at most one leaf path per location, at permitted locations only
-        leafable_images = {
-            images[pos] for pos in spec.seed.leafable
-        }
-        internal_vertices = set(used)
-        for root, chains in leaf_roots.items():
-            if len(chains) > 1:
-                return None
-            if root not in leafable_images and root not in internal_vertices:
-                return None
-        return images, paths, leaf_roots
+            links.append(zip([root] + chain, chain))
+            leaf_roots[root] = chain
+        explained = {(min(u, w), max(u, w)) for pairs in links for u, w in pairs}
+        if (len(assigned) + len(embedded) == len(interior)
+                and len(explained) == len(decomp.interior_edges)):
+            return leaf_roots
+        return None
+
+    return place(1)
+
+
+def _location_clauses(spec: TopologicalSpecification, decomp, tree_ids,
+                      images, paths, leaf_roots) -> list[Clause]:
+    """fringe_menus, height_bounds, leaf_branch_bounds and bond_bounds
+    under one seed embedding."""
+    seed = spec.seed
+    menus = [f"vertex {pos}: fringe {tree_ids[v]} not in its menu"
+             for pos, v in images.items()
+             if tree_ids[v] not in spec.fringe_set_for_vertex(pos)]
+    menus += [f"interior {v}: fringe {tree_ids[v]} not allowed"
+              for v in decomp.fringe_trees
+              if v not in images.values() and tree_ids[v] not in spec.fringe_edge_set]
+
+    def height(v: int) -> int:
+        """Height of the tree hanging at interior vertex v: its fringe tree
+        plus any leaf-path chain with the chains' own fringe trees."""
+        return max([decomp.fringe_trees[v].height] + [
+            depth + decomp.fringe_trees[u].height
+            for depth, u in enumerate(leaf_roots.get(v, ()), start=1)])
+
+    adj = decomp.interior_adjacency
+    routes = [(e, paths[e.index] or []) for e in seed.edges]
+    return [
+        Clause("fringe_menus", not menus, "; ".join(menus)),
+        _bounds("height_bounds", [
+            (f"vertex {sv.index} height", height(images[sv.index]),
+             sv.height_lb, sv.height_ub) for sv in seed.vertices
+        ] + [
+            (f"edge {e.index} max height", max(map(height, r[1:-1])),
+             e.height_lb, e.height_ub) for e, r in routes if len(r) > 2
+        ]),
+        _bounds("leaf_branch_bounds", [
+            (f"vertex {pos} leaf paths", int(images[pos] in leaf_roots),
+             seed.vertices[pos - 1].leaf_path_lb, 1) for pos in seed.leafable
+        ] + [
+            (f"edge {e.index} leaf branches", sum(v in leaf_roots for v in r[1:-1]),
+             e.branch_lb, e.branch_ub) for e, r in routes if e.cls in (PATH, FLEXIBLE)
+        ]),
+        _bounds("bond_bounds", [
+            (f"edge {e.index} {kind} bonds",
+             sum(dict(adj[u])[w] == m for u, w in zip(r, r[1:])), lo, hi)
+            for e, r in routes
+            for kind, m, lo, hi in (("double", 2, e.bond2_lb, e.bond2_ub),
+                                    ("triple", 3, e.bond3_lb, e.bond3_ub))
+        ]),
+    ]
 
 
 def check_graph_satisfies(
@@ -636,7 +649,11 @@ def check_graph_satisfies(
 ) -> SatisfactionReport:
     """Verify every specification clause directly on the graph.  A census
     of g that the caller already took is reused when its branch parameter
-    is spec.rho."""
+    is spec.rho.
+
+    The location clauses (fringe_menus, height_bounds, leaf_branch_bounds,
+    bond_bounds) hold when some seed embedding meets all of them; when
+    none does, the report shows them under the first embedding found."""
     report = SatisfactionReport()
     problems = g.validate()
     report.add("graph_valid", not problems, "; ".join(problems[:3]))
@@ -663,183 +680,67 @@ def check_graph_satisfies(
         report.add("seed_embedding", False, "empty interior")
         return report
 
-    lam_int = set(spec.lambda_int)
-    lam_ex = set(spec.lambda_ex)
+    na: Counter[str] = Counter()
+    na_int: Counter[str] = Counter()
     bad_elems = []
-    na_counts: dict[str, int] = {}
-    na_int_counts: dict[str, int] = {}
     for (is_interior, elem), n in census.elements.items():
-        na_counts[elem.token] = na_counts.get(elem.token, 0) + n
+        na[elem.token] += n
         if is_interior:
-            na_int_counts[elem.token] = n
-            if elem not in lam_int:
+            na_int[elem.token] = n
+            if elem not in spec.lambda_int:
                 bad_elems.append(f"interior {elem.token}")
-        elif elem not in lam_ex:
+        elif elem not in spec.lambda_ex:
             bad_elems.append(f"exterior {elem.token}")
     report.add("element_sets", not bad_elems, "; ".join(sorted(bad_elems)))
-
-    na_ok, na_detail = True, []
-    for token in set(na_counts) | set(spec.na_lb) | set(spec.na_ub):
-        lo, hi = spec.na_bounds(token)
-        cnt = na_counts.get(token, 0)
-        if not lo <= cnt <= hi:
-            na_ok = False
-            na_detail.append(f"{token}: {cnt} not in [{lo},{hi}]")
-    for token in set(na_int_counts) | set(spec.na_int_lb) | set(spec.na_int_ub):
-        lo, hi = spec.na_int_bounds(token)
-        cnt = na_int_counts.get(token, 0)
-        if not lo <= cnt <= hi:
-            na_ok = False
-            na_detail.append(f"interior {token}: {cnt} not in [{lo},{hi}]")
-    report.add("element_counts", na_ok, "; ".join(na_detail))
+    report.clauses.append(_bounds("element_counts", [
+        (token, na[token], *spec.na_bounds(token))
+        for token in sorted(set(na) | set(spec.na_lb) | set(spec.na_ub))
+    ] + [
+        (f"interior {token}", na_int[token], *spec.na_int_bounds(token))
+        for token in sorted(set(na_int) | set(spec.na_int_lb) | set(spec.na_int_ub))
+    ]))
 
     # degree tallies over interior vertices: full degree and interior degree
     full_deg = Counter(g.degree(v) for v in decomp.interior_vertices)
-    deg_ok, deg_detail = True, []
-    for d in range(1, 5):
-        lo, hi = spec.deg_lb[d - 1], spec.deg_ub[d - 1]
-        int_deg = census.scalars[7 + d]  # descriptor deg_int<d>
-        if not lo <= full_deg[d] <= hi:
-            deg_ok = False
-            deg_detail.append(f"deg{d}={full_deg[d]} not in [{lo},{hi}]")
-        if not lo <= int_deg <= hi:
-            deg_ok = False
-            deg_detail.append(f"deg_int{d}={int_deg} not in [{lo},{hi}]")
-    report.add("degree_bounds", deg_ok, "; ".join(deg_detail))
+    report.clauses.append(_bounds("degree_bounds", [
+        (f"{label}{d}", count, spec.deg_lb[d - 1], spec.deg_ub[d - 1])
+        for d in range(1, 5)
+        for label, count in (("deg", full_deg[d]),
+                             ("deg_int", census.scalars[7 + d]))  # deg_int<d>
+    ]))
 
-    # fringe-tree catalog membership and global fc bounds
     code_to_id = {f.tree.canonical_code: f.psi_id for f in spec.fringe_entries}
-    fc_counts: dict[str, int] = {f.psi_id: 0 for f in spec.fringe_entries}
-    unknown = []
-    tree_ids: dict[int, str] = {}
-    for code, group in census.fringe.items():
-        psi = code_to_id.get(code)
-        if psi is None:
-            unknown.extend(t.root for t in group)
-        else:
-            fc_counts[psi] += len(group)
-            tree_ids.update((t.root, psi) for t in group)
-    unknown.sort()
+    tree_ids = {t.root: code_to_id.get(code)
+                for code, group in census.fringe.items() for t in group}
+    unknown = sorted(v for v, psi in tree_ids.items() if psi is None)
     report.add(
         "fringe_catalog",
         not unknown,
         f"unlisted fringe trees at {unknown}" if unknown else "",
     )
-    fc_ok, fc_detail = True, []
-    for f in spec.fringe_entries:
-        if not f.fc_lb <= fc_counts[f.psi_id] <= f.fc_ub:
-            fc_ok = False
-            fc_detail.append(
-                f"{f.psi_id}: {fc_counts[f.psi_id]} not in [{f.fc_lb},{f.fc_ub}]"
-            )
-    report.add("fringe_counts", fc_ok, "; ".join(fc_detail))
-
-    ac_ok, ac_detail = True, []
-    for bound in spec.ac_bounds:
-        cnt = census.leaf_edges.get(bound.config, 0)
-        if not bound.lb <= cnt <= bound.ub:
-            ac_ok = False
-            ac_detail.append(
-                f"{bound.config.label}: {cnt} not in [{bound.lb},{bound.ub}]"
-            )
-    report.add("leaf_edge_bounds", ac_ok, "; ".join(ac_detail))
-
+    fc = Counter(tree_ids.values())
+    report.clauses.append(_bounds("fringe_counts", [
+        (f.psi_id, fc[f.psi_id], f.fc_lb, f.fc_ub) for f in spec.fringe_entries]))
+    report.clauses.append(_bounds("leaf_edge_bounds", [
+        (b.config.label, census.leaf_edges[b.config], b.lb, b.ub)
+        for b in spec.ac_bounds]))
     if unknown:
         report.add("seed_embedding", False, "fringe trees outside the catalog")
         return report
 
-    embedder = _Embedder(spec, g, decomp)
-    found = embedder.find()
-    if found is None:
+    shown = None
+    for images, paths, leaf_roots in _embeddings(spec, g, decomp):
+        clauses = _location_clauses(spec, decomp, tree_ids, images, paths, leaf_roots)
+        met = all(c.ok for c in clauses)
+        if met or shown is None:
+            shown = images, clauses
+        if met:
+            break
+    if shown is None:
         report.add("seed_embedding", False, "no homeomorphic embedding")
         return report
-    images, paths, leaf_roots = found
-    report.add("seed_embedding", True, f"images={images}")
-
-    # location-specific clauses under the found embedding
-    loc_ok, loc_detail = True, []
-    for pos in range(1, spec.seed.t_c + 1):
-        allowed = set(spec.fringe_set_for_vertex(pos))
-        psi = tree_ids[images[pos]]
-        if psi not in allowed:
-            loc_ok = False
-            loc_detail.append(f"vertex {pos}: fringe {psi} not in its menu")
-    edge_allowed = set(spec.fringe_edge_set)
-    for root in decomp.fringe_trees:
-        if root in images.values():
-            continue
-        if tree_ids[root] not in edge_allowed:
-            loc_ok = False
-            loc_detail.append(f"interior {root}: fringe {tree_ids[root]} not allowed")
-    report.add("fringe_menus", loc_ok, "; ".join(loc_detail))
-
-    h_ok, h_detail = True, []
-    for pos in range(1, spec.seed.t_c + 1):
-        sv = spec.seed.vertices[pos - 1]
-        height = _location_height(decomp, leaf_roots, images[pos])
-        if not sv.height_lb <= height <= sv.height_ub:
-            h_ok = False
-            h_detail.append(
-                f"vertex {pos}: height {height} not in "
-                f"[{sv.height_lb},{sv.height_ub}]"
-            )
-    for edge in spec.seed.edges:
-        route = paths.get(edge.index)
-        if route is None or len(route) <= 2:
-            continue
-        top = max(
-            _location_height(decomp, leaf_roots, v) for v in route[1:-1]
-        )
-        if not edge.height_lb <= top <= edge.height_ub:
-            h_ok = False
-            h_detail.append(
-                f"edge {edge.index}: max height {top} not in "
-                f"[{edge.height_lb},{edge.height_ub}]"
-            )
-    report.add("height_bounds", h_ok, "; ".join(h_detail))
-
-    bl_ok, bl_detail = True, []
-    for pos in spec.seed.leafable:
-        sv = spec.seed.vertices[pos - 1]
-        has = 1 if leaf_roots.get(images[pos]) else 0
-        if has < sv.leaf_path_lb:
-            bl_ok = False
-            bl_detail.append(f"vertex {pos}: leaf path required")
-    for edge in spec.seed.edges:
-        route = paths.get(edge.index)
-        if edge.cls not in (PATH, FLEXIBLE):
-            continue
-        count = 0
-        if route is not None and len(route) > 2:
-            count = sum(1 for v in route[1:-1] if leaf_roots.get(v))
-        if not edge.branch_lb <= count <= edge.branch_ub:
-            bl_ok = False
-            bl_detail.append(
-                f"edge {edge.index}: {count} leaf branches not in "
-                f"[{edge.branch_lb},{edge.branch_ub}]"
-            )
-    report.add("leaf_branch_bounds", bl_ok, "; ".join(bl_detail))
-
-    bd_ok, bd_detail = True, []
-    for edge in spec.seed.edges:
-        route = paths.get(edge.index)
-        counts = {2: 0, 3: 0}
-        if route is not None:
-            for u, w in zip(route, route[1:]):
-                m = dict(decomp.interior_adjacency[u])[w]
-                if m in counts:
-                    counts[m] += 1
-        for m, lo, hi in (
-            (2, edge.bond2_lb, edge.bond2_ub),
-            (3, edge.bond3_lb, edge.bond3_ub),
-        ):
-            if not lo <= counts[m] <= hi:
-                bd_ok = False
-                bd_detail.append(
-                    f"edge {edge.index}: {counts[m]} bonds of multiplicity {m} "
-                    f"not in [{lo},{hi}]"
-                )
-    report.add("bond_bounds", bd_ok, "; ".join(bd_detail))
+    report.add("seed_embedding", True, f"images={shown[0]}")
+    report.clauses += shown[1]
     return report
 
 

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from invqsar.decompose import decompose, tree_to_json
 from invqsar.descriptors import build_space, featurize, space_hash
 from invqsar.elements import make_element
-from invqsar.graph import ChemicalGraph, build_graph
+from invqsar.graph import ChemicalGraph, Edge, Vertex, build_graph
 from invqsar.regression import LinearPredictor
 from invqsar.topospec import parse_spec
 
@@ -99,6 +99,16 @@ def random_chemical_graph(rng: np.random.Generator, max_heavy: int = 12,
         token, charge = options[int(rng.integers(0, len(options)))]
         atoms.append((i + 1, token, charge))
     return build_graph(atoms, [tuple(e) for e in edges], add_hydrogens=True)
+
+
+def relabelled(g: ChemicalGraph, rng: np.random.Generator) -> ChemicalGraph:
+    """The same molecule with its vertex ids permuted at random."""
+    ids = [v.id for v in g.vertices]
+    new = dict(zip(ids, (int(i) for i in rng.permutation(ids))))
+    return ChemicalGraph(
+        tuple(Vertex(new[v.id], v.element, v.charge) for v in g.vertices),
+        tuple(Edge(new[e.u], new[e.v], e.mult) for e in g.edges),
+    )
 
 
 def uniform_predictor(space, vectors, weight=0.1, bias=0.05,

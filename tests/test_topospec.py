@@ -33,7 +33,9 @@ from conftest import (
     ALL_ROUNDTRIP_FIXTURES,
     fringe_menu_json,
     perfbench_inputs,
+    chain,
     random_chemical_graph,
+    relabelled,
     ring,
     roundtrip_fixture,
     triangle_spec_doc,
@@ -58,7 +60,6 @@ def test_edge_classes():
 def test_minimal_triangle_spec():
     spec = parse_spec(json.dumps(minimal_spec()))
     assert spec.seed.k_c == 0
-    assert spec.seed.k_tilde == 0
     assert spec.seed.rank == 1
     assert spec.seed.t_c == 3
 
@@ -76,7 +77,6 @@ def test_path_edge_indexing():
     classes = [e.cls for e in spec.seed.edges]
     # ordering: path first, then flexible, optional, fixed
     assert classes == [PATH, FLEXIBLE, OPTIONAL, FIXED]
-    assert spec.seed.k_tilde == 1
     assert spec.seed.k_c == 2
     assert [e.index for e in spec.seed.edges] == [1, 2, 3, 4]
 
@@ -139,8 +139,6 @@ def test_checker_flags_interior_bound():
 
 
 def test_checker_rejects_empty_interior():
-    from conftest import chain
-
     spec = parse_spec(json.dumps(minimal_spec()))
     report = check_graph_satisfies(spec, chain(["C", "C"]))
     failures = {c.name for c in report.failures()}
@@ -149,8 +147,6 @@ def test_checker_rejects_empty_interior():
 
 def test_checker_rejects_wrong_shape():
     # path graph cannot host a triangle seed
-    from conftest import chain
-
     spec = parse_spec(json.dumps(minimal_spec(n_star=12, n_int_ub=6)))
     report = check_graph_satisfies(spec, chain(["C"] * 7))
     assert not report.passed
@@ -269,6 +265,47 @@ def test_each_clause_fails_alone(clause):
     edit(doc)
     report = check_graph_satisfies(parse_spec(json.dumps(doc)), fx.target)
     assert [c.name for c in report.failures()] == [clause, *also], report.to_text()
+
+
+@pytest.mark.parametrize("tokens", [["O", "C", "C", "N"], ["N", "C", "C", "O"]])
+def test_location_clauses_hold_under_some_embedding(tokens):
+    """Seed vertex 1 must carry the nitrogen, seed vertex 2 the oxygen: the
+    molecule passes whichever of its two carbons is numbered first."""
+    g = chain(tokens)
+    psis = fringe_menu_json([g], rho=1)
+    by_element = {v["element"]: f["id"] for f in psis for v in f["vertices"]
+                  if v["element"] in ("N", "O")}
+    doc = {
+        "version": 1, "rho": 1, "n_lb": 2, "n_star": 6,
+        "n_int_lb": 2, "n_int_ub": 2,
+        "seed": {"vertices": [{"id": 1, "elements": ["C"]},
+                              {"id": 2, "elements": ["C"]}],
+                 "edges": [{"tail": 1, "head": 2, "len_lb": 1, "len_ub": 1}]},
+        "lambda_int": ["C"], "lambda_ex": ["H", "N", "O"],
+        "fringe_trees": psis,
+        "fringe_assignment": {"vertex": {"1": [by_element["N"]],
+                                         "2": [by_element["O"]]}},
+    }
+    report = check_graph_satisfies(parse_spec(json.dumps(doc)), g)
+    assert report.passed, report.to_text()
+
+
+def test_verdict_does_not_depend_on_vertex_numbering():
+    """Random molecules whose seed vertex 1 may carry only the first fringe
+    tree keep their verdict when their vertex ids are permuted."""
+    rng = np.random.default_rng(3)
+    checked = 0
+    while checked < 100:
+        g = random_chemical_graph(rng, max_heavy=10)
+        if len(take_census(g, 2).decomposition.interior_vertices) < 2:
+            continue
+        doc = spec_from_graph(g)
+        doc["fringe_assignment"] = {"vertex": {"1": ["psi1"]}}
+        spec = parse_spec(json.dumps(doc))
+        expected = check_graph_satisfies(spec, g).passed
+        for _ in range(3):
+            assert check_graph_satisfies(spec, relabelled(g, rng)).passed == expected
+        checked += 1
 
 
 # -- the strict schema --------------------------------------------------------
