@@ -75,7 +75,6 @@ class Build:
         self.space = space
         self.model = MILPModel(name="inverse_design")
         self.m = self.model
-        self.infeasible_marks = 0
 
         seed = spec.seed
         self.t_c = seed.t_c
@@ -235,9 +234,9 @@ class Build:
         self.m.add_constr(f"{name}_hi", terms, LE, hi)
 
     def mark_infeasible(self, why: str) -> None:
-        """Record an unsatisfiable requirement as an explicit contradiction."""
-        self.infeasible_marks += 1
-        name = f"never_{self.infeasible_marks}"
+        """Record an unsatisfiable requirement as an explicit contradiction,
+        the row never_<why>; why must be unique and a valid LP name."""
+        name = f"never_{why}"
         if not self.m.has_var("always_zero"):
             self.m.add_var("always_zero", BINARY, 0, 0)
         self.m.add_constr(name, {"always_zero": 1.0}, GE, 1.0)
@@ -626,12 +625,13 @@ def add_fringe_trees(b: Build) -> None:
             f"aclf_{ai}",
         )
     # requested bounds on leaf-edge configurations
-    for bound in spec.ac_bounds:
+    for i, bound in enumerate(spec.ac_bounds, start=1):
         key = (bound.config.a.token, bound.config.b.token, bound.config.mult)
         idx = ac_key_to_idx.get(key)
         if idx is None:
             if bound.lb > 0:
-                b.mark_infeasible(f"ac_{bound.config.label}")
+                # by position: a config label such as S(6)_C_1 is no LP name
+                b.mark_infeasible(f"ac_lf_{i}")
             continue
         b.rng(f"fr_acrange_{idx}", [(f"aclf_{idx}", 1)], bound.lb, bound.ub)
 
@@ -1604,7 +1604,8 @@ VARIABLE_FAMILIES: tuple[tuple[str, str, str], ...] = (
     (r"lsT_\d+_\d+", BINARY, "symbol of a path run's last slot"),
     (r"fsF_\d+_\d+", BINARY, "symbol of a leaf run's first slot"),
     (r"ec(C|T|F|CTk|TCk|sF)_\d+_\d+", BINARY, "edge-configuration marker"),
-    (r"x_\d+", INTEGER, "raw descriptor (continuous for the mass average)"),
+    (r"x_4", CONTINUOUS, "raw descriptor: the average mass"),
+    (r"x_\d+", INTEGER, "raw descriptor"),
     (r"xd_\d+", CONTINUOUS, "descriptor offset above its training minimum"),
     (r"xhat_\d+", CONTINUOUS, "normalized descriptor"),
     (r"y", CONTINUOUS, "predicted property, standardized units"),

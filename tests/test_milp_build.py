@@ -1,15 +1,22 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 from invqsar.descriptors import build_space, featurize
-from invqsar.milp.build import EPSILON, Build, BuildError, build_milp
+from invqsar.milp.build import (
+    EPSILON,
+    VARIABLE_FAMILIES,
+    Build,
+    BuildError,
+    build_milp,
+)
 from invqsar.milp.decode import decode
 from invqsar.milp.model import emit_lp
 from invqsar.milp.solve import solve
-from invqsar.topospec import check_graph_satisfies, parse_spec
+from invqsar.topospec import check_graph_satisfies, parse_spec, spec_to_json
 
 from conftest import (
     ALL_ROUNDTRIP_FIXTURES,
@@ -222,23 +229,34 @@ def test_variable_bounds_match_contract():
         assert model.var(f"degexT_{i}").ub == 3
 
 
-def test_every_variable_belongs_to_a_cataloged_family():
-    import re
-
-    from invqsar.milp.build import VARIABLE_FAMILIES
-    from invqsar.milp.model import CONTINUOUS
-
+def _contradiction_model():
+    """expanded_path without T slots, which its path edge of length 2..3
+    needs: the builder writes the contradiction row never_clrT_1_range."""
     fx = roundtrip_fixture("expanded_path")
-    model = build_milp(fx.spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi)
+    doc = spec_to_json(fx.spec)
+    doc["t_tree"] = 0
+    return build_milp(parse_spec(json.dumps(doc)), fx.space)
+
+
+def test_unroutable_colored_edge_names_its_contradiction():
+    model = _contradiction_model()
+    assert [c.name for c in model.constraints if c.name.startswith("never_")] == [
+        "never_clrT_1_range"]
+    assert solve(model, "highs").status == "infeasible"
+
+
+def test_every_variable_belongs_to_a_cataloged_family():
+    """The first family a variable's name matches gives its kind, in the
+    pinned models and in a model with a contradiction row."""
     compiled = [(re.compile(f"^{pat}$"), kind) for pat, kind, _ in VARIABLE_FAMILIES]
-    for v in model.variables:
-        matches = [kind for rex, kind in compiled if rex.match(v.name)]
-        assert matches, f"variable {v.name} matches no cataloged family"
-        if v.name.startswith("x_"):
-            expected = CONTINUOUS if v.name == "x_4" else matches[0]
-        else:
-            expected = matches[0]
-        assert v.kind == expected, (v.name, v.kind, expected)
+    models = [_contradiction_model()]
+    for _, spec, space, predictor, y_lo, y_hi in _pinned_models():
+        models += [build_milp(spec, space),
+                   build_milp(spec, space, predictor, y_lo, y_hi)]
+    for model in models:
+        for v in model.variables:
+            kind = next((kind for rex, kind in compiled if rex.match(v.name)), None)
+            assert kind == v.kind, (v.name, v.kind, kind)
 
 
 def test_height_lower_bound_forces_leaf_path():
