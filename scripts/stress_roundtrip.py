@@ -6,9 +6,11 @@ Each instance derives a specification from a random target molecule,
 centers the prediction window on the target, solves the inverse model,
 decodes the answer and verifies (a) graph invariants, (b) exact agreement
 between the decoded feature vector and the model's descriptor variables,
-(c) the prediction window, and (d) every specification clause.
+(c) the prediction window, (d) every specification clause, and (e) the
+same specification verdict for a copy of the answer with its vertex ids
+permuted at random.
 
-Usage: python3 scripts/stress_roundtrip.py [--instances 40] [--seed 0]
+Usage: python3 scripts/stress_roundtrip.py [--instances 40] [--seed 0] [--max-heavy 11]
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ def main() -> int:
     parser.add_argument("--max-heavy", type=int, default=11)
     args = parser.parse_args()
 
-    from conftest import random_chemical_graph, uniform_predictor
+    from conftest import random_chemical_graph, relabelled, uniform_predictor
 
     rng = np.random.default_rng(args.seed)
+    # its own stream, so that the instances do not depend on the relabelling
+    relabel_rng = np.random.default_rng([args.seed, 1])
     verified = failed = 0
     start = time.monotonic()
     while verified + failed < args.instances:
@@ -83,12 +87,14 @@ def main() -> int:
             ]
             y_dec = predictor.predict_normalized(fv_dec.as_floats())
             report = check_graph_satisfies(spec, graph)
+            moved = check_graph_satisfies(spec, relabelled(graph, relabel_rng))
             if problems or mismatch or not report.passed or not (
                 y - 0.0201 <= y_dec <= y + 0.0201
-            ):
+            ) or moved.passed != report.passed:
                 raise RuntimeError(
                     f"verification failed: {problems[:2]} {mismatch[:3]} "
-                    f"{[c.name for c in report.failures()]}"
+                    f"{[c.name for c in report.failures()]} "
+                    f"relabelled {[c.name for c in moved.failures()]}"
                 )
             verified += 1
             print(f"{label} ok: target {target.n_heavy()} heavy -> "

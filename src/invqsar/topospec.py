@@ -8,8 +8,13 @@ configurations).  The JSON schema is the field tables below (SPEC and its
 record tables), which the README's specification table mirrors.
 
 check_graph_satisfies verifies a concrete chemical graph against every
-clause directly on its two-layered decomposition, including an exhaustive
-search for a homeomorphic embedding of the seed graph.
+clause directly on its two-layered decomposition.  The location clauses
+(fringe menus, height, leaf-branch and bond bounds) are judged under a
+homeomorphic embedding of the seed graph: a graph satisfies a
+specification when some embedding meets every location clause, and a
+failing report shows them under the first embedding found.  A failing
+bounds clause names each value outside its bounds as
+`<label>: <value> not in [<lo>,<hi>]`.
 """
 
 from __future__ import annotations
