@@ -31,9 +31,9 @@ from invqsar.descriptors import take_census
 
 from conftest import (
     ALL_ROUNDTRIP_FIXTURES,
+    chain,
     fringe_menu_json,
     perfbench_inputs,
-    chain,
     random_chemical_graph,
     relabelled,
     ring,
@@ -223,6 +223,7 @@ def _edit(path, value):
 
 
 DELETE = object()
+
 
 def _drop_fringe_entry(psi):
     def apply(doc):
