@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import re
 import subprocess
 
+import numpy as np
 import pytest
 
 from invqsar import cli
@@ -15,7 +17,7 @@ from invqsar.graph import build_graph, graph_to_json_text
 from invqsar.sdf import graph_to_sdf, parse_sdf
 from invqsar.topospec import spec_to_json_text
 
-from conftest import ring, roundtrip_fixture
+from conftest import perfbench_inputs, ring, roundtrip_fixture
 
 
 @pytest.fixture
@@ -106,6 +108,78 @@ def test_featurize_empty_dataset(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"dataset": str(empty), "output_dir": str(tmp_path)}))
     assert main(["featurize", "--config", str(cfg)]) == 2
+
+
+def _featurize_and_train(cfg_path) -> dict[str, bytes]:
+    assert main(["featurize", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    out = cfg_path.parent / "out"
+    return {name: (out / name).read_bytes()
+            for name in ("features.csv", "space.json", "predictor.json")}
+
+
+# sha256 of the featurize + train outputs for the benchmark's train_cv inputs
+TRAIN_CV_DIGESTS = {
+    "features.csv": "e3929e86d82e4405ac156f39e1d35fd06c59a0a13e90b8e3603c25611d57d466",
+    "space.json": "38e9531838ce23b434b9025f9cdc81138b7088cc0233c9f542179c289ac685ea",
+    "predictor.json": "45c9d2a851d2f0db03488f850ef8960ba273e7ff4a90f9809bc47b836f475cc2",
+}
+
+
+def test_train_cv_outputs_are_pinned(tmp_path, capsys):
+    """featurize and train on the benchmark's train_cv inputs (molecule seed
+    1, 300 molecules, penalty grid (0.001, 0.003, 0.01), one execution,
+    fold seed 1) write the pinned bytes."""
+    inputs = perfbench_inputs()
+    rng = np.random.default_rng(1)
+    named = [(f"m{i + 1:04d}", inputs.random_molecule(rng, 14)) for i in range(300)]
+    targets = {n: inputs.synthetic_property(g, rng) for n, g in named}
+    (tmp_path / "dataset.sdf").write_text(inputs.sdf_text(named))
+    (tmp_path / "targets.csv").write_text(
+        "id,value\n" + "".join(f"{n},{targets[n]!r}\n" for n, _ in named))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": str(tmp_path / "dataset.sdf"),
+        "targets": str(tmp_path / "targets.csv"),
+        "rho": 2, "lambda_grid": [0.001, 0.003, 0.01], "cv_executions": 1,
+        "output_dir": str(tmp_path / "out"), "seed": 1,
+    }))
+    outputs = _featurize_and_train(cfg_path)
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in outputs.items()} == TRAIN_CV_DIGESTS
+
+
+def _unknown_element_record(name: str) -> str:
+    atom = "    0.0000    0.0000    0.0000 Zz  0  0  0  0  0  0  0  0  0  0  0  0"
+    return (f"{name}\n  test\n\n  1  0  0  0  0  0  0  0  0  0999 V2000\n"
+            f"{atom}\nM  END\n$$$$\n")
+
+
+def test_featurize_reports_bad_records_in_place(project, capsys):
+    """Bad records first, in the middle and last are each reported, in
+    record order, and the outputs are those of the good records alone."""
+    tmp, cfg_path, fx = project
+    dataset = tmp / "dataset.sdf"
+    good = [r + "$$$$\n" for r in dataset.read_text().split("$$$$\n")[:-1]]
+    assert len(good) == 12
+    clean = _featurize_and_train(cfg_path)
+    assert capsys.readouterr().err == ""
+
+    five_bonds = build_graph([(i, "C") for i in range(1, 7)],
+                             [(1, i, 1) for i in range(2, 7)])
+    dataset.write_text("".join([
+        "junk\n\n\nnot-a-counts-line\n$$$$\n",
+        *good[:5],
+        _unknown_element_record("odd"),
+        *good[5:],
+        graph_to_sdf(five_bonds, "crowded"),
+    ]))
+    assert _featurize_and_train(cfg_path) == clean
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: record 0 (junk): malformed counts line: 'not-a-counts-line'",
+        "warning: record 6 (odd): unknown element symbol 'Zz'",
+        "warning: record 14 (crowded): vertex 1 has 5 heavy neighbours (max 4)",
+    ]
 
 
 def test_train_and_infer_and_verify(project, capsys):
