@@ -45,7 +45,7 @@ from .regression import (
 )
 from .schema import (
     COUNT, NUMBER, STRING, Field, InputError, Kind, Reader, Table, integer, number)
-from .sdf import graph_to_sdf, parse_sdf
+from .sdf import RecordError, graph_to_sdf, read_sdf
 from .topospec import SpecError, check_graph_satisfies, parse_spec
 
 EXIT_OK = 0
@@ -121,28 +121,25 @@ def _read_json(path: str):
     return Reader(path, UsageError).loads(_read_text(path))
 
 
-def _load_dataset(path: str):
-    text = _read_text(path)
-    result = parse_sdf(text)
-    for err in result.errors:
-        print(f"warning: record {err.record} ({err.name}): {err.message}",
-              file=sys.stderr)
-    return result
-
-
 def run_featurize(cfg: ProjectConfig) -> int:
-    result = _load_dataset(cfg.dataset)
-    if not result.graphs:
+    # one record at a time: only each record's counts outlive its graph
+    names, censuses = [], []
+    for record in read_sdf(_read_text(cfg.dataset)):
+        if isinstance(record, RecordError):
+            print(f"warning: record {record.record} ({record.name}): "
+                  f"{record.message}", file=sys.stderr)
+            continue
+        name, graph = record
+        names.append(name)
+        censuses.append(take_census(graph, cfg.rho).counts())
+    if not censuses:
         print("error: no parsable records in the dataset", file=sys.stderr)
         return EXIT_USAGE
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    censuses = [take_census(g, cfg.rho) for g in result.graphs]
     space = space_from_censuses(censuses)
     vectors = [census_vector(c, space) for c in censuses]
-    (out / "features.csv").write_text(
-        write_feature_csv(result.names, vectors, space)
-    )
+    (out / "features.csv").write_text(write_feature_csv(names, vectors, space))
     (out / "space.json").write_text(space_to_json_text(space))
     print(f"featurized {len(vectors)} graphs, K={space.k}")
     print(f"wrote {out / 'features.csv'} and {out / 'space.json'}")

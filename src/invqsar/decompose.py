@@ -176,9 +176,10 @@ def _canonical_code(t: RootedFringeTree, nid: int) -> bytes:
     entries = []
     for c, m in t.children[nid]:
         celem, cchg = t.node_map[c]
-        entries.append(
-            (celem.sort_key(), cchg, m, _canonical_code(t, c))
-        )
+        # a leaf, such as every hydrogen, is written here without a call
+        code = (_canonical_code(t, c) if t.children[c]
+                else b"(%s,%d[])" % (celem.token.encode(), cchg))
+        entries.append((celem.sort_key(), cchg, m, code))
     entries.sort()
     inner = b";".join(b"%d:" % m + code for _, _, m, code in entries)
     return b"(%s,%d[" % (elem.token.encode(), chg) + inner + b"])"
@@ -221,7 +222,7 @@ TREE = Table(Field("root", INTEGER), *GRAPH.fields, make=_tree, write=tree_to_js
 
 def fringe_tree_from_graph(g: ChemicalGraph, root: int) -> RootedFringeTree:
     """Orient a tree-shaped chemical graph away from the given root."""
-    if len(g.edges) != len(g.vertices) - 1 or not g.is_connected():
+    if len(g.edges) != len(g.vertices) - 1 or not g.connected:
         raise InvalidGraphError("fringe tree must be a connected tree")
     nodes = []
     edges = []

@@ -22,7 +22,7 @@ import hashlib
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -204,16 +204,25 @@ class FeatureVector:
 @dataclass(frozen=True)
 class GraphCensus:
     """Everything the descriptors count on one graph, taken from a single
-    decomposition: build_space collects its keys, featurize indexes it and
-    the specification checker reads its tallies."""
+    decomposition: build_space collects its keys and examples, featurize
+    indexes it and the specification checker reads its tallies and its
+    decomposition."""
 
-    decomposition: TwoLayeredDecomposition
+    rho: int
     scalars: tuple[int | Fraction, ...]  # descriptors 1..14 in layout order
     # (interior?, element) -> vertex count, keys in order of first vertex
     elements: Counter[tuple[bool, ElementSpec]]
     edge_configs: Counter[EdgeConfiguration]
-    fringe: dict[bytes, list[RootedFringeTree]]  # code -> trees by root
+    fringe: Counter[bytes]  # canonical code -> fringe trees, codes by root
+    examples: dict[bytes, RootedFringeTree]  # code -> its tree of least root
     leaf_edges: Counter[AdjacencyConfiguration]
+    # holds the graph; None in the counts a dataset keeps of each record
+    decomposition: TwoLayeredDecomposition | None
+
+    def counts(self) -> "GraphCensus":
+        """This census without its decomposition, so that the graph and its
+        other fringe trees can go: what featurize keeps of each record."""
+        return replace(self, decomposition=None)
 
 
 def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
@@ -243,17 +252,17 @@ def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
         if e.mult in (2, 3):
             scalars[10 + e.mult] += 1
 
-    def symbol(vid: int) -> ChemicalSymbol:
-        return ChemicalSymbol(g.element(vid), view.degree(vid))
-
     elements = Counter((v.id in interior, v.element) for v in g.vertices)
+    symbol = {v: ChemicalSymbol(g.element(v), view.degree(v)) for v in interior}
     edge_configs = Counter(
-        EdgeConfiguration.make(symbol(e.u), symbol(e.v), e.mult)
+        EdgeConfiguration.make(symbol[e.u], symbol[e.v], e.mult)
         for e in decomp.interior_edges
     )
-    fringe: dict[bytes, list[RootedFringeTree]] = {}
+    fringe: Counter[bytes] = Counter()
+    examples: dict[bytes, RootedFringeTree] = {}
     for t in decomp.fringe_trees.values():
-        fringe.setdefault(t.canonical_code, []).append(t)
+        fringe[t.canonical_code] += 1
+        examples.setdefault(t.canonical_code, t)
 
     # leaf edges of the suppressed graph, leaf endpoint first; an edge
     # whose two endpoints both have degree 1 is oriented by element order
@@ -271,8 +280,8 @@ def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
             a, b = ev, eu
         leaf_edges[AdjacencyConfiguration(a, b, e.mult)] += 1
 
-    return GraphCensus(
-        decomp, tuple(scalars), elements, edge_configs, fringe, leaf_edges)
+    return GraphCensus(rho, tuple(scalars), elements, edge_configs, fringe,
+                       examples, leaf_edges, decomp)
 
 
 def space_from_censuses(censuses: list[GraphCensus]) -> DescriptorSpace:
@@ -290,11 +299,11 @@ def space_from_censuses(censuses: list[GraphCensus]) -> DescriptorSpace:
             (lam_int if is_interior else lam_ex).add(elem)
         gammas.update(c.edge_configs)
         acs.update(c.leaf_edges)
-        for code, group in c.fringe.items():
-            trees.setdefault(code, group[0])
+        for code, tree in c.examples.items():
+            trees.setdefault(code, tree)
     codes = tuple(sorted(trees))
     return DescriptorSpace(
-        rho=censuses[0].decomposition.rho,
+        rho=censuses[0].rho,
         lambda_int=tuple(sorted(lam_int)),
         lambda_ex=tuple(sorted(lam_ex)),
         gamma_int=tuple(sorted(gammas)),
@@ -327,13 +336,13 @@ def census_vector(census: GraphCensus, space: DescriptorSpace) -> FeatureVector:
             raise OutOfSpaceError(f"edge configuration {gcf.label} not in the space")
         values[off["ec"] + idx] += n
 
-    for code, group in census.fringe.items():
+    for code, n in census.fringe.items():
         idx = space.fringe_index.get(code)
         if idx is None:
             raise OutOfSpaceError(
-                f"fringe tree at vertex {group[0].root} not in the space"
+                f"fringe tree at vertex {census.examples[code].root} not in the space"
             )
-        values[off["fc"] + idx] += len(group)
+        values[off["fc"] + idx] += n
 
     for ac, n in census.leaf_edges.items():
         idx = space.ac_index.get(ac)

@@ -89,9 +89,10 @@ class ChemicalGraph:
         for e in self.edges:
             if e.u not in adj or e.v not in adj:
                 raise InvalidGraphError(f"edge ({e.u},{e.v}) references unknown vertex")
-            if e.key() in seen:
+            key = e.key()
+            if key in seen:
                 raise InvalidGraphError(f"parallel edge ({e.u},{e.v})")
-            seen.add(e.key())
+            seen.add(key)
             adj[e.u].append((e.v, e.mult))
             adj[e.v].append((e.u, e.mult))
         return {k: tuple(v) for k, v in adj.items()}
@@ -128,7 +129,8 @@ class ChemicalGraph:
     def n_heavy(self) -> int:
         return len(self.suppressed.vertex_ids)
 
-    def is_connected(self) -> bool:
+    @cached_property
+    def connected(self) -> bool:
         if not self.vertices:
             return True
         adj = self.adjacency
@@ -153,7 +155,7 @@ class ChemicalGraph:
         if not self.vertices:
             problems.append("graph has no vertices")
             return problems
-        if not self.is_connected():
+        if not self.connected:
             problems.append("graph is not connected")
         for v in self.vertices:
             incident = adj[v.id]
@@ -181,7 +183,7 @@ class ChemicalGraph:
 
 def rank(g: ChemicalGraph) -> int:
     """Cycle rank |E|-|V|+1 of the hydrogen-suppressed graph."""
-    if not g.is_connected():
+    if not g.connected:
         raise InvalidGraphError("rank requires a connected graph")
     view = g.suppressed
     if not view.vertex_ids:

@@ -3,11 +3,13 @@
 Implicit hydrogens are materialized as explicit vertices so that every
 parsed graph satisfies the valence condition.  Records that cannot be
 turned into a valid ChemicalGraph are reported per record instead of being
-dropped silently.
+dropped silently.  read_sdf parses one record at a time, so a caller that
+keeps only what it derives from each graph holds one graph at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .elements import (
@@ -39,18 +41,16 @@ class SdfParseResult:
         return not self.errors
 
 
-def _split_records(text: str) -> list[list[str]]:
-    records: list[list[str]] = []
+def _split_records(text: str) -> Iterator[list[str]]:
     current: list[str] = []
     for line in text.splitlines():
         if line.strip() == "$$$$":
-            records.append(current)
+            yield current
             current = []
         else:
             current.append(line)
     if any(l.strip() for l in current):
-        records.append(current)
-    return records
+        yield current
 
 
 def _parse_record(lines: list[str], index: int) -> tuple[ChemicalGraph, str]:
@@ -143,18 +143,29 @@ def _parse_record(lines: list[str], index: int) -> tuple[ChemicalGraph, str]:
     return graph, name
 
 
-def parse_sdf(text: str) -> SdfParseResult:
-    """Parse SDF/molfile text into chemical graphs, one per record."""
-    result = SdfParseResult()
+def read_sdf(text: str) -> Iterator[tuple[str, ChemicalGraph] | RecordError]:
+    """Parse SDF/molfile text one record at a time, yielding (name, graph)
+    for each record that parses and a RecordError for each that does not,
+    in record order."""
     for idx, rec in enumerate(_split_records(text)):
         try:
             graph, name = _parse_record(rec, idx)
         except (ValueError, UnknownElementError) as exc:
             head = rec[0].strip() if rec else ""
-            result.errors.append(RecordError(idx, head or f"record{idx}", str(exc)))
-            continue
-        result.graphs.append(graph)
-        result.names.append(name)
+            yield RecordError(idx, head or f"record{idx}", str(exc))
+        else:
+            yield name, graph
+
+
+def parse_sdf(text: str) -> SdfParseResult:
+    """Parse SDF/molfile text into chemical graphs, one per record."""
+    result = SdfParseResult()
+    for record in read_sdf(text):
+        if isinstance(record, RecordError):
+            result.errors.append(record)
+        else:
+            result.names.append(record[0])
+            result.graphs.append(record[1])
     return result
 
 

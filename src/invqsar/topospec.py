@@ -654,7 +654,7 @@ def check_graph_satisfies(
 ) -> SatisfactionReport:
     """Verify every specification clause directly on the graph.  A census
     of g that the caller already took is reused when its branch parameter
-    is spec.rho.
+    is spec.rho and it still holds its decomposition.
 
     The location clauses (fringe_menus, height_bounds, leaf_branch_bounds,
     bond_bounds) hold when some seed embedding meets all of them; when
@@ -672,7 +672,7 @@ def check_graph_satisfies(
         f"n={n_heavy} bounds [{spec.n_lb},{spec.n_star}]",
     )
 
-    if census is None or census.decomposition.rho != spec.rho:
+    if census is None or census.rho != spec.rho or census.decomposition is None:
         census = take_census(g, spec.rho)
     decomp = census.decomposition
     n_int = len(decomp.interior_vertices)
@@ -715,8 +715,8 @@ def check_graph_satisfies(
     ]))
 
     code_to_id = {f.tree.canonical_code: f.psi_id for f in spec.fringe_entries}
-    tree_ids = {t.root: code_to_id.get(code)
-                for code, group in census.fringe.items() for t in group}
+    tree_ids = {root: code_to_id.get(t.canonical_code)
+                for root, t in decomp.fringe_trees.items()}
     unknown = sorted(v for v, psi in tree_ids.items() if psi is None)
     report.add(
         "fringe_catalog",

@@ -1,9 +1,11 @@
 import csv
+import gc
 import hashlib
 import io
 import json
 import re
 import subprocess
+import weakref
 
 import numpy as np
 import pytest
@@ -100,6 +102,35 @@ def test_featurize_decomposes_each_record_once(project, monkeypatch):
     assert main(["featurize", "--config", str(cfg_path)]) == 0
     records = parse_sdf((tmp / "dataset.sdf").read_text()).graphs
     assert len(calls) == len(records) == 12
+
+
+def test_featurize_keeps_one_graph_alive(project, monkeypatch):
+    """featurize keeps each record's counts, not its graph: when the space
+    is built, at most one parsed graph is still alive."""
+    from invqsar import sdf
+
+    tmp, cfg_path, fx = project
+    parsed = []
+    parse_record = sdf._parse_record
+
+    def tracked(lines, index):
+        graph, name = parse_record(lines, index)
+        parsed.append(weakref.ref(graph))
+        return graph, name
+
+    alive = []
+    space_from_censuses = cli.space_from_censuses
+
+    def counted(censuses):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in parsed))
+        return space_from_censuses(censuses)
+
+    monkeypatch.setattr(sdf, "_parse_record", tracked)
+    monkeypatch.setattr(cli, "space_from_censuses", counted)
+    assert main(["featurize", "--config", str(cfg_path)]) == 0
+    assert len(parsed) == 12
+    assert alive and alive[0] <= 1
 
 
 def test_featurize_empty_dataset(tmp_path, capsys):
