@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -147,17 +147,6 @@ class MILPModel:
         self._vars[name] = Var(old.name, old.kind, float(value), float(value))
 
 
-def _emit_terms(coeffs: Iterable[tuple[str, float]]) -> str:
-    parts: list[str] = []
-    for i, (var, c) in enumerate(coeffs):
-        mag = f"{fmt_num(abs(c))} {var}"
-        if i == 0:
-            parts.append(f"- {mag}" if c < 0 else mag)
-        else:
-            parts.append(f"- {mag}" if c < 0 else f"+ {mag}")
-    return " ".join(parts)
-
-
 def emit_lp(model: MILPModel) -> str:
     """Serialize to CPLEX LP text with deterministic ordering."""
     out: list[str] = []
@@ -167,8 +156,19 @@ def emit_lp(model: MILPModel) -> str:
     out.append("Minimize")
     out.append(" obj:")
     out.append("Subject To")
+    # coefficient -> its term prefixes as a row's first term and as a later
+    # one ("- 1 " and " - 1 ", "0.5 " and " + 0.5 "), each formatted once
+    prefixes: dict[float, tuple[str, str]] = {}
     for con in model.constraints:
-        out.append(f" {con.name}: {_emit_terms(con.coeffs)} {con.sense} {fmt_num(con.rhs)}")
+        terms = []
+        for var, c in con.coeffs:
+            pair = prefixes.get(c)
+            if pair is None:
+                mag = fmt_num(abs(c))
+                pair = prefixes[c] = ((f"- {mag} ", f" - {mag} ") if c < 0
+                                      else (f"{mag} ", f" + {mag} "))
+            terms.append(pair[1] + var if terms else pair[0] + var)
+        out.append(f" {con.name}: {''.join(terms)} {con.sense} {fmt_num(con.rhs)}")
     out.append("Bounds")
     # every variable is listed so declaration order survives a round trip
     for v in model.variables:

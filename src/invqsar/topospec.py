@@ -23,7 +23,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .decompose import TREE, RootedFringeTree, tree_to_json
 from .descriptors import AdjacencyConfiguration, GraphCensus, take_census
@@ -316,7 +316,8 @@ SPEC = Table(
     Field("fringe_assignment", FRINGE_ASSIGNMENT,
           lambda scope: {"vertex": {}, "edge": _fringe_ids(scope)},
           attr=lambda spec: spec),
-    Field("ac_lf", list_of(AC_BOUND), (), attr="ac_bounds"),
+    # one bound per configuration: each becomes one pair of model rows
+    Field("ac_lf", list_of(AC_BOUND, key=attrgetter("config")), (), attr="ac_bounds"),
     Field("mass_avg_ub", optional(number(0)), None),
 )
 
@@ -510,6 +511,12 @@ def _embeddings(spec: TopologicalSpecification, g: ChemicalGraph, decomp):
     reach = {sv.index: [(e.tail, e.len_ub) for e in seed.edges
                         if e.head == sv.index and e.cls != OPTIONAL]
              for sv in seed.vertices}
+    # routes to distinct seed neighbours over edges that must be present
+    # leave an image by distinct interior edges, so it needs that degree
+    degree = {sv.index: len({e.head if e.tail == sv.index else e.tail
+                             for e in seed.edges
+                             if sv.index in (e.tail, e.head) and e.cls != OPTIONAL})
+              for sv in seed.vertices}
 
     def near(a: int, b: int, hi: int) -> bool:
         if a not in hops:
@@ -522,6 +529,7 @@ def _embeddings(spec: TopologicalSpecification, g: ChemicalGraph, decomp):
             return
         sv = seed.vertices[pos - 1]
         cands = [v for v in interior if v not in taken
+                 and len(adj[v]) >= degree[pos]
                  and (not sv.elements or g.element(v) in sv.elements)]
         for t, hi in reach[pos]:
             cands = [v for v in cands if near(images[t], v, hi)]
@@ -653,8 +661,8 @@ def check_graph_satisfies(
     census: GraphCensus | None = None,
 ) -> SatisfactionReport:
     """Verify every specification clause directly on the graph.  A census
-    of g that the caller already took is reused when its branch parameter
-    is spec.rho and it still holds its decomposition.
+    that take_census already took of g is reused when its branch parameter
+    is spec.rho.
 
     The location clauses (fringe_menus, height_bounds, leaf_branch_bounds,
     bond_bounds) hold when some seed embedding meets all of them; when
@@ -672,7 +680,7 @@ def check_graph_satisfies(
         f"n={n_heavy} bounds [{spec.n_lb},{spec.n_star}]",
     )
 
-    if census is None or census.rho != spec.rho or census.decomposition is None:
+    if census is None or census.rho != spec.rho:
         census = take_census(g, spec.rho)
     decomp = census.decomposition
     n_int = len(decomp.interior_vertices)

@@ -319,6 +319,9 @@ SPEC_FAULTS = {
     "fringe-tree-without-id": (_edit(("fringe_trees", 0, "id"), DELETE),
                                "fringe_trees[0].id"),
     "ac_lf-without-a": (_edit(("ac_lf",), [{"b": "C", "mult": 1}]), "ac_lf[0].a"),
+    "ac_lf-repeat": (_edit(("ac_lf",), [{"a": "C", "b": "C", "mult": 1, "ub": 3},
+                                        {"a": "C", "b": "C", "mult": 1, "lb": 1}]),
+                     "ac_lf[1]"),
     "vertices-object": (_edit(("seed", "vertices"), {}), "seed.vertices"),
     "seed-list": (_edit(("seed",), []), "seed"),
     "na_lb-list": (_edit(("na_lb",), [1]), "na_lb"),
