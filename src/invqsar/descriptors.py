@@ -213,7 +213,7 @@ class GraphCensus:
     # (interior?, element) -> vertex count, keys in order of first vertex
     elements: Counter[tuple[bool, ElementSpec]]
     edge_configs: Counter[EdgeConfiguration]
-    fringe: Counter[bytes]  # canonical code -> fringe trees, codes by root
+    fringe: Counter[bytes]  # canonical code -> tree count, codes in root order
     examples: dict[bytes, RootedFringeTree]  # code -> its tree of least root
     leaf_edges: Counter[AdjacencyConfiguration]
     # holds the graph; None in the counts a dataset keeps of each record
