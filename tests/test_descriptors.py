@@ -247,6 +247,10 @@ def test_leaf_edge_both_degree_one():
     assert (cfg.a.token, cfg.b.token) == ("C", "O")
 
 
+def _tree(doc: dict, i: int) -> dict:
+    return doc["fringe_trees"][i]["tree"]
+
+
 @pytest.mark.parametrize("edit, needle", [
     (lambda doc: doc["fringe_trees"][0]["tree"].pop("root"),
      "descriptor space is missing key 'fringe_trees[0].tree.root'"),
@@ -259,13 +263,51 @@ def test_leaf_edge_both_degree_one():
     (lambda doc: doc["ac_lf"][0].update(mult=2, a="H"),
      "descriptor space key 'ac_lf[0]' is invalid"),
     (lambda doc: doc.update(rho=0), "descriptor space key 'rho' must be at least 1"),
-], ids=["tree-root", "tree-order", "code", "gamma-degree", "ac-valence", "rho"])
+    (lambda doc: _tree(doc, 0)["vertices"][0].update(isotope=13),
+     "descriptor space key 'fringe_trees[0].tree.vertices[0].isotope' is unknown"),
+    (lambda doc: _tree(doc, 0)["vertices"][0].update(valence=7),
+     "descriptor space key 'fringe_trees[0].tree.vertices[0].valence' must be in [1, 6]"),
+    (lambda doc: _tree(doc, 0)["vertices"][0].update(charge=4),
+     "descriptor space key 'fringe_trees[0].tree.vertices[0].charge' must be in [-3, 3]"),
+    (lambda doc: _tree(doc, 0)["vertices"][0].update(element="Zz"),
+     "descriptor space key 'fringe_trees[0].tree.vertices[0].element' is invalid: "
+     "unknown element symbol 'Zz'"),
+    (lambda doc: _tree(doc, 0).update(root=99),
+     "descriptor space key 'fringe_trees[0].tree.root' must be the id of a vertex"),
+    (lambda doc: _tree(doc, 1)["edges"][0].update(u="0"),
+     "descriptor space key 'fringe_trees[1].tree.edges[0].u' must be an integer"),
+    (lambda doc: _tree(doc, 0).update(vertices={}),
+     "descriptor space key 'fringe_trees[0].tree.vertices' must be a list"),
+    (lambda doc: _tree(doc, 1)["edges"][0].pop("order"),
+     "descriptor space is missing key 'fringe_trees[1].tree.edges[0].order'"),
+    # the two hydrogens of a CH2 tree, joined: a cycle
+    (lambda doc: _tree(doc, 1)["edges"].append({"u": 7, "v": 8, "order": 1}),
+     "descriptor space key 'fringe_trees[1].tree' is invalid: "
+     "fringe tree must be a connected tree"),
+], ids=["tree-root", "tree-order", "code", "gamma-degree", "ac-valence", "rho",
+        "vertex-key", "valence", "charge", "element", "root-id", "edge-u",
+        "vertices-object", "edge-order-missing", "cycle"])
 def test_space_faults_name_their_path(edit, needle):
     doc = space_to_json(build_space([ring(6), ring(4, pendant=2)], 2))
     edit(doc)
     with pytest.raises(InputError) as caught:
         space_from_json(doc)
     assert str(caught.value).startswith(needle)
+
+
+def test_space_fringe_tree_edge_may_point_to_the_root():
+    """A tree edge written child -> parent is read and re-oriented; the
+    tree keeps its canonical code."""
+    doc = space_to_json(build_space([ring(6), ring(4, pendant=2)], 2))
+    edge = _tree(doc, 0)["edges"][1]
+    edge["u"], edge["v"] = edge["v"], edge["u"]
+    space = space_from_json(doc)
+    want = space_from_json(space_to_json(build_space([ring(6), ring(4, pendant=2)], 2)))
+    assert space.fringe_codes == want.fringe_codes
+    tree = space.fringe_examples[0]
+    assert tree.canonical_code == want.fringe_examples[0].canonical_code
+    assert (edge["u"], edge["v"], 1) not in tree.edges
+    assert (edge["v"], edge["u"], 1) in tree.edges
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 from invqsar import regression
 from invqsar.regression import (
+    CvReport,
     FitError,
     LinearPredictor,
     cross_validate_path,
@@ -282,6 +283,36 @@ def test_cv_path_matches_cold_fits(grid, monkeypatch):
         assert np.abs(np.array(report.fold_r2) - scores).max() <= 1e-9
         assert abs(report.median_r2 - float(np.median(scores))) <= 1e-9
         assert report.mean_selected == mean_selected
+
+
+def _array_cross_validate(x, y, lams, executions, folds, seed):
+    """cross_validate_path's walk, fitting every penalty from the raw
+    training split array."""
+    order = sorted(range(len(lams)), key=lambda i: -lams[i])
+    rng = np.random.default_rng(seed)
+    scores, selected = [[] for _ in lams], [[] for _ in lams]
+    for _ in range(executions):
+        parts = np.array_split(rng.permutation(len(y)), folds)
+        for k in range(folds):
+            test_idx = parts[k]
+            train_idx = np.concatenate([parts[j] for j in range(folds) if j != k])
+            w = None
+            for i in order:
+                fit = lasso_fit(x[train_idx], y[train_idx], lams[i], w0=w)
+                w = fit.weights
+                pred = x[test_idx] @ w + fit.bias
+                scores[i].append(r_squared(pred, y[test_idx]))
+                selected[i].append(int((w != 0.0).sum()))
+    return [CvReport(lam, tuple(scores[i]), float(np.median(scores[i])),
+                     float(np.mean(selected[i])))
+            for i, lam in enumerate(lams)]
+
+
+def test_cv_path_matches_fits_from_the_split_array():
+    x, y = _descriptor_like(18, n=80, k=30)
+    lams = [0.003, 0.01, 0.001]
+    assert (cross_validate_path(x, y, lams, executions=2, seed=7)
+            == _array_cross_validate(x, y, lams, 2, 5, 7))
 
 
 def test_cv_needs_an_execution():
