@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .elements import ElementSpec
-from .graph import GRAPH, ChemicalGraph, Edge, InvalidGraphError
-from .schema import INTEGER, Field, Reader, Table
+from .elements import ElementSpec, make_element
+from .graph import EDGE, GRAPH, VERTEX, ChemicalGraph, Edge, InvalidGraphError
+from .schema import INTEGER, Field, Kind, Reader, Table
 
 INF_HEIGHT = 10**9
 
@@ -197,6 +197,44 @@ def tree_to_json(t: RootedFringeTree) -> dict:
     }
 
 
+def _vertices(r: Reader, v, path) -> tuple[tuple[int, ElementSpec, int], ...]:
+    """The (id, element, charge) of each vertex record.  A record in the
+    form tree_to_json writes is read here; any other goes through graph's
+    VERTEX table, which reads it or names its fault."""
+    if type(v) is not list:
+        r.fail(path, "must be a list")
+    nodes = []
+    for i, d in enumerate(v):
+        if type(d) is dict and len(d) == 4:
+            nid, valence, charge = d.get("id"), d.get("valence"), d.get("charge")
+            token = d.get("element")
+            if (type(nid) is int and type(token) is str and type(valence) is int
+                    and 1 <= valence <= 6 and type(charge) is int and -3 <= charge <= 3):
+                try:
+                    nodes.append((nid, make_element(token, valence), charge))
+                    continue
+                except ValueError:
+                    pass
+        nodes.append(VERTEX.read(r, d, (path, i)))
+    return tuple(nodes)
+
+
+def _edges(r: Reader, v, path) -> tuple[tuple[int, int, int], ...]:
+    """The (u, v, order) of each edge record, read as _vertices reads
+    vertices, with graph's EDGE table for any other record."""
+    if type(v) is not list:
+        r.fail(path, "must be a list")
+    arcs = []
+    for i, d in enumerate(v):
+        if type(d) is dict and len(d) == 3:
+            u, w, order = d.get("u"), d.get("v"), d.get("order")
+            if type(u) is int and type(w) is int and type(order) is int and 1 <= order <= 3:
+                arcs.append((u, w, order))
+                continue
+        arcs.append(EDGE.read(r, d, (path, i)))
+    return tuple(arcs)
+
+
 def _tree(r: Reader, path, d: dict) -> RootedFringeTree:
     """The fringe tree of a TREE record, in its given node order and edge
     orientation when these form an out-tree from the root."""
@@ -217,7 +255,9 @@ def _tree(r: Reader, path, d: dict) -> RootedFringeTree:
     return r.make(path, fringe_tree_from_graph, GRAPH.make(r, path, d), root)
 
 
-TREE = Table(Field("root", INTEGER), *GRAPH.fields, make=_tree, write=tree_to_json)
+# graph's vertex and edge fields, read without a Table walk per record
+TREE = Table(Field("root", INTEGER), Field("vertices", Kind(_vertices)),
+             Field("edges", Kind(_edges)), make=_tree, write=tree_to_json)
 
 
 def fringe_tree_from_graph(g: ChemicalGraph, root: int) -> RootedFringeTree:

@@ -374,16 +374,20 @@ def write_feature_csv(
     ids: list[str], vectors: list[FeatureVector], space: DescriptorSpace
 ) -> str:
     """CSV text with a header of descriptor names and one row per graph.
-    Plain ints go to the csv writer as they are (it formats them with
-    str); any other value, such as the rational mass average, goes
-    through _format_value."""
+    Every value is written as _format_value writes it.  Only the mass
+    average (index 3) of a census vector is rational, so a row whose other
+    values sum to an int (all are ints) formats that value alone and hands
+    the ints to the csv writer, which writes each with str."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", *space.descriptor_names])
-    writer.writerows(
-        [gid, *[v if type(v) is int else _format_value(v) for v in fv.values]]
-        for gid, fv in zip(ids, vectors)
-    )
+
+    def row(gid: str, v: tuple) -> list:
+        if type(sum(v[:3]) + sum(v[4:])) is int:
+            return [gid, *v[:3], _format_value(v[3]), *v[4:]]
+        return [gid, *map(_format_value, v)]
+
+    writer.writerows(row(gid, fv.values) for gid, fv in zip(ids, vectors))
     return buf.getvalue()
 
 

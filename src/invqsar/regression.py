@@ -2,9 +2,10 @@
 
 The fit minimizes (1/2N)*RSS + lambda*l1(w) with an unpenalized intercept.
 It runs covariance coordinate descent over an active set, closed by a full
-KKT pass; cross-validation walks each training split's penalty grid in
-descending order, warm-starting every fit from the previous one.  CV follows
-the five-fold protocol with a configurable number of executions and reports
+KKT pass; cross-validation centers each training split once and walks its
+penalty grid in descending order, warm-starting every fit from the previous
+one and sharing the split's Gram columns along that path.  CV follows the
+five-fold protocol with a configurable number of executions and reports
 the median test R-squared across all trials.
 """
 
@@ -22,14 +23,6 @@ class FitError(ValueError):
     pass
 
 
-def soft_threshold(z: float, t: float) -> float:
-    if z > t:
-        return z - t
-    if z < -t:
-        return z + t
-    return 0.0
-
-
 @dataclass
 class LassoResult:
     weights: np.ndarray
@@ -39,15 +32,39 @@ class LassoResult:
     objective_path: list[float] = field(default_factory=list)
 
 
+class CenteredDesign:
+    """A design matrix centered once, for every fit on the same rows: its
+    column means, Xc (centered, with constant columns zeroed), col_sq =
+    |Xc[:, j]|^2/n, and the Gram columns Xc'Xc[:, j]/n, which a fit adds
+    the first time it activates coordinate j.  The fits along one training
+    split's penalty path share all of these."""
+
+    def __init__(self, x) -> None:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise FitError("design matrix and targets have incompatible shapes")
+        if x.shape[0] < 2:
+            raise FitError("need at least two samples")
+        if not np.isfinite(x).all():
+            raise FitError("NaN or Inf in the training data")
+        self.n = x.shape[0]
+        self.mean = x.mean(axis=0)
+        self.xc = x - self.mean
+        self.xc[:, x.max(axis=0) == x.min(axis=0)] = 0.0
+        self.col_sq = np.einsum("ij,ij->j", self.xc, self.xc) / self.n
+        self.gram: dict[int, np.ndarray] = {}
+
+
 def lasso_fit(
-    x: np.ndarray,
+    x: np.ndarray | CenteredDesign,
     y: np.ndarray,
     lam: float,
     tol: float = 1e-7,
     max_sweeps: int = 100_000,
     w0: np.ndarray | None = None,
 ) -> LassoResult:
-    """Coordinate-descent Lasso on an already normalized design matrix.
+    """Coordinate-descent Lasso on an already normalized design matrix, or
+    on a CenteredDesign of one.
 
     Works on centered data, so the intercept is exact (b = mean(y) -
     mean(x) @ w), and keeps the correlations corr = Xc'(yc - Xc w)/n up to
@@ -58,28 +75,22 @@ def lasso_fit(
     none.  `w0` warm-starts the weights; columns that are constant keep
     weight 0.
     """
-    x = np.asarray(x, dtype=float)
+    design = x if isinstance(x, CenteredDesign) else CenteredDesign(x)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+    if y.ndim != 1 or y.shape[0] != design.n:
         raise FitError("design matrix and targets have incompatible shapes")
-    if x.shape[0] < 2:
-        raise FitError("need at least two samples")
     if lam < 0:
         raise FitError("penalty must be non-negative")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if not np.isfinite(y).all():
         raise FitError("NaN or Inf in the training data")
 
-    n, k = x.shape
-    x_mean = x.mean(axis=0)
+    n, xc, col_sq, gram = design.n, design.xc, design.col_sq, design.gram
     y_mean = float(y.mean())
-    xc = x - x_mean
-    xc[:, x.max(axis=0) == x.min(axis=0)] = 0.0
     yc = y - y_mean
-    col_sq = np.einsum("ij,ij->j", xc, xc) / n
     xty = xc.T @ yc / n
     half_yy = float(yc @ yc) / (2 * n)
 
-    w = np.zeros(k)
+    w = np.zeros(xc.shape[1])
     if w0 is not None:
         w[:] = w0
         w[col_sq == 0.0] = 0.0
@@ -87,15 +98,19 @@ def lasso_fit(
     corr = xty - xc.T @ (xc[:, nonzero] @ w[nonzero]) / n
     # candidates for the full pass: constant columns never enter
     outside = col_sq > 0.0
-    gram: dict[int, np.ndarray] = {}
     active: list[int] = []
+    # the coordinate step reads Python floats: the same IEEE operations,
+    # without a numpy scalar per read
+    w_list = w.tolist()
+    sq_list = col_sq.tolist()
 
     def activate(idx: np.ndarray) -> None:
-        # one matrix-vector product per column: a matrix product here
-        # makes BLAS touch work buffers that raise peak memory
         outside[idx] = False
         for j in idx.tolist():
-            gram[j] = xc.T @ xc[:, j] / n
+            if j not in gram:
+                # one matrix-vector product per column: a matrix product
+                # here makes BLAS touch work buffers that raise peak memory
+                gram[j] = xc.T @ xc[:, j] / n
             active.append(j)
 
     def objective() -> float:
@@ -119,17 +134,21 @@ def lasso_fit(
             sweeps += 1
             max_delta = 0.0
             for j in active:
-                wj = w[j]
-                new = soft_threshold(corr[j] + col_sq[j] * wj, lam) / col_sq[j]
+                wj = w_list[j]
+                sq = sq_list[j]
+                # soft threshold of corr_j + sq * wj at lam, over sq
+                z = corr.item(j) + sq * wj
+                new = ((z - lam) / sq if z > lam else
+                       (z + lam) / sq if z < -lam else 0.0)
                 if new != wj:
                     corr -= (new - wj) * gram[j]
-                    w[j] = new
+                    w[j] = w_list[j] = new
                     max_delta = max(max_delta, abs(new - wj))
             objective_path.append(objective())
             if max_delta < tol:
                 break
         settled = True
-    b = y_mean - float(x_mean @ w)
+    b = y_mean - float(design.mean @ w)
     return LassoResult(w, b, lam, sweeps, objective_path)
 
 
@@ -236,9 +255,10 @@ def cross_validate_path(
     seed: int = 0,
 ) -> list[CvReport]:
     """Repeated random k-fold evaluation of every penalty in `lams`, with a
-    seeded generator.  Each training split walks the penalties from the
-    largest down, warm-starting each fit from the previous one; the
-    reports come back in the order of `lams`."""
+    seeded generator.  Each training split is centered once, as one
+    CenteredDesign, and walks the penalties from the largest down,
+    warm-starting each fit from the previous one; the reports come back in
+    the order of `lams`."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -256,10 +276,11 @@ def cross_validate_path(
         for k in range(folds):
             test_idx = parts[k]
             train_idx = np.concatenate([parts[j] for j in range(folds) if j != k])
-            x_train, y_train = x[train_idx], y[train_idx]
+            design = CenteredDesign(x[train_idx])
+            y_train = y[train_idx]
             w = None
             for i in order:
-                fit = lasso_fit(x_train, y_train, lams[i], w0=w)
+                fit = lasso_fit(design, y_train, lams[i], w0=w)
                 w = fit.weights
                 pred = x[test_idx] @ w + fit.bias
                 scores[i].append(r_squared(pred, y[test_idx]))

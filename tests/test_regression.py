@@ -5,6 +5,7 @@ import pytest
 
 from invqsar import regression
 from invqsar.regression import (
+    CenteredDesign,
     CvReport,
     FitError,
     LinearPredictor,
@@ -283,6 +284,30 @@ def test_cv_path_matches_cold_fits(grid, monkeypatch):
         assert np.abs(np.array(report.fold_r2) - scores).max() <= 1e-9
         assert abs(report.median_r2 - float(np.median(scores))) <= 1e-9
         assert report.mean_selected == mean_selected
+
+
+def _same_fit(a, b) -> bool:
+    """Bit-identical weights, bias, sweep count and objective path."""
+    return (a.weights.tobytes() == b.weights.tobytes() and a.bias == b.bias
+            and a.n_sweeps == b.n_sweeps and a.objective_path == b.objective_path)
+
+
+def test_fits_on_one_centered_design_match_fits_on_the_array():
+    """Fits that share one CenteredDesign, and so its Gram columns, give
+    the bits of fits that each center the array themselves; with and
+    without a warm start, and with a constant column."""
+    x, y = _descriptor_like(17, n=120, k=40)
+    x[:, 3] = 0.5
+    design = CenteredDesign(x)
+    w = None
+    for lam in (0.01, 0.003, 0.001, 0.003):
+        shared = lasso_fit(design, y, lam, w0=w)
+        fresh = lasso_fit(x, y, lam, w0=w)
+        assert _same_fit(shared, fresh)
+        assert shared.weights[3] == 0.0
+        w = shared.weights
+    assert _same_fit(lasso_fit(design, y, 0.002), lasso_fit(x, y, 0.002))
+    assert len(design.gram) > 0
 
 
 def _array_cross_validate(x, y, lams, executions, folds, seed):
