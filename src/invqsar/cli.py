@@ -98,9 +98,18 @@ def _penalties(r: Reader, v, path) -> tuple[float, ...]:
     return tuple(_PENALTY.read(r, x, path) for x in v)
 
 
+def _timeout(r: Reader, v, path) -> float:
+    # 0 would stop the solver at once, and HiGHS ignores a negative limit
+    seconds = NUMBER.read(r, v, path)
+    if seconds <= 0:
+        r.fail(path, "must be positive")
+    return seconds
+
+
 _PENALTY = number(0)
 _CONFIG_KINDS = {"rho": integer(1), "lambda_grid": Kind(_penalties),
-                 "cv_executions": integer(1), "solver_timeout": NUMBER, "seed": COUNT}
+                 "cv_executions": integer(1), "solver_timeout": Kind(_timeout),
+                 "seed": COUNT}
 _CONFIG = Table(
     *(Field(f.name, _CONFIG_KINDS.get(f.name, STRING), f.default)
       for f in fields(ProjectConfig)),
@@ -300,6 +309,25 @@ def run_verify(graph_path: str, spec_path: str, predictor_path: str,
     return EXIT_OK if report.passed else EXIT_CHECK
 
 
+def _joined_bounds(argv: list[str]) -> list[str]:
+    """argv with each `--lo`/`--hi` that a float text follows written as
+    one `--lo=<text>` argument: argparse takes a following argument that
+    starts with '-' for a value only when it looks like -12 or -1.5, so
+    `--lo -1e-05` would otherwise be a missing value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--lo", "--hi"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="invqsar",
@@ -327,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("predictor")
     p_verify.add_argument("space")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_bounds(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "featurize":
             return run_featurize(ProjectConfig.load(args.config))

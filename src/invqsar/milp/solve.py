@@ -16,6 +16,7 @@ import math
 import shlex
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -141,7 +142,8 @@ def parse_solution_text(text: str) -> Solution:
 
 
 def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
-    """Solve with HiGHS in-process; the time limit is enforced inside HiGHS.
+    """Solve with HiGHS in-process; the time limit is enforced inside HiGHS,
+    and covers both passes when an answer is checked with presolve off.
 
     Returns an optimal or infeasible Solution (values not yet checked) and
     raises SolverFailure on any other outcome, time limit included.  An
@@ -185,12 +187,20 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
             options={**options, **extra},
         )
 
+    start = time.monotonic()
     res = attempt()
     if res.status in (2, 4):
         # badly scaled models can trip presolve into a false infeasibility
         # or a "Solve error"; only trust the claim, or give up, when the
-        # conservative pass agrees
-        res = attempt(presolve=False)
+        # conservative pass agrees.  That pass gets the time that is left.
+        extra = {"presolve": False}
+        if time_limit is not None:
+            extra["time_limit"] = time_limit - (time.monotonic() - start)
+            if extra["time_limit"] <= 0:
+                raise SolverFailure(
+                    f"HiGHS used its time limit of {time_limit:g} s before the "
+                    f"presolve-off pass could check: {res.message}")
+        res = attempt(**extra)
     log = (f"HiGHS status={res.status} nodes={res.get('mip_node_count')} "
            f"gap={res.get('mip_gap')}: {res.message}\n")
     if res.status == 2:

@@ -271,6 +271,15 @@ def test_infer_usage_errors(project, capsys):
     assert main(["infer", "--config", str(bad_cfg), "--lo", "1", "--hi", "2"]) == 2
 
 
+def test_infer_bounds_take_any_float_text(project, capsys):
+    """`-1e-05` is a value of --lo, not an unknown option: the empty window
+    it makes here is reported as one, with exit 2."""
+    tmp, cfg_path, fx = project
+    assert main(["infer", "--config", str(cfg_path), "--lo", "-1e-05",
+                 "--hi", "-2e-05"]) == 2
+    assert "empty target interval" in capsys.readouterr().err
+
+
 def test_train_id_mismatch(project, capsys):
     tmp, cfg_path, fx = project
     assert main(["featurize", "--config", str(cfg_path)]) == 0
@@ -508,6 +517,8 @@ def test_infer_artifact_wrong_shape(trained, capsys, artifact, edit, needle):
     ("cv_executions", [3]),
     ("solver_timeout", "600"),
     ("solver_timeout", False),
+    ("solver_timeout", -1),
+    ("solver_timeout", 0),
     ("solver_command", 5),
     ("lambda_grid", 0.1),
     ("lambda_grid", [0.1, "0.2"]),

@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +97,44 @@ def test_highs_solve_error_is_retried_without_presolve():
     m.add_constr("c1", {"v0": 4, "v1": -7 / 3, "v3": 2.07}, EQ, 8.58)
     for backend in ("mini", "highs"):
         assert solve(m, backend).status == "infeasible"
+
+
+def _fake_milp(monkeypatch, statuses, pause=0.0):
+    """Replace scipy's milp with a stub that answers the given statuses in
+    turn, each after `pause` seconds, and returns the options of every
+    call."""
+    import scipy.optimize
+    calls = []
+
+    def milp(c, constraints=None, integrality=None, bounds=None, options=None):
+        calls.append(dict(options))
+        time.sleep(pause)
+        return scipy.optimize.OptimizeResult(
+            status=statuses[len(calls) - 1], message="stub", x=None)
+
+    monkeypatch.setattr(scipy.optimize, "milp", milp)
+    return calls
+
+
+def test_highs_presolve_off_pass_gets_the_time_left(monkeypatch):
+    calls = _fake_milp(monkeypatch, [4, 2], pause=0.05)
+    assert solve(small_model(), "highs", time_limit=10.0).status == "infeasible"
+    assert [c.get("presolve", True) for c in calls] == [True, False]
+    assert calls[0]["time_limit"] == 10.0
+    assert 0 < calls[1]["time_limit"] <= 10.0 - 0.05
+
+
+def test_highs_presolve_off_pass_without_time_left_is_failure(monkeypatch):
+    calls = _fake_milp(monkeypatch, [2, 2], pause=0.05)
+    with pytest.raises(SolverFailure, match="time limit"):
+        solve(small_model(), "highs", time_limit=0.01)
+    assert len(calls) == 1
+
+
+def test_highs_presolve_off_pass_without_a_limit(monkeypatch):
+    calls = _fake_milp(monkeypatch, [2, 2])
+    assert solve(small_model(), "highs").status == "infeasible"
+    assert calls == [{}, {"presolve": False}]
 
 
 def test_parse_cbc_style():
