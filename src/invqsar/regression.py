@@ -285,6 +285,8 @@ def cross_validate_path(
                 pred = x[test_idx] @ w + fit.bias
                 scores[i].append(r_squared(pred, y[test_idx]))
                 selected[i].append(int((w != 0.0).sum()))
+            # free this split's Gram columns before the next split is centered
+            del design
     return [
         CvReport(
             lam=lam,
