@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -226,6 +227,9 @@ def run_train(cfg: ProjectConfig) -> int:
 
 
 def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
+    if not (math.isfinite(y_lo) and math.isfinite(y_hi)):
+        print("error: target interval bounds must be finite", file=sys.stderr)
+        return EXIT_USAGE
     if y_lo > y_hi:
         print("error: empty target interval", file=sys.stderr)
         return EXIT_USAGE

@@ -271,13 +271,18 @@ def test_infer_usage_errors(project, capsys):
     assert main(["infer", "--config", str(bad_cfg), "--lo", "1", "--hi", "2"]) == 2
 
 
-def test_infer_bounds_take_any_float_text(project, capsys):
-    """`-1e-05` is a value of --lo, not an unknown option: the empty window
-    it makes here is reported as one, with exit 2."""
+@pytest.mark.parametrize("lo, hi, needle", [
+    ("-1e-05", "-2e-05", "empty target interval"),
+    ("-inf", "1", "bounds must be finite"),
+    ("0", "inf", "bounds must be finite"),
+    ("nan", "1", "bounds must be finite"),
+])
+def test_infer_bounds_take_any_float_text(project, capsys, lo, hi, needle):
+    """`-1e-05` and `-inf` are values of --lo, not unknown options; the
+    empty or non-finite window they make is a usage error."""
     tmp, cfg_path, fx = project
-    assert main(["infer", "--config", str(cfg_path), "--lo", "-1e-05",
-                 "--hi", "-2e-05"]) == 2
-    assert "empty target interval" in capsys.readouterr().err
+    assert main(["infer", "--config", str(cfg_path), "--lo", lo, "--hi", hi]) == 2
+    assert needle in capsys.readouterr().err
 
 
 def test_train_id_mismatch(project, capsys):
