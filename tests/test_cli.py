@@ -522,8 +522,6 @@ def test_infer_artifact_wrong_shape(trained, capsys, artifact, edit, needle):
     ("cv_executions", [3]),
     ("solver_timeout", "600"),
     ("solver_timeout", False),
-    ("solver_timeout", -1),
-    ("solver_timeout", 0),
     ("solver_command", 5),
     ("lambda_grid", 0.1),
     ("lambda_grid", [0.1, "0.2"]),
@@ -534,6 +532,8 @@ def test_infer_artifact_wrong_shape(trained, capsys, artifact, edit, needle):
     ("lambda_grid", [0.1, -0.01]),
     ("cv_executions", 0),
     ("cv_executions", -3),
+    ("solver_timeout", -1),
+    ("solver_timeout", 0),
 ])
 def test_config_type_errors(tmp_path, capsys, key, value):
     cfg = tmp_path / "c.json"
