@@ -15,7 +15,7 @@ from invqsar.milp.build import (
 )
 from invqsar.milp.decode import decode
 from invqsar.milp.model import emit_lp
-from invqsar.milp.solve import solve
+from invqsar.milp.solve import solve, solve_highs
 from invqsar.topospec import check_graph_satisfies, parse_spec, spec_to_json
 
 from conftest import (
@@ -491,3 +491,87 @@ def test_lp_text_is_pinned():
             )
         )
     assert digests == PINNED_LP_DIGESTS
+
+
+# sha256 of the arrays solve_highs hands to HiGHS for the models above:
+# the constraint matrix (CSR data, indices and row starts), the row bounds,
+# the integrality flags and the variable bounds.  These are what HiGHS
+# solves, so a change to the model store that keeps them keeps every answer
+# and every HiGHS time.
+PINNED_HIGHS_INPUT_DIGESTS = {
+    "triangle": (
+        "5366767b7c9ed38f8254739fba1326c7996b9a2267c549ae655449bf03aa137b",
+        "982279a1b5eb38991352897070511a88455891f58415f99e813d3a2a0a118763",
+    ),
+    "square_chord": (
+        "cf6ba0f5b33df10cd455109036b50887fcd31221340c440d10c3d467f042c5b1",
+        "b01d29012788f30db9117b9bfd0fc283a938d11fe8b7b8875ae3d19011b46825",
+    ),
+    "expanded_path": (
+        "04be22b2bef68fcab2bc890580e61e212bfb6aa217d5aa79c4da5a386fddc37e",
+        "eba2fb9c26ac8d807d21749b4ed1894e2593be86b2951090b194dc1fdfcdb9ab",
+    ),
+    "hetero": (
+        "7d63cd4546a887af25c5aa247976953136f721e6bd48e9cf45158f1b38c56a08",
+        "48d5ac802d399490a901b01f071392f2c5190a1e362d7b2cc856c7801c416a3f",
+    ),
+    "two_rings": (
+        "7a7d4e62bb75cb786008d3f5894b3e28f67c5b9c718b985795f7b397182aad90",
+        "95100df3c76688ca5ec68a41c4252cd9db9d1391dbd82443b01117f6df3b76d5",
+    ),
+    "stress1": (
+        "9082ee3180e46541af69e488a25889924c2c2787f5b220df1e9fdd98bc3f874d",
+        "9d0949d9ed140e705b71d07709da4b325034052009531b615aa834749fedfa89",
+    ),
+    "stress2": (
+        "da356efd7cc5fd294de317b20447ed0b36a3455db381a776b54099a8a6e42b2d",
+        "cc8aa3fb1e63308c0b7358fa5256cd8bbf5c3b15ae5c5d7e661bdad0d38b60bf",
+    ),
+    "stress3": (
+        "dd66ebf210d4b9d8671f2c9846b06b64251e98bda49e2dd9b2298f5f4e6190a4",
+        "dac5ecfedb20eff5c4498feba0c51edd8fcc028996479c4aaf4d8e6242ab6be1",
+    ),
+    "stress4": (
+        "4ba386898d5b5a93b4f8f6a8be8454a5022c42d7db9d3587480533c600ef57b5",
+        "7404297048511d8c608373575db47a0a9da0ac86e6d0970eb7c15bf1454c3d4d",
+    ),
+    "stress5": (
+        "161f8fd1024bd78a95f9cd2a7d08abb2bdb85678eb98711ed2b5d084d6b85f4f",
+        "4b50eccf5e7260c1509a804ae392513de391aaff78f085f9a3e82f512780574b",
+    ),
+}
+
+
+def _highs_input_digest(model, monkeypatch) -> str:
+    """Run solve_highs against a stand-in for scipy's milp that records
+    its input and answers "infeasible"."""
+    import scipy.optimize
+    seen = []
+
+    def milp(c, constraints=None, integrality=None, bounds=None, options=None):
+        seen.append((constraints, integrality, bounds))
+        return scipy.optimize.OptimizeResult(status=2, message="stub", x=None)
+
+    monkeypatch.setattr(scipy.optimize, "milp", milp)
+    assert solve_highs(model).status == "infeasible"
+    (con,), integrality, bounds = seen[0]
+    a = con.A
+    h = hashlib.sha256(repr(a.shape).encode())
+    for arr, dtype in ((a.data, "f8"), (a.indices, "i8"), (a.indptr, "i8"),
+                       (con.lb, "f8"), (con.ub, "f8"), (integrality, "i1"),
+                       (bounds.lb, "f8"), (bounds.ub, "f8")):
+        h.update(np.asarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def test_highs_input_is_pinned(monkeypatch):
+    digests = {}
+    for name, spec, space, predictor, y_lo, y_hi in _pinned_models():
+        digests[name] = tuple(
+            _highs_input_digest(model, monkeypatch)
+            for model in (
+                build_milp(spec, space),
+                build_milp(spec, space, predictor, y_lo, y_hi),
+            )
+        )
+    assert digests == PINNED_HIGHS_INPUT_DIGESTS

@@ -153,6 +153,89 @@ def test_unknown_variable_rejected():
         m.add_constr("c", {"ghost": 1}, LE, 1)
 
 
+# (name, kind, lb, ub) -> the exact message; the first fault in the order
+# name, duplicate, kind, NaN, crossing bounds, infinite integer bound wins
+ADD_VAR_FAULTS = [
+    (("1x", BINARY, 0, 1), "bad variable name '1x'"),
+    (("", CONTINUOUS, 0, 1), "bad variable name ''"),
+    (("x y", CONTINUOUS, 0, 1), "bad variable name 'x y'"),
+    (("x", CONTINUOUS, 0, 1), "duplicate variable 'x'"),
+    (("x", "real", math.nan, math.nan), "duplicate variable 'x'"),
+    (("k", "real", 0, 1), "unknown variable kind 'real'"),
+    (("k", "real", math.nan, -1), "unknown variable kind 'real'"),
+    (("n", CONTINUOUS, math.nan, 1), "variable n has a NaN bound"),
+    (("n", INTEGER, 0, math.nan), "variable n has a NaN bound"),
+    (("n", INTEGER, math.nan, math.inf), "variable n has a NaN bound"),
+    (("c", CONTINUOUS, 2, 1), "variable c: lower bound 2.0 above upper 1.0"),
+    (("c", BINARY, 2, 5), "variable c: lower bound 2.0 above upper 1.0"),
+    (("c", INTEGER, 2, -math.inf),
+     "variable c: lower bound 2.0 above upper -inf"),
+    (("n", INTEGER, 0, math.inf), "integer variable n must have finite bounds"),
+    (("n", INTEGER, -math.inf, 0), "integer variable n must have finite bounds"),
+]
+
+
+@pytest.mark.parametrize("args, message", ADD_VAR_FAULTS)
+def test_add_var_fault_messages(args, message):
+    m = MILPModel()
+    m.add_var("x", BINARY)
+    with pytest.raises(ModelError) as err:
+        m.add_var(*args)
+    assert str(err.value) == message
+    assert [v.name for v in m.variables] == ["x"]
+
+
+INF, NAN = math.inf, math.nan
+
+# (name, terms, sense, rhs) -> the exact message, in a model with the
+# variables x and y and the row c.  The checks run in the order name,
+# duplicate, sense, then each term in turn (unknown, repeated, non-finite
+# coefficient), then no nonzero terms, then the right-hand side; the first
+# faulty term in order wins.
+ADD_CONSTR_FAULTS = [
+    (("1c", [("x", 1)], LE, 1), "bad constraint name '1c'"),
+    (("d-e", [("x", 1)], LE, 1), "bad constraint name 'd-e'"),
+    (("1c", [("ghost", INF)], "<", NAN), "bad constraint name '1c'"),
+    (("c", [("x", 1)], LE, 1), "duplicate constraint 'c'"),
+    (("c", [("ghost", 1)], "<", NAN), "duplicate constraint 'c'"),
+    (("d", [("x", 1)], "<", 1), "bad sense '<'"),
+    (("d", [("ghost", 1)], "==", NAN), "bad sense '=='"),
+    (("d", [("ghost", 1)], LE, 1), "constraint d references unknown 'ghost'"),
+    (("d", [("x", 1), ("ghost", 1), ("x", 1)], LE, 1),
+     "constraint d references unknown 'ghost'"),
+    (("d", [("x", 1), ("x", 1), ("ghost", 1)], LE, 1),
+     "constraint d repeats variable 'x'"),
+    (("d", [("x", 1), ("y", 2), ("x", INF)], LE, 1),
+     "constraint d repeats variable 'x'"),
+    (("d", [("x", 0), ("x", 1)], LE, 1), "constraint d repeats variable 'x'"),
+    (("d", [("x", INF), ("ghost", 1)], LE, 1),
+     "constraint d has coefficient inf on x"),
+    (("d", [("x", 1), ("y", -INF)], LE, 1),
+     "constraint d has coefficient -inf on y"),
+    (("d", [("y", NAN), ("x", 1)], LE, NAN),
+     "constraint d has coefficient nan on y"),
+    (("d", [("x", 0), ("y", 0.0)], EQ, 1), "constraint d has no nonzero terms"),
+    (("d", [], GE, NAN), "constraint d has no nonzero terms"),
+    (("d", {"x": 0}, GE, INF), "constraint d has no nonzero terms"),
+    (("d", [("x", 1)], LE, INF), "constraint d has right-hand side inf"),
+    (("d", {"x": 1, "y": 0}, GE, -INF), "constraint d has right-hand side -inf"),
+    (("d", [("x", 1)], EQ, NAN), "constraint d has right-hand side nan"),
+]
+
+
+@pytest.mark.parametrize("args, message", ADD_CONSTR_FAULTS)
+def test_add_constr_fault_messages(args, message):
+    m = MILPModel()
+    m.add_var("x", BINARY)
+    m.add_var("y", CONTINUOUS, 0, 1)
+    m.add_constr("c", [("y", 1)], GE, 0)
+    before = emit_lp(m)
+    with pytest.raises(ModelError) as err:
+        m.add_constr(*args)
+    assert str(err.value) == message
+    assert emit_lp(m) == before
+
+
 def test_fingerprint_deterministic():
     assert emit_lp(toy_model()) == emit_lp(toy_model())
 
