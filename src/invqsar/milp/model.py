@@ -27,7 +27,7 @@ BINARY = "binary"
 INTEGER = "integer"
 CONTINUOUS = "continuous"
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 LE = "<="
 GE = ">="
@@ -74,18 +74,18 @@ class MILPModel:
 
     def add_var(self, name: str, kind: str = CONTINUOUS,
                 lb: float = 0.0, ub: float = math.inf) -> str:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise ModelError(f"bad variable name {name!r}")
         if name in self._vars:
             raise ModelError(f"duplicate variable {name!r}")
         if kind not in (BINARY, INTEGER, CONTINUOUS):
             raise ModelError(f"unknown variable kind {kind!r}")
-        if kind == BINARY:
-            lb = max(0.0, float(lb))
-            ub = min(1.0, float(ub))
         lb, ub = float(lb), float(ub)
         if math.isnan(lb) or math.isnan(ub):
             raise ModelError(f"variable {name} has a NaN bound")
+        if kind == BINARY:
+            lb = max(0.0, lb)
+            ub = min(1.0, ub)
         if lb > ub:
             raise ModelError(f"variable {name}: lower bound {lb} above upper {ub}")
         if kind in (BINARY, INTEGER) and (math.isinf(lb) or math.isinf(ub)):
@@ -94,7 +94,7 @@ class MILPModel:
         return name
 
     def add_constr(self, name: str, coeffs, sense: str, rhs: float) -> str:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise ModelError(f"bad constraint name {name!r}")
         if name in self._constr_names:
             raise ModelError(f"duplicate constraint {name!r}")

@@ -132,6 +132,30 @@ def test_nan_bound_rejected():
         m.add_var("x", CONTINUOUS, math.nan, 1)
     with pytest.raises(ModelError, match="NaN"):
         m.add_var("y", CONTINUOUS, 0, math.nan)
+    # a binary's bounds are clamped to [0, 1], but not from a NaN
+    for bounds in ((math.nan, math.nan), (math.nan, 1), (0, math.nan)):
+        with pytest.raises(ModelError, match="variable b has a NaN bound"):
+            m.add_var("b", BINARY, *bounds)
+    assert m.variables == ()
+
+
+def test_name_with_trailing_newline_rejected():
+    """A trailing newline would end a row of the LP text early."""
+    m = MILPModel()
+    with pytest.raises(ModelError) as err:
+        m.add_var("x\n", BINARY)
+    assert str(err.value) == "bad variable name 'x\\n'"
+    m.add_var("x", BINARY)
+    assert [v.name for v in m.variables] == ["x"]
+
+
+def test_row_name_with_trailing_newline_rejected():
+    m = MILPModel()
+    m.add_var("x", BINARY)
+    with pytest.raises(ModelError) as err:
+        m.add_constr("c\n", {"x": 1}, GE, 1)
+    assert str(err.value) == "bad constraint name 'c\\n'"
+    assert m.constraints == ()
 
 
 @pytest.mark.parametrize("coeff, rhs", [
