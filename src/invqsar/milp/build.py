@@ -67,6 +67,15 @@ class BondSlot:
     part: str
 
 
+def _all_zero(terms) -> bool:
+    """Whether every coefficient of the (name, coefficient) pairs is 0;
+    most rows answer at their first term."""
+    for _, c in terms:
+        if c != 0:
+            return False
+    return True
+
+
 class Build:
     """Incremental model builder shared by the constraint-family functions."""
 
@@ -208,7 +217,7 @@ class Build:
         """A row whose coefficients are all zero is not written: it is
         skipped when 0 satisfies it and marked infeasible otherwise.  Any
         other row goes to add_constr, which drops its zero coefficients."""
-        if all(c == 0 for _, c in terms):
+        if _all_zero(terms):
             ok = (
                 (sense == LE and rhs >= 0)
                 or (sense == GE and rhs <= 0)
@@ -223,7 +232,7 @@ class Build:
         if lo > hi:
             self.mark_infeasible(name)
             return
-        if all(c == 0 for _, c in terms):
+        if _all_zero(terms):
             if lo > 0 or hi < 0:
                 self.mark_infeasible(name)
             return
@@ -1461,8 +1470,10 @@ def polish_solution(model: MILPModel, sol) -> None:
     the predicted value needs to re-enter its interval."""
     values = sol.values
     for v in model.variables:
-        if v.kind != CONTINUOUS and v.name in values:
-            values[v.name] = Fraction(round(values[v.name]))
+        if v.kind != CONTINUOUS:
+            x = values.get(v.name)
+            if x is not None and x.denominator != 1:
+                values[v.name] = Fraction(round(x))
     if "Mass" in values and "msbar" in values:
         atoms = None
         for v in model.variables:
@@ -1474,7 +1485,6 @@ def polish_solution(model: MILPModel, sol) -> None:
             if "x_4" in values:
                 values["x_4"] = values["msbar"]
 
-    rows = {c.name: c for c in model.constraints}
     centers: dict[str, tuple[Fraction, Fraction]] = {}
     j = 0
     while True:
@@ -1482,13 +1492,13 @@ def polish_solution(model: MILPModel, sol) -> None:
         name_d = f"nm_d_{j}"
         if f"x_{j}" not in values:
             break
-        if name_d not in rows:
+        if not model.has_constr(name_d):
             continue
-        lo = Fraction(rows[name_d].rhs)
+        lo = Fraction(model.constraint(name_d).rhs)
         xd = values[f"x_{j}"] - lo
         values[f"xd_{j}"] = xd
-        coeffs_lo = dict(rows[f"nm_lo_{j}"].coeffs)
-        coeffs_hi = dict(rows[f"nm_hi_{j}"].coeffs)
+        coeffs_lo = dict(model.constraint(f"nm_lo_{j}").coeffs)
+        coeffs_hi = dict(model.constraint(f"nm_hi_{j}").coeffs)
         span = Fraction(-coeffs_lo[f"xhat_{j}"])
         low = Fraction(coeffs_lo[f"xd_{j}"]) * xd / span
         high = Fraction(coeffs_hi[f"xd_{j}"]) * xd / span
@@ -1497,8 +1507,8 @@ def polish_solution(model: MILPModel, sol) -> None:
         centers[f"xhat_{j}"] = (low, high)
         values[f"xhat_{j}"] = (low + high) / 2
 
-    pred = rows.get("pred_value")
-    if pred is not None and centers:
+    if model.has_constr("pred_value") and centers:
+        pred = model.constraint("pred_value")
         weights = {
             name: Fraction(c) for name, c in pred.coeffs if name != "y"
         }

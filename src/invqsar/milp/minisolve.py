@@ -101,7 +101,6 @@ class Problem:
 
     @staticmethod
     def from_model(model: MILPModel) -> "Problem":
-        index = {v.name: i for i, v in enumerate(model.variables)}
         pvars = []
         for v in model.variables:
             if v.lb == -inf or v.ub == inf:
@@ -111,13 +110,14 @@ class Problem:
             pvars.append(
                 PVar(v.name, _exact(v.lb), _exact(v.ub), v.kind != CONTINUOUS)
             )
+        indices, exact = model.indices, model.exact_data()
         rows = []
-        for con in model.constraints:
-            coeffs = {index[n]: _exact(c) for n, c in con.coeffs}
-            rhs = _exact(con.rhs)
-            if con.sense == LE:
+        for _, start, end, sense, rhs in model.rows():
+            coeffs = dict(zip(indices[start:end], exact[start:end]))
+            rhs = _exact(rhs)
+            if sense == LE:
                 rows.append(PRow(coeffs, None, rhs))
-            elif con.sense == GE:
+            elif sense == GE:
                 rows.append(PRow(coeffs, rhs, None))
             else:
                 rows.append(PRow(coeffs, rhs, rhs))

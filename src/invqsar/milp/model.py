@@ -1,9 +1,21 @@
-"""Mixed-integer linear feasibility model container, CPLEX-LP text emission
+"""Mixed-integer linear feasibility model store, CPLEX-LP text emission
 and exact residual checks.
 
 A model has variables and rows but no objective: the inverse problem asks
 for any point in the target window.  The LP text still carries an empty
 `Minimize` section, since LP readers require one.
+
+The model is an indexed store.  `add_var` gives each variable the next
+column index.  `add_constr` checks a row, resolves each term's variable name
+to its column once, and appends the row in compressed sparse row form:
+`indices` and `data` hold every row's column indices and float
+coefficients, row r's terms are positions `indptr[r]:indptr[r + 1]`, and
+`row_names`, `row_senses` and `row_rhs` hold the rest.  HiGHS gets these
+lists as they are; the LP emitter, the residual check, the solution polish
+and the exact solver read rows by column index (`rows()`).  `variables`,
+`constraints` and `constraint(name)` give light `Var` and `Constraint`
+records, the latter with its terms as (name, coefficient) pairs, made when
+asked for.
 
 Emission is deterministic: two builds from the same inputs produce
 byte-identical text.  Every coefficient is written with shortest
@@ -19,9 +31,9 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
+from typing import NamedTuple
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -46,29 +58,36 @@ def fmt_num(v: float) -> str:
     return repr(v)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
     kind: str
     lb: float
     ub: float
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     coeffs: tuple[tuple[str, float], ...]
     sense: str
     rhs: float
 
 
-@dataclass
 class MILPModel:
-    name: str = "model"
-    metadata: dict[str, str] = field(default_factory=dict)
-    _vars: dict[str, Var] = field(default_factory=dict)
-    _constrs: list[Constraint] = field(default_factory=list)
-    _constr_names: set[str] = field(default_factory=set)
+    """The indexed store (see the module docstring).  The row lists are
+    read-only outside `add_constr`, which appends to all of them."""
+
+    def __init__(self, name: str = "model") -> None:
+        self.name = name
+        self.metadata: dict[str, str] = {}
+        self._vars: list[Var] = []
+        self._col: dict[str, int] = {}  # variable name -> column index
+        self._row: dict[str, int] = {}  # row name -> row index
+        self.row_names: list[str] = []
+        self.row_senses: list[str] = []
+        self.row_rhs: list[float] = []
+        self.indptr: list[int] = [0]
+        self.indices: list[int] = []
+        self.data: list[float] = []
 
     # -- construction -----------------------------------------------------
 
@@ -76,7 +95,7 @@ class MILPModel:
                 lb: float = 0.0, ub: float = math.inf) -> str:
         if not _NAME_RE.fullmatch(name):
             raise ModelError(f"bad variable name {name!r}")
-        if name in self._vars:
+        if name in self._col:
             raise ModelError(f"duplicate variable {name!r}")
         if kind not in (BINARY, INTEGER, CONTINUOUS):
             raise ModelError(f"unknown variable kind {kind!r}")
@@ -90,61 +109,103 @@ class MILPModel:
             raise ModelError(f"variable {name}: lower bound {lb} above upper {ub}")
         if kind in (BINARY, INTEGER) and (math.isinf(lb) or math.isinf(ub)):
             raise ModelError(f"integer variable {name} must have finite bounds")
-        self._vars[name] = Var(name, kind, lb, ub)
+        self._col[name] = len(self._vars)
+        self._vars.append(Var(name, kind, lb, ub))
         return name
 
     def add_constr(self, name: str, coeffs, sense: str, rhs: float) -> str:
+        """Append the row sum(coeffs) <sense> rhs.  coeffs is a mapping or
+        a sequence of (variable name, coefficient) pairs; zero coefficients
+        are dropped.  Each term is checked in order, and the first faulty
+        one is reported; a rejected row leaves the model unchanged."""
         if not _NAME_RE.fullmatch(name):
             raise ModelError(f"bad constraint name {name!r}")
-        if name in self._constr_names:
+        if name in self._row:
             raise ModelError(f"duplicate constraint {name!r}")
         if sense not in (LE, GE, EQ):
             raise ModelError(f"bad sense {sense!r}")
-        items = list(coeffs.items()) if isinstance(coeffs, Mapping) else list(coeffs)
-        seen: set[str] = set()
-        cleaned: list[tuple[str, float]] = []
-        for var, c in items:
-            if var not in self._vars:
+        col, isfinite = self._col, math.isfinite
+        seen: set[int] = set()
+        cols: list[int] = []
+        vals: list[float] = []
+        items = getattr(coeffs, "items", None)
+        for var, c in coeffs if items is None else items():
+            j = col.get(var)
+            if j is None:
                 raise ModelError(f"constraint {name} references unknown {var!r}")
-            if var in seen:
+            if j in seen:
                 raise ModelError(f"constraint {name} repeats variable {var!r}")
-            seen.add(var)
+            seen.add(j)
             c = float(c)
             if c != 0.0:
-                if not math.isfinite(c):
+                if not isfinite(c):
                     raise ModelError(f"constraint {name} has coefficient {c} on {var}")
-                cleaned.append((var, c))
-        if not cleaned:
+                cols.append(j)
+                vals.append(c)
+        if not cols:
             raise ModelError(f"constraint {name} has no nonzero terms")
         rhs = float(rhs)
-        if not math.isfinite(rhs):
+        if not isfinite(rhs):
             raise ModelError(f"constraint {name} has right-hand side {rhs}")
-        self._constrs.append(Constraint(name, tuple(cleaned), sense, rhs))
-        self._constr_names.add(name)
+        self._row[name] = len(self.row_names)
+        self.row_names.append(name)
+        self.row_senses.append(sense)
+        self.row_rhs.append(rhs)
+        self.indices += cols
+        self.data += vals
+        self.indptr.append(len(self.indices))
         return name
 
     # -- access ------------------------------------------------------------
 
     @property
     def variables(self) -> tuple[Var, ...]:
-        return tuple(self._vars.values())
+        return tuple(self._vars)
+
+    def rows(self) -> Iterator[tuple[str, int, int, str, float]]:
+        """Each row as (name, start, end, sense, rhs); its terms are
+        positions start:end of `indices` and `data`."""
+        return zip(self.row_names, self.indptr, self.indptr[1:],
+                   self.row_senses, self.row_rhs)
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
-        return tuple(self._constrs)
+        names = [v.name for v in self._vars]
+        terms = list(zip(map(names.__getitem__, self.indices), self.data))
+        return tuple(Constraint(name, tuple(terms[start:end]), sense, rhs)
+                     for name, start, end, sense, rhs in self.rows())
+
+    def exact_data(self) -> list[int | Fraction]:
+        """The exact value of each entry of `data`: an int when it is
+        integral, else a Fraction.  Each distinct coefficient is converted
+        once."""
+        exact = {c: int(c) if c.is_integer() else Fraction(c) for c in set(self.data)}
+        return list(map(exact.__getitem__, self.data))
+
+    def constraint(self, name: str) -> Constraint:
+        r = self._row[name]
+        start, end = self.indptr[r], self.indptr[r + 1]
+        variables = self._vars
+        terms = tuple((variables[j].name, c) for j, c in
+                      zip(self.indices[start:end], self.data[start:end]))
+        return Constraint(name, terms, self.row_senses[r], self.row_rhs[r])
+
+    def has_constr(self, name: str) -> bool:
+        return name in self._row
 
     def var(self, name: str) -> Var:
-        return self._vars[name]
+        return self._vars[self._col[name]]
 
     def has_var(self, name: str) -> bool:
-        return name in self._vars
+        return name in self._col
 
     def n_integer(self) -> int:
-        return sum(1 for v in self._vars.values() if v.kind != CONTINUOUS)
+        return sum(1 for v in self._vars if v.kind != CONTINUOUS)
 
     def fix_var(self, name: str, value: float) -> None:
-        old = self._vars[name]
-        self._vars[name] = Var(old.name, old.kind, float(value), float(value))
+        j = self._col[name]
+        old = self._vars[j]
+        self._vars[j] = Var(old.name, old.kind, float(value), float(value))
 
 
 def emit_lp(model: MILPModel) -> str:
@@ -156,32 +217,42 @@ def emit_lp(model: MILPModel) -> str:
     out.append("Minimize")
     out.append(" obj:")
     out.append("Subject To")
-    # coefficient -> its term prefixes as a row's first term and as a later
-    # one ("- 1 " and " - 1 ", "0.5 " and " + 0.5 "), each formatted once
-    prefixes: dict[float, tuple[str, str]] = {}
-    for con in model.constraints:
-        terms = []
-        for var, c in con.coeffs:
-            pair = prefixes.get(c)
-            if pair is None:
-                mag = fmt_num(abs(c))
-                pair = prefixes[c] = ((f"- {mag} ", f" - {mag} ") if c < 0
-                                      else (f"{mag} ", f" + {mag} "))
-            terms.append(pair[1] + var if terms else pair[0] + var)
-        out.append(f" {con.name}: {''.join(terms)} {con.sense} {fmt_num(con.rhs)}")
+    # rhs values and bounds are mostly 0, 1 or a small int: each distinct
+    # one is formatted once
+    formatted: dict[float, str] = {}
+
+    def num(x: float) -> str:
+        text = formatted.get(x)
+        if text is None:
+            text = formatted[x] = fmt_num(x)
+        return text
+
+    variables = model.variables
+    names = [v.name for v in variables]
+    # every term as it follows another one (" + 0.5 x", " - 1 y"), with
+    # each distinct coefficient formatted once
+    signed = {c: f" - {fmt_num(-c)} " if c < 0 else f" + {fmt_num(c)} "
+              for c in set(model.data)}
+    terms = [signed[c] + names[j] for j, c in zip(model.indices, model.data)]
+    for name, start, end, sense, rhs in model.rows():
+        # a row's first term drops the " + " or the space before "- "
+        first = terms[start]
+        first = first[3:] if first[1] == "+" else first[1:]
+        out.append(f" {name}: {first}{''.join(terms[start + 1:end])} "
+                   f"{sense} {num(rhs)}")
     out.append("Bounds")
     # every variable is listed so declaration order survives a round trip
-    for v in model.variables:
+    for v in variables:
         if math.isinf(v.lb) and math.isinf(v.ub):
             out.append(f" {v.name} free")
         elif math.isinf(v.ub):
-            out.append(f" {v.name} >= {fmt_num(v.lb)}")
+            out.append(f" {v.name} >= {num(v.lb)}")
         elif math.isinf(v.lb):
-            out.append(f" {v.name} <= {fmt_num(v.ub)}")
+            out.append(f" {v.name} <= {num(v.ub)}")
         else:
-            out.append(f" {fmt_num(v.lb)} <= {v.name} <= {fmt_num(v.ub)}")
-    generals = [v.name for v in model.variables if v.kind == INTEGER]
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
+            out.append(f" {num(v.lb)} <= {v.name} <= {num(v.ub)}")
+    generals = [v.name for v in variables if v.kind == INTEGER]
+    binaries = [v.name for v in variables if v.kind == BINARY]
     if generals:
         out.append("Generals")
         out.extend(f" {name}" for name in generals)
@@ -212,15 +283,15 @@ def check_solution(
         raise ValueError(f"tolerance {tol} is negative")
     problems: list[str] = []
     ftol = Fraction(repr(tol)) if isinstance(tol, float) else Fraction(tol)
-    ints: dict[str, int] = {}
-    for v in model.variables:
+    variables = model.variables
+    ints: list[int | None] = []  # by column: the value if integral
+    for v in variables:
         if v.name not in values:
             problems.append(f"missing value for {v.name}")
             continue
         val = values[v.name]
         n = val.numerator if val.denominator == 1 else None
-        if n is not None:
-            ints[v.name] = n
+        ints.append(n)
         # an int compares with a float bound exactly, so an integral value
         # inside its bounds needs no Fraction; it is integral, too
         if ((n is None or n < v.lb) and not math.isinf(v.lb)
@@ -234,29 +305,28 @@ def check_solution(
             problems.append(f"{v.name} = {float(val)} is not integral")
     if problems:
         return problems
-    for con in model.constraints:
-        lhs = 0
-        integral = con.rhs.is_integer()
-        if integral:
-            for name, c in con.coeffs:
-                n = ints.get(name)
-                if n is None or not c.is_integer():
-                    integral = False
-                    break
-                lhs += int(c) * n
-        if integral:
-            rhs = int(con.rhs)
+    vals = [values[v.name] for v in variables]
+    indices, coefs = model.indices, model.exact_data()
+    # each term's product in ints when its coefficient and value are integral
+    products = [c * n if n is not None and type(c) is int else None
+                for c, n in zip(coefs, map(ints.__getitem__, indices))]
+    for name, start, end, sense, rhs in model.rows():
+        terms = products[start:end]
+        if rhs.is_integer() and None not in terms:
+            lhs = sum(terms)
+            rhs = int(rhs)
         else:
-            lhs = sum(Fraction(c) * values[name] for name, c in con.coeffs)
-            rhs = Fraction(con.rhs)
-        if con.sense == LE:
+            lhs = sum(c * vals[j] for j, c in
+                      zip(indices[start:end], coefs[start:end]))
+            rhs = Fraction(rhs)
+        if sense == LE:
             resid = lhs - rhs
-        elif con.sense == GE:
+        elif sense == GE:
             resid = rhs - lhs
         else:
             resid = abs(lhs - rhs)
         # most rows hold with resid <= 0, and an int compared with 0 makes
         # no Fraction
         if resid > 0 and resid > ftol:
-            problems.append(f"constraint {con.name} violated by {float(resid)}")
+            problems.append(f"constraint {name} violated by {float(resid)}")
     return problems

@@ -154,7 +154,6 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
     from scipy.sparse import csr_array
 
     variables = model.variables
-    index = {v.name: i for i, v in enumerate(variables)}
     integral = [v.kind != CONTINUOUS for v in variables]
     lbs = [math.ceil(v.lb) if i else v.lb for v, i in zip(variables, integral)]
     ubs = [math.floor(v.ub) if i else v.ub for v, i in zip(variables, integral)]
@@ -163,17 +162,12 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
             return Solution(INFEASIBLE, log=(
                 f"HiGHS not called: no integer lies in the bounds of {v.name}\n"))
 
-    rows = model.constraints
-    indptr, indices, data, lo, hi = [0], [], [], [], []
-    for con in rows:
-        for name, coef in con.coeffs:
-            indices.append(index[name])
-            data.append(coef)
-        indptr.append(len(indices))
-        lo.append(-math.inf if con.sense == LE else con.rhs)
-        hi.append(math.inf if con.sense == GE else con.rhs)
-    a = csr_array((data, indices, indptr), shape=(len(rows), len(variables)))
-    constraints = [LinearConstraint(a, lo, hi)] if rows else []
+    senses, rhs = model.row_senses, model.row_rhs
+    lo = [-math.inf if s == LE else r for s, r in zip(senses, rhs)]
+    hi = [math.inf if s == GE else r for s, r in zip(senses, rhs)]
+    a = csr_array((model.data, model.indices, model.indptr),
+                  shape=(len(senses), len(variables)))
+    constraints = [LinearConstraint(a, lo, hi)] if senses else []
 
     # no MIP gap option: with a zero cost any feasible point closes the gap
     options = {} if time_limit is None else {"time_limit": time_limit}
@@ -207,8 +201,12 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
         return Solution(INFEASIBLE, log=log)
     if res.status != 0:
         raise SolverFailure(f"HiGHS stopped without an answer: {res.message}")
-    # shortest round-trip decimals keep the exact check's rationals small
-    values = {v.name: Fraction(repr(float(x))) for v, x in zip(variables, res.x)}
+    # shortest round-trip decimals keep the exact check's rationals small;
+    # an integral float below 1e16 prints as its exact digits, so it is
+    # the int it holds
+    values = {v.name: Fraction(int(x)) if x.is_integer() and abs(x) < 1e16
+              else Fraction(repr(x))
+              for v, x in zip(variables, res.x.tolist())}
     return Solution(OPTIMAL, values, log=log)
 
 
