@@ -12,9 +12,9 @@ to its column once, and appends the row in compressed sparse row form:
 coefficients, row r's terms are positions `indptr[r]:indptr[r + 1]`, and
 `row_names`, `row_senses` and `row_rhs` hold the rest.  HiGHS gets these
 lists as they are; the LP emitter, the residual check, the solution polish
-and the exact solver read rows by column index (`rows()`).  `variables`,
-`constraints` and `constraint(name)` give light `Var` and `Constraint`
-records, the latter with its terms as (name, coefficient) pairs, made when
+and the exact solver read rows by column index (`rows()`).  `variables`
+gives the stored `Var` records; `constraints` and `constraint(name)` make
+`Constraint` records, with the terms as (name, coefficient) pairs, when
 asked for.
 
 Emission is deterministic: two builds from the same inputs produce
