@@ -8,7 +8,11 @@ decodes the answer and verifies (a) graph invariants, (b) exact agreement
 between the decoded feature vector and the model's descriptor variables,
 (c) the prediction window, (d) every specification clause, and (e) the
 same specification verdict for a copy of the answer with its vertex ids
-permuted at random.
+permuted at random.  Each verified instance is then solved again at a
+window that starts above the largest prediction its model can reach, and
+that solve must come back infeasible; the summary counts these by
+evidence: an exact row proof made before HiGHS is called, or HiGHS's own
+claim.
 
 Usage: python3 scripts/stress_roundtrip.py [--instances 40] [--seed 0] [--max-heavy 11]
 """
@@ -41,12 +45,16 @@ def main() -> int:
     parser.add_argument("--max-heavy", type=int, default=11)
     args = parser.parse_args()
 
-    from conftest import random_chemical_graph, relabelled, uniform_predictor
+    from conftest import (random_chemical_graph, reachable_max, relabelled,
+                          uniform_predictor)
 
     rng = np.random.default_rng(args.seed)
     # its own stream, so that the instances do not depend on the relabelling
     relabel_rng = np.random.default_rng([args.seed, 1])
+    # and one for the unreachable windows' offsets
+    window_rng = np.random.default_rng([args.seed, 2])
     verified = failed = 0
+    evidence = {"row proof": 0, "HiGHS claim": 0}
     start = time.monotonic()
     while verified + failed < args.instances:
         family = [
@@ -96,14 +104,28 @@ def main() -> int:
                     f"{[c.name for c in report.failures()]} "
                     f"relabelled {[c.name for c in moved.failures()]}"
                 )
+            # log-uniform in [1e-4, 0.5]: from just past the reachable
+            # maximum to far beyond it
+            y_out = reachable_max(model) + float(10 ** window_rng.uniform(-4, -0.3))
+            out = solve(build_milp(spec, space, predictor, y_out, y_out + 0.04),
+                        "highs", time_limit=300)
+            if out.status != "infeasible":
+                raise RuntimeError(f"window above the reachable maximum at "
+                                   f"{y_out:.4f} is {out.status}")
+            kind = ("row proof" if out.log.startswith("HiGHS not called")
+                    else "HiGHS claim")
+            evidence[kind] += 1
             verified += 1
             print(f"{label} ok: target {target.n_heavy()} heavy -> "
-                  f"answer {graph.n_heavy()} heavy, y {y_dec:.4f}")
+                  f"answer {graph.n_heavy()} heavy, y {y_dec:.4f}; "
+                  f"unreachable y {y_out:.4f}: {kind}")
         except Exception as exc:  # noqa: BLE001 - campaign report
             failed += 1
             print(f"{label} FAIL: {type(exc).__name__}: {exc}")
     elapsed = time.monotonic() - start
-    print(f"\n{verified} verified, {failed} failed in {elapsed:.0f}s")
+    print(f"\n{verified} verified, {failed} failed in {elapsed:.0f}s; "
+          f"unreachable windows infeasible by {evidence['row proof']} row "
+          f"proofs and {evidence['HiGHS claim']} HiGHS claims")
     return 0 if failed == 0 else 1
 
 

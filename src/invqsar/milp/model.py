@@ -23,14 +23,14 @@ round-trip float formatting, so the text carries the model exactly.
 
 The residual check is exact.  Most rows have integral coefficients and
 right-hand sides, and after polishing every integer variable is integral,
-so those rows are summed in Python ints; the rest (normalization,
-prediction and mass rows, fractional values) are summed in Fractions.
+so those rows are summed in Python ints; each of the rest (normalization,
+prediction and mass rows, fractional values) is summed as one int over the
+least common denominator of its terms.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from typing import NamedTuple
@@ -39,11 +39,13 @@ BINARY = "binary"
 INTEGER = "integer"
 CONTINUOUS = "continuous"
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 LE = "<="
 GE = ">="
 EQ = "="
+
+# the residual check's default absolute tolerance, which solve() applies
+# to every answer
+CHECK_TOL = 1e-6
 
 
 class ModelError(ValueError):
@@ -93,7 +95,8 @@ class MILPModel:
 
     def add_var(self, name: str, kind: str = CONTINUOUS,
                 lb: float = 0.0, ub: float = math.inf) -> str:
-        if not _NAME_RE.fullmatch(name):
+        # an ASCII identifier is exactly [A-Za-z_][A-Za-z0-9_]*
+        if not (name.isascii() and name.isidentifier()):
             raise ModelError(f"bad variable name {name!r}")
         if name in self._col:
             raise ModelError(f"duplicate variable {name!r}")
@@ -118,7 +121,7 @@ class MILPModel:
         a sequence of (variable name, coefficient) pairs; zero coefficients
         are dropped.  Each term is checked in order, and the first faulty
         one is reported; a rejected row leaves the model unchanged."""
-        if not _NAME_RE.fullmatch(name):
+        if not (name.isascii() and name.isidentifier()):
             raise ModelError(f"bad constraint name {name!r}")
         if name in self._row:
             raise ModelError(f"duplicate constraint {name!r}")
@@ -269,7 +272,7 @@ def emit_lp(model: MILPModel) -> str:
 def check_solution(
     model: MILPModel,
     values: Mapping[str, Fraction],
-    tol: float = 1e-6,
+    tol: float = CHECK_TOL,
 ) -> list[str]:
     """All violations above tol (non-negative), in exact arithmetic: bounds
     and integrality first, and the rows only if every value passed those.
@@ -277,8 +280,9 @@ def check_solution(
     Each row's signed violation is `lhs - rhs` for <=, `rhs - lhs` for >=
     and `|lhs - rhs|` for =.  An integral value is held as an int; a row
     whose coefficients and right-hand side are integral floats and whose
-    values are all integral is summed in ints, every other row and value
-    in Fractions.  Both give the same exact verdict and message."""
+    values are all integral is summed in ints, every other row as one int
+    over the least common denominator of its terms.  Both give the same
+    exact verdict and message."""
     if tol < 0:
         raise ValueError(f"tolerance {tol} is negative")
     problems: list[str] = []
@@ -307,6 +311,7 @@ def check_solution(
         return problems
     vals = [values[v.name] for v in variables]
     indices, coefs = model.indices, model.exact_data()
+    tol_num, tol_den = ftol.numerator, ftol.denominator
     # each term's product in ints when its coefficient and value are integral
     products = [c * n if n is not None and type(c) is int else None
                 for c, n in zip(coefs, map(ints.__getitem__, indices))]
@@ -315,18 +320,26 @@ def check_solution(
         if rhs.is_integer() and None not in terms:
             lhs = sum(terms)
             rhs = int(rhs)
+            den = 1
         else:
-            lhs = sum(c * vals[j] for j, c in
-                      zip(indices[start:end], coefs[start:end]))
-            rhs = Fraction(rhs)
+            # one integer sum over the least common denominator
+            nums, dens = [], []
+            for j, c in zip(indices[start:end], coefs[start:end]):
+                v = vals[j]
+                nums.append(c.numerator * v.numerator)
+                dens.append(c.denominator * v.denominator)
+            rhs, rhs_den = rhs.as_integer_ratio()
+            den = math.lcm(rhs_den, *dens)
+            lhs = sum(n * (den // d) for n, d in zip(nums, dens))
+            rhs *= den // rhs_den
+        # the residual is resid / den
         if sense == LE:
             resid = lhs - rhs
         elif sense == GE:
             resid = rhs - lhs
         else:
             resid = abs(lhs - rhs)
-        # most rows hold with resid <= 0, and an int compared with 0 makes
-        # no Fraction
-        if resid > 0 and resid > ftol:
-            problems.append(f"constraint {name} violated by {float(resid)}")
+        if resid * tol_den > tol_num * den:
+            problems.append(
+                f"constraint {name} violated by {float(Fraction(resid, den))}")
     return problems

@@ -22,7 +22,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .minisolve import MiniSolverError, solve_exact
-from .model import CONTINUOUS, GE, LE, MILPModel, check_solution, emit_lp
+from .model import (CHECK_TOL, CONTINUOUS, GE, LE, MILPModel, check_solution,
+                    emit_lp)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -141,6 +142,57 @@ def parse_solution_text(text: str) -> Solution:
     return Solution(status, values)
 
 
+def _unmeetable_row(model: MILPModel, rows, bounds) -> str | None:
+    """The name of the first row of `model` that no point the residual
+    check accepts can meet, or None.  `rows` and `bounds` are the model's
+    LinearConstraint and its Bounds with integer bounds rounded inward, as
+    HiGHS gets them.
+
+    The check accepts a value up to CHECK_TOL outside its bounds and a row
+    violated by up to CHECK_TOL, so a <= row is claimed only when its
+    minimum activity over the box widened by tol exceeds rhs + tol, that
+    is amin - tol*sum|a_j| > rhs + tol; a >= row by the mirror image, and
+    an = row by either.  A row with an infinite bound in the activity is
+    never claimed.  A float pass over the arrays picks the rows within tol
+    of a claim; the verdict on each comes from ints and Fractions."""
+    import numpy as np
+
+    a = rows.A
+    cols, starts = a.indices, a.indptr[:-1]
+    lo, hi = bounds.lb[cols], bounds.ub[cols]
+    up = a.data > 0
+    amin = np.add.reduceat(np.where(up, a.data * lo, a.data * hi), starts)
+    amax = np.add.reduceat(np.where(up, a.data * hi, a.data * lo), starts)
+    width = CHECK_TOL * np.add.reduceat(np.abs(a.data), starts)
+    # a one-sided row's missing side is infinite and picks nothing, and
+    # neither does the nan of a variable fixed at an infinite bound
+    picked = np.flatnonzero((amin - width > rows.ub) | (amax + width < rows.lb))
+    if not len(picked):
+        return None
+    tol = Fraction(repr(CHECK_TOL))
+    for r in picked.tolist():
+        terms = slice(a.indptr[r], a.indptr[r + 1])
+        coefs = [Fraction(c) for c in a.data[terms].tolist()]
+        js = a.indices[terms]
+        # each term's bound at the low and at the high end of its activity
+        low, high = zip(*((lb, ub) if c > 0 else (ub, lb) for c, lb, ub in
+                          zip(coefs, bounds.lb[js].tolist(),
+                              bounds.ub[js].tolist())))
+        width_r = tol * sum(map(abs, coefs))
+        rhs, sense = Fraction(model.row_rhs[r]), model.row_senses[r]
+        if (sense != GE and not any(map(math.isinf, low))
+                and _dot(coefs, low) - width_r > rhs + tol):
+            return model.row_names[r]
+        if (sense != LE and not any(map(math.isinf, high))
+                and _dot(coefs, high) + width_r < rhs - tol):
+            return model.row_names[r]
+    return None
+
+
+def _dot(coefs: list[Fraction], bounds) -> Fraction:
+    return sum(c * Fraction(b) for c, b in zip(coefs, bounds))
+
+
 def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
     """Solve with HiGHS in-process; the time limit is enforced inside HiGHS,
     and covers both passes when an answer is checked with presolve off.
@@ -148,7 +200,10 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
     Returns an optimal or infeasible Solution (values not yet checked) and
     raises SolverFailure on any other outcome, time limit included.  An
     integer variable's bounds are rounded inward first, so HiGHS never
-    answers with an integer at a fractional bound."""
+    answers with an integer at a fractional bound.  HiGHS is not called
+    when the rounded box holds no integer of some variable, or when a row
+    cannot be met within it (`_unmeetable_row`): either is an exact proof
+    of infeasibility."""
     # imported here: scipy.optimize costs ~0.6 s, which only this path pays
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
@@ -168,6 +223,12 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
     a = csr_array((model.data, model.indices, model.indptr),
                   shape=(len(senses), len(variables)))
     constraints = [LinearConstraint(a, lo, hi)] if senses else []
+    bounds = Bounds(lbs, ubs)
+    unmet = _unmeetable_row(model, constraints[0], bounds) if senses else None
+    if unmet is not None:
+        return Solution(INFEASIBLE, log=(
+            f"HiGHS not called: row {unmet} cannot be met within the "
+            f"variable bounds\n"))
 
     # no MIP gap option: with a zero cost any feasible point closes the gap
     options = {} if time_limit is None else {"time_limit": time_limit}
@@ -177,7 +238,7 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
             [0.0] * len(variables),
             constraints=constraints,
             integrality=integral,
-            bounds=Bounds(lbs, ubs),
+            bounds=bounds,
             options={**options, **extra},
         )
 

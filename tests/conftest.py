@@ -127,6 +127,15 @@ def uniform_predictor(space, vectors, weight=0.1, bias=0.05,
     )
 
 
+def reachable_max(model) -> float:
+    """The largest y that the prediction row pred_value allows with every
+    descriptor at its best bound."""
+    bounds = {v.name: (v.lb, v.ub) for v in model.variables}
+    row = model.constraint("pred_value")
+    return row.rhs + sum(max(-c * bounds[n][0], -c * bounds[n][1])
+                         for n, c in row.coeffs if n != "y")
+
+
 def fringe_menu_json(dataset, rho=2):
     """All fringe trees of a dataset as spec JSON entries psi1, psi2, ..."""
     trees = {}

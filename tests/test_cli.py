@@ -256,6 +256,9 @@ def test_infer_infeasible_exit_code(project, capsys):
     assert main(["train", "--config", str(cfg_path)]) == 0
     # property value far outside anything reachable under this request
     assert main(["infer", "--config", str(cfg_path), "--lo", "900", "--hi", "901"]) == 3
+    assert (tmp / "out" / "solve.log").read_text() == (
+        "HiGHS not called: row pred_value cannot be met within the variable "
+        "bounds\n")
 
 
 def test_infer_usage_errors(project, capsys):

@@ -242,7 +242,10 @@ def test_unroutable_colored_edge_names_its_contradiction():
     model = _contradiction_model()
     assert [c.name for c in model.constraints if c.name.startswith("never_")] == [
         "never_clrT_1_range"]
-    assert solve(model, "highs").status == "infeasible"
+    sol = solve(model, "highs")
+    assert sol.status == "infeasible"
+    assert sol.log == ("HiGHS not called: row never_clrT_1_range cannot be "
+                       "met within the variable bounds\n")
 
 
 def test_every_variable_belongs_to_a_cataloged_family():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,24 @@ def test_row_name_with_trailing_newline_rejected():
         m.add_constr("c\n", {"x": 1}, GE, 1)
     assert str(err.value) == "bad constraint name 'c\\n'"
     assert m.constraints == ()
+
+
+@pytest.mark.parametrize("name", ["", "_", "1a", "a-b", "x\n", "é", "class",
+                                  "v" * 5000 + "_9"])
+def test_names_are_checked_against_the_lp_name_pattern(name):
+    """add_var and add_constr accept exactly the names that match
+    [A-Za-z_][A-Za-z0-9_]*, and reject the rest with the pinned messages."""
+    valid = re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) is not None
+    m = MILPModel()
+    m.add_var("x", BINARY)
+    for add, kind in ((lambda: m.add_var(name, BINARY), "variable"),
+                      (lambda: m.add_constr(name, {"x": 1}, LE, 1), "constraint")):
+        if valid:
+            assert add() == name
+        else:
+            with pytest.raises(ModelError) as err:
+                add()
+            assert str(err.value) == f"bad {kind} name {name!r}"
 
 
 @pytest.mark.parametrize("coeff, rhs", [

@@ -26,7 +26,7 @@ from invqsar.milp.model import (
     MILPModel,
     check_solution,
 )
-from invqsar.milp.solve import solve
+from invqsar.milp.solve import solve, solve_highs
 
 
 def exact_answer(m: MILPModel, values) -> dict:
@@ -196,6 +196,23 @@ def test_fractional_models_stay_exact():
             exact_answer(m, mini.values)
     assert statuses.count("optimal") >= 10
     assert "infeasible" in statuses
+
+
+def test_highs_precheck_claims_are_exact(monkeypatch):
+    """Every model that solve_highs calls infeasible without calling HiGHS
+    is infeasible by the exact solver too.  HiGHS is a stand-in here,
+    since only the pre-check's claims are judged."""
+    import scipy.optimize
+    monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs:
+                        scipy.optimize.OptimizeResult(status=2, message="stub"))
+    rng = np.random.default_rng(5)
+    claims = 0
+    for _ in range(2000):
+        m = random_fractional_model(rng)
+        if solve_highs(m).log.startswith("HiGHS not called"):
+            claims += 1
+            assert solve_exact(m, time_limit=60).status == "infeasible"
+    assert claims >= 300
 
 
 def random_doubleton_model(rng: np.random.Generator) -> MILPModel:

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import roundtrip_fixture
+from conftest import ALL_ROUNDTRIP_FIXTURES, reachable_max, roundtrip_fixture
 from invqsar.milp.build import build_milp
-from invqsar.milp.model import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MILPModel
+from invqsar.milp.model import (BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MILPModel,
+                                 check_solution)
 from invqsar.milp.solve import (
     ExternalBackend,
     SolutionCheckError,
@@ -135,6 +136,57 @@ def test_highs_presolve_off_pass_without_a_limit(monkeypatch):
     calls = _fake_milp(monkeypatch, [2, 2])
     assert solve(small_model(), "highs").status == "infeasible"
     assert calls == [{}, {"presolve": False}]
+
+
+def _refused_milp(monkeypatch):
+    """Replace scipy's milp with a stub that fails the test if called."""
+    import scipy.optimize
+
+    def milp(*args, **kwargs):
+        raise AssertionError("HiGHS was called")
+
+    monkeypatch.setattr(scipy.optimize, "milp", milp)
+
+
+@pytest.mark.parametrize("name", ALL_ROUNDTRIP_FIXTURES)
+def test_unreachable_window_is_proven_before_highs(name, monkeypatch):
+    """A window above the reachable maximum fails the prediction row over
+    the variable bounds alone, so the pre-check proves it without HiGHS."""
+    fx = roundtrip_fixture(name)
+    y_max = reachable_max(build_milp(fx.spec, fx.space, fx.predictor,
+                                     fx.y_lo, fx.y_hi))
+    model = build_milp(fx.spec, fx.space, fx.predictor, y_max + 0.05, y_max + 0.07)
+    _refused_milp(monkeypatch)
+    sol = solve(model, "highs")
+    assert sol.status == "infeasible"
+    assert sol.log == ("HiGHS not called: row pred_value cannot be met within "
+                       "the variable bounds\n")
+
+
+@pytest.mark.parametrize("sense, sign", [(LE, 1), (GE, -1), (EQ, 1)])
+def test_precheck_is_never_stricter_than_the_residual_check(sense, sign, monkeypatch):
+    """r: x + 2n <= rhs with x in [1, 2] and the integer n in [0.5, 2],
+    rounded to [1, 2].  Its least activity is 3, sum|a_j| is 3, so the
+    pre-check claims r only when rhs < 3 - tol*(1 + 3).  Just above that
+    the residual check accepts x = n = 1 - tol, so HiGHS must be asked;
+    just below, no HiGHS.  The >= row is the mirror image and the = row
+    meets the same low side."""
+    tol = Fraction(1, 10**6)
+    for rhs, claimed in ((3 - 3.5e-6, False), (3 - 4.5e-6, True)):
+        m = MILPModel()
+        m.add_var("x", CONTINUOUS, 1, 2)
+        m.add_var("n", INTEGER, 0.5, 2)
+        m.add_constr("r", {"x": sign, "n": 2 * sign}, sense, sign * rhs)
+        if not claimed:
+            assert check_solution(m, {"x": 1 - tol, "n": 1 - tol}) == []
+            calls = _fake_milp(monkeypatch, [2, 2])
+            assert solve(m, "highs").status == "infeasible"
+            assert len(calls) == 2
+        else:
+            _refused_milp(monkeypatch)
+            sol = solve(m, "highs")
+            assert sol.status == "infeasible"
+            assert "row r cannot be met" in sol.log
 
 
 def test_parse_cbc_style():
