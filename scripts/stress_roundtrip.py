@@ -84,7 +84,7 @@ def main() -> int:
             sol = solve(model, "highs", time_limit=300, polish=polish_solution)
             if sol.status != "optimal":
                 raise RuntimeError("unexpected infeasibility")
-            graph = decode(sol, spec, space)
+            graph = decode(sol, spec)
             problems = graph.validate()
             fv_dec = featurize(graph, space)
             xs = solution_feature_values(sol, space)

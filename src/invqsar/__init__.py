@@ -8,7 +8,7 @@ from .milp.build import build_milp, polish_solution
 from .milp.decode import decode
 from .milp.solve import ExternalBackend, solve
 from .regression import cross_validate_path, lasso_fit, r_squared
-from .sdf import parse_sdf
+from .sdf import read_sdf
 from .topospec import check_graph_satisfies, parse_spec, spec_from_graph
 
 __version__ = "0.1.0"
@@ -27,11 +27,11 @@ __all__ = [
     "graph_from_json",
     "graph_to_json",
     "lasso_fit",
-    "parse_sdf",
     "parse_spec",
     "polish_solution",
     "r_squared",
     "rank",
+    "read_sdf",
     "solve",
     "spec_from_graph",
     "__version__",

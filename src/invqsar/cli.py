@@ -143,8 +143,7 @@ def run_featurize(cfg: ProjectConfig) -> int:
         names.append(name)
         censuses.append(take_census(graph, cfg.rho).counts())
     if not censuses:
-        print("error: no parsable records in the dataset", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("no parsable records in the dataset")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     space = space_from_censuses(censuses)
@@ -184,8 +183,7 @@ def run_train(cfg: ProjectConfig) -> int:
     targets = _load_targets(cfg.targets)
     missing = [i for i in ids if i not in targets]
     if missing:
-        print(f"error: no target value for ids {missing[:5]}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"no target value for ids {missing[:5]}")
 
     x_raw = np.asarray(rows, dtype=float)
     y_raw = np.asarray([targets[i] for i in ids], dtype=float)
@@ -228,11 +226,9 @@ def run_train(cfg: ProjectConfig) -> int:
 
 def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
     if not (math.isfinite(y_lo) and math.isfinite(y_hi)):
-        print("error: target interval bounds must be finite", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("target interval bounds must be finite")
     if y_lo > y_hi:
-        print("error: empty target interval", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("empty target interval")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = parse_spec(_read_text(cfg.spec))
@@ -255,7 +251,7 @@ def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
         print("status: infeasible (no graph satisfies the request)")
         return EXIT_INFEASIBLE
     try:
-        graph = decode(sol, spec, space)
+        graph = decode(sol, spec)
     except DecodeError as exc:
         print(f"decode failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -367,12 +363,10 @@ def main(argv: list[str] | None = None) -> int:
             return run_train(ProjectConfig.load(args.config))
         if args.command == "infer":
             return run_infer(ProjectConfig.load(args.config), args.lo, args.hi)
-        if args.command == "verify":
-            return run_verify(args.graph, args.spec, args.predictor, args.space)
+        return run_verify(args.graph, args.spec, args.predictor, args.space)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

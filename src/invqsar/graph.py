@@ -174,12 +174,6 @@ class ChemicalGraph:
                     f"vertex {v.id} has {heavy} heavy neighbours (max 4)")
         return problems
 
-    def check(self) -> "ChemicalGraph":
-        problems = self.validate()
-        if problems:
-            raise InvalidGraphError("; ".join(problems))
-        return self
-
 
 def rank(g: ChemicalGraph) -> int:
     """Cycle rank |E|-|V|+1 of the hydrogen-suppressed graph."""

@@ -37,11 +37,7 @@ def _instantiate_fringe(
     return vertices, edges, next_id
 
 
-def decode(
-    sol: Solution,
-    spec: TopologicalSpecification,
-    space: DescriptorSpace,
-) -> ChemicalGraph:
+def decode(sol: Solution, spec: TopologicalSpecification) -> ChemicalGraph:
     if sol.status != "optimal":
         raise DecodeError(f"cannot decode a solution with status {sol.status!r}")
     seed = spec.seed

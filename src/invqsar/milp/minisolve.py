@@ -9,7 +9,7 @@ through `Fraction`, since `int / int` would give a float.  Keeping rational
 arithmetic off the paths that do not need it follows Applegate, Cook, Dash
 & Espinoza, "Exact solutions to linear programming problems" (2007).
 Returned values are Fractions.  Intended for models up to a few hundred
-integer variables; larger models should go through an external solver
+integer variables; larger models go to in-process HiGHS, the CLI's default
 backend.
 
 Models have no objective, so the search looks for any integral point.  Per
@@ -514,7 +514,7 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
     return _Reduced(red_vars, red_rows, fixed, eliminated, keep)
 
 
-def _undo_presolve(problem: Problem, red: _Reduced, red_values) -> dict[int, Num]:
+def _undo_presolve(red: _Reduced, red_values) -> dict[int, Num]:
     values: dict[int, Num] = dict(red.fixed)
     for new, orig in enumerate(red.keep):
         values[orig] = red_values[new]
@@ -879,7 +879,7 @@ def solve_exact(
         pivots += lp_pivots
         if red_values is None:
             continue
-        values = _undo_presolve(problem, red, red_values)
+        values = _undo_presolve(red, red_values)
         frac_var = next((i for i in int_indices if values[i].denominator != 1), None)
         if frac_var is None:
             named = {problem.variables[i].name: Fraction(v) for i, v in values.items()}

@@ -273,7 +273,7 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
 
 def solve(
     model: MILPModel,
-    backend: ExternalBackend | str = "mini",
+    backend: ExternalBackend | str,
     time_limit: float | None = None,
     polish=None,
 ) -> Solution:

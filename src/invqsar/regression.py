@@ -12,7 +12,7 @@ the median test R-squared across all trials.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,7 @@ class FitError(ValueError):
 class LassoResult:
     weights: np.ndarray
     bias: float
-    lam: float
     n_sweeps: int
-    objective_path: list[float] = field(default_factory=list)
 
 
 class CenteredDesign:
@@ -87,15 +85,13 @@ def lasso_fit(
     n, xc, col_sq, gram = design.n, design.xc, design.col_sq, design.gram
     y_mean = float(y.mean())
     yc = y - y_mean
-    xty = xc.T @ yc / n
-    half_yy = float(yc @ yc) / (2 * n)
 
     w = np.zeros(xc.shape[1])
     if w0 is not None:
         w[:] = w0
         w[col_sq == 0.0] = 0.0
     nonzero = np.flatnonzero(w)
-    corr = xty - xc.T @ (xc[:, nonzero] @ w[nonzero]) / n
+    corr = xc.T @ yc / n - xc.T @ (xc[:, nonzero] @ w[nonzero]) / n
     # candidates for the full pass: constant columns never enter
     outside = col_sq > 0.0
     active: list[int] = []
@@ -113,19 +109,12 @@ def lasso_fit(
                 gram[j] = xc.T @ xc[:, j] / n
             active.append(j)
 
-    def objective() -> float:
-        # (1/2n)|yc - Xc w|^2 = |yc|^2/2n - w.(Xc'yc/n + corr)/2
-        return (half_yy - 0.5 * float(w @ (xty + corr))
-                + lam * float(np.abs(w).sum()))
-
     activate(nonzero)
-    objective_path = [objective()]
     sweeps = 0
     settled = not active
     while sweeps < max_sweeps:
         # full pass: zero weights outside the active set whose |corr| > lam
         sweeps += 1
-        objective_path.append(objective_path[-1])
         violators = np.flatnonzero(outside & (np.abs(corr) > lam))
         if settled and len(violators) == 0:
             break
@@ -144,12 +133,11 @@ def lasso_fit(
                     corr -= (new - wj) * gram[j]
                     w[j] = w_list[j] = new
                     max_delta = max(max_delta, abs(new - wj))
-            objective_path.append(objective())
             if max_delta < tol:
                 break
         settled = True
     b = y_mean - float(design.mean @ w)
-    return LassoResult(w, b, lam, sweeps, objective_path)
+    return LassoResult(w, b, sweeps)
 
 
 def r_squared(pred, truth) -> float:

@@ -10,7 +10,7 @@ keeps only what it derives from each graph holds one graph at a time.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .elements import (
     DEFAULT_VALENCE,
@@ -29,16 +29,6 @@ class RecordError:
     record: int
     name: str
     message: str
-
-
-@dataclass
-class SdfParseResult:
-    graphs: list[ChemicalGraph] = field(default_factory=list)
-    errors: list[RecordError] = field(default_factory=list)
-    names: list[str] = field(default_factory=list)
-
-    def ok(self) -> bool:
-        return not self.errors
 
 
 def _split_records(text: str) -> Iterator[list[str]]:
@@ -96,11 +86,14 @@ def _parse_record(lines: list[str], index: int) -> tuple[ChemicalGraph, str]:
     # property block: M CHG overrides the atom-block charge column
     for ln in lines[4 + n_atoms + n_bonds :]:
         if ln.startswith("M  CHG"):
-            parts = ln.split()
-            n = int(parts[2])
-            for j in range(n):
-                aid = int(parts[3 + 2 * j])
-                charges[aid - 1] = int(parts[4 + 2 * j])
+            # a count, then exactly that many (atom, charge) pairs
+            parts = ln.split()[2:]
+            if not parts or len(parts) != 1 + 2 * int(parts[0]):
+                raise ValueError(f"malformed charge line: {ln!r}")
+            for aid, chg in zip(map(int, parts[1::2]), parts[2::2]):
+                if not 1 <= aid <= n_atoms:
+                    raise ValueError(f"charge line names missing atom {aid}")
+                charges[aid - 1] = int(chg)
         elif ln.startswith("M  END"):
             break
 
@@ -157,20 +150,8 @@ def read_sdf(text: str) -> Iterator[tuple[str, ChemicalGraph] | RecordError]:
             yield name, graph
 
 
-def parse_sdf(text: str) -> SdfParseResult:
-    """Parse SDF/molfile text into chemical graphs, one per record."""
-    result = SdfParseResult()
-    for record in read_sdf(text):
-        if isinstance(record, RecordError):
-            result.errors.append(record)
-        else:
-            result.names.append(record[0])
-            result.graphs.append(record[1])
-    return result
-
-
 def graph_to_sdf(graph: ChemicalGraph, name: str) -> str:
-    """Minimal V2000 rendering (no coordinates) that parse_sdf reads back."""
+    """Minimal V2000 rendering (no coordinates) that read_sdf reads back."""
     ids = {v.id: i + 1 for i, v in enumerate(graph.vertices)}
     lines = [name, "  invqsar", "", ""]
     lines[3] = f"{len(graph.vertices):3d}{len(graph.edges):3d}  0  0  0  0  0  0  0  0999 V2000"

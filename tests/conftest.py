@@ -17,6 +17,7 @@ from invqsar.descriptors import build_space, featurize, space_hash
 from invqsar.elements import make_element
 from invqsar.graph import ChemicalGraph, Edge, Vertex, build_graph
 from invqsar.regression import LinearPredictor
+from invqsar.sdf import RecordError, read_sdf
 from invqsar.topospec import parse_spec
 
 
@@ -109,6 +110,15 @@ def relabelled(g: ChemicalGraph, rng: np.random.Generator) -> ChemicalGraph:
         tuple(Vertex(new[v.id], v.element, v.charge) for v in g.vertices),
         tuple(Edge(new[e.u], new[e.v], e.mult) for e in g.edges),
     )
+
+
+def sdf_records(text: str) -> tuple[list[tuple[str, ChemicalGraph]], list[RecordError]]:
+    """The (name, graph) pairs and the RecordErrors that read_sdf yields
+    for an SDF text, each list in record order."""
+    graphs, errors = [], []
+    for record in read_sdf(text):
+        (errors if isinstance(record, RecordError) else graphs).append(record)
+    return graphs, errors
 
 
 def uniform_predictor(space, vectors, weight=0.1, bias=0.05,

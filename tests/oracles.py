@@ -280,6 +280,13 @@ def lambda_max(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.abs(x.T @ centered).max()) / len(y)
 
 
+def lasso_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
+                    lam: float) -> float:
+    """(1/2N)RSS + lam*l1(w) at weights w and intercept b."""
+    r = y - x @ w - b
+    return float(r @ r) / (2 * len(y)) + lam * float(np.abs(w).sum())
+
+
 def kkt_residuals(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
                   lam: float) -> np.ndarray:
     """Per-coordinate violation of the subgradient optimality conditions."""

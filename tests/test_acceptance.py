@@ -35,6 +35,7 @@ from oracles import (
 )
 from test_canonical import all_labeled_trees
 from test_decode_roundtrip import infeasible_specs
+from test_regression import sweep_objectives
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -154,7 +155,8 @@ def test_criterion_4_lasso_correctness():
             worst_kkt,
             float(kkt_residuals(x, y, fit2.weights, fit2.bias, lam).max()),
         )
-        for before, after in zip(fit2.objective_path, fit2.objective_path[1:]):
+        path = sweep_objectives(x, y, lam, fit2.n_sweeps)
+        for before, after in zip(path, path[1:]):
             if after > before + 1e-12:
                 monotone = False
     report(
@@ -187,7 +189,7 @@ def test_criterion_6_roundtrip_external(name):
     detail = [f"solve {elapsed:.1f}s"]
     graph = None
     if ok:
-        graph = decode(sol, fx.spec, fx.space)
+        graph = decode(sol, fx.spec)
         ok = graph.validate() == []
         detail.append("invariants ok" if ok else "graph invalid")
     if ok:
@@ -218,7 +220,7 @@ def test_criterion_6_roundtrip_mini(name):
     ok = sol.status == "optimal"
     detail = [f"mini solve {elapsed:.1f}s"]
     if ok:
-        graph = decode(sol, fx.spec, fx.space)
+        graph = decode(sol, fx.spec)
         fv = featurize(graph, fx.space)
         exact = all(
             Fraction(v) == sol.values[f"x_{j + 1}"]

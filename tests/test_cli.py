@@ -16,10 +16,10 @@ from invqsar.milp import solve as solve_module
 from invqsar.milp.decode import DecodeError, solution_feature_values
 from invqsar.milp.minisolve import MiniSolverError
 from invqsar.graph import build_graph, graph_to_json_text
-from invqsar.sdf import graph_to_sdf, parse_sdf
+from invqsar.sdf import graph_to_sdf
 from invqsar.topospec import spec_to_json_text
 
-from conftest import perfbench_inputs, ring, roundtrip_fixture
+from conftest import perfbench_inputs, ring, roundtrip_fixture, sdf_records
 
 
 @pytest.fixture
@@ -68,9 +68,9 @@ def project(tmp_path):
 def test_sdf_rendering_parses_back():
     g = ring(5, pendant=1)
     text = graph_to_sdf(g, "probe")
-    result = parse_sdf(text)
-    assert result.ok()
-    assert result.graphs[0].n_heavy() == g.n_heavy()
+    graphs, errors = sdf_records(text)
+    assert not errors
+    assert graphs[0][1].n_heavy() == g.n_heavy()
 
 
 def test_featurize_command(project, capsys):
@@ -100,7 +100,7 @@ def test_featurize_decomposes_each_record_once(project, monkeypatch):
 
     monkeypatch.setattr(descriptors, "decompose", counted)
     assert main(["featurize", "--config", str(cfg_path)]) == 0
-    records = parse_sdf((tmp / "dataset.sdf").read_text()).graphs
+    records, _ = sdf_records((tmp / "dataset.sdf").read_text())
     assert len(calls) == len(records) == 12
 
 
@@ -139,6 +139,7 @@ def test_featurize_empty_dataset(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"dataset": str(empty), "output_dir": str(tmp_path)}))
     assert main(["featurize", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: no parsable records in the dataset\n"
 
 
 def _featurize_and_train(cfg_path) -> dict[str, bytes]:
@@ -188,7 +189,8 @@ def _unknown_element_record(name: str) -> str:
 
 def test_featurize_reports_bad_records_in_place(project, capsys):
     """Bad records first, in the middle and last are each reported, in
-    record order, and the outputs are those of the good records alone."""
+    record order, and the outputs are those of the good records alone.  A
+    charge line naming an atom past the last one fails its record alone."""
     tmp, cfg_path, fx = project
     dataset = tmp / "dataset.sdf"
     good = [r + "$$$$\n" for r in dataset.read_text().split("$$$$\n")[:-1]]
@@ -198,18 +200,22 @@ def test_featurize_reports_bad_records_in_place(project, capsys):
 
     five_bonds = build_graph([(i, "C") for i in range(1, 7)],
                              [(1, i, 1) for i in range(2, 7)])
+    stray = graph_to_sdf(ring(3), "stray").replace("M  END", "M  CHG  1  99   1\nM  END")
     dataset.write_text("".join([
         "junk\n\n\nnot-a-counts-line\n$$$$\n",
         *good[:5],
         _unknown_element_record("odd"),
-        *good[5:],
+        *good[5:9],
+        stray,
+        *good[9:],
         graph_to_sdf(five_bonds, "crowded"),
     ]))
     assert _featurize_and_train(cfg_path) == clean
     assert capsys.readouterr().err.splitlines() == [
         "warning: record 0 (junk): malformed counts line: 'not-a-counts-line'",
         "warning: record 6 (odd): unknown element symbol 'Zz'",
-        "warning: record 14 (crowded): vertex 1 has 5 heavy neighbours (max 4)",
+        "warning: record 11 (stray): charge line names missing atom 99",
+        "warning: record 15 (crowded): vertex 1 has 5 heavy neighbours (max 4)",
     ]
 
 
@@ -274,6 +280,13 @@ def test_infer_usage_errors(project, capsys):
     assert main(["infer", "--config", str(bad_cfg), "--lo", "1", "--hi", "2"]) == 2
 
 
+# the whole stderr line of each window fault
+_WINDOW_ERRORS = {
+    "empty target interval": "error: empty target interval\n",
+    "bounds must be finite": "error: target interval bounds must be finite\n",
+}
+
+
 @pytest.mark.parametrize("lo, hi, needle", [
     ("-1e-05", "-2e-05", "empty target interval"),
     ("-inf", "1", "bounds must be finite"),
@@ -285,7 +298,7 @@ def test_infer_bounds_take_any_float_text(project, capsys, lo, hi, needle):
     empty or non-finite window they make is a usage error."""
     tmp, cfg_path, fx = project
     assert main(["infer", "--config", str(cfg_path), "--lo", lo, "--hi", hi]) == 2
-    assert needle in capsys.readouterr().err
+    assert capsys.readouterr().err == _WINDOW_ERRORS[needle]
 
 
 def test_train_id_mismatch(project, capsys):
@@ -297,7 +310,10 @@ def test_train_id_mismatch(project, capsys):
     cfg["targets"] = str(shuffled)
     cfg2 = tmp / "config2.json"
     cfg2.write_text(json.dumps(cfg))
+    capsys.readouterr()
     assert main(["train", "--config", str(cfg2)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no target value for ids ['mol0', 'mol1', 'mol2', 'mol3', 'mol4']\n")
 
 
 def test_verify_flags_bad_graph(project, capsys, tmp_path):
@@ -402,9 +418,9 @@ def test_sdf_round_trip_random_graphs():
     space = build_space(graphs, 2)
     for g in graphs:
         text = graph_to_sdf(g, "probe")
-        result = parse_sdf(text)
-        assert result.ok(), result.errors
-        (back,) = result.graphs
+        graphs, errors = sdf_records(text)
+        assert not errors, errors
+        ((_, back),) = graphs
         assert back.validate() == []
         assert featurize(back, space).values == featurize(g, space).values
 
@@ -653,9 +669,8 @@ def test_train_accepts_quoted_ids(project, capsys):
     tmp, cfg_path, fx = project
     names = {"mol0": "m,0", "mol1": 'm"1'}
     sdf = tmp / "dataset.sdf"
-    records = parse_sdf(sdf.read_text())
-    sdf.write_text("".join(graph_to_sdf(g, names.get(n, n))
-                           for n, g in zip(records.names, records.graphs)))
+    records, _ = sdf_records(sdf.read_text())
+    sdf.write_text("".join(graph_to_sdf(g, names.get(n, n)) for n, g in records))
     targets = (tmp / "targets.csv").read_text().splitlines()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

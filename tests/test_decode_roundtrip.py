@@ -25,7 +25,7 @@ def run_roundtrip(fx, backend, tol=1e-6):
     assert sol.status == "optimal", f"{fx.name}: expected feasible"
     from invqsar.milp.model import check_solution
     assert check_solution(model, sol.values, tol=1e-6) == []
-    graph = decode(sol, fx.spec, fx.space)
+    graph = decode(sol, fx.spec)
     assert graph.validate() == []
     fv = featurize(graph, fx.space)
     xs = solution_feature_values(sol, fx.space)
@@ -104,7 +104,7 @@ def test_infeasible_specs(key):
 def test_decode_rejects_nonsense():
     fx = roundtrip_fixture("triangle")
     with pytest.raises(DecodeError):
-        decode(Solution("infeasible"), fx.spec, fx.space)
+        decode(Solution("infeasible"), fx.spec)
 
 
 def test_roundtrip_with_charged_nitrogen():
@@ -149,7 +149,7 @@ def test_roundtrip_with_charged_nitrogen():
     model = build_milp(spec, space, predictor, y - 0.01, y + 0.01)
     sol = solve(model, "highs", polish=polish_solution)
     assert sol.status == "optimal"
-    g = decode(sol, spec, space)
+    g = decode(sol, spec)
     assert g.validate() == []
     charges = [v.charge for v in g.vertices if v.charge]
     assert charges == [1]  # exactly one cationic site
@@ -202,7 +202,7 @@ def test_roundtrip_with_forced_double_bond():
     model = build_milp(spec, space, predictor, y - 0.01, y + 0.01)
     sol = solve(model, "highs", polish=polish_solution)
     assert sol.status == "optimal"
-    g = decode(sol, spec, space)
+    g = decode(sol, spec)
     assert g.validate() == []
     assert sol.int_value("bdint_2") >= 1
     doubles = [e for e in g.edges if e.mult == 2]
@@ -233,7 +233,7 @@ def test_roundtrip_leaf_path_on_path_interior():
         if sol.int_value(f"dclrF_{c}") == 1
     ]
     assert t_colors, "no leaf path rooted on a path slot"
-    g = decode(sol, spec, fx.space)
+    g = decode(sol, spec)
     assert g.validate() == []
     fv_dec = featurize(g, fx.space)
     xs = solution_feature_values(sol, fx.space)
@@ -293,7 +293,7 @@ def test_roundtrip_multivalent_sulfur():
     model = build_milp(spec, space, predictor, y - 0.01, y + 0.01)
     sol = solve(model, "highs", polish=polish_solution)
     assert sol.status == "optimal"
-    g = decode(sol, spec, space)
+    g = decode(sol, spec)
     assert g.validate() == []
     sulfurs = [v.element.token for v in g.vertices if v.element.symbol == "S"]
     assert sulfurs, "expected a sulfur atom in the decoded molecule"

@@ -121,7 +121,7 @@ def test_optional_edge_drop_reduces_rank():
     m_out.fix_var(f"eC_{chord.index}", 0)
     sol_out = solve(m_out, "highs")
     assert sol_out.int_value("rank") == 1
-    g = decode(sol_out, fx.spec, fx.space)
+    g = decode(sol_out, fx.spec)
     from invqsar.graph import rank as graph_rank
 
     assert graph_rank(g) == 1
@@ -165,7 +165,7 @@ def test_mass_accounting():
     model = build_milp(fx.spec, fx.space)
     model.fix_var("nG", 3)
     sol = solve(model, "mini")
-    g = decode(sol, fx.spec, fx.space)
+    g = decode(sol, fx.spec)
     mass = sum(v.element.mass_star for v in g.vertices)
     assert sol.int_value("Mass") == mass
     n_atoms = g.n_atoms()
@@ -277,7 +277,7 @@ def test_height_lower_bound_forces_leaf_path():
     assert sol.status == "optimal"
     assert sol.int_value("dclrF_1") == 1
     assert sol.int_value("clrF_1") == 2
-    g = decode(sol, spec, fx.space)
+    g = decode(sol, spec)
     from invqsar.topospec import check_graph_satisfies
 
     report = check_graph_satisfies(spec, g)
@@ -299,7 +299,7 @@ def test_height_exact_fringe_demand():
     sol = solve(model, "highs")
     assert sol.status == "optimal"
     assert sol.int_value("hC_2") == 2
-    g = decode(sol, spec, fx.space)
+    g = decode(sol, spec)
     from invqsar.decompose import decompose
 
     d = decompose(g, 2)
@@ -321,7 +321,7 @@ def test_edge_height_bounds_on_path_interior():
     model = build_milp(spec, fx.space)
     sol = solve(model, "highs")
     assert sol.status == "optimal"
-    g = decode(sol, spec, fx.space)
+    g = decode(sol, spec)
     from invqsar.decompose import decompose
 
     d = decompose(g, 2)
@@ -338,7 +338,7 @@ def test_edge_height_bounds_on_path_interior():
     model2 = build_milp(spec2, fx.space)
     sol2 = solve(model2, "highs")
     assert sol2.status == "optimal"
-    g2 = decode(sol2, spec2, fx.space)
+    g2 = decode(sol2, spec2)
     d2 = decompose(g2, 2)
     tallest = 0
     for i in range(1, spec2.t_tree + 1):

@@ -17,7 +17,7 @@ from invqsar.regression import (
 )
 from invqsar.schema import InputError
 
-from oracles import kkt_residuals, lambda_max, prox_grad_lasso
+from oracles import kkt_residuals, lambda_max, lasso_objective, prox_grad_lasso
 
 
 def test_exact_interpolation():
@@ -60,12 +60,19 @@ def test_kkt_at_solution():
         assert kkt_residuals(x, y, fit.weights, fit.bias, lam).max() <= 1e-6
 
 
+def sweep_objectives(x, y, lam, n_sweeps, w0=None) -> list[float]:
+    """The objective after sweep k = 0..n_sweeps, each read from its own
+    fit stopped at max_sweeps=k."""
+    fits = (lasso_fit(x, y, lam, max_sweeps=k, w0=w0) for k in range(n_sweeps + 1))
+    return [lasso_objective(x, y, f.weights, f.bias, lam) for f in fits]
+
+
 def test_objective_monotone_per_sweep():
     rng = np.random.default_rng(4)
     x = rng.random((25, 7))
     y = rng.random(25)
     fit = lasso_fit(x, y, 0.05)
-    path = fit.objective_path
+    path = sweep_objectives(x, y, 0.05, fit.n_sweeps)
     for before, after in zip(path, path[1:]):
         assert after <= before + 1e-12
 
@@ -126,8 +133,9 @@ def test_warm_start_from_wrong_weights():
         fit = lasso_fit(x, y, lam, w0=w0)
         assert kkt_residuals(x, y, fit.weights, fit.bias, lam).max() <= 1e-6
         assert abs(float((y - x @ fit.weights - fit.bias).mean())) <= 1e-12
-        path = fit.objective_path
-        assert len(path) == fit.n_sweeps + 1
+        # the fit stopped at its own sweep count is the fit itself
+        assert _same_fit(lasso_fit(x, y, lam, w0=w0, max_sweeps=fit.n_sweeps), fit)
+        path = sweep_objectives(x, y, lam, fit.n_sweeps, w0)
         for before, after in zip(path, path[1:]):
             assert after <= before + 1e-12
 
@@ -287,9 +295,9 @@ def test_cv_path_matches_cold_fits(grid, monkeypatch):
 
 
 def _same_fit(a, b) -> bool:
-    """Bit-identical weights, bias, sweep count and objective path."""
+    """Bit-identical weights, bias and sweep count."""
     return (a.weights.tobytes() == b.weights.tobytes() and a.bias == b.bias
-            and a.n_sweeps == b.n_sweeps and a.objective_path == b.objective_path)
+            and a.n_sweeps == b.n_sweeps)
 
 
 def test_fits_on_one_centered_design_match_fits_on_the_array():

@@ -1,7 +1,9 @@
-from invqsar.sdf import parse_sdf
+import pytest
+
+from conftest import sdf_records
 
 
-def _mol_block(name, atoms, bonds, charges=()):
+def _mol_block(name, atoms, bonds, charges=(), charge_line=None):
     lines = [name, "  test", "", f"{len(atoms):3d}{len(bonds):3d}  0  0  0  0  0  0  0  0999 V2000"]
     for sym in atoms:
         lines.append(
@@ -14,6 +16,8 @@ def _mol_block(name, atoms, bonds, charges=()):
         for vid, chg in charges:
             head += f"{vid:4d}{chg:4d}"
         lines.append(head)
+    if charge_line is not None:
+        lines.append(charge_line)
     lines.append("M  END")
     lines.append("$$$$")
     return "\n".join(lines) + "\n"
@@ -21,9 +25,10 @@ def _mol_block(name, atoms, bonds, charges=()):
 
 def test_ethane():
     text = _mol_block("ethane", ["C", "C"], [(1, 2, 1)])
-    result = parse_sdf(text)
-    assert result.ok()
-    (g,) = result.graphs
+    graphs, errors = sdf_records(text)
+    assert not errors
+    ((name, g),) = graphs
+    assert name == "ethane"
     assert g.n_heavy() == 2
     assert g.n_atoms() == 8
     assert g.validate() == []
@@ -34,10 +39,10 @@ def test_five_coordinate_carbon_reported():
         "bad", ["C", "C", "C", "C", "C", "C"],
         [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1), (1, 6, 1)],
     )
-    result = parse_sdf(text)
-    assert not result.graphs
-    assert len(result.errors) == 1
-    msg = result.errors[0].message
+    graphs, errors = sdf_records(text)
+    assert not graphs
+    assert len(errors) == 1
+    msg = errors[0].message
     assert "valence" in msg or "heavy neighbours" in msg
 
 
@@ -46,22 +51,44 @@ def test_mixed_records():
     bad = _mol_block("bad", ["C"] * 6,
                      [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1), (1, 6, 1)])
     good2 = _mol_block("ok2", ["N"], [])
-    result = parse_sdf(good1 + bad + good2)
-    assert len(result.graphs) == 2
-    assert len(result.errors) == 1
-    assert result.errors[0].record == 1
+    graphs, errors = sdf_records(good1 + bad + good2)
+    assert [name for name, _ in graphs] == ["ok1", "ok2"]
+    assert len(errors) == 1
+    assert errors[0].record == 1
 
 
 def test_charge_line():
     text = _mol_block("cation", ["N", "C"], [(1, 2, 1)], charges=[(1, 1)])
-    result = parse_sdf(text)
-    assert result.ok()
-    (g,) = result.graphs
+    graphs, errors = sdf_records(text)
+    assert not errors
+    ((_, g),) = graphs
     n = g.vertex_map[1]
     assert n.charge == 1
     # N+ with one C bond gets 3 implicit hydrogens
     assert sum(1 for w, _ in g.adjacency[1] if g.vertex_map[w].element.is_hydrogen) == 3
     assert g.validate() == []
+
+
+@pytest.mark.parametrize("line, needle", [
+    ("M  CHG  1   3   1", "missing atom 3"),
+    ("M  CHG  1   0   1", "missing atom 0"),
+    ("M  CHG  1  -1   1", "missing atom -1"),
+    ("M  CHG", "malformed charge line"),
+    ("M  CHG  2   1   1", "malformed charge line"),
+    ("M  CHG  1   1   1   2  -1", "malformed charge line"),
+], ids=["past_last_atom", "atom_zero", "negative_atom", "bare",
+        "fewer_pairs_than_count", "more_pairs_than_count"])
+def test_bad_charge_line_is_a_record_error(line, needle):
+    """A charge line that names a missing atom, or whose pairs disagree
+    with its count, fails its own record only."""
+    good1 = _mol_block("ok1", ["C", "O"], [(1, 2, 1)])
+    bad = _mol_block("cation", ["N", "C"], [(1, 2, 1)], charge_line=line)
+    good2 = _mol_block("ok2", ["N"], [])
+    graphs, errors = sdf_records(good1 + bad + good2)
+    assert [name for name, _ in graphs] == ["ok1", "ok2"]
+    ((record, name, message),) = [(e.record, e.name, e.message) for e in errors]
+    assert (record, name) == (1, "cation")
+    assert needle in message
 
 
 def test_multivalent_sulfur():
@@ -70,21 +97,21 @@ def test_multivalent_sulfur():
         "sf", ["S", "O", "O", "C", "C"],
         [(1, 2, 2), (1, 3, 2), (1, 4, 1), (1, 5, 1)],
     )
-    result = parse_sdf(text)
-    assert result.ok()
-    (g,) = result.graphs
+    graphs, errors = sdf_records(text)
+    assert not errors
+    ((_, g),) = graphs
     assert g.vertex_map[1].element.token == "S(6)"
     assert g.validate() == []
 
 
 def test_malformed_counts_line():
     text = "junk\n\n\nnot-a-counts-line\n$$$$\n"
-    result = parse_sdf(text)
-    assert not result.graphs
-    assert len(result.errors) == 1
+    graphs, errors = sdf_records(text)
+    assert not graphs
+    assert len(errors) == 1
 
 
 def test_unknown_element():
     text = _mol_block("odd", ["Zz"], [])
-    result = parse_sdf(text)
-    assert result.errors and "unknown element" in result.errors[0].message
+    graphs, errors = sdf_records(text)
+    assert errors and "unknown element" in errors[0].message

@@ -88,7 +88,7 @@ def test_randomized_inverse_campaign():
         sol = solve(model, backend, time_limit=300, polish=polish_solution)
         assert sol.status == "optimal", "target satisfies the spec, so a " \
             "solution must exist"
-        graph = decode(sol, spec, space)
+        graph = decode(sol, spec)
         assert graph.validate() == []
         fv_dec = featurize(graph, space)
         xs = solution_feature_values(sol, space)
@@ -120,7 +120,7 @@ def test_acyclic_target_roundtrip():
     sol = solve(model, "highs", polish=polish_solution)
     assert sol.status == "optimal"
     assert sol.int_value("rank") == 0
-    graph = decode(sol, spec, space)
+    graph = decode(sol, spec)
     assert graph.validate() == []
     fv_dec = featurize(graph, space)
     xs = solution_feature_values(sol, space)
@@ -155,7 +155,7 @@ def test_fused_rings_make_parallel_seed_edges():
     model = build_milp(spec, space, predictor, y - 0.01, y + 0.01)
     sol = solve(model, "highs", polish=polish_solution)
     assert sol.status == "optimal"
-    graph = decode(sol, spec, space)
+    graph = decode(sol, spec)
     assert graph.validate() == []
     fv_dec = featurize(graph, space)
     xs = solution_feature_values(sol, space)
