@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,15 @@ def _read_json(path: str):
     return Reader(path, UsageError).loads(_read_text(path))
 
 
+def _same_descriptors(what: str, names, space) -> None:
+    """UsageError at the first of `names` that is not the space's name."""
+    for i, pair in enumerate(zip_longest(names, space.descriptor_names), start=1):
+        if pair[0] != pair[1]:
+            got, want = ("nothing" if n is None else repr(n) for n in pair)
+            raise UsageError(f"{what} differs from space.json at descriptor {i}: "
+                             f"{got} where the space has {want}")
+
+
 def run_featurize(cfg: ProjectConfig) -> int:
     # one record at a time: only each record's counts outlive its graph
     names, censuses = [], []
@@ -180,6 +190,7 @@ def run_train(cfg: ProjectConfig) -> int:
     out = Path(cfg.output_dir)
     ids, names, rows = read_feature_csv(_read_text(str(out / "features.csv")))
     space = space_from_json(_read_json(str(out / "space.json")))
+    _same_descriptors("features.csv header", names, space)
     targets = _load_targets(cfg.targets)
     missing = [i for i in ids if i not in targets]
     if missing:
@@ -236,6 +247,7 @@ def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
     predictor = predictor_from_json_text(
         _read_text(cfg.predictor or str(out / "predictor.json"))
     )
+    _same_descriptors("predictor descriptor_names", predictor.descriptor_names, space)
     lo_std = predictor.standardize(y_lo)
     hi_std = predictor.standardize(y_hi)
     model = build_milp(spec, space, predictor, lo_std, hi_std)
@@ -293,6 +305,7 @@ def run_verify(graph_path: str, spec_path: str, predictor_path: str,
     predictor = predictor_from_json_text(_read_text(predictor_path))
     if predictor.space_hash != space_hash(space):
         raise UsageError("predictor was trained against a different space")
+    _same_descriptors("predictor descriptor_names", predictor.descriptor_names, space)
     problems = graph.validate()
     if problems:
         # descriptors are undefined on a graph that breaks its invariants

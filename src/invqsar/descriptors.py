@@ -191,14 +191,8 @@ class FeatureVector:
 
     values: tuple[int | Fraction, ...]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def as_floats(self) -> list[float]:
         return [float(v) for v in self.values]
-
-    def __getitem__(self, i: int):
-        return self.values[i]
 
 
 @dataclass(frozen=True)

@@ -117,9 +117,6 @@ class ChemicalGraph:
     def element(self, vid: int) -> ElementSpec:
         return self.vertex_map[vid].element
 
-    def charge(self, vid: int) -> int:
-        return self.vertex_map[vid].charge
-
     def degree(self, vid: int) -> int:
         return len(self.adjacency[vid])
 

@@ -92,7 +92,7 @@ class Build:
         self.t_f = spec.t_leaf
         self.leafable = seed.leafable  # tuple of seed positions
         self.t_c_tilde = len(self.leafable)
-        self.c_f = self.t_c_tilde + self.t_t
+        self.c_f = spec.c_f
         self.rho = spec.rho
         self.n_star = spec.n_star
 

@@ -134,7 +134,7 @@ def decode(sol: Solution, spec: TopologicalSpecification) -> ChemicalGraph:
 
     # leaf paths carved from the F slots
     chi_f = {i: iv(f"chiF_{i}") for i in used["F"]}
-    for c in range(1, t_c_tilde + t_t + 1):
+    for c in range(1, spec.c_f + 1):
         if iv(f"dclrF_{c}") == 0:
             continue
         run = sorted(i for i in used["F"] if chi_f[i] == c)

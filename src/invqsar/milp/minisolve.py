@@ -8,9 +8,10 @@ a `Fraction` is made only where a value is fractional; every division goes
 through `Fraction`, since `int / int` would give a float.  Keeping rational
 arithmetic off the paths that do not need it follows Applegate, Cook, Dash
 & Espinoza, "Exact solutions to linear programming problems" (2007).
-Returned values are Fractions.  Intended for models up to a few hundred
-integer variables; larger models go to in-process HiGHS, the CLI's default
-backend.
+Returned values are Fractions, and every variable starts in a finite box
+(`MILPModel.add_var` rejects an infinite bound).  Intended for models up to
+a few hundred integer variables; larger models go to in-process HiGHS, the
+CLI's default backend.
 
 Models have no objective, so the search looks for any integral point.  Per
 node: bound propagation and elimination presolve, then a phase-1
@@ -48,7 +49,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, inf, lcm
+from math import ceil, floor, gcd, lcm
 
 from .model import CONTINUOUS, LE, GE, MILPModel
 
@@ -101,15 +102,9 @@ class Problem:
 
     @staticmethod
     def from_model(model: MILPModel) -> "Problem":
-        pvars = []
-        for v in model.variables:
-            if v.lb == -inf or v.ub == inf:
-                raise MiniSolverError(
-                    f"mini-solver requires finite bounds (variable {v.name})"
-                )
-            pvars.append(
-                PVar(v.name, _exact(v.lb), _exact(v.ub), v.kind != CONTINUOUS)
-            )
+        # every model variable has finite bounds (MILPModel.add_var)
+        pvars = [PVar(v.name, _exact(v.lb), _exact(v.ub), v.kind != CONTINUOUS)
+                 for v in model.variables]
         indices, exact = model.indices, model.exact_data()
         rows = []
         for _, start, end, sense, rhs in model.rows():

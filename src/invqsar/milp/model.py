@@ -6,8 +6,9 @@ for any point in the target window.  The LP text still carries an empty
 `Minimize` section, since LP readers require one.
 
 The model is an indexed store.  `add_var` gives each variable the next
-column index.  `add_constr` checks a row, resolves each term's variable name
-to its column once, and appends the row in compressed sparse row form:
+column index and finite bounds (it and `fix_var` reject any other bound).
+`add_constr` checks a row, resolves each term's variable name to its
+column once, and appends the row in compressed sparse row form:
 `indices` and `data` hold every row's column indices and float
 coefficients, row r's terms are positions `indptr[r]:indptr[r + 1]`, and
 `row_names`, `row_senses` and `row_rhs` hold the rest.  HiGHS gets these
@@ -30,6 +31,7 @@ least common denominator of its terms.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
@@ -53,8 +55,7 @@ class ModelError(ValueError):
 
 
 def fmt_num(v: float) -> str:
-    if v != v or math.isinf(v):
-        raise ModelError(f"cannot emit non-finite coefficient {v}")
+    """A finite float as LP text: an int when integral, else repr."""
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(v)
@@ -95,6 +96,8 @@ class MILPModel:
 
     def add_var(self, name: str, kind: str = CONTINUOUS,
                 lb: float = 0.0, ub: float = math.inf) -> str:
+        """The default upper bound suits only a binary: its bounds are
+        clamped to [0, 1], and no variable may keep an infinite one."""
         # an ASCII identifier is exactly [A-Za-z_][A-Za-z0-9_]*
         if not (name.isascii() and name.isidentifier()):
             raise ModelError(f"bad variable name {name!r}")
@@ -102,18 +105,9 @@ class MILPModel:
             raise ModelError(f"duplicate variable {name!r}")
         if kind not in (BINARY, INTEGER, CONTINUOUS):
             raise ModelError(f"unknown variable kind {kind!r}")
-        lb, ub = float(lb), float(ub)
-        if math.isnan(lb) or math.isnan(ub):
-            raise ModelError(f"variable {name} has a NaN bound")
-        if kind == BINARY:
-            lb = max(0.0, lb)
-            ub = min(1.0, ub)
-        if lb > ub:
-            raise ModelError(f"variable {name}: lower bound {lb} above upper {ub}")
-        if kind in (BINARY, INTEGER) and (math.isinf(lb) or math.isinf(ub)):
-            raise ModelError(f"integer variable {name} must have finite bounds")
+        var = _checked_var(name, kind, lb, ub)
         self._col[name] = len(self._vars)
-        self._vars.append(Var(name, kind, lb, ub))
+        self._vars.append(var)
         return name
 
     def add_constr(self, name: str, coeffs, sense: str, rhs: float) -> str:
@@ -207,28 +201,34 @@ class MILPModel:
 
     def fix_var(self, name: str, value: float) -> None:
         j = self._col[name]
-        old = self._vars[j]
-        self._vars[j] = Var(old.name, old.kind, float(value), float(value))
+        self._vars[j] = _checked_var(name, self._vars[j].kind, value, value)
+
+
+def _checked_var(name: str, kind: str, lb: float, ub: float) -> Var:
+    """The variable with float bounds, a binary's clamped to [0, 1]; NaN,
+    crossing and infinite bounds raise ModelError, in that order."""
+    lb, ub = float(lb), float(ub)
+    if math.isnan(lb) or math.isnan(ub):
+        raise ModelError(f"variable {name} has a NaN bound")
+    if kind == BINARY:
+        lb = max(0.0, lb)
+        ub = min(1.0, ub)
+    if lb > ub:
+        raise ModelError(f"variable {name}: lower bound {lb} above upper {ub}")
+    if math.isinf(lb) or math.isinf(ub):
+        what = "variable" if kind == CONTINUOUS else "integer variable"
+        raise ModelError(f"{what} {name} must have finite bounds")
+    return Var(name, kind, lb, ub)
 
 
 def emit_lp(model: MILPModel) -> str:
     """Serialize to CPLEX LP text with deterministic ordering."""
-    out: list[str] = []
-    out.append(f"\\ model {model.name}")
-    for key in sorted(model.metadata):
-        out.append(f"\\ meta {key} {model.metadata[key]}")
-    out.append("Minimize")
-    out.append(" obj:")
-    out.append("Subject To")
+    out = [f"\\ model {model.name}"]
+    out += [f"\\ meta {key} {model.metadata[key]}" for key in sorted(model.metadata)]
+    out += ["Minimize", " obj:", "Subject To"]
     # rhs values and bounds are mostly 0, 1 or a small int: each distinct
     # one is formatted once
-    formatted: dict[float, str] = {}
-
-    def num(x: float) -> str:
-        text = formatted.get(x)
-        if text is None:
-            text = formatted[x] = fmt_num(x)
-        return text
+    num = functools.cache(fmt_num)
 
     variables = model.variables
     names = [v.name for v in variables]
@@ -245,15 +245,7 @@ def emit_lp(model: MILPModel) -> str:
                    f"{sense} {num(rhs)}")
     out.append("Bounds")
     # every variable is listed so declaration order survives a round trip
-    for v in variables:
-        if math.isinf(v.lb) and math.isinf(v.ub):
-            out.append(f" {v.name} free")
-        elif math.isinf(v.ub):
-            out.append(f" {v.name} >= {num(v.lb)}")
-        elif math.isinf(v.lb):
-            out.append(f" {v.name} <= {num(v.ub)}")
-        else:
-            out.append(f" {num(v.lb)} <= {v.name} <= {num(v.ub)}")
+    out.extend(f" {num(v.lb)} <= {v.name} <= {num(v.ub)}" for v in variables)
     generals = [v.name for v in variables if v.kind == INTEGER]
     binaries = [v.name for v in variables if v.kind == BINARY]
     if generals:
@@ -298,11 +290,9 @@ def check_solution(
         ints.append(n)
         # an int compares with a float bound exactly, so an integral value
         # inside its bounds needs no Fraction; it is integral, too
-        if ((n is None or n < v.lb) and not math.isinf(v.lb)
-                and val < Fraction(v.lb) - ftol):
+        if (n is None or n < v.lb) and val < Fraction(v.lb) - ftol:
             problems.append(f"{v.name} = {float(val)} below lower bound {v.lb}")
-        if ((n is None or n > v.ub) and not math.isinf(v.ub)
-                and val > Fraction(v.ub) + ftol):
+        if (n is None or n > v.ub) and val > Fraction(v.ub) + ftol:
             problems.append(f"{v.name} = {float(val)} above upper bound {v.ub}")
         if (n is None and v.kind in (BINARY, INTEGER)
                 and abs(val - round(val)) > ftol):

@@ -30,6 +30,10 @@ INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
 
 
+# CHECK_TOL exactly, as the residual check reads it
+_EXACT_TOL = Fraction(repr(CHECK_TOL))
+
+
 class SolverFailure(RuntimeError):
     """A solver crashed, stopped before an answer or wrote garbage."""
 
@@ -47,7 +51,7 @@ class Solution:
     def int_value(self, name: str) -> int:
         v = self.values[name]
         nearest = round(v)
-        if abs(v - nearest) > Fraction(1, 10**6):
+        if abs(v - nearest) > _EXACT_TOL:
             raise SolutionCheckError(f"{name} = {float(v)} is not integral")
         return int(nearest)
 
@@ -152,9 +156,9 @@ def _unmeetable_row(model: MILPModel, rows, bounds) -> str | None:
     violated by up to CHECK_TOL, so a <= row is claimed only when its
     minimum activity over the box widened by tol exceeds rhs + tol, that
     is amin - tol*sum|a_j| > rhs + tol; a >= row by the mirror image, and
-    an = row by either.  A row with an infinite bound in the activity is
-    never claimed.  A float pass over the arrays picks the rows within tol
-    of a claim; the verdict on each comes from ints and Fractions."""
+    an = row by either.  Every bound is finite (`MILPModel.add_var`), so
+    every activity is.  A float pass over the arrays picks the rows within
+    tol of a claim; the verdict on each comes from ints and Fractions."""
     import numpy as np
 
     a = rows.A
@@ -164,12 +168,10 @@ def _unmeetable_row(model: MILPModel, rows, bounds) -> str | None:
     amin = np.add.reduceat(np.where(up, a.data * lo, a.data * hi), starts)
     amax = np.add.reduceat(np.where(up, a.data * hi, a.data * lo), starts)
     width = CHECK_TOL * np.add.reduceat(np.abs(a.data), starts)
-    # a one-sided row's missing side is infinite and picks nothing, and
-    # neither does the nan of a variable fixed at an infinite bound
+    # a one-sided row's missing side is infinite and picks nothing
     picked = np.flatnonzero((amin - width > rows.ub) | (amax + width < rows.lb))
     if not len(picked):
         return None
-    tol = Fraction(repr(CHECK_TOL))
     for r in picked.tolist():
         terms = slice(a.indptr[r], a.indptr[r + 1])
         coefs = [Fraction(c) for c in a.data[terms].tolist()]
@@ -178,13 +180,11 @@ def _unmeetable_row(model: MILPModel, rows, bounds) -> str | None:
         low, high = zip(*((lb, ub) if c > 0 else (ub, lb) for c, lb, ub in
                           zip(coefs, bounds.lb[js].tolist(),
                               bounds.ub[js].tolist())))
-        width_r = tol * sum(map(abs, coefs))
+        width_r = _EXACT_TOL * sum(map(abs, coefs))
         rhs, sense = Fraction(model.row_rhs[r]), model.row_senses[r]
-        if (sense != GE and not any(map(math.isinf, low))
-                and _dot(coefs, low) - width_r > rhs + tol):
+        if sense != GE and _dot(coefs, low) - width_r > rhs + _EXACT_TOL:
             return model.row_names[r]
-        if (sense != LE and not any(map(math.isinf, high))
-                and _dot(coefs, high) + width_r < rhs - tol):
+        if sense != LE and _dot(coefs, high) + width_r < rhs - _EXACT_TOL:
             return model.row_names[r]
     return None
 

@@ -5,8 +5,8 @@ It runs covariance coordinate descent over an active set, closed by a full
 KKT pass; cross-validation centers each training split once and walks its
 penalty grid in descending order, warm-starting every fit from the previous
 one and sharing the split's Gram columns along that path.  CV follows the
-five-fold protocol with a configurable number of executions and reports
-the median test R-squared across all trials.
+paper's five-fold protocol (CV_FOLDS) with a configurable number of
+executions and reports the median test R-squared across all trials.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schema import NUMBER, STRING, Field, InputError, Reader, Table, list_of
+
+
+CV_FOLDS = 5  # the paper's cross-validation protocol: five folds per execution
 
 
 class FitError(ValueError):
@@ -239,19 +242,18 @@ def cross_validate_path(
     y: np.ndarray,
     lams,
     executions: int = 10,
-    folds: int = 5,
     seed: int = 0,
 ) -> list[CvReport]:
-    """Repeated random k-fold evaluation of every penalty in `lams`, with a
-    seeded generator.  Each training split is centered once, as one
+    """Repeated random CV_FOLDS-fold evaluation of every penalty in `lams`,
+    with a seeded generator.  Each training split is centered once, as one
     CenteredDesign, and walks the penalties from the largest down,
     warm-starting each fit from the previous one; the reports come back in
     the order of `lams`."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
-    if n < 2 * folds:
-        raise FitError(f"need at least {2 * folds} samples for {folds}-fold CV")
+    if n < 2 * CV_FOLDS:
+        raise FitError(f"need at least {2 * CV_FOLDS} samples for {CV_FOLDS}-fold CV")
     if executions < 1:
         raise FitError("need at least one cross-validation execution")
     order = sorted(range(len(lams)), key=lambda i: -lams[i])
@@ -260,10 +262,10 @@ def cross_validate_path(
     selected: list[list[int]] = [[] for _ in lams]
     for _ in range(executions):
         perm = rng.permutation(n)
-        parts = np.array_split(perm, folds)
-        for k in range(folds):
+        parts = np.array_split(perm, CV_FOLDS)
+        for k in range(CV_FOLDS):
             test_idx = parts[k]
-            train_idx = np.concatenate([parts[j] for j in range(folds) if j != k])
+            train_idx = np.concatenate([parts[j] for j in range(CV_FOLDS) if j != k])
             design = CenteredDesign(x[train_idx])
             y_train = y[train_idx]
             w = None

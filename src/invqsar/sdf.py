@@ -20,7 +20,8 @@ from .elements import (
 )
 from .graph import ChemicalGraph, Edge, Vertex
 
-# old-style charge column of the atom block
+# old-style charge column of the atom block; code 4, a doublet radical, has
+# no charge a chemical graph can hold
 _CHG_COLUMN = {0: 0, 1: 3, 2: 2, 3: 1, 5: -1, 6: -2, 7: -3}
 
 
@@ -64,13 +65,15 @@ def _parse_record(lines: list[str], index: int) -> tuple[ChemicalGraph, str]:
 
     symbols: list[str] = []
     charges: list[int] = []
-    for ln in atom_lines:
+    for i, ln in enumerate(atom_lines, start=1):
         parts = ln.split()
         if len(parts) < 4:
             raise ValueError(f"malformed atom line: {ln!r}")
         symbols.append(parts[3])
-        chg_col = int(parts[5]) if len(parts) > 5 else 0
-        charges.append(_CHG_COLUMN.get(chg_col, 0))
+        code = int(parts[5]) if len(parts) > 5 else 0
+        if code not in _CHG_COLUMN:
+            raise ValueError(f"atom {i} has unsupported charge code {code}")
+        charges.append(_CHG_COLUMN[code])
 
     bonds: list[tuple[int, int, int]] = []
     for ln in bond_lines:

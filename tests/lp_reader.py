@@ -8,7 +8,6 @@ objective section must be empty.
 
 from __future__ import annotations
 
-import math
 import re
 
 from invqsar.milp.model import (
@@ -120,7 +119,6 @@ def parse_lp(text: str) -> MILPModel:
 
     # declare variables in first-appearance order to mirror emit ordering
     bounds: dict[str, tuple[float, float]] = {}
-    free: set[str] = set()
     order: list[str] = []
     seen: set[str] = set()
 
@@ -129,28 +127,14 @@ def parse_lp(text: str) -> MILPModel:
             seen.add(varname)
             order.append(varname)
 
+    # emit_lp writes every variable's finite bounds as one lo <= var <= hi row
     for row in bound_rows:
-        if row.endswith(" free"):
-            varname = row[: -len(" free")].strip()
-            note(varname)
-            free.add(varname)
-            continue
         m = re.match(
             r"^(?P<lo>[-+0-9eE.]+)\s*<=\s*(?P<var>\w+)\s*<=\s*(?P<hi>[-+0-9eE.]+)$", row
         )
         if m:
             note(m.group("var"))
             bounds[m.group("var")] = (float(m.group("lo")), float(m.group("hi")))
-            continue
-        m = re.match(r"^(?P<var>\w+)\s*(?P<op><=|>=)\s*(?P<val>[-+0-9eE.]+)$", row)
-        if m:
-            varname = m.group("var")
-            note(varname)
-            lo, hi = bounds.get(varname, (0.0, math.inf))
-            if m.group("op") == "<=":
-                bounds[varname] = (-math.inf, float(m.group("val")))
-            else:
-                bounds[varname] = (float(m.group("val")), math.inf)
             continue
         raise ModelError(f"cannot parse bound row {row!r}")
 
@@ -163,19 +147,11 @@ def parse_lp(text: str) -> MILPModel:
     general_set = set(general_names)
     binary_set = set(binary_names)
     for varname in order:
-        if varname in binary_set:
-            kind = BINARY
-            lo, hi = bounds.get(varname, (0.0, 1.0))
-        elif varname in general_set:
-            kind = INTEGER
-            lo, hi = bounds.get(varname, (0.0, math.inf))
-        else:
-            kind = CONTINUOUS
-            if varname in free:
-                lo, hi = -math.inf, math.inf
-            else:
-                lo, hi = bounds.get(varname, (0.0, math.inf))
-        model.add_var(varname, kind, lo, hi)
+        if varname not in bounds:
+            raise ModelError(f"no bounds row for {varname!r}")
+        kind = (BINARY if varname in binary_set
+                else INTEGER if varname in general_set else CONTINUOUS)
+        model.add_var(varname, kind, *bounds[varname])
 
     for name, terms, cmp_op, rhs in parsed_constrs:
         model.add_constr(name, terms, cmp_op, rhs)

@@ -17,10 +17,7 @@ _EXPR = rf"-?\s*{_TERM}(?:\s*[+-]\s*{_TERM})*"
 _OBJ_RE = re.compile(rf"^\s*{_NAME}:\s*(?:{_EXPR})?\s*$")
 _CON_RE = re.compile(rf"^\s*{_NAME}:\s*{_EXPR}\s*(<=|>=|=)\s*-?{_NUM}\s*$")
 _BOUND_RE = re.compile(
-    rf"^\s*(?:-?{_NUM}\s*<=\s*{_NAME}\s*<=\s*-?{_NUM}"
-    rf"|{_NAME}\s*(?:<=|>=)\s*-?{_NUM}"
-    rf"|{_NAME}\s+free)\s*$"
-)
+    rf"^\s*-?{_NUM}\s*<=\s*{_NAME}\s*<=\s*-?{_NUM}\s*$")
 _NAME_RE = re.compile(rf"^\s*{_NAME}\s*$")
 
 _SECTIONS = {

@@ -330,9 +330,9 @@ def check_solution(model: MILPModel, values, tol: float = 1e-6) -> list[str]:
             problems.append(f"missing value for {v.name}")
             continue
         val = values[v.name]
-        if not math.isinf(v.lb) and val < Fraction(v.lb) - ftol:
+        if val < Fraction(v.lb) - ftol:
             problems.append(f"{v.name} = {float(val)} below lower bound {v.lb}")
-        if not math.isinf(v.ub) and val > Fraction(v.ub) + ftol:
+        if val > Fraction(v.ub) + ftol:
             problems.append(f"{v.name} = {float(val)} above upper bound {v.ub}")
         if v.kind in (BINARY, INTEGER):
             nearest = round(val)

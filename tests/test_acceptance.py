@@ -173,7 +173,7 @@ def test_criterion_5_cv_protocol():
     n, k = 200, 30
     x = rng.random((n, k))
     y = x @ (rng.random(k) + 0.05) + 0.3
-    reportcv = cross_validate_path(x, y, [1e-6], executions=10, folds=5, seed=4)[0]
+    reportcv = cross_validate_path(x, y, [1e-6], executions=10, seed=4)[0]
     report(
         5,
         "cross-validation protocol",

@@ -316,6 +316,61 @@ def test_train_id_mismatch(project, capsys):
         "error: no target value for ids ['mol0', 'mol1', 'mol2', 'mol3', 'mol4']\n")
 
 
+def _drop_last_column(path):
+    lines = path.read_text().splitlines()
+    path.write_text("".join(ln.rsplit(",", 1)[0] + "\n" for ln in lines))
+
+
+def test_train_rejects_features_that_differ_from_the_space(project, capsys):
+    """A features.csv header that is not space.json's descriptor list
+    would give a predictor of the wrong width under the space's hash."""
+    tmp, cfg_path, fx = project
+    assert main(["featurize", "--config", str(cfg_path)]) == 0
+    _drop_last_column(tmp / "out" / "features.csv")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: features.csv header differs from space.json at descriptor 25: "
+        "nothing where the space has 'ac_C_C_1'\n")
+    assert not (tmp / "out" / "predictor.json").exists()
+
+
+def _drop_last_descriptor(doc):
+    for key in ("weights", "min", "max", "descriptor_names"):
+        doc[key] = doc[key][:-1]
+
+
+def _swap_first_descriptors(doc):
+    names = doc["descriptor_names"]
+    names[0], names[1] = names[1], names[0]
+
+
+@pytest.mark.parametrize("command", ["verify", "infer"])
+@pytest.mark.parametrize("edit, message", [
+    (_drop_last_descriptor, "descriptor 25: nothing where the space has 'ac_C_C_1'"),
+    (_swap_first_descriptors, "descriptor 1: 'rank' where the space has 'n_heavy'"),
+], ids=["dropped", "swapped"])
+def test_predictor_of_other_descriptors_is_a_usage_error(trained, capsys, command,
+                                                         edit, message):
+    """A predictor stamped with the space's hash but not trained on its
+    descriptors, in their order, is an input error, not a failed check."""
+    tmp, cfg_path = trained
+    out = tmp / "out"
+    doc = json.loads((out / "predictor.json").read_text())
+    edit(doc)
+    (out / "predictor.json").write_text(json.dumps(doc))
+    (tmp / "graph.json").write_text(graph_to_json_text(ring(3)))
+    argv = {
+        "infer": ["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"],
+        "verify": ["verify", str(tmp / "graph.json"), str(tmp / "spec.json"),
+                   str(out / "predictor.json"), str(out / "space.json")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: predictor descriptor_names differs from space.json at {message}\n")
+
+
 def test_verify_flags_bad_graph(project, capsys, tmp_path):
     tmp, cfg_path, fx = project
     assert main(["featurize", "--config", str(cfg_path)]) == 0

@@ -5,13 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from invqsar.descriptors import build_space, featurize
+from invqsar.descriptors import build_space, featurize, take_census
 from invqsar.milp.build import (
     EPSILON,
     VARIABLE_FAMILIES,
     Build,
     BuildError,
     build_milp,
+    polish_solution,
 )
 from invqsar.milp.decode import decode
 from invqsar.milp.model import emit_lp
@@ -246,6 +247,67 @@ def test_unroutable_colored_edge_names_its_contradiction():
     assert sol.status == "infeasible"
     assert sol.log == ("HiGHS not called: row never_clrT_1_range cannot be "
                        "met within the variable bounds\n")
+
+
+def _edited_model(fixture, edit):
+    """The model of a fixture's spec after edit(doc), with no predictor."""
+    fx = roundtrip_fixture(fixture)
+    doc = spec_to_json(fx.spec)
+    edit(doc)
+    spec = parse_spec(json.dumps(doc))
+    return spec, fx.space, build_milp(spec, fx.space)
+
+
+def _never_rows(model):
+    return [name for name in model.row_names if name.startswith("never_")]
+
+
+def test_in_space_leaf_edge_bound_is_a_range_row():
+    """A spec bound on a leaf-edge configuration of the space bounds its
+    tally aclf_<idx>, and the decoded graph keeps it."""
+    spec, space, model = _edited_model("expanded_path", lambda doc: doc.update(
+        ac_lf=[{"a": "C", "b": "C", "mult": 1, "lb": 2, "ub": 3}]))
+    assert [a.label for a in space.ac_lf] == ["C_C_1"]
+    bounds = [model.constraint(name) for name in model.row_names
+              if name.startswith("fr_acrange_")]
+    assert bounds == [("fr_acrange_1_lo", (("aclf_1", 1.0),), ">=", 2.0),
+                      ("fr_acrange_1_hi", (("aclf_1", 1.0),), "<=", 3.0)]
+    assert _never_rows(model) == []
+    sol = solve(model, "highs", polish=polish_solution)
+    assert sol.status == "optimal"
+    g = decode(sol, spec)
+    (config,) = space.ac_lf
+    assert 2 <= take_census(g, spec.rho).leaf_edges[config] <= 3
+    report = check_graph_satisfies(spec, g)
+    assert report.passed, report.to_text()
+
+
+# an edit of a fixture's spec whose requirement no graph meets -> the one
+# contradiction row the builder writes for it
+CONTRADICTIONS = {
+    # a required leaf-edge configuration outside the space, named by its
+    # position in the spec's ac_lf list
+    "ac_lf_outside_space": ("expanded_path", lambda doc: doc.update(ac_lf=[
+        {"a": "C", "b": "C", "mult": 1, "lb": 0, "ub": 2},
+        {"a": "N", "b": "C", "mult": 2, "lb": 1, "ub": 2}]), "never_ac_lf_2"),
+    # more copies of fringe tree 2 than interior vertices: Build.ivar
+    "fc_lb_above_n_int_ub": ("expanded_path", lambda doc: doc["fringe_trees"][1]
+                             .update(fc_lb=doc["n_int_ub"] + 1), "never_fc_2_bounds"),
+    # a double bond on a fixed seed edge counts at most once: Build.rng
+    "bond2_lb_on_direct_edge": ("triangle", lambda doc: doc["seed"]["edges"][0]
+                                .update(bond2_lb=2), "never_bb_direct_1_2"),
+}
+
+
+@pytest.mark.parametrize("case", CONTRADICTIONS)
+def test_contradiction_rows_are_proved_before_highs(case):
+    fixture, edit, row = CONTRADICTIONS[case]
+    _, _, model = _edited_model(fixture, edit)
+    assert _never_rows(model) == [row]
+    sol = solve(model, "highs")
+    assert sol.status == "infeasible"
+    assert sol.log == (f"HiGHS not called: row {row} cannot be met within the "
+                       "variable bounds\n")
 
 
 def test_every_variable_belongs_to_a_cataloged_family():

@@ -197,7 +197,8 @@ def test_unknown_variable_rejected():
 
 
 # (name, kind, lb, ub) -> the exact message; the first fault in the order
-# name, duplicate, kind, NaN, crossing bounds, infinite integer bound wins
+# name, duplicate, kind, NaN, crossing bounds, infinite bound wins.  A
+# binary's bounds are clamped to [0, 1] first, so they are never infinite.
 ADD_VAR_FAULTS = [
     (("1x", BINARY, 0, 1), "bad variable name '1x'"),
     (("", CONTINUOUS, 0, 1), "bad variable name ''"),
@@ -215,6 +216,10 @@ ADD_VAR_FAULTS = [
      "variable c: lower bound 2.0 above upper -inf"),
     (("n", INTEGER, 0, math.inf), "integer variable n must have finite bounds"),
     (("n", INTEGER, -math.inf, 0), "integer variable n must have finite bounds"),
+    (("x1", CONTINUOUS, 0, math.inf), "variable x1 must have finite bounds"),
+    (("x1", CONTINUOUS, -math.inf, 0), "variable x1 must have finite bounds"),
+    (("x1", CONTINUOUS, -math.inf, math.inf),
+     "variable x1 must have finite bounds"),
 ]
 
 
@@ -226,6 +231,34 @@ def test_add_var_fault_messages(args, message):
         m.add_var(*args)
     assert str(err.value) == message
     assert [v.name for v in m.variables] == ["x"]
+
+
+# (kind, value) -> the exact message of fix_var on the variable v of that
+# kind, whose bounds it leaves as they were
+FIX_VAR_FAULTS = [
+    ((CONTINUOUS, math.inf), "variable v must have finite bounds"),
+    ((CONTINUOUS, -math.inf), "variable v must have finite bounds"),
+    ((INTEGER, math.inf), "integer variable v must have finite bounds"),
+    ((INTEGER, -math.inf), "integer variable v must have finite bounds"),
+    ((BINARY, math.inf), "variable v: lower bound inf above upper 1.0"),
+    ((BINARY, -math.inf), "variable v: lower bound 0.0 above upper -inf"),
+    ((BINARY, 2), "variable v: lower bound 2.0 above upper 1.0"),
+    ((CONTINUOUS, math.nan), "variable v has a NaN bound"),
+]
+
+
+@pytest.mark.parametrize("args, message", FIX_VAR_FAULTS)
+def test_fix_var_fault_messages(args, message):
+    kind, value = args
+    m = MILPModel()
+    m.add_var("v", kind, -1, 1)
+    before = m.var("v")
+    with pytest.raises(ModelError) as err:
+        m.fix_var("v", value)
+    assert str(err.value) == message
+    assert m.var("v") == before
+    m.fix_var("v", 1)
+    assert m.var("v") == ("v", kind, 1.0, 1.0)
 
 
 INF, NAN = math.inf, math.nan
@@ -379,16 +412,12 @@ def model_and_values(draw):
         hi = lo + abs(draw(check_numbers))
         if kind == BINARY:
             lo, hi = 0, 1
-        elif kind == CONTINUOUS:
-            lo = draw(st.sampled_from([lo, -math.inf]))
-            hi = draw(st.sampled_from([hi, math.inf]))
         m.add_var(f"v{i}", kind, lo, hi)
     values = {}
     for v in m.variables:
         if draw(st.integers(0, 60)) == 0:
             continue  # missing value
-        lo = Fraction(v.lb) if v.lb > -math.inf else Fraction(min(v.ub, 0)) - 3
-        hi = Fraction(v.ub) if v.ub < math.inf else lo + 3
+        lo, hi = Fraction(v.lb), Fraction(v.ub)
         inside = lo + (hi - lo) * draw(st.sampled_from([0, Fraction(1, 3), 1]))
         if v.kind != CONTINUOUS and math.ceil(lo) <= hi:
             inside = Fraction(draw(st.integers(math.ceil(lo), math.floor(hi))))

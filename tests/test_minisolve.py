@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from invqsar.milp.minisolve import (
     PAIR,
-    MiniSolverError,
     Problem,
     PRow,
     PVar,
@@ -77,14 +76,6 @@ def test_pure_integer_feasibility_stops_on_first():
     out = solve_exact(m)
     assert out.status == "optimal"
     assert sum(out.values[f"b{i}"] for i in range(6)) == 3
-
-
-def test_requires_finite_bounds():
-    m = MILPModel()
-    m.add_var("x", CONTINUOUS)  # ub defaults to +inf
-    m.add_constr("c", {"x": 1}, LE, 5)
-    with pytest.raises(MiniSolverError):
-        solve_exact(m)
 
 
 def test_timeout_status():

@@ -3,11 +3,12 @@ import pytest
 from conftest import sdf_records
 
 
-def _mol_block(name, atoms, bonds, charges=(), charge_line=None):
+def _mol_block(name, atoms, bonds, charges=(), charge_line=None, codes=None):
+    """A V2000 record; `codes` gives each atom's charge-column code."""
     lines = [name, "  test", "", f"{len(atoms):3d}{len(bonds):3d}  0  0  0  0  0  0  0  0999 V2000"]
-    for sym in atoms:
+    for sym, code in zip(atoms, codes or [0] * len(atoms)):
         lines.append(
-            f"    0.0000    0.0000    0.0000 {sym:<3} 0  0  0  0  0  0  0  0  0  0  0  0"
+            f"    0.0000    0.0000    0.0000 {sym:<3} 0{code:3d}  0  0  0  0  0  0  0  0  0  0"
         )
     for u, v, m in bonds:
         lines.append(f"{u:3d}{v:3d}{m:3d}  0  0  0  0")
@@ -81,14 +82,77 @@ def test_charge_line():
 def test_bad_charge_line_is_a_record_error(line, needle):
     """A charge line that names a missing atom, or whose pairs disagree
     with its count, fails its own record only."""
-    good1 = _mol_block("ok1", ["C", "O"], [(1, 2, 1)])
     bad = _mol_block("cation", ["N", "C"], [(1, 2, 1)], charge_line=line)
+    assert needle in _only_error(bad, "cation")
+
+
+def _only_error(bad: str, name: str) -> str:
+    """The message of the one record error that the record text `bad`
+    gives between two good records, which still parse."""
+    good1 = _mol_block("ok1", ["C", "O"], [(1, 2, 1)])
     good2 = _mol_block("ok2", ["N"], [])
     graphs, errors = sdf_records(good1 + bad + good2)
-    assert [name for name, _ in graphs] == ["ok1", "ok2"]
-    ((record, name, message),) = [(e.record, e.name, e.message) for e in errors]
-    assert (record, name) == (1, "cation")
-    assert needle in message
+    assert [n for n, _ in graphs] == ["ok1", "ok2"]
+    ((record, got, message),) = [(e.record, e.name, e.message) for e in errors]
+    assert (record, got) == (1, name)
+    return message
+
+
+def test_charge_column_codes():
+    """The atom block's charge codes 1-3 and 5-7 give +3..+1 and -1..-3."""
+    text = "".join(_mol_block(f"c{code}", ["C"], [], codes=[code])
+                   for code in (0, 1, 2, 3, 5, 6, 7))
+    graphs, errors = sdf_records(text)
+    assert not errors
+    assert [g.vertex_map[1].charge for _, g in graphs] == [0, 3, 2, 1, -1, -2, -3]
+
+
+# one record text -> its exact message: every error _parse_record raises
+NITROGEN = "    0.0000    0.0000    0.0000 N   0  0  0  0  0  0  0  0  0  0  0  0"
+COUNTS_1_0 = "  1  0  0  0  0  0  0  0  0  0999 V2000"
+PARSE_RECORD_FAULTS = {
+    "short_record": ("bad\n\n$$$$\n", "record too short for a molfile header"),
+    "short_counts": ("bad\n\n\n  1\n$$$$\n", "malformed counts line"),
+    "counts_not_numbers": (
+        "bad\n\n\n  x  0  0  0  0  0  0  0  0  0999 V2000\n$$$$\n",
+        "malformed counts line: '  x  0  0  0  0  0  0  0  0  0999 V2000'"),
+    "v3000": (
+        "bad\n\n\n  1  0  0  0  0  0  0  0  0  0999 V3000\n"
+        f"{NITROGEN}\nM  END\n$$$$\n",
+        "only V2000 molfiles are supported"),
+    "block_sizes": (
+        f"bad\n\n\n  3  0  0  0  0  0  0  0  0  0999 V2000\n{NITROGEN}\n$$$$\n",
+        "counts line disagrees with block sizes"),
+    "atom_line": (f"bad\n\n\n{COUNTS_1_0}\n    0.0000    0.0000\nM  END\n$$$$\n",
+                  "malformed atom line: '    0.0000    0.0000'"),
+    "bond_line": (_mol_block("bad", ["C", "O"], [(1, 2, 1)]).replace(
+        "  1  2  1  0", "  1  x  1  0"), "malformed bond line: '  1  x  1  0  0  0  0'"),
+    "missing_bond_atom": (_mol_block("bad", ["C", "O"], [(1, 3, 1)]),
+                          "bond (1,3) references a missing atom"),
+    "over_valence": (
+        _mol_block("bad", ["C", "O", "O", "O"], [(1, 2, 2), (1, 3, 2), (1, 4, 2)]),
+        "atom 1 (C) with bond sum 6 and charge 0 exceeds every supported "
+        "valence (2, 3, 4, 5)"),
+    "heavy_neighbours": (
+        _mol_block("bad", ["C"] * 6, [(1, k, 1) for k in range(2, 7)]),
+        "vertex 1 has 5 heavy neighbours (max 4)"),
+    "unknown_element": (_mol_block("bad", ["Zz"], []),
+                        "unknown element symbol 'Zz'"),
+    "radical_code": (_mol_block("bad", ["N", "C"], [(1, 2, 1)], codes=[4, 0]),
+                     "atom 1 has unsupported charge code 4"),
+    "code_8": (_mol_block("bad", ["N", "C"], [(1, 2, 1)], codes=[0, 8]),
+               "atom 2 has unsupported charge code 8"),
+    "code_9": (_mol_block("bad", ["N", "C"], [(1, 2, 1)], codes=[9, 0]),
+               "atom 1 has unsupported charge code 9"),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_RECORD_FAULTS)
+def test_parse_record_fault_messages(case):
+    """Each fault fails its own record, between two good ones, with its
+    pinned message."""
+    text, message = PARSE_RECORD_FAULTS[case]
+    assert _only_error(text, "bad") == message
 
 
 def test_multivalent_sulfur():

@@ -426,3 +426,89 @@ def test_readme_table_lists_the_schema_keys():
               "fringe_assignment.": FRINGE_ASSIGNMENT, "ac_lf[].": AC_BOUND}
     in_code = {prefix + f.key for prefix, table in tables.items() for f in table.fields}
     assert documented == in_code
+
+
+def _three_tree_doc():
+    """The triangle spec with a menu of three fringe trees, of which only
+    psi1 is taller than 1."""
+    return triangle_spec_doc(fringe_menu_json(
+        [ring(3), ring(4, pendant=1), ring(5, pendant=2)]))
+
+
+def _seed_vertex(i, **values):
+    return lambda doc: doc["seed"]["vertices"][i].update(values)
+
+
+def _seed_edge(i, **values):
+    return lambda doc: doc["seed"]["edges"][i].update(values)
+
+
+def _no_interior_elements(doc):
+    doc["lambda_int"] = []
+    for v in doc["seed"]["vertices"]:
+        v["elements"] = []
+
+
+# one edit of _three_tree_doc -> the exact message: every clause problem
+# that parse_spec collects after the schema read
+SPEC_CLAUSE_FAULTS = {
+    "n_int_lb_below_2": (_edit(("n_int_lb",), 1), "n_int_lb=1 outside [2, n_star]"),
+    "n_int_lb_above_n_int_ub": (_edit(("n_int_lb",), 4), "n_int_lb above n_int_ub"),
+    "n_lb_above_n_star": (_edit(("n_lb",), 9), "n_lb above n_star"),
+    "empty_lambda_int": (_no_interior_elements, "lambda_int must not be empty"),
+    "vertex_ids_skip": (_seed_vertex(1, id=5),
+                        "seed vertex ids must be consecutive from 1 (at 2)"),
+    "leaf_path_lb_unpermitted": (
+        _seed_vertex(0, leaf_path_lb=1),
+        "seed vertex 1: leaf_path_lb requires leaf_path permission"),
+    "vertex_heights_cross": (_seed_vertex(2, height_lb=2, height_ub=1),
+                             "seed vertex 3: height_lb above height_ub"),
+    "vertex_element_outside": (_seed_vertex(0, elements=["N"]),
+                               "seed vertex 1 allows element N outside lambda_int"),
+    "edge_off_vertex_set": (_seed_edge(0, head=9), "edge (1,9) off the vertex set"),
+    "edge_reversed": (_seed_edge(0, tail=2, head=1),
+                      "edge (2,1) must be directed tail < head"),
+    "edge_lengths_cross": (_seed_edge(0, len_lb=3, len_ub=2),
+                           "edge (1,2): len_lb above len_ub"),
+    "edge_class_ambiguous": (_seed_edge(0, len_lb=0, len_ub=3),
+                             "ambiguous edge class for length bounds [0,3]"),
+    "seed_disconnected": (
+        lambda doc: doc["seed"].update(edges=doc["seed"]["edges"][:1]),
+        "seed graph must stay connected without its optional edges"),
+    "na_cross": (lambda doc: doc.update(na_lb={"C": 5}, na_ub={"C": 4}),
+                 "na bounds for C cross"),
+    "na_int_cross": (lambda doc: doc.update(na_int_lb={"C": 3}, na_int_ub={"C": 2}),
+                     "na_int bounds for C cross"),
+    "deg_cross": (_edit(("deg_lb",), [0, 0, 9, 0]), "deg bounds cross"),
+    "fringe_taller_than_rho": (_edit(("rho",), 1),
+                               "fringe tree psi1 has height 2 > rho"),
+    "duplicate_fringe_ids": (_edit(("fringe_trees", 1, "id"), "psi1"),
+                             "duplicate fringe tree ids"),
+    "no_fringe_tree": (_edit(("fringe_trees",), []),
+                       "at least one fringe tree is required"),
+    "assignment_unknown_vertex": (
+        _edit(("fringe_assignment",), {"vertex": {"9": ["psi1"]}}),
+        "fringe assignment for unknown seed vertex 9"),
+    "assignment_unknown_tree": (
+        _edit(("fringe_assignment",), {"vertex": {"1": ["psi9"]}}),
+        "fringe assignment names unknown tree 'psi9'"),
+    "edge_set_unknown_tree": (
+        _edit(("fringe_assignment",), {"edge": ["psi1", "psi9"]}),
+        "edge fringe set names unknown tree 'psi9'"),
+    "ac_lf_cross": (_edit(("ac_lf",), [{"a": "C", "b": "C", "mult": 1,
+                                        "lb": 3, "ub": 2}]),
+                    "ac_lf bounds for C_C_1 cross"),
+}
+
+
+@pytest.mark.parametrize("case", SPEC_CLAUSE_FAULTS)
+def test_spec_clause_fault_messages(case):
+    """Each edit breaks one clause of a valid document, and parse_spec
+    names it with its pinned message."""
+    edit, message = SPEC_CLAUSE_FAULTS[case]
+    doc = _three_tree_doc()
+    parse_spec(json.dumps(doc))
+    edit(doc)
+    with pytest.raises(SpecError) as caught:
+        parse_spec(json.dumps(doc))
+    assert str(caught.value) == message
