@@ -188,7 +188,7 @@ def _load_targets(path: str) -> dict[str, float]:
 
 def run_train(cfg: ProjectConfig) -> int:
     out = Path(cfg.output_dir)
-    ids, names, rows = read_feature_csv(_read_text(str(out / "features.csv")))
+    ids, names, x_raw = read_feature_csv(_read_text(str(out / "features.csv")))
     space = space_from_json(_read_json(str(out / "space.json")))
     _same_descriptors("features.csv header", names, space)
     targets = _load_targets(cfg.targets)
@@ -196,7 +196,6 @@ def run_train(cfg: ProjectConfig) -> int:
     if missing:
         raise UsageError(f"no target value for ids {missing[:5]}")
 
-    x_raw = np.asarray(rows, dtype=float)
     y_raw = np.asarray([targets[i] for i in ids], dtype=float)
     mins = x_raw.min(axis=0)
     maxs = x_raw.max(axis=0)

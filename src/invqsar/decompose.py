@@ -21,22 +21,23 @@ INF_HEIGHT = 10**9
 
 def peel_heights(g: ChemicalGraph) -> dict[int, int]:
     """Peeling height of every heavy vertex (INF_HEIGHT on cycles)."""
-    view = g.suppressed
-    deg = {v: view.degree(v) for v in view.vertex_ids}
-    height = {v: INF_HEIGHT for v in view.vertex_ids}
-    alive = set(view.vertex_ids)
+    adjacency = g.suppressed.adjacency
+    deg = {v: len(nbrs) for v, nbrs in adjacency.items()}
+    height = dict.fromkeys(adjacency, INF_HEIGHT)
+    peel = [v for v, d in deg.items() if d <= 1]
     rnd = 0
-    while alive:
-        peel = [v for v in alive if deg[v] <= 1]
-        if not peel:
-            break
+    while peel:
         for v in peel:
             height[v] = rnd
-            alive.discard(v)
+        # a vertex is peeled in the round after its degree falls to 1
+        nxt = []
         for v in peel:
-            for w, _ in view.adjacency[v]:
-                if w in alive:
+            for w, _ in adjacency[v]:
+                if height[w] == INF_HEIGHT:
                     deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        peel = nxt
         rnd += 1
     return height
 
@@ -66,21 +67,37 @@ class RootedFringeTree:
 
     @cached_property
     def canonical_code(self) -> bytes:
-        return _canonical_code(self, self.root)
+        """The node's token and charge, then its children's `mult:code`
+        sorted by child element, charge, multiplicity and code, built
+        bottom-up: equal codes mean isomorphic rooted trees."""
+        label = self.node_map
+        kids, order = _walk(self)
+        code: dict[int, bytes] = {}
+        for u in reversed(order):
+            entries = []
+            for c, m in kids.get(u, ()):
+                celem, cchg = label[c]
+                sub = code.get(c) or b"(%s,%d[])" % (celem.token.encode(), cchg)
+                entries.append((celem.symbol, celem.valence, cchg, m, b"%d:%s" % (m, sub)))
+            entries.sort()
+            elem, chg = label[u]
+            code[u] = b"(%s,%d[%s])" % (
+                elem.token.encode(), chg, b";".join([e[4] for e in entries]))
+        return code[self.root]
 
     @cached_property
     def height(self) -> int:
-        """Height of the hydrogen-suppressed tree."""
-
-        def go(nid: int) -> int:
-            hs = [
-                1 + go(c)
-                for c, _ in self.children[nid]
-                if not self.node_map[c][0].is_hydrogen
-            ]
-            return max(hs, default=0)
-
-        return go(self.root)
+        """Height of the hydrogen-suppressed tree: the depth of its deepest
+        heavy node below the root along heavy nodes."""
+        heavy = {nid for nid, elem, _ in self.nodes if not elem.is_hydrogen}
+        kids, order = _walk(self)
+        depth = {self.root: 0}
+        for u in order:
+            if u in depth:
+                for c, _ in kids.get(u, ()):
+                    if c in heavy:
+                        depth[c] = depth[u] + 1
+        return max(depth.values())
 
     @cached_property
     def root_element(self) -> ElementSpec:
@@ -171,18 +188,22 @@ class RootedFringeTree:
         return counts
 
 
-def _canonical_code(t: RootedFringeTree, nid: int) -> bytes:
-    elem, chg = t.node_map[nid]
-    entries = []
-    for c, m in t.children[nid]:
-        celem, cchg = t.node_map[c]
-        # a leaf, such as every hydrogen, is written here without a call
-        code = (_canonical_code(t, c) if t.children[c]
-                else b"(%s,%d[])" % (celem.token.encode(), cchg))
-        entries.append((celem.sort_key(), cchg, m, code))
-    entries.sort()
-    inner = b";".join(b"%d:" % m + code for _, _, m, code in entries)
-    return b"(%s,%d[" % (elem.token.encode(), chg) + inner + b"])"
+def _walk(t: RootedFringeTree) -> tuple[dict[int, list[tuple[int, int]]], list[int]]:
+    """The (child, mult) lists of the tree's inner nodes, and the root and
+    the inner nodes in breadth-first order."""
+    kids: dict[int, list[tuple[int, int]]] = {}
+    for p, c, m in t.edges:
+        if p in kids:
+            kids[p].append((c, m))
+        else:
+            kids[p] = [(c, m)]
+    order = [t.root]
+    for u in order:
+        if u in kids:
+            order += [c for c, _ in kids[u] if c in kids]
+            if len(order) > len(kids) + 1:
+                raise InvalidGraphError(f"fringe tree at {t.root} is not an out-tree")
+    return kids, order
 
 
 def tree_to_json(t: RootedFringeTree) -> dict:
@@ -305,52 +326,46 @@ class TwoLayeredDecomposition:
 
 
 def decompose(g: ChemicalGraph, rho: int) -> TwoLayeredDecomposition:
-    """Split g into interior and fringe trees with branch parameter rho."""
+    """Split g into interior and fringe trees with branch parameter rho.
+
+    No exterior vertex hangs off two interior vertices, and no fringe tree
+    is higher than rho.  Both follow from the peeling.  An exterior vertex
+    x is peeled in round h(x) < rho, when at most one neighbour is left.
+    So no path through exterior vertices joins two vertices of height
+    >= rho: its earliest-peeled inner vertex would still have two.  And as
+    x's parent outlives it, h(x) is the height of the subtree below x, so
+    a tree is 1 + max h(x) <= rho high over its root's exterior neighbours."""
     if rho < 1:
         raise ValueError("rho must be at least 1")
     view = g.suppressed
+    adjacency, hydrogens, vertex = view.adjacency, view.hydrogens, g.vertex_map
     height = peel_heights(g)
-    interior = frozenset(v for v in view.vertex_ids if height[v] >= rho)
+    interior = frozenset(v for v, h in height.items() if h >= rho)
     interior_edges = tuple(
         e for e in view.edges if e.u in interior and e.v in interior
     )
 
     fringe_trees: dict[int, RootedFringeTree] = {}
-    claimed: set[int] = set()
     for root in sorted(interior):
         edges: list[tuple[int, int, int]] = []
         order = [root]
-        seen = {root}
-        i = 0
-        while i < len(order):
-            u = order[i]
-            i += 1
-            for w, m in view.adjacency[u]:
-                if w in interior or w in seen:
-                    continue
-                if w in claimed:
-                    raise InvalidGraphError(
-                        f"exterior vertex {w} reachable from two interior roots"
-                    )
-                seen.add(w)
-                claimed.add(w)
-                order.append(w)
-                edges.append((u, w, m))
-        tree_nodes: list[tuple[int, ElementSpec, int]] = []
+        for u in order:
+            for w, m in adjacency[u]:
+                # an exterior vertex's children are the exterior neighbours
+                # peeled before it; its parent, peeled later, is skipped
+                if w not in interior and height[w] < height[u]:
+                    order.append(w)
+                    edges.append((u, w, m))
+        tree_nodes = []
         for nid in order:
-            v = g.vertex_map[nid]
+            v = vertex[nid]
             tree_nodes.append((nid, v.element, v.charge))
         for nid in order:
-            for h, m in view.hydrogens[nid]:
-                vtx = g.vertex_map[h]
-                tree_nodes.append((h, vtx.element, vtx.charge))
+            for h, m in hydrogens[nid]:
+                v = vertex[h]
+                tree_nodes.append((h, v.element, v.charge))
                 edges.append((nid, h, m))
-        tree = RootedFringeTree(root, tuple(tree_nodes), tuple(edges))
-        if tree.height > rho:
-            raise InvalidGraphError(
-                f"fringe tree at {root} has height {tree.height} > rho={rho}"
-            )
-        fringe_trees[root] = tree
+        fringe_trees[root] = RootedFringeTree(root, tuple(tree_nodes), tuple(edges))
 
     return TwoLayeredDecomposition(
         rho=rho,

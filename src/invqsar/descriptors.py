@@ -21,11 +21,14 @@ import csv
 import hashlib
 import io
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
+
+import numpy as np
 
 from .decompose import (
     RootedFringeTree,
@@ -225,6 +228,7 @@ def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
     no space can index."""
     decomp = decompose(g, rho)
     view = g.suppressed
+    adjacency = view.adjacency
     interior = decomp.interior_vertices
 
     scalars: list[int | Fraction] = [0] * N_SCALAR_DESCRIPTORS
@@ -233,21 +237,26 @@ def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
     scalars[2] = len(interior)
     mass_total = sum(v.element.mass_star for v in g.vertices)
     scalars[3] = Fraction(mass_total, g.n_atoms())
-    for vid in view.vertex_ids:
-        d = view.degree(vid)
+    degree = {}
+    for vid, nbrs in adjacency.items():
+        d = degree[vid] = len(nbrs)
         if d > 4:
             raise OutOfSpaceError(f"vertex {vid} has suppressed degree {d} > 4")
         if d:
             scalars[3 + d] += 1
-    for nbrs in decomp.interior_adjacency.values():
-        if 1 <= len(nbrs) <= 4:
-            scalars[7 + len(nbrs)] += 1
+    interior_degree = dict.fromkeys(interior, 0)
     for e in decomp.interior_edges:
-        if e.mult in (2, 3):
+        interior_degree[e.u] += 1
+        interior_degree[e.v] += 1
+        if e.mult != 1:
             scalars[10 + e.mult] += 1
+    for d in interior_degree.values():
+        if d:
+            scalars[7 + d] += 1
 
     elements = Counter((v.id in interior, v.element) for v in g.vertices)
-    symbol = {v: ChemicalSymbol(g.element(v), view.degree(v)) for v in interior}
+    vertex = g.vertex_map
+    symbol = {v: ChemicalSymbol(vertex[v].element, degree[v]) for v in interior}
     edge_configs = Counter(
         EdgeConfiguration.make(symbol[e.u], symbol[e.v], e.mult)
         for e in decomp.interior_edges
@@ -255,23 +264,23 @@ def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
     fringe: Counter[bytes] = Counter()
     examples: dict[bytes, RootedFringeTree] = {}
     for t in decomp.fringe_trees.values():
-        fringe[t.canonical_code] += 1
-        examples.setdefault(t.canonical_code, t)
+        code = t.canonical_code
+        fringe[code] += 1
+        examples.setdefault(code, t)
 
     # leaf edges of the suppressed graph, leaf endpoint first; an edge
     # whose two endpoints both have degree 1 is oriented by element order
     leaf_edges: Counter[AdjacencyConfiguration] = Counter()
     for e in view.edges:
-        du, dv = view.degree(e.u), view.degree(e.v)
+        du, dv = degree[e.u], degree[e.v]
         if du != 1 and dv != 1:
             continue
-        eu, ev = g.element(e.u), g.element(e.v)
-        if du == 1 and dv == 1:
-            a, b = sorted((eu, ev), key=lambda x: x.sort_key())
-        elif du == 1:
-            a, b = eu, ev
-        else:
-            a, b = ev, eu
+        a, b = vertex[e.u].element, vertex[e.v].element
+        if du == dv:
+            if (b.symbol, b.valence) < (a.symbol, a.valence):
+                a, b = b, a
+        elif dv == 1:
+            a, b = b, a
         leaf_edges[AdjacencyConfiguration(a, b, e.mult)] += 1
 
     return GraphCensus(rho, tuple(scalars), elements, edge_configs, fringe,
@@ -385,14 +394,42 @@ def write_feature_csv(
     return buf.getvalue()
 
 
-def read_feature_csv(text: str) -> tuple[list[str], list[str], list[list[float]]]:
-    """Returns (ids, descriptor names, rows of floats); a text that is not
-    such a table raises InputError."""
+_SEPARATORS = re.compile("[\x1c-\x1f]")
+
+
+def read_feature_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
+    """Returns (ids, descriptor names, one row of floats per id); a text
+    that is not such a table raises InputError.
+
+    np.loadtxt reads the rows when it can: it splits lines and quoted
+    fields as the csv module does, and it reads a subset of what float()
+    reads (not `1_0` or `١`) to the same floats, except that it strips the
+    separators U+001C..U+001F as whitespace, so a text holding one is not
+    given to it.  Any text that np.loadtxt rejects goes through the record
+    walk, which reads it as before or names its faulty line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if not header or header[0] != "id":
         raise InputError("feature CSV must start with an 'id' column")
     names = header[1:]
+    # the text after the header record's lines
+    lines = text.split("\n", reader.line_num)
+    rest = lines[-1] if len(lines) > reader.line_num else ""
+    if rest.strip("\r\n") and not _SEPARATORS.search(text):
+        ids: list[str] = []
+
+        def read_id(cell: str) -> float:
+            ids.append(cell)
+            return 0.0
+
+        try:
+            x = np.loadtxt(io.StringIO(rest), delimiter=",", quotechar='"',
+                           comments=None, converters={0: read_id}, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if x.shape == (len(ids), len(header)):
+                return ids, names, x[:, 1:]
     ids, rows = [], []
     for line, rec in enumerate(reader, start=2):
         if not rec:
@@ -405,7 +442,7 @@ def read_feature_csv(text: str) -> tuple[list[str], list[str], list[list[float]]
         except ValueError as exc:
             raise InputError(f"feature CSV line {line}: {exc}") from exc
         ids.append(rec[0])
-    return ids, names, rows
+    return ids, names, np.array(rows, dtype=float).reshape(len(rows), len(names))
 
 
 def space_to_json_text(space: DescriptorSpace) -> str:

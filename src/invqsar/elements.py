@@ -8,7 +8,7 @@ floor(10 * atomic mass), kept as an exact integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class UnknownElementError(ValueError):
@@ -17,31 +17,38 @@ class UnknownElementError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class ElementSpec:
-    """One chemical element variant: symbol, valence and mass surrogate."""
+    """One chemical element variant: symbol, valence and mass surrogate.
+
+    The token, the hydrogen flag and the hash are worked out once, when the
+    element is made: descriptor counting reads them for every atom.  They
+    take no part in comparisons."""
 
     symbol: str
     valence: int
     mass_star: int
+    # printable token; explicit valence for non-default variants
+    token: str = field(init=False, repr=False, compare=False)
+    is_hydrogen: bool = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.valence <= 6:
             raise ValueError(f"valence {self.valence} outside [1,6] for {self.symbol}")
         if self.mass_star <= 0:
             raise ValueError(f"mass_star must be positive, got {self.mass_star}")
+        token = (self.symbol if DEFAULT_VALENCE.get(self.symbol) == self.valence
+                 else f"{self.symbol}({self.valence})")
+        object.__setattr__(self, "token", token)
+        object.__setattr__(self, "is_hydrogen", self.symbol == "H")
+        object.__setattr__(self, "_hash", hash((self.symbol, self.valence, self.mass_star)))
 
-    @property
-    def token(self) -> str:
-        """Printable token; explicit valence for non-default variants."""
-        if DEFAULT_VALENCE.get(self.symbol) == self.valence:
-            return self.symbol
-        return f"{self.symbol}({self.valence})"
+    def __hash__(self) -> int:
+        return self._hash
 
-    @property
-    def is_hydrogen(self) -> bool:
-        return self.symbol == "H"
-
-    def sort_key(self) -> tuple[str, int]:
-        return (self.symbol, self.valence)
+    def __reduce__(self):
+        # a copy or an unpickled element is made anew, so that its hash is
+        # the hash of the process that reads it
+        return ElementSpec, (self.symbol, self.valence, self.mass_star)
 
     def __str__(self) -> str:
         return self.token
@@ -86,6 +93,14 @@ _SHARED = {
     (symbol, valence): ElementSpec(symbol, valence, mass)
     for symbol, mass in _MASS10.items()
     for valence in range(1, 7)
+}
+
+
+# each symbol's shared elements from its default valence up, smallest first:
+# the variants that SDF ingest picks from by bond sum
+INGEST_LADDER = {
+    symbol: tuple(_SHARED[symbol, v] for v in sorted(vals) if v >= vals[0])
+    for symbol, vals in _VALENCES.items()
 }
 
 

@@ -44,29 +44,17 @@ class Edge:
         if not 1 <= self.mult <= 3:
             raise InvalidGraphError(f"bond multiplicity {self.mult} outside [1,3]")
 
-    def key(self) -> tuple[int, int]:
-        return (self.u, self.v) if self.u < self.v else (self.v, self.u)
-
 
 @dataclass(frozen=True)
 class SuppressedView:
     """Hydrogen-suppressed view: heavy vertices, heavy-heavy edges, and
-    the (hydrogen id, multiplicity) bonds of each heavy vertex."""
+    the (heavy neighbour, multiplicity) and (hydrogen id, multiplicity)
+    bonds of each heavy vertex."""
 
     vertex_ids: tuple[int, ...]
     edges: tuple[Edge, ...]
+    adjacency: Mapping[int, tuple[tuple[int, int], ...]]
     hydrogens: Mapping[int, tuple[tuple[int, int], ...]]
-
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertex_ids}
-        for e in self.edges:
-            adj[e.u].append((e.v, e.mult))
-            adj[e.v].append((e.u, e.mult))
-        return {k: tuple(v) for k, v in adj.items()}
-
-    def degree(self, vid: int) -> int:
-        return len(self.adjacency[vid])
 
 
 @dataclass(frozen=True)
@@ -87,32 +75,38 @@ class ChemicalGraph:
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertex_map}
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
-            if e.u not in adj or e.v not in adj:
-                raise InvalidGraphError(f"edge ({e.u},{e.v}) references unknown vertex")
-            key = e.key()
+            u, v, m = e.u, e.v, e.mult
+            if u not in adj or v not in adj:
+                raise InvalidGraphError(f"edge ({u},{v}) references unknown vertex")
+            key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise InvalidGraphError(f"parallel edge ({e.u},{e.v})")
+                raise InvalidGraphError(f"parallel edge ({u},{v})")
             seen.add(key)
-            adj[e.u].append((e.v, e.mult))
-            adj[e.v].append((e.u, e.mult))
+            adj[u].append((v, m))
+            adj[v].append((u, m))
         return {k: tuple(v) for k, v in adj.items()}
 
     @cached_property
     def suppressed(self) -> SuppressedView:
         """Projection onto the heavy atoms; hydrogen bonds kept per vertex."""
         heavy = tuple(v.id for v in self.vertices if not v.element.is_hydrogen)
-        heavy_set = set(heavy)
         edges = []
+        adj: dict[int, list[tuple[int, int]]] = {vid: [] for vid in heavy}
         hydrogens: dict[int, list[tuple[int, int]]] = {vid: [] for vid in heavy}
         for e in self.edges:
-            if e.u in heavy_set and e.v in heavy_set:
-                edges.append(e)
-            elif e.u in heavy_set:
-                hydrogens[e.u].append((e.v, e.mult))
-            elif e.v in heavy_set:
-                hydrogens[e.v].append((e.u, e.mult))
+            u, v, m = e.u, e.v, e.mult
+            if u in adj:
+                if v in adj:
+                    edges.append(e)
+                    adj[u].append((v, m))
+                    adj[v].append((u, m))
+                else:
+                    hydrogens[u].append((v, m))
+            elif v in adj:
+                hydrogens[v].append((u, m))
         return SuppressedView(
-            heavy, tuple(edges), {k: tuple(v) for k, v in hydrogens.items()})
+            heavy, tuple(edges), {k: tuple(nbrs) for k, nbrs in adj.items()},
+            {k: tuple(hs) for k, hs in hydrogens.items()})
 
     def element(self, vid: int) -> ElementSpec:
         return self.vertex_map[vid].element
@@ -154,19 +148,23 @@ class ChemicalGraph:
             return problems
         if not self.connected:
             problems.append("graph is not connected")
+        beta = dict.fromkeys(adj, 0)
+        for e in self.edges:
+            beta[e.u] += e.mult
+            beta[e.v] += e.mult
+        heavy_adj = self.suppressed.adjacency
         for v in self.vertices:
-            incident = adj[v.id]
-            beta = sum(m for _, m in incident)
-            want = v.element.valence + v.charge
-            if beta != want:
+            elem = v.element
+            if beta[v.id] != elem.valence + v.charge:
                 problems.append(
-                    f"valence condition fails at {v.id} ({v.element.token}): "
-                    f"bond sum {beta} != valence {v.element.valence} + charge {v.charge}"
+                    f"valence condition fails at {v.id} ({elem.token}): "
+                    f"bond sum {beta[v.id]} != valence {elem.valence} + charge {v.charge}"
                 )
-            if v.element.is_hydrogen:
+            if elem.is_hydrogen:
+                incident = adj[v.id]
                 if len(incident) != 1 or incident[0][1] != 1:
                     problems.append(f"hydrogen {v.id} must have one single bond")
-            elif (heavy := self.suppressed.degree(v.id)) > 4:
+            elif (heavy := len(heavy_adj[v.id])) > 4:
                 problems.append(
                     f"vertex {v.id} has {heavy} heavy neighbours (max 4)")
         return problems

@@ -12,12 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .elements import (
-    DEFAULT_VALENCE,
-    UnknownElementError,
-    allowed_valences,
-    make_element,
-)
+from .elements import INGEST_LADDER, UnknownElementError, allowed_valences, make_element
 from .graph import ChemicalGraph, Edge, Vertex
 
 # old-style charge column of the atom block; code 4, a doublet radical, has
@@ -70,7 +65,11 @@ def _parse_record(lines: list[str], index: int) -> tuple[ChemicalGraph, str]:
         if len(parts) < 4:
             raise ValueError(f"malformed atom line: {ln!r}")
         symbols.append(parts[3])
-        code = int(parts[5]) if len(parts) > 5 else 0
+        try:
+            code = int(parts[5]) if len(parts) > 5 else 0
+        except ValueError:
+            raise ValueError(
+                f"atom {i} has a non-numeric charge field {parts[5]!r}") from None
         if code not in _CHG_COLUMN:
             raise ValueError(f"atom {i} has unsupported charge code {code}")
         charges.append(_CHG_COLUMN[code])
@@ -110,24 +109,25 @@ def _parse_record(lines: list[str], index: int) -> tuple[ChemicalGraph, str]:
     vertices: list[Vertex] = []
     edges = [Edge(u, v, m) for u, v, m in bonds]
     next_id = n_atoms + 1
-    for i, sym in enumerate(symbols):
+    for i, (sym, charge, bond_sum) in enumerate(zip(symbols, charges, beta)):
         try:
-            vals = allowed_valences(sym)
-        except UnknownElementError as exc:
-            raise ValueError(str(exc)) from exc
-        need = beta[i] - charges[i]
+            ladder = INGEST_LADDER[sym]
+        except KeyError:
+            raise UnknownElementError(f"unknown element symbol {sym!r}") from None
         # escalate from the default valence upward; sub-default variants
         # (carbene-like states) are never produced by ingest
-        fitting = [v for v in vals if v >= need and v >= DEFAULT_VALENCE[sym]]
-        if not fitting:
+        need = bond_sum - charge
+        for elem in ladder:
+            if elem.valence >= need:
+                break
+        else:
             raise ValueError(
-                f"atom {i + 1} ({sym}) with bond sum {beta[i]} and charge "
-                f"{charges[i]} exceeds every supported valence {vals}"
+                f"atom {i + 1} ({sym}) with bond sum {bond_sum} and charge "
+                f"{charge} exceeds every supported valence {allowed_valences(sym)}"
             )
-        elem = make_element(sym, fitting[0])
-        vertices.append(Vertex(i + 1, elem, charges[i]))
-        if sym != "H":
-            for _ in range(elem.valence + charges[i] - beta[i]):
+        vertices.append(Vertex(i + 1, elem, charge))
+        if not elem.is_hydrogen:
+            for _ in range(elem.valence + charge - bond_sum):
                 vertices.append(Vertex(next_id, make_element("H")))
                 edges.append(Edge(i + 1, next_id, 1))
                 next_id += 1

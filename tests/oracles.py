@@ -18,6 +18,7 @@ from invqsar.decompose import RootedFringeTree
 from invqsar.descriptors import DescriptorSpace, FeatureVector
 from invqsar.graph import ChemicalGraph
 from invqsar.milp.model import BINARY, GE, INTEGER, LE, MILPModel
+from invqsar.schema import InputError
 
 
 # -- two-layered feature counting ------------------------------------------
@@ -170,7 +171,7 @@ def brute_force_features(g: ChemicalGraph, space: DescriptorSpace) -> list:
             continue
         if du == 1 and dv == 1:
             a, bb = sorted(
-                (g.element(e.u), g.element(e.v)), key=lambda x: x.sort_key()
+                (g.element(e.u), g.element(e.v)), key=lambda x: (x.symbol, x.valence)
             )
             key = (a.token, bb.token, e.mult)
         elif du == 1:
@@ -202,7 +203,54 @@ def write_feature_csv(
     return buf.getvalue()
 
 
+def read_feature_csv(text: str) -> tuple[list[str], list[str], list[list[float]]]:
+    """Returns (ids, descriptor names, rows of floats); a text that is not
+    such a table raises InputError."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if not header or header[0] != "id":
+        raise InputError("feature CSV must start with an 'id' column")
+    names = header[1:]
+    ids, rows = [], []
+    for line, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        if len(rec) != len(header):
+            raise InputError(
+                f"feature CSV line {line} has {len(rec)} fields, not {len(header)}")
+        try:
+            rows.append([float(x) for x in rec[1:]])
+        except ValueError as exc:
+            raise InputError(f"feature CSV line {line}: {exc}") from exc
+        ids.append(rec[0])
+    return ids, names, rows
+
+
 # -- rooted-tree isomorphism -------------------------------------------------
+
+
+def fringe_tree_shape(t: RootedFringeTree) -> tuple[bytes, int]:
+    """(canonical code, height) of a fringe tree by plain recursion over its
+    own node and edge lists: a node's code is its token and charge, then
+    its children's `mult:code` sorted by child (symbol, valence), charge,
+    multiplicity and code; the height counts heavy children only."""
+    label = {nid: (elem, chg) for nid, elem, chg in t.nodes}
+    kids: dict[int, list[tuple[int, int]]] = {nid: [] for nid in label}
+    for p, c, m in t.edges:
+        kids[p].append((c, m))
+
+    def code(n: int) -> bytes:
+        elem, chg = label[n]
+        entries = sorted(((label[c][0].symbol, label[c][0].valence), label[c][1], m,
+                          code(c)) for c, m in kids[n])
+        inner = b";".join(b"%d:" % m + sub for _, _, m, sub in entries)
+        return b"(%s,%d[" % (elem.token.encode(), chg) + inner + b"])"
+
+    def height(n: int) -> int:
+        return max((1 + height(c) for c, _ in kids[n]
+                    if not label[c][0].is_hydrogen), default=0)
+
+    return code(t.root), height(t.root)
 
 
 def r_isomorphic(t1: RootedFringeTree, t2: RootedFringeTree) -> bool:
@@ -211,7 +259,7 @@ def r_isomorphic(t1: RootedFringeTree, t2: RootedFringeTree) -> bool:
 
     def node_key(t, n):
         elem, chg = t.node_map[n]
-        return (elem.sort_key(), chg)
+        return (elem.symbol, elem.valence, chg)
 
     def match(n1: int, n2: int) -> bool:
         if node_key(t1, n1) != node_key(t2, n2):

@@ -3,10 +3,12 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from invqsar.decompose import RootedFringeTree
 from invqsar.elements import make_element
+from invqsar.graph import InvalidGraphError
 
 from oracles import r_isomorphic
 
@@ -128,3 +130,16 @@ def test_equivalence_relation_on_random_sample():
         for b in sample[:30]:
             same_code = a.canonical_code == b.canonical_code
             assert same_code == r_isomorphic(a, b)
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 1, 1), (1, 2, 1), (2, 1, 1)),  # a loop below the root
+    ((0, 1, 1), (1, 0, 1)),             # back to the root
+], ids=["inner_loop", "root_loop"])
+def test_tree_whose_edges_loop_is_rejected(edges):
+    """Edges that loop back make no out-tree: its code and height raise
+    InvalidGraphError instead of walking the loop for ever."""
+    nodes = tuple((i, C, 0) for i in range(3))
+    for prop in ("canonical_code", "height"):
+        with pytest.raises(InvalidGraphError, match="not an out-tree"):
+            getattr(RootedFringeTree(0, nodes, edges), prop)

@@ -11,7 +11,8 @@ from invqsar.decompose import (
 from invqsar.graph import build_graph
 from invqsar.schema import InputError, Reader
 
-from conftest import chain, random_chemical_graph, ring
+import oracles
+from conftest import chain, perfbench_inputs, random_chemical_graph, ring
 import numpy as np
 
 
@@ -72,6 +73,30 @@ def test_fringe_heights_bounded():
             d = decompose(g, rho)
             for t in d.fringe_trees.values():
                 assert t.height <= rho
+
+
+def test_fringe_trees_match_the_oracle_recursion():
+    """Over 200 random molecules at rho 1, 2 and 3: peeling heights, and
+    each fringe tree's canonical code and height, agree with the oracles'
+    plain recursions.  No tree is higher than rho, and a tree's height is
+    1 + the largest peeling height among its root's exterior neighbours,
+    which is why decompose needs no height check."""
+    inputs = perfbench_inputs()
+    rng = np.random.default_rng(21)
+    trees = 0
+    for _ in range(200):
+        g = inputs.random_molecule(rng, 12)
+        heights = peel_heights(g)
+        assert heights == oracles._peel(oracles._heavy_adjacency(g)[1])
+        for rho in (1, 2, 3):
+            d = decompose(g, rho)
+            for root, t in d.fringe_trees.items():
+                assert (t.canonical_code, t.height) == oracles.fringe_tree_shape(t)
+                below = [heights[w] for w, _ in g.suppressed.adjacency[root]
+                         if w not in d.interior_vertices]
+                assert t.height == max((1 + h for h in below), default=0) <= rho
+                trees += 1
+    assert trees > 600
 
 
 def test_fringe_scalars():

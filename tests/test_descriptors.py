@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -170,7 +172,7 @@ def test_csv_round_trip():
     assert ids == ["a", "b", "c"]
     assert tuple(names) == space.descriptor_names
     for fv, row in zip(vectors, rows):
-        assert row == [float(v) for v in fv.values]
+        assert row.tolist() == [float(v) for v in fv.values]
     # determinism
     assert text == write_feature_csv(["a", "b", "c"], vectors, space)
 
@@ -200,6 +202,89 @@ def test_feature_csv_matches_oracle_bytes(rows):
     vectors = [FeatureVector(tuple(values)) for _, values in rows]
     assert (write_feature_csv(ids, vectors, _CSV_SPACE)
             == oracles.write_feature_csv(ids, vectors, _CSV_SPACE))
+
+
+def _reads_as_oracle(text: str) -> None:
+    """read_feature_csv gives the oracle reader's ids and names and
+    bit-identical values, or raises its error with its message."""
+    try:
+        ids, names, rows = oracles.read_feature_csv(text)
+    except Exception as exc:  # InputError, or csv.Error for a bare CR
+        with pytest.raises(type(exc)) as got:
+            read_feature_csv(text)
+        assert str(got.value) == str(exc)
+        return
+    got_ids, got_names, x = read_feature_csv(text)
+    assert (got_ids, got_names) == (ids, names)
+    assert x.shape == (len(rows), len(names))
+    assert x.tobytes() == np.array(rows, dtype=float).reshape(x.shape).tobytes()
+
+
+# a cell float() reads, one only float() reads, or one nothing reads
+_csv_cells = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_0", "١", " 5 ", "nan", "-nan", "-inf", "Infinity", "",
+                     "x", "+.5", "1e999", "1,5", '"', "1 2", "1\x1e", "\x0b2\xa0"]),
+)
+_csv_ids = st.text(alphabet=st.sampled_from('ab0 ,"#\n\r\t'), max_size=6)
+
+
+@st.composite
+def _feature_tables(draw) -> str:
+    """Feature-table text as a csv writer writes it, with CRLF or LF line
+    ends, an optional missing final newline, blank or whitespace-only
+    lines, and rows of the header's width or one off it."""
+    width = draw(st.integers(0, 4))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=end)
+    writer.writerow(["id", *(f"d{i}" for i in range(width))])
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 9)) == 0:
+            buf.write(draw(st.sampled_from(["", " ", "\t"])) + end)
+            continue
+        n = width + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        writer.writerow([draw(_csv_ids), *draw(st.lists(_csv_cells, min_size=max(n, 0),
+                                                        max_size=max(n, 0)))])
+    text = buf.getvalue()
+    return text[:-len(end)] if draw(st.booleans()) and text.endswith(end) else text
+
+
+@settings(deadline=None, max_examples=300)
+@given(_feature_tables())
+def test_read_feature_csv_matches_oracle(text):
+    _reads_as_oracle(text)
+
+
+@pytest.mark.parametrize("text", [
+    "id,a,b\nm1,1,2\n \nm2,3,4\n",          # a whitespace-only line
+    "id,a,b\nm1,1,2\n\nm2,3,4\n",           # a blank line
+    "id,a,b\n#m1,1,2\n",                     # an id that starts with #
+    'id,a,b\n"m,1",1,2\n"m""2",3,4\n"m\n3",5,6\n',  # quoted ids
+    'id,"a\nb",c\nm1,1,2\n',                 # a quoted header name
+    "id,a,b\r\nm1,1,2\r\nm2,3,4\r\n",       # CRLF
+    "id,a,b\nm1,1,2\nm2,3,4",                # no trailing newline
+    "id,a,b\rm1,1,2\r",                      # bare CRs: csv.Error
+    "id,a,b\nm1,1,2\rm2,3,4\n",              # a bare CR inside the rows
+    "id,a,b\nm1,1_0,2\n",                    # only float() reads 1_0
+    "id,a,b\nm1,١,2\n",                      # or an Arabic-Indic digit
+    "id,a,b\nm1,1\x1f,2\n",                   # float() keeps U+001F
+    "id,a,b\nm1, 5 ,nan\nm2,-inf,-nan\n",
+    "id,a,b\nm1,,2\n",                       # an empty cell
+    "id,a,b\nm1,1\n",                        # a short row
+    "id,a,b\nm1,1,2,3\n",                    # a long row
+    'id,a,b\n""\n',                          # a row of one empty field
+    "id,a,b\n",                               # no rows
+    "id\nm1\nm2\n",                          # no descriptors
+    "",
+    "x,a\nm1,1\n",
+], ids=["whitespace_line", "blank_line", "hash_id", "quoted_ids", "quoted_header",
+        "crlf", "no_final_newline", "bare_cr", "inner_cr", "underscore", "arabic_digit", "unit_separator",
+        "spaces_nan_inf", "empty_cell", "short_row", "long_row", "empty_field_row",
+        "no_rows", "no_descriptors", "empty_text", "no_id_column"])
+def test_read_feature_csv_cases(text):
+    _reads_as_oracle(text)
 
 
 @pytest.mark.parametrize("dataset", [

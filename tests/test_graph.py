@@ -1,9 +1,11 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
 from invqsar.decompose import TREE, decompose, tree_to_json
-from invqsar.elements import make_element, parse_element, UnknownElementError
+from invqsar.elements import ElementSpec, make_element, parse_element, UnknownElementError
 from invqsar.graph import (
     ChemicalGraph,
     Edge,
@@ -42,6 +44,30 @@ def test_element_variants_are_shared():
     assert make_element("S") is not make_element("S", 6)
     with pytest.raises(dataclasses.FrozenInstanceError):
         make_element("C").valence = 2
+
+
+def test_element_built_directly_equals_the_shared_one():
+    """An ElementSpec made by hand compares, orders and hashes as the
+    shared instance, so dict and set lookups mix the two; a copy made by
+    dataclasses.replace, copy or pickle works out its own token and hash."""
+    for shared in (make_element("C"), make_element("S", 6), make_element("H")):
+        built = ElementSpec(shared.symbol, shared.valence, shared.mass_star)
+        assert built is not shared
+        assert built == shared and hash(built) == hash(shared)
+        assert not built < shared and not shared < built
+        assert (built.token, built.is_hydrogen) == (shared.token, shared.is_hydrogen)
+        assert {shared: 1}[built] == 1 and built in {shared}
+        assert {built: 1}[shared] == 1 and shared in {built}
+        assert {(True, built): 2}[(True, shared)] == 2
+        assert len({built, shared}) == 1
+        for copied in (copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+            assert copied == shared and hash(copied) == hash(shared)
+    six = dataclasses.replace(make_element("S"), valence=6)
+    assert six == make_element("S", 6) and hash(six) == hash(make_element("S", 6))
+    assert six.token == "S(6)" and six in {make_element("S", 6)}
+    assert repr(six) == "ElementSpec(symbol='S', valence=6, mass_star=320)"
+    assert sorted([six, make_element("S", 4), make_element("S")]) == [
+        make_element("S"), make_element("S", 4), six]
 
 
 def test_element_errors_survive_sharing():

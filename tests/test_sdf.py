@@ -144,6 +144,8 @@ PARSE_RECORD_FAULTS = {
                "atom 2 has unsupported charge code 8"),
     "code_9": (_mol_block("bad", ["N", "C"], [(1, 2, 1)], codes=[9, 0]),
                "atom 1 has unsupported charge code 9"),
+    "charge_field": (_mol_block("bad", ["N", "C"], [(1, 2, 1)]).replace(
+        " N   0  0", " N   0  x", 1), "atom 1 has a non-numeric charge field 'x'"),
 }
 
 
