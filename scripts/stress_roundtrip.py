@@ -88,11 +88,8 @@ def main() -> int:
             problems = graph.validate()
             fv_dec = featurize(graph, space)
             xs = solution_feature_values(sol, space)
-            mismatch = [
-                (j, a, b)
-                for j, (a, b) in enumerate(zip(fv_dec.as_floats(), xs))
-                if abs(a - b) > 1e-6
-            ]
+            mismatch = [(j, a, b) for j, (a, b) in enumerate(zip(fv_dec.values, xs))
+                        if a != b]
             y_dec = predictor.predict_normalized(fv_dec.as_floats())
             report = check_graph_satisfies(spec, graph)
             moved = check_graph_satisfies(spec, relabelled(graph, relabel_rng))

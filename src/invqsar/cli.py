@@ -89,7 +89,7 @@ class ProjectConfig:
         if self.solver_command == "mini":
             return "mini"
         if self.solver_command:
-            return ExternalBackend(self.solver_command, self.solver_timeout)
+            return ExternalBackend(self.solver_command)
         return "highs"
 
 
@@ -189,6 +189,8 @@ def _load_targets(path: str) -> dict[str, float]:
 def run_train(cfg: ProjectConfig) -> int:
     out = Path(cfg.output_dir)
     ids, names, x_raw = read_feature_csv(_read_text(str(out / "features.csv")))
+    if not ids:
+        raise UsageError("features.csv has no rows")
     space = space_from_json(_read_json(str(out / "space.json")))
     _same_descriptors("features.csv header", names, space)
     targets = _load_targets(cfg.targets)
@@ -234,6 +236,15 @@ def run_train(cfg: ProjectConfig) -> int:
     return EXIT_OK
 
 
+def _judge(graph, spec, space, predictor):
+    """One census of a valid graph, read three ways: its descriptor values,
+    its standardized prediction and its specification report."""
+    census = take_census(graph, space.rho)
+    fv = census_vector(census, space)
+    return (fv.values, predictor.predict_normalized(fv.as_floats()),
+            check_graph_satisfies(spec, graph, census))
+
+
 def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
     if not (math.isfinite(y_lo) and math.isfinite(y_hi)):
         raise UsageError("target interval bounds must be finite")
@@ -268,15 +279,9 @@ def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
         return EXIT_SOLVER
     (out / "result.json").write_text(graph_to_json_text(graph))
     (out / "result.sdf").write_text(graph_to_sdf(graph, "inferred"))
-    census = take_census(graph, space.rho)
-    fv = census_vector(census, space)
-    y_std = predictor.predict_normalized(fv.as_floats())
+    values, y_std, report = _judge(graph, spec, space, predictor)
     y_val = predictor.destandardize(y_std)
-    report = check_graph_satisfies(spec, graph, census)
-    xs = solution_feature_values(sol, space)
-    x_match = all(
-        abs(a - bval) <= 1e-6 for a, bval in zip(fv.as_floats(), xs)
-    )
+    x_match = values == solution_feature_values(sol, space)
     verification = {
         "predicted_value": y_val,
         "predicted_standardized": y_std,
@@ -312,11 +317,8 @@ def run_verify(graph_path: str, spec_path: str, predictor_path: str,
         print(check_graph_satisfies(spec, graph).to_text())
         return EXIT_CHECK
     print("graph invariants: pass")
-    census = take_census(graph, space.rho)
-    fv = census_vector(census, space)
-    y = predictor.destandardize(predictor.predict_normalized(fv.as_floats()))
-    print(f"predicted value: {y:g}")
-    report = check_graph_satisfies(spec, graph, census)
+    _, y_std, report = _judge(graph, spec, space, predictor)
+    print(f"predicted value: {predictor.destandardize(y_std):g}")
     print(report.to_text())
     return EXIT_OK if report.passed else EXIT_CHECK
 

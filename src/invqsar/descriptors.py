@@ -397,6 +397,16 @@ def write_feature_csv(
 _SEPARATORS = re.compile("[\x1c-\x1f]")
 
 
+def _records(reader):
+    """The records of a csv reader; a record the csv module cannot split
+    (a bare CR, a field over its size limit) raises InputError naming its
+    line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"feature CSV line {reader.line_num}: {exc}") from exc
+
+
 def read_feature_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
     """Returns (ids, descriptor names, one row of floats per id); a text
     that is not such a table raises InputError.
@@ -408,7 +418,8 @@ def read_feature_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
     given to it.  Any text that np.loadtxt rejects goes through the record
     walk, which reads it as before or names its faulty line."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    records = _records(reader)
+    header = next(records, None)
     if not header or header[0] != "id":
         raise InputError("feature CSV must start with an 'id' column")
     names = header[1:]
@@ -431,7 +442,7 @@ def read_feature_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
             if x.shape == (len(ids), len(header)):
                 return ids, names, x[:, 1:]
     ids, rows = [], []
-    for line, rec in enumerate(reader, start=2):
+    for line, rec in enumerate(records, start=2):
         if not rec:
             continue
         if len(rec) != len(header):

@@ -166,12 +166,8 @@ def decode(sol: Solution, spec: TopologicalSpecification) -> ChemicalGraph:
     return graph
 
 
-def solution_feature_values(sol: Solution, space: DescriptorSpace) -> list[float]:
-    """The model's raw descriptor vector, integers snapped exactly."""
-    out: list[float] = []
-    for j in range(1, space.k + 1):
-        if j == 4:
-            out.append(sol.float_value(f"x_{j}"))
-        else:
-            out.append(float(sol.int_value(f"x_{j}")))
-    return out
+def solution_feature_values(sol: Solution, space: DescriptorSpace) -> tuple:
+    """The model's descriptor values x_1..x_K, exactly as the solution
+    holds them: after `polish_solution` the integers are integral and x_4
+    is Mass/atoms, so they equal a census vector's values."""
+    return tuple(sol.values[f"x_{j}"] for j in range(1, space.k + 1))

@@ -3,11 +3,12 @@
 Three backends: HiGHS called in-process on a sparse matrix built from the
 model, the built-in exact mini-solver, and an external solver invoked
 through a command template with {input} and {output} placeholders (LP file
-in, solution file out, wall-clock timeout).  Every returned solution is
-re-checked against the model (row residuals, bounds, integrality, to 1e-6)
-before it is handed to callers; a failed check is a hard error, not a
-warning.  Models have no objective, so an answer is any feasible point and
-no backend reports an objective value.
+in, CBC-style solution file out).  `solve` gives every backend the same
+time limit and reads every backend's infeasible and stopped answers in one
+place.  Every returned solution is re-checked against the model (row
+residuals, bounds, integrality, to 1e-6) before it is handed to callers; a
+failed check is a hard error, not a warning.  Models have no objective, so
+an answer is any feasible point and no backend reports an objective value.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class Solution:
             raise SolutionCheckError(f"{name} = {float(v)} is not integral")
         return int(nearest)
 
-    def float_value(self, name: str) -> float:
-        return float(self.values[name])
-
 
 @dataclass(frozen=True)
 class ExternalBackend:
@@ -65,10 +63,10 @@ class ExternalBackend:
     'cbc {input} solve solu {output}'."""
 
     command: str
-    timeout: float = 600.0
 
-    def run(self, lp_text: str) -> tuple[str, str]:
-        """Returns (solution file text, solver log)."""
+    def run(self, lp_text: str, time_limit: float | None = None) -> tuple[str, str]:
+        """Returns (solution file text, solver log); a solver still running
+        after time_limit seconds is killed."""
         with tempfile.TemporaryDirectory(prefix="invqsar_milp_") as tmp:
             lp_path = Path(tmp) / "model.lp"
             sol_path = Path(tmp) / "model.sol"
@@ -83,11 +81,11 @@ class ExternalBackend:
                     argv,
                     capture_output=True,
                     text=True,
-                    timeout=self.timeout,
+                    timeout=time_limit,
                 )
             except subprocess.TimeoutExpired as exc:
                 raise SolverFailure(
-                    f"external solver exceeded {self.timeout}s"
+                    f"external solver exceeded {time_limit}s"
                 ) from exc
             log = (proc.stdout or "") + (proc.stderr or "")
             if proc.returncode != 0:
@@ -99,50 +97,32 @@ class ExternalBackend:
             return sol_path.read_text(), log
 
 
-def _to_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ValueError as exc:
-        raise SolverFailure(f"solution value {text!r} is not a number") from exc
+# a header's first word, lowered -> the status it reports
+_HEADERS = {"optimal": OPTIMAL, "infeasible": INFEASIBLE, "stopped": TIMEOUT}
 
 
 def parse_solution_text(text: str) -> Solution:
-    """Auto-detect and parse a solution file.
-
-    Supported formats: the CBC style ('Optimal - objective value V' header
-    followed by 'index name value reduced-cost' rows) and bare 'name value'
-    pairs with optional '#' comments (a comment naming 'infeasible' marks
-    the answer infeasible).  Any objective value in the file is ignored."""
-    lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
+    """Parse a CBC-style solution file: a header whose first word is
+    Optimal, Infeasible or Stopped (the rest, such as '- objective value
+    V', is ignored), then one 'index name value reduced-cost' row per
+    variable.  Any other header, or a row that does not parse, is a
+    SolverFailure."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SolverFailure("empty solution file")
-    head = lines[0].strip()
-    lowered = head.lower()
-    if lowered.startswith(("optimal", "infeasible", "unbounded", "stopped")):
-        status = OPTIMAL if lowered.startswith("optimal") else INFEASIBLE
-        if lowered.startswith("stopped"):
-            status = TIMEOUT
-        values: dict[str, Fraction] = {}
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) >= 3 and parts[0].lstrip("*").isdigit():
-                values[parts[1]] = _to_fraction(parts[2])
-            elif len(parts) == 2:
-                values[parts[0]] = _to_fraction(parts[1])
-        return Solution(status, values)
-    # name/value pairs
-    status = OPTIMAL
-    values = {}
-    for ln in lines:
-        stripped = ln.strip()
-        if stripped.startswith("#"):
-            if "infeasible" in stripped.lower():
-                status = INFEASIBLE
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
+    status = _HEADERS.get(lines[0].split()[0].lower())
+    if status is None:
+        raise SolverFailure(f"unknown solution status {lines[0].strip()!r}")
+    values: dict[str, Fraction] = {}
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 4 or not parts[0].lstrip("*").isdigit():
             raise SolverFailure(f"cannot parse solution line {ln!r}")
-        values[parts[0]] = _to_fraction(parts[1])
+        try:
+            values[parts[1]] = Fraction(parts[2])
+        except ValueError as exc:
+            raise SolverFailure(
+                f"solution value {parts[2]!r} is not a number") from exc
     return Solution(status, values)
 
 
@@ -281,37 +261,32 @@ def solve(
     passed the residual check (absolute tolerance 1e-6).
 
     backend is 'highs' (in-process HiGHS), 'mini' (built-in exact solver)
-    or an ExternalBackend.  Infeasibility is a status, not an error.  An
-    optional polish callable (model, solution) may clean the raw values in
-    place before verification (for example exact recomputation of
-    dependent continuous variables)."""
+    or an ExternalBackend; time_limit, in seconds, binds each of them.
+    Infeasibility is a status, not an error; a backend that stops at a
+    limit before an answer is a SolverFailure.  An optional polish
+    callable (model, solution) may clean the raw values in place before
+    verification (for example exact recomputation of dependent continuous
+    variables)."""
     if backend == "highs":
         sol = solve_highs(model, time_limit)
-        if sol.status == INFEASIBLE:
-            return sol
     elif backend == "mini":
         try:
             outcome = solve_exact(model, time_limit=time_limit)
         except MiniSolverError as exc:
             raise SolverFailure(f"mini-solver failed: {exc}") from exc
-        log = f"mini-solver nodes={outcome.nodes} pivots={outcome.pivots}"
-        if outcome.status == "infeasible":
-            return Solution(INFEASIBLE, log=log)
-        if outcome.status == "timeout":
-            raise SolverFailure("mini-solver hit its time or node limit")
-        sol = Solution(OPTIMAL, dict(outcome.values), log=log)
+        sol = Solution(outcome.status, dict(outcome.values), log=(
+            f"mini-solver nodes={outcome.nodes} pivots={outcome.pivots}"))
     elif isinstance(backend, str):
         raise ValueError(f"unknown backend {backend!r}")
     else:
-        if time_limit is not None:
-            backend = ExternalBackend(backend.command, time_limit)
-        sol_text, log = backend.run(emit_lp(model))
+        sol_text, log = backend.run(emit_lp(model), time_limit)
         sol = parse_solution_text(sol_text)
         sol.log = log
-        if sol.status == INFEASIBLE:
-            return Solution(INFEASIBLE, log=log)
-        if sol.status == TIMEOUT:
-            raise SolverFailure("external solver stopped before completion")
+    if sol.status == INFEASIBLE:
+        return Solution(INFEASIBLE, log=sol.log)
+    if sol.status == TIMEOUT:
+        raise SolverFailure("solver stopped at a time or node limit before "
+                            "an answer")
     for v in model.variables:
         sol.values.setdefault(v.name, Fraction(0))
     if polish is not None:

@@ -89,13 +89,16 @@ def _parse_record(lines: list[str], index: int) -> tuple[ChemicalGraph, str]:
     for ln in lines[4 + n_atoms + n_bonds :]:
         if ln.startswith("M  CHG"):
             # a count, then exactly that many (atom, charge) pairs
-            parts = ln.split()[2:]
-            if not parts or len(parts) != 1 + 2 * int(parts[0]):
+            try:
+                count, *pairs = map(int, ln.split()[2:])
+            except ValueError:
+                raise ValueError(f"malformed charge line: {ln!r}") from None
+            if len(pairs) != 2 * count:
                 raise ValueError(f"malformed charge line: {ln!r}")
-            for aid, chg in zip(map(int, parts[1::2]), parts[2::2]):
+            for aid, chg in zip(pairs[::2], pairs[1::2]):
                 if not 1 <= aid <= n_atoms:
                     raise ValueError(f"charge line names missing atom {aid}")
-                charges[aid - 1] = int(chg)
+                charges[aid - 1] = chg
         elif ln.startswith("M  END"):
             break
 

@@ -198,14 +198,7 @@ def test_criterion_6_roundtrip_external(name):
         detail.append("spec ok" if ok else "spec check failed")
     if ok:
         fv = featurize(graph, fx.space)
-        xs = solution_feature_values(sol, fx.space)
-        exact = all(
-            abs(a - b) < 1e-9 if j == 3 else a == b
-            for j, (a, b) in enumerate(
-                zip(fv.as_floats(), xs)
-            )
-        )
-        ok = exact
+        ok = fv.values == solution_feature_values(sol, fx.space)
         detail.append("features exact" if ok else "feature mismatch")
         y = fx.predictor.predict_normalized(fv.as_floats())
         in_interval = fx.y_lo - 1e-4 <= y <= fx.y_hi + 1e-4

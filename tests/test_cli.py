@@ -442,6 +442,17 @@ def test_infer_solver_failure_exit_code(project):
     assert main(["infer", "--config", str(broken), "--lo", "6", "--hi", "8"]) == 4
 
 
+def test_solver_timeout_binds_an_external_solver(trained, capsys):
+    tmp, cfg_path = trained
+    cfg = json.loads(cfg_path.read_text())
+    cfg["solver_command"] = 'sh -c "sleep 30; cp {input} {output}"'
+    cfg["solver_timeout"] = 0.3
+    slow = tmp / "slow.json"
+    slow.write_text(json.dumps(cfg))
+    assert main(["infer", "--config", str(slow), "--lo", "6.9", "--hi", "7.1"]) == 4
+    assert capsys.readouterr().err == "solver failure: external solver exceeded 0.3s\n"
+
+
 def test_infer_with_builtin_solver(project, capsys):
     tmp, cfg_path, fx = project
     assert main(["featurize", "--config", str(cfg_path)]) == 0
@@ -513,8 +524,7 @@ def test_infer_failed_check_exit_code(trained, monkeypatch, capsys):
 
     def shifted(sol, space):
         xs = solution_feature_values(sol, space)
-        xs[0] += 1.0
-        return xs
+        return (xs[0] + 1, *xs[1:])
 
     monkeypatch.setattr(cli, "solution_feature_values", shifted)
     assert main(["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"]) == 1
@@ -679,6 +689,17 @@ def _drop_a_field(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _keep_header(path):
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
+def _long_field(path):
+    # a last cell over the csv module's 128 KiB field limit
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + "," + "1" * 140_000 + "x"
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _other_space(path):
     doc = json.loads(path.read_text())
     doc["lambda_ex"] = doc["lambda_ex"][:-1] or ["O"]
@@ -693,10 +714,13 @@ def _other_space(path):
      "malformed specification"),
     ("train", "out/features.csv", _drop_a_field, "feature CSV line 2"),
     ("train", "out/features.csv", lambda p: _replace_text(p, ""), "'id' column"),
+    ("train", "out/features.csv", _keep_header, "error: features.csv has no rows"),
+    ("train", "out/features.csv", _long_field,
+     "error: feature CSV line 2: field larger than field limit"),
     ("verify", "graph.json", lambda p: _replace_text(p, "[]"), "graph document"),
     ("verify", "out/space.json", _other_space, "different space"),
 ], ids=["space-json", "predictor-json", "spec-field", "features-short-row",
-        "features-empty", "graph-shape", "verify-space-mismatch"])
+        "features-empty", "features-no-rows", "features-long-field", "graph-shape", "verify-space-mismatch"])
 def test_bad_input_files_are_usage_errors(trained, capsys, command, target, edit,
                                           needle):
     """Bad input files exit 2 through the typed input errors, with one line

@@ -19,7 +19,7 @@ from lp_reader import parse_lp
 from lp_validator import validate_lp
 
 
-def run_roundtrip(fx, backend, tol=1e-6):
+def run_roundtrip(fx, backend):
     model = build_milp(fx.spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi)
     sol = solve(model, backend, time_limit=600, polish=polish_solution)
     assert sol.status == "optimal", f"{fx.name}: expected feasible"
@@ -29,8 +29,8 @@ def run_roundtrip(fx, backend, tol=1e-6):
     assert graph.validate() == []
     fv = featurize(graph, fx.space)
     xs = solution_feature_values(sol, fx.space)
-    for j, (have, want) in enumerate(zip(fv.as_floats(), xs)):
-        assert abs(have - want) <= tol, (
+    for j, (have, want) in enumerate(zip(fv.values, xs)):
+        assert have == want, (
             f"{fx.name}: descriptor {fx.space.descriptor_names[j]} "
             f"{have} != model {want}"
         )
@@ -52,10 +52,7 @@ def test_roundtrip_external(name):
 )
 def test_roundtrip_mini(name):
     fx = roundtrip_fixture(name)
-    model, sol, graph = run_roundtrip(fx, "mini", tol=1e-9)
-    # exact rational agreement on the average-mass coordinate
-    fv = featurize(graph, fx.space)
-    assert sol.values["x_4"] == fv.values[3]
+    run_roundtrip(fx, "mini")
 
 
 @pytest.mark.parametrize("name", ALL_ROUNDTRIP_FIXTURES)
@@ -154,8 +151,7 @@ def test_roundtrip_with_charged_nitrogen():
     charges = [v.charge for v in g.vertices if v.charge]
     assert charges == [1]  # exactly one cationic site
     fv_dec = featurize(g, space)
-    xs = solution_feature_values(sol, space)
-    assert all(abs(a - b) <= 1e-6 for a, b in zip(fv_dec.as_floats(), xs))
+    assert fv_dec.values == solution_feature_values(sol, space)
     assert check_graph_satisfies(spec, g).passed
 
 
@@ -208,8 +204,7 @@ def test_roundtrip_with_forced_double_bond():
     doubles = [e for e in g.edges if e.mult == 2]
     assert doubles
     fv_dec = featurize(g, space)
-    xs = solution_feature_values(sol, space)
-    assert all(abs(a - b) <= 1e-6 for a, b in zip(fv_dec.as_floats(), xs))
+    assert fv_dec.values == solution_feature_values(sol, space)
     assert check_graph_satisfies(spec, g).passed
 
 
@@ -298,6 +293,5 @@ def test_roundtrip_multivalent_sulfur():
     sulfurs = [v.element.token for v in g.vertices if v.element.symbol == "S"]
     assert sulfurs, "expected a sulfur atom in the decoded molecule"
     fv_dec = featurize(g, space)
-    xs = solution_feature_values(sol, space)
-    assert all(abs(a - b) <= 1e-6 for a, b in zip(fv_dec.as_floats(), xs))
+    assert fv_dec.values == solution_feature_values(sol, space)
     assert check_graph_satisfies(spec, g).passed

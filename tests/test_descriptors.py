@@ -206,11 +206,18 @@ def test_feature_csv_matches_oracle_bytes(rows):
 
 def _reads_as_oracle(text: str) -> None:
     """read_feature_csv gives the oracle reader's ids and names and
-    bit-identical values, or raises its error with its message."""
+    bit-identical values, or raises its error with its message; where the
+    oracle lets the csv module's error escape, an InputError naming the
+    line carries that message."""
     try:
         ids, names, rows = oracles.read_feature_csv(text)
-    except Exception as exc:  # InputError, or csv.Error for a bare CR
-        with pytest.raises(type(exc)) as got:
+    except csv.Error as exc:
+        with pytest.raises(InputError, match=r"^feature CSV line \d+: ") as got:
+            read_feature_csv(text)
+        assert str(got.value).endswith(str(exc))
+        return
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
             read_feature_csv(text)
         assert str(got.value) == str(exc)
         return
@@ -265,7 +272,7 @@ def test_read_feature_csv_matches_oracle(text):
     'id,"a\nb",c\nm1,1,2\n',                 # a quoted header name
     "id,a,b\r\nm1,1,2\r\nm2,3,4\r\n",       # CRLF
     "id,a,b\nm1,1,2\nm2,3,4",                # no trailing newline
-    "id,a,b\rm1,1,2\r",                      # bare CRs: csv.Error
+    "id,a,b\rm1,1,2\r",                      # bare CRs
     "id,a,b\nm1,1,2\rm2,3,4\n",              # a bare CR inside the rows
     "id,a,b\nm1,1_0,2\n",                    # only float() reads 1_0
     "id,a,b\nm1,١,2\n",                      # or an Arabic-Indic digit
@@ -279,12 +286,25 @@ def test_read_feature_csv_matches_oracle(text):
     "id\nm1\nm2\n",                          # no descriptors
     "",
     "x,a\nm1,1\n",
+    "id,a\nm1," + "1" * 140_000 + ",x\n",  # a field over the csv limit
 ], ids=["whitespace_line", "blank_line", "hash_id", "quoted_ids", "quoted_header",
         "crlf", "no_final_newline", "bare_cr", "inner_cr", "underscore", "arabic_digit", "unit_separator",
         "spaces_nan_inf", "empty_cell", "short_row", "long_row", "empty_field_row",
-        "no_rows", "no_descriptors", "empty_text", "no_id_column"])
+        "no_rows", "no_descriptors", "empty_text", "no_id_column", "long_field"])
 def test_read_feature_csv_cases(text):
     _reads_as_oracle(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("id,a,b\rm1,1,2\r", "feature CSV line 1: new-line character seen"),
+    ("id,a,b\nm1,1,2\rm2,3,4\n", "feature CSV line 2: new-line character seen"),
+    ("id,a\nm1,0\nm2," + "1" * 140_000 + ",x\n",
+     "feature CSV line 3: field larger than field limit"),
+], ids=["bare_cr", "inner_cr", "long_field"])
+def test_read_feature_csv_names_the_line_the_csv_module_rejects(text, message):
+    with pytest.raises(InputError) as got:
+        read_feature_csv(text)
+    assert str(got.value).startswith(message)
 
 
 @pytest.mark.parametrize("dataset", [

@@ -171,7 +171,7 @@ def test_mass_accounting():
     mass = sum(v.element.mass_star for v in g.vertices)
     assert sol.int_value("Mass") == mass
     n_atoms = g.n_atoms()
-    assert abs(sol.float_value("msbar") - mass / n_atoms) < 1e-6
+    assert abs(float(sol.values["msbar"]) - mass / n_atoms) < 1e-6
 
 
 def test_bond_bound_blocks_triples():
@@ -198,11 +198,11 @@ def test_normalization_endpoints():
     m_min = build_milp(spec, space, predictor, -10, 10)
     m_min.fix_var("x_1", lo)
     sol = solve(m_min, "highs")
-    assert abs(sol.float_value("xhat_1")) <= eps
+    assert abs(float(sol.values["xhat_1"])) <= eps
     m_max = build_milp(spec, space, predictor, -10, 10)
     m_max.fix_var("x_1", hi)
     sol = solve(m_max, "highs")
-    assert 1 - eps - 1e-9 <= sol.float_value("xhat_1") <= 1 + eps + 1e-9
+    assert 1 - eps - 1e-9 <= float(sol.values["xhat_1"]) <= 1 + eps + 1e-9
 
 
 def test_prediction_interval_errors():
@@ -478,7 +478,7 @@ def test_prediction_reduces_to_normalized_interval():
     model = build_milp(spec, space, predictor, 0.2, 0.8)
     sol = solve(model, "highs")
     assert sol.status == "optimal"
-    xhat = sol.float_value("xhat_1")
+    xhat = float(sol.values["xhat_1"])
     assert 0.2 - 1e-6 <= xhat <= 0.8 + 1e-6
     assert sol.int_value("x_1") in (4, 5)  # normalized 1/3 and 2/3
 

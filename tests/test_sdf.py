@@ -146,6 +146,12 @@ PARSE_RECORD_FAULTS = {
                "atom 1 has unsupported charge code 9"),
     "charge_field": (_mol_block("bad", ["N", "C"], [(1, 2, 1)]).replace(
         " N   0  0", " N   0  x", 1), "atom 1 has a non-numeric charge field 'x'"),
+    **{f"charge_line_{field}": (
+        _mol_block("bad", ["N", "C"], [(1, 2, 1)], charge_line=line),
+        f"malformed charge line: {line!r}")
+       for field, line in (("count", "M  CHG  y   1   1"),
+                           ("atom", "M  CHG  1   z   1"),
+                           ("charge", "M  CHG  1   1   x"))},
 }
 
 

@@ -31,10 +31,8 @@ def small_model():
 def test_external_backend_round_trip():
     """emit_lp -> LP file -> a real solver -> solution file -> parse."""
     script = Path(__file__).with_name("lp_file_solver.py")
-    backend = ExternalBackend(
-        f'"{sys.executable}" "{script}" {{input}} {{output}}', timeout=60
-    )
-    sol = solve(small_model(), backend)
+    backend = ExternalBackend(f'"{sys.executable}" "{script}" {{input}} {{output}}')
+    sol = solve(small_model(), backend, time_limit=60)
     assert sol.status == "optimal"
     assert sol.int_value("x") == 1
     assert sol.values["y"] == Fraction(3, 2)
@@ -209,57 +207,67 @@ def test_parse_ignores_objective_value():
         assert (sol.status, sol.values) == (zero.status, zero.values)
 
 
-def test_parse_name_value_style():
-    text = (
-        "# Objective value = 3\n"
-        "x 1\n"
-        "y 2.25\n"
-    )
-    sol = parse_solution_text(text)
-    assert sol.status == "optimal"
-    assert sol.values["x"] == 1
-    assert sol.values["y"] == Fraction(9, 4)
-
-
 def test_parse_infeasible_header():
     sol = parse_solution_text("Infeasible - objective value 0\n")
     assert sol.status == "infeasible"
 
 
 def test_bad_solution_file():
-    with pytest.raises(SolverFailure):
-        parse_solution_text("")
-    with pytest.raises(SolverFailure):
-        parse_solution_text("x 1 2 3 4 5\n")
-    with pytest.raises(SolverFailure, match="not a number"):
-        parse_solution_text("x abc\n")
-    with pytest.raises(SolverFailure, match="not a number"):
-        parse_solution_text("Optimal - objective value 1\n0 x abc 0\n")
+    """Only the CBC-style file is read: any other header, or a row that is
+    not 'index name value reduced-cost', is a solver failure."""
+    for text, needle in [
+        ("", "empty solution file"),
+        ("x 1\ny 2.25\n", "unknown solution status 'x 1'"),
+        ("# infeasible\n", "unknown solution status '# infeasible'"),
+        ("Unbounded - objective value 0\n", "unknown solution status"),
+        ("Optimal - objective value 0\nx 1\n", "cannot parse solution line 'x 1'"),
+        ("Optimal - objective value 0\n0 x 1\n", "cannot parse solution line"),
+        ("Optimal - objective value 0\nx y 1 0\n", "cannot parse solution line"),
+        ("Optimal - objective value 0\n0 x 1 0 7\n", "cannot parse solution line"),
+        ("Optimal - objective value 1\n0 x abc 0\n", "not a number"),
+    ]:
+        with pytest.raises(SolverFailure, match=needle):
+            parse_solution_text(text)
+
+
+def _writer(text: str) -> ExternalBackend:
+    """A backend whose solver writes `text` as its solution file."""
+    return ExternalBackend(f"sh -c \"printf '{text}' > {{output}}\"")
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("Unbounded - objective value 0\\n", "unknown solution status"),
+    ("Optimal - objective value 0\\n0 x 1 0\\n1 y 1.5\\n", "cannot parse"),
+    ("Stopped on time - objective value 0\\n", "time or node limit"),
+], ids=["unbounded", "short_row", "stopped"])
+def test_external_answer_without_a_point_is_solver_failure(text, needle):
+    """An answer whose file is not the CBC-style format fails even when
+    its values meet the model; Unbounded is no answer to a model without
+    an objective, and Stopped is a limit reached."""
+    with pytest.raises(SolverFailure, match=needle):
+        solve(small_model(), _writer(text), time_limit=10)
 
 
 def test_command_template_failure():
-    backend = ExternalBackend("false {input} {output}", timeout=10)
+    backend = ExternalBackend("false {input} {output}")
     with pytest.raises(SolverFailure):
-        solve(small_model(), backend)
-    unclosed = ExternalBackend('solver "{input} {output}', timeout=10)
+        solve(small_model(), backend, time_limit=10)
+    unclosed = ExternalBackend('solver "{input} {output}')
     with pytest.raises(SolverFailure, match="cannot split"):
-        solve(small_model(), unclosed)
+        solve(small_model(), unclosed, time_limit=10)
 
 
 def test_command_timeout():
-    backend = ExternalBackend('sh -c "sleep 30; cp {input} {output}"', timeout=0.3)
-    with pytest.raises(SolverFailure, match="exceeded"):
-        solve(small_model(), backend)
+    backend = ExternalBackend('sh -c "sleep 30; cp {input} {output}"')
+    with pytest.raises(SolverFailure, match="exceeded 0.3s"):
+        solve(small_model(), backend, time_limit=0.3)
 
 
 def test_lying_solver_caught():
     """A solver that claims feasibility with wrong values must be rejected."""
-    backend = ExternalBackend(
-        'sh -c "printf \'Optimal - objective value 99\\n0 x 7 0\\n1 y 0 0\\n\' > {output}"',
-        timeout=10,
-    )
+    backend = _writer("Optimal - objective value 99\\n0 x 7 0\\n1 y 0 0\\n")
     with pytest.raises(SolutionCheckError):
-        solve(small_model(), backend)
+        solve(small_model(), backend, time_limit=10)
 
 
 def test_missing_values_default_to_zero():
@@ -267,9 +275,5 @@ def test_missing_values_default_to_zero():
     m.add_var("x", CONTINUOUS, 0, 1)
     m.add_var("slackish", CONTINUOUS, 0, 1)
     m.add_constr("c", {"x": 1}, LE, 1)
-    backend = ExternalBackend(
-        'sh -c "printf \'Optimal - objective value 0\\n0 x 0 0\\n\' > {output}"',
-        timeout=10,
-    )
-    sol = solve(m, backend)
+    sol = solve(m, _writer("Optimal - objective value 0\\n0 x 0 0\\n"), time_limit=10)
     assert sol.values["slackish"] == 0

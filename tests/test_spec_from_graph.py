@@ -91,9 +91,7 @@ def test_randomized_inverse_campaign():
         graph = decode(sol, spec)
         assert graph.validate() == []
         fv_dec = featurize(graph, space)
-        xs = solution_feature_values(sol, space)
-        for a, b in zip(fv_dec.as_floats(), xs):
-            assert abs(a - b) <= 1e-6
+        assert fv_dec.values == solution_feature_values(sol, space)
         y_dec = predictor.predict_normalized(fv_dec.as_floats())
         assert y - 0.0201 <= y_dec <= y + 0.0201
         assert check_graph_satisfies(spec, graph).passed
@@ -123,8 +121,7 @@ def test_acyclic_target_roundtrip():
     graph = decode(sol, spec)
     assert graph.validate() == []
     fv_dec = featurize(graph, space)
-    xs = solution_feature_values(sol, space)
-    assert all(abs(a - b) <= 1e-6 for a, b in zip(fv_dec.as_floats(), xs))
+    assert fv_dec.values == solution_feature_values(sol, space)
     assert check_graph_satisfies(spec, graph).passed
 
 
@@ -158,6 +155,5 @@ def test_fused_rings_make_parallel_seed_edges():
     graph = decode(sol, spec)
     assert graph.validate() == []
     fv_dec = featurize(graph, space)
-    xs = solution_feature_values(sol, space)
-    assert all(abs(a - b) <= 1e-6 for a, b in zip(fv_dec.as_floats(), xs))
+    assert fv_dec.values == solution_feature_values(sol, space)
     assert check_graph_satisfies(spec, graph).passed
