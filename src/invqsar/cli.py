@@ -166,12 +166,12 @@ def run_featurize(cfg: ProjectConfig) -> int:
 
 
 def _load_targets(path: str) -> dict[str, float]:
-    """id -> value from a two-column CSV; ids may be quoted as in
+    """id -> finite value from a two-column CSV; ids may be quoted as in
     features.csv.  Blank lines, '#' comment lines and an 'id,' header are
     skipped."""
     text = _read_text(path)
     targets: dict[str, float] = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -180,9 +180,13 @@ def _load_targets(path: str) -> dict[str, float]:
         rec = next(csv.reader([line]))
         try:
             name, value = rec
-            targets[name.strip()] = float(value)
+            y = float(value)
         except ValueError as exc:
             raise UsageError(f"bad target line {line!r}") from exc
+        if not math.isfinite(y):
+            raise UsageError(f"target of {name.strip()!r} on line {number} of "
+                             f"{path} is not a finite number: {value!r}")
+        targets[name.strip()] = y
     return targets
 
 

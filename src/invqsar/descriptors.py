@@ -25,18 +25,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .decompose import (
-    RootedFringeTree,
-    TwoLayeredDecomposition,
-    TREE,
-    decompose,
-)
-from .elements import ElementSpec
+from .decompose import RootedFringeTree, TwoLayeredDecomposition, decompose
+from .elements import BY_TOKEN, ElementSpec
 from .schema import (
     ELEMENT, INTEGER, STRING, Field, InputError, Kind, Reader, Table, integer, list_of)
 from .graph import ChemicalGraph, rank
@@ -113,7 +107,6 @@ class DescriptorSpace:
     gamma_int: tuple[EdgeConfiguration, ...]
     fringe_codes: tuple[bytes, ...]
     ac_lf: tuple[AdjacencyConfiguration, ...]
-    fringe_examples: tuple[RootedFringeTree, ...]
 
     @property
     def k(self) -> int:
@@ -201,7 +194,7 @@ class FeatureVector:
 @dataclass(frozen=True)
 class GraphCensus:
     """Everything the descriptors count on one graph, taken from a single
-    decomposition: build_space collects its keys and examples, featurize
+    decomposition: build_space collects its keys, featurize
     indexes it and the specification checker reads its tallies and its
     decomposition."""
 
@@ -288,31 +281,27 @@ def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
 
 
 def space_from_censuses(censuses: list[GraphCensus]) -> DescriptorSpace:
-    """The catalogs occurring across the censuses, in sorted order; the
-    first tree seen with each fringe code is kept as its example."""
+    """The catalogs occurring across the censuses, in sorted order."""
     if not censuses:
         raise ValueError("cannot build a descriptor space from an empty dataset")
     lam_int: set[ElementSpec] = set()
     lam_ex: set[ElementSpec] = set()
     gammas: set[EdgeConfiguration] = set()
     acs: set[AdjacencyConfiguration] = set()
-    trees: dict[bytes, RootedFringeTree] = {}
+    codes: set[bytes] = set()
     for c in censuses:
         for is_interior, elem in c.elements:
             (lam_int if is_interior else lam_ex).add(elem)
         gammas.update(c.edge_configs)
         acs.update(c.leaf_edges)
-        for code, tree in c.examples.items():
-            trees.setdefault(code, tree)
-    codes = tuple(sorted(trees))
+        codes.update(c.fringe)
     return DescriptorSpace(
         rho=censuses[0].rho,
         lambda_int=tuple(sorted(lam_int)),
         lambda_ex=tuple(sorted(lam_ex)),
         gamma_int=tuple(sorted(gammas)),
-        fringe_codes=codes,
+        fringe_codes=tuple(sorted(codes)),
         ac_lf=tuple(sorted(acs)),
-        fringe_examples=tuple(trees[c] for c in codes),
     )
 
 
@@ -442,16 +431,16 @@ def read_feature_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
             if x.shape == (len(ids), len(header)):
                 return ids, names, x[:, 1:]
     ids, rows = [], []
-    for line, rec in enumerate(records, start=2):
+    for rec in records:
         if not rec:
             continue
         if len(rec) != len(header):
-            raise InputError(
-                f"feature CSV line {line} has {len(rec)} fields, not {len(header)}")
+            raise InputError(f"feature CSV line {reader.line_num} has {len(rec)} "
+                             f"fields, not {len(header)}")
         try:
             rows.append([float(x) for x in rec[1:]])
         except ValueError as exc:
-            raise InputError(f"feature CSV line {line}: {exc}") from exc
+            raise InputError(f"feature CSV line {reader.line_num}: {exc}") from exc
         ids.append(rec[0])
     return ids, names, np.array(rows, dtype=float).reshape(len(rows), len(names))
 
@@ -479,16 +468,92 @@ def _symbol(r: Reader, v, path) -> ChemicalSymbol:
                   INTEGER.read(r, degree, (path, 1)))
 
 
-def _coded_tree(r: Reader, path, d: dict) -> tuple[bytes, RootedFringeTree]:
-    code = d["code"].encode()
-    if d["tree"].canonical_code != code:
-        r.fail((path, "code"), "does not match its tree")
-    return code, d["tree"]
+# the lexemes of a fringe-tree code, which tile it: a node's head, after the
+# separator from its previous sibling and its bond's multiplicity unless it
+# is the first child or the root, with the node's close if it has no
+# children; the close of a node; or any other character
+_LEXEME = re.compile(r";?(?:[0-9]+:)?\([A-Za-z0-9()]*,[-+0-9]*\[(?:\]\))?|\]\)|.", re.S)
+_HEAD = re.compile(r"(;)?(?:([0-9]+):)?\(([A-Za-z0-9()]*),([-+0-9]*)\[(\]\))?")
+_CHARGES = {str(c): c for c in range(-3, 4)}
+_MULTS = {str(m): m for m in range(1, 4)}
 
 
-def _catalog(entry: Kind, key=lambda x: x) -> Kind:
+@lru_cache(maxsize=4096)
+def _head(text: str) -> tuple | None:
+    """For a head lexeme: what the last lexeme must have been (None, the
+    start, for the root; False, a head, for a first child; True, a close,
+    for a later child), whether it closes its node, and the node's sort key
+    without its text.  None for any other lexeme; ValueError for a head
+    with an unknown element token, charge or multiplicity."""
+    match = _HEAD.fullmatch(text)
+    if match is None:
+        return None
+    sep, mult, token, charge, leaf = match.groups()
+    elem = BY_TOKEN.get(token)
+    if elem is None:
+        raise ValueError(f"unknown element token {token!r}")
+    if charge not in _CHARGES:
+        raise ValueError(f"charge {charge!r} is not one of -3..3")
+    if mult is not None and mult not in _MULTS:
+        raise ValueError(f"multiplicity {mult!r} is not one of 1..3")
+    if sep and mult is None:
+        return None
+    return (None if mult is None else sep is not None, leaf is not None,
+            (elem.symbol, elem.valence, _CHARGES[charge], _MULTS.get(mult)))
+
+
+def fringe_code(code: str, rho: int) -> bytes:
+    """code as RootedFringeTree.canonical_code spells it, if it spells one
+    of a fringe tree at branch parameter rho: balanced node brackets, known
+    element tokens, charges in [-3, 3], multiplicities in 1..3, each node's
+    children in the order that canonical_code sorts them, and no node more
+    than rho + 1 bonds below the root.  Any other text raises ValueError."""
+    # per open node: where its `mult:(` starts, its sort key without its
+    # text, and the full key of its last child
+    stack: list[list] = []
+    closed = None  # whether the last lexeme closed a node; None at the start
+    at = 0
+    for text in _LEXEME.findall(code):
+        if closed and not stack:
+            raise ValueError(f"trailing text at character {at}")
+        if text == "])" and closed is not None:
+            closed = True
+        else:
+            head = _head(text)
+            if head is None or closed is not head[0]:
+                raise ValueError(f"unexpected {text!r} at character {at}")
+            if len(stack) > rho + 1:
+                raise ValueError(f"a node deeper than rho + 1 = {rho + 1} bonds")
+            stack.append([at + (text[0] == ";"), head[2], None])
+            closed = head[1]
+        at += len(text)
+        if closed:
+            start, key, _ = stack.pop()
+            if stack:
+                parent = stack[-1]
+                key += (code[start:at],)
+                if parent[2] is not None and key < parent[2]:
+                    raise ValueError(
+                        f"children out of canonical order at character {start}")
+                parent[2] = key
+    if not closed or stack:
+        raise ValueError("unbalanced brackets")
+    return code.encode()
+
+
+def _space(r: Reader, path, d: dict) -> DescriptorSpace:
+    """The space of a SPACE record: its fringe codes are checked here, since
+    the depth bound depends on its rho."""
+    rho = d["rho"]
+    d["fringe_codes"] = tuple([
+        r.make(((path, "fringe_codes"), i), fringe_code, code, rho)
+        for i, code in enumerate(d["fringe_codes"])])
+    return DescriptorSpace(**d)
+
+
+def _catalog(entry: Kind) -> Kind:
     """A catalog: a list in which no entry repeats."""
-    return list_of(entry, key=key)
+    return list_of(entry, key=lambda x: x)
 
 
 _PAIR = list_of(Kind(lambda r, v, path: v), 2)
@@ -503,12 +568,8 @@ SPACE = Table(
         Field("mult", integer(1, 3)),
         make=lambda r, path, d: EdgeConfiguration(d["mu"], d["mu_prime"], d["mult"]),
     ))),
-    Field("fringe_trees", _catalog(Table(
-        Field("code", STRING, attr=lambda pair: pair[0].decode()),
-        Field("tree", TREE, attr=itemgetter(1)),
-        make=_coded_tree,
-    ), key=itemgetter(0)),  # a tree repeats when its canonical code does
-        attr=lambda space: zip(space.fringe_codes, space.fringe_examples)),
+    Field("fringe_codes", _catalog(STRING),
+          attr=lambda space: [code.decode() for code in space.fringe_codes]),
     Field("ac_lf", _catalog(Table(
         Field("a", ELEMENT),
         Field("b", ELEMENT),
@@ -516,6 +577,7 @@ SPACE = Table(
         make=lambda r, path, d: r.make(
             path, AdjacencyConfiguration, d["a"], d["b"], d["mult"]),
     ))),
+    make=_space,
 )
 
 
@@ -525,10 +587,7 @@ def space_to_json(space: DescriptorSpace) -> dict:
 
 def space_from_json(doc: dict) -> DescriptorSpace:
     """Inverse of space_to_json; a fault raises InputError."""
-    d = SPACE.read(Reader("descriptor space", InputError), doc)
-    trees = d.pop("fringe_trees")
-    return DescriptorSpace(**d, fringe_codes=tuple(code for code, _ in trees),
-                           fringe_examples=tuple(t for _, t in trees))
+    return SPACE.read(Reader("descriptor space", InputError), doc)
 
 
 def space_hash(space: DescriptorSpace) -> str:

@@ -95,6 +95,10 @@ _SHARED = {
     for valence in range(1, 7)
 }
 
+# each shared element by its printable token: the one way an element is
+# spelled in a fringe-tree code
+BY_TOKEN = {e.token: e for e in _SHARED.values()}
+
 
 # each symbol's shared elements from its default valence up, smallest first:
 # the variants that SDF ingest picks from by bond sum

@@ -212,9 +212,11 @@ def read_feature_csv(text: str) -> tuple[list[str], list[str], list[list[float]]
         raise InputError("feature CSV must start with an 'id' column")
     names = header[1:]
     ids, rows = [], []
-    for line, rec in enumerate(reader, start=2):
+    for rec in reader:
         if not rec:
             continue
+        # the physical line on which the record ends
+        line = reader.line_num
         if len(rec) != len(header):
             raise InputError(
                 f"feature CSV line {line} has {len(rec)} fields, not {len(header)}")

@@ -153,8 +153,8 @@ def _featurize_and_train(cfg_path) -> dict[str, bytes]:
 # sha256 of the featurize + train outputs for the benchmark's train_cv inputs
 TRAIN_CV_DIGESTS = {
     "features.csv": "e3929e86d82e4405ac156f39e1d35fd06c59a0a13e90b8e3603c25611d57d466",
-    "space.json": "38e9531838ce23b434b9025f9cdc81138b7088cc0233c9f542179c289ac685ea",
-    "predictor.json": "45c9d2a851d2f0db03488f850ef8960ba273e7ff4a90f9809bc47b836f475cc2",
+    "space.json": "e175d3b617ff65b0ef7d79f45e571d30159dcd963d4095059198afea88efe33e",
+    "predictor.json": "53022a5510ce3b2f96970a9f80e884841a1eb434e9c095506fdc99ba188fe8e7",
 }
 
 
@@ -230,7 +230,7 @@ def test_train_and_infer_and_verify(project, capsys):
     space_doc = json.loads((out / "space.json").read_text())
     k_cli = 14 + sum(
         len(space_doc[key])
-        for key in ("lambda_int", "lambda_ex", "gamma_int", "fringe_trees", "ac_lf")
+        for key in ("lambda_int", "lambda_ex", "gamma_int", "fringe_codes", "ac_lf")
     )
     assert len(predictor_doc["weights"]) == k_cli
 
@@ -314,6 +314,25 @@ def test_train_id_mismatch(project, capsys):
     assert main(["train", "--config", str(cfg2)]) == 2
     assert capsys.readouterr().err == (
         "error: no target value for ids ['mol0', 'mol1', 'mol2', 'mol3', 'mol4']\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "-nan", "inf", "1e400"])
+def test_train_rejects_a_non_finite_target(project, capsys, value):
+    """A target that float() reads as NaN or infinite exits 2 naming its id
+    and line, before any fit: a NaN would reach predictor.json as a
+    `target_min` that no reader accepts."""
+    tmp, cfg_path, fx = project
+    assert main(["featurize", "--config", str(cfg_path)]) == 0
+    targets = tmp / "targets.csv"
+    lines = targets.read_text().splitlines()
+    lines[4] = f"mol3,{value}"
+    targets.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: target of 'mol3' on line 5 of {targets} is not a finite number: "
+        f"{value!r}\n")
+    assert not (tmp / "out" / "predictor.json").exists()
 
 
 def _drop_last_column(path):
@@ -740,6 +759,33 @@ def test_bad_input_files_are_usage_errors(trained, capsys, command, target, edit
     err = capsys.readouterr().err
     assert needle in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _old_format_space(path):
+    """space.json as written before the fringe catalog held bare codes."""
+    doc = json.loads(path.read_text())
+    doc["fringe_trees"] = [{"code": code, "tree": {}} for code in doc.pop("fringe_codes")]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("command", ["train", "infer", "verify"])
+def test_old_format_space_is_a_usage_error(trained, capsys, command):
+    """A space.json that still lists example trees must be re-featurized:
+    every command that reads it exits 2 with one line."""
+    tmp, cfg_path = trained
+    out = tmp / "out"
+    (tmp / "graph.json").write_text(graph_to_json_text(ring(3)))
+    _old_format_space(out / "space.json")
+    argv = {
+        "infer": ["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"],
+        "train": ["train", "--config", str(cfg_path)],
+        "verify": ["verify", str(tmp / "graph.json"), str(tmp / "spec.json"),
+                   str(out / "predictor.json"), str(out / "space.json")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: descriptor space is missing key 'fringe_codes'\n")
 
 
 def test_train_accepts_quoted_ids(project, capsys):

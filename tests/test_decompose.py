@@ -132,6 +132,19 @@ def test_tree_json_round_trip():
         assert t2.canonical_code == t.canonical_code
 
 
+def test_tree_edge_may_point_to_the_root():
+    """A tree edge written child -> parent is read and re-oriented; the
+    tree keeps its canonical code."""
+    t = decompose(ring(4, pendant=2), 2).fringe_trees[1]
+    doc = tree_to_json(t)
+    edge = doc["edges"][1]
+    edge["u"], edge["v"] = edge["v"], edge["u"]
+    tree = TREE.read(Reader("fringe tree", InputError), doc)
+    assert tree.canonical_code == t.canonical_code
+    assert (edge["u"], edge["v"], 1) not in tree.edges
+    assert (edge["v"], edge["u"], 1) in tree.edges
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_decompose_deterministic(seed):

@@ -12,6 +12,7 @@ from invqsar.descriptors import (
     OutOfSpaceError,
     build_space,
     featurize,
+    fringe_code,
     read_feature_csv,
     space_from_json,
     space_hash,
@@ -24,7 +25,7 @@ from invqsar.graph import ChemicalGraph, build_graph
 from invqsar.regression import min_max_scale
 from invqsar.schema import InputError
 
-from conftest import chain, random_chemical_graph, ring
+from conftest import chain, perfbench_inputs, random_chemical_graph, ring
 import oracles
 from oracles import brute_force_features
 
@@ -287,12 +288,31 @@ def test_read_feature_csv_matches_oracle(text):
     "",
     "x,a\nm1,1\n",
     "id,a\nm1," + "1" * 140_000 + ",x\n",  # a field over the csv limit
+    'id,a\n"m\n1",1\nm2,x\n',                # a bad cell after a two-line id
+    'id,a\n"m\n1",1\nm2,1,2\n',              # a long row after a two-line id
+    'id,a\n"m\n1",x\n',                       # a bad cell in a two-line record
 ], ids=["whitespace_line", "blank_line", "hash_id", "quoted_ids", "quoted_header",
         "crlf", "no_final_newline", "bare_cr", "inner_cr", "underscore", "arabic_digit", "unit_separator",
         "spaces_nan_inf", "empty_cell", "short_row", "long_row", "empty_field_row",
-        "no_rows", "no_descriptors", "empty_text", "no_id_column", "long_field"])
+        "no_rows", "no_descriptors", "empty_text", "no_id_column", "long_field",
+        "multiline_id_then_bad_cell", "multiline_id_then_long_row",
+        "multiline_id_bad_cell"])
 def test_read_feature_csv_cases(text):
     _reads_as_oracle(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('id,a\n"m\n1",1\nm2,x\n',
+     "feature CSV line 4: could not convert string to float: 'x'"),
+    ('id,a\n"m\n1",1\nm2,1,2\n', "feature CSV line 4 has 3 fields, not 2"),
+    ('id,"a\nb"\n"m\n1",x\n', "feature CSV line 4: could not convert string to float: 'x'"),
+], ids=["bad_cell", "long_row", "two_line_header_and_record"])
+def test_read_feature_csv_names_the_physical_line(text, message):
+    """A faulty record is named by the line it ends on, counting every line
+    of the quoted fields before it."""
+    with pytest.raises(InputError) as got:
+        read_feature_csv(text)
+    assert str(got.value) == message
 
 
 @pytest.mark.parametrize("text, message", [
@@ -352,46 +372,49 @@ def test_leaf_edge_both_degree_one():
     assert (cfg.a.token, cfg.b.token) == ("C", "O")
 
 
-def _tree(doc: dict, i: int) -> dict:
-    return doc["fringe_trees"][i]["tree"]
+def _code(i: int, text):
+    """An edit that writes text as the space's i-th fringe code."""
+    return lambda doc: doc["fringe_codes"].__setitem__(i, text)
 
 
 @pytest.mark.parametrize("edit, needle", [
-    (lambda doc: doc["fringe_trees"][0]["tree"].pop("root"),
-     "descriptor space is missing key 'fringe_trees[0].tree.root'"),
-    (lambda doc: doc["fringe_trees"][1]["tree"]["edges"][0].update(order=1.0),
-     "descriptor space key 'fringe_trees[1].tree.edges[0].order' must be an integer"),
-    (lambda doc: doc["fringe_trees"][0].update(code="(C,0[])"),
-     "descriptor space key 'fringe_trees[0].code' does not match its tree"),
+    # a case ported from a fringe-tree record fault keeps that fault's id
+    (_code(1, "(C,0[1:(H,0[]);1:(C,0[])])"),
+     "descriptor space key 'fringe_codes[1]' is invalid: "
+     "children out of canonical order at character 15"),
+    (_code(1, "(C,0[4:(H,0[])])"),
+     "descriptor space key 'fringe_codes[1]' is invalid: "
+     "multiplicity '4' is not one of 1..3"),
+    (_code(1, "(C,0[0:(H,0[])])"),
+     "descriptor space key 'fringe_codes[1]' is invalid: "
+     "multiplicity '0' is not one of 1..3"),
+    (_code(1, "(C,0[(H,0[])])"),
+     "descriptor space key 'fringe_codes[1]' is invalid: "
+     "unexpected '(H,0[])' at character 5"),
+    (_code(0, "(C(7),0[])"),
+     "descriptor space key 'fringe_codes[0]' is invalid: unknown element token 'C(7)'"),
+    (_code(0, "(C,4[])"),
+     "descriptor space key 'fringe_codes[0]' is invalid: charge '4' is not one of -3..3"),
+    (_code(0, "(Zz,0[])"),
+     "descriptor space key 'fringe_codes[0]' is invalid: unknown element token 'Zz'"),
+    (_code(0, {"code": "(C,0[])"}),
+     "descriptor space key 'fringe_codes[0]' must be a string"),
+    (_code(1, "(C,0[1:(H,0[]);1:(H,0[])"),
+     "descriptor space key 'fringe_codes[1]' is invalid: unbalanced brackets"),
+    (_code(1, "(C,0[1:(H,0[]);1:(H,0[])])]"),
+     "descriptor space key 'fringe_codes[1]' is invalid: trailing text at character 26"),
+    # the first code holds an H three bonds below its root
+    (lambda doc: doc.update(rho=1),
+     "descriptor space key 'fringe_codes[0]' is invalid: "
+     "a node deeper than rho + 1 = 2 bonds"),
     (lambda doc: doc["gamma_int"][0]["mu"].__setitem__(1, 5),
      "descriptor space key 'gamma_int[0].mu' is invalid"),
     (lambda doc: doc["ac_lf"][0].update(mult=2, a="H"),
      "descriptor space key 'ac_lf[0]' is invalid"),
     (lambda doc: doc.update(rho=0), "descriptor space key 'rho' must be at least 1"),
-    (lambda doc: _tree(doc, 0)["vertices"][0].update(isotope=13),
-     "descriptor space key 'fringe_trees[0].tree.vertices[0].isotope' is unknown"),
-    (lambda doc: _tree(doc, 0)["vertices"][0].update(valence=7),
-     "descriptor space key 'fringe_trees[0].tree.vertices[0].valence' must be in [1, 6]"),
-    (lambda doc: _tree(doc, 0)["vertices"][0].update(charge=4),
-     "descriptor space key 'fringe_trees[0].tree.vertices[0].charge' must be in [-3, 3]"),
-    (lambda doc: _tree(doc, 0)["vertices"][0].update(element="Zz"),
-     "descriptor space key 'fringe_trees[0].tree.vertices[0].element' is invalid: "
-     "unknown element symbol 'Zz'"),
-    (lambda doc: _tree(doc, 0).update(root=99),
-     "descriptor space key 'fringe_trees[0].tree.root' must be the id of a vertex"),
-    (lambda doc: _tree(doc, 1)["edges"][0].update(u="0"),
-     "descriptor space key 'fringe_trees[1].tree.edges[0].u' must be an integer"),
-    (lambda doc: _tree(doc, 0).update(vertices={}),
-     "descriptor space key 'fringe_trees[0].tree.vertices' must be a list"),
-    (lambda doc: _tree(doc, 1)["edges"][0].pop("order"),
-     "descriptor space is missing key 'fringe_trees[1].tree.edges[0].order'"),
-    # the two hydrogens of a CH2 tree, joined: a cycle
-    (lambda doc: _tree(doc, 1)["edges"].append({"u": 7, "v": 8, "order": 1}),
-     "descriptor space key 'fringe_trees[1].tree' is invalid: "
-     "fringe tree must be a connected tree"),
-], ids=["tree-root", "tree-order", "code", "gamma-degree", "ac-valence", "rho",
-        "vertex-key", "valence", "charge", "element", "root-id", "edge-u",
-        "vertices-object", "edge-order-missing", "cycle"])
+], ids=["code", "tree-order", "mult-0", "edge-order-missing", "valence", "charge",
+        "element", "vertices-object", "unbalanced", "trailing", "depth",
+        "gamma-degree", "ac-valence", "rho"])
 def test_space_faults_name_their_path(edit, needle):
     doc = space_to_json(build_space([ring(6), ring(4, pendant=2)], 2))
     edit(doc)
@@ -400,23 +423,37 @@ def test_space_faults_name_their_path(edit, needle):
     assert str(caught.value).startswith(needle)
 
 
-def test_space_fringe_tree_edge_may_point_to_the_root():
-    """A tree edge written child -> parent is read and re-oriented; the
-    tree keeps its canonical code."""
-    doc = space_to_json(build_space([ring(6), ring(4, pendant=2)], 2))
-    edge = _tree(doc, 0)["edges"][1]
-    edge["u"], edge["v"] = edge["v"], edge["u"]
-    space = space_from_json(doc)
-    want = space_from_json(space_to_json(build_space([ring(6), ring(4, pendant=2)], 2)))
-    assert space.fringe_codes == want.fringe_codes
-    tree = space.fringe_examples[0]
-    assert tree.canonical_code == want.fringe_examples[0].canonical_code
-    assert (edge["u"], edge["v"], 1) not in tree.edges
-    assert (edge["v"], edge["u"], 1) in tree.edges
+def test_fringe_codes_of_every_census_pass_the_check():
+    """Every code take_census gives on the 200 random molecules of
+    test_fringe_trees_match_the_oracle_recursion, at rho 1, 2 and 3, reads
+    back as itself; and the depth bound is reached at each rho."""
+    inputs = perfbench_inputs()
+    rng = np.random.default_rng(21)
+    graphs = [inputs.random_molecule(rng, 12) for _ in range(200)]
+    for rho in (1, 2, 3):
+        codes = {code for g in graphs for code in take_census(g, rho).fringe}
+        assert all(fringe_code(code.decode(), rho) == code for code in codes)
+        deepest = []
+        for code in codes:
+            try:
+                fringe_code(code.decode(), rho - 1)
+            except ValueError:
+                deepest.append(code)
+        assert deepest
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(1, 3))
+def test_space_json_round_trip_of_random_spaces(seed, rho):
+    rng = np.random.default_rng(seed)
+    space = build_space([random_chemical_graph(rng, max_heavy=10) for _ in range(4)], rho)
+    again = space_from_json(json.loads(space_to_json_text(space)))
+    assert again == space
+    assert space_hash(again) == space_hash(space)
 
 
 @pytest.mark.parametrize(
-    "catalog", ["lambda_int", "lambda_ex", "gamma_int", "fringe_trees", "ac_lf"])
+    "catalog", ["lambda_int", "lambda_ex", "gamma_int", "fringe_codes", "ac_lf"])
 def test_space_catalog_entry_repeats_are_rejected(catalog):
     """A catalog entry listed twice would give two descriptor columns for
     one count; the repeat is a fault at its index."""
@@ -430,18 +467,17 @@ def test_space_catalog_entry_repeats_are_rejected(catalog):
 
 
 def test_space_fringe_tree_repeat_is_found_by_code():
-    """The same fringe tree with its vertices numbered differently is still
-    a repeat."""
+    """A fringe tree has one code: listed again it is a repeat, and spelled
+    with its children in another order it is not a code at all."""
     doc = space_to_json(build_space([ring(6), ring(4, pendant=2)], 2))
-    tree = max(doc["fringe_trees"], key=lambda t: len(t["tree"]["vertices"]))
-    renumbered = json.loads(json.dumps(tree))
-    ids = [v["id"] for v in renumbered["tree"]["vertices"]]
-    shift = {i: i + 100 for i in ids}
-    for v in renumbered["tree"]["vertices"]:
-        v["id"] = shift[v["id"]]
-    for e in renumbered["tree"]["edges"]:
-        e["u"], e["v"] = shift[e["u"]], shift[e["v"]]
-    renumbered["tree"]["root"] = shift[renumbered["tree"]["root"]]
-    doc["fringe_trees"].append(renumbered)
-    with pytest.raises(InputError, match=r"'fringe_trees\[\d+\]' repeats"):
+    code = doc["fringe_codes"][1]
+    doc["fringe_codes"].append(code)
+    with pytest.raises(InputError) as caught:
+        space_from_json(doc)
+    assert str(caught.value) == (
+        "descriptor space key 'fringe_codes[2]' repeats an earlier entry")
+    doc["fringe_codes"][2] = "(C,0[1:(C,0[]);1:(H,0[])])"
+    assert space_from_json(doc).fringe_codes[2] == b"(C,0[1:(C,0[]);1:(H,0[])])"
+    doc["fringe_codes"][2] = "(C,0[1:(H,0[]);1:(C,0[])])"
+    with pytest.raises(InputError, match=r"'fringe_codes\[2\]' is invalid: children out"):
         space_from_json(doc)

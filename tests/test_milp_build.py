@@ -488,44 +488,44 @@ def test_prediction_reduces_to_normalized_interval():
 # change meant to keep the model must keep these digests.
 PINNED_LP_DIGESTS = {
     "triangle": (
-        "c49a040a59f93fbc3998720de59263ce10b900a5ef16704ded700a228b21e2f9",
-        "e7bedadee0ac0e8a83f37c88e9f4fe912893c596483953ff4a6a5e9d5085db41",
+        "ff2c2f02f6dde5c8b0779870d373b725bd43b2908d7c600300cc8f64175867dc",
+        "a6723c676325d80edd14ffc2c0ff942fa4d098a4b061e1c8f5f124ad5e18ad07",
     ),
     "square_chord": (
-        "585f2f4404e164fb5bda0414d075e13013c63042eb2a3e790db91e141adf4282",
-        "ccaa066807ebef06fd5d48abe6059f42bff65f4180d756860e2e1bd1a811fdb1",
+        "a3ba6f610af96ab0757bd563061d0fa762f8b5e1d3e26bd4fb19da2938e7be64",
+        "105b1e53cb12b7aea2c9808c31d87efbb2c440f25615ae6582b8b1a0a0f4bd11",
     ),
     "expanded_path": (
-        "d7a0f52648e623ff542eb64d6934d99f43825bb688b244c08a3abb0730e05ce4",
-        "8fc17e2782f4db79546fa7bc70f72409fa5cbacde5ad0d797eee1e4100feb8dd",
+        "5882807ac3bd1ccf44f01fd47d4cce7fd0b7e261a3bdf1cb8396796deaec706d",
+        "b9acc2ea3f754111a050c344c0c31c69c5edb680f950c0f394512440bb0e7609",
     ),
     "hetero": (
-        "e9e84ce34c198084133377c52f0ec3261cdbe5595f4425062f3dc26be5083c8d",
-        "aa798c1e3e7fb260d91da872f7ab5c4de0e3019a12e9efe6200fc6cd4edfd6ae",
+        "dacad8b875c6877612755e9d32e8a600345fc38fbbd0dc88ae2fc4260856f0a5",
+        "122b0d530bbb497800029519559991adef8b500ab8f945b9b3dfe173a97b2363",
     ),
     "two_rings": (
-        "f718de64914b259bced9bbd4c8ca6c487470f993461dc815e6ec7c79cbb299fa",
-        "55d093f2d1da92e902db8c570468bcf234db23edb77a88b416881d52a2ab33b8",
+        "00e096833a0294c6b9e62ab8943c3c184ff83875857c8a397bb046e21f92fda1",
+        "8d738a01074f20bb395fd6039df59a60925cdf2a1d99d83c6a43aedff277ef25",
     ),
     "stress1": (
-        "f89106fe1db40b5710ea8953c739eb7f3b788f4c7a3cc6eb04d448a8f161114d",
-        "2e9ada3d220618155e1aa1c31372afc743cfc5694ca4c7ce00c0bfe3619446e4",
+        "3a22679fec3ab9c897576e2b44c37132ffe84defe6b65621b3da7d65cc776a80",
+        "be78efa35eb478fc0e6b5afac9f3ac6abec6e9d702d5247616fb1bf3e253bee1",
     ),
     "stress2": (
-        "b2fc0b1430129619acf20e0e4cbb4f4d64a0545331a6efcd7bdc89cc08035911",
-        "e7ad946600512511b240dc808b1da7ef4108ec52c930583032b0a6b3501ed7d6",
+        "e0fdbfd87f554bcdfd67ae663a58d978571837b8bed4607fec126abea7d6d09c",
+        "8001c489a80e1f428f02e73566affa85d168742ec2bdf58801b110516e052b97",
     ),
     "stress3": (
-        "a439f11e42d8a4e92d6fc5ce957b21503ba5ac637975cfe1f0fc0f2913b0b92b",
-        "cf827c0efe7efe8cd30af833264998a5e1a4e2c2d524589f081a8f686534b49f",
+        "a2edfd7b3e4ac90bc659f98db80375ea50569713aa1e8539cd1dd92e1fac54be",
+        "f5f3d4c39f52bda215bbbcd0e4f42f177ed41bfba860bf840d73e291732c1dd8",
     ),
     "stress4": (
-        "78787f4424432ae35bdccfc5cca45b540e14946c107d221f016bbfe4447182ab",
-        "d2403fed155d998a8b12ce0d84b96611d7f7d95bcf07adb84872977c873e2ce0",
+        "69346322719f4f8ef8e1331905b16f87e171490b88deeaee61252a03f08aa1a3",
+        "fbb2be5762cae5c1890697771655c9f6959e574d4b10fcf071d4f34c8ecdc5e5",
     ),
     "stress5": (
-        "93d48b7130b58fab3447d361d5737d5c9b43d02f796ee604d882404729a690a2",
-        "d08fdaf8f86831249c8c63d96cbe14bf3c8f5c74af0ff9a14e9c18d154d07472",
+        "b0a90e1470d725112d6ac9a99f2a1961989556bf1c7484279a901bd04b8cf5b1",
+        "8d7372f6fdd8dc1004ab83949d95d30ad473f0f1dabb84404d3deb795149069f",
     ),
 }
 
