@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .decompose import RootedFringeTree, TwoLayeredDecomposition, decompose
+from .decompose import TwoLayeredDecomposition, decompose
 from .elements import BY_TOKEN, ElementSpec
 from .schema import (
     ELEMENT, INTEGER, STRING, Field, InputError, Kind, Reader, Table, integer, list_of)
@@ -204,14 +204,13 @@ class GraphCensus:
     elements: Counter[tuple[bool, ElementSpec]]
     edge_configs: Counter[EdgeConfiguration]
     fringe: Counter[bytes]  # canonical code -> tree count, codes in root order
-    examples: dict[bytes, RootedFringeTree]  # code -> its tree of least root
     leaf_edges: Counter[AdjacencyConfiguration]
     # holds the graph; None in the counts a dataset keeps of each record
     decomposition: TwoLayeredDecomposition | None
 
     def counts(self) -> "GraphCensus":
         """This census without its decomposition, so that the graph and its
-        other fringe trees can go: what featurize keeps of each record."""
+        fringe trees can go: what featurize keeps of each record."""
         return replace(self, decomposition=None)
 
 
@@ -254,12 +253,7 @@ def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
         EdgeConfiguration.make(symbol[e.u], symbol[e.v], e.mult)
         for e in decomp.interior_edges
     )
-    fringe: Counter[bytes] = Counter()
-    examples: dict[bytes, RootedFringeTree] = {}
-    for t in decomp.fringe_trees.values():
-        code = t.canonical_code
-        fringe[code] += 1
-        examples.setdefault(code, t)
+    fringe = Counter(t.canonical_code for t in decomp.fringe_trees.values())
 
     # leaf edges of the suppressed graph, leaf endpoint first; an edge
     # whose two endpoints both have degree 1 is oriented by element order
@@ -277,7 +271,7 @@ def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
         leaf_edges[AdjacencyConfiguration(a, b, e.mult)] += 1
 
     return GraphCensus(rho, tuple(scalars), elements, edge_configs, fringe,
-                       examples, leaf_edges, decomp)
+                       leaf_edges, decomp)
 
 
 def space_from_censuses(censuses: list[GraphCensus]) -> DescriptorSpace:
@@ -331,9 +325,7 @@ def census_vector(census: GraphCensus, space: DescriptorSpace) -> FeatureVector:
     for code, n in census.fringe.items():
         idx = space.fringe_index.get(code)
         if idx is None:
-            raise OutOfSpaceError(
-                f"fringe tree at vertex {census.examples[code].root} not in the space"
-            )
+            raise OutOfSpaceError(f"fringe tree {code.decode()} not in the space")
         values[off["fc"] + idx] += n
 
     for ac, n in census.leaf_edges.items():

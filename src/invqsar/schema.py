@@ -66,15 +66,11 @@ class Reader:
 
 
 class Kind:
-    """How a JSON value is read (checked and converted) and written.  A
-    value that needs only a JSON type and range check names them, so that
-    tables check it inline."""
+    """How a JSON value is read (checked and converted) and written."""
 
-    def __init__(self, read, write=lambda value: value, json_type=None,
-                 low=None, high=None):
+    def __init__(self, read, write=lambda value: value):
         self.read = read  # (reader, value, path) -> value
         self.write = write
-        self.json_type, self.low, self.high = json_type, low, high
 
 
 def integer(low=None, high=None) -> Kind:
@@ -90,7 +86,7 @@ def integer(low=None, high=None) -> Kind:
         if not lo <= v <= hi:
             r.fail(path, bounds)
         return v
-    return Kind(read, json_type=int, low=lo, high=hi)
+    return Kind(read)
 
 
 def number(low=-math.inf) -> Kind:
@@ -108,7 +104,7 @@ def _typed(json_type, name: str) -> Kind:
         if type(v) is not json_type:
             r.fail(path, f"must be {name}")
         return v
-    return Kind(read, json_type=json_type)
+    return Kind(read)
 
 
 INTEGER = integer()
@@ -123,8 +119,7 @@ ELEMENT = Kind(lambda r, v, path: r.make(path, parse_element, STRING.read(r, v, 
 def optional(kind: Kind) -> Kind:
     """kind, or JSON null read as None."""
     return Kind(lambda r, v, path: None if v is None else kind.read(r, v, path),
-                lambda v: None if v is None else kind.write(v),
-                json_type=kind.json_type, low=kind.low, high=kind.high)
+                lambda v: None if v is None else kind.write(v))
 
 
 def list_of(item: Kind, length: int | None = None, key=None) -> Kind:
@@ -177,8 +172,7 @@ class Table(Kind):
         super().__init__(self.read, write or self.write)
         self.fields = fields
         self.keys = frozenset(f.key for f in fields)
-        self.plan = tuple((f.key, f.kind.json_type, f.kind.low, f.kind.high,
-                           f.kind.read, f.default) for f in fields)
+        self.plan = tuple((f.key, f.kind.read, f.default) for f in fields)
         self.make = make
         self.scoped = any(callable(f.default) for f in fields)
 
@@ -189,14 +183,10 @@ class Table(Kind):
         if self.scoped:
             r.scope = r.scope.new_child(got)
         found = 0
-        for key, json_type, low, high, read, default in self.plan:
+        for key, read, default in self.plan:
             if key in v:
                 found += 1
-                value = v[key]
-                if type(value) is json_type and (low is None or low <= value <= high):
-                    got[key] = value
-                else:
-                    got[key] = read(r, value, (path, key))
+                got[key] = read(r, v[key], (path, key))
             elif default is REQUIRED:
                 raise r.error(f"{r.what} is missing key {_spell((path, key))!r}")
             else:
