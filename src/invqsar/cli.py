@@ -168,9 +168,10 @@ def run_featurize(cfg: ProjectConfig) -> int:
 def _load_targets(path: str) -> dict[str, float]:
     """id -> finite value from a two-column CSV; ids may be quoted as in
     features.csv.  Blank lines, '#' comment lines and an 'id,' header are
-    skipped."""
+    skipped, and an id may appear once."""
     text = _read_text(path)
     targets: dict[str, float] = {}
+    lines: dict[str, int] = {}
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -183,10 +184,15 @@ def _load_targets(path: str) -> dict[str, float]:
             y = float(value)
         except ValueError as exc:
             raise UsageError(f"bad target line {line!r}") from exc
+        name = name.strip()
         if not math.isfinite(y):
-            raise UsageError(f"target of {name.strip()!r} on line {number} of "
+            raise UsageError(f"target of {name!r} on line {number} of "
                              f"{path} is not a finite number: {value!r}")
-        targets[name.strip()] = y
+        if name in lines:
+            raise UsageError(f"target id {name!r} is on lines {lines[name]} and "
+                             f"{number} of {path}")
+        lines[name] = number
+        targets[name] = y
     return targets
 
 

@@ -206,9 +206,9 @@ class Build:
             slots.append(BondSlot(f"sF_{c}", (root, f"fsF_{c}"), f"dclrF_{c}", part))
         return slots
 
-    def _mass_bound(self) -> int:
+    def _mass_bound(self) -> int | float:
         if self.spec.mass_avg_ub is not None:
-            return int(math.ceil(self.spec.mass_avg_ub))
+            return self.spec.mass_avg_ub
         return max(e.mass_star for e in self.lam_all)
 
     # -- small helpers ------------------------------------------------------

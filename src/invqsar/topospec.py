@@ -712,6 +712,9 @@ def check_graph_satisfies(
         (f"interior {token}", na_int[token], *spec.na_int_bounds(token))
         for token in sorted(set(na_int) | set(spec.na_int_lb) | set(spec.na_int_ub))
     ]))
+    if spec.mass_avg_ub is not None:
+        report.clauses.append(_bounds("mass_avg", [
+            ("mass_avg", census.scalars[3], 0, spec.mass_avg_ub)]))
 
     # degree tallies over interior vertices: full degree and interior degree
     full_deg = Counter(g.degree(v) for v in decomp.interior_vertices)

@@ -335,6 +335,32 @@ def test_train_rejects_a_non_finite_target(project, capsys, value):
     assert not (tmp / "out" / "predictor.json").exists()
 
 
+def _target_lines(lines):
+    lines.insert(3, "")
+    lines.insert(5, "# a comment")
+
+
+@pytest.mark.parametrize("edit, code, err", [
+    (_target_lines, 0, ""),
+    (lambda lines: lines.insert(4, "mol3,x"), 2, "error: bad target line 'mol3,x'\n"),
+    (lambda lines: lines.append("mol3,9.0"), 2,
+     "error: target id 'mol3' is on lines 5 and 14 of {}\n"),
+], ids=["blank-and-comment", "bad-line", "duplicate-id"])
+def test_train_reads_each_target_line(project, capsys, edit, code, err):
+    """Blank and '#' lines are skipped; a line that is not an id and a
+    number, or an id listed twice, exits 2 before any fit."""
+    tmp, cfg_path, fx = project
+    assert main(["featurize", "--config", str(cfg_path)]) == 0
+    targets = tmp / "targets.csv"
+    lines = targets.read_text().splitlines()
+    edit(lines)
+    targets.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == code
+    assert capsys.readouterr().err == err.format(targets)
+    assert (tmp / "out" / "predictor.json").exists() == (code == 0)
+
+
 def _drop_last_column(path):
     lines = path.read_text().splitlines()
     path.write_text("".join(ln.rsplit(",", 1)[0] + "\n" for ln in lines))

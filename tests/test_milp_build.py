@@ -214,6 +214,15 @@ def test_prediction_interval_errors():
         build_milp(fx.spec, fx.space, other.predictor, 0.1, 0.9)
 
 
+def test_mass_avg_bound_is_the_spec_value():
+    """msbar and x_4 are bounded by mass_avg_ub itself, not its ceiling: the
+    triangle spec's only molecule averages 140/3, so 46.5 leaves no answer."""
+    _, space, spec = triangle_setup(mass_avg_ub=46.5)
+    model = build_milp(spec, space)
+    assert model.var("msbar").ub == model.var("x_4").ub == 46.5
+    assert solve(model, "highs").status == "infeasible"
+
+
 def test_variable_bounds_match_contract():
     fx = roundtrip_fixture("expanded_path")
     model = build_milp(fx.spec, fx.space)

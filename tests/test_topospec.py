@@ -255,6 +255,7 @@ CLAUSE_BREAKS = {
     "height_bounds": (_every_seed_vertex(height_lb=1), []),
     "leaf_branch_bounds": (_every_seed_vertex(leaf_path=True, leaf_path_lb=1), []),
     "bond_bounds": (_edit(("seed", "edges", 0, "bond2_lb"), 1), []),
+    "mass_avg": (_edit(("mass_avg_ub",), 10.5), []),
 }
 
 
