@@ -19,7 +19,7 @@ from invqsar.graph import build_graph, graph_to_json_text
 from invqsar.sdf import graph_to_sdf
 from invqsar.topospec import spec_to_json_text
 
-from conftest import perfbench_inputs, ring, roundtrip_fixture, sdf_records
+from conftest import chain, perfbench_inputs, ring, roundtrip_fixture, sdf_records
 
 
 @pytest.fixture
@@ -30,7 +30,6 @@ def project(tmp_path):
     trained model is essentially perfect and inference targets are easy to
     place."""
     fx = roundtrip_fixture("triangle")
-    from conftest import chain
 
     molecules = (
         [ring(n) for n in (3, 4, 5, 6)]
@@ -757,6 +756,9 @@ def _other_space(path):
     ("infer", "spec.json", lambda p: _replace_text(
         p, p.read_text().replace('"n_star": ', '"n_star": "many", "x": ')),
      "malformed specification"),
+    ("infer", "spec.json", lambda p: _replace_text(
+        p, p.read_text().replace('"lambda_int": [', '"lambda_int": ["N", ')),
+     "error: interior element N is not in the descriptor space"),
     ("train", "out/features.csv", _drop_a_field, "feature CSV line 2"),
     ("train", "out/features.csv", lambda p: _replace_text(p, ""), "'id' column"),
     ("train", "out/features.csv", _keep_header, "error: features.csv has no rows"),
@@ -764,8 +766,12 @@ def _other_space(path):
      "error: feature CSV line 2: field larger than field limit"),
     ("verify", "graph.json", lambda p: _replace_text(p, "[]"), "graph document"),
     ("verify", "out/space.json", _other_space, "different space"),
-], ids=["space-json", "predictor-json", "spec-field", "features-short-row",
-        "features-empty", "features-no-rows", "features-long-field", "graph-shape", "verify-space-mismatch"])
+    ("verify", "graph.json", lambda p: _replace_text(p, graph_to_json_text(chain(["C", "O"]))),
+     "error: exterior element O not in the space"),
+], ids=["space-json", "predictor-json", "spec-field", "spec-outside-space",
+        "features-short-row",
+        "features-empty", "features-no-rows", "features-long-field", "graph-shape",
+        "verify-space-mismatch", "verify-graph-outside-space"])
 def test_bad_input_files_are_usage_errors(trained, capsys, command, target, edit,
                                           needle):
     """Bad input files exit 2 through the typed input errors, with one line

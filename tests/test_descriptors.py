@@ -65,15 +65,43 @@ def test_build_space_requires_data():
         build_space([], 2)
 
 
-def test_out_of_space_element():
-    space = build_space([ring(6)], 2)
-    clorinated = build_graph(
-        [(1, "C"), (2, "Cl")] + [(i, "C") for i in range(3, 7)],
-        [(1, 2, 1)] + [(1, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (6, 1, 1)],
-        add_hydrogens=True,
-    )
-    with pytest.raises(OutOfSpaceError):
-        featurize(clorinated, space)
+def _ring6(bonds=(), extra=(), first="C"):
+    """A six-ring of atoms 1..6 (atom 1 a `first`, the rest carbons) with
+    extra atoms and bonds, hydrogens added."""
+    atoms = [(1, first)] + [(i, "C") for i in range(2, 7)] + list(extra)
+    ring_bonds = [(i, i % 6 + 1, 1) for i in range(1, 7)]
+    return build_graph(atoms, ring_bonds + list(bonds), add_hydrogens=True)
+
+
+_OL = _ring6([(1, 7, 1)], [(7, "O")])
+OUT_OF_SPACE = {
+    # featurize takes no graph check: six heavy neighbours reach the census
+    "degree": ([ring(6)], build_graph([(1, "S(6)")] + [(i, "F") for i in range(2, 8)],
+                                      [(1, i, 1) for i in range(2, 8)]),
+               "vertex 1 has suppressed degree 6 > 4"),
+    "interior-element": ([ring(6)], _ring6(first="N"),
+                         "interior element N not in the space"),
+    "exterior-element": ([ring(6)], _ring6([(1, 7, 1)], [(7, "Cl")]),
+                         "exterior element Cl not in the space"),
+    "edge-configuration": ([ring(6), ring(5, pendant=2)],
+                           _ring6([(5, 7, 1), (7, 8, 1), (8, 9, 1), (9, 10, 1), (10, 6, 1)],
+                                  [(i, "C") for i in range(7, 11)]),
+                           "edge configuration C3_C3_1 not in the space"),
+    "fringe-tree": ([ring(6), _OL], _ring6([(1, 7, 2)], [(7, "O")]),
+                    "fringe tree (C,0[2:(O,0[])]) not in the space"),
+    "leaf-edge-configuration": ([ring(6), _OL, chain(["C", "C"])], chain(["C", "O"]),
+                                "leaf-edge configuration C_O_1 not in space"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_SPACE)
+def test_out_of_space_names_what_is_missing(case):
+    """Each kind of count that a smaller space cannot index raises
+    OutOfSpaceError with its own message."""
+    dataset, g, message = OUT_OF_SPACE[case]
+    with pytest.raises(OutOfSpaceError) as info:
+        featurize(g, build_space(dataset, 2))
+    assert str(info.value) == message
 
 
 def test_k_formula_identity():

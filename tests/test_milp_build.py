@@ -1,12 +1,14 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from invqsar.descriptors import build_space, featurize, take_census
+from invqsar.graph import build_graph
 from invqsar.milp.build import (
     EPSILON,
     VARIABLE_FAMILIES,
@@ -221,6 +223,44 @@ def test_mass_avg_bound_is_the_spec_value():
     model = build_milp(spec, space)
     assert model.var("msbar").ub == model.var("x_4").ub == 46.5
     assert solve(model, "highs").status == "infeasible"
+
+
+# the space of a triangle, a methyl triangle and an aziridine: interior C
+# and N, exterior C and H, trees psi1 (methyl root), psi2 (CH2) and psi3 (NH)
+_DATASET = [ring(3), ring(3, pendant=1),
+            build_graph([(1, "N"), (2, "C"), (3, "C")],
+                        [(1, 2, 1), (2, 3, 1), (3, 1, 1)], add_hydrogens=True)]
+_MENU = fringe_menu_json(_DATASET)
+_ETHYL = dict(fringe_menu_json([ring(4, pendant=2)])[0], id="ethyl")
+# (spec changes, space changes, message)
+SPEC_OUTSIDE_SPACE = {
+    "interior-element": ({"lambda_int": ["C", "N", "O"]}, {},
+                         "interior element O is not in the descriptor space"),
+    "exterior-element": ({"lambda_ex": ["C", "H", "O"]}, {},
+                         "exterior element O is not in the descriptor space"),
+    "fringe-tree": ({"fringe_trees": _MENU + [_ETHYL]}, {},
+                    "fringe tree ethyl is not in the descriptor space"),
+    "root-element": ({"lambda_int": ["C"]}, {},
+                     "fringe tree psi3 root element N outside the interior elements"),
+    "tree-exterior-element": ({"lambda_ex": ["H"]}, {},
+                              "fringe tree psi1 uses exterior element C outside lambda_ex"),
+    "leaf-edge-configuration": ({}, {"ac_lf": ()},
+                                "fringe tree psi1 contains leaf-edge configuration "
+                                "('C', 'C', 1) outside the descriptor space"),
+}
+
+
+@pytest.mark.parametrize("case", SPEC_OUTSIDE_SPACE)
+def test_spec_outside_the_space_is_a_build_error(case):
+    """A spec that names an element, tree or leaf edge the space cannot
+    index, or a menu tree its own element sets exclude, has no model."""
+    spec_changes, space_changes, message = SPEC_OUTSIDE_SPACE[case]
+    doc = triangle_spec_doc(_MENU)
+    doc.update({"lambda_int": ["C", "N"], "lambda_ex": ["C", "H"], **spec_changes})
+    space = replace(build_space(_DATASET, 2), **space_changes)
+    with pytest.raises(BuildError) as info:
+        build_milp(parse_spec(json.dumps(doc)), space)
+    assert str(info.value) == message
 
 
 def test_variable_bounds_match_contract():
