@@ -792,7 +792,6 @@ def spec_from_graph(
     # peel interior-degree-1 chains; whatever survives is the 2-core
     deg = {v: len(adj[v]) for v in interior}
     alive = set(interior)
-    peel_order = []
     while True:
         leaves = sorted(v for v in alive if deg[v] <= 1)
         if not leaves or len(alive) <= 2:
@@ -801,7 +800,6 @@ def spec_from_graph(
             if len(alive) <= 2:
                 break
             alive.discard(v)
-            peel_order.append(v)
             for w, _ in adj[v]:
                 if w in alive:
                     deg[w] -= 1
@@ -899,25 +897,15 @@ def spec_from_graph(
         seed_vertices = sorted(keep - smooth)
         index = {v: i + 1 for i, v in enumerate(seed_vertices)}
 
+    # a route starts at the lower seed vertex: the reverse walk of a route
+    # from a higher one has the key of a route already kept
     edges = []
-    seen_direct = set()
     for route in sorted(paths, key=lambda r: (index[r[0]], index[r[-1]], len(r))):
-        a, b = index[route[0]], index[route[-1]]
-        if a > b:
-            a, b = b, a
         length = len(route) - 1
-        lo = max(1, length - LENGTH_SLACK)
-        hi = length + LENGTH_SLACK
-        if length == 1:
-            if (a, b) in seen_direct:
-                # parallel edges must expand into vertex-disjoint paths
-                continue
-            seen_direct.add((a, b))
-            edges.append({"tail": a, "head": b, "len_lb": 1, "len_ub": hi})
-        else:
-            if (a, b) in seen_direct or lo == 1:
-                lo = max(2, lo)
-            edges.append({"tail": a, "head": b, "len_lb": lo, "len_ub": hi})
+        # a single edge may stretch; a longer run stays a path (length >= 2)
+        lo = 1 if length == 1 else max(2, length - LENGTH_SLACK)
+        edges.append({"tail": index[route[0]], "head": index[route[-1]],
+                      "len_lb": lo, "len_ub": length + LENGTH_SLACK})
 
     menu = fringe_trees if fringe_trees is not None else sorted(
         decomp.fringe_trees.values(), key=lambda t: t.canonical_code

@@ -4,6 +4,15 @@ import re
 from pathlib import Path
 
 import invqsar
+from invqsar.topospec import (
+    AC_BOUND,
+    FRINGE_ASSIGNMENT,
+    FRINGE_ENTRY,
+    SEED,
+    SEED_EDGE,
+    SEED_VERTEX,
+    SPEC,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +23,24 @@ def test_readme_lists_the_package_exports():
     sentence = section.split("`import invqsar` exports ", 1)[1].split(".\n", 1)[0]
     names = re.findall(r"`([^`]+)`", sentence)
     assert sorted(names) == sorted(invqsar.__all__)
+
+
+def test_readme_spec_table_lists_the_schema_keys():
+    """The "Specification JSON" table's first column is every key path of
+    topospec.SPEC and the record tables under it, in field order, so that
+    neither can drift from the other."""
+    text = README.read_text()
+    section = text.split("**Specification JSON**", 1)[1].split("**Predictor JSON**", 1)[0]
+    documented = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    tables = {"seed.": SEED, "seed.vertices[].": SEED_VERTEX, "seed.edges[].": SEED_EDGE,
+              "fringe_trees[].": FRINGE_ENTRY, "fringe_assignment.": FRINGE_ASSIGNMENT,
+              "ac_lf[].": AC_BOUND}
+
+    def paths(table, prefix=""):
+        for f in table.fields:
+            yield prefix + f.key
+            for below in (f"{prefix}{f.key}.", f"{prefix}{f.key}[]."):
+                if below in tables:
+                    yield from paths(tables[below], below)
+
+    assert documented == list(paths(SPEC))

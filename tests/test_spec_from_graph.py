@@ -18,7 +18,9 @@ from invqsar.topospec import (
     spec_from_graph,
 )
 
-from conftest import random_chemical_graph, ring, uniform_predictor
+from invqsar.graph import build_graph
+
+from conftest import chain, random_chemical_graph, ring, uniform_predictor
 
 
 def test_hand_examples_satisfy_their_own_spec():
@@ -29,8 +31,6 @@ def test_hand_examples_satisfy_their_own_spec():
 
 
 def test_requires_interior():
-    from conftest import chain
-
     with pytest.raises(SpecError):
         spec_from_graph(chain(["C", "C"]))
 
@@ -98,52 +98,15 @@ def test_randomized_inverse_campaign():
         verified += 1
 
 
-def test_acyclic_target_roundtrip():
-    """Tree-shaped molecules work end to end: a chain's interior is a path
-    seed whose outer vertices demand full-height fringe trees."""
-    from conftest import chain
-
-    target = chain(["C"] * 7)
-    family = [chain(["C"] * n) for n in (5, 6, 7, 8)]
+def _round_trip(target, family):
+    """Derive target's spec with the family's fringe trees as its menu,
+    check that target meets it, and solve, decode and verify a window of
+    +-0.01 around target's prediction.  Returns the spec and the solution."""
     space = build_space(family, 2)
     trees = []
     for g in family:
         trees.extend(decompose(g, 2).fringe_trees.values())
     spec = parse_spec(json.dumps(spec_from_graph(target, fringe_trees=trees)))
-    vectors = [featurize(g, space) for g in family]
-    predictor = uniform_predictor(space, vectors)
-    fv = featurize(target, space)
-    y = predictor.predict_normalized(fv.as_floats())
-    model = build_milp(spec, space, predictor, y - 0.01, y + 0.01)
-    sol = solve(model, "highs", polish=polish_solution)
-    assert sol.status == "optimal"
-    assert sol.int_value("rank") == 0
-    graph = decode(sol, spec)
-    assert graph.validate() == []
-    fv_dec = featurize(graph, space)
-    assert fv_dec.values == solution_feature_values(sol, space)
-    assert check_graph_satisfies(spec, graph).passed
-
-
-def test_fused_rings_make_parallel_seed_edges():
-    """Fused ring systems contract to seeds with parallel stretchable
-    edges between the shared vertices; the round trip survives them."""
-    from invqsar.graph import build_graph
-    from conftest import ring
-
-    atoms = [(i, "C") for i in range(1, 11)]
-    bonds = [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (6, 1, 1),
-             (5, 7, 1), (7, 8, 1), (8, 9, 1), (9, 10, 1), (10, 6, 1)]
-    target = build_graph(atoms, bonds, add_hydrogens=True)
-    family = [target, ring(6), ring(5)]
-    space = build_space(family, 2)
-    trees = []
-    for g in family:
-        trees.extend(decompose(g, 2).fringe_trees.values())
-    doc = spec_from_graph(target, fringe_trees=trees)
-    spec = parse_spec(json.dumps(doc))
-    pairs = [(e.tail, e.head) for e in spec.seed.edges]
-    assert len(pairs) > len(set(pairs))  # parallel seed edges present
     assert check_graph_satisfies(spec, target).passed
     vectors = [featurize(g, space) for g in family]
     predictor = uniform_predictor(space, vectors)
@@ -157,3 +120,38 @@ def test_fused_rings_make_parallel_seed_edges():
     fv_dec = featurize(graph, space)
     assert fv_dec.values == solution_feature_values(sol, space)
     assert check_graph_satisfies(spec, graph).passed
+    return spec, sol
+
+
+def test_acyclic_target_roundtrip():
+    """Tree-shaped molecules work end to end: a chain's interior is a path
+    seed whose outer vertices demand full-height fringe trees."""
+    family = [chain(["C"] * n) for n in (5, 6, 7, 8)]
+    _, sol = _round_trip(chain(["C"] * 7), family)
+    assert sol.int_value("rank") == 0
+
+
+def test_fused_rings_make_parallel_seed_edges():
+    """Fused ring systems contract to seeds with parallel stretchable
+    edges between the shared vertices; the round trip survives them."""
+    atoms = [(i, "C") for i in range(1, 11)]
+    bonds = [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (6, 1, 1),
+             (5, 7, 1), (7, 8, 1), (8, 9, 1), (9, 10, 1), (10, 6, 1)]
+    target = build_graph(atoms, bonds, add_hydrogens=True)
+    spec, _ = _round_trip(target, [target, ring(6), ring(5)])
+    pairs = [(e.tail, e.head) for e in spec.seed.edges]
+    assert len(pairs) > len(set(pairs))  # parallel seed edges present
+
+
+def test_branched_hanging_tree_joins_the_seed():
+    """An interior tree that branches off a ring (vertex 7 with two arms
+    8-9-10 and 11-12-13; at rho 2 atoms 7, 8 and 11 are interior) cannot be
+    a leaf path, so its vertices become seed vertices."""
+    atoms = [(i, "C") for i in range(1, 14)]
+    bonds = [(i, i % 6 + 1, 1) for i in range(1, 7)]
+    bonds += [(1, 7, 1), (7, 8, 1), (8, 9, 1), (9, 10, 1), (7, 11, 1), (11, 12, 1),
+              (12, 13, 1)]
+    target = build_graph(atoms, bonds, add_hydrogens=True)
+    spec, _ = _round_trip(target, [target, ring(6), ring(5, pendant=2)])
+    assert spec.seed.t_c == 5  # ring anchor and the ring's far side, 7, 8, 11
+    assert not any(v.leaf_path_allowed for v in spec.seed.vertices)

@@ -1,23 +1,15 @@
 import importlib.util
 import json
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from invqsar.topospec import (
-    AC_BOUND,
     FIXED,
     FLEXIBLE,
-    FRINGE_ASSIGNMENT,
-    FRINGE_ENTRY,
     OPTIONAL,
     PATH,
-    SEED,
-    SEED_EDGE,
-    SEED_VERTEX,
-    SPEC,
     SpecError,
     check_graph_satisfies,
     classify_edge,
@@ -413,20 +405,6 @@ def test_spec_json_round_trip(name):
     again = parse_spec(text)
     assert again == spec
     assert spec_to_json_text(again) == text
-
-
-def test_readme_table_lists_the_schema_keys():
-    """The README's specification table and the code's field tables list
-    the same keys, so that neither can drift from the other."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    start = readme.index("**Specification JSON**")
-    section = readme[start:readme.index("**Predictor JSON**", start)]
-    documented = set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.M))
-    tables = {"": SPEC, "seed.": SEED, "seed.vertices[].": SEED_VERTEX,
-              "seed.edges[].": SEED_EDGE, "fringe_trees[].": FRINGE_ENTRY,
-              "fringe_assignment.": FRINGE_ASSIGNMENT, "ac_lf[].": AC_BOUND}
-    in_code = {prefix + f.key for prefix, table in tables.items() for f in table.fields}
-    assert documented == in_code
 
 
 def _three_tree_doc():
