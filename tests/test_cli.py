@@ -769,9 +769,9 @@ def _other_space(path):
     ("verify", "graph.json", lambda p: _replace_text(p, graph_to_json_text(chain(["C", "O"]))),
      "error: exterior element O not in the space"),
 ], ids=["space-json", "predictor-json", "spec-field", "spec-outside-space",
-        "features-short-row",
-        "features-empty", "features-no-rows", "features-long-field", "graph-shape",
-        "verify-space-mismatch", "verify-graph-outside-space"])
+        "features-short-row", "features-empty", "features-no-rows",
+        "features-long-field", "graph-shape", "verify-space-mismatch",
+        "verify-graph-outside-space"])
 def test_bad_input_files_are_usage_errors(trained, capsys, command, target, edit,
                                           needle):
     """Bad input files exit 2 through the typed input errors, with one line
