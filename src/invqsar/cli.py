@@ -37,10 +37,11 @@ from .milp.model import ModelError, emit_lp
 from .milp.decode import DecodeError, decode, solution_feature_values
 from .milp.solve import ExternalBackend, SolutionCheckError, SolverFailure, solve
 from .regression import (
+    CenteredDesign,
     FitError,
     LinearPredictor,
     cross_validate_path,
-    lasso_fit,
+    lasso_path,
     min_max_scale,
     predictor_from_json_text,
     predictor_to_json_text,
@@ -143,46 +144,53 @@ def _same_descriptors(what: str, names, space) -> None:
 
 def run_featurize(cfg: ProjectConfig) -> int:
     # one record at a time: only each record's counts outlive its graph
-    names, censuses = [], []
-    for record in read_sdf(_read_text(cfg.dataset)):
+    # each row's id -> its record number, as the warnings number records
+    numbers: dict[str, int] = {}
+    censuses = []
+    for number, record in enumerate(read_sdf(_read_text(cfg.dataset))):
         if isinstance(record, RecordError):
             print(f"warning: record {record.record} ({record.name}): "
                   f"{record.message}", file=sys.stderr)
             continue
         name, graph = record
-        names.append(name)
+        if name in numbers:
+            raise UsageError(f"id {name!r} names records {numbers[name]} and "
+                             f"{number} of {cfg.dataset}")
+        numbers[name] = number
         censuses.append(take_census(graph, cfg.rho).counts())
     if not censuses:
         raise UsageError("no parsable records in the dataset")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     space = space_from_censuses(censuses)
-    vectors = [census_vector(c, space) for c in censuses]
-    (out / "features.csv").write_text(write_feature_csv(names, vectors, space))
+    (out / "features.csv").write_text(write_feature_csv(list(numbers), censuses, space))
     (out / "space.json").write_text(space_to_json_text(space))
-    print(f"featurized {len(vectors)} graphs, K={space.k}")
+    print(f"featurized {len(censuses)} graphs, K={space.k}")
     print(f"wrote {out / 'features.csv'} and {out / 'space.json'}")
     return EXIT_OK
 
 
 def _load_targets(path: str) -> dict[str, float]:
     """id -> finite value from a two-column CSV; ids may be quoted as in
-    features.csv.  Blank lines, '#' comment lines and an 'id,' header are
-    skipped, and an id may appear once."""
+    features.csv.  Blank lines and '#' comment lines are skipped, and so is
+    the first other line when it is an 'id,' header, one whose value field
+    is not a number; an id may appear once."""
     text = _read_text(path)
     targets: dict[str, float] = {}
     lines: dict[str, int] = {}
+    first = True
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if line.lower().startswith("id,"):
-            continue
         rec = next(csv.reader([line]))
+        header, first = first and line.lower().startswith("id,"), False
         try:
             name, value = rec
             y = float(value)
         except ValueError as exc:
+            if header and len(rec) == 2:
+                continue
             raise UsageError(f"bad target line {line!r}") from exc
         name = name.strip()
         if not math.isfinite(y):
@@ -225,7 +233,9 @@ def run_train(cfg: ProjectConfig) -> int:
     # max() keeps the first of equal scores, so ties go to the earlier grid value
     report = max(reports, key=lambda r: r.median_r2)
     lam = report.lam
-    fit = lasso_fit(x, y, lam)
+    # the path CV walks, on all rows, down to the chosen penalty
+    *_, fit = lasso_path(CenteredDesign(x), y,
+                         sorted((v for v in cfg.lambda_grid if v >= lam), reverse=True))
     predictor = LinearPredictor(
         weights=tuple(float(w) for w in fit.weights),
         bias=float(fit.bias),

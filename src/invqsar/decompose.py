@@ -9,14 +9,19 @@ attached exterior descendants and all their hydrogens.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
-from .elements import ElementSpec
+from .elements import ElementSpec, make_element
 from .graph import GRAPH, ChemicalGraph, Edge, InvalidGraphError
 from .schema import INTEGER, Field, Reader, Table
 
 INF_HEIGHT = 10**9
+
+_HYDROGEN = make_element("H")
+# the sort entry of a hydrogen leaf of charge 0 on a single bond
+_H_LEAF = ("H", 1, 0, 1, b"1:(H,0[])")
 
 
 def peel_heights(g: ChemicalGraph) -> dict[int, int]:
@@ -69,17 +74,27 @@ class RootedFringeTree:
     def canonical_code(self) -> bytes:
         """The node's token and charge, then its children's `mult:code`
         sorted by child element, charge, multiplicity and code, built
-        bottom-up: equal codes mean isomorphic rooted trees."""
+        bottom-up: equal codes mean isomorphic rooted trees.  A hydrogen
+        leaf of charge 0 on a single bond always codes as `1:(H,0[])`, so
+        such leaves are counted and their run is put into each sorted child
+        list where it belongs."""
         label = self.node_map
         kids, order = _walk(self)
         code: dict[int, bytes] = {}
         for u in reversed(order):
             entries = []
+            n_h = 0
             for c, m in kids.get(u, ()):
                 celem, cchg = label[c]
+                if celem is _HYDROGEN and m == 1 and cchg == 0 and c not in kids:
+                    n_h += 1
+                    continue
                 sub = code.get(c) or b"(%s,%d[])" % (celem.token.encode(), cchg)
                 entries.append((celem.symbol, celem.valence, cchg, m, b"%d:%s" % (m, sub)))
             entries.sort()
+            if n_h:
+                at = bisect_left(entries, _H_LEAF)
+                entries[at:at] = [_H_LEAF] * n_h
             elem, chg = label[u]
             code[u] = b"(%s,%d[%s])" % (
                 elem.token.encode(), chg, b";".join([e[4] for e in entries]))

@@ -23,6 +23,7 @@ import io
 import json
 import re
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -214,6 +215,12 @@ class GraphCensus:
         return replace(self, decomposition=None)
 
 
+# a census builds each configuration of its graph from a few shared ones
+_chemical_symbol = lru_cache(maxsize=None)(ChemicalSymbol)
+_edge_configuration = lru_cache(maxsize=None)(EdgeConfiguration.make)
+_adjacency_configuration = lru_cache(maxsize=None)(AdjacencyConfiguration)
+
+
 def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
     """Count g from one decomposition with branch parameter rho; raises
     OutOfSpaceError for a heavy vertex of suppressed degree above 4, which
@@ -237,38 +244,37 @@ def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
         if d:
             scalars[3 + d] += 1
     interior_degree = dict.fromkeys(interior, 0)
-    for e in decomp.interior_edges:
-        interior_degree[e.u] += 1
-        interior_degree[e.v] += 1
-        if e.mult != 1:
-            scalars[10 + e.mult] += 1
+    for u, v, m in decomp.interior_edges:
+        interior_degree[u] += 1
+        interior_degree[v] += 1
+        if m != 1:
+            scalars[10 + m] += 1
     for d in interior_degree.values():
         if d:
             scalars[7 + d] += 1
 
     elements = Counter((v.id in interior, v.element) for v in g.vertices)
     vertex = g.vertex_map
-    symbol = {v: ChemicalSymbol(vertex[v].element, degree[v]) for v in interior}
+    symbol = {v: _chemical_symbol(vertex[v].element, degree[v]) for v in interior}
     edge_configs = Counter(
-        EdgeConfiguration.make(symbol[e.u], symbol[e.v], e.mult)
-        for e in decomp.interior_edges
+        _edge_configuration(symbol[u], symbol[v], m) for u, v, m in decomp.interior_edges
     )
     fringe = Counter(t.canonical_code for t in decomp.fringe_trees.values())
 
     # leaf edges of the suppressed graph, leaf endpoint first; an edge
     # whose two endpoints both have degree 1 is oriented by element order
     leaf_edges: Counter[AdjacencyConfiguration] = Counter()
-    for e in view.edges:
-        du, dv = degree[e.u], degree[e.v]
+    for u, v, m in view.edges:
+        du, dv = degree[u], degree[v]
         if du != 1 and dv != 1:
             continue
-        a, b = vertex[e.u].element, vertex[e.v].element
+        a, b = vertex[u].element, vertex[v].element
         if du == dv:
             if (b.symbol, b.valence) < (a.symbol, a.valence):
                 a, b = b, a
         elif dv == 1:
             a, b = b, a
-        leaf_edges[AdjacencyConfiguration(a, b, e.mult)] += 1
+        leaf_edges[_adjacency_configuration(a, b, m)] += 1
 
     return GraphCensus(rho, tuple(scalars), elements, edge_configs, fringe,
                        leaf_edges, decomp)
@@ -299,12 +305,14 @@ def space_from_censuses(censuses: list[GraphCensus]) -> DescriptorSpace:
     )
 
 
-def census_vector(census: GraphCensus, space: DescriptorSpace) -> FeatureVector:
-    """The census as a count vector over the space; raises OutOfSpaceError
-    when it holds an element, configuration or fringe shape missing from
-    the catalogs."""
-    values: list[int | Fraction] = [0] * space.k
-    values[:N_SCALAR_DESCRIPTORS] = census.scalars
+def _census_entries(
+    census: GraphCensus, space: DescriptorSpace
+) -> Iterator[tuple[int, int | Fraction]]:
+    """The (index, value) pairs of the census over the space: its scalars,
+    then one pair per counted catalog value, each index at most once;
+    raises OutOfSpaceError when it holds an element, configuration or
+    fringe shape missing from the catalogs."""
+    yield from enumerate(census.scalars)
     off = space.offsets
     for (is_interior, elem), n in census.elements.items():
         if is_interior:
@@ -314,26 +322,25 @@ def census_vector(census: GraphCensus, space: DescriptorSpace) -> FeatureVector:
         idx = index.get(elem)
         if idx is None:
             raise OutOfSpaceError(f"{role} element {elem.token} not in the space")
-        values[off[block] + idx] += n
+        yield off[block] + idx, n
+    for block, index, counts, what in (
+            ("ec", space.gamma_index, census.edge_configs, "edge configuration"),
+            ("fc", space.fringe_index, census.fringe, "fringe tree"),
+            ("ac", space.ac_index, census.leaf_edges, "leaf-edge configuration")):
+        for key, n in counts.items():
+            idx = index.get(key)
+            if idx is None:
+                name = key.decode() if block == "fc" else key.label
+                raise OutOfSpaceError(f"{what} {name} not in the space")
+            yield off[block] + idx, n
 
-    for gcf, n in census.edge_configs.items():
-        idx = space.gamma_index.get(gcf)
-        if idx is None:
-            raise OutOfSpaceError(f"edge configuration {gcf.label} not in the space")
-        values[off["ec"] + idx] += n
 
-    for code, n in census.fringe.items():
-        idx = space.fringe_index.get(code)
-        if idx is None:
-            raise OutOfSpaceError(f"fringe tree {code.decode()} not in the space")
-        values[off["fc"] + idx] += n
-
-    for ac, n in census.leaf_edges.items():
-        idx = space.ac_index.get(ac)
-        if idx is None:
-            raise OutOfSpaceError(f"leaf-edge configuration {ac.label} not in space")
-        values[off["ac"] + idx] += n
-
+def census_vector(census: GraphCensus, space: DescriptorSpace) -> FeatureVector:
+    """The census as a count vector over the space; raises OutOfSpaceError
+    as _census_entries does."""
+    values: list[int | Fraction] = [0] * space.k
+    for i, v in _census_entries(census, space):
+        values[i] = v
     return FeatureVector(tuple(values))
 
 
@@ -355,24 +362,27 @@ def _format_value(v: int | Fraction) -> str:
 
 
 def write_feature_csv(
-    ids: list[str], vectors: list[FeatureVector], space: DescriptorSpace
+    ids: list[str], censuses: list[GraphCensus], space: DescriptorSpace
 ) -> str:
-    """CSV text with a header of descriptor names and one row per graph.
-    Every value is written as _format_value writes it.  Only the mass
-    average (index 3) of a census vector is rational, so a row whose other
-    values sum to an int (all are ints) formats that value alone and hands
-    the ints to the csv writer, which writes each with str."""
+    """CSV text with a header of descriptor names and one row per census:
+    its census_vector, each value written as _format_value writes it;
+    raises OutOfSpaceError as census_vector does.  A row starts as K "0"
+    cells and only the census's entries are written over them.  No value
+    needs quoting, so the csv writer writes only the id cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", *space.descriptor_names])
-
-    def row(gid: str, v: tuple) -> list:
-        if type(sum(v[:3]) + sum(v[4:])) is int:
-            return [gid, *v[:3], _format_value(v[3]), *v[4:]]
-        return [gid, *map(_format_value, v)]
-
-    writer.writerows(row(gid, fv.values) for gid, fv in zip(ids, vectors))
-    return buf.getvalue()
+    lines = [buf.getvalue()]
+    zeros = ["0"] * space.k
+    for gid, census in zip(ids, censuses):
+        row = zeros.copy()
+        for i, v in _census_entries(census, space):
+            row[i] = str(v) if type(v) is int else _format_value(v)
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((gid, ""))  # the id cell and a comma, then "\n"
+        lines.append(buf.getvalue()[:-1] + ",".join(row) + "\n")
+    return "".join(lines)
 
 
 _SEPARATORS = re.compile("[\x1c-\x1f]")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .elements import ElementSpec, make_element, parse_element
 from .schema import INTEGER, STRING, Field, InputError, Reader, Table, integer, list_of, optional
@@ -21,28 +21,45 @@ class InvalidGraphError(ValueError):
     """Raised when a graph violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class _VertexFields(NamedTuple):
     id: int
     element: ElementSpec
     charge: int = 0
 
-    def __post_init__(self) -> None:
-        if not -3 <= self.charge <= 3:
-            raise InvalidGraphError(f"charge {self.charge} outside [-3,3]")
+
+class Vertex(_VertexFields):
+    """An atom: an immutable (id, element, charge) record.  It is a tuple,
+    which costs less to build than a frozen dataclass: SDF ingest builds
+    one per atom."""
+
+    __slots__ = ()
+    # _replace builds through _make: route it through the checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, id: int, element: ElementSpec, charge: int = 0) -> "Vertex":
+        if not -3 <= charge <= 3:
+            raise InvalidGraphError(f"charge {charge} outside [-3,3]")
+        return tuple.__new__(cls, (id, element, charge))
 
 
-@dataclass(frozen=True)
-class Edge:
+class _EdgeFields(NamedTuple):
     u: int
     v: int
     mult: int
 
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise InvalidGraphError(f"self-loop at vertex {self.u}")
-        if not 1 <= self.mult <= 3:
-            raise InvalidGraphError(f"bond multiplicity {self.mult} outside [1,3]")
+
+class Edge(_EdgeFields):
+    """A bond: an immutable (u, v, mult) record, a tuple as Vertex is."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, u: int, v: int, mult: int) -> "Edge":
+        if u == v:
+            raise InvalidGraphError(f"self-loop at vertex {u}")
+        if not 1 <= mult <= 3:
+            raise InvalidGraphError(f"bond multiplicity {mult} outside [1,3]")
+        return tuple.__new__(cls, (u, v, mult))
 
 
 @dataclass(frozen=True)
@@ -74,8 +91,7 @@ class ChemicalGraph:
         """vertex id -> tuple of (neighbour id, bond multiplicity)."""
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertex_map}
         seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            u, v, m = e.u, e.v, e.mult
+        for u, v, m in self.edges:
             if u not in adj or v not in adj:
                 raise InvalidGraphError(f"edge ({u},{v}) references unknown vertex")
             key = (u, v) if u < v else (v, u)
@@ -94,7 +110,7 @@ class ChemicalGraph:
         adj: dict[int, list[tuple[int, int]]] = {vid: [] for vid in heavy}
         hydrogens: dict[int, list[tuple[int, int]]] = {vid: [] for vid in heavy}
         for e in self.edges:
-            u, v, m = e.u, e.v, e.mult
+            u, v, m = e
             if u in adj:
                 if v in adj:
                     edges.append(e)
@@ -149,24 +165,23 @@ class ChemicalGraph:
         if not self.connected:
             problems.append("graph is not connected")
         beta = dict.fromkeys(adj, 0)
-        for e in self.edges:
-            beta[e.u] += e.mult
-            beta[e.v] += e.mult
+        for u, v, m in self.edges:
+            beta[u] += m
+            beta[v] += m
         heavy_adj = self.suppressed.adjacency
-        for v in self.vertices:
-            elem = v.element
-            if beta[v.id] != elem.valence + v.charge:
+        for vid, elem, charge in self.vertices:
+            if beta[vid] != elem.valence + charge:
                 problems.append(
-                    f"valence condition fails at {v.id} ({elem.token}): "
-                    f"bond sum {beta[v.id]} != valence {elem.valence} + charge {v.charge}"
+                    f"valence condition fails at {vid} ({elem.token}): "
+                    f"bond sum {beta[vid]} != valence {elem.valence} + charge {charge}"
                 )
             if elem.is_hydrogen:
-                incident = adj[v.id]
+                incident = adj[vid]
                 if len(incident) != 1 or incident[0][1] != 1:
-                    problems.append(f"hydrogen {v.id} must have one single bond")
-            elif (heavy := len(heavy_adj[v.id])) > 4:
+                    problems.append(f"hydrogen {vid} must have one single bond")
+            elif (heavy := len(heavy_adj[vid])) > 4:
                 problems.append(
-                    f"vertex {v.id} has {heavy} heavy neighbours (max 4)")
+                    f"vertex {vid} has {heavy} heavy neighbours (max 4)")
         return problems
 
 

@@ -623,7 +623,7 @@ def add_fringe_trees(b: Build) -> None:
             if idx is None:
                 raise BuildError(
                     f"fringe tree {f.psi_id} contains leaf-edge configuration "
-                    f"{key} outside the descriptor space"
+                    f"{'%s_%s_%d' % key} outside the descriptor space"
                 )
             counts[idx] = counts.get(idx, 0) + cnt
         psi_ac[f.psi_id] = counts

@@ -12,6 +12,7 @@ executions and reports the median test R-squared across all trials.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,19 @@ def lasso_fit(
     return LassoResult(w, b, sweeps)
 
 
+def lasso_path(design: CenteredDesign, y: np.ndarray, lams) -> Iterator[LassoResult]:
+    """The fits on one design at each penalty of `lams`, in the given order,
+    each warm-started from the one before: walked from the largest penalty
+    down, as Friedman, Hastie & Tibshirani (J. Stat. Softw. 2010) do, each
+    fit starts near its answer and the fits share the design's Gram
+    columns."""
+    w = None
+    for lam in lams:
+        fit = lasso_fit(design, y, lam, w0=w)
+        w = fit.weights
+        yield fit
+
+
 def r_squared(pred, truth) -> float:
     """1 - RSS/TSS; zero-variance truth yields 0 by convention."""
     pred = np.asarray(pred, dtype=float)
@@ -266,17 +280,14 @@ def cross_validate_path(
         for k in range(CV_FOLDS):
             test_idx = parts[k]
             train_idx = np.concatenate([parts[j] for j in range(CV_FOLDS) if j != k])
-            design = CenteredDesign(x[train_idx])
-            y_train = y[train_idx]
-            w = None
-            for i in order:
-                fit = lasso_fit(design, y_train, lams[i], w0=w)
-                w = fit.weights
-                pred = x[test_idx] @ w + fit.bias
+            path = lasso_path(CenteredDesign(x[train_idx]), y[train_idx],
+                              [lams[i] for i in order])
+            for i, fit in zip(order, path):
+                pred = x[test_idx] @ fit.weights + fit.bias
                 scores[i].append(r_squared(pred, y[test_idx]))
-                selected[i].append(int((w != 0.0).sum()))
+                selected[i].append(int((fit.weights != 0.0).sum()))
             # free this split's Gram columns before the next split is centered
-            del design
+            del path
     return [
         CvReport(
             lam=lam,

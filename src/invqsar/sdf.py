@@ -111,6 +111,7 @@ def _parse_record(lines: list[str], index: int) -> tuple[ChemicalGraph, str]:
 
     vertices: list[Vertex] = []
     edges = [Edge(u, v, m) for u, v, m in bonds]
+    hydrogen = make_element("H")
     next_id = n_atoms + 1
     for i, (sym, charge, bond_sum) in enumerate(zip(symbols, charges, beta)):
         try:
@@ -131,7 +132,7 @@ def _parse_record(lines: list[str], index: int) -> tuple[ChemicalGraph, str]:
         vertices.append(Vertex(i + 1, elem, charge))
         if not elem.is_hydrogen:
             for _ in range(elem.valence + charge - bond_sum):
-                vertices.append(Vertex(next_id, make_element("H")))
+                vertices.append(Vertex(next_id, hydrogen))
                 edges.append(Edge(i + 1, next_id, 1))
                 next_id += 1
 

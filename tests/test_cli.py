@@ -6,20 +6,27 @@ import json
 import re
 import subprocess
 import weakref
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from invqsar import cli
 from invqsar.cli import main
+from invqsar.descriptors import (
+    census_vector, read_feature_csv, space_from_json, take_census, write_feature_csv)
 from invqsar.milp import solve as solve_module
 from invqsar.milp.decode import DecodeError, solution_feature_values
 from invqsar.milp.minisolve import MiniSolverError
 from invqsar.graph import build_graph, graph_to_json_text
+from invqsar.regression import min_max_scale
 from invqsar.sdf import graph_to_sdf
 from invqsar.topospec import spec_to_json_text
 
-from conftest import chain, perfbench_inputs, ring, roundtrip_fixture, sdf_records
+from conftest import (
+    chain, perfbench_inputs, random_chemical_graph, ring, roundtrip_fixture, sdf_records)
+import oracles
 
 
 @pytest.fixture
@@ -132,6 +139,26 @@ def test_featurize_keeps_one_graph_alive(project, monkeypatch):
     assert alive and alive[0] <= 1
 
 
+def test_featurize_rejects_a_repeated_record_name(tmp_path, capsys):
+    """Two records of one name would be two feature rows that train gives
+    one target: featurize exits 2 naming the id and both record numbers,
+    numbered from 0 as the warnings number them, before writing anything.
+    A generated `record<i>` name counts as the record's name."""
+    molecules = [ring(n) for n in (3, 4, 5, 6, 7)] + [chain(["C"] * n) for n in (2, 3, 4)]
+    cases = [
+        ([f"m{i % 4}" for i in range(8)], "'m0' names records 0 and 4"),
+        (["a", "", "record1", "b"], "'record1' names records 1 and 2"),
+    ]
+    for names, message in cases:
+        sdf = tmp_path / "dataset.sdf"
+        sdf.write_text("".join(graph_to_sdf(g, n) for g, n in zip(molecules, names)))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"dataset": str(sdf), "output_dir": str(tmp_path / "out")}))
+        assert main(["featurize", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: id {message} of {sdf}\n"
+        assert not (tmp_path / "out").exists()
+
+
 def test_featurize_empty_dataset(tmp_path, capsys):
     empty = tmp_path / "nothing.sdf"
     empty.write_text("")
@@ -153,14 +180,14 @@ def _featurize_and_train(cfg_path) -> dict[str, bytes]:
 TRAIN_CV_DIGESTS = {
     "features.csv": "e3929e86d82e4405ac156f39e1d35fd06c59a0a13e90b8e3603c25611d57d466",
     "space.json": "e175d3b617ff65b0ef7d79f45e571d30159dcd963d4095059198afea88efe33e",
-    "predictor.json": "53022a5510ce3b2f96970a9f80e884841a1eb434e9c095506fdc99ba188fe8e7",
+    "predictor.json": "67c8621a49b44d9b782ef6abc99d78eaceb87277d588cbfbe633c2a316123546",
 }
 
 
-def test_train_cv_outputs_are_pinned(tmp_path, capsys):
+def _train_cv(tmp_path) -> tuple[dict[str, bytes], dict[str, float]]:
     """featurize and train on the benchmark's train_cv inputs (molecule seed
     1, 300 molecules, penalty grid (0.001, 0.003, 0.01), one execution,
-    fold seed 1) write the pinned bytes."""
+    fold seed 1): the outputs, and the targets by id."""
     inputs = perfbench_inputs()
     rng = np.random.default_rng(1)
     named = [(f"m{i + 1:04d}", inputs.random_molecule(rng, 14)) for i in range(300)]
@@ -175,9 +202,59 @@ def test_train_cv_outputs_are_pinned(tmp_path, capsys):
         "rho": 2, "lambda_grid": [0.001, 0.003, 0.01], "cv_executions": 1,
         "output_dir": str(tmp_path / "out"), "seed": 1,
     }))
-    outputs = _featurize_and_train(cfg_path)
+    return _featurize_and_train(cfg_path), targets
+
+
+def test_train_cv_outputs_are_pinned(tmp_path, capsys):
+    outputs, _ = _train_cv(tmp_path)
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in outputs.items()} == TRAIN_CV_DIGESTS
+
+
+def test_train_cv_predictor_meets_the_lasso_conditions(tmp_path, capsys):
+    """The final fit, warm-started down the grid to the chosen penalty, is
+    a Lasso optimum on all rows: each zero weight's correlation is within
+    the penalty, each nonzero weight's equals it with the weight's sign,
+    and the residuals have mean zero, all within 1e-6."""
+    outputs, targets = _train_cv(tmp_path)
+    doc = json.loads(outputs["predictor.json"])
+    ids, _, x_raw = read_feature_csv(outputs["features.csv"].decode())
+    x = min_max_scale(x_raw, doc["min"], doc["max"])
+    y = min_max_scale([targets[i] for i in ids], doc["target_min"], doc["target_max"])
+    w, lam = np.asarray(doc["weights"]), doc["lambda"]
+    residual = y - x @ w - doc["bias"]
+    corr = x.T @ residual / len(y)
+    assert lam == 0.001 and np.count_nonzero(w) == 7
+    assert np.abs(corr[w == 0.0]).max() <= lam + 1e-6
+    assert np.abs(corr[w != 0.0] - lam * np.sign(w[w != 0.0])).max() <= 1e-6
+    assert abs(residual.mean()) <= 1e-6
+
+
+def test_featurize_rows_match_the_dense_oracle(tmp_path, rng):
+    """On 240 random molecules, some with names the csv writer quotes,
+    featurize writes the bytes that the dense oracle writes from each
+    record's census_vector; so does write_feature_csv for a census whose
+    only nonzero values are its scalars."""
+    graphs = [random_chemical_graph(rng) for _ in range(240)]
+    names = [f'm,{i}' if i % 7 == 0 else f'q"{i}"' if i % 11 == 0 else f"m{i}"
+             for i in range(len(graphs))]
+    sdf = tmp_path / "dataset.sdf"
+    sdf.write_text("".join(graph_to_sdf(g, n) for g, n in zip(graphs, names)))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": str(sdf), "output_dir": str(tmp_path / "out")}))
+    assert main(["featurize", "--config", str(cfg)]) == 0
+    text = (tmp_path / "out" / "features.csv").read_text()
+    space = space_from_json(json.loads((tmp_path / "out" / "space.json").read_text()))
+    censuses = [take_census(g, space.rho) for _, g in sdf_records(sdf.read_text())[0]]
+    vectors = [census_vector(c, space) for c in censuses]
+    assert text == oracles.write_feature_csv(names, vectors, space)
+    assert '"m,0"' in text and '"q""11"""' in text
+    assert any(v.values[3].denominator != 1 for v in vectors)
+
+    bare = replace(censuses[0], elements=Counter(), edge_configs=Counter(),
+                   fringe=Counter(), leaf_edges=Counter())
+    assert (write_feature_csv(["bare"], [bare], space)
+            == oracles.write_feature_csv(["bare"], [census_vector(bare, space)], space))
 
 
 def _unknown_element_record(name: str) -> str:
@@ -344,10 +421,12 @@ def _target_lines(lines):
     (lambda lines: lines.insert(4, "mol3,x"), 2, "error: bad target line 'mol3,x'\n"),
     (lambda lines: lines.append("mol3,9.0"), 2,
      "error: target id 'mol3' is on lines 5 and 14 of {}\n"),
-], ids=["blank-and-comment", "bad-line", "duplicate-id"])
+    (lambda lines: lines.append("id,value"), 2, "error: bad target line 'id,value'\n"),
+], ids=["blank-and-comment", "bad-line", "duplicate-id", "late-header"])
 def test_train_reads_each_target_line(project, capsys, edit, code, err):
     """Blank and '#' lines are skipped; a line that is not an id and a
-    number, or an id listed twice, exits 2 before any fit."""
+    number, or an id listed twice, exits 2 before any fit, and so does an
+    `id,` line after the first."""
     tmp, cfg_path, fx = project
     assert main(["featurize", "--config", str(cfg_path)]) == 0
     targets = tmp / "targets.csv"
@@ -358,6 +437,29 @@ def test_train_reads_each_target_line(project, capsys, edit, code, err):
     assert main(["train", "--config", str(cfg_path)]) == code
     assert capsys.readouterr().err == err.format(targets)
     assert (tmp / "out" / "predictor.json").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("id,value\nID,3.0\nm2,4.0\n", {"ID": 3.0, "m2": 4.0}),
+    ("# targets\n\n Id,value\nm2,4.0\n", {"m2": 4.0}),
+    ("id,3.0\nm2,4.0\n", {"id": 3.0, "m2": 4.0}),
+    ("m2,4.0\nid,value\n", "bad target line 'id,value'"),
+    ("id,value\nid,value\n", "bad target line 'id,value'"),
+    ("id,value,unit\nm2,4.0\n", "bad target line 'id,value,unit'"),
+], ids=["record-after-header", "header-after-comment", "numeric-first-line",
+        "header-after-record", "two-headers", "three-field-header"])
+def test_only_the_first_line_may_be_a_header(tmp_path, text, expected):
+    """A line is a header only when it is the first line that is neither
+    blank nor a comment, starts with `id,` and has a value field that is
+    not a number; any later line is a record."""
+    path = tmp_path / "targets.csv"
+    path.write_text(text)
+    if isinstance(expected, dict):
+        assert cli._load_targets(str(path)) == expected
+    else:
+        with pytest.raises(cli.UsageError) as info:
+            cli._load_targets(str(path))
+        assert str(info.value) == expected
 
 
 def _drop_last_column(path):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from invqsar.descriptors import (
     FeatureVector,
+    GraphCensus,
     OutOfSpaceError,
     build_space,
+    census_vector,
     featurize,
     fringe_code,
     read_feature_csv,
@@ -90,7 +93,7 @@ OUT_OF_SPACE = {
     "fringe-tree": ([ring(6), _OL], _ring6([(1, 7, 2)], [(7, "O")]),
                     "fringe tree (C,0[2:(O,0[])]) not in the space"),
     "leaf-edge-configuration": ([ring(6), _OL, chain(["C", "C"])], chain(["C", "O"]),
-                                "leaf-edge configuration C_O_1 not in space"),
+                                "leaf-edge configuration C_O_1 not in the space"),
 }
 
 
@@ -195,18 +198,26 @@ def test_normalize_denormalize_round_trip(values):
 def test_csv_round_trip():
     dataset = [ring(6), ring(5), chain(["C", "C", "C", "O"])]
     space = build_space(dataset, 2)
-    vectors = [featurize(g, space) for g in dataset]
-    text = write_feature_csv(["a", "b", "c"], vectors, space)
+    censuses = [take_census(g, 2) for g in dataset]
+    text = write_feature_csv(["a", "b", "c"], censuses, space)
     ids, names, rows = read_feature_csv(text)
     assert ids == ["a", "b", "c"]
     assert tuple(names) == space.descriptor_names
-    for fv, row in zip(vectors, rows):
-        assert row.tolist() == [float(v) for v in fv.values]
+    for g, row in zip(dataset, rows):
+        assert row.tolist() == featurize(g, space).as_floats()
     # determinism
-    assert text == write_feature_csv(["a", "b", "c"], vectors, space)
+    assert text == write_feature_csv(["a", "b", "c"], censuses, space)
 
 
-_CSV_SPACE = build_space([ring(6)], 2)
+def test_feature_csv_raises_out_of_space():
+    small = build_space([ring(6)], 2)
+    with pytest.raises(OutOfSpaceError, match="^exterior element C not in the space$"):
+        write_feature_csv(["a"], [take_census(chain(["C", "O"]), 2)], small)
+
+
+# a space with entries in every catalog block
+_CSV_SPACE = build_space([ring(6), ring(5, pendant=2), chain(["C", "C", "O"]),
+                          chain(["C", "N"], [3])], 2)
 
 _csv_ids = st.one_of(
     st.text(alphabet=st.sampled_from('ab0 ,"\'é中µ#'), max_size=8),
@@ -221,15 +232,32 @@ _csv_values = st.one_of(
 )
 
 
+def _counts(keys):
+    return st.dictionaries(st.sampled_from(keys), _csv_values).map(Counter)
+
+
+_csv_censuses = st.builds(
+    GraphCensus,
+    st.just(2),
+    st.lists(_csv_values, min_size=14, max_size=14).map(tuple),
+    _counts([(True, e) for e in _CSV_SPACE.lambda_int]
+            + [(False, e) for e in _CSV_SPACE.lambda_ex]),
+    _counts(_CSV_SPACE.gamma_int),
+    _counts(_CSV_SPACE.fringe_codes),
+    _counts(_CSV_SPACE.ac_lf),
+    st.none(),
+)
+
+
 @settings(deadline=None)
-@given(st.lists(
-    st.tuples(_csv_ids, st.lists(_csv_values, min_size=_CSV_SPACE.k,
-                                 max_size=_CSV_SPACE.k)),
-    max_size=3))
+@given(st.lists(st.tuples(_csv_ids, _csv_censuses), max_size=3))
 def test_feature_csv_matches_oracle_bytes(rows):
+    """Any census over the space, its values in any position any int or
+    Fraction, is written as the dense oracle writes its census_vector."""
     ids = [gid for gid, _ in rows]
-    vectors = [FeatureVector(tuple(values)) for _, values in rows]
-    assert (write_feature_csv(ids, vectors, _CSV_SPACE)
+    censuses = [census for _, census in rows]
+    vectors = [census_vector(census, _CSV_SPACE) for census in censuses]
+    assert (write_feature_csv(ids, censuses, _CSV_SPACE)
             == oracles.write_feature_csv(ids, vectors, _CSV_SPACE))
 
 

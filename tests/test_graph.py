@@ -121,6 +121,27 @@ def test_hydrogen_must_be_pendant():
     assert bad.validate() == []
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Vertex(1, make_element("C"), 4), "charge 4 outside [-3,3]"),
+    (lambda: Vertex(1, make_element("C"))._replace(charge=-4), "charge -4 outside [-3,3]"),
+    (lambda: Edge(2, 2, 1), "self-loop at vertex 2"),
+    (lambda: Edge(1, 2, 1)._replace(v=1), "self-loop at vertex 1"),
+    (lambda: Edge(1, 2, 0), "bond multiplicity 0 outside [1,3]"),
+    (lambda: Edge._make((1, 2, 4)), "bond multiplicity 4 outside [1,3]"),
+], ids=["charge", "replaced-charge", "self-loop", "replaced-self-loop", "mult",
+        "made-mult"])
+def test_vertex_and_edge_records_check_every_build(make, message):
+    """Vertex and Edge are tuples; each way of building one runs its checks,
+    and a built one cannot be changed."""
+    with pytest.raises(InvalidGraphError) as info:
+        make()
+    assert str(info.value) == message
+    v = Vertex(1, make_element("C"))
+    with pytest.raises(AttributeError):
+        v.charge = 1
+    assert pickle.loads(pickle.dumps(v)) == v and copy.deepcopy(v) == v
+
+
 def test_parallel_edges_rejected():
     with pytest.raises(InvalidGraphError):
         ChemicalGraph(

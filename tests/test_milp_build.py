@@ -246,7 +246,7 @@ SPEC_OUTSIDE_SPACE = {
                               "fringe tree psi1 uses exterior element C outside lambda_ex"),
     "leaf-edge-configuration": ({}, {"ac_lf": ()},
                                 "fringe tree psi1 contains leaf-edge configuration "
-                                "('C', 'C', 1) outside the descriptor space"),
+                                "C_C_1 outside the descriptor space"),
 }
 
 
