@@ -4,11 +4,12 @@ specifications, inverse solves, and full verification of every answer.
 
 Each instance derives a specification from a random target molecule,
 centers the prediction window on the target, solves the inverse model,
-decodes the answer and verifies (a) graph invariants, (b) exact agreement
-between the decoded feature vector and the model's descriptor variables,
-(c) the prediction window, (d) every specification clause, and (e) the
-same specification verdict for a copy of the answer with its vertex ids
-permuted at random.  Each verified instance is then solved again at a
+checks that the polished answer meets every row and bound exactly (residual
+tolerance 0), decodes it and verifies (a) graph invariants, (b) exact
+agreement between the decoded feature vector and the model's descriptor
+variables, (c) the prediction window, (d) every specification clause, and
+(e) the same specification verdict for a copy of the answer with its vertex
+ids permuted at random.  Each verified instance is then solved again at a
 window that starts above the largest prediction its model can reach, and
 that solve must come back infeasible; the summary counts these by
 evidence: an exact row proof made before HiGHS is called, or HiGHS's own
@@ -34,6 +35,7 @@ from invqsar.decompose import decompose
 from invqsar.descriptors import build_space, featurize
 from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import decode, solution_feature_values
+from invqsar.milp.model import check_solution
 from invqsar.milp.solve import solve
 from invqsar.topospec import check_graph_satisfies, parse_spec, spec_from_graph
 
@@ -84,6 +86,9 @@ def main() -> int:
             sol = solve(model, "highs", time_limit=300, polish=polish_solution)
             if sol.status != "optimal":
                 raise RuntimeError("unexpected infeasibility")
+            residuals = check_solution(model, sol.values, tol=0)
+            if residuals:
+                raise RuntimeError(f"inexact answer: {residuals[:3]}")
             graph = decode(sol, spec)
             problems = graph.validate()
             fv_dec = featurize(graph, space)

@@ -89,11 +89,10 @@ class AdjacencyConfiguration:
     mult: int
 
     def __post_init__(self) -> None:
-        if self.mult > min(self.a.valence, self.b.valence):
-            raise ValueError(
-                f"multiplicity {self.mult} exceeds min valence of "
-                f"({self.a.token},{self.b.token})"
-            )
+        # ChemicalGraph.validate's hydrogen rule; the valence of the two
+        # ends depends on their charges, which validate alone judges
+        if self.mult != 1 and (self.a.is_hydrogen or self.b.is_hydrogen):
+            raise ValueError(f"a hydrogen bond of multiplicity {self.mult}")
 
     @property
     def label(self) -> str:

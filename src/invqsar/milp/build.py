@@ -1361,9 +1361,10 @@ def add_descriptor_linking(b: Build) -> None:
         tie(f"dl_x_ac_{j}", j, f"aclf_{ai + 1}")
 
 
-def add_normalization(b: Build, mins, maxs) -> None:
+def add_normalization(b: Build, predictor: LinearPredictor) -> None:
     """Two-sided scaling sandwich tying x_j to its normalized copy, with
-    relative slack EPSILON on each side.
+    relative slack EPSILON on each side, for each descriptor the predictor
+    weighs; a descriptor of weight 0.0 gets no copy.
 
     Written with an explicit offset variable (d = x - min) so the two
     inequality rows have an exact zero right-hand side: with a folded
@@ -1372,12 +1373,15 @@ def add_normalization(b: Build, mins, maxs) -> None:
     solver would dutifully report as infeasible.  The stored minimum is
     nudged one ulp down for the same reason."""
     m = b.m
-    k_total = b.space.k
-    if len(mins) != k_total or len(maxs) != k_total:
+    if len(predictor.weights) != b.space.k:
         raise BuildError("normalization parameter length does not match K")
     pad = 1e-9
-    for j in range(1, k_total + 1):
-        lo, hi = float(mins[j - 1]), float(maxs[j - 1])
+    for j, (w, lo, hi) in enumerate(
+        zip(predictor.weights, predictor.mins, predictor.maxs), start=1
+    ):
+        if w == 0.0:
+            continue
+        lo, hi = float(lo), float(hi)
         xv = m.var(f"x_{j}")
         if hi == lo:
             m.add_var(f"xhat_{j}", CONTINUOUS, 0, 0)
@@ -1451,7 +1455,7 @@ def build_milp(
             raise BuildError("a target interval is required with a predictor")
         if predictor.space_hash != space_digest:
             raise BuildError("predictor was trained against a different space")
-        add_normalization(b, predictor.mins, predictor.maxs)
+        add_normalization(b, predictor)
         add_prediction(b, predictor, y_lo, y_hi)
         b.model.metadata["predictor"] = predictor.space_hash
     b.model.metadata["space"] = space_digest
@@ -1465,9 +1469,11 @@ def polish_solution(model: MILPModel, sol) -> None:
     normalization offsets and normalized copies, the predicted value) is
     recomputed in exact rationals from the model's own rows, so the
     returned values satisfy those rows with zero residual regardless of the
-    solver's feasibility tolerance.  The normalized copies are placed at
-    their sandwich centers, then shifted greedily within the sandwich if
-    the predicted value needs to re-enter its interval."""
+    solver's feasibility tolerance.  Each normalized copy sits at its
+    sandwich's centre, (x_j - min_j) / span_j, and y is the exact
+    prediction of those copies: an answer whose window the solver met only
+    through its tolerance or the sandwich's slack leaves y outside the
+    window, for the residual check to report."""
     values = sol.values
     for v in model.variables:
         if v.kind != CONTINUOUS:
@@ -1485,59 +1491,23 @@ def polish_solution(model: MILPModel, sol) -> None:
             if "x_4" in values:
                 values["x_4"] = values["msbar"]
 
-    centers: dict[str, tuple[Fraction, Fraction]] = {}
-    j = 0
-    while True:
-        j += 1
-        name_d = f"nm_d_{j}"
-        if f"x_{j}" not in values:
-            break
-        if not model.has_constr(name_d):
+    if not model.has_constr("pred_value"):
+        return
+    pred = model.constraint("pred_value")
+    y = Fraction(pred.rhs)
+    for name, c in pred.coeffs:
+        if name == "y":
             continue
-        lo = Fraction(model.constraint(name_d).rhs)
-        xd = values[f"x_{j}"] - lo
-        values[f"xd_{j}"] = xd
-        coeffs_lo = dict(model.constraint(f"nm_lo_{j}").coeffs)
-        coeffs_hi = dict(model.constraint(f"nm_hi_{j}").coeffs)
-        span = Fraction(-coeffs_lo[f"xhat_{j}"])
-        low = Fraction(coeffs_lo[f"xd_{j}"]) * xd / span
-        high = Fraction(coeffs_hi[f"xd_{j}"]) * xd / span
-        if high < low:
-            low, high = high, low
-        centers[f"xhat_{j}"] = (low, high)
-        values[f"xhat_{j}"] = (low + high) / 2
-
-    if model.has_constr("pred_value") and centers:
-        pred = model.constraint("pred_value")
-        weights = {
-            name: Fraction(c) for name, c in pred.coeffs if name != "y"
-        }
-        bias = Fraction(pred.rhs)
-        y_var = model.var("y")
-        y_lo, y_hi = Fraction(y_var.lb), Fraction(y_var.ub)
-
-        def current_y() -> Fraction:
-            return bias - sum(
-                (w * values[name] for name, w in weights.items()),
-                start=Fraction(0),
-            )
-
-        y = current_y()
-        # shift normalized copies inside their sandwiches to pull y back
-        for name, w in sorted(weights.items()):
-            if y_lo <= y <= y_hi:
-                break
-            if name not in centers or w == 0:
-                continue
-            low, high = centers[name]
-            # y = bias - sum(w * xhat); moving xhat by t changes y by -w*t
-            need = (y_lo - y) if y < y_lo else (y_hi - y)
-            t = need / (-w)
-            t = max(low - values[name], min(high - values[name], t))
-            values[name] += t
-            y = current_y()
-        if y_lo <= y <= y_hi:
-            values["y"] = y
+        j = name.removeprefix("xhat_")
+        xhat = Fraction(0)  # a constant descriptor's copy is fixed at 0
+        if model.has_constr(f"nm_d_{j}"):
+            xd = values[f"x_{j}"] - Fraction(model.constraint(f"nm_d_{j}").rhs)
+            span = -Fraction(dict(model.constraint(f"nm_lo_{j}").coeffs)[name])
+            values[f"xd_{j}"] = xd
+            xhat = xd / span
+        values[name] = xhat
+        y -= Fraction(c) * xhat
+    values["y"] = y
 
 
 # Variable catalog: every family the builder creates, as (name pattern,
@@ -1616,8 +1586,8 @@ VARIABLE_FAMILIES: tuple[tuple[str, str, str], ...] = (
     (r"ec(C|T|F|CTk|TCk|sF)_\d+_\d+", BINARY, "edge-configuration marker"),
     (r"x_4", CONTINUOUS, "raw descriptor: the average mass"),
     (r"x_\d+", INTEGER, "raw descriptor"),
-    (r"xd_\d+", CONTINUOUS, "descriptor offset above its training minimum"),
-    (r"xhat_\d+", CONTINUOUS, "normalized descriptor"),
+    (r"xd_\d+", CONTINUOUS, "weighed descriptor's offset above its minimum"),
+    (r"xhat_\d+", CONTINUOUS, "normalized copy of a weighed descriptor"),
     (r"y", CONTINUOUS, "predicted property, standardized units"),
     (r"always_zero", BINARY, "anchor for explicit contradictions"),
 )

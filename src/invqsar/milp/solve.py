@@ -40,7 +40,10 @@ class SolverFailure(RuntimeError):
 
 
 class SolutionCheckError(RuntimeError):
-    """A claimed-feasible solution violates the model: emitter/parser bug."""
+    """A claimed-feasible solution violates the model.  After
+    `polish_solution`, a violated bound of the prediction y means the solver
+    met the target window only within its tolerance; any other violation is
+    an emitter or parser bug."""
 
 
 @dataclass

@@ -15,12 +15,13 @@ import pytest
 from invqsar import cli
 from invqsar.cli import main
 from invqsar.descriptors import (
-    census_vector, read_feature_csv, space_from_json, take_census, write_feature_csv)
+    census_vector, read_feature_csv, space_from_json, space_to_json_text, take_census,
+    write_feature_csv)
 from invqsar.milp import solve as solve_module
 from invqsar.milp.decode import DecodeError, solution_feature_values
 from invqsar.milp.minisolve import MiniSolverError
 from invqsar.graph import build_graph, graph_to_json_text
-from invqsar.regression import min_max_scale
+from invqsar.regression import min_max_scale, predictor_to_json_text
 from invqsar.sdf import graph_to_sdf
 from invqsar.topospec import spec_to_json_text
 
@@ -157,6 +158,19 @@ def test_featurize_rejects_a_repeated_record_name(tmp_path, capsys):
         assert main(["featurize", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: id {message} of {sdf}\n"
         assert not (tmp_path / "out").exists()
+
+
+def test_featurize_holds_carbon_monoxide(tmp_path, capsys):
+    """C-(-1) triple-bonded to O(+1) meets the valence condition, so its
+    leaf edge is a descriptor like any other, next to ethane's."""
+    monoxide = build_graph([(1, "C", -1), (2, "O", 1)], [(1, 2, 3)])
+    sdf = tmp_path / "dataset.sdf"
+    sdf.write_text(graph_to_sdf(monoxide, "co") + graph_to_sdf(chain(["C", "C"]), "ethane"))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": str(sdf), "output_dir": str(tmp_path / "out")}))
+    assert main(["featurize", "--config", str(cfg)]) == 0
+    space = space_from_json(json.loads((tmp_path / "out" / "space.json").read_text()))
+    assert {ac.label for ac in space.ac_lf} == {"C_C_1", "C_O_3"}
 
 
 def test_featurize_empty_dataset(tmp_path, capsys):
@@ -319,6 +333,11 @@ def test_train_and_infer_and_verify(project, capsys):
     verification = json.loads((out / "verification.json").read_text())
     assert verification["in_interval"]
     assert verification["spec_report"]["passed"]
+    # the trained predictor is sparse, and only what it weighs is normalized
+    weighed = {str(j) for j, w in enumerate(predictor_doc["weights"], start=1) if w}
+    normalized = set(re.findall(r"\b(?:xd|xhat|nm_d|nm_lo|nm_hi)_(\d+)\b",
+                                (out / "model.lp").read_text()))
+    assert normalized and normalized <= weighed and len(weighed) < k_cli
 
     code = main([
         "verify",
@@ -586,6 +605,29 @@ def test_infer_solver_failure_exit_code(project):
     broken = tmp / "broken.json"
     broken.write_text(json.dumps(cfg))
     assert main(["infer", "--config", str(broken), "--lo", "6", "--hi", "8"]) == 4
+
+
+def test_infer_window_met_only_within_tolerance_exit_code(tmp_path, capsys):
+    """A window just above the one answer's exact prediction, which HiGHS
+    meets through the normalization sandwiches' slack: the polished answer
+    fails its residual check on y, and infer exits 4 saying so."""
+    fx = roundtrip_fixture("expanded_path")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "space.json").write_text(space_to_json_text(fx.space))
+    (out / "predictor.json").write_text(predictor_to_json_text(fx.predictor))
+    (tmp_path / "spec.json").write_text(spec_to_json_text(fx.spec))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"spec": str(tmp_path / "spec.json"),
+                               "output_dir": str(out)}))
+    # the window sits 3e-6 to 5e-6 (standardized) above the exact
+    # prediction, inside the 1.12e-5 the sandwiches let y rise
+    lo, hi = (fx.predictor.destandardize(fx.y_center + d) for d in (3e-6, 5e-6))
+    assert main(["infer", "--config", str(cfg), "--lo", repr(lo), "--hi", repr(hi)]) == 4
+    err = capsys.readouterr().err
+    assert re.match(r"solver failure: solution fails verification: y = \S+ below "
+                    r"lower bound \S+; the solver met the target interval only "
+                    r"within its tolerance", err), err
 
 
 def test_solver_timeout_binds_an_external_solver(trained, capsys):

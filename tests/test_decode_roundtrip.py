@@ -3,14 +3,17 @@ specification checker.  These runs are the strongest consistency oracle in
 the suite: the decoded graph's feature vector must reproduce the model's
 descriptor variables coordinate for coordinate."""
 
+import copy
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
 from invqsar.descriptors import featurize
 from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import DecodeError, decode, solution_feature_values
-from invqsar.milp.model import emit_lp
+from invqsar.milp.model import check_solution, emit_lp
 from invqsar.milp.solve import Solution, solve
 from invqsar.topospec import check_graph_satisfies, parse_spec
 
@@ -23,8 +26,7 @@ def run_roundtrip(fx, backend):
     model = build_milp(fx.spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi)
     sol = solve(model, backend, time_limit=600, polish=polish_solution)
     assert sol.status == "optimal", f"{fx.name}: expected feasible"
-    from invqsar.milp.model import check_solution
-    assert check_solution(model, sol.values, tol=1e-6) == []
+    assert check_solution(model, sol.values, tol=0) == []
     graph = decode(sol, fx.spec)
     assert graph.validate() == []
     fv = featurize(graph, fx.space)
@@ -53,6 +55,26 @@ def test_roundtrip_external(name):
 def test_roundtrip_mini(name):
     fx = roundtrip_fixture(name)
     run_roundtrip(fx, "mini")
+
+
+@pytest.mark.parametrize("name", ALL_ROUNDTRIP_FIXTURES)
+def test_roundtrip_sparse_predictor(name):
+    """A predictor that weighs one descriptor in four: the model holds a
+    normalized copy only of those, and its answer still decodes to a graph
+    whose census matches every descriptor variable."""
+    fx = copy.copy(roundtrip_fixture(name))
+    weights = tuple(0.1 if j % 4 == 0 else 0.0 for j in range(fx.space.k))
+    fx.predictor = replace(fx.predictor, weights=weights)
+    y = fx.predictor.predict_normalized(
+        featurize(fx.target, fx.space).as_floats())
+    fx.y_lo, fx.y_hi = y - 0.01, y + 0.01
+    model, _, _ = run_roundtrip(fx, "highs")
+    weighed = {str(j) for j, w in enumerate(weights, start=1) if w}
+    names = [v.name for v in model.variables] + [
+        c.name for c in model.constraints]
+    normalized = {m[2] for n in names
+                  if (m := re.fullmatch(r"(xd|xhat|nm_d|nm_lo|nm_hi)_(\d+)", n))}
+    assert normalized and normalized <= weighed
 
 
 @pytest.mark.parametrize("name", ALL_ROUNDTRIP_FIXTURES)

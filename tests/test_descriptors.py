@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invqsar.descriptors import (
     FeatureVector,
@@ -24,7 +24,7 @@ from invqsar.descriptors import (
     take_census,
     write_feature_csv,
 )
-from invqsar.graph import ChemicalGraph, build_graph
+from invqsar.graph import ChemicalGraph, InvalidGraphError, build_graph
 from invqsar.regression import min_max_scale
 from invqsar.schema import InputError
 
@@ -496,6 +496,38 @@ def test_fringe_codes_of_every_census_pass_the_check():
             except ValueError:
                 deepest.append(code)
         assert deepest
+
+
+@st.composite
+def _charged_trees(draw):
+    """(atoms, bonds) of 2-6 heavy atoms of C/N/O/S with charges -2..2,
+    joined in a tree by bonds of order 1-3."""
+    n = draw(st.integers(2, 6))
+    atoms = [(i, draw(st.sampled_from("CNOS")), draw(st.integers(-2, 2)))
+             for i in range(1, n + 1)]
+    bonds = [(draw(st.integers(1, i - 1)), i, draw(st.integers(1, 3)))
+             for i in range(2, n + 1)]
+    return atoms, bonds
+
+
+@settings(max_examples=200, deadline=None)
+@given(_charged_trees())
+@example(([(1, "C", -1), (2, "O", 1)], [(1, 2, 3)]))
+def test_every_valid_graph_featurizes_against_its_own_space(drawn):
+    """validate() holds the one valence rule: a graph it accepts either
+    featurizes against the space built from it or raises a typed error."""
+    atoms, bonds = drawn
+    try:
+        g = build_graph(atoms, bonds, add_hydrogens=True)
+    except InvalidGraphError:
+        return
+    if g.validate():
+        return
+    for rho in (1, 2):
+        try:
+            featurize(g, build_space([g], rho))
+        except (OutOfSpaceError, InvalidGraphError):
+            pass
 
 
 @settings(max_examples=40, deadline=None)

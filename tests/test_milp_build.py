@@ -18,8 +18,8 @@ from invqsar.milp.build import (
     polish_solution,
 )
 from invqsar.milp.decode import decode
-from invqsar.milp.model import check_solution, emit_lp
-from invqsar.milp.solve import Solution, solve, solve_highs
+from invqsar.milp.model import CHECK_TOL, check_solution, emit_lp
+from invqsar.milp.solve import SolutionCheckError, solve, solve_highs
 from invqsar.topospec import check_graph_satisfies, parse_spec, spec_to_json
 
 from conftest import (
@@ -692,34 +692,25 @@ def test_highs_input_is_pinned(monkeypatch):
     assert digests == PINNED_HIGHS_INPUT_DIGESTS
 
 
-@pytest.mark.parametrize("name", ["triangle", "expanded_path"])
-def test_polish_shifts_copies_into_a_window_only_the_slack_reaches(name):
-    """A window above the centered prediction, reached only through the
-    normalization sandwiches' slack: given a solver answer whose y sits on
-    the window's lower edge, polish_solution shifts normalized copies
-    inside their sandwiches, and the answer stays inside the window and
-    meets every row exactly."""
+@pytest.mark.parametrize("name", ["expanded_path", "two_rings"])
+def test_a_window_only_the_slack_reaches_fails_the_check(name):
+    """A window above the answer's exact prediction, reached only through
+    the normalization sandwiches' slack: HiGHS meets it by moving the
+    normalized copies inside their sandwiches, polish_solution puts them
+    back at the centres and y at the exact prediction, and the residual
+    check names y."""
     fx = roundtrip_fixture(name)
     sol = solve(build_milp(fx.spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi),
                 "highs", polish=polish_solution)
     assert sol.status == "optimal"
-    # the copies at their sandwich centers, under a window that needs no shift
-    centered = dict(sol.values)
-    polish_solution(build_milp(fx.spec, fx.space, fx.predictor, -100.0, 100.0),
-                    Solution("optimal", centered))
-    weights = dict(zip((f"xhat_{j}" for j in range(1, fx.space.k + 1)),
-                       fx.predictor.weights))
+    values = sol.values
     # the most the sandwiches let y rise: each copy moves EPSILON times
-    # its center, xd / span, either way
-    slack = sum(abs(Fraction(w)) * Fraction(EPSILON) * centered[copy]
-                for copy, w in weights.items() if w and copy in centered)
-    assert slack > 0
-    y_lo = float(centered["y"] + slack / 4)
-    y_hi = float(centered["y"] + slack / 2)
-    model = build_milp(fx.spec, fx.space, fx.predictor, y_lo, y_hi)
-    answer = Solution("optimal", {**sol.values, "y": Fraction(y_lo)})
-    polish_solution(model, answer)
-    values = answer.values
-    assert Fraction(y_lo) <= values["y"] <= Fraction(y_hi)
-    assert any(values[copy] != centered[copy] for copy in weights if copy in values)
-    assert check_solution(model, values) == []
+    # its centre, xd / span, either way
+    slack = sum(abs(Fraction(w)) * Fraction(EPSILON) * values[f"xhat_{j}"]
+                for j, w in enumerate(fx.predictor.weights, start=1) if w)
+    assert slack / 4 > Fraction(CHECK_TOL)
+    model = build_milp(fx.spec, fx.space, fx.predictor,
+                       float(values["y"] + slack / 4),
+                       float(values["y"] + slack / 2))
+    with pytest.raises(SolutionCheckError, match=r"\by = .* below lower bound"):
+        solve(model, "highs", polish=polish_solution)
