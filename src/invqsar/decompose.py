@@ -10,6 +10,7 @@ attached exterior descendants and all their hydrogens.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,33 +73,9 @@ class RootedFringeTree:
 
     @cached_property
     def canonical_code(self) -> bytes:
-        """The node's token and charge, then its children's `mult:code`
-        sorted by child element, charge, multiplicity and code, built
-        bottom-up: equal codes mean isomorphic rooted trees.  A hydrogen
-        leaf of charge 0 on a single bond always codes as `1:(H,0[])`, so
-        such leaves are counted and their run is put into each sorted child
-        list where it belongs."""
-        label = self.node_map
+        """See _fringe_code: equal codes mean isomorphic rooted trees."""
         kids, order = _walk(self)
-        code: dict[int, bytes] = {}
-        for u in reversed(order):
-            entries = []
-            n_h = 0
-            for c, m in kids.get(u, ()):
-                celem, cchg = label[c]
-                if celem is _HYDROGEN and m == 1 and cchg == 0 and c not in kids:
-                    n_h += 1
-                    continue
-                sub = code.get(c) or b"(%s,%d[])" % (celem.token.encode(), cchg)
-                entries.append((celem.symbol, celem.valence, cchg, m, b"%d:%s" % (m, sub)))
-            entries.sort()
-            if n_h:
-                at = bisect_left(entries, _H_LEAF)
-                entries[at:at] = [_H_LEAF] * n_h
-            elem, chg = label[u]
-            code[u] = b"(%s,%d[%s])" % (
-                elem.token.encode(), chg, b";".join([e[4] for e in entries]))
-        return code[self.root]
+        return _fringe_code(order, kids, {node[0]: node for node in self.nodes})
 
     @cached_property
     def height(self) -> int:
@@ -221,6 +198,42 @@ def _walk(t: RootedFringeTree) -> tuple[dict[int, list[tuple[int, int]]], list[i
     return kids, order
 
 
+def _fringe_code(
+    order: list[int],
+    kids: dict[int, list[tuple[int, int]]],
+    vertex: Mapping[int, tuple[int, ElementSpec, int]],
+) -> bytes:
+    """The canonical code of the tree rooted at order[0].  `order` holds the
+    root and every node with children, each after its parent; `kids` gives
+    each node's (child, mult) list, and `vertex` each node's (id, element,
+    charge).
+
+    A code is the node's token and charge, then its children's `mult:code`
+    sorted by child element, charge, multiplicity and code, built bottom-up.
+    A hydrogen leaf of charge 0 on a single bond always codes as
+    `1:(H,0[])`, so such leaves are counted and their run is put into each
+    sorted child list where it belongs."""
+    code: dict[int, bytes] = {}
+    for u in reversed(order):
+        entries = []
+        n_h = 0
+        for c, m in kids.get(u, ()):
+            _, celem, cchg = vertex[c]
+            if celem is _HYDROGEN and m == 1 and cchg == 0 and c not in kids:
+                n_h += 1
+                continue
+            sub = code.get(c) or b"(%s,%d[])" % (celem.token.encode(), cchg)
+            entries.append((celem.symbol, celem.valence, cchg, m, b"%d:%s" % (m, sub)))
+        entries.sort()
+        if n_h:
+            at = bisect_left(entries, _H_LEAF)
+            entries[at:at] = [_H_LEAF] * n_h
+        _, elem, chg = vertex[u]
+        code[u] = b"(%s,%d[%s])" % (
+            elem.token.encode(), chg, b";".join([e[4] for e in entries]))
+    return code[order[0]]
+
+
 def tree_to_json(t: RootedFringeTree) -> dict:
     """Serialize with the graph interchange schema plus a root marker."""
     return {
@@ -286,7 +299,35 @@ class TwoLayeredDecomposition:
     graph: ChemicalGraph
     interior_vertices: frozenset[int]
     interior_edges: tuple[Edge, ...]
-    fringe_trees: dict[int, RootedFringeTree]
+    # each interior root's fringe-tree code, roots in ascending order
+    fringe_codes: tuple[bytes, ...]
+    # the peel walk: each fringe-tree heavy node -> its (child, mult) list,
+    # heavy children first, then its hydrogens
+    walk: dict[int, list[tuple[int, int]]]
+
+    @cached_property
+    def fringe_trees(self) -> dict[int, RootedFringeTree]:
+        """Interior root (ascending) -> its fringe tree, built from the walk
+        on request: the heavy nodes breadth-first, then each one's
+        hydrogens.  Each tree holds the code the walk gave it."""
+        walk, vertex = self.walk, self.graph.vertex_map
+        trees: dict[int, RootedFringeTree] = {}
+        for root, code in zip(sorted(self.interior_vertices), self.fringe_codes):
+            order = [root]
+            edges = []
+            for u in order:
+                for c, m in walk[u]:
+                    if c in walk:
+                        order.append(c)
+                        edges.append((u, c, m))
+            edges += [(u, c, m) for u in order for c, m in walk[u] if c not in walk]
+            # one edge into each node but the root, heavy nodes first
+            nodes = tuple([(nid, vertex[nid].element, vertex[nid].charge)
+                           for nid in [root] + [c for _, c, _ in edges]])
+            t = RootedFringeTree(root, nodes, tuple(edges))
+            t.__dict__["canonical_code"] = code  # fill the cached property
+            trees[root] = t
+        return trees
 
     @cached_property
     def interior_adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -310,7 +351,10 @@ def decompose(g: ChemicalGraph, rho: int) -> TwoLayeredDecomposition:
     So no path through exterior vertices joins two vertices of height
     >= rho: its earliest-peeled inner vertex would still have two.  And as
     x's parent outlives it, h(x) is the height of the subtree below x, so
-    a tree is 1 + max h(x) <= rho high over its root's exterior neighbours."""
+    a tree is 1 + max h(x) <= rho high over its root's exterior neighbours.
+
+    Each tree's code comes from the walk that finds it; the trees
+    themselves are built only when fringe_trees is read."""
     if rho < 1:
         raise ValueError("rho must be at least 1")
     view = g.suppressed
@@ -321,32 +365,25 @@ def decompose(g: ChemicalGraph, rho: int) -> TwoLayeredDecomposition:
         e for e in view.edges if e.u in interior and e.v in interior
     )
 
-    fringe_trees: dict[int, RootedFringeTree] = {}
+    walk: dict[int, list[tuple[int, int]]] = {}
+    codes = []
     for root in sorted(interior):
-        edges: list[tuple[int, int, int]] = []
         order = [root]
         for u in order:
-            for w, m in adjacency[u]:
-                # an exterior vertex's children are the exterior neighbours
-                # peeled before it; its parent, peeled later, is skipped
-                if w not in interior and height[w] < height[u]:
-                    order.append(w)
-                    edges.append((u, w, m))
-        tree_nodes = []
-        for nid in order:
-            v = vertex[nid]
-            tree_nodes.append((nid, v.element, v.charge))
-        for nid in order:
-            for h, m in hydrogens[nid]:
-                v = vertex[h]
-                tree_nodes.append((h, v.element, v.charge))
-                edges.append((nid, h, m))
-        fringe_trees[root] = RootedFringeTree(root, tuple(tree_nodes), tuple(edges))
+            hu = height[u]
+            # an exterior vertex's children are the exterior neighbours
+            # peeled before it; its parent, peeled later, is skipped
+            kids = walk[u] = [(w, m) for w, m in adjacency[u]
+                              if w not in interior and height[w] < hu]
+            order += [w for w, _ in kids]
+            kids += hydrogens[u]
+        codes.append(_fringe_code(order, walk, vertex))
 
     return TwoLayeredDecomposition(
         rho=rho,
         graph=g,
         interior_vertices=interior,
         interior_edges=interior_edges,
-        fringe_trees=fringe_trees,
+        fringe_codes=tuple(codes),
+        walk=walk,
     )

@@ -258,7 +258,7 @@ def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
     edge_configs = Counter(
         _edge_configuration(symbol[u], symbol[v], m) for u, v, m in decomp.interior_edges
     )
-    fringe = Counter(t.canonical_code for t in decomp.fringe_trees.values())
+    fringe = Counter(decomp.fringe_codes)
 
     # leaf edges of the suppressed graph, leaf endpoint first; an edge
     # whose two endpoints both have degree 1 is oriented by element order

@@ -112,6 +112,27 @@ def relabelled(g: ChemicalGraph, rng: np.random.Generator) -> ChemicalGraph:
     )
 
 
+def mol_block(name, atoms, bonds, charges=(), charge_line=None, codes=None):
+    """A V2000 record; `codes` gives each atom's charge-column code."""
+    lines = [name, "  test", "", f"{len(atoms):3d}{len(bonds):3d}  0  0  0  0  0  0  0  0999 V2000"]
+    for sym, code in zip(atoms, codes or [0] * len(atoms)):
+        lines.append(
+            f"    0.0000    0.0000    0.0000 {sym:<3} 0{code:3d}  0  0  0  0  0  0  0  0  0  0"
+        )
+    for u, v, m in bonds:
+        lines.append(f"{u:3d}{v:3d}{m:3d}  0  0  0  0")
+    if charges:
+        head = f"M  CHG{len(charges):3d}"
+        for vid, chg in charges:
+            head += f"{vid:4d}{chg:4d}"
+        lines.append(head)
+    if charge_line is not None:
+        lines.append(charge_line)
+    lines.append("M  END")
+    lines.append("$$$$")
+    return "\n".join(lines) + "\n"
+
+
 def sdf_records(text: str) -> tuple[list[tuple[str, ChemicalGraph]], list[RecordError]]:
     """The (name, graph) pairs and the RecordErrors that read_sdf yields
     for an SDF text, each list in record order."""

@@ -51,6 +51,43 @@ def _peel(adj) -> dict[int, int]:
     return height
 
 
+def fringe_trees(g: ChemicalGraph, rho: int) -> dict[int, RootedFringeTree]:
+    """Each interior root's fringe tree re-derived from scratch: the heavy
+    component hanging at the root, plus the hydrogens of every collected
+    vertex; roots in ascending order."""
+    heavy, adj = _heavy_adjacency(g)
+    height = _peel(adj)
+    interior = {v for v in heavy if height[v] >= rho}
+    vertex = g.vertex_map
+    full_adj: dict[int, dict[int, int]] = {v.id: {} for v in g.vertices}
+    for e in g.edges:
+        full_adj[e.u][e.v] = e.mult
+        full_adj[e.v][e.u] = e.mult
+    trees = {}
+    claimed: set[int] = set()
+    for root in sorted(interior):
+        comp = [root]
+        edges = []
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w, mult in sorted(adj[u].items()):
+                if w in interior or w in claimed:
+                    continue
+                claimed.add(w)
+                comp.append(w)
+                edges.append((u, w, mult))
+                stack.append(w)
+        nodes = [(v, vertex[v].element, vertex[v].charge) for v in comp]
+        for v in comp:
+            for w, mult in sorted(full_adj[v].items()):
+                if w not in heavy:
+                    nodes.append((w, vertex[w].element, vertex[w].charge))
+                    edges.append((v, w, mult))
+        trees[root] = RootedFringeTree(root, tuple(nodes), tuple(edges))
+    return trees
+
+
 def brute_force_features(g: ChemicalGraph, space: DescriptorSpace) -> list:
     """Count every descriptor directly on the graph."""
     heavy, adj = _heavy_adjacency(g)
@@ -59,11 +96,6 @@ def brute_force_features(g: ChemicalGraph, space: DescriptorSpace) -> list:
     interior = {v for v in heavy if height[v] >= rho}
 
     token = {v.id: v.element.token for v in g.vertices}
-    charge = {v.id: v.charge for v in g.vertices}
-    full_adj: dict[int, dict[int, int]] = {v.id: {} for v in g.vertices}
-    for e in g.edges:
-        full_adj[e.u][e.v] = e.mult
-        full_adj[e.v][e.u] = e.mult
 
     values: list = [0] * space.k
     values[0] = len(heavy)
@@ -132,32 +164,8 @@ def brute_force_features(g: ChemicalGraph, space: DescriptorSpace) -> list:
             )
             values[off["ec"] + gamma_keys[key]] += 1
 
-    # fringe trees re-derived from scratch: heavy component hanging at each
-    # interior root, plus the hydrogens of every collected vertex
     code_index = {c: i for i, c in enumerate(space.fringe_codes)}
-    claimed: set[int] = set()
-    for root in sorted(interior):
-        comp = [root]
-        comp_set = {root}
-        edges = []
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w, mult in sorted(adj[u].items()):
-                if w in interior or w in comp_set or w in claimed:
-                    continue
-                comp_set.add(w)
-                claimed.add(w)
-                comp.append(w)
-                edges.append((u, w, mult))
-                stack.append(w)
-        nodes = [(v, g.vertex_map[v].element, charge[v]) for v in comp]
-        for v in comp:
-            for w, mult in sorted(full_adj[v].items()):
-                if token[w] == "H":
-                    nodes.append((w, g.vertex_map[w].element, charge[w]))
-                    edges.append((v, w, mult))
-        tree = RootedFringeTree(root, tuple(nodes), tuple(edges))
+    for tree in fringe_trees(g, rho).values():
         values[off["fc"] + code_index[tree.canonical_code]] += 1
 
     ac_keys = {

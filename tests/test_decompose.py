@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from invqsar.decompose import (
     TREE,
+    RootedFringeTree,
     decompose,
     peel_heights,
     tree_to_json,
@@ -12,7 +13,8 @@ from invqsar.graph import build_graph
 from invqsar.schema import InputError, Reader
 
 import oracles
-from conftest import chain, perfbench_inputs, random_chemical_graph, ring
+from conftest import (
+    chain, mol_block, perfbench_inputs, random_chemical_graph, ring, sdf_records)
 import numpy as np
 
 
@@ -75,9 +77,27 @@ def test_fringe_heights_bounded():
                 assert t.height <= rho
 
 
+def _check_fringe_trees(g, rho):
+    """decompose(g, rho)'s codes, taken from the peel walk, and its trees,
+    built on request, against the oracles: the codes in root order, each
+    tree's nodes, edges, code and height, and the code of the same tree
+    rebuilt from its node and edge lists."""
+    d = decompose(g, rho)
+    want = oracles.fringe_trees(g, rho)
+    shapes = {root: oracles.fringe_tree_shape(t) for root, t in want.items()}
+    assert d.fringe_codes == tuple(shapes[root][0] for root in sorted(want))
+    assert list(d.fringe_trees) == sorted(want)
+    for root, t in d.fringe_trees.items():
+        assert sorted(t.nodes) == sorted(want[root].nodes)
+        assert sorted(t.edges) == sorted(want[root].edges)
+        assert (t.canonical_code, t.height) == shapes[root] == oracles.fringe_tree_shape(t)
+        assert RootedFringeTree(root, t.nodes, t.edges).canonical_code == shapes[root][0]
+    return d
+
+
 def test_fringe_trees_match_the_oracle_recursion():
-    """Over 200 random molecules at rho 1, 2 and 3: peeling heights, and
-    each fringe tree's canonical code and height, agree with the oracles'
+    """Over 200 random molecules at rho 1, 2 and 3: peeling heights, the
+    walk's codes and the trees built on request agree with the oracles'
     plain recursions.  No tree is higher than rho, and a tree's height is
     1 + the largest peeling height among its root's exterior neighbours,
     which is why decompose needs no height check."""
@@ -89,14 +109,47 @@ def test_fringe_trees_match_the_oracle_recursion():
         heights = peel_heights(g)
         assert heights == oracles._peel(oracles._heavy_adjacency(g)[1])
         for rho in (1, 2, 3):
-            d = decompose(g, rho)
+            d = _check_fringe_trees(g, rho)
             for root, t in d.fringe_trees.items():
-                assert (t.canonical_code, t.height) == oracles.fringe_tree_shape(t)
                 below = [heights[w] for w, _ in g.suppressed.adjacency[root]
                          if w not in d.interior_vertices]
                 assert t.height == max((1 + h for h in below), default=0) <= rho
                 trees += 1
     assert trees > 600
+
+
+def test_fringe_trees_with_a_file_hydrogen():
+    """A hydrogen the SDF lists itself, ahead of the heavy atoms, sits in
+    its tree beside the hydrogens the reader adds."""
+    # H1 on C2, which hangs off the ring C3-C4-C5 and carries O6
+    text = mol_block("file_h", ["H", "C", "C", "C", "C", "O"],
+                     [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1), (2, 6, 1)])
+    ((_, g),), errors = sdf_records(text)
+    assert not errors
+    for rho in (1, 2, 3):
+        d = _check_fringe_trees(g, rho)
+        assert any(nid == 1 for t in d.fringe_trees.values() for nid, _, _ in t.nodes)
+    d = decompose(g, 2)
+    assert d.fringe_codes[0] == (
+        b"(C,0[1:(C,0[1:(H,0[]);1:(H,0[]);1:(O,0[1:(H,0[])])]);1:(H,0[])])")
+    # the layout spec_from_graph writes: heavy nodes breadth-first, then
+    # each one's hydrogens in bond order (the reader's from id 7 on)
+    t = d.fringe_trees[3]
+    assert [nid for nid, _, _ in t.nodes] == [3, 2, 6, 8, 1, 7, 13]
+    assert t.edges == ((3, 2, 1), (2, 6, 1), (3, 8, 1), (2, 1, 1), (2, 7, 1), (6, 13, 1))
+
+
+def test_fringe_trees_with_a_charged_hydrogen():
+    """A hydrogen of charge -1 (valence 2) on a tail carbon codes as its
+    own entry, sorted after the run of neutral hydrogen leaves."""
+    g = build_graph([(1, "C"), (2, "C"), (3, "C"), (4, "C"), (5, "H(2)", -1)],
+                    [(1, 2, 1), (2, 3, 1), (3, 1, 1), (1, 4, 1), (4, 5, 1)],
+                    add_hydrogens=True)
+    assert g.validate() == []
+    for rho in (1, 2, 3):
+        _check_fringe_trees(g, rho)
+    assert decompose(g, 1).fringe_codes[0] == (
+        b"(C,0[1:(C,0[1:(H,0[]);1:(H,0[]);1:(H(2),-1[])]);1:(H,0[])])")
 
 
 def test_fringe_scalars():

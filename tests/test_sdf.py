@@ -1,31 +1,10 @@
 import pytest
 
-from conftest import sdf_records
-
-
-def _mol_block(name, atoms, bonds, charges=(), charge_line=None, codes=None):
-    """A V2000 record; `codes` gives each atom's charge-column code."""
-    lines = [name, "  test", "", f"{len(atoms):3d}{len(bonds):3d}  0  0  0  0  0  0  0  0999 V2000"]
-    for sym, code in zip(atoms, codes or [0] * len(atoms)):
-        lines.append(
-            f"    0.0000    0.0000    0.0000 {sym:<3} 0{code:3d}  0  0  0  0  0  0  0  0  0  0"
-        )
-    for u, v, m in bonds:
-        lines.append(f"{u:3d}{v:3d}{m:3d}  0  0  0  0")
-    if charges:
-        head = f"M  CHG{len(charges):3d}"
-        for vid, chg in charges:
-            head += f"{vid:4d}{chg:4d}"
-        lines.append(head)
-    if charge_line is not None:
-        lines.append(charge_line)
-    lines.append("M  END")
-    lines.append("$$$$")
-    return "\n".join(lines) + "\n"
+from conftest import mol_block, sdf_records
 
 
 def test_ethane():
-    text = _mol_block("ethane", ["C", "C"], [(1, 2, 1)])
+    text = mol_block("ethane", ["C", "C"], [(1, 2, 1)])
     graphs, errors = sdf_records(text)
     assert not errors
     ((name, g),) = graphs
@@ -36,7 +15,7 @@ def test_ethane():
 
 
 def test_five_coordinate_carbon_reported():
-    text = _mol_block(
+    text = mol_block(
         "bad", ["C", "C", "C", "C", "C", "C"],
         [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1), (1, 6, 1)],
     )
@@ -48,10 +27,10 @@ def test_five_coordinate_carbon_reported():
 
 
 def test_mixed_records():
-    good1 = _mol_block("ok1", ["C", "O"], [(1, 2, 1)])
-    bad = _mol_block("bad", ["C"] * 6,
+    good1 = mol_block("ok1", ["C", "O"], [(1, 2, 1)])
+    bad = mol_block("bad", ["C"] * 6,
                      [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1), (1, 6, 1)])
-    good2 = _mol_block("ok2", ["N"], [])
+    good2 = mol_block("ok2", ["N"], [])
     graphs, errors = sdf_records(good1 + bad + good2)
     assert [name for name, _ in graphs] == ["ok1", "ok2"]
     assert len(errors) == 1
@@ -59,7 +38,7 @@ def test_mixed_records():
 
 
 def test_charge_line():
-    text = _mol_block("cation", ["N", "C"], [(1, 2, 1)], charges=[(1, 1)])
+    text = mol_block("cation", ["N", "C"], [(1, 2, 1)], charges=[(1, 1)])
     graphs, errors = sdf_records(text)
     assert not errors
     ((_, g),) = graphs
@@ -82,15 +61,15 @@ def test_charge_line():
 def test_bad_charge_line_is_a_record_error(line, needle):
     """A charge line that names a missing atom, or whose pairs disagree
     with its count, fails its own record only."""
-    bad = _mol_block("cation", ["N", "C"], [(1, 2, 1)], charge_line=line)
+    bad = mol_block("cation", ["N", "C"], [(1, 2, 1)], charge_line=line)
     assert needle in _only_error(bad, "cation")
 
 
 def _only_error(bad: str, name: str) -> str:
     """The message of the one record error that the record text `bad`
     gives between two good records, which still parse."""
-    good1 = _mol_block("ok1", ["C", "O"], [(1, 2, 1)])
-    good2 = _mol_block("ok2", ["N"], [])
+    good1 = mol_block("ok1", ["C", "O"], [(1, 2, 1)])
+    good2 = mol_block("ok2", ["N"], [])
     graphs, errors = sdf_records(good1 + bad + good2)
     assert [n for n, _ in graphs] == ["ok1", "ok2"]
     ((record, got, message),) = [(e.record, e.name, e.message) for e in errors]
@@ -100,7 +79,7 @@ def _only_error(bad: str, name: str) -> str:
 
 def test_charge_column_codes():
     """The atom block's charge codes 1-3 and 5-7 give +3..+1 and -1..-3."""
-    text = "".join(_mol_block(f"c{code}", ["C"], [], codes=[code])
+    text = "".join(mol_block(f"c{code}", ["C"], [], codes=[code])
                    for code in (0, 1, 2, 3, 5, 6, 7))
     graphs, errors = sdf_records(text)
     assert not errors
@@ -125,29 +104,29 @@ PARSE_RECORD_FAULTS = {
         "counts line disagrees with block sizes"),
     "atom_line": (f"bad\n\n\n{COUNTS_1_0}\n    0.0000    0.0000\nM  END\n$$$$\n",
                   "malformed atom line: '    0.0000    0.0000'"),
-    "bond_line": (_mol_block("bad", ["C", "O"], [(1, 2, 1)]).replace(
+    "bond_line": (mol_block("bad", ["C", "O"], [(1, 2, 1)]).replace(
         "  1  2  1  0", "  1  x  1  0"), "malformed bond line: '  1  x  1  0  0  0  0'"),
-    "missing_bond_atom": (_mol_block("bad", ["C", "O"], [(1, 3, 1)]),
+    "missing_bond_atom": (mol_block("bad", ["C", "O"], [(1, 3, 1)]),
                           "bond (1,3) references a missing atom"),
     "over_valence": (
-        _mol_block("bad", ["C", "O", "O", "O"], [(1, 2, 2), (1, 3, 2), (1, 4, 2)]),
+        mol_block("bad", ["C", "O", "O", "O"], [(1, 2, 2), (1, 3, 2), (1, 4, 2)]),
         "atom 1 (C) with bond sum 6 and charge 0 exceeds every supported "
         "valence (2, 3, 4, 5)"),
     "heavy_neighbours": (
-        _mol_block("bad", ["C"] * 6, [(1, k, 1) for k in range(2, 7)]),
+        mol_block("bad", ["C"] * 6, [(1, k, 1) for k in range(2, 7)]),
         "vertex 1 has 5 heavy neighbours (max 4)"),
-    "unknown_element": (_mol_block("bad", ["Zz"], []),
+    "unknown_element": (mol_block("bad", ["Zz"], []),
                         "unknown element symbol 'Zz'"),
-    "radical_code": (_mol_block("bad", ["N", "C"], [(1, 2, 1)], codes=[4, 0]),
+    "radical_code": (mol_block("bad", ["N", "C"], [(1, 2, 1)], codes=[4, 0]),
                      "atom 1 has unsupported charge code 4"),
-    "code_8": (_mol_block("bad", ["N", "C"], [(1, 2, 1)], codes=[0, 8]),
+    "code_8": (mol_block("bad", ["N", "C"], [(1, 2, 1)], codes=[0, 8]),
                "atom 2 has unsupported charge code 8"),
-    "code_9": (_mol_block("bad", ["N", "C"], [(1, 2, 1)], codes=[9, 0]),
+    "code_9": (mol_block("bad", ["N", "C"], [(1, 2, 1)], codes=[9, 0]),
                "atom 1 has unsupported charge code 9"),
-    "charge_field": (_mol_block("bad", ["N", "C"], [(1, 2, 1)]).replace(
+    "charge_field": (mol_block("bad", ["N", "C"], [(1, 2, 1)]).replace(
         " N   0  0", " N   0  x", 1), "atom 1 has a non-numeric charge field 'x'"),
     **{f"charge_line_{field}": (
-        _mol_block("bad", ["N", "C"], [(1, 2, 1)], charge_line=line),
+        mol_block("bad", ["N", "C"], [(1, 2, 1)], charge_line=line),
         f"malformed charge line: {line!r}")
        for field, line in (("count", "M  CHG  y   1   1"),
                            ("atom", "M  CHG  1   z   1"),
@@ -165,7 +144,7 @@ def test_parse_record_fault_messages(case):
 
 def test_multivalent_sulfur():
     # sulfur with 6 bonds resolves to the valence-6 variant
-    text = _mol_block(
+    text = mol_block(
         "sf", ["S", "O", "O", "C", "C"],
         [(1, 2, 2), (1, 3, 2), (1, 4, 1), (1, 5, 1)],
     )
@@ -184,6 +163,6 @@ def test_malformed_counts_line():
 
 
 def test_unknown_element():
-    text = _mol_block("odd", ["Zz"], [])
+    text = mol_block("odd", ["Zz"], [])
     graphs, errors = sdf_records(text)
     assert errors and "unknown element" in errors[0].message
