@@ -10,6 +10,7 @@ attached exterior descendants and all their hydrogens.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,8 +53,8 @@ def peel_heights(g: ChemicalGraph) -> dict[int, int]:
 class RootedFringeTree:
     """A fringe tree: interior root plus exterior descendants and hydrogens.
 
-    Edges are directed parent -> child.  Scalars used by the feature vector
-    and the model builder are exposed as cached properties.
+    Edges are directed parent -> child.  Scalars used by the model builder
+    and the specification checker are exposed as cached properties.
     """
 
     root: int
@@ -65,29 +66,43 @@ class RootedFringeTree:
         return {nid: (elem, chg) for nid, elem, chg in self.nodes}
 
     @cached_property
-    def children(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        ch: dict[int, list[tuple[int, int]]] = {nid: [] for nid, _, _ in self.nodes}
+    def walk(self) -> tuple[dict[int, list[tuple[int, int]]], list[int]]:
+        """Each inner node's (child, mult) list in edge order, and the root
+        and the inner nodes breadth-first.  Raises InvalidGraphError unless
+        the edges reach every node exactly once from the root: n - 1 edges,
+        none into the root and none from an id that is not a node."""
+        kids: dict[int, list[tuple[int, int]]] = {}
         for p, c, m in self.edges:
-            ch[p].append((c, m))
-        return {k: tuple(v) for k, v in ch.items()}
+            kids.setdefault(p, []).append((c, m))
+        order = [self.root]
+        reached = {self.root}
+        for u in order:
+            for c, _ in kids.get(u, ()):
+                if c not in reached:
+                    reached.add(c)
+                    if c in kids:
+                        order.append(c)
+        if not (len(self.nodes) == len(self.edges) + 1 == len(reached)
+                and reached == self.node_map.keys()):
+            raise InvalidGraphError(f"fringe tree at {self.root} is not an out-tree")
+        return kids, order
 
     @cached_property
     def canonical_code(self) -> bytes:
         """See _fringe_code: equal codes mean isomorphic rooted trees."""
-        kids, order = _walk(self)
+        kids, order = self.walk
         return _fringe_code(order, kids, {node[0]: node for node in self.nodes})
 
     @cached_property
     def height(self) -> int:
         """Height of the hydrogen-suppressed tree: the depth of its deepest
         heavy node below the root along heavy nodes."""
-        heavy = {nid for nid, elem, _ in self.nodes if not elem.is_hydrogen}
-        kids, order = _walk(self)
+        kids, order = self.walk
         depth = {self.root: 0}
         for u in order:
             if u in depth:
                 for c, _ in kids.get(u, ()):
-                    if c in heavy:
+                    if not self.node_map[c][0].is_hydrogen:
                         depth[c] = depth[u] + 1
         return max(depth.values())
 
@@ -100,102 +115,57 @@ class RootedFringeTree:
         return self.node_map[self.root][1]
 
     @cached_property
-    def root_heavy_children(self) -> int:
-        return sum(
-            1 for c, _ in self.children[self.root]
-            if not self.node_map[c][0].is_hydrogen
-        )
+    def root_hydrogen_children(self) -> int:
+        kids = self.walk[0].get(self.root, ())
+        return sum(1 for c, _ in kids if self.node_map[c][0].is_hydrogen)
 
     @cached_property
-    def root_hydrogen_children(self) -> int:
-        return sum(
-            1 for c, _ in self.children[self.root]
-            if self.node_map[c][0].is_hydrogen
-        )
+    def root_heavy_children(self) -> int:
+        return len(self.walk[0].get(self.root, ())) - self.root_hydrogen_children
 
     @cached_property
     def beta_root(self) -> int:
-        return sum(m for _, m in self.children[self.root])
+        return sum(m for _, m in self.walk[0].get(self.root, ()))
 
     @cached_property
     def n_nonroot_heavy(self) -> int:
-        return sum(
-            1 for nid, elem, _ in self.nodes
-            if nid != self.root and not elem.is_hydrogen
-        )
+        return sum(self.nonroot_heavy_degree_counts.values())
 
     @cached_property
     def nonroot_element_counts(self) -> dict[str, int]:
         """Element token -> frequency among non-root nodes (hydrogen included)."""
-        counts: dict[str, int] = {}
-        for nid, elem, _ in self.nodes:
-            if nid == self.root:
-                continue
-            counts[elem.token] = counts.get(elem.token, 0) + 1
-        return counts
-
-    @cached_property
-    def heavy_degree(self) -> dict[int, int]:
-        """Heavy-neighbour count of each heavy node within the tree."""
-        deg = {}
-        parent: dict[int, int] = {}
-        for p, c, _ in self.edges:
-            parent[c] = p
-        for nid, elem, _ in self.nodes:
-            if elem.is_hydrogen:
-                continue
-            d = sum(
-                1 for c, _ in self.children[nid]
-                if not self.node_map[c][0].is_hydrogen
-            )
-            if nid != self.root and not self.node_map[parent[nid]][0].is_hydrogen:
-                d += 1
-            deg[nid] = d
-        return deg
+        return Counter(elem.token for nid, elem, _ in self.nodes if nid != self.root)
 
     @cached_property
     def nonroot_heavy_degree_counts(self) -> dict[int, int]:
         """Suppressed degree d -> count over non-root heavy nodes."""
-        counts: dict[int, int] = {}
-        for nid, d in self.heavy_degree.items():
-            if nid == self.root:
-                continue
-            counts[d] = counts.get(d, 0) + 1
-        return counts
+        return self._degree_census[0]
 
     @cached_property
     def leaf_edge_configs(self) -> dict[tuple[str, str, int], int]:
         """Adjacency configuration (leaf element, parent element, mult) ->
         count over leaf edges of the suppressed tree (leaf end non-root)."""
-        parent_of: dict[int, tuple[int, int]] = {}
-        for p, c, m in self.edges:
-            parent_of[c] = (p, m)
-        counts: dict[tuple[str, str, int], int] = {}
-        for nid, d in self.heavy_degree.items():
-            if nid == self.root or d != 1:
-                continue
-            p, m = parent_of[nid]
-            key = (self.node_map[nid][0].token, self.node_map[p][0].token, m)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return self._degree_census[1]
 
-
-def _walk(t: RootedFringeTree) -> tuple[dict[int, list[tuple[int, int]]], list[int]]:
-    """The (child, mult) lists of the tree's inner nodes, and the root and
-    the inner nodes in breadth-first order."""
-    kids: dict[int, list[tuple[int, int]]] = {}
-    for p, c, m in t.edges:
-        if p in kids:
-            kids[p].append((c, m))
-        else:
-            kids[p] = [(c, m)]
-    order = [t.root]
-    for u in order:
-        if u in kids:
-            order += [c for c, _ in kids[u] if c in kids]
-            if len(order) > len(kids) + 1:
-                raise InvalidGraphError(f"fringe tree at {t.root} is not an out-tree")
-    return kids, order
+    @cached_property
+    def _degree_census(self) -> tuple[Counter, Counter]:
+        """nonroot_heavy_degree_counts and leaf_edge_configs, in node order,
+        from one pass over the edges into non-root heavy nodes."""
+        node = self.node_map
+        degree = {nid: 0 for nid, elem, _ in self.nodes
+                  if nid != self.root and not elem.is_hydrogen}
+        up = {}  # each one's (parent, mult)
+        for p, kids in self.walk[0].items():
+            for c, m in kids:
+                if c in degree:
+                    up[c] = (p, m)
+                    if not node[p][0].is_hydrogen:
+                        degree[c] += 1
+                        if p in degree:
+                            degree[p] += 1
+        leaves = Counter((node[nid][0].token, node[up[nid][0]][0].token, up[nid][1])
+                         for nid, d in degree.items() if d == 1)
+        return Counter(degree.values()), leaves
 
 
 def _fringe_code(
@@ -250,20 +220,14 @@ def _tree(r: Reader, path, d: dict) -> RootedFringeTree:
     """The fringe tree of a TREE record, in its given node order and edge
     orientation when these form an out-tree from the root."""
     root, nodes, edges = d["root"], d["vertices"], d["edges"]
-    others = [nid for nid, _, _ in nodes if nid != root]
-    if len(others) == len(nodes):
+    if all(nid != root for nid, _, _ in nodes):
         r.fail((path, "root"), "must be the id of a vertex")
-    if sorted(child for _, child, _ in edges) == sorted(others):
-        # one parent per vertex but the root: a tree if all are reached
-        children: dict[int, list[int]] = {}
-        for parent, child, _ in edges:
-            children.setdefault(parent, []).append(child)
-        reached = [root]
-        for u in reached:
-            reached.extend(children.pop(u, ()))
-        if len(set(reached)) == len(nodes):
-            return RootedFringeTree(root, nodes, edges)
-    return r.make(path, fringe_tree_from_graph, GRAPH.make(r, path, d), root)
+    t = RootedFringeTree(root, nodes, edges)
+    try:
+        t.walk  # holds the out-tree rule
+    except InvalidGraphError:
+        return r.make(path, fringe_tree_from_graph, GRAPH.make(r, path, d), root)
+    return t
 
 
 # a fringe-tree record is a graph record plus its root

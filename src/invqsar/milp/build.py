@@ -80,6 +80,9 @@ class Build:
     """Incremental model builder shared by the constraint-family functions."""
 
     def __init__(self, spec: TopologicalSpecification, space: DescriptorSpace):
+        if spec.rho != space.rho:
+            raise BuildError(f"specification rho {spec.rho} differs from the "
+                             f"descriptor space's rho {space.rho}")
         self.spec = spec
         self.space = space
         self.model = MILPModel(name="inverse_design")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..decompose import RootedFringeTree
 from ..descriptors import DescriptorSpace
 from ..graph import ChemicalGraph, Edge, Vertex
-from ..topospec import TopologicalSpecification
+from ..topospec import FIXED, FLEXIBLE, OPTIONAL, PATH, TopologicalSpecification
 from .solve import Solution
 
 
@@ -99,9 +99,7 @@ def decode(sol: Solution, spec: TopologicalSpecification) -> ChemicalGraph:
             edges.extend(f_edges)
 
     # direct seed edges
-    for e in seed.edges:
-        if e.cls == "path":
-            continue
+    for e in seed.edges_of_class(FLEXIBLE, OPTIONAL, FIXED):
         if iv(f"eC_{e.index}") == 1:
             mult = iv(f"bC_{e.index}")
             if mult < 1:
@@ -110,9 +108,7 @@ def decode(sol: Solution, spec: TopologicalSpecification) -> ChemicalGraph:
 
     # paths carved from the T slots
     chi_t = {i: iv(f"chiT_{i}") for i in used["T"]}
-    for e in seed.edges:
-        if e.cls not in ("path", "flexible"):
-            continue
+    for e in seed.edges_of_class(PATH, FLEXIBLE):
         k = e.index
         if iv(f"dclrT_{k}") == 0:
             continue

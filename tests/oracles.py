@@ -263,19 +263,63 @@ def fringe_tree_shape(t: RootedFringeTree) -> tuple[bytes, int]:
     return code(t.root), height(t.root)
 
 
+def fringe_tree_counts(t: RootedFringeTree) -> dict:
+    """The seven counts the model builder reads from a fringe tree, by plain
+    recursion over its own node and edge lists.  A heavy node's degree is
+    its number of heavy children, plus one under a heavy parent; a non-root
+    heavy node of degree 1 ends a leaf edge, keyed (its token, its
+    parent's token, the multiplicity of the edge from that parent)."""
+    label = {nid: elem for nid, elem, _ in t.nodes}
+    kids: dict[int, list[tuple[int, int]]] = {nid: [] for nid in label}
+    for p, c, m in t.edges:
+        kids[p].append((c, m))
+
+    def heavy(n: int) -> bool:
+        return not label[n].is_hydrogen
+
+    counts = {"n_nonroot_heavy": 0, "nonroot_element_counts": {},
+              "nonroot_heavy_degree_counts": {}, "leaf_edge_configs": {}}
+
+    def tally(name, key):
+        counts[name][key] = counts[name].get(key, 0) + 1
+
+    def visit(n: int, parent: int, mult: int) -> None:
+        tally("nonroot_element_counts", label[n].token)
+        if heavy(n):
+            counts["n_nonroot_heavy"] += 1
+            degree = sum(1 for c, _ in kids[n] if heavy(c)) + heavy(parent)
+            tally("nonroot_heavy_degree_counts", degree)
+            if degree == 1:
+                tally("leaf_edge_configs", (label[n].token, label[parent].token, mult))
+        for c, m in kids[n]:
+            visit(c, n, m)
+
+    for c, m in kids[t.root]:
+        visit(c, t.root, m)
+    counts["root_heavy_children"] = sum(1 for c, _ in kids[t.root] if heavy(c))
+    counts["root_hydrogen_children"] = sum(1 for c, _ in kids[t.root] if not heavy(c))
+    counts["beta_root"] = sum(m for _, m in kids[t.root])
+    return counts
+
+
 def r_isomorphic(t1: RootedFringeTree, t2: RootedFringeTree) -> bool:
     """Backtracking root-preserving isomorphism respecting labels, charges
     and multiplicities."""
 
-    def node_key(t, n):
-        elem, chg = t.node_map[n]
-        return (elem.symbol, elem.valence, chg)
+    def lists(t):
+        key = {nid: (elem.symbol, elem.valence, chg) for nid, elem, chg in t.nodes}
+        kids: dict[int, list[tuple[int, int]]] = {nid: [] for nid in key}
+        for p, c, m in t.edges:
+            kids[p].append((c, m))
+        return key, kids
+
+    (key1, children1), (key2, children2) = lists(t1), lists(t2)
 
     def match(n1: int, n2: int) -> bool:
-        if node_key(t1, n1) != node_key(t2, n2):
+        if key1[n1] != key2[n2]:
             return False
-        kids1 = list(t1.children[n1])
-        kids2 = list(t2.children[n2])
+        kids1 = children1[n1]
+        kids2 = children2[n2]
         if len(kids1) != len(kids2):
             return False
 

@@ -143,3 +143,22 @@ def test_tree_whose_edges_loop_is_rejected(edges):
     for prop in ("canonical_code", "height"):
         with pytest.raises(InvalidGraphError, match="not an out-tree"):
             getattr(RootedFringeTree(0, nodes, edges), prop)
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 1, 1), (0, 2, 1), (1, 2, 1)),  # node 2 has two parents
+    ((0, 1, 1),),                       # no edge reaches node 2
+    ((0, 1, 1), (9, 2, 1)),             # node 2's parent is no node
+    ((0, 1, 1), (0, 2, 1), (9, 1, 1)),  # an extra edge from no node
+    ((0, 1, 1), (0, 2, 1), (0, 9, 1)),  # an edge to no node
+], ids=["two_parents", "unreached", "foreign_parent", "extra_foreign_edge",
+        "foreign_child"])
+def test_tree_that_is_no_out_tree_is_rejected(edges):
+    """Every property read from the walk holds one rule: the edges reach
+    each node exactly once from the root, or InvalidGraphError."""
+    nodes = tuple((i, C, 0) for i in range(3))
+    for prop in ("walk", "canonical_code", "height", "root_heavy_children",
+                 "root_hydrogen_children", "beta_root", "n_nonroot_heavy",
+                 "nonroot_heavy_degree_counts", "leaf_edge_configs"):
+        with pytest.raises(InvalidGraphError, match="fringe tree at 0 is not an out-tree"):
+            getattr(RootedFringeTree(0, nodes, edges), prop)

@@ -5,9 +5,11 @@ import io
 import json
 import re
 import subprocess
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -695,6 +697,29 @@ def with_solver(tmp, cfg_path, solver_command):
     return str(path)
 
 
+# scipy.optimize costs a fraction of a second to import, so only the HiGHS
+# solve imports it: the CLI module, featurize and train load no scipy
+NO_SCIPY_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from invqsar import cli
+for command in ("featurize", "train"):
+    assert cli.main([command, "--config", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_featurize_and_train_import_no_scipy(project):
+    tmp, cfg_path, _ = project
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE, str(src), str(cfg_path)],
+        cwd=tmp, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_default_solver_starts_no_child_process(trained, monkeypatch):
     tmp, cfg_path = trained
 
@@ -903,6 +928,9 @@ def _other_space(path):
     ("infer", "spec.json", lambda p: _replace_text(
         p, p.read_text().replace('"lambda_int": [', '"lambda_int": ["N", ')),
      "error: interior element N is not in the descriptor space"),
+    ("infer", "spec.json", lambda p: _replace_text(
+        p, p.read_text().replace('"rho": 2', '"rho": 1')),
+     "error: specification rho 1 differs from the descriptor space's rho 2"),
     ("train", "out/features.csv", _drop_a_field, "feature CSV line 2"),
     ("train", "out/features.csv", lambda p: _replace_text(p, ""), "'id' column"),
     ("train", "out/features.csv", _keep_header, "error: features.csv has no rows"),
@@ -913,7 +941,7 @@ def _other_space(path):
     ("verify", "graph.json", lambda p: _replace_text(p, graph_to_json_text(chain(["C", "O"]))),
      "error: exterior element O not in the space"),
 ], ids=["space-json", "predictor-json", "spec-field", "spec-outside-space",
-        "features-short-row", "features-empty", "features-no-rows",
+        "spec-rho", "features-short-row", "features-empty", "features-no-rows",
         "features-long-field", "graph-shape", "verify-space-mismatch",
         "verify-graph-outside-space"])
 def test_bad_input_files_are_usage_errors(trained, capsys, command, target, edit,

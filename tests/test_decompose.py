@@ -14,7 +14,8 @@ from invqsar.schema import InputError, Reader
 
 import oracles
 from conftest import (
-    chain, mol_block, perfbench_inputs, random_chemical_graph, ring, sdf_records)
+    ALL_ROUNDTRIP_FIXTURES, chain, mol_block, perfbench_inputs, random_chemical_graph,
+    ring, roundtrip_fixture, sdf_records)
 import numpy as np
 
 
@@ -77,11 +78,18 @@ def test_fringe_heights_bounded():
                 assert t.height <= rho
 
 
+def _counts(t):
+    """The seven counts the model builder reads, as the tree gives them."""
+    return {name: getattr(t, name) for name in (
+        "root_heavy_children", "root_hydrogen_children", "beta_root", "n_nonroot_heavy",
+        "nonroot_element_counts", "nonroot_heavy_degree_counts", "leaf_edge_configs")}
+
+
 def _check_fringe_trees(g, rho):
     """decompose(g, rho)'s codes, taken from the peel walk, and its trees,
     built on request, against the oracles: the codes in root order, each
-    tree's nodes, edges, code and height, and the code of the same tree
-    rebuilt from its node and edge lists."""
+    tree's nodes, edges, code, height and counts, and the code and counts
+    of the same tree rebuilt from its node and edge lists."""
     d = decompose(g, rho)
     want = oracles.fringe_trees(g, rho)
     shapes = {root: oracles.fringe_tree_shape(t) for root, t in want.items()}
@@ -91,7 +99,11 @@ def _check_fringe_trees(g, rho):
         assert sorted(t.nodes) == sorted(want[root].nodes)
         assert sorted(t.edges) == sorted(want[root].edges)
         assert (t.canonical_code, t.height) == shapes[root] == oracles.fringe_tree_shape(t)
-        assert RootedFringeTree(root, t.nodes, t.edges).canonical_code == shapes[root][0]
+        counts = oracles.fringe_tree_counts(want[root])
+        assert _counts(t) == counts == oracles.fringe_tree_counts(t)
+        rebuilt = RootedFringeTree(root, t.nodes, t.edges)
+        assert rebuilt.canonical_code == shapes[root][0]
+        assert _counts(rebuilt) == counts
     return d
 
 
@@ -163,7 +175,18 @@ def test_fringe_scalars():
     assert t.beta_root == 3
     assert t.n_nonroot_heavy == 2
     assert t.nonroot_element_counts["C"] == 2
+    assert t.nonroot_heavy_degree_counts == {2: 1, 1: 1}
     assert t.leaf_edge_configs == {("C", "C", 1): 1}
+    assert _counts(t) == oracles.fringe_tree_counts(t)
+
+
+@pytest.mark.parametrize("name", ALL_ROUNDTRIP_FIXTURES)
+def test_spec_menu_trees_match_the_oracle_recursion(name):
+    """Every tree on a round-trip fixture's spec menu, as read from its
+    TREE record: code, height and the seven counts by plain recursion."""
+    for f in roundtrip_fixture(name).spec.fringe_entries:
+        assert (f.tree.canonical_code, f.tree.height) == oracles.fringe_tree_shape(f.tree)
+        assert _counts(f.tree) == oracles.fringe_tree_counts(f.tree)
 
 
 def test_rho_validation():
@@ -186,8 +209,9 @@ def test_tree_json_round_trip():
 
 
 def test_tree_edge_may_point_to_the_root():
-    """A tree edge written child -> parent is read and re-oriented; the
-    tree keeps its canonical code."""
+    """A tree edge written child -> parent gives C5 a second parent and C6
+    none, so the record is no out-tree: it is read as a graph and oriented
+    away from the root, breadth-first, and keeps its canonical code."""
     t = decompose(ring(4, pendant=2), 2).fringe_trees[1]
     doc = tree_to_json(t)
     edge = doc["edges"][1]
@@ -196,6 +220,37 @@ def test_tree_edge_may_point_to_the_root():
     assert tree.canonical_code == t.canonical_code
     assert (edge["u"], edge["v"], 1) not in tree.edges
     assert (edge["v"], edge["u"], 1) in tree.edges
+    assert [nid for nid, _, _ in tree.nodes] == [1, 5, 7, 6, 14, 15, 16, 17, 18]
+    assert tree.edges == ((1, 5, 1), (1, 7, 1), (5, 6, 1), (5, 14, 1), (5, 15, 1),
+                          (6, 16, 1), (6, 17, 1), (6, 18, 1))
+
+
+def _edge(u, v):
+    return {"u": u, "v": v, "order": 1}
+
+
+@pytest.mark.parametrize("edit, problem", [
+    # C6 gets a second parent, the root: a cycle
+    (lambda doc: doc["edges"].append(_edge(1, 6)), "fringe tree must be a connected tree"),
+    # a vertex that no edge reaches
+    (lambda doc: doc["vertices"].append(
+        {"id": 30, "element": "C", "valence": 4, "charge": 0}),
+     "fringe tree must be a connected tree"),
+    # an extra edge from an id that is not a vertex
+    (lambda doc: doc["edges"].append(_edge(99, 6)), "fringe tree must be a connected tree"),
+    # C6's one parent edge comes from an id that is not a vertex
+    (lambda doc: doc["edges"][1].update(u=99), "edge (99,6) references unknown vertex"),
+], ids=["second_parent", "unreached_vertex", "extra_edge_from_no_vertex",
+        "parent_is_no_vertex"])
+def test_tree_record_that_is_no_tree_is_rejected(edit, problem):
+    """A record whose edges do not reach every vertex exactly once from
+    the root is read as a graph; when that graph is no tree, the record
+    is rejected with the graph's fault."""
+    doc = tree_to_json(decompose(ring(4, pendant=2), 2).fringe_trees[1])
+    edit(doc)
+    with pytest.raises(InputError) as err:
+        TREE.read(Reader("fringe tree", InputError), doc)
+    assert str(err.value) == f"fringe tree is invalid: {problem}"
 
 
 @settings(max_examples=60, deadline=None)

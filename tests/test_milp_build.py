@@ -244,6 +244,8 @@ SPEC_OUTSIDE_SPACE = {
                      "fringe tree psi3 root element N outside the interior elements"),
     "tree-exterior-element": ({"lambda_ex": ["H"]}, {},
                               "fringe tree psi1 uses exterior element C outside lambda_ex"),
+    "rho": ({"rho": 1}, {},
+            "specification rho 1 differs from the descriptor space's rho 2"),
     "leaf-edge-configuration": ({}, {"ac_lf": ()},
                                 "fringe tree psi1 contains leaf-edge configuration "
                                 "C_C_1 outside the descriptor space"),
@@ -253,7 +255,8 @@ SPEC_OUTSIDE_SPACE = {
 @pytest.mark.parametrize("case", SPEC_OUTSIDE_SPACE)
 def test_spec_outside_the_space_is_a_build_error(case):
     """A spec that names an element, tree or leaf edge the space cannot
-    index, or a menu tree its own element sets exclude, has no model."""
+    index, a menu tree its own element sets exclude, or another rho, has
+    no model."""
     spec_changes, space_changes, message = SPEC_OUTSIDE_SPACE[case]
     doc = triangle_spec_doc(_MENU)
     doc.update({"lambda_int": ["C", "N"], "lambda_ex": ["C", "H"], **spec_changes})
