@@ -235,7 +235,10 @@ TREE = Table(Field("root", INTEGER), *GRAPH.fields, make=_tree, write=tree_to_js
 
 
 def fringe_tree_from_graph(g: ChemicalGraph, root: int) -> RootedFringeTree:
-    """Orient a tree-shaped chemical graph away from the given root."""
+    """Orient a tree-shaped chemical graph away from the given root.  Edge
+    endpoints are checked (by `adjacency`) before the tree shape, so an
+    edge from an unknown id is named as such."""
+    adjacency = g.adjacency
     if len(g.edges) != len(g.vertices) - 1 or not g.connected:
         raise InvalidGraphError("fringe tree must be a connected tree")
     nodes = []
@@ -246,7 +249,7 @@ def fringe_tree_from_graph(g: ChemicalGraph, root: int) -> RootedFringeTree:
     while i < len(order):
         u = order[i]
         i += 1
-        for w, m in g.adjacency[u]:
+        for w, m in adjacency[u]:
             if w not in seen:
                 seen.add(w)
                 order.append(w)

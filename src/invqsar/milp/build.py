@@ -1373,8 +1373,9 @@ def add_normalization(b: Build, predictor: LinearPredictor) -> None:
     inequality rows have an exact zero right-hand side: with a folded
     (1 +- eps)*min constant, a descriptor exactly pinned at the training
     minimum can make the sandwich empty by a rounding hair, which an exact
-    solver would dutifully report as infeasible.  The stored minimum is
-    nudged one ulp down for the same reason."""
+    solver would dutifully report as infeasible.  A nonzero stored minimum
+    is nudged one ulp down for the same reason; a zero one is not, since
+    d = x - 0 is exact and the nudge would make it the subnormal -5e-324."""
     m = b.m
     if len(predictor.weights) != b.space.k:
         raise BuildError("normalization parameter length does not match K")
@@ -1389,7 +1390,7 @@ def add_normalization(b: Build, predictor: LinearPredictor) -> None:
         if hi == lo:
             m.add_var(f"xhat_{j}", CONTINUOUS, 0, 0)
             continue
-        lo = math.nextafter(lo, -math.inf)
+        lo = math.nextafter(lo, -math.inf) if lo else 0.0
         span = hi - lo
         m.add_var(
             f"xd_{j}", CONTINUOUS, xv.lb - lo - pad, xv.ub - lo + pad

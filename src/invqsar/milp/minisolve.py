@@ -37,10 +37,12 @@ columns changed.
 Bound propagation is event-driven (Savelsbergh 1994; Achterberg 2007,
 sec. 7.1): a row is revisited only after a bound of one of its variables
 moved, and a continuous bound moves only by a step over 5% of its domain
-width.  After an elimination round only the rows of the columns whose
-bounds moved are revisited.  This is a relaxation choice: stopping early
-leaves an LP relaxation looser but never cuts off a feasible point, so
-every answer stays exact.
+width.  A row's activity bounds are summed on its first visit and kept
+current as bounds move, not summed again at each visit.  After an
+elimination round only the rows of the columns whose bounds moved are
+revisited.  This is a relaxation choice: stopping early leaves an LP
+relaxation looser but never cuts off a feasible point, so every answer
+stays exact.
 """
 
 from __future__ import annotations
@@ -188,7 +190,11 @@ def _propagate(
     over 1/CONTINUOUS_STEPS of their width, and at most 10 * len(rows) row
     visits are made in all, so slowly converging cycles of continuous
     bounds stop early.  Stopping early only leaves the bounds looser;
-    every bound kept is implied by the rows."""
+    every bound kept is implied by the rows.
+
+    A row's activity bounds are summed on its first visit and then kept
+    current: a bound of x_j that moves by delta shifts one of them by
+    c * delta in every visited row that holds x_j."""
     for v in variables:
         if v.lb > v.ub:
             raise _Infeasible
@@ -205,6 +211,9 @@ def _propagate(
     queued = [False] * len(rows)
     for r in queue:
         queued[r] = True
+    # activity bounds of each visited row (None until its first visit)
+    amins: list[Num | None] = [None] * len(rows)
+    amaxs: list[Num] = [0] * len(rows)
     tightened: set[int] = set()
     visits = 10 * len(rows)
     while queue and visits:
@@ -212,7 +221,9 @@ def _propagate(
         r = queue.popleft()
         queued[r] = False
         row = rows[r]
-        amin, amax = _activity_bounds(row, lbs, ubs)
+        amin, amax = amins[r], amaxs[r]
+        if amin is None:
+            amin, amax = amins[r], amaxs[r] = _activity_bounds(row, lbs, ubs)
         hi_slack = None if row.hi is None else row.hi - amin
         lo_slack = None if row.lo is None else amax - row.lo
         if (hi_slack is not None and hi_slack < 0) or (
@@ -240,9 +251,18 @@ def _propagate(
                 continue
             if v.lb > v.ub:
                 raise _Infeasible
+            dlb, dub = v.lb - lbs[j], v.ub - ubs[j]
             lbs[j], ubs[j] = v.lb, v.ub
             tightened.add(j)
             for s in col_rows[j]:
+                if amins[s] is not None:
+                    cs = rows[s].coeffs[j]
+                    if cs > 0:
+                        amins[s] += cs * dlb
+                        amaxs[s] += cs * dub
+                    else:
+                        amins[s] += cs * dub
+                        amaxs[s] += cs * dlb
                 if not queued[s]:
                     queued[s] = True
                     queue.append(s)

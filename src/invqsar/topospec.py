@@ -390,6 +390,8 @@ def _spec_from_doc(doc) -> TopologicalSpecification:
     entries = d["fringe_trees"]
     problems.extend(f"fringe tree {f.psi_id} has height {f.tree.height} > rho"
                     for f in entries if f.tree.height > d["rho"])
+    problems.extend(f"fringe tree {f.psi_id}: hydrogen {h} is not a leaf on a "
+                    "single bond" for f in entries for h in _bad_hydrogens(f.tree))
     ids = {f.psi_id for f in entries}
     if len(ids) != len(entries):
         problems.append("duplicate fringe tree ids")
@@ -413,6 +415,14 @@ def _spec_from_doc(doc) -> TopologicalSpecification:
     return TopologicalSpecification(**dict(
         plain, seed=seed, fringe_entries=entries, ac_bounds=d["ac_lf"],
         fringe_vertex_sets=assignment["vertex"], fringe_edge_set=assignment["edge"]))
+
+
+def _bad_hydrogens(t: RootedFringeTree) -> list[int]:
+    """The hydrogens of a tree that have a child or a bond of order
+    other than 1."""
+    node = t.node_map
+    return sorted({h for p, c, m in t.edges for h in (p, c)
+                   if node[h][0].is_hydrogen and (h == p or m != 1)})
 
 
 def spec_to_json(spec: TopologicalSpecification) -> dict:

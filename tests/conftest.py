@@ -180,6 +180,18 @@ def fringe_menu_json(dataset, rho=2):
     ]
 
 
+def hydrogen_tree_entry(psi_id, edges):
+    """A menu entry rooted at C1 with hydrogen 2 and carbons 3 and 4, and
+    the given (u, v, order) edges."""
+    atoms = [(1, "C", 4), (2, "H", 1), (3, "C", 4), (4, "C", 4)]
+    return {
+        "id": psi_id, "root": 1,
+        "vertices": [{"id": i, "element": e, "valence": val, "charge": 0}
+                     for i, e, val in atoms],
+        "edges": [{"u": u, "v": v, "order": m} for u, v, m in edges],
+    }
+
+
 def triangle_spec_doc(psis, n_star=8, n_int_ub=3):
     return {
         "version": 1,

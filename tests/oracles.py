@@ -17,6 +17,7 @@ import numpy as np
 from invqsar.decompose import RootedFringeTree
 from invqsar.descriptors import DescriptorSpace, FeatureVector
 from invqsar.graph import ChemicalGraph
+from invqsar.milp.minisolve import _Infeasible, _quotient, _tighten_lb, _tighten_ub
 from invqsar.milp.model import BINARY, GE, INTEGER, LE, MILPModel
 from invqsar.schema import InputError
 
@@ -446,3 +447,62 @@ def check_solution(model: MILPModel, values, tol: float = 1e-6) -> list[str]:
         if resid > ftol:
             problems.append(f"constraint {name} violated by {float(resid)}")
     return problems
+
+
+# -- bound propagation, activities summed at every visit ----------------------
+
+
+def propagate(variables, rows, moved=None) -> set[int]:
+    """minisolve._propagate with each row's activity bounds summed again at
+    every visit instead of kept current.  It shares minisolve's tightening
+    steps and has the same queue, visit cap and slack tests, so only the
+    activity bookkeeping differs, and it must give the same bounds, the
+    same tightened set and the same infeasibility claims."""
+    for v in variables:
+        if v.lb > v.ub:
+            raise _Infeasible
+    col_rows: list[list[int]] = [[] for _ in variables]
+    for r, row in enumerate(rows):
+        for j in row.coeffs:
+            col_rows[j].append(r)
+    if moved is None:
+        queue = list(range(len(rows)))
+    else:
+        queue = sorted({r for j in moved for r in col_rows[j]})
+    tightened: set[int] = set()
+    visits = 10 * len(rows)
+    while queue and visits:
+        visits -= 1
+        row = rows[queue.pop(0)]
+        amin = sum(c * (variables[j].lb if c > 0 else variables[j].ub)
+                   for j, c in row.coeffs.items())
+        amax = sum(c * (variables[j].ub if c > 0 else variables[j].lb)
+                   for j, c in row.coeffs.items())
+        hi_slack = None if row.hi is None else row.hi - amin
+        lo_slack = None if row.lo is None else amax - row.lo
+        if (hi_slack is not None and hi_slack < 0) or (
+            lo_slack is not None and lo_slack < 0
+        ):
+            raise _Infeasible
+        for j, c in row.coeffs.items():
+            v = variables[j]
+            lb, ub = v.lb, v.ub
+            reach = abs(c) * (ub - lb)
+            changed = False
+            if hi_slack is not None and reach > hi_slack:
+                if c > 0:
+                    changed = _tighten_ub(v, lb + _quotient(hi_slack, c))
+                else:
+                    changed = _tighten_lb(v, ub + _quotient(hi_slack, c))
+            if lo_slack is not None and reach > lo_slack:
+                if c > 0:
+                    changed |= _tighten_lb(v, ub - _quotient(lo_slack, c))
+                else:
+                    changed |= _tighten_ub(v, lb - _quotient(lo_slack, c))
+            if not changed:
+                continue
+            if v.lb > v.ub:
+                raise _Infeasible
+            tightened.add(j)
+            queue.extend(s for s in col_rows[j] if s not in queue)
+    return tightened

@@ -28,7 +28,8 @@ from invqsar.sdf import graph_to_sdf
 from invqsar.topospec import spec_to_json_text
 
 from conftest import (
-    chain, perfbench_inputs, random_chemical_graph, ring, roundtrip_fixture, sdf_records)
+    chain, hydrogen_tree_entry, perfbench_inputs, random_chemical_graph, ring,
+    roundtrip_fixture, sdf_records)
 import oracles
 
 
@@ -776,6 +777,24 @@ def test_infer_mini_solver_fault_exit_code(trained, monkeypatch, capsys):
     cfg = with_solver(tmp, cfg_path, "mini")
     assert main(["infer", "--config", cfg, "--lo", "6.9", "--hi", "7.1"]) == 4
     assert "zero pivot" in capsys.readouterr().err
+
+
+def test_infer_rejects_a_menu_hydrogen_with_children_before_the_space(
+        trained, capsys):
+    """A menu tree whose hydrogen 2 bonds to three atoms (C1-H2, H2-C3 and
+    H2=C4) exits 2 naming the entry, not its code's absence from the
+    space."""
+    tmp, cfg_path = trained
+    spec_path = tmp / "spec.json"
+    doc = json.loads(spec_path.read_text())
+    doc["lambda_ex"] = ["C", "H"]
+    doc["fringe_trees"].append(
+        hydrogen_tree_entry("bad", [(1, 2, 1), (2, 3, 1), (2, 4, 2)]))
+    spec_path.write_text(json.dumps(doc))
+    assert main(["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"]) == 2
+    err = capsys.readouterr().err
+    assert "fringe tree bad: hydrogen 2 is not a leaf on a single bond" in err
+    assert "not in the space" not in err
 
 
 @pytest.mark.parametrize("artifact, key", [

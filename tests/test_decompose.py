@@ -237,7 +237,7 @@ def _edge(u, v):
         {"id": 30, "element": "C", "valence": 4, "charge": 0}),
      "fringe tree must be a connected tree"),
     # an extra edge from an id that is not a vertex
-    (lambda doc: doc["edges"].append(_edge(99, 6)), "fringe tree must be a connected tree"),
+    (lambda doc: doc["edges"].append(_edge(99, 6)), "edge (99,6) references unknown vertex"),
     # C6's one parent edge comes from an id that is not a vertex
     (lambda doc: doc["edges"][1].update(u=99), "edge (99,6) references unknown vertex"),
 ], ids=["second_parent", "unreached_vertex", "extra_edge_from_no_vertex",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -545,39 +546,39 @@ PINNED_LP_DIGESTS = {
     ),
     "square_chord": (
         "a3ba6f610af96ab0757bd563061d0fa762f8b5e1d3e26bd4fb19da2938e7be64",
-        "105b1e53cb12b7aea2c9808c31d87efbb2c440f25615ae6582b8b1a0a0f4bd11",
+        "e053b210fef8dcb583b2328f205aab71108be85b6224ea779b7c4b676e46a83c",
     ),
     "expanded_path": (
         "5882807ac3bd1ccf44f01fd47d4cce7fd0b7e261a3bdf1cb8396796deaec706d",
-        "b9acc2ea3f754111a050c344c0c31c69c5edb680f950c0f394512440bb0e7609",
+        "7ab8f660e386a8c8647204eee952da8f4011616ac3d8d3ce38798fa18fba7f3e",
     ),
     "hetero": (
         "dacad8b875c6877612755e9d32e8a600345fc38fbbd0dc88ae2fc4260856f0a5",
-        "122b0d530bbb497800029519559991adef8b500ab8f945b9b3dfe173a97b2363",
+        "bf08d73047b793bc72397cfba1591e255361f677815c78b4ca4dc2fe6da6a615",
     ),
     "two_rings": (
         "00e096833a0294c6b9e62ab8943c3c184ff83875857c8a397bb046e21f92fda1",
-        "8d738a01074f20bb395fd6039df59a60925cdf2a1d99d83c6a43aedff277ef25",
+        "f122aef1368bfa4234dc7c8c11ebb4ca289f605b1bac459d6791b0141e7a2e8b",
     ),
     "stress1": (
         "3a22679fec3ab9c897576e2b44c37132ffe84defe6b65621b3da7d65cc776a80",
-        "be78efa35eb478fc0e6b5afac9f3ac6abec6e9d702d5247616fb1bf3e253bee1",
+        "3540909e524e4ce56daff3906a1b01fa7d41050f1aed1efcaa212bff7261f903",
     ),
     "stress2": (
         "e0fdbfd87f554bcdfd67ae663a58d978571837b8bed4607fec126abea7d6d09c",
-        "8001c489a80e1f428f02e73566affa85d168742ec2bdf58801b110516e052b97",
+        "3758e37ea8f4893580a07d956ba796011d74821e5a49f41d69ec828e8a12a10b",
     ),
     "stress3": (
         "a2edfd7b3e4ac90bc659f98db80375ea50569713aa1e8539cd1dd92e1fac54be",
-        "f5f3d4c39f52bda215bbbcd0e4f42f177ed41bfba860bf840d73e291732c1dd8",
+        "977b202e9484ee836dd103ccb72dd87a1ac8026818cbdbe43bc4922ac7582520",
     ),
     "stress4": (
         "69346322719f4f8ef8e1331905b16f87e171490b88deeaee61252a03f08aa1a3",
-        "fbb2be5762cae5c1890697771655c9f6959e574d4b10fcf071d4f34c8ecdc5e5",
+        "7f85be05811100fc776be441dd4ca2c05bbfe4be468600f699f2966411218e49",
     ),
     "stress5": (
         "b0a90e1470d725112d6ac9a99f2a1961989556bf1c7484279a901bd04b8cf5b1",
-        "8d7372f6fdd8dc1004ab83949d95d30ad473f0f1dabb84404d3deb795149069f",
+        "cb04c3c0bb6a7f7c98ad2a1794861be47b7215640b2f691bcc0c792615ec9041",
     ),
 }
 
@@ -611,6 +612,28 @@ def test_lp_text_is_pinned():
     assert digests == PINNED_LP_DIGESTS
 
 
+def test_only_a_nonzero_minimum_is_nudged():
+    """`nm_d_j` holds x_j - xd_j = lo_j with lo_j the training minimum one
+    ulp down, except that a zero minimum stays exactly 0.0, so no pinned
+    model's LP text holds the subnormal 5e-324."""
+    zeros = 0
+    for name, spec, space, predictor, y_lo, y_hi in _pinned_models():
+        model = build_milp(spec, space, predictor, y_lo, y_hi)
+        assert "5e-324" not in emit_lp(model), name
+        for j, (w, lo, hi) in enumerate(
+            zip(predictor.weights, predictor.mins, predictor.maxs), start=1
+        ):
+            if w == 0.0 or lo == hi:
+                continue
+            rhs = model.constraint(f"nm_d_{j}").rhs
+            if lo == 0.0:
+                zeros += 1
+                assert rhs == 0.0 and math.copysign(1.0, rhs) == 1.0, (name, j)
+            else:
+                assert rhs == math.nextafter(lo, -math.inf), (name, j)
+    assert zeros >= 10
+
+
 # sha256 of the arrays solve_highs hands to HiGHS for the models above:
 # the constraint matrix (CSR data, indices and row starts), the row bounds,
 # the integrality flags and the variable bounds.  These are what HiGHS
@@ -623,39 +646,39 @@ PINNED_HIGHS_INPUT_DIGESTS = {
     ),
     "square_chord": (
         "cf6ba0f5b33df10cd455109036b50887fcd31221340c440d10c3d467f042c5b1",
-        "b01d29012788f30db9117b9bfd0fc283a938d11fe8b7b8875ae3d19011b46825",
+        "962321a8b9ed3658391f71df6d1d500164cd099b80e89a6871edefa2e8751cb0",
     ),
     "expanded_path": (
         "04be22b2bef68fcab2bc890580e61e212bfb6aa217d5aa79c4da5a386fddc37e",
-        "eba2fb9c26ac8d807d21749b4ed1894e2593be86b2951090b194dc1fdfcdb9ab",
+        "42b778d8c53448a28ea82a9908f83784784c2dabf8d6da727a5f3226b812a917",
     ),
     "hetero": (
         "7d63cd4546a887af25c5aa247976953136f721e6bd48e9cf45158f1b38c56a08",
-        "48d5ac802d399490a901b01f071392f2c5190a1e362d7b2cc856c7801c416a3f",
+        "885948f8f2b00d24afaedc3d7cead3d7a65d159ab1df641adf6bbe4df04a660e",
     ),
     "two_rings": (
         "7a7d4e62bb75cb786008d3f5894b3e28f67c5b9c718b985795f7b397182aad90",
-        "95100df3c76688ca5ec68a41c4252cd9db9d1391dbd82443b01117f6df3b76d5",
+        "7600094c7a60c77273b781a2128a9a1f2f98a1ff7813a560b1b8640e20e1181c",
     ),
     "stress1": (
         "9082ee3180e46541af69e488a25889924c2c2787f5b220df1e9fdd98bc3f874d",
-        "9d0949d9ed140e705b71d07709da4b325034052009531b615aa834749fedfa89",
+        "c646682595d6d9e5375db002caddeede5e6ee691a057a516282cbee6d9e6ce51",
     ),
     "stress2": (
         "da356efd7cc5fd294de317b20447ed0b36a3455db381a776b54099a8a6e42b2d",
-        "cc8aa3fb1e63308c0b7358fa5256cd8bbf5c3b15ae5c5d7e661bdad0d38b60bf",
+        "7656aafab93705f969364105b58e68dea388a5c855d1a7d2830a9befd0d20827",
     ),
     "stress3": (
         "dd66ebf210d4b9d8671f2c9846b06b64251e98bda49e2dd9b2298f5f4e6190a4",
-        "dac5ecfedb20eff5c4498feba0c51edd8fcc028996479c4aaf4d8e6242ab6be1",
+        "fb8f21fb60442dfb95b5155582bd18b4efca0390aab68d4128d97e271c566b72",
     ),
     "stress4": (
         "4ba386898d5b5a93b4f8f6a8be8454a5022c42d7db9d3587480533c600ef57b5",
-        "7404297048511d8c608373575db47a0a9da0ac86e6d0970eb7c15bf1454c3d4d",
+        "9f963df0002e0787dc304b85516851dc9925252e967b664d1c2cb602df7e7c75",
     ),
     "stress5": (
         "161f8fd1024bd78a95f9cd2a7d08abb2bdb85678eb98711ed2b5d084d6b85f4f",
-        "4b50eccf5e7260c1509a804ae392513de391aaff78f085f9a3e82f512780574b",
+        "34f57f8504a86e33c5cb31cf5d4dd2059b7a98ba7ec02c4a22cdeb0edddcba53",
     ),
 }
 

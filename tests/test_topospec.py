@@ -25,6 +25,7 @@ from conftest import (
     ALL_ROUNDTRIP_FIXTURES,
     chain,
     fringe_menu_json,
+    hydrogen_tree_entry,
     perfbench_inputs,
     random_chemical_graph,
     relabelled,
@@ -356,6 +357,28 @@ def test_spec_fault_names_its_path(name):
         parse_spec(json.dumps(doc))
     assert repr(path) in str(caught.value)
     assert str(caught.value).startswith("malformed specification")
+
+
+@pytest.mark.parametrize("edges, faults", [
+    # hydrogen 2 bonds to three atoms: C1-H2, H2-C3 and H2=C4
+    ([(1, 2, 1), (2, 3, 1), (2, 4, 2)], [2]),
+    # a leaf hydrogen on a double bond
+    ([(1, 2, 2), (1, 3, 1), (3, 4, 1)], [2]),
+], ids=["hydrogen_with_children", "hydrogen_on_double_bond"])
+def test_menu_hydrogen_must_be_a_single_bonded_leaf(edges, faults):
+    """A fringe-tree entry whose hydrogen has a child or a bond of order
+    other than 1 is a specification fault that names the entry."""
+    doc = triangle_spec_doc(fringe_menu_json([ring(3), ring(6)]))
+    doc["lambda_ex"] = ["C", "H"]
+    doc["fringe_trees"].append(hydrogen_tree_entry("bad", edges))
+    with pytest.raises(SpecError) as caught:
+        parse_spec(json.dumps(doc))
+    assert str(caught.value) == "; ".join(
+        f"fringe tree bad: hydrogen {h} is not a leaf on a single bond"
+        for h in faults)
+    doc["fringe_trees"][-1] = hydrogen_tree_entry("good", [(1, 2, 1), (1, 3, 1),
+                                                            (3, 4, 2)])
+    parse_spec(json.dumps(doc))
 
 
 def test_spec_faults_keep_their_clause_messages():
