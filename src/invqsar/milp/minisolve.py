@@ -18,7 +18,12 @@ node: bound propagation and elimination presolve, then a phase-1
 bounded-variable simplex that finds a point of the reduced LP relaxation
 or proves it empty, then branching on a fractional integer variable.  The
 search stops at the first integral point, or proves that none exists once
-every node is closed.
+every node is closed.  Only the root presolves the whole model: a child
+presolves its parent's reduced problem with the one new branching bound,
+and an answer is restored through the node's own reduction and then each
+ancestor's, innermost first.  When the parent's presolve eliminated the
+branching column, the child presolves the whole model again, with every
+branching bound above it.
 
 Presolve fixes columns with equal bounds, turns one-column rows into
 bounds, drops rows that cannot be violated, and eliminates columns: a
@@ -310,7 +315,7 @@ def _pair_victim(row: PRow, variables: list[PVar], occurrences) -> tuple | None:
     return min(eligible)[2:] if eligible else None
 
 
-def _presolve(problem: Problem, bounds) -> _Reduced:
+def _presolve(problem: Problem, bounds, deadline: float | None = None) -> _Reduced:
     variables = []
     for i, v in enumerate(problem.variables):
         lb, ub = v.lb, v.ub
@@ -337,6 +342,8 @@ def _presolve(problem: Problem, bounds) -> _Reduced:
     # of whose columns, changed since their last test
     dirty = [True] * len(rows)
     for _ in range(PRESOLVE_ROUNDS):
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolverTimeout
         changed = False
         # columns whose bounds a singleton row or a pair moved
         shifted: set[int] = set()
@@ -868,45 +875,59 @@ def solve_exact(
     Returns the first integral point found ("optimal"), "infeasible" once
     every node is closed without one, or "timeout" at the time or node
     limit."""
-    problem = Problem.from_model(model)
+    root = Problem.from_model(model)
     deadline = None if time_limit is None else time.monotonic() + time_limit
 
-    int_indices = [i for i, v in enumerate(problem.variables) if v.is_int]
+    int_indices = [i for i, v in enumerate(root.variables) if v.is_int]
     nodes = 0
     pivots = 0
-    stack: list[dict[int, tuple[Num, Num]]] = [{}]
+    # A node: the problem it presolves, the reductions that problem came
+    # through (outermost first), the branching bound on it, and every
+    # branching bound above it in root indices.
+    stack: list[tuple] = [(root, (), {}, {})]
 
     while stack:
         if deadline is not None and time.monotonic() > deadline:
             return SolveOutcome("timeout", nodes=nodes, pivots=pivots)
         if nodes >= node_limit:
             return SolveOutcome("timeout", nodes=nodes, pivots=pivots)
-        bounds = stack.pop()
+        problem, chain, bounds, root_bounds = stack.pop()
         nodes += 1
         try:
-            red = _presolve(problem, bounds)
+            red = _presolve(problem, bounds, deadline)
+            red_values, lp_pivots = _solve_lp(red, deadline)
         except _Infeasible:
             continue
-        try:
-            red_values, lp_pivots = _solve_lp(red, deadline)
         except SolverTimeout:
             return SolveOutcome("timeout", nodes=nodes, pivots=pivots)
         pivots += lp_pivots
         if red_values is None:
             continue
-        values = _undo_presolve(red, red_values)
+        chain += (red,)
+        values = red_values
+        for step in reversed(chain):
+            values = _undo_presolve(step, values)
         frac_var = next((i for i in int_indices if values[i].denominator != 1), None)
         if frac_var is None:
-            named = {problem.variables[i].name: Fraction(v) for i, v in values.items()}
+            named = {root.variables[i].name: Fraction(v) for i, v in values.items()}
             return SolveOutcome("optimal", named, nodes, pivots)
         val = values[frac_var]
-        v = problem.variables[frac_var]
-        lo, hi = bounds.get(frac_var, (v.lb, v.ub))
-        down = dict(bounds)
-        down[frac_var] = (lo, floor(val))
-        up = dict(bounds)
-        up[frac_var] = (ceil(val), hi)
-        stack.append(up)
-        stack.append(down)
+        v = root.variables[frac_var]
+        lo, hi = root_bounds.get(frac_var, (v.lb, v.ub))
+        down = {**root_bounds, frac_var: (lo, floor(val))}
+        up = {**root_bounds, frac_var: (ceil(val), hi)}
+        # the root index of each column of the reduced problem
+        cols = range(len(root.variables))
+        for step in chain:
+            cols = [cols[k] for k in step.keep]
+        if frac_var in cols:
+            col = cols.index(frac_var)
+            w = red.variables[col]
+            child = Problem(red.variables, red.rows)
+            stack.append((child, chain, {col: (ceil(val), w.ub)}, up))
+            stack.append((child, chain, {col: (w.lb, floor(val))}, down))
+        else:
+            stack.append((root, (), up, up))
+            stack.append((root, (), down, down))
 
     return SolveOutcome("infeasible", nodes=nodes, pivots=pivots)

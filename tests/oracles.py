@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,18 @@ import numpy as np
 from invqsar.decompose import RootedFringeTree
 from invqsar.descriptors import DescriptorSpace, FeatureVector
 from invqsar.graph import ChemicalGraph
-from invqsar.milp.minisolve import _Infeasible, _quotient, _tighten_lb, _tighten_ub
+from invqsar.milp.minisolve import (
+    Problem,
+    SolveOutcome,
+    SolverTimeout,
+    _Infeasible,
+    _presolve,
+    _quotient,
+    _solve_lp,
+    _tighten_lb,
+    _tighten_ub,
+    _undo_presolve,
+)
 from invqsar.milp.model import BINARY, GE, INTEGER, LE, MILPModel
 from invqsar.schema import InputError
 
@@ -506,3 +518,52 @@ def propagate(variables, rows, moved=None) -> set[int]:
             tightened.add(j)
             queue.extend(s for s in col_rows[j] if s not in queue)
     return tightened
+
+
+# -- branch and bound that presolves the whole model at every node -------------
+
+
+def solve_exact_from_root(
+    model: MILPModel, time_limit: float | None = None, node_limit: int = 200_000
+) -> SolveOutcome:
+    """minisolve.solve_exact with every node presolving the whole model
+    from its root bounds plus the branching bounds above the node, so that
+    no node reads a reduction made for another.  It branches on the same
+    column and pushes the same children, so its statuses must agree with
+    solve_exact's; node counts may differ where the two presolves reach
+    different LP points."""
+    problem = Problem.from_model(model)
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    int_indices = [i for i, v in enumerate(problem.variables) if v.is_int]
+    nodes = 0
+    pivots = 0
+    stack: list[dict] = [{}]
+    while stack:
+        if deadline is not None and time.monotonic() > deadline:
+            return SolveOutcome("timeout", nodes=nodes, pivots=pivots)
+        if nodes >= node_limit:
+            return SolveOutcome("timeout", nodes=nodes, pivots=pivots)
+        bounds = stack.pop()
+        nodes += 1
+        try:
+            red = _presolve(problem, bounds)
+        except _Infeasible:
+            continue
+        try:
+            red_values, lp_pivots = _solve_lp(red, deadline)
+        except SolverTimeout:
+            return SolveOutcome("timeout", nodes=nodes, pivots=pivots)
+        pivots += lp_pivots
+        if red_values is None:
+            continue
+        values = _undo_presolve(red, red_values)
+        frac_var = next((i for i in int_indices if values[i].denominator != 1), None)
+        if frac_var is None:
+            named = {problem.variables[i].name: Fraction(v) for i, v in values.items()}
+            return SolveOutcome("optimal", named, nodes, pivots)
+        val = values[frac_var]
+        v = problem.variables[frac_var]
+        lo, hi = bounds.get(frac_var, (v.lb, v.ub))
+        stack.append({**bounds, frac_var: (math.ceil(val), hi)})
+        stack.append({**bounds, frac_var: (lo, math.floor(val))})
+    return SolveOutcome("infeasible", nodes=nodes, pivots=pivots)

@@ -1,11 +1,16 @@
+import copy
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from math import ceil, floor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invqsar.milp import minisolve
+from invqsar.milp.build import build_milp
 from invqsar.milp.minisolve import (
     PAIR,
     Problem,
@@ -14,6 +19,7 @@ from invqsar.milp.minisolve import (
     _Infeasible,
     _presolve,
     _propagate,
+    _solve_lp,
     solve_exact,
 )
 from invqsar.milp.model import (
@@ -29,6 +35,7 @@ from invqsar.milp.model import (
 from invqsar.milp.solve import solve, solve_highs
 
 import oracles
+from conftest import roundtrip_fixture
 
 
 def exact_answer(m: MILPModel, values) -> dict:
@@ -433,3 +440,184 @@ def test_propagation_stops_on_converging_continuous_cycle(sense):
     assert x.lb <= 2 <= x.ub and y.lb <= 2 <= y.ub
     assert x.ub < 3 and y.ub < 3  # the cycle did tighten
     assert (z.lb, z.ub) == (0, 2)
+
+
+# -- branch and bound over the parent's reduced problem ------------------------
+
+
+def assert_agrees_with_the_oracle(m: MILPModel) -> str:
+    """solve_exact and the search that presolves the whole model at every
+    node reach the same status, and every answer of either is exact."""
+    mini = solve_exact(m, time_limit=60)
+    root = oracles.solve_exact_from_root(m, time_limit=60)
+    assert mini.status == root.status
+    assert mini.status in ("optimal", "infeasible")
+    if mini.status == "optimal":
+        exact_answer(m, mini.values)
+        exact_answer(m, root.values)
+    return mini.status
+
+
+def test_search_agrees_with_the_from_root_oracle():
+    """Over seeded random models, integral and fractional, the search that
+    presolves each child from its parent's reduced problem reaches the
+    status that re-presolving the whole model at every node reaches."""
+    statuses = []
+    for generate, seed in ((random_model, 3001), (random_fractional_model, 3002)):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            statuses.append(assert_agrees_with_the_oracle(generate(rng)))
+    assert statuses.count("optimal") >= 200 and statuses.count("infeasible") >= 200
+
+
+@st.composite
+def small_milp(draw):
+    """A model of one to five columns and one to four rows, with integral
+    or half-integral bounds, coefficients and right-hand sides."""
+    half = st.integers(min_value=-8, max_value=8).map(lambda k: k / 2)
+    m = MILPModel()
+    n = draw(st.integers(min_value=1, max_value=5))
+    for i in range(n):
+        kind = draw(st.sampled_from([BINARY, INTEGER, CONTINUOUS]))
+        if kind == BINARY:
+            m.add_var(f"v{i}", BINARY)
+        else:
+            lb = draw(st.integers(min_value=-6, max_value=2)) / 2
+            m.add_var(f"v{i}", kind, lb, lb + draw(st.integers(0, 8)) / 2)
+    for r in range(draw(st.integers(min_value=1, max_value=4))):
+        terms = {f"v{i}": c for i in range(n) if (c := draw(half))}
+        sense = draw(st.sampled_from([LE, GE, EQ]))
+        m.add_constr(f"c{r}", terms or {"v0": 1}, sense, draw(half))
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_milp())
+def test_search_agrees_with_the_from_root_oracle_on_drawn_models(m):
+    assert_agrees_with_the_oracle(m)
+
+
+def spy(monkeypatch, name, record):
+    """Wrap minisolve.<name> so that each call is passed to record first."""
+    original = getattr(minisolve, name)
+
+    def wrapper(*args, **kwargs):
+        record(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(minisolve, name, wrapper)
+
+
+def test_branch_on_a_column_the_parent_eliminated(monkeypatch):
+    """x in x + y = 2 is a singleton column, so the root presolve
+    eliminates it and the root LP point y = 3/2 restores it as x = 1/2.
+    x is the first fractional integer column but no column of the root's
+    reduced problem, so its children presolve the whole model again with
+    x's branching bound."""
+    m = MILPModel()
+    m.add_var("x", INTEGER, 0, 3)
+    m.add_var("y", INTEGER, 0, 3)
+    m.add_var("c", CONTINUOUS, 0, 1)
+    m.add_var("d", CONTINUOUS, 0, 1)
+    m.add_constr("pair", {"x": 1, "y": 1}, EQ, 2)
+    m.add_constr("cover", {"y": 2, "c": 1, "d": 1}, GE, 3)
+    m.add_constr("cap", {"c": 1, "d": 1}, LE, 1.5)
+    calls = []
+    spy(monkeypatch, "_presolve", lambda problem, bounds, deadline=None:
+        calls.append((problem, dict(bounds))))
+    out = solve_exact(m)
+    assert out.status == "optimal"
+    assert exact_answer(m, out.values)["x"] == 0
+    root = calls[0][0]
+    assert [(problem is root, bounds) for problem, bounds in calls] == [
+        (True, {}), (True, {0: (0, 0)})]
+    assert out.status == oracles.solve_exact_from_root(m).status
+
+
+def test_answer_restored_through_a_chain_of_reductions(monkeypatch):
+    """-2 v0 + 3 v1 + 4 v2 + 4 v3 - 3 v4 = 2 over binaries branches three
+    levels deep before its answer, which is restored through the final
+    node's reduction and then through each of its ancestors'."""
+    m = MILPModel()
+    for i in range(5):
+        m.add_var(f"v{i}", BINARY)
+    m.add_constr("c0", {"v0": -2, "v1": 3, "v2": 4, "v3": 4, "v4": -3}, EQ, 2)
+    restorations = []
+    spy(monkeypatch, "_solve_lp", lambda red, deadline: restorations.append([]))
+    spy(monkeypatch, "_undo_presolve",
+        lambda red, values: restorations[-1].append(red))
+    out = solve_exact(m)
+    assert out.status == "optimal"
+    assert exact_answer(m, out.values) == {
+        "v0": 1, "v1": 0, "v2": 0, "v3": 1, "v4": 0}
+    last = restorations[-1]
+    assert len(last) >= 4 and len(set(map(id, last))) == len(last)
+    assert out.nodes >= 4
+
+
+def test_presolving_a_child_leaves_the_parent_reduction_unchanged():
+    """Both children of a node presolve its reduced problem, the second
+    after the first, so presolving one must not touch the parent's
+    `_Reduced`: checked on the square_chord model and on random models."""
+    fx = roundtrip_fixture("square_chord")
+    models = [build_milp(fx.spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi)]
+    rng = np.random.default_rng(3003)
+    models += [random_model(rng) for _ in range(150)]
+    branched = 0
+    for m in models:
+        try:
+            red = _presolve(Problem.from_model(m), {})
+        except _Infeasible:
+            continue
+        point, _ = _solve_lp(red, None)
+        if point is None:
+            continue
+        snapshot = copy.deepcopy(red)
+        child = Problem(red.variables, red.rows)
+        for col, v in enumerate(red.variables):
+            if not v.is_int or point[col].denominator == 1:
+                continue
+            for bound in ((v.lb, floor(point[col])), (ceil(point[col]), v.ub)):
+                try:
+                    _presolve(child, {col: bound})
+                except _Infeasible:
+                    pass
+                assert red == snapshot
+            branched += 1
+    assert branched >= 20
+
+
+def test_square_chord_presolves_the_whole_model_once(monkeypatch):
+    """square_chord takes two nodes; only the root propagates over every
+    row of the model, and node 2 presolves the root's reduced problem."""
+    fx = roundtrip_fixture("square_chord")
+    m = build_milp(fx.spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi)
+    full_passes = []
+    spy(monkeypatch, "_propagate", lambda variables, rows, moved=None:
+        full_passes.append(len(rows)) if moved is None else None)
+    out = solve_exact(m)
+    assert (out.status, out.nodes, out.pivots) == ("optimal", 2, 105)
+    assert full_passes.count(len(m.constraints)) == 1
+    assert len(full_passes) == 2
+
+
+def test_time_limit_binds_presolve(monkeypatch):
+    """A deadline that passes during a node's presolve ends the search
+    there: no LP is solved after it."""
+    clock = [0.0]
+    monkeypatch.setattr(minisolve, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+
+    def expire(*args):
+        clock[0] = 10.0
+
+    spy(monkeypatch, "_propagate", expire)
+    lp_calls = []
+    spy(monkeypatch, "_solve_lp", lambda red, deadline: lp_calls.append(red))
+    m = MILPModel()
+    for name in "xyz":
+        m.add_var(name, INTEGER, 0, 5)
+    m.add_constr("a", {"x": 2, "y": 3, "z": 1}, EQ, 7)
+    m.add_constr("b", {"x": 1, "y": -1, "z": 2}, GE, 1)
+    out = solve_exact(m, time_limit=1.0)
+    assert (out.status, out.nodes) == ("timeout", 1)
+    assert lp_calls == []
