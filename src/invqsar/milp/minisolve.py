@@ -80,7 +80,11 @@ def _quotient(a: Num, b: Num) -> Num:
 
 
 class SolverTimeout(Exception):
-    pass
+    """The deadline passed; `pivots` counts those of an interrupted LP."""
+
+    def __init__(self, pivots: int = 0):
+        super().__init__(pivots)
+        self.pivots = pivots
 
 
 class MiniSolverError(Exception):
@@ -795,7 +799,7 @@ class _Simplex:
             if self.iterations > SIMPLEX_ITERATION_LIMIT:
                 raise MiniSolverError("simplex iteration limit exceeded")
             if self.deadline is not None and time.monotonic() > self.deadline:
-                raise SolverTimeout
+                raise SolverTimeout(self.pivots)
             bland = self.degenerate_streak > 30
             chosen = None
             best_score = 0
@@ -898,8 +902,8 @@ def solve_exact(
             red_values, lp_pivots = _solve_lp(red, deadline)
         except _Infeasible:
             continue
-        except SolverTimeout:
-            return SolveOutcome("timeout", nodes=nodes, pivots=pivots)
+        except SolverTimeout as stop:
+            return SolveOutcome("timeout", nodes=nodes, pivots=pivots + stop.pivots)
         pivots += lp_pivots
         if red_values is None:
             continue

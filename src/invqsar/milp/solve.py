@@ -14,10 +14,12 @@ an answer is any feasible point and no backend reports an objective value.
 from __future__ import annotations
 
 import math
+import re
 import shlex
 import subprocess
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -176,9 +178,29 @@ def _dot(coefs: list[Fraction], bounds) -> Fraction:
     return sum(c * Fraction(b) for c, b in zip(coefs, bounds))
 
 
+# Set on every HiGHS pass.  Feasibility jump (Luteberget & Sartor, Math.
+# Prog. Comp. 2023) is a local search over violated rows, which stalls on
+# these equality-dense models.  scipy's milp passes a HighsOptions field it
+# does not know to HiGHS as it is, with a RuntimeWarning; a HiGHS without
+# the option warns and ignores it.
+HIGHS_OPTIONS = {"mip_heuristic_run_feasibility_jump": False}
+_PASSED_VERBATIM = re.escape(
+    f"Unrecognized options detected: {set(HIGHS_OPTIONS)}")
+
+
 def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
-    """Solve with HiGHS in-process; the time limit is enforced inside HiGHS,
-    and covers both passes when an answer is checked with presolve off.
+    """Solve with HiGHS in-process, with these options:
+
+    - `time_limit`, enforced inside HiGHS and shared by both passes;
+    - `presolve: False` on a second pass, made only after a status of
+      infeasible or "Solve error", which presolve can reach falsely on
+      badly scaled models;
+    - `mip_heuristic_run_feasibility_jump: False` on both passes: on the
+      benchmark's 10 models and a 40-instance stress campaign, turning it
+      off changed no node or LP iteration count; it supplied one incumbent
+      of 50, which root-node evaluation finds without it, and took 5-53 ms
+      of a call (BENCH_31_infer_fixtures.json).
+    No MIP gap is set: with a zero cost any feasible point closes it.
 
     Returns an optimal or infeasible Solution (values not yet checked) and
     raises SolverFailure on any other outcome, time limit included.  An
@@ -213,17 +235,20 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
             f"HiGHS not called: row {unmet} cannot be met within the "
             f"variable bounds\n"))
 
-    # no MIP gap option: with a zero cost any feasible point closes the gap
-    options = {} if time_limit is None else {"time_limit": time_limit}
+    options = dict(HIGHS_OPTIONS)
+    if time_limit is not None:
+        options["time_limit"] = time_limit
 
     def attempt(**extra):
-        return milp(
-            [0.0] * len(variables),
-            constraints=constraints,
-            integrality=integral,
-            bounds=bounds,
-            options={**options, **extra},
-        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _PASSED_VERBATIM, RuntimeWarning)
+            return milp(
+                [0.0] * len(variables),
+                constraints=constraints,
+                integrality=integral,
+                bounds=bounds,
+                options={**options, **extra},
+            )
 
     start = time.monotonic()
     res = attempt()
@@ -288,10 +313,13 @@ def solve(
     if sol.status == INFEASIBLE:
         return Solution(INFEASIBLE, log=sol.log)
     if sol.status == TIMEOUT:
+        # the mini-solver's one-line log tells a slow LP from no LP
+        detail = f" ({sol.log})" if backend == "mini" else ""
         raise SolverFailure("solver stopped at a time or node limit before "
-                            "an answer")
+                            "an answer" + detail)
+    zero = Fraction(0)
     for v in model.variables:
-        sol.values.setdefault(v.name, Fraction(0))
+        sol.values.setdefault(v.name, zero)
     if polish is not None:
         polish(model, sol)
     problems = check_solution(model, sol.values)

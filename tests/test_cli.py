@@ -662,6 +662,21 @@ def test_infer_with_builtin_solver(project, capsys):
     assert match and int(match[1]) >= 1
 
 
+def test_one_parser_serves_every_command_of_a_process(project, capsys):
+    """main builds its parser once; a usage error between two commands
+    leaves it parsing the next ones as before."""
+    tmp, cfg_path, fx = project
+    cli._parser.cache_clear()
+    assert main(["featurize", "--config", str(cfg_path)]) == 0
+    with pytest.raises(SystemExit) as stop:
+        main(["infer", "--config", str(cfg_path), "--lo", "6.9"])
+    assert stop.value.code == 2
+    assert "the following arguments are required: --hi" in capsys.readouterr().err
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"]) == 0
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_sdf_round_trip_random_graphs():
     """Writing a graph out as SDF and re-parsing reproduces the molecule
     (compared through its feature vector over a shared space)."""

@@ -32,7 +32,7 @@ from invqsar.milp.model import (
     MILPModel,
     check_solution,
 )
-from invqsar.milp.solve import solve, solve_highs
+from invqsar.milp.solve import SolverFailure, solve, solve_highs
 
 import oracles
 from conftest import roundtrip_fixture
@@ -621,3 +621,16 @@ def test_time_limit_binds_presolve(monkeypatch):
     out = solve_exact(m, time_limit=1.0)
     assert (out.status, out.nodes) == ("timeout", 1)
     assert lp_calls == []
+
+
+def test_a_timeout_counts_the_pivots_of_the_interrupted_lp():
+    """hetero's root LP outlasts a short limit: the pivots it made before
+    the deadline are counted, and `solve`'s failure names them."""
+    fx = roundtrip_fixture("hetero")
+    m = build_milp(fx.spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi)
+    out = solve_exact(m, time_limit=0.5)
+    assert (out.status, out.nodes) == ("timeout", 1)
+    assert out.pivots > 0
+    with pytest.raises(SolverFailure,
+                       match=r"before an answer \(mini-solver nodes=1 pivots=[1-9]"):
+        solve(m, "mini", time_limit=0.5)

@@ -1,5 +1,6 @@
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,7 +134,46 @@ def test_highs_presolve_off_pass_without_time_left_is_failure(monkeypatch):
 def test_highs_presolve_off_pass_without_a_limit(monkeypatch):
     calls = _fake_milp(monkeypatch, [2, 2])
     assert solve(small_model(), "highs").status == "infeasible"
-    assert calls == [{}, {"presolve": False}]
+    assert calls == [{"mip_heuristic_run_feasibility_jump": False},
+                     {"mip_heuristic_run_feasibility_jump": False,
+                      "presolve": False}]
+
+
+def _fixture_model(name):
+    fx = roundtrip_fixture(name)
+    return build_milp(fx.spec, fx.space, fx.predictor, fx.y_lo, fx.y_hi)
+
+
+def test_highs_takes_every_option_without_a_warning():
+    """A real HiGHS solve raises no warning: scipy's notice that it passes
+    the feasibility-jump option on verbatim is silenced, and HiGHS knows
+    the option (a HiGHS that does not would warn here)."""
+    model = _fixture_model("triangle")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve(model, "highs").status == "optimal"
+
+
+def test_highs_without_the_feasibility_jump_option_still_solves(monkeypatch):
+    """On a HiGHS that lacks the option, scipy warns, drops it and solves."""
+    from scipy.optimize import OptimizeWarning
+    from scipy.optimize._highspy import _highs_options
+
+    real = _highs_options.HighsOptionsManager
+
+    class WithoutFeasibilityJump:
+        def __init__(self):
+            self._real = real()
+
+        def get_option_type(self, name):
+            if name == "mip_heuristic_run_feasibility_jump":
+                return -1
+            return self._real.get_option_type(name)
+
+    monkeypatch.setattr(_highs_options, "HighsOptionsManager",
+                        WithoutFeasibilityJump)
+    with pytest.warns(OptimizeWarning, match="mip_heuristic_run_feasibility_jump"):
+        assert solve(_fixture_model("triangle"), "highs").status == "optimal"
 
 
 def _refused_milp(monkeypatch):
