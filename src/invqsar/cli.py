@@ -34,7 +34,7 @@ from .descriptors import (
     write_feature_csv,
 )
 from .graph import graph_from_json_text, graph_to_json_text
-from .milp.build import BuildError, build_milp, polish_solution
+from .milp.build import BuildError, build_milp, check_rho, polish_solution
 from .milp.model import ModelError, emit_lp
 from .milp.decode import DecodeError, decode, solution_feature_values
 from .milp.solve import ExternalBackend, SolutionCheckError, SolverFailure, solve
@@ -283,6 +283,9 @@ def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
     lo_std = predictor.standardize(y_lo)
     hi_std = predictor.standardize(y_hi)
     model = build_milp(spec, space, predictor, lo_std, hi_std)
+    # no answer of an earlier request may outlive this one's model
+    for name in ("result.json", "result.sdf", "verification.json", "solve.log"):
+        (out / name).unlink(missing_ok=True)
     (out / "model.lp").write_text(emit_lp(model))
     try:
         sol = solve(model, cfg.backend(), time_limit=cfg.solver_timeout,
@@ -337,6 +340,7 @@ def run_verify(graph_path: str, spec_path: str, predictor_path: str,
     predictor = predictor_from_json_text(_read_text(predictor_path))
     if predictor.space_hash != space_hash(space):
         raise UsageError("predictor was trained against a different space")
+    check_rho(spec, space)
     _same_descriptors("predictor descriptor_names", predictor.descriptor_names, space)
     problems = graph.validate()
     if problems:

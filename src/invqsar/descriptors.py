@@ -5,14 +5,9 @@ elements, interior edge configurations, fringe-tree shapes, leaf-edge
 adjacency configurations) observed in a dataset; featurize maps a graph to
 its K-dimensional count vector over that universe.  build_space and
 featurize both read a GraphCensus, which counts a graph once from a single
-decomposition.  The layout is
-
-    1..4    scalars: heavy-atom count, cycle rank, interior size,
-            average mass surrogate over all atoms (exact rational)
-    5..8    heavy vertices by suppressed degree 1..4
-    9..12   interior vertices by interior degree 1..4
-    13..14  interior edges of multiplicity 2 and 3
-    then the five catalog blocks, each in its fixed sorted order.
+decomposition.  The layout of that vector is the descriptor table, SCALARS
+then CATALOGS: the model's x_1..x_K, the feature columns and the census
+entries all follow it.
 """
 
 from __future__ import annotations
@@ -23,10 +18,11 @@ import io
 import json
 import re
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,8 +31,6 @@ from .elements import BY_TOKEN, ElementSpec
 from .schema import (
     ELEMENT, INTEGER, STRING, Field, InputError, Kind, Reader, Table, integer, list_of)
 from .graph import ChemicalGraph, rank
-
-N_SCALAR_DESCRIPTORS = 14
 
 
 class OutOfSpaceError(ValueError):
@@ -100,6 +94,58 @@ class AdjacencyConfiguration:
 
 
 @dataclass(frozen=True)
+class Scalar:
+    """A scalar descriptor: its column name and, where the model has one,
+    the tally variable x_j equals and the row that ties the two."""
+
+    name: str
+    tally: str | None = None
+    row: str | None = None
+    rational: bool = False  # an exact rational, not a count
+
+
+@dataclass(frozen=True)
+class Catalog:
+    """A catalog block: the space's catalog `attr`, counted by the census
+    counter `counter`, gives the columns `<prefix>_<label>` (numbered
+    `<prefix>_1`, ... when `numbered`); a counted key missing from the
+    catalog is `<what> <label> not in the space`."""
+
+    prefix: str
+    attr: str
+    counter: str
+    what: str
+    label: Callable[[object], str]
+    numbered: bool = False
+
+
+# the descriptor table: x_1..x_K are the scalars, then each catalog block
+# in its fixed sorted order
+SCALARS = (
+    Scalar("n_heavy", "nG", "dl_x_1"),
+    Scalar("rank", "rank", "dl_x_2"),
+    Scalar("n_interior", "nintG", "dl_x_3"),
+    # the average mass surrogate over all atoms
+    Scalar("mass_avg", "msbar", "dl_x_4", rational=True),
+    # heavy vertices by suppressed degree, summed over the model's slots
+    *(Scalar(f"deg{d}") for d in range(1, 5)),
+    # interior vertices by interior degree
+    *(Scalar(f"deg_int{d}", f"dgint_{d}", f"dl_x_degint_{d}") for d in range(1, 5)),
+    # interior edges by multiplicity
+    *(Scalar(f"bonds{m}_int", f"bdint_{m}", f"dl_x_bd{m}") for m in (2, 3)),
+)
+_token = attrgetter("token")
+_label = attrgetter("label")
+CATALOGS = (
+    Catalog("na_int", "lambda_int", "interior_elements", "interior element", _token),
+    Catalog("na_ex", "lambda_ex", "exterior_elements", "exterior element", _token),
+    Catalog("ec", "gamma_int", "edge_configs", "edge configuration", _label),
+    Catalog("fc", "fringe_codes", "fringe", "fringe tree", bytes.decode, numbered=True),
+    Catalog("ac", "ac_lf", "leaf_edges", "leaf-edge configuration", _label),
+)
+
+
+@dataclass(frozen=True)
 class DescriptorSpace:
     rho: int
     lambda_int: tuple[ElementSpec, ...]
@@ -110,74 +156,25 @@ class DescriptorSpace:
 
     @property
     def k(self) -> int:
-        return (
-            N_SCALAR_DESCRIPTORS
-            + len(self.lambda_int)
-            + len(self.lambda_ex)
-            + len(self.gamma_int)
-            + len(self.fringe_codes)
-            + len(self.ac_lf)
-        )
+        return len(self.descriptor_names)
 
     @cached_property
-    def offsets(self) -> dict[str, int]:
-        """0-based start index of each catalog block."""
-        o_int = N_SCALAR_DESCRIPTORS
-        o_ex = o_int + len(self.lambda_int)
-        o_ec = o_ex + len(self.lambda_ex)
-        o_fc = o_ec + len(self.gamma_int)
-        o_ac = o_fc + len(self.fringe_codes)
-        return {
-            "na_int": o_int,
-            "na_ex": o_ex,
-            "ec": o_ec,
-            "fc": o_fc,
-            "ac": o_ac,
-        }
-
-    @cached_property
-    def lambda_int_index(self) -> dict[ElementSpec, int]:
-        return {e: i for i, e in enumerate(self.lambda_int)}
-
-    @cached_property
-    def lambda_ex_index(self) -> dict[ElementSpec, int]:
-        return {e: i for i, e in enumerate(self.lambda_ex)}
-
-    @cached_property
-    def gamma_index(self) -> dict[EdgeConfiguration, int]:
-        return {gcf: i for i, gcf in enumerate(self.gamma_int)}
-
-    @cached_property
-    def fringe_index(self) -> dict[bytes, int]:
-        return {c: i for i, c in enumerate(self.fringe_codes)}
-
-    @cached_property
-    def ac_index(self) -> dict[AdjacencyConfiguration, int]:
-        return {a: i for i, a in enumerate(self.ac_lf)}
+    def blocks(self) -> tuple[tuple[Catalog, int, dict], ...]:
+        """Each catalog with its block's 0-based start and each of its
+        entries' 0-based index in the vector."""
+        blocks, start = [], len(SCALARS)
+        for c in CATALOGS:
+            entries = getattr(self, c.attr)
+            blocks.append((c, start, {e: start + i for i, e in enumerate(entries)}))
+            start += len(entries)
+        return tuple(blocks)
 
     @cached_property
     def descriptor_names(self) -> tuple[str, ...]:
-        names = [
-            "n_heavy",
-            "rank",
-            "n_interior",
-            "mass_avg",
-            "deg1",
-            "deg2",
-            "deg3",
-            "deg4",
-            "deg_int1",
-            "deg_int2",
-            "deg_int3",
-            "deg_int4",
-            "bonds2_int",
-            "bonds3_int",
-        ]
-        names += [f"na_int_{e.token}" for e in self.lambda_int]
-        names += [f"na_ex_{e.token}" for e in self.lambda_ex]
-        names += [f"ec_{gcf.label}" for gcf in self.gamma_int]
-        names += [f"fc_{i + 1}" for i in range(len(self.fringe_codes))]
-        names += [f"ac_{a.label}" for a in self.ac_lf]
+        names = [s.name for s in SCALARS]
+        for c in CATALOGS:
+            names += [f"{c.prefix}_{i + 1 if c.numbered else c.label(e)}"
+                      for i, e in enumerate(getattr(self, c.attr))]
         return tuple(names)
 
 
@@ -199,9 +196,10 @@ class GraphCensus:
     decomposition."""
 
     rho: int
-    scalars: tuple[int | Fraction, ...]  # descriptors 1..14 in layout order
-    # (interior?, element) -> vertex count, keys in order of first vertex
-    elements: Counter[tuple[bool, ElementSpec]]
+    scalars: dict[str, int | Fraction]  # by the names of SCALARS
+    # element -> vertex count, keys in order of first vertex
+    interior_elements: Counter[ElementSpec]
+    exterior_elements: Counter[ElementSpec]
     edge_configs: Counter[EdgeConfiguration]
     fringe: Counter[bytes]  # canonical code -> tree count, codes in root order
     leaf_edges: Counter[AdjacencyConfiguration]
@@ -229,30 +227,31 @@ def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
     adjacency = view.adjacency
     interior = decomp.interior_vertices
 
-    scalars: list[int | Fraction] = [0] * N_SCALAR_DESCRIPTORS
-    scalars[0] = g.n_heavy()
-    scalars[1] = rank(g)
-    scalars[2] = len(interior)
-    mass_total = sum(v.element.mass_star for v in g.vertices)
-    scalars[3] = Fraction(mass_total, g.n_atoms())
     degree = {}
+    n_degree = [0] * 5  # heavy vertices by suppressed degree
     for vid, nbrs in adjacency.items():
         d = degree[vid] = len(nbrs)
         if d > 4:
             raise OutOfSpaceError(f"vertex {vid} has suppressed degree {d} > 4")
-        if d:
-            scalars[3 + d] += 1
+        n_degree[d] += 1
     interior_degree = dict.fromkeys(interior, 0)
+    n_mult = [0] * 4  # interior edges by multiplicity
     for u, v, m in decomp.interior_edges:
         interior_degree[u] += 1
         interior_degree[v] += 1
-        if m != 1:
-            scalars[10 + m] += 1
+        n_mult[m] += 1
+    n_int = [0] * 5  # interior vertices by interior degree
     for d in interior_degree.values():
-        if d:
-            scalars[7 + d] += 1
+        n_int[d] += 1
+    mass_total = sum(v.element.mass_star for v in g.vertices)
+    scalars = {
+        "n_heavy": g.n_heavy(), "rank": rank(g), "n_interior": len(interior),
+        "mass_avg": Fraction(mass_total, g.n_atoms()),
+        "deg1": n_degree[1], "deg2": n_degree[2], "deg3": n_degree[3], "deg4": n_degree[4],
+        "deg_int1": n_int[1], "deg_int2": n_int[2], "deg_int3": n_int[3], "deg_int4": n_int[4],
+        "bonds2_int": n_mult[2], "bonds3_int": n_mult[3],
+    }
 
-    elements = Counter((v.id in interior, v.element) for v in g.vertices)
     vertex = g.vertex_map
     symbol = {v: _chemical_symbol(vertex[v].element, degree[v]) for v in interior}
     edge_configs = Counter(
@@ -275,33 +274,22 @@ def take_census(g: ChemicalGraph, rho: int) -> GraphCensus:
             a, b = b, a
         leaf_edges[_adjacency_configuration(a, b, m)] += 1
 
-    return GraphCensus(rho, tuple(scalars), elements, edge_configs, fringe,
-                       leaf_edges, decomp)
+    return GraphCensus(
+        rho, scalars, Counter(v.element for v in g.vertices if v.id in interior),
+        Counter(v.element for v in g.vertices if v.id not in interior),
+        edge_configs, fringe, leaf_edges, decomp)
 
 
 def space_from_censuses(censuses: list[GraphCensus]) -> DescriptorSpace:
     """The catalogs occurring across the censuses, in sorted order."""
     if not censuses:
         raise ValueError("cannot build a descriptor space from an empty dataset")
-    lam_int: set[ElementSpec] = set()
-    lam_ex: set[ElementSpec] = set()
-    gammas: set[EdgeConfiguration] = set()
-    acs: set[AdjacencyConfiguration] = set()
-    codes: set[bytes] = set()
-    for c in censuses:
-        for is_interior, elem in c.elements:
-            (lam_int if is_interior else lam_ex).add(elem)
-        gammas.update(c.edge_configs)
-        acs.update(c.leaf_edges)
-        codes.update(c.fringe)
-    return DescriptorSpace(
-        rho=censuses[0].rho,
-        lambda_int=tuple(sorted(lam_int)),
-        lambda_ex=tuple(sorted(lam_ex)),
-        gamma_int=tuple(sorted(gammas)),
-        fringe_codes=tuple(sorted(codes)),
-        ac_lf=tuple(sorted(acs)),
-    )
+    found = {c: set() for c in CATALOGS}
+    for census in censuses:
+        for c, keys in found.items():
+            keys.update(getattr(census, c.counter))
+    return DescriptorSpace(censuses[0].rho, **{
+        c.attr: tuple(sorted(keys)) for c, keys in found.items()})
 
 
 def _census_entries(
@@ -311,27 +299,15 @@ def _census_entries(
     then one pair per counted catalog value, each index at most once;
     raises OutOfSpaceError when it holds an element, configuration or
     fringe shape missing from the catalogs."""
-    yield from enumerate(census.scalars)
-    off = space.offsets
-    for (is_interior, elem), n in census.elements.items():
-        if is_interior:
-            role, block, index = "interior", "na_int", space.lambda_int_index
-        else:
-            role, block, index = "exterior", "na_ex", space.lambda_ex_index
-        idx = index.get(elem)
-        if idx is None:
-            raise OutOfSpaceError(f"{role} element {elem.token} not in the space")
-        yield off[block] + idx, n
-    for block, index, counts, what in (
-            ("ec", space.gamma_index, census.edge_configs, "edge configuration"),
-            ("fc", space.fringe_index, census.fringe, "fringe tree"),
-            ("ac", space.ac_index, census.leaf_edges, "leaf-edge configuration")):
-        for key, n in counts.items():
-            idx = index.get(key)
-            if idx is None:
-                name = key.decode() if block == "fc" else key.label
-                raise OutOfSpaceError(f"{what} {name} not in the space")
-            yield off[block] + idx, n
+    scalars = census.scalars
+    for j, s in enumerate(SCALARS):
+        yield j, scalars[s.name]
+    for c, _, index in space.blocks:
+        for key, n in getattr(census, c.counter).items():
+            j = index.get(key)
+            if j is None:
+                raise OutOfSpaceError(f"{c.what} {c.label(key)} not in the space")
+            yield j, n
 
 
 def census_vector(census: GraphCensus, space: DescriptorSpace) -> FeatureVector:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from ..descriptors import DescriptorSpace, space_hash
+from ..descriptors import SCALARS, DescriptorSpace, space_hash
 from ..elements import ElementSpec
 from ..regression import LinearPredictor
 from ..topospec import (
@@ -35,6 +35,9 @@ from .model import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MILPModel
 
 # Relative slack of the normalization sandwich (see add_normalization).
 EPSILON = 1e-5
+
+# the model variable x_j of each scalar descriptor, by name
+SCALAR_X = {s.name: f"x_{j}" for j, s in enumerate(SCALARS, start=1)}
 
 # Components of the interior-bond tally bdint: bonds on direct seed edges,
 # between path slots, between leaf-path slots, first and last bonds of paths,
@@ -76,13 +79,18 @@ def _all_zero(terms) -> bool:
     return True
 
 
+def check_rho(spec: TopologicalSpecification, space: DescriptorSpace) -> None:
+    """BuildError unless the spec and the space share their rho."""
+    if spec.rho != space.rho:
+        raise BuildError(f"specification rho {spec.rho} differs from the "
+                         f"descriptor space's rho {space.rho}")
+
+
 class Build:
     """Incremental model builder shared by the constraint-family functions."""
 
     def __init__(self, spec: TopologicalSpecification, space: DescriptorSpace):
-        if spec.rho != space.rho:
-            raise BuildError(f"specification rho {spec.rho} differs from the "
-                             f"descriptor space's rho {space.rho}")
+        check_rho(spec, space)
         self.spec = spec
         self.space = space
         self.model = MILPModel(name="inverse_design")
@@ -115,12 +123,12 @@ class Build:
             sorted(set(self.lam_int) | set(self.lam_ex))
         )
         for e in self.lam_int:
-            if e not in space.lambda_int_index:
+            if e not in space.lambda_int:
                 raise BuildError(
                     f"interior element {e.token} is not in the descriptor space"
                 )
         for e in self.lam_ex:
-            if e not in space.lambda_ex_index:
+            if e not in space.lambda_ex:
                 raise BuildError(
                     f"exterior element {e.token} is not in the descriptor space"
                 )
@@ -129,7 +137,7 @@ class Build:
         self.psis = spec.fringe_entries
         self.psi_pos = {f.psi_id: p + 1 for p, f in enumerate(self.psis)}
         for f in self.psis:
-            if f.tree.canonical_code not in space.fringe_index:
+            if f.tree.canonical_code not in space.fringe_codes:
                 raise BuildError(
                     f"fringe tree {f.psi_id} is not in the descriptor space"
                 )
@@ -1289,79 +1297,73 @@ def add_descriptor_linking(b: Build) -> None:
             slot.used,
         )
 
-    # raw descriptor variables
-    off = space.offsets
-    k_total = space.k
-    bounds: dict[int, tuple[float, float]] = {}
-    bounds[1] = (spec.n_lb, spec.n_star)
+    # raw descriptor variables x_1..x_K, in the descriptor table's order: a
+    # scalar's bounds come from the spec, a catalog count's from 4 n*
     n_opt = len(b.optional_edges)
-    bounds[2] = (spec.seed.rank - n_opt, spec.seed.rank)
-    bounds[3] = (spec.n_int_lb, spec.n_int_ub)
-    bounds[4] = (0, b.mass_avg_ub)
-    for d in range(1, 5):
-        bounds[4 + d] = (0, spec.n_star)
-        bounds[8 + d] = (0, spec.n_int_ub)
-    bounds[13] = (0, 2 * spec.n_int_ub)
-    bounds[14] = (0, 2 * spec.n_int_ub)
-    for j in range(15, k_total + 1):
-        bounds[j] = (0, 4 * spec.n_star)
-    for j in range(1, k_total + 1):
-        lo, hi = bounds[j]
-        kind = CONTINUOUS if j == 4 else INTEGER
-        m.add_var(f"x_{j}", kind, lo, hi)
+    bounds = {
+        "n_heavy": (spec.n_lb, spec.n_star),
+        "rank": (spec.seed.rank - n_opt, spec.seed.rank),
+        "n_interior": (spec.n_int_lb, spec.n_int_ub),
+        "mass_avg": (0, b.mass_avg_ub),
+        **{f"deg{d}": (0, spec.n_star) for d in range(1, 5)},
+        **{f"deg_int{d}": (0, spec.n_int_ub) for d in range(1, 5)},
+        "bonds2_int": (0, 2 * spec.n_int_ub),
+        "bonds3_int": (0, 2 * spec.n_int_ub),
+    }
+    for s in SCALARS:
+        kind = CONTINUOUS if s.rational else INTEGER
+        m.add_var(SCALAR_X[s.name], kind, *bounds[s.name])
+    for j in range(len(SCALARS) + 1, space.k + 1):
+        m.add_var(f"x_{j}", INTEGER, 0, 4 * spec.n_star)
 
-    def tie(name: str, j: int, var: str | None) -> None:
-        """x_j equals `var`; without one the descriptor cannot occur."""
+    def tie(name: str, x: str, var: str | None) -> None:
+        """x equals `var`; without one the descriptor cannot occur."""
         if var is None:
-            m.fix_var(f"x_{j}", 0)
+            m.fix_var(x, 0)
         else:
-            b.define(name, [(f"x_{j}", 1)], var)
+            b.define(name, [(x, 1)], var)
 
-    for j, var in enumerate(("nG", "rank", "nintG", "msbar"), start=1):
-        tie(f"dl_x_{j}", j, var)
-    for d in range(1, 5):
-        terms = [(f"x_{4 + d}", -1)]
-        terms += [
-            (f"dsup{x}_{i}_{d}", 1)
-            for x in "CTF"
-            for i in range(1, _slots(b, x) + 1)
-        ]
-        terms += _all_fringe_terms(
-            b, lambda f: f.tree.nonroot_heavy_degree_counts.get(d, 0)
-        )
-        b.row(f"dl_x_deg_{d}", terms, EQ, 0)
-        tie(f"dl_x_degint_{d}", 8 + d, f"dgint_{d}")
-    tie("dl_x_bd2", 13, "bdint_2")
-    tie("dl_x_bd3", 14, "bdint_3")
+    # a scalar equals its tally; deg<d> has none and sums the vertices of
+    # suppressed degree d, in a row written just before deg_int<d>'s tie
+    for s in SCALARS:
+        if s.tally is None:
+            continue
+        if s.name.startswith("deg_int"):
+            d = int(s.name[-1])
+            terms = [(SCALAR_X[f"deg{d}"], -1)]
+            terms += [
+                (f"dsup{x}_{i}_{d}", 1)
+                for x in "CTF"
+                for i in range(1, _slots(b, x) + 1)
+            ]
+            terms += _all_fringe_terms(
+                b, lambda f: f.tree.nonroot_heavy_degree_counts.get(d, 0)
+            )
+            b.row(f"dl_x_deg_{d}", terms, EQ, 0)
+        tie(s.row, SCALAR_X[s.name], s.tally)
 
-    for si, elem in enumerate(space.lambda_int):
-        j = off["na_int"] + si + 1
-        pos = b.lam_int_pos.get(elem)
-        tie(f"dl_x_naint_{j}", j, None if pos is None else f"naint_{pos}")
-    ex_pos = {e: i + 1 for i, e in enumerate(b.lam_ex)}
-    for si, elem in enumerate(space.lambda_ex):
-        j = off["na_ex"] + si + 1
-        pos = ex_pos.get(elem)
-        tie(f"dl_x_naex_{j}", j, None if pos is None else f"naex_{pos}")
+    # a catalog count equals the tally of its entry, if the spec has one;
+    # an edge configuration's is the sum of its bond slots' markers
+    tallies = {
+        "na_int": {e: f"naint_{p}" for e, p in b.lam_int_pos.items()},
+        "na_ex": {e: f"naex_{i + 1}" for i, e in enumerate(b.lam_ex)},
+        "fc": {f.tree.canonical_code: f"fc_{b.psi_pos[f.psi_id]}" for f in b.psis},
+        "ac": {a: f"aclf_{i + 1}" for i, a in enumerate(space.ac_lf)},
+    }
     gamma_terms: dict[int, list[tuple[str, int]]] = {
         gi: [] for gi in range(len(space.gamma_int))
     }
     for slot in b.bond_slots:
         for o, (_pa, _pb, _mult, gi) in enumerate(b.ordered_configs, start=1):
             gamma_terms[gi].append((f"ec{slot.name}_{o}", 1))
-    for gi, terms in gamma_terms.items():
-        j = off["ec"] + gi + 1
-        b.define(f"dl_x_ec_{j}", terms, f"x_{j}")
-    spec_code_pos = {
-        f.tree.canonical_code: b.psi_pos[f.psi_id] for f in b.psis
-    }
-    for ci, code in enumerate(space.fringe_codes):
-        j = off["fc"] + ci + 1
-        p = spec_code_pos.get(code)
-        tie(f"dl_x_fc_{j}", j, None if p is None else f"fc_{p}")
-    for ai in range(len(space.ac_lf)):
-        j = off["ac"] + ai + 1
-        tie(f"dl_x_ac_{j}", j, f"aclf_{ai + 1}")
+    for c, start, _ in space.blocks:
+        for i, entry in enumerate(getattr(space, c.attr)):
+            j = start + i + 1
+            name = f"dl_x_{c.prefix.replace('_', '')}_{j}"
+            if c.prefix == "ec":
+                b.define(name, gamma_terms[i], f"x_{j}")
+            else:
+                tie(name, f"x_{j}", tallies[c.prefix].get(entry))
 
 
 def add_normalization(b: Build, predictor: LinearPredictor) -> None:
@@ -1492,8 +1494,8 @@ def polish_solution(model: MILPModel, sol) -> None:
                 break
         if atoms:
             values["msbar"] = Fraction(values["Mass"], atoms)
-            if "x_4" in values:
-                values["x_4"] = values["msbar"]
+            if SCALAR_X["mass_avg"] in values:
+                values[SCALAR_X["mass_avg"]] = values["msbar"]
 
     if not model.has_constr("pred_value"):
         return
@@ -1588,7 +1590,7 @@ VARIABLE_FAMILIES: tuple[tuple[str, str, str], ...] = (
     (r"lsT_\d+_\d+", BINARY, "symbol of a path run's last slot"),
     (r"fsF_\d+_\d+", BINARY, "symbol of a leaf run's first slot"),
     (r"ec(C|T|F|CTk|TCk|sF)_\d+_\d+", BINARY, "edge-configuration marker"),
-    (r"x_4", CONTINUOUS, "raw descriptor: the average mass"),
+    (SCALAR_X["mass_avg"], CONTINUOUS, "raw descriptor: the average mass"),
     (r"x_\d+", INTEGER, "raw descriptor"),
     (r"xd_\d+", CONTINUOUS, "weighed descriptor's offset above its minimum"),
     (r"xhat_\d+", CONTINUOUS, "normalized copy of a weighed descriptor"),

@@ -164,6 +164,6 @@ def decode(sol: Solution, spec: TopologicalSpecification) -> ChemicalGraph:
 
 def solution_feature_values(sol: Solution, space: DescriptorSpace) -> tuple:
     """The model's descriptor values x_1..x_K, exactly as the solution
-    holds them: after `polish_solution` the integers are integral and x_4
-    is Mass/atoms, so they equal a census vector's values."""
+    holds them: after `polish_solution` the integers are integral and the
+    average mass is Mass/atoms, so they equal a census vector's values."""
     return tuple(sol.values[f"x_{j}"] for j in range(1, space.k + 1))

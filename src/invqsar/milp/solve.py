@@ -6,9 +6,10 @@ through a command template with {input} and {output} placeholders (LP file
 in, CBC-style solution file out).  `solve` gives every backend the same
 time limit and reads every backend's infeasible and stopped answers in one
 place.  Every returned solution is re-checked against the model (row
-residuals, bounds, integrality, to 1e-6) before it is handed to callers; a
-failed check is a hard error, not a warning.  Models have no objective, so
-an answer is any feasible point and no backend reports an objective value.
+residuals, bounds, integrality, to 1e-6, or exactly once polished) before
+it is handed to callers; a failed check is a hard error, not a warning.
+Models have no objective, so an answer is any feasible point and no
+backend reports an objective value.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def solve(
     polish=None,
 ) -> Solution:
     """Find a feasible point of the model and return it as a Solution that
-    passed the residual check (absolute tolerance 1e-6).
+    passed the residual check (absolute tolerance 1e-6, none once polished).
 
     backend is 'highs' (in-process HiGHS), 'mini' (built-in exact solver)
     or an ExternalBackend; time_limit, in seconds, binds each of them.
@@ -294,7 +295,8 @@ def solve(
     limit before an answer is a SolverFailure.  An optional polish
     callable (model, solution) may clean the raw values in place before
     verification (for example exact recomputation of dependent continuous
-    variables)."""
+    variables); a polished answer must then meet every row, bound and
+    integrality exactly."""
     if backend == "highs":
         sol = solve_highs(model, time_limit)
     elif backend == "mini":
@@ -322,7 +324,8 @@ def solve(
         sol.values.setdefault(v.name, zero)
     if polish is not None:
         polish(model, sol)
-    problems = check_solution(model, sol.values)
+    tol = CHECK_TOL if polish is None else 0
+    problems = check_solution(model, sol.values, tol)
     if problems:
         raise SolutionCheckError(
             "solution fails verification: " + "; ".join(problems[:10])

@@ -703,17 +703,12 @@ def check_graph_satisfies(
         report.add("seed_embedding", False, "empty interior")
         return report
 
-    na: Counter[str] = Counter()
-    na_int: Counter[str] = Counter()
-    bad_elems = []
-    for (is_interior, elem), n in census.elements.items():
-        na[elem.token] += n
-        if is_interior:
-            na_int[elem.token] = n
-            if elem not in spec.lambda_int:
-                bad_elems.append(f"interior {elem.token}")
-        elif elem not in spec.lambda_ex:
-            bad_elems.append(f"exterior {elem.token}")
+    na_int = Counter({e.token: n for e, n in census.interior_elements.items()})
+    na = na_int + Counter({e.token: n for e, n in census.exterior_elements.items()})
+    bad_elems = [f"interior {e.token}" for e in census.interior_elements
+                 if e not in spec.lambda_int]
+    bad_elems += [f"exterior {e.token}" for e in census.exterior_elements
+                  if e not in spec.lambda_ex]
     report.add("element_sets", not bad_elems, "; ".join(sorted(bad_elems)))
     report.clauses.append(_bounds("element_counts", [
         (token, na[token], *spec.na_bounds(token))
@@ -724,7 +719,7 @@ def check_graph_satisfies(
     ]))
     if spec.mass_avg_ub is not None:
         report.clauses.append(_bounds("mass_avg", [
-            ("mass_avg", census.scalars[3], 0, spec.mass_avg_ub)]))
+            ("mass_avg", census.scalars["mass_avg"], 0, spec.mass_avg_ub)]))
 
     # degree tallies over interior vertices: full degree and interior degree
     full_deg = Counter(g.degree(v) for v in decomp.interior_vertices)
@@ -732,7 +727,7 @@ def check_graph_satisfies(
         (f"{label}{d}", count, spec.deg_lb[d - 1], spec.deg_ub[d - 1])
         for d in range(1, 5)
         for label, count in (("deg", full_deg[d]),
-                             ("deg_int", census.scalars[7 + d]))  # deg_int<d>
+                             ("deg_int", census.scalars[f"deg_int{d}"]))
     ]))
 
     code_to_id = {f.tree.canonical_code: f.psi_id for f in spec.fringe_entries}
@@ -924,8 +919,8 @@ def spec_from_graph(
     for t in menu:
         unique.setdefault(t.canonical_code, t)
     # element sets must cover the molecule and everything the menu can place
-    lam_int = {e.token for inside, e in census.elements if inside}
-    lam_ex = {e.token for inside, e in census.elements if not inside}
+    lam_int = {e.token for e in census.interior_elements}
+    lam_ex = {e.token for e in census.exterior_elements}
     for t in unique.values():
         lam_int.add(t.root_element.token)
         lam_ex.update(t.nonroot_element_counts)

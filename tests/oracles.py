@@ -12,6 +12,7 @@ import io
 import math
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -150,7 +151,10 @@ def brute_force_features(g: ChemicalGraph, space: DescriptorSpace) -> list:
         if e.u in interior and e.v in interior and e.mult in (2, 3):
             values[10 + e.mult] += 1
 
-    off = space.offsets
+    # each catalog block starts after the 14 scalars and the blocks before it
+    sizes = (len(space.lambda_int), len(space.lambda_ex), len(space.gamma_int),
+             len(space.fringe_codes), len(space.ac_lf))
+    off = dict(zip(("na_int", "na_ex", "ec", "fc", "ac"), accumulate((14,) + sizes)))
     int_tokens = {e.token: i for i, e in enumerate(space.lambda_int)}
     ex_tokens = {e.token: i for i, e in enumerate(space.lambda_ex)}
     for v in g.vertices:

@@ -268,7 +268,8 @@ def test_featurize_rows_match_the_dense_oracle(tmp_path, rng):
     assert '"m,0"' in text and '"q""11"""' in text
     assert any(v.values[3].denominator != 1 for v in vectors)
 
-    bare = replace(censuses[0], elements=Counter(), edge_configs=Counter(),
+    bare = replace(censuses[0], interior_elements=Counter(),
+                   exterior_elements=Counter(), edge_configs=Counter(),
                    fringe=Counter(), leaf_edges=Counter())
     assert (write_feature_csv(["bare"], [bare], space)
             == oracles.write_feature_csv(["bare"], [census_vector(bare, space)], space))
@@ -363,6 +364,29 @@ def test_infer_infeasible_exit_code(project, capsys):
     assert (tmp / "out" / "solve.log").read_text() == (
         "HiGHS not called: row pred_value cannot be met within the variable "
         "bounds\n")
+
+
+ANSWER_FILES = ("result.json", "result.sdf", "verification.json", "solve.log")
+
+
+def test_failed_infer_leaves_no_earlier_answer(trained, capsys):
+    """A request that ends in a solver failure (exit 4) or infeasibility
+    (exit 3) removes the answer files of the request before it from the
+    output directory, so none sits next to the new model.lp."""
+    tmp, cfg_path = trained
+    out = tmp / "out"
+    cfg = json.loads(cfg_path.read_text())
+    cfg.update(solver_command="mini", solver_timeout=0.001)
+    hasty = tmp / "hasty.json"
+    hasty.write_text(json.dumps(cfg))
+    feasible = ["infer", "--config", str(cfg_path), "--lo", "6.9", "--hi", "7.1"]
+    assert main(feasible) == 0
+    assert main(["infer", "--config", str(hasty), "--lo", "6.9", "--hi", "7.1"]) == 4
+    assert [name for name in ANSWER_FILES if (out / name).exists()] == []
+    assert main(feasible) == 0
+    assert main(["infer", "--config", str(cfg_path), "--lo", "900", "--hi", "901"]) == 3
+    assert [name for name in ANSWER_FILES if (out / name).exists()] == ["solve.log"]
+    assert (out / "solve.log").read_text().startswith("HiGHS not called")
 
 
 def test_infer_usage_errors(project, capsys):
@@ -612,8 +636,9 @@ def test_infer_solver_failure_exit_code(project):
 
 def test_infer_window_met_only_within_tolerance_exit_code(tmp_path, capsys):
     """A window just above the one answer's exact prediction, which HiGHS
-    meets through the normalization sandwiches' slack: the polished answer
-    fails its residual check on y, and infer exits 4 saying so."""
+    meets through the normalization sandwiches' slack or its own
+    tolerance: the polished answer fails its exact residual check on y,
+    and infer exits 4 saying so."""
     fx = roundtrip_fixture("expanded_path")
     out = tmp_path / "out"
     out.mkdir()
@@ -623,14 +648,17 @@ def test_infer_window_met_only_within_tolerance_exit_code(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"spec": str(tmp_path / "spec.json"),
                                "output_dir": str(out)}))
-    # the window sits 3e-6 to 5e-6 (standardized) above the exact
-    # prediction, inside the 1.12e-5 the sandwiches let y rise
-    lo, hi = (fx.predictor.destandardize(fx.y_center + d) for d in (3e-6, 5e-6))
-    assert main(["infer", "--config", str(cfg), "--lo", repr(lo), "--hi", repr(hi)]) == 4
-    err = capsys.readouterr().err
-    assert re.match(r"solver failure: solution fails verification: y = \S+ below "
-                    r"lower bound \S+; the solver met the target interval only "
-                    r"within its tolerance", err), err
+    # windows 3e-6 to 5e-6 (standardized) above the exact prediction,
+    # inside the 1.12e-5 the sandwiches let y rise, and 1e-7 to 2e-7 above
+    # it, inside the 1e-6 a check with tolerance would forgive
+    for window in ((3e-6, 5e-6), (1e-7, 2e-7)):
+        lo, hi = (fx.predictor.destandardize(fx.y_center + d) for d in window)
+        argv = ["infer", "--config", str(cfg), "--lo", repr(lo), "--hi", repr(hi)]
+        assert main(argv) == 4, window
+        err = capsys.readouterr().err
+        assert re.match(r"solver failure: solution fails verification: y = \S+ "
+                        r"below lower bound \S+; the solver met the target "
+                        r"interval only within its tolerance", err), err
 
 
 def test_solver_timeout_binds_an_external_solver(trained, capsys):
@@ -965,6 +993,9 @@ def _other_space(path):
     ("infer", "spec.json", lambda p: _replace_text(
         p, p.read_text().replace('"rho": 2', '"rho": 1')),
      "error: specification rho 1 differs from the descriptor space's rho 2"),
+    ("verify", "spec.json", lambda p: _replace_text(
+        p, p.read_text().replace('"rho": 2', '"rho": 3')),
+     "error: specification rho 3 differs from the descriptor space's rho 2"),
     ("train", "out/features.csv", _drop_a_field, "feature CSV line 2"),
     ("train", "out/features.csv", lambda p: _replace_text(p, ""), "'id' column"),
     ("train", "out/features.csv", _keep_header, "error: features.csv has no rows"),
@@ -975,7 +1006,7 @@ def _other_space(path):
     ("verify", "graph.json", lambda p: _replace_text(p, graph_to_json_text(chain(["C", "O"]))),
      "error: exterior element O not in the space"),
 ], ids=["space-json", "predictor-json", "spec-field", "spec-outside-space",
-        "spec-rho", "features-short-row", "features-empty", "features-no-rows",
+        "spec-rho", "verify-spec-rho", "features-short-row", "features-empty", "features-no-rows",
         "features-long-field", "graph-shape", "verify-space-mismatch",
         "verify-graph-outside-space"])
 def test_bad_input_files_are_usage_errors(trained, capsys, command, target, edit,

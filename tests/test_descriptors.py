@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from invqsar.descriptors import (
+    SCALARS,
     FeatureVector,
     GraphCensus,
     OutOfSpaceError,
@@ -141,7 +142,6 @@ def test_sum_invariants():
     rng = np.random.default_rng(17)
     graphs = [random_chemical_graph(rng, 12) for _ in range(30)]
     space = build_space(graphs, 2)
-    off = space.offsets
     for g in graphs:
         fv = featurize(g, space)
         vals = fv.values
@@ -150,7 +150,8 @@ def test_sum_invariants():
         # a lone interior vertex has interior degree 0 and is not tallied
         lone = 1 if vals[2] == 1 else 0
         assert sum(vals[8:12]) == vals[2] - lone
-        fc_block = vals[off["fc"]: off["fc"] + len(space.fringe_codes)]
+        fc_block = [v for name, v in zip(space.descriptor_names, vals)
+                    if name.startswith("fc_")]
         assert sum(fc_block) == vals[2]
 
 
@@ -239,9 +240,10 @@ def _counts(keys):
 _csv_censuses = st.builds(
     GraphCensus,
     st.just(2),
-    st.lists(_csv_values, min_size=14, max_size=14).map(tuple),
-    _counts([(True, e) for e in _CSV_SPACE.lambda_int]
-            + [(False, e) for e in _CSV_SPACE.lambda_ex]),
+    st.lists(_csv_values, min_size=14, max_size=14).map(
+        lambda values: {s.name: v for s, v in zip(SCALARS, values)}),
+    _counts(_CSV_SPACE.lambda_int),
+    _counts(_CSV_SPACE.lambda_ex),
     _counts(_CSV_SPACE.gamma_int),
     _counts(_CSV_SPACE.fringe_codes),
     _counts(_CSV_SPACE.ac_lf),

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import invqsar
+from invqsar.descriptors import CATALOGS, SCALARS
 from invqsar.topospec import (
     AC_BOUND,
     FRINGE_ASSIGNMENT,
@@ -44,3 +45,14 @@ def test_readme_spec_table_lists_the_schema_keys():
                     yield from paths(tables[below], below)
 
     assert documented == list(paths(SPEC))
+
+
+def test_readme_descriptor_layout_lists_the_table():
+    """The "Descriptor layout" paragraph names the scalar descriptors in
+    the table's order, and its formula for K counts them."""
+    section = README.read_text().split("**Descriptor layout**", 1)[1].split("\n\n", 1)[0]
+    scalars = section.split("The scalars come first: ", 1)[1].split(". ", 1)[0]
+    assert re.findall(r"`([^`]+)`", scalars) == [s.name for s in SCALARS]
+    formula = section.split("`K = ", 1)[1].split("`", 1)[0].split()
+    assert formula[0] == str(len(SCALARS))
+    assert " ".join(formula).count(" + |") == len(CATALOGS)
