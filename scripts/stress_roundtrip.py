@@ -3,17 +3,16 @@
 specifications, inverse solves, and full verification of every answer.
 
 Each instance derives a specification from a random target molecule,
-centers the prediction window on the target, solves the inverse model,
-checks that the polished answer meets every row and bound exactly (residual
-tolerance 0), decodes it and verifies (a) graph invariants, (b) exact
-agreement between the decoded feature vector and the model's descriptor
-variables, (c) the prediction window, (d) every specification clause, and
-(e) the same specification verdict for a copy of the answer with its vertex
-ids permuted at random.  Each verified instance is then solved again at a
-window that starts above the largest prediction its model can reach, and
-that solve must come back infeasible; the summary counts these by
-evidence: an exact row proof made before HiGHS is called, or HiGHS's own
-claim.
+centers the prediction window on the target, solves the inverse model
+(`solve` checks the polished answer exactly), decodes it and judges it with
+`invqsar.cli.judge`, the verdict `infer` and `verify` give: graph
+invariants, the model's descriptor values, the prediction window and every
+specification clause.  A copy of the answer with its vertex ids permuted at
+random must get the same specification verdict.  Each verified instance is
+then solved again at a window that starts above the largest prediction its
+model can reach, and that solve must come back infeasible; the summary
+counts these by evidence: an exact row proof made before HiGHS is called,
+or HiGHS's own claim.
 
 Usage: python3 scripts/stress_roundtrip.py [--instances 40] [--seed 0] [--max-heavy 11]
 """
@@ -21,7 +20,6 @@ Usage: python3 scripts/stress_roundtrip.py [--instances 40] [--seed 0] [--max-he
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -31,13 +29,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
+from invqsar.cli import judge
 from invqsar.decompose import decompose
-from invqsar.descriptors import build_space, featurize
 from invqsar.milp.build import build_milp, polish_solution
-from invqsar.milp.decode import decode, solution_feature_values
-from invqsar.milp.model import check_solution
+from invqsar.milp.decode import decode
 from invqsar.milp.solve import solve
-from invqsar.topospec import check_graph_satisfies, parse_spec, spec_from_graph
+from invqsar.topospec import check_graph_satisfies
 
 
 def main() -> int:
@@ -47,8 +44,8 @@ def main() -> int:
     parser.add_argument("--max-heavy", type=int, default=11)
     args = parser.parse_args()
 
-    from conftest import (random_chemical_graph, reachable_max, relabelled,
-                          uniform_predictor)
+    from conftest import (derived_instance, random_chemical_graph,
+                          reachable_max, relabelled)
 
     rng = np.random.default_rng(args.seed)
     # its own stream, so that the instances do not depend on the relabelling
@@ -71,39 +68,20 @@ def main() -> int:
             continue
         label = f"[{verified + failed + 1:3d}]"
         try:
-            space = build_space(family, 2)
-            trees = []
-            for g in family:
-                trees.extend(decompose(g, 2).fringe_trees.values())
-            spec = parse_spec(
-                json.dumps(spec_from_graph(target, fringe_trees=trees))
-            )
-            vectors = [featurize(g, space) for g in family]
-            predictor = uniform_predictor(space, vectors, weight=0.07)
-            fv = featurize(target, space)
-            y = predictor.predict_normalized(fv.as_floats())
+            space, spec, predictor, y = derived_instance(target, family, weight=0.07)
             model = build_milp(spec, space, predictor, y - 0.02, y + 0.02)
             sol = solve(model, "highs", time_limit=300, polish=polish_solution)
             if sol.status != "optimal":
                 raise RuntimeError("unexpected infeasibility")
-            residuals = check_solution(model, sol.values, tol=0)
-            if residuals:
-                raise RuntimeError(f"inexact answer: {residuals[:3]}")
             graph = decode(sol, spec)
-            problems = graph.validate()
-            fv_dec = featurize(graph, space)
-            xs = solution_feature_values(sol, space)
-            mismatch = [(j, a, b) for j, (a, b) in enumerate(zip(fv_dec.values, xs))
-                        if a != b]
-            y_dec = predictor.predict_normalized(fv_dec.as_floats())
-            report = check_graph_satisfies(spec, graph)
+            window = tuple(predictor.destandardize(v) for v in (y - 0.02, y + 0.02))
+            verdict = judge(graph, spec, space, predictor, window, sol)
             moved = check_graph_satisfies(spec, relabelled(graph, relabel_rng))
-            if problems or mismatch or not report.passed or not (
-                y - 0.0201 <= y_dec <= y + 0.0201
-            ) or moved.passed != report.passed:
+            if not verdict.passed or moved.passed != verdict.report.passed:
                 raise RuntimeError(
-                    f"verification failed: {problems[:2]} {mismatch[:3]} "
-                    f"{[c.name for c in report.failures()]} "
+                    f"verification failed: {verdict.problems[:2]} in window "
+                    f"{verdict.in_interval}, x_j match {verdict.x_match}, "
+                    f"{[c.name for c in verdict.report.failures()]} "
                     f"relabelled {[c.name for c in moved.failures()]}"
                 )
             # log-uniform in [1e-4, 0.5]: from just past the reachable
@@ -119,7 +97,7 @@ def main() -> int:
             evidence[kind] += 1
             verified += 1
             print(f"{label} ok: target {target.n_heavy()} heavy -> "
-                  f"answer {graph.n_heavy()} heavy, y {y_dec:.4f}; "
+                  f"answer {graph.n_heavy()} heavy, y {verdict.y_std:.4f}; "
                   f"unreachable y {y_out:.4f}: {kind}")
         except Exception as exc:  # noqa: BLE001 - campaign report
             failed += 1

@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass, fields
 from functools import cache
@@ -51,7 +50,8 @@ from .regression import (
 from .schema import (
     COUNT, NUMBER, STRING, Field, InputError, Kind, Reader, Table, integer, number)
 from .sdf import RecordError, graph_to_sdf, read_sdf
-from .topospec import SpecError, check_graph_satisfies, parse_spec
+from .topospec import (
+    SatisfactionReport, SpecError, check_graph_satisfies, parse_spec)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -258,13 +258,53 @@ def run_train(cfg: ProjectConfig) -> int:
     return EXIT_OK
 
 
-def _judge(graph, spec, space, predictor):
-    """One census of a valid graph, read three ways: its descriptor values,
-    its standardized prediction and its specification report."""
+@dataclass(frozen=True)
+class Verdict:
+    """An answer judged by `judge`; `passed` alone decides exit 0 or 1.  A
+    check that was not asked for (no window, no model values) holds; an
+    invalid graph fails its report and the checks that need descriptors."""
+    problems: list[str]  # the graph's invariant violations
+    report: SatisfactionReport
+    interval: tuple[float, float] | None = None
+    y_std: float | None = None  # standardized prediction
+    y_val: float | None = None  # the same in original units
+    in_interval: bool = False
+    x_match: bool = False  # descriptor values equal the model's x_j
+
+    @property
+    def passed(self) -> bool:
+        return self.report.passed and self.in_interval and self.x_match
+
+    def to_json(self) -> dict:
+        """The document of verification.json."""
+        return {
+            "predicted_value": self.y_val,
+            "predicted_standardized": self.y_std,
+            "interval": self.interval,
+            "in_interval": self.in_interval,
+            "feature_vector_matches_model": self.x_match,
+            "spec_report": self.report.to_json(),
+        }
+
+
+def judge(graph, spec, space, predictor, interval=None, sol=None) -> Verdict:
+    """The one verdict on an answer: its invariants, then one census of a
+    valid graph read as the specification report and the prediction, the
+    window in original units when given, and the solution's x_j when
+    given."""
+    problems = graph.validate()
+    if problems:
+        # descriptors are undefined on a graph that breaks its invariants
+        return Verdict(problems, check_graph_satisfies(spec, graph), interval)
     census = take_census(graph, space.rho)
     fv = census_vector(census, space)
-    return (fv.values, predictor.predict_normalized(fv.as_floats()),
-            check_graph_satisfies(spec, graph, census))
+    report = check_graph_satisfies(spec, graph, census)
+    y_std = predictor.predict_normalized(fv.as_floats())
+    y_val = predictor.destandardize(y_std)
+    return Verdict(
+        problems, report, interval, y_std, y_val,
+        interval is None or interval[0] - 1e-9 <= y_val <= interval[1] + 1e-9,
+        sol is None or fv.values == solution_feature_values(sol, space))
 
 
 def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
@@ -294,7 +334,7 @@ def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
         why = str(exc)
         # polish makes y the answer's exact prediction; its bound fails when
         # the solver met the window only within its tolerance
-        if re.search(r"[:;] y = ", why):
+        if any(p.startswith("y = ") for p in getattr(exc, "problems", ())):
             why += ("; the solver met the target interval only within its "
                     "tolerance, not with the answer's exact prediction")
         print(f"solver failure: {why}", file=sys.stderr)
@@ -310,22 +350,12 @@ def run_infer(cfg: ProjectConfig, y_lo: float, y_hi: float) -> int:
         return EXIT_SOLVER
     (out / "result.json").write_text(graph_to_json_text(graph))
     (out / "result.sdf").write_text(graph_to_sdf(graph, "inferred"))
-    values, y_std, report = _judge(graph, spec, space, predictor)
-    y_val = predictor.destandardize(y_std)
-    x_match = values == solution_feature_values(sol, space)
-    verification = {
-        "predicted_value": y_val,
-        "predicted_standardized": y_std,
-        "interval": [y_lo, y_hi],
-        "in_interval": y_lo - 1e-9 <= y_val <= y_hi + 1e-9,
-        "feature_vector_matches_model": x_match,
-        "spec_report": report.to_json(),
-    }
-    (out / "verification.json").write_text(json.dumps(verification, indent=2))
+    verdict = judge(graph, spec, space, predictor, (y_lo, y_hi), sol)
+    (out / "verification.json").write_text(json.dumps(verdict.to_json(), indent=2))
     print(f"status: feasible; wrote {out / 'result.json'} and {out / 'result.sdf'}")
-    print(f"predicted value: {y_val:g} (interval [{y_lo:g}, {y_hi:g}])")
-    print(f"specification check: {'pass' if report.passed else 'FAIL'}")
-    if not (verification["in_interval"] and x_match and report.passed):
+    print(f"predicted value: {verdict.y_val:g} (interval [{y_lo:g}, {y_hi:g}])")
+    print(f"specification check: {'pass' if verdict.report.passed else 'FAIL'}")
+    if not verdict.passed:
         print(f"error: verification failed; see {out / 'verification.json'}",
               file=sys.stderr)
         return EXIT_CHECK
@@ -342,17 +372,19 @@ def run_verify(graph_path: str, spec_path: str, predictor_path: str,
         raise UsageError("predictor was trained against a different space")
     check_rho(spec, space)
     _same_descriptors("predictor descriptor_names", predictor.descriptor_names, space)
-    problems = graph.validate()
-    if problems:
-        # descriptors are undefined on a graph that breaks its invariants
-        print(f"graph invariants: FAIL: {'; '.join(problems[:3])}")
-        print(check_graph_satisfies(spec, graph).to_text())
-        return EXIT_CHECK
-    print("graph invariants: pass")
-    _, y_std, report = _judge(graph, spec, space, predictor)
-    print(f"predicted value: {predictor.destandardize(y_std):g}")
-    print(report.to_text())
-    return EXIT_OK if report.passed else EXIT_CHECK
+    try:
+        verdict = judge(graph, spec, space, predictor)
+    except OutOfSpaceError:
+        # raised only once the graph has passed its invariants; main exits 2
+        print("graph invariants: pass")
+        raise
+    if verdict.problems:
+        print(f"graph invariants: FAIL: {'; '.join(verdict.problems[:3])}")
+    else:
+        print("graph invariants: pass")
+        print(f"predicted value: {verdict.y_val:g}")
+    print(verdict.report.to_text())
+    return EXIT_OK if verdict.passed else EXIT_CHECK
 
 
 def _joined_bounds(argv: list[str]) -> list[str]:

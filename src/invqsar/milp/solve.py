@@ -14,10 +14,13 @@ backend reports an objective value.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import re
 import shlex
 import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -37,6 +40,9 @@ TIMEOUT = "timeout"
 # CHECK_TOL exactly, as the residual check reads it
 _EXACT_TOL = Fraction(repr(CHECK_TOL))
 
+# its fflush(None) writes out every C stdio buffer, HiGHS's stdout among them
+_LIBC = ctypes.CDLL(None)
+
 
 class SolverFailure(RuntimeError):
     """A solver crashed, stopped before an answer or wrote garbage."""
@@ -47,6 +53,10 @@ class SolutionCheckError(RuntimeError):
     `polish_solution`, a violated bound of the prediction y means the solver
     met the target window only within its tolerance; any other violation is
     an emitter or parser bug."""
+
+    def __init__(self, message: str, problems: list[str] | None = None) -> None:
+        super().__init__(message)
+        self.problems = problems or []  # check_solution's list, if it made one
 
 
 @dataclass
@@ -240,16 +250,30 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
     if time_limit is not None:
         options["time_limit"] = time_limit
 
+    stray: list[str] = []
+
     def attempt(**extra):
-        with warnings.catch_warnings():
+        # HiGHS prints some lines to fd 1 itself; they go to the log, not
+        # into the caller's stdout
+        sys.stdout.flush()
+        with tempfile.TemporaryFile() as out, warnings.catch_warnings():
             warnings.filterwarnings("ignore", _PASSED_VERBATIM, RuntimeWarning)
-            return milp(
-                [0.0] * len(variables),
-                constraints=constraints,
-                integrality=integral,
-                bounds=bounds,
-                options={**options, **extra},
-            )
+            saved = os.dup(1)
+            os.dup2(out.fileno(), 1)
+            try:
+                return milp(
+                    [0.0] * len(variables),
+                    constraints=constraints,
+                    integrality=integral,
+                    bounds=bounds,
+                    options={**options, **extra},
+                )
+            finally:
+                _LIBC.fflush(None)
+                os.dup2(saved, 1)
+                os.close(saved)
+                out.seek(0)
+                stray.append(out.read().decode(errors="replace"))
 
     start = time.monotonic()
     res = attempt()
@@ -266,7 +290,7 @@ def solve_highs(model: MILPModel, time_limit: float | None = None) -> Solution:
                     f"presolve-off pass could check: {res.message}")
         res = attempt(**extra)
     log = (f"HiGHS status={res.status} nodes={res.get('mip_node_count')} "
-           f"gap={res.get('mip_gap')}: {res.message}\n")
+           f"gap={res.get('mip_gap')}: {res.message}\n" + "".join(stray))
     if res.status == 2:
         return Solution(INFEASIBLE, log=log)
     if res.status != 0:
@@ -328,6 +352,5 @@ def solve(
     problems = check_solution(model, sol.values, tol)
     if problems:
         raise SolutionCheckError(
-            "solution fails verification: " + "; ".join(problems[:10])
-        )
+            "solution fails verification: " + "; ".join(problems[:10]), problems)
     return sol

@@ -18,7 +18,7 @@ from invqsar.elements import make_element
 from invqsar.graph import ChemicalGraph, Edge, Vertex, build_graph
 from invqsar.regression import LinearPredictor
 from invqsar.sdf import RecordError, read_sdf
-from invqsar.topospec import parse_spec
+from invqsar.topospec import parse_spec, spec_from_graph
 
 
 def ring(n: int, pendant: int = 0) -> ChemicalGraph:
@@ -158,6 +158,19 @@ def uniform_predictor(space, vectors, weight=0.1, bias=0.05,
     )
 
 
+def derived_instance(target, family, weight=0.1):
+    """The space of `family`, the specification derived from `target` with
+    the family's fringe trees as its menu, a uniform predictor over the
+    family and target's standardized prediction."""
+    space = build_space(family, 2)
+    trees = [t for g in family for t in decompose(g, 2).fringe_trees.values()]
+    spec = parse_spec(json.dumps(spec_from_graph(target, fringe_trees=trees)))
+    vectors = [featurize(g, space) for g in family]
+    predictor = uniform_predictor(space, vectors, weight=weight)
+    y = predictor.predict_normalized(featurize(target, space).as_floats())
+    return space, spec, predictor, y
+
+
 def reachable_max(model) -> float:
     """The largest y that the prediction row pred_value allows with every
     descriptor at its best bound."""
@@ -231,6 +244,12 @@ class RoundTripFixture:
         self.y_lo = self.y_center - 0.01
         self.y_hi = self.y_center + 0.01
         self.mini_ok = mini_ok
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        """[y_lo, y_hi] in original units, as `infer` takes the window."""
+        return (self.predictor.destandardize(self.y_lo),
+                self.predictor.destandardize(self.y_hi))
 
 
 def _fixture_triangle() -> RoundTripFixture:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from invqsar.cli import judge
 from invqsar.descriptors import build_space, featurize
 from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import decode, solution_feature_values
@@ -200,10 +201,9 @@ def test_criterion_6_roundtrip_external(name):
         fv = featurize(graph, fx.space)
         ok = fv.values == solution_feature_values(sol, fx.space)
         detail.append("features exact" if ok else "feature mismatch")
-        y = fx.predictor.predict_normalized(fv.as_floats())
-        in_interval = fx.y_lo - 1e-4 <= y <= fx.y_hi + 1e-4
-        ok = ok and in_interval
-        detail.append(f"y={y:.5f}")
+        verdict = judge(graph, fx.spec, fx.space, fx.predictor, fx.interval, sol)
+        ok = ok and verdict.passed
+        detail.append(f"y={verdict.y_std:.5f}")
     report(6, f"round trip [{name}]", ok, ", ".join(detail))
 
 

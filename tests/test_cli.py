@@ -790,6 +790,27 @@ def test_infer_failed_check_exit_code(trained, monkeypatch, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+def test_judge_fails_a_prediction_outside_the_window_and_a_wrong_x():
+    """The verdict passes the triangle fixture's target inside a window
+    around its prediction, and fails it when the window lies just above
+    the prediction or when one model value x_j is off by one."""
+    fx = roundtrip_fixture("triangle")
+    graph = fx.target
+    values = census_vector(take_census(graph, 2), fx.space).values
+    sol = solve_module.Solution("optimal", {
+        f"x_{j}": v for j, v in enumerate(values, start=1)})
+    y = cli.judge(graph, fx.spec, fx.space, fx.predictor).y_val
+    assert cli.judge(graph, fx.spec, fx.space, fx.predictor,
+                     (y - 1e-8, y + 1e-8), sol).passed
+    above = cli.judge(graph, fx.spec, fx.space, fx.predictor,
+                      (y + 1e-8, y + 2e-8), sol)
+    assert not above.in_interval and above.x_match and not above.passed
+    sol.values["x_1"] += 1
+    wrong = cli.judge(graph, fx.spec, fx.space, fx.predictor,
+                      (y - 1e-8, y + 1e-8), sol)
+    assert wrong.in_interval and not wrong.x_match and not wrong.passed
+
+
 def test_infer_decode_failure_exit_code(trained, monkeypatch, capsys):
     tmp, cfg_path = trained
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from invqsar.cli import judge
 from invqsar.descriptors import featurize
 from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import DecodeError, decode, solution_feature_values
@@ -36,10 +37,8 @@ def run_roundtrip(fx, backend):
             f"{fx.name}: descriptor {fx.space.descriptor_names[j]} "
             f"{have} != model {want}"
         )
-    y = fx.predictor.predict_normalized(fv.as_floats())
-    assert fx.y_lo - 1e-4 <= y <= fx.y_hi + 1e-4
-    report = check_graph_satisfies(fx.spec, graph)
-    assert report.passed, report.to_text()
+    verdict = judge(graph, fx.spec, fx.space, fx.predictor, fx.interval, sol)
+    assert verdict.passed, verdict.to_json()
     return model, sol, graph
 
 

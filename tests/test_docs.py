@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import invqsar
+from invqsar.cli import judge
 from invqsar.descriptors import CATALOGS, SCALARS
 from invqsar.topospec import (
     AC_BOUND,
@@ -14,6 +15,8 @@ from invqsar.topospec import (
     SEED_VERTEX,
     SPEC,
 )
+
+from conftest import roundtrip_fixture
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -56,3 +59,13 @@ def test_readme_descriptor_layout_lists_the_table():
     formula = section.split("`K = ", 1)[1].split("`", 1)[0].split()
     assert formula[0] == str(len(SCALARS))
     assert " ".join(formula).count(" + |") == len(CATALOGS)
+
+
+def test_readme_lists_the_verification_keys():
+    """The keys README lists for verification.json are those a verdict on
+    the triangle fixture's target writes, in order."""
+    sentence = README.read_text().split("`verification.json` is the verdict's document", 1)[1]
+    listed = re.findall(r"`([^`]+)`", sentence.split(".\n", 1)[0])
+    fx = roundtrip_fixture("triangle")
+    verdict = judge(fx.target, fx.spec, fx.space, fx.predictor, fx.interval)
+    assert listed == list(verdict.to_json())

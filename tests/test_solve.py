@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import time
 import warnings
@@ -137,6 +139,47 @@ def test_highs_presolve_off_pass_without_a_limit(monkeypatch):
     assert calls == [{"mip_heuristic_run_feasibility_jump": False},
                      {"mip_heuristic_run_feasibility_jump": False,
                       "presolve": False}]
+
+
+# A child process with C stdio buffered, as it is without
+# PYTHONUNBUFFERED: a fake milp writes to fd 1 directly and, after HiGHS
+# returns, through printf's buffer.
+STRAY_PROBE = """
+import ctypes, os, sys
+sys.path[:0] = sys.argv[1:3]
+import scipy.optimize
+from invqsar.milp.solve import solve
+from test_solve import small_model
+
+real = scipy.optimize.milp
+printf = ctypes.CDLL(None).printf
+printf.argtypes, printf.restype = [ctypes.c_char_p], ctypes.c_int
+
+def chatty(*args, **kwargs):
+    os.write(1, b"stray line from fd 1\\n")
+    res = real(*args, **kwargs)
+    printf(b"stray line from C stdio\\n")
+    return res
+
+scipy.optimize.milp = chatty
+print("before", flush=True)
+sol = solve(small_model(), "highs")
+print("after", flush=True)
+sys.stderr.write(sol.status + "\\n" + sol.log)
+"""
+
+
+def test_highs_stray_stdout_goes_to_the_log():
+    """What HiGHS writes to fd 1 itself, directly or through C stdio's
+    buffer, lands in the solution's log and not in the caller's stdout."""
+    here = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run(
+        [sys.executable, "-c", STRAY_PROBE, str(here.parent / "src"), str(here)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.stdout == "before\nafter\n", done.stdout + done.stderr
+    assert done.stderr.startswith("optimal\nHiGHS status=0")
+    assert done.stderr.endswith("stray line from fd 1\nstray line from C stdio\n")
 
 
 def _fixture_model(name):

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from invqsar.cli import judge
 from invqsar.decompose import decompose
-from invqsar.descriptors import build_space, featurize
+from invqsar.descriptors import featurize
 from invqsar.milp.build import build_milp, polish_solution
 from invqsar.milp.decode import decode, solution_feature_values
 from invqsar.milp.solve import solve
@@ -20,7 +21,7 @@ from invqsar.topospec import (
 
 from invqsar.graph import build_graph
 
-from conftest import chain, random_chemical_graph, ring, uniform_predictor
+from conftest import chain, derived_instance, random_chemical_graph, ring
 
 
 def test_hand_examples_satisfy_their_own_spec():
@@ -73,17 +74,7 @@ def test_randomized_inverse_campaign():
         )
         if target is None:
             continue
-        space = build_space(family, 2)
-        trees = []
-        for g in family:
-            trees.extend(decompose(g, 2).fringe_trees.values())
-        spec = parse_spec(
-            json.dumps(spec_from_graph(target, fringe_trees=trees))
-        )
-        vectors = [featurize(g, space) for g in family]
-        predictor = uniform_predictor(space, vectors, weight=0.07)
-        fv = featurize(target, space)
-        y = predictor.predict_normalized(fv.as_floats())
+        space, spec, predictor, y = derived_instance(target, family, weight=0.07)
         model = build_milp(spec, space, predictor, y - 0.02, y + 0.02)
         sol = solve(model, backend, time_limit=300, polish=polish_solution)
         assert sol.status == "optimal", "target satisfies the spec, so a " \
@@ -92,9 +83,9 @@ def test_randomized_inverse_campaign():
         assert graph.validate() == []
         fv_dec = featurize(graph, space)
         assert fv_dec.values == solution_feature_values(sol, space)
-        y_dec = predictor.predict_normalized(fv_dec.as_floats())
-        assert y - 0.0201 <= y_dec <= y + 0.0201
-        assert check_graph_satisfies(spec, graph).passed
+        window = tuple(predictor.destandardize(v) for v in (y - 0.02, y + 0.02))
+        verdict = judge(graph, spec, space, predictor, window, sol)
+        assert verdict.passed, verdict.to_json()
         verified += 1
 
 
@@ -102,16 +93,8 @@ def _round_trip(target, family):
     """Derive target's spec with the family's fringe trees as its menu,
     check that target meets it, and solve, decode and verify a window of
     +-0.01 around target's prediction.  Returns the spec and the solution."""
-    space = build_space(family, 2)
-    trees = []
-    for g in family:
-        trees.extend(decompose(g, 2).fringe_trees.values())
-    spec = parse_spec(json.dumps(spec_from_graph(target, fringe_trees=trees)))
+    space, spec, predictor, y = derived_instance(target, family)
     assert check_graph_satisfies(spec, target).passed
-    vectors = [featurize(g, space) for g in family]
-    predictor = uniform_predictor(space, vectors)
-    fv = featurize(target, space)
-    y = predictor.predict_normalized(fv.as_floats())
     model = build_milp(spec, space, predictor, y - 0.01, y + 0.01)
     sol = solve(model, "highs", polish=polish_solution)
     assert sol.status == "optimal"
@@ -119,7 +102,9 @@ def _round_trip(target, family):
     assert graph.validate() == []
     fv_dec = featurize(graph, space)
     assert fv_dec.values == solution_feature_values(sol, space)
-    assert check_graph_satisfies(spec, graph).passed
+    window = tuple(predictor.destandardize(v) for v in (y - 0.01, y + 0.01))
+    verdict = judge(graph, spec, space, predictor, window, sol)
+    assert verdict.passed, verdict.to_json()
     return spec, sol
 
 
