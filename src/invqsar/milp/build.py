@@ -9,7 +9,10 @@ feature variables to a linear predictor whose output must land in a target
 interval.
 
 Variable names are a fixed, documented scheme (eC_3, chiT_5, dfrC_1_2, ...)
-so solutions can be decoded independently of the solver used.
+so solutions can be decoded independently of the solver used.  The bond
+positions of the scheme graph are one table, `bond_slots(spec)`: the
+builder writes every bond row from it and the decoder makes every interior
+bond from it.
 """
 
 from __future__ import annotations
@@ -61,13 +64,51 @@ class SymbolInfo:
 class BondSlot:
     """A bond position of the scheme graph: bond b{name} (0..3) with
     indicators db{name}_{m}, nonzero exactly when the binary `used` is 1.
-    `ends` are the symbol-indicator prefixes (csC_3, fsT_1, ...) of its two
-    end vertices, `part` the BOND_PARTS component its bonds count toward."""
+    `ends` are its two end vertices, each a (role, layer, index) triple:
+    role "slot" is slot `index` of layer C, T or F itself, "first" and
+    "last" are the first and last slot of the run of path color (layer T)
+    or leaf color (layer F) `index`.  `part` is the BOND_PARTS component its
+    bonds count toward."""
 
     name: str
-    ends: tuple[str, str]
+    ends: tuple[tuple[str, str, int], tuple[str, str, int]]
     used: str
     part: str
+
+
+# the symbol indicators of a bond end, by its role: {prefix}{layer}_{index}_{s}
+SYMBOL_PREFIX = {"slot": "cs", "first": "fs", "last": "ls"}
+
+
+def bond_slots(spec: TopologicalSpecification) -> list[BondSlot]:
+    """Every bond slot in declaration order, grouped by owner: a direct
+    seed edge, a T or F slot edge, a colored seed edge (its first bond
+    CTk and last bond TCk, which share dclrT_k) and a leaf color, rooted
+    at a leaf-path seed vertex or else at a T slot."""
+    seed, leafable = spec.seed, spec.seed.leafable
+    slots = [
+        BondSlot(f"C_{e.index}", (("slot", "C", e.tail), ("slot", "C", e.head)),
+                 f"eC_{e.index}", "C")
+        for e in seed.edges_of_class(FLEXIBLE, OPTIONAL, FIXED)
+    ]
+    for x, n in (("T", spec.t_tree), ("F", spec.t_leaf)):
+        slots += [
+            BondSlot(f"{x}_{i}", (("slot", x, i - 1), ("slot", x, i)), f"e{x}_{i}", x)
+            for i in range(2, n + 1)
+        ]
+    for e in seed.edges_of_class(PATH, FLEXIBLE):
+        k = e.index
+        slots.append(BondSlot(f"CTk_{k}", (("slot", "C", e.tail), ("first", "T", k)),
+                              f"dclrT_{k}", "CT"))
+        slots.append(BondSlot(f"TCk_{k}", (("last", "T", k), ("slot", "C", e.head)),
+                              f"dclrT_{k}", "TC"))
+    for c in range(1, spec.c_f + 1):
+        if c <= len(leafable):
+            root, part = ("slot", "C", leafable[c - 1]), "CF"
+        else:
+            root, part = ("slot", "T", c - len(leafable)), "TF"
+        slots.append(BondSlot(f"sF_{c}", (root, ("first", "F", c)), f"dclrF_{c}", part))
+    return slots
 
 
 def _all_zero(terms) -> bool:
@@ -152,10 +193,6 @@ class Build:
                         f"fringe tree {f.psi_id} uses exterior element {token} "
                         "outside lambda_ex"
                     )
-        self.menu_c = {
-            i: tuple(spec.fringe_set_for_vertex(i)) for i in range(1, self.t_c + 1)
-        }
-        self.menu_e = tuple(spec.fringe_edge_set)
 
         # chemical symbols over interior elements x degrees 1..4
         self.symbols: list[SymbolInfo] = []
@@ -179,43 +216,13 @@ class Build:
                 self.ordered_configs.append((mu2_pos, mu_pos, gamma.mult, gi))
 
         self.mass_avg_ub = self._mass_bound()
-        self.bond_slots = self._bond_slots()
+        self.bond_slots = bond_slots(spec)
 
     def _sym_pos_for(self, elem: ElementSpec, degree: int) -> int | None:
         pos = self.lam_int_pos.get(elem)
         if pos is None:
             return None
         return self.sym_pos[(pos, degree)]
-
-    def _bond_slots(self) -> list[BondSlot]:
-        """Every bond slot in declaration order, grouped by owner: a direct
-        seed edge, a T or F slot edge, a colored seed edge (its first bond
-        CTk and last bond TCk, which share dclrT_k) and a leaf color."""
-        slots = [
-            BondSlot(f"C_{e.index}", (f"csC_{e.tail}", f"csC_{e.head}"),
-                     f"eC_{e.index}", "C")
-            for e in self.direct_edges
-        ]
-        for x, n in (("T", self.t_t), ("F", self.t_f)):
-            slots += [
-                BondSlot(f"{x}_{i}", (f"cs{x}_{i - 1}", f"cs{x}_{i}"), f"e{x}_{i}", x)
-                for i in range(2, n + 1)
-            ]
-        for e in self.colored_edges:
-            k = e.index
-            slots.append(
-                BondSlot(f"CTk_{k}", (f"csC_{e.tail}", f"fsT_{k}"), f"dclrT_{k}", "CT")
-            )
-            slots.append(
-                BondSlot(f"TCk_{k}", (f"lsT_{k}", f"csC_{e.head}"), f"dclrT_{k}", "TC")
-            )
-        for c in range(1, self.c_f + 1):
-            if c <= self.t_c_tilde:
-                root, part = f"csC_{self.leafable[c - 1]}", "CF"
-            else:
-                root, part = f"csT_{c - self.t_c_tilde}", "TF"
-            slots.append(BondSlot(f"sF_{c}", (root, f"fsF_{c}"), f"dclrF_{c}", part))
-        return slots
 
     def _mass_bound(self) -> int | float:
         if self.spec.mass_avg_ub is not None:
@@ -518,10 +525,6 @@ def add_leaf_paths(b: Build) -> None:
     )
 
 
-def _menu(b: Build, x: str, i: int) -> tuple[str, ...]:
-    return b.menu_c[i] if x == "C" else b.menu_e
-
-
 def _slots(b: Build, x: str) -> int:
     return {"C": b.t_c, "T": b.t_t, "F": b.t_f}[x]
 
@@ -531,7 +534,8 @@ def _fringe_terms(b: Build, x: str, i: int, weight) -> list[tuple[str, int]]:
     of slot i of layer x."""
     by_id = b.spec.fringe_by_id
     return [
-        (f"dfr{x}_{i}_{b.psi_pos[psi]}", weight(by_id[psi])) for psi in _menu(b, x, i)
+        (f"dfr{x}_{i}_{b.psi_pos[psi]}", weight(by_id[psi]))
+        for psi in b.spec.fringe_menu(x, i)
     ]
 
 
@@ -557,7 +561,7 @@ def add_fringe_trees(b: Build) -> None:
     by_id = spec.fringe_by_id
     for x in "CTF":
         for i in range(1, _slots(b, x) + 1):
-            for psi in _menu(b, x, i):
+            for psi in spec.fringe_menu(x, i):
                 m.add_var(f"dfr{x}_{i}_{b.psi_pos[psi]}", BINARY)
             m.add_var(f"degex{x}_{i}", INTEGER, 0, 3)
             m.add_var(f"hyddeg{x}_{i}", INTEGER, 0, 4)
@@ -592,7 +596,7 @@ def add_fringe_trees(b: Build) -> None:
     for i in range(1, b.t_f + 1):
         tall = [
             (f"dfrF_{i}_{b.psi_pos[psi]}", 1)
-            for psi in b.menu_e
+            for psi in spec.fringe_menu("F", i)
             if by_id[psi].tree.height == b.rho
         ]
         terms = tall + [(f"vF_{i}", -1)]
@@ -617,7 +621,7 @@ def add_fringe_trees(b: Build) -> None:
                 (f"dfr{x}_{i}_{p}", 1)
                 for x in "CTF"
                 for i in range(1, _slots(b, x) + 1)
-                if f.psi_id in _menu(b, x, i)
+                if f.psi_id in spec.fringe_menu(x, i)
             ],
             f"fc_{p}",
         )
@@ -764,7 +768,7 @@ def add_degree(b: Build) -> None:
         )
         tall = [
             (f"dfrC_{i}_{b.psi_pos[psi]}", 1)
-            for psi in b.menu_c[i]
+            for psi in spec.fringe_menu("C", i)
             if spec.fringe_by_id[psi].tree.height == b.rho
         ]
         b.row(
@@ -1282,7 +1286,8 @@ def add_descriptor_linking(b: Build) -> None:
     # configuration o, one of them exactly when the slot is used
     n_ord = len(b.ordered_configs)
     for slot in b.bond_slots:
-        name, (sym_a, sym_b) = slot.name, slot.ends
+        name = slot.name
+        sym_a, sym_b = (f"{SYMBOL_PREFIX[role]}{x}_{i}" for role, x, i in slot.ends)
         for o in range(1, n_ord + 1):
             m.add_var(f"ec{name}_{o}", BINARY)
         for o, (pa, pb, mult, _gi) in enumerate(b.ordered_configs, start=1):

@@ -206,10 +206,17 @@ class TopologicalSpecification:
     def na_int_bounds(self, token: str) -> tuple[int, int]:
         return self.na_int_lb.get(token, 0), self.na_int_ub.get(token, self.n_star)
 
-    def fringe_set_for_vertex(self, pos: int) -> tuple[str, ...]:
-        return self.fringe_vertex_sets.get(
-            pos, tuple(f.psi_id for f in self.fringe_entries)
-        )
+    def fringe_menu(self, layer: str, i: int = 0) -> tuple[str, ...]:
+        """Ids of the fringe trees that slot i of scheme layer C, T or F may
+        carry: a seed vertex's own menu (all trees unless assigned), while
+        every T and F slot shares the edge menu."""
+        return self._seed_menus[i] if layer == "C" else self.fringe_edge_set
+
+    @cached_property
+    def _seed_menus(self) -> dict[int, tuple[str, ...]]:
+        every = tuple(f.psi_id for f in self.fringe_entries)
+        return {pos: tuple(self.fringe_vertex_sets.get(pos, every))
+                for pos in range(1, self.seed.t_c + 1)}
 
 
 # -- the specification document -------------------------------------------------
@@ -625,10 +632,10 @@ def _location_clauses(spec: TopologicalSpecification, decomp, tree_ids,
     seed = spec.seed
     menus = [f"vertex {pos}: fringe {tree_ids[v]} not in its menu"
              for pos, v in images.items()
-             if tree_ids[v] not in spec.fringe_set_for_vertex(pos)]
+             if tree_ids[v] not in spec.fringe_menu("C", pos)]
     menus += [f"interior {v}: fringe {tree_ids[v]} not allowed"
               for v in decomp.fringe_trees
-              if v not in images.values() and tree_ids[v] not in spec.fringe_edge_set]
+              if v not in images.values() and tree_ids[v] not in spec.fringe_menu("T")]
 
     def height(v: int) -> int:
         """Height of the tree hanging at interior vertex v: its fringe tree

@@ -1046,9 +1046,11 @@ def test_bad_input_files_are_usage_errors(trained, capsys, command, target, edit
     }[command]
     capsys.readouterr()
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert needle in err
     assert len(err.strip().splitlines()) == 1
+    if command == "verify":
+        assert out == ""
 
 
 def _old_format_space(path):

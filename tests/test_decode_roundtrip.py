@@ -6,21 +6,39 @@ descriptor variables coordinate for coordinate."""
 import copy
 import json
 import re
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from invqsar.cli import judge
+from invqsar.decompose import decompose
 from invqsar.descriptors import featurize
-from invqsar.milp.build import build_milp, polish_solution
+from invqsar.milp.build import bond_slots, build_milp, polish_solution
 from invqsar.milp.decode import DecodeError, decode, solution_feature_values
 from invqsar.milp.model import check_solution, emit_lp
 from invqsar.milp.solve import Solution, solve
-from invqsar.topospec import check_graph_satisfies, parse_spec
+from invqsar.topospec import check_graph_satisfies, parse_spec, spec_to_json_text
 
 from conftest import ALL_ROUNDTRIP_FIXTURES, ring, roundtrip_fixture
 from lp_reader import parse_lp
 from lp_validator import validate_lp
+
+
+def assert_one_bond_per_used_slot(sol, spec, graph):
+    """The decoded graph's interior bonds are the used bond slots, one each,
+    with multiplicity b<slot>; the model's bdint_m counts those of
+    multiplicity m, so bdint_1 + bdint_2 + bdint_3 is their number."""
+    used = [s for s in bond_slots(spec) if sol.int_value(s.used) == 1]
+    interior = decompose(graph, spec.rho).interior_edges
+    assert len(interior) == len(used)
+    assert Counter(e.mult for e in interior) == Counter(
+        sol.int_value(f"b{s.name}") for s in used)
+    tally = {m: sol.int_value(f"bdint_{m}") for m in (1, 2, 3)}
+    assert tally == {m: sum(e.mult == m for e in interior) for m in (1, 2, 3)}
+    assert sum(tally.values()) == len(interior)
 
 
 def run_roundtrip(fx, backend):
@@ -30,6 +48,7 @@ def run_roundtrip(fx, backend):
     assert check_solution(model, sol.values, tol=0) == []
     graph = decode(sol, fx.spec)
     assert graph.validate() == []
+    assert_one_bond_per_used_slot(sol, fx.spec, graph)
     fv = featurize(graph, fx.space)
     xs = solution_feature_values(sol, fx.space)
     for j, (have, want) in enumerate(zip(fv.values, xs)):
@@ -123,6 +142,59 @@ def test_decode_rejects_nonsense():
     fx = roundtrip_fixture("triangle")
     with pytest.raises(DecodeError):
         decode(Solution("infeasible"), fx.spec)
+
+
+@cache
+def _fault_answer(name, path_len=None):
+    """(spec, polished answer) of a round-trip fixture.  With `path_len`,
+    expanded_path's path edge carries exactly that many bonds and at least
+    one leaf path, and the model has no predictor."""
+    fx = roundtrip_fixture(name)
+    spec, window = fx.spec, (fx.predictor, fx.y_lo, fx.y_hi)
+    if path_len is not None:
+        doc = json.loads(spec_to_json_text(spec))
+        doc["seed"]["edges"][0].update(len_lb=path_len, len_ub=path_len, branch_lb=1)
+        spec, window = parse_spec(json.dumps(doc)), ()
+    sol = solve(build_milp(spec, fx.space, *window), "highs", time_limit=600,
+                polish=polish_solution)
+    assert sol.status == "optimal"
+    assert_one_bond_per_used_slot(sol, spec, decode(sol, spec))
+    return spec, sol
+
+
+def _unchosen_fringe(spec, sol):
+    """A fringe tree seed vertex 1 did not choose, chosen as well."""
+    return next(n for n in sorted(sol.values)
+                if n.startswith("dfrC_1_") and sol.values[n] == 0), 1
+
+
+def _unused_leaf_root(spec, sol):
+    """The T slot a leaf path hangs at, made unused."""
+    t_c_tilde = len(spec.seed.leafable)
+    return next(f"vT_{i}" for i in range(1, spec.t_tree + 1)
+                if sol.int_value(f"vT_{i}") == 1
+                and sol.int_value(f"dclrF_{t_c_tilde + i}") == 1), 0
+
+
+@pytest.mark.parametrize("answer, corrupt, needle", [
+    (("expanded_path",), _unchosen_fringe, "2 fringe trees selected"),
+    (("expanded_path",), lambda spec, sol: ("aC_1", 2), "element code 2"),
+    (("hetero",), lambda spec, sol: ("aC_1", 3 - sol.int_value("aC_1")),
+     "disagrees with fringe root"),
+    (("two_rings",), lambda spec, sol: ("bC_2", 0), "multiplicity 0"),
+    (("expanded_path", 4), lambda spec, sol: ("chiT_2", 0), "not a contiguous run"),
+    (("expanded_path", 4), lambda spec, sol: ("eT_3", 0), "missing chain edge"),
+    (("expanded_path", 3), _unused_leaf_root, "unused slot T"),
+], ids=["second-fringe", "element-out-of-range", "element-not-root",
+        "unbonded-slot", "split-run", "missing-chain-edge", "leaf-at-unused-slot"])
+def test_decode_rejects_a_corrupted_answer(answer, corrupt, needle):
+    """One wrong value in a polished answer is a DecodeError naming it."""
+    spec, sol = _fault_answer(*answer)
+    name, value = corrupt(spec, sol)
+    assert sol.values[name] != value
+    bad = Solution(sol.status, {**sol.values, name: Fraction(value)})
+    with pytest.raises(DecodeError, match=needle):
+        decode(bad, spec)
 
 
 def test_roundtrip_with_charged_nitrogen():
